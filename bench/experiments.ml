@@ -1295,9 +1295,10 @@ let e20 () =
   let run harness independence =
     let store, programs, sym = harness () in
     let options =
-      Search.of_legacy ~max_crashes:1
-        ~reduction:(Explore.full_reduction sym)
-        ~independence ()
+      Search.default
+      |> Search.with_max_crashes 1
+      |> Search.with_reduction (Explore.full_reduction sym)
+      |> Search.with_independence independence
     in
     let before = List.map metric counter_names in
     let t0 = Unix.gettimeofday () in
@@ -1427,7 +1428,11 @@ let e21 () =
       | `None -> Explore.no_reduction
       | `Full -> Explore.full_reduction sym
     in
-    let options = Search.of_legacy ~max_crashes:1 ~reduction ~fp ~jobs () in
+    let options =
+      Search.(
+        default |> with_max_crashes 1 |> with_reduction reduction
+        |> with_fp fp |> with_jobs jobs)
+    in
     let before = List.map metric counter_names in
     let t0 = Unix.gettimeofday () in
     let stats =
@@ -1525,102 +1530,6 @@ let e21 () =
         "refolds"; "frontier B"; "inc speed"; "full speed"; "verdict" ]
     rows
 
-(* ------------------------------------------------------------------ E22 *)
-
-(* Partitioned out-of-core exploration: fingerprint-lane state ownership
-   with batched frontier exchange, at 1/2/4 partitions, over the heap
-   claim tables and the mmap-spilled 62-bit tables.  The claim under
-   test is the engine's determinism contract — states / transitions /
-   terminals / hung / crashed bit-identical to the sequential explorer
-   at every partition count in both storage modes — plus the exchange
-   and spill traffic surfaced per run ([partition.batches_sent],
-   [partition.batch_bytes], [partition.spill_bytes]).  [seq_threshold 0]
-   forces the worker/batch path even on these benchmark-sized spaces. *)
-let e22 () =
-  let alg5_harness () =
-    let store, t = Alg5.alloc Store.empty ~k:3 () in
-    ( Config.make store
-        (List.init 3 (fun i -> Alg5.wrn t ~i (Value.Int (100 + i)))),
-      1 )
-  in
-  let alg2_harness () =
-    let store, t = Alg2.alloc Store.empty ~k:3 ~one_shot:true in
-    ( Config.make store
-        (List.init 3 (fun i -> Alg2.propose t ~i (Value.Int (100 + i)))),
-      2 )
-  in
-  let metric name =
-    match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
-  in
-  let counter_names =
-    [ "partition.batches_sent"; "partition.batch_bytes";
-      "partition.spill_bytes" ]
-  in
-  let rows =
-    List.concat_map
-      (fun (family, harness) ->
-        let config, f = harness () in
-        let seq =
-          Explore.iter_terminals ~max_crashes:f config ~f:(fun _ _ -> ())
-        in
-        List.concat_map
-          (fun (mode, spill) ->
-            List.map
-              (fun partitions ->
-                let before = List.map metric counter_names in
-                let t0 = Unix.gettimeofday () in
-                let stats =
-                  Partition.iter_terminals ~max_crashes:f ?spill
-                    ~seq_threshold:0 ~partitions ~jobs:4 config
-                    ~f:(fun _ _ -> ())
-                in
-                let secs = Unix.gettimeofday () -. t0 in
-                let deltas =
-                  List.map2 ( -. ) (List.map metric counter_names) before
-                in
-                let same =
-                  stats.Explore.states = seq.Explore.states
-                  && stats.Explore.transitions = seq.Explore.transitions
-                  && stats.Explore.terminals = seq.Explore.terminals
-                  && stats.Explore.hung_terminals = seq.Explore.hung_terminals
-                  && stats.Explore.crashed_terminals
-                     = seq.Explore.crashed_terminals
-                  && stats.Explore.dedup_hits = seq.Explore.dedup_hits
-                in
-                let spilled = List.nth deltas 2 in
-                let ok =
-                  same
-                  && (mode <> "spill" || spilled > 0.)
-                  && (partitions > 1 || List.nth deltas 0 = 0.)
-                in
-                [
-                  family; string_of_int partitions; mode;
-                  string_of_int stats.Explore.states;
-                  string_of_int stats.Explore.transitions;
-                  string_of_int stats.Explore.terminals;
-                  Printf.sprintf "%.0f" (List.nth deltas 0);
-                  Printf.sprintf "%.0f" (List.nth deltas 1 /. 1024.);
-                  Printf.sprintf "%.0f" (spilled /. 1024.);
-                  Printf.sprintf "%.0fk/s"
-                    (float_of_int stats.Explore.states /. max 1e-9 secs /. 1e3);
-                  check
-                    (Printf.sprintf "E22 %s p=%d %s" family partitions mode)
-                    ok;
-                ])
-              [ 1; 2; 4 ])
-          [ ("heap", None); ("spill", Some "_e22_spill.tmp") ])
-      [ ("alg5 k=3 f=1", alg5_harness); ("alg2 k=3 f=2", alg2_harness) ]
-  in
-  table
-    ~title:
-      "E22. Partitioned out-of-core exploration: counts bit-identical to \
-       the sequential explorer at 1/2/4 partitions, heap and mmap-spilled \
-       tables alike; batches cross partitions only when partitions > 1"
-    ~header:
-      [ "family"; "parts"; "tables"; "states"; "transitions"; "terminals";
-        "batches"; "batch KB"; "spill KB"; "speed"; "verdict" ]
-    rows
-
 (* ------------------------------------------------------------ scaling *)
 
 let scaling () =
@@ -1691,7 +1600,6 @@ let run_all () =
   e19 ();
   e20 ();
   e21 ();
-  e22 ();
   scaling ();
   Format.printf "@.=== experiments complete: %s ===@."
     (if !failures = 0 then "ALL PASS"
@@ -1711,4 +1619,3 @@ let run_e18 () = run_one e18
 let run_e19 () = run_one e19
 let run_e20 () = run_one e20
 let run_e21 () = run_one e21
-let run_e22 () = run_one e22

@@ -37,7 +37,6 @@ let () =
     | "e19" -> Experiments.run_e19 ()
     | "e20" -> Experiments.run_e20 ()
     | "e21" -> Experiments.run_e21 ()
-    | "e22" -> Experiments.run_e22 ()
     | "perf" ->
       (* [--jobs N] caps the sweep at N domains (the default sweeps
          1/2/4/8 regardless of the host's core count). *)

@@ -605,9 +605,10 @@ let perf_independence () =
         (fun (mode, independence) ->
           let store, programs, sym = harness () in
           let options =
-            Search.of_legacy ~max_crashes:1
-              ~reduction:(Explore.full_reduction sym)
-              ~independence ()
+            Search.default
+            |> Search.with_max_crashes 1
+            |> Search.with_reduction (Explore.full_reduction sym)
+            |> Search.with_independence independence
           in
           let before = List.map metric counter_names in
           let t0 = Unix.gettimeofday () in
@@ -688,8 +689,10 @@ let perf_e21 ~jobs_list () =
                   counter_delta [ "fp.patches"; "fp.refolds" ] (fun () ->
                       Search.iter_terminals
                         ~options:
-                          (Search.of_legacy ~max_crashes:1 ~reduction ~fp
-                             ~jobs ())
+                          Search.(
+                            default |> with_max_crashes 1
+                            |> with_reduction reduction |> with_fp fp
+                            |> with_jobs jobs)
                         config
                         ~f:(fun _ _ -> ()))
                 in
@@ -746,21 +749,14 @@ let perf_e21 ~jobs_list () =
         [ ("none", Explore.no_reduction); ("full", Explore.full_reduction sym) ])
     families
 
-(* P6 / E22 artifact rows: the partitioned engine.  Three headline
-   guards ride in [p6.partition_compare]:
-
-   - [partition1_vs_parallel]: the batching/ownership machinery at
-     partitions=1 must cost <= 1.15x the plain work-stealing engine at
-     the same domain count (CI asserts this) — a single partition sends
-     no batches, so the overhead is the routing hash and the credit
-     counter.
-   - [spill_vs_lockfree_memory]: the mmap-spilled visited set's heap
-     residency must be <= 50% of the lock-free claim table's on the
-     largest registry family (it is bookkeeping-only; the mapped pages
-     are file-backed).
-   - determinism: every partitioned run's counts are diffed against the
-     sequential explorer, like P2 does for the parallel engine. *)
-let perf_partition ~jobs_list () =
+(* P6 artifact row: the out-of-core visited table.  [p6.spill_compare]
+   runs the parallel engine twice on the same family at the same domain
+   count — lock-free claim table vs [Spill] — and records both wall
+   times and heap-resident visited bytes.  CI asserts
+   [spill_vs_lockfree_memory <= 0.5]: the spill table's heap residency
+   is bookkeeping only (the mapped pages are file-backed).  Both runs'
+   counts are diffed against the sequential explorer, like P2 does. *)
+let perf_spill ~jobs_list () =
   let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
   let programs =
     List.init 3 (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)))
@@ -769,131 +765,62 @@ let perf_partition ~jobs_list () =
   let base_stats =
     Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
   in
-  let repeat = 3 in
-  let best_of f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to repeat do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
   let jobs = match List.rev jobs_list with j :: _ -> min j 4 | [] -> 4 in
-  (* The plain parallel engine at the same domain count: the overhead
-     baseline for partitions=1. *)
-  let _, parallel_secs =
-    best_of (fun () ->
-        Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~jobs config
-          ~f:(fun _ _ -> ()))
-  in
-  let counter_names =
-    [ "partition.batches_sent"; "partition.batch_bytes";
-      "partition.spill_bytes"; "partition.steals" ]
-  in
-  let explore ?spill partitions =
-    let (stats, secs), deltas =
-      counter_delta counter_names (fun () ->
-          best_of (fun () ->
-              Partition.iter_terminals ~max_crashes:1 ?spill ~seq_threshold:0
-                ~partitions ~jobs config
-                ~f:(fun _ _ -> ())))
+  (* Best of three; the visited-bytes gauge is read after the last run. *)
+  let explore name visited =
+    let best = ref infinity and stats = ref base_stats in
+    for _ = 1 to 3 do
+      let t0 = Unix.gettimeofday () in
+      stats :=
+        Parallel.iter_terminals ~visited ~max_crashes:1 ~seq_threshold:0 ~jobs
+          config
+          ~f:(fun _ _ -> ());
+      best := min !best (Unix.gettimeofday () -. t0)
+    done;
+    if
+      !stats.Explore.states <> base_stats.Explore.states
+      || !stats.Explore.terminals <> base_stats.Explore.terminals
+    then
+      Format.printf
+        "!! p6 %s NONDETERMINISM: %d states / %d terminals, expected %d / \
+         %d@."
+        name !stats.Explore.states !stats.Explore.terminals
+        base_stats.Explore.states base_stats.Explore.terminals;
+    let bytes =
+      Option.value ~default:0.0 (Obs.Metrics.find "parallel.visited_bytes")
     in
-    (stats, secs, List.map (fun d -> d /. float_of_int repeat) deltas)
+    (!best, bytes)
   in
-  let secs_p1 = ref 0.0 in
-  let bytes_of_mode = Hashtbl.create 4 in
-  let rows =
-    List.concat_map
-      (fun (mode, spill) ->
-        List.map
-          (fun partitions ->
-            let stats, secs, deltas = explore ?spill partitions in
-            if
-              stats.Explore.states <> base_stats.Explore.states
-              || stats.Explore.terminals <> base_stats.Explore.terminals
-            then
-              Format.printf
-                "!! p6 %s partitions=%d NONDETERMINISM: %d states / %d \
-                 terminals, expected %d / %d@."
-                mode partitions stats.Explore.states stats.Explore.terminals
-                base_stats.Explore.states base_stats.Explore.terminals;
-            if mode = "heap" && partitions = 1 then secs_p1 := secs;
-            let visited_bytes =
-              Option.value ~default:0.0
-                (Obs.Metrics.find "partition.visited_bytes")
-            in
-            Hashtbl.replace bytes_of_mode mode visited_bytes;
-            Format.printf
-              "p6: explore alg5 k=3 f=1, tables=%s partitions=%d jobs=%d: %d \
-               states, %.3fs, %.0f batches, %.0f batch B, visited %.0f B@."
-              mode partitions jobs stats.Explore.states secs
-              (List.nth deltas 0) (List.nth deltas 1) visited_bytes;
-            {
-              name =
-                Printf.sprintf "p6.partition_explore.%s.p%d" mode partitions;
-              fields =
-                [
-                  ("partitions", float_of_int partitions);
-                  ("jobs", float_of_int jobs);
-                  ("states", float_of_int stats.Explore.states);
-                  ("seconds", secs);
-                  ( "states_per_sec",
-                    float_of_int stats.Explore.states /. max 1e-9 secs );
-                  ("collision_bound", stats.Explore.collision_bound);
-                  ("visited_bytes", visited_bytes);
-                  ("batches_sent", List.nth deltas 0);
-                  ("batch_bytes", List.nth deltas 1);
-                  ("spill_bytes", List.nth deltas 2);
-                  ("steals", List.nth deltas 3);
-                ];
-            })
-          [ 1; 2; 4 ])
-      [ ("heap", None); ("spill", Some "_perf_spill.tmp") ]
+  let lockfree_secs, lockfree_bytes = explore "lockfree" Parallel.Lockfree in
+  let spill_secs, spill_bytes =
+    explore "spill" (Parallel.Spill "_perf_spill.tmp")
   in
-  (* The lock-free table's bytes for the memory headline come from the
-     plain engine's gauge (same family, same budget). *)
-  ignore
-    (Parallel.iter_terminals ~visited:Parallel.Lockfree ~max_crashes:1
-       ~seq_threshold:0 ~jobs config
-       ~f:(fun _ _ -> ()));
-  let lockfree_bytes =
-    Option.value ~default:0.0 (Obs.Metrics.find "parallel.visited_bytes")
-  in
-  let spill_bytes_heap =
-    try Hashtbl.find bytes_of_mode "spill" with Not_found -> 0.0
-  in
-  let overhead =
-    if parallel_secs > 0.0 then !secs_p1 /. parallel_secs else 0.0
+  let memory =
+    if lockfree_bytes > 0.0 then spill_bytes /. lockfree_bytes else 0.0
   in
   Format.printf
-    "p6: partitions=1 vs parallel %.2fx; spill heap bytes / lockfree %.2fx@."
-    overhead
-    (if lockfree_bytes > 0.0 then spill_bytes_heap /. lockfree_bytes else 0.0);
-  rows
-  @ [
-      {
-        name = "p6.partition_compare";
-        fields =
-          [
-            ("jobs", float_of_int jobs);
-            ("parallel_seconds", parallel_secs);
-            ("partition1_seconds", !secs_p1);
-            ("partition1_vs_parallel", overhead);
-            ("lockfree_visited_bytes", lockfree_bytes);
-            ("spill_heap_bytes", spill_bytes_heap);
-            ( "spill_vs_lockfree_memory",
-              if lockfree_bytes > 0.0 then spill_bytes_heap /. lockfree_bytes
-              else 0.0 );
-          ];
-      };
-    ]
+    "p6: explore alg5 k=3 f=1 jobs=%d: lockfree %.3fs / %.0f B, spill %.3fs \
+     / %.0f B heap (%.2fx)@."
+    jobs lockfree_secs lockfree_bytes spill_secs spill_bytes memory;
+  [
+    {
+      name = "p6.spill_compare";
+      fields =
+        [
+          ("jobs", float_of_int jobs);
+          ("states", float_of_int base_stats.Explore.states);
+          ("lockfree_seconds", lockfree_secs);
+          ("spill_seconds", spill_secs);
+          ("lockfree_visited_bytes", lockfree_bytes);
+          ("spill_heap_bytes", spill_bytes);
+          ("spill_vs_lockfree_memory", memory);
+        ];
+    };
+  ]
 
-(* P7: the auto-sequential fallback (SUBC_SEQ_THRESHOLD).  On a space
-   far below the threshold the parallel entry points complete on the
-   seeding pass without spawning a single domain, so asking for jobs=4
+(* P7: the auto-sequential fallback ([Parallel.default_seq_threshold]).
+   On a space far below the threshold the parallel entry points complete
+   on the seeding pass without spawning a single domain, so asking for jobs=4
    must cost about the same as the sequential explorer — CI asserts the
    ratio <= 1.2 (the old eager spawn measured 2-8x here). *)
 let perf_seq_fallback () =
@@ -938,7 +865,7 @@ let perf_seq_fallback () =
       name = "p7.seq_fallback";
       fields =
         [
-          ("threshold", float_of_int (Parallel.default_seq_threshold ()));
+          ("threshold", float_of_int Parallel.default_seq_threshold);
           ("seq_us", 1e6 *. seq_secs);
           ("fallback_jobs4_us", 1e6 *. fallback_secs);
           ("eager_jobs4_us", 1e6 *. eager_secs);
@@ -961,8 +888,8 @@ let run_perf ?(jobs_list = [ 1; 2; 4; 8 ]) () =
   let e21 =
     perf_e21 ~jobs_list:(List.filter (fun j -> j <= 4) jobs_list) ()
   in
-  let partition = perf_partition ~jobs_list () in
+  let spill = perf_spill ~jobs_list () in
   let seq_fallback = perf_seq_fallback () in
   write_results
     ((fingerprint :: parallel) @ canonical @ reduction @ independence @ e21
-    @ partition @ seq_fallback)
+    @ spill @ seq_fallback)

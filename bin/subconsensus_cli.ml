@@ -264,12 +264,22 @@ let resolve_independence independence reduction =
     ignore (Subc_analysis.Analyzer.install_static ());
     Option.map (Explore.with_independence mode) reduction
 
+(* Apply an optional flag's [Search.with_*] builder. *)
+let opt with_ x o = match x with None -> o | Some v -> with_ v o
+
 (* One [Search.options] record from the CLI's flags — the single funnel
    every checking subcommand goes through. *)
 let options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-    ~max_crashes ~max_recoveries ~jobs ~partitions () =
-  Search.of_legacy ~max_states ~max_crashes ~max_recoveries ?deadline
-    ?expected_states ?reduction ~jobs ~partitions ?spill ()
+    ~max_crashes ~max_recoveries ~jobs () =
+  Search.default
+  |> Search.with_max_states max_states
+  |> Search.with_max_crashes max_crashes
+  |> Search.with_max_recoveries max_recoveries
+  |> Search.with_jobs jobs
+  |> opt Search.with_deadline deadline
+  |> opt Search.with_expected_states expected_states
+  |> opt Search.with_reduction reduction
+  |> opt (fun dir -> Search.with_visited (Parallel.Spill dir)) spill
 
 let check_instance ~options inst =
   match inst with
@@ -338,28 +348,18 @@ let jobs_arg =
            search: stolen subtrees prune identically to the sequential \
            explorer.")
 
-let partitions_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "partitions" ] ~docv:"P"
-        ~doc:
-          "Partition state ownership across $(docv) hash-partitioned \
-           visited tables (fingerprint-lane routing) with batched \
-           cross-partition frontier exchange; $(b,--jobs) domains are \
-           split evenly across partitions.  Verdicts and state counts \
-           are identical at any $(docv).")
-
 let spill_arg =
   Arg.(
     value & opt (some string) None
     & info [ "spill" ] ~docv:"DIR"
         ~doc:
-          "Out-of-core mode: keep each partition's visited set in mmap'd \
-           files of 62-bit compressed claim words under $(docv) (created \
-           if absent; segment files are unlinked after mapping, so \
-           nothing persists).  Heap residency drops to bookkeeping; \
-           collision characteristics match $(b,--visited) compressed.  \
-           Implies the partitioned engine even at $(b,--partitions) 1.")
+          "Out-of-core mode: keep the visited set in mmap'd files of \
+           62-bit compressed claim words under $(docv) (created if \
+           absent; segment files are unlinked after mapping, so nothing \
+           persists).  Heap residency drops to bookkeeping; collision \
+           characteristics match $(b,--visited) compressed.  Runs the \
+           parallel engine even at $(b,--jobs) 1, and overrides \
+           $(b,--visited).")
 
 let visited_arg =
   Arg.(
@@ -404,8 +404,8 @@ let certified_arg =
 (* check: one verdict per invocation, under the shared contract.       *)
 
 let check_cmd =
-  let run alg n k f r deadline expected_states max_states jobs partitions
-      spill visited fp choice independence certified json metrics =
+  let run alg n k f r deadline expected_states max_states jobs spill visited
+      fp choice independence certified json metrics =
     setup_obs ~json ~metrics;
     Parallel.set_default_visited visited;
     Explore.set_default_fp fp;
@@ -416,7 +416,7 @@ let check_cmd =
     in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~partitions ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
     in
     let v = check_instance ~options inst in
     report ~json alg v;
@@ -436,7 +436,7 @@ let check_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
       $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -461,8 +461,8 @@ let stats_fields reduction (stats : Explore.stats) =
   ]
 
 let explore_cmd =
-  let run alg n k f r deadline expected_states max_states jobs partitions
-      spill visited fp choice independence certified json metrics =
+  let run alg n k f r deadline expected_states max_states jobs spill visited
+      fp choice independence certified json metrics =
     setup_obs ~json ~metrics;
     Parallel.set_default_visited visited;
     Explore.set_default_fp fp;
@@ -475,7 +475,7 @@ let explore_cmd =
     let config = Config.make store programs in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~partitions ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
     in
     let stats =
       Obs.Span.time "cli.explore" @@ fun () ->
@@ -489,11 +489,10 @@ let explore_cmd =
              fields =
                ("alg", Obs.Sink.Str alg)
                :: ("jobs", Obs.Sink.Int jobs)
-               :: ("partitions", Obs.Sink.Int (max 1 partitions))
                :: ( "visited",
                     Obs.Sink.Str
                       (if spill <> None then "spill"
-                       else if jobs > 1 || partitions > 1 then
+                       else if jobs > 1 then
                          Format.asprintf "%a" Parallel.pp_visited visited
                        else "sequential") )
                :: stats_fields reduction stats;
@@ -520,7 +519,7 @@ let explore_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
       $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -543,7 +542,7 @@ let run_task_alg name inst exhaustive n_seeds choice json metrics =
   | Task_instance { store; programs; inputs; task; _ } ->
     if exhaustive then begin
       let reduction = reduction_of ~alg:name choice inst in
-      let options = Search.of_legacy ?reduction () in
+      let options = Search.default |> opt Search.with_reduction reduction in
       let v =
         Subc_check.Task_check.check ~options store ~programs ~inputs ~task
       in
@@ -581,7 +580,8 @@ let alg5_cmd =
     setup_obs ~json ~metrics;
     let inst = alg5_instance ~k in
     let reduction = reduction_of ~alg:"alg5" choice inst in
-    let v = check_instance ~options:(Search.of_legacy ?reduction ()) inst in
+    let options = Search.default |> opt Search.with_reduction reduction in
+    let v = check_instance ~options inst in
     report ~json "alg5" v;
     finish ~metrics [ v ]
   in
@@ -840,7 +840,7 @@ let analyze_cmd =
    crash-sweep at any --jobs.                                          *)
 
 let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-    jobs partitions spill visited fp choice independence certified json
+    jobs spill visited fp choice independence certified json
     metrics =
   setup_obs ~json ~metrics;
   Parallel.set_default_visited visited;
@@ -857,7 +857,7 @@ let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
   in
   let cell_options ~max_crashes ~max_recoveries =
     options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-      ~max_crashes ~max_recoveries ~jobs ~partitions ()
+      ~max_crashes ~max_recoveries ~jobs ()
   in
   let store, programs = instance_store_programs inst in
   (match inst with
@@ -900,9 +900,9 @@ let solo_limit_arg =
 
 let crash_sweep_cmd =
   let run alg k f deadline expected_states max_states solo_limit jobs
-      partitions spill visited fp choice independence certified json metrics =
+      spill visited fp choice independence certified json metrics =
     run_fault_sweep alg k f 0 deadline expected_states max_states solo_limit
-      jobs partitions spill visited fp choice independence certified json
+      jobs spill visited fp choice independence certified json
       metrics
   in
   Cmd.v
@@ -915,14 +915,14 @@ let crash_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ deadline_arg
       $ expected_states_arg $ max_states_arg $ solo_limit_arg $ jobs_arg
-      $ partitions_arg $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
       $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
 
 let recover_sweep_cmd =
   let run alg k f r deadline expected_states max_states solo_limit jobs
-      partitions spill visited fp choice independence certified json metrics =
+      spill visited fp choice independence certified json metrics =
     run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-      jobs partitions spill visited fp choice independence certified json
+      jobs spill visited fp choice independence certified json
       metrics
   in
   let sweep_recoveries_arg =
@@ -945,7 +945,7 @@ let recover_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ sweep_recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ solo_limit_arg
-      $ jobs_arg $ partitions_arg $ spill_arg $ visited_arg $ fp_arg
+      $ jobs_arg $ spill_arg $ visited_arg $ fp_arg
       $ reduction_arg $ independence_arg $ certified_arg $ json_arg
       $ metrics_arg)
 

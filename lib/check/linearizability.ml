@@ -132,11 +132,3 @@ let check_harness ?(options = Search.default) store ~programs ~ops ~spec =
          (if options.Search.max_crashes > 0 then
             Printf.sprintf " (crash budget %d)" options.Search.max_crashes
           else ""))
-
-let check_harness_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?reduction ?jobs ?visited store ~programs ~ops ~spec =
-  check_harness
-    ~options:
-      (Search.of_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-         ?expected_states ?reduction ?jobs ?visited ())
-    store ~programs ~ops ~spec

@@ -62,22 +62,3 @@ val check_harness :
   ops:(int -> Op.t) ->
   spec:Obj_model.t ->
   Verdict.t
-
-(** @deprecated Use {!check_harness} with a {!Subc_sim.Search.options}
-    record; this optional-argument spelling remains for one release. *)
-val check_harness_legacy :
-  ?max_states:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:Explore.reduction ->
-  ?jobs:int ->
-  ?visited:Subc_sim.Parallel.visited ->
-  Store.t ->
-  programs:Value.t Program.t list ->
-  ops:(int -> Op.t) ->
-  spec:Obj_model.t ->
-  Verdict.t
-[@@deprecated
-  "use Linearizability.check_harness ?options (Search.options record)"]

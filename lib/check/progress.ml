@@ -122,31 +122,7 @@ let wait_free_search ~options ~solo_limit store ~programs =
       }
   | exception Failed f -> Error f
 
-let wait_free ?max_states ?max_crashes ?max_recoveries ?deadline
-    ?(solo_limit = 10_000) ?reduction ?jobs ?visited store ~programs =
-  let options =
-    Search.of_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-      ?reduction ?jobs ?visited ()
-  in
-  wait_free_search ~options ~solo_limit store ~programs
-
-let t_resilient ?max_states ?reduction ~t store ~programs =
-  Subc_obs.Span.time "progress.t_resilient" @@ fun () ->
-  let config = Config.make store programs in
-  match Explore.find_cycle ?max_states ~max_crashes:t ?reduction config with
-  | Some _, _ ->
-    Error
-      (Printf.sprintf
-         "infinite schedule with <= %d crashes (not %d-resilient terminating)"
-         t t)
-  | None, stats ->
-    if stats.Explore.limited then Error "state limit reached — no verdict"
-    else if stats.Explore.hung_terminals > 0 then
-      Error "some execution hangs a process (illegal object use)"
-    else Ok stats
-
-(* Verdict-typed entry points (the canonical API; the result-typed
-   functions above remain as building blocks). *)
+(* Verdict-typed entry points over the result-typed search above. *)
 
 let check_wait_free ?(options = Search.default) ?(solo_limit = 10_000) store
     ~programs =
@@ -178,14 +154,6 @@ let check_wait_free ?(options = Search.default) ?(solo_limit = 10_000) store
           %d-step prefix"
          proc (Trace.length prefix))
 
-let check_wait_free_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-    ?solo_limit ?reduction ?jobs ?visited store ~programs =
-  check_wait_free
-    ~options:
-      (Search.of_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-         ?reduction ?jobs ?visited ())
-    ?solo_limit store ~programs
-
 let check_t_resilient ?(options = Search.default) ~t store ~programs =
   Subc_obs.Span.time "progress.t_resilient" @@ fun () ->
   let options = Search.with_max_crashes t options in
@@ -208,8 +176,3 @@ let check_t_resilient ?(options = Search.default) ~t store ~programs =
            "every schedule with <= %d crashes terminates (no cycles, no \
             hangs)"
            t)
-
-let check_t_resilient_legacy ?max_states ?reduction ~t store ~programs =
-  check_t_resilient
-    ~options:(Search.of_legacy ?max_states ?reduction ())
-    ~t store ~programs

@@ -3,7 +3,7 @@
 
     Every algorithm this repository reproduces makes a {e wait-free} claim:
     each process terminates in a bounded number of its own steps regardless
-    of what the others do — including crashing.  [wait_free] certifies this
+    of what the others do — including crashing.  {!check_wait_free} certifies this
     by exhaustive search: from {e every} reachable configuration (under
     every interleaving and every crash pattern within the budget), every
     running process must terminate within a bounded number of {e solo}
@@ -12,7 +12,7 @@
     runs solo forever (the signature of a merely lock-free construction) or
     hangs.
 
-    [t_resilient] checks the weaker property that no execution with at most
+    {!check_t_resilient} checks the weaker property that no execution with at most
     [t] crashes runs forever (and none hangs a process) — termination
     rather than a per-process solo bound. *)
 
@@ -61,22 +61,6 @@ val check_wait_free :
   programs:Value.t Program.t list ->
   Verdict.t
 
-(** @deprecated Use {!check_wait_free} with a {!Subc_sim.Search.options}
-    record; this optional-argument spelling remains for one release. *)
-val check_wait_free_legacy :
-  ?max_states:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?solo_limit:int ->
-  ?reduction:Explore.reduction ->
-  ?jobs:int ->
-  ?visited:Subc_sim.Parallel.visited ->
-  Store.t ->
-  programs:Value.t Program.t list ->
-  Verdict.t
-[@@deprecated "use Progress.check_wait_free ?options (Search.options record)"]
-
 (** [check_t_resilient ~t store ~programs] checks that no schedule with at
     most [t] crashes runs forever and none hangs a process.  The [t]
     budget overrides [options.max_crashes]; cycle hunting is always
@@ -87,41 +71,3 @@ val check_t_resilient :
   Store.t ->
   programs:Value.t Program.t list ->
   Verdict.t
-
-(** @deprecated Use {!check_t_resilient} with a {!Subc_sim.Search.options}
-    record; this optional-argument spelling remains for one release. *)
-val check_t_resilient_legacy :
-  ?max_states:int ->
-  ?reduction:Explore.reduction ->
-  t:int ->
-  Store.t ->
-  programs:Value.t Program.t list ->
-  Verdict.t
-[@@deprecated
-  "use Progress.check_t_resilient ?options (Search.options record)"]
-
-(** @deprecated Use {!check_wait_free}; this result-typed form remains for
-    one release as a building block. *)
-val wait_free :
-  ?max_states:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?solo_limit:int ->
-  ?reduction:Explore.reduction ->
-  ?jobs:int ->
-  ?visited:Subc_sim.Parallel.visited ->
-  Store.t ->
-  programs:Value.t Program.t list ->
-  (certificate, failure) result
-[@@deprecated "use Progress.check_wait_free (Verdict-typed)"]
-
-(** @deprecated Use {!check_t_resilient}. *)
-val t_resilient :
-  ?max_states:int ->
-  ?reduction:Explore.reduction ->
-  t:int ->
-  Store.t ->
-  programs:Value.t Program.t list ->
-  (Explore.stats, string) result
-[@@deprecated "use Progress.check_t_resilient (Verdict-typed)"]

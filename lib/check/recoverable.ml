@@ -183,14 +183,6 @@ let verdict ?(options = Search.default) family ~n ~max_recoveries =
               terminal, every schedule terminates"
              budgets))
 
-let verdict_legacy ?max_states ?max_crashes ?deadline ?reduction ?jobs
-    ?visited ?expected_states family ~n ~max_recoveries =
-  verdict
-    ~options:
-      (Search.of_legacy ?max_states ?max_crashes ?deadline ?reduction ?jobs
-         ?visited ?expected_states ())
-    family ~n ~max_recoveries
-
 (* The separation table: at n = 2, every consensus-number-2 object solves
    consensus with crashes only (r = 0) but the canonical protocol fails
    once one recovery is allowed; CAS and consensus objects survive

@@ -68,22 +68,6 @@ val protocol :
 val verdict :
   ?options:Search.options -> family -> n:int -> max_recoveries:int -> Verdict.t
 
-(** @deprecated Use {!verdict} with a {!Subc_sim.Search.options} record;
-    this optional-argument spelling remains for one release. *)
-val verdict_legacy :
-  ?max_states:int ->
-  ?max_crashes:int ->
-  ?deadline:float ->
-  ?reduction:Explore.reduction ->
-  ?jobs:int ->
-  ?visited:Subc_sim.Parallel.visited ->
-  ?expected_states:int ->
-  family ->
-  n:int ->
-  max_recoveries:int ->
-  Verdict.t
-[@@deprecated "use Recoverable.verdict ?options (Search.options record)"]
-
 (** The expected verdict at n = 2 — the separation table the test suite
     pins: registers refuted at every budget; test-and-set, fetch-and-add,
     swap and queue proved at [max_recoveries = 0] and refuted at ≥ 1;

@@ -90,9 +90,6 @@ let check_refines ?(options = Search.default) () ~impl ~spec =
          Value.pp (Value.Vec outcome))
   | exception Failure msg -> Verdict.limited msg
 
-let check_refines_legacy ?max_states () ~impl ~spec =
-  check_refines ~options:(options_of_max_states max_states) () ~impl ~spec
-
 let check_equivalent ?(options = Search.default) () ~impl ~spec =
   Subc_obs.Span.time "refinement.equivalent" @@ fun () ->
   match equivalent_search ~options ~impl ~spec with
@@ -105,6 +102,3 @@ let check_equivalent ?(options = Search.default) () ~impl ~spec =
       (Format.asprintf "outcome %a reachable on one side only" Value.pp
          (Value.Vec outcome))
   | exception Failure msg -> Verdict.limited msg
-
-let check_equivalent_legacy ?max_states () ~impl ~spec =
-  check_equivalent ~options:(options_of_max_states max_states) () ~impl ~spec

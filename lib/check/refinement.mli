@@ -51,16 +51,3 @@ val check_refines :
 
 val check_equivalent :
   ?options:Search.options -> unit -> impl:harness -> spec:harness -> Verdict.t
-
-(** @deprecated Use {!check_refines} with a {!Subc_sim.Search.options}
-    record; this optional-argument spelling remains for one release. *)
-val check_refines_legacy :
-  ?max_states:int -> unit -> impl:harness -> spec:harness -> Verdict.t
-[@@deprecated "use Refinement.check_refines ?options (Search.options record)"]
-
-(** @deprecated Use {!check_equivalent} with a {!Subc_sim.Search.options}
-    record; this optional-argument spelling remains for one release. *)
-val check_equivalent_legacy :
-  ?max_states:int -> unit -> impl:harness -> spec:harness -> Verdict.t
-[@@deprecated
-  "use Refinement.check_equivalent ?options (Search.options record)"]

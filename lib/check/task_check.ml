@@ -12,24 +12,6 @@ let search_result ~options ~inputs ~task config =
     let reason = Option.value ~default:"?" (Task.explain task ~inputs c) in
     Error (reason, trace)
 
-let exhaustive ?max_states ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?reduction ?jobs ?visited store ~programs ~inputs ~task =
-  let options =
-    Search.of_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?jobs ?visited ()
-  in
-  search_result ~options ~inputs ~task (Config.make store programs)
-
-let wait_free ?max_states ?reduction store ~programs =
-  let config = Config.make store programs in
-  match Explore.find_cycle ?max_states ?reduction config with
-  | Some _, _ -> Error "infinite schedule (protocol not wait-free)"
-  | None, stats ->
-    if stats.Explore.limited then Error "state limit reached"
-    else if stats.Explore.hung_terminals > 0 then
-      Error "some execution hangs a process (illegal object use)"
-    else Ok stats
-
 (* Verdict-typed entry point: exhaustive task conformance, classifying a
    truncated search as [Limited] rather than a proof. *)
 let check ?(options = Search.default) store ~programs ~inputs ~task =
@@ -49,14 +31,6 @@ let check ?(options = Search.default) store ~programs ~inputs ~task =
          (if options.Search.max_recoveries > 0 then
             Printf.sprintf " (recovery budget %d)" options.Search.max_recoveries
           else ""))
-
-let check_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?reduction ?jobs ?visited store ~programs ~inputs ~task =
-  check
-    ~options:
-      (Search.of_legacy ?max_states ?max_crashes ?max_recoveries ?deadline
-         ?expected_states ?reduction ?jobs ?visited ())
-    store ~programs ~inputs ~task
 
 type sample_stats = {
   runs : int;

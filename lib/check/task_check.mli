@@ -24,54 +24,6 @@ val check :
   task:Task.t ->
   Verdict.t
 
-(** @deprecated Use {!check} with a {!Subc_sim.Search.options} record;
-    this optional-argument spelling remains for one release. *)
-val check_legacy :
-  ?max_states:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:Explore.reduction ->
-  ?jobs:int ->
-  ?visited:Subc_sim.Parallel.visited ->
-  Store.t ->
-  programs:Value.t Program.t list ->
-  inputs:Value.t list ->
-  task:Task.t ->
-  Verdict.t
-[@@deprecated "use Task_check.check ?options (Search.options record)"]
-
-(** @deprecated Use {!check}; this result-typed form remains for one
-    release.  Note: an [Ok] with [stats.limited] set is {e not} a proof. *)
-val exhaustive :
-  ?max_states:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:Explore.reduction ->
-  ?jobs:int ->
-  ?visited:Subc_sim.Parallel.visited ->
-  Store.t ->
-  programs:Value.t Program.t list ->
-  inputs:Value.t list ->
-  task:Task.t ->
-  (Explore.stats, string * Trace.t) result
-[@@deprecated "use Task_check.check (Verdict-typed)"]
-
-(** @deprecated Use {!Progress.check_t_resilient} (with [t = 0]) or
-    {!Progress.check_wait_free}.  Checks that no adversarial schedule runs
-    forever and no process hangs. *)
-val wait_free :
-  ?max_states:int ->
-  ?reduction:Explore.reduction ->
-  Store.t ->
-  programs:Value.t Program.t list ->
-  (Explore.stats, string) result
-[@@deprecated
-  "use Progress.check_t_resilient ~t:0 or Progress.check_wait_free"]
-
 type sample_stats = {
   runs : int;
   violations : int;

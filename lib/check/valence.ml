@@ -1,45 +1,13 @@
 open Subc_sim
 module Task = Subc_tasks.Task
 
-type verdict =
-  | Solves of Explore.stats
-  | Violation of { reason : string; trace : Trace.t }
-  | Diverges of { trace : Trace.t }
-  | Unknown of { detail : string }
-
-let pp_verdict ppf = function
-  | Solves stats -> Format.fprintf ppf "solves (%a)" Explore.pp_stats stats
-  | Violation { reason; _ } -> Format.fprintf ppf "violation: %s" reason
-  | Diverges _ -> Format.fprintf ppf "diverges (infinite schedule found)"
-  | Unknown { detail } -> Format.fprintf ppf "unknown: %s" detail
-
 let consensus_ok ~inputs config =
   let os = Task.outcomes ~inputs config in
   match Task.all_decided.Task.check os with
   | Error e -> Error e
   | Ok () -> Task.consensus.Task.check os
 
-let check_consensus ?max_states config ~inputs =
-  match
-    Explore.check_terminals ?max_states config ~ok:(fun c ->
-        Result.is_ok (consensus_ok ~inputs c))
-  with
-  | Error (c, trace, _stats) ->
-    let reason =
-      match consensus_ok ~inputs c with Error e -> e | Ok () -> assert false
-    in
-    Violation { reason; trace }
-  | Ok stats when stats.Explore.limited ->
-    Unknown { detail = "state limit reached while checking terminals" }
-  | Ok stats -> (
-    match Explore.find_cycle ?max_states config with
-    | Some trace, _ -> Diverges { trace }
-    | None, cycle_stats ->
-      if cycle_stats.Explore.limited then
-        Unknown { detail = "state limit reached while searching cycles" }
-      else Solves stats)
-
-(* Verdict-typed consensus check (the canonical API).  Terminal checking
+(* Verdict-typed consensus check.  Terminal checking
    parallelizes ([options.jobs]); the cycle search stays sequential —
    back-edge detection needs the DFS stack discipline (see [Parallel]). *)
 let consensus_verdict ?(options = Search.default) config ~inputs =
@@ -70,12 +38,6 @@ let consensus_verdict ?(options = Search.default) config ~inputs =
         Verdict.proved ~explore:stats
           "consensus: agreement + validity on every terminal, and every \
            schedule terminates")
-
-let consensus_verdict_legacy ?max_states ?reduction ?jobs ?visited config
-    ~inputs =
-  consensus_verdict
-    ~options:(Search.of_legacy ?max_states ?reduction ?jobs ?visited ())
-    config ~inputs
 
 module Vtbl = Hashtbl
 

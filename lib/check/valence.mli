@@ -7,7 +7,7 @@
     otherwise; a critical configuration is a bivalent one all of whose
     successors are univalent (FLP / Herlihy).
 
-    [check_consensus] is the full verdict: does the protocol solve
+    {!consensus_verdict} is the full verdict: does the protocol solve
     consensus (agreement + validity on every reachable terminal, and no
     infinite schedule)?  [find_critical] reproduces the proof structure of
     Lemma 38 mechanically: it descends from the initial configuration
@@ -15,16 +15,6 @@
     pending steps. *)
 
 open Subc_sim
-
-type verdict =
-  | Solves of Explore.stats
-  | Violation of { reason : string; trace : Trace.t }
-  | Diverges of { trace : Trace.t }
-      (** an adversarial schedule revisits a configuration: the protocol is
-          not wait-free *)
-  | Unknown of { detail : string }  (** state limit exhausted *)
-
-val pp_verdict : Format.formatter -> verdict -> unit
 
 (** [consensus_verdict config ~inputs] — [inputs.(i)] is process [i]'s
     proposal; terminals must satisfy validity and agreement over decided
@@ -36,24 +26,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
     way. *)
 val consensus_verdict :
   ?options:Search.options -> Config.t -> inputs:Value.t list -> Verdict.t
-
-(** @deprecated Use {!consensus_verdict} with a {!Subc_sim.Search.options}
-    record; this optional-argument spelling remains for one release. *)
-val consensus_verdict_legacy :
-  ?max_states:int ->
-  ?reduction:Explore.reduction ->
-  ?jobs:int ->
-  ?visited:Subc_sim.Parallel.visited ->
-  Config.t ->
-  inputs:Value.t list ->
-  Verdict.t
-[@@deprecated "use Valence.consensus_verdict ?options (Search.options record)"]
-
-(** @deprecated Use {!consensus_verdict}; the ad-hoc [verdict] shape
-    remains for one release. *)
-val check_consensus :
-  ?max_states:int -> Config.t -> inputs:Value.t list -> verdict
-[@@deprecated "use Valence.consensus_verdict (Verdict-typed)"]
 
 (** [valence config] — all values reachable as decisions from [config].
     Decisions are the outputs of terminated processes. *)

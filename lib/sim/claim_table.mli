@@ -75,9 +75,9 @@ val memory_bytes : t -> int
 
 val fold_key : int -> int -> int
 (** The folded mode's key compression: one well-mixed word out of both
-    fingerprint lanes.  Exposed so the out-of-core {!Spill_table} and the
-    partition router key by {e exactly} the same 62-bit representation as
-    a [`Folded] claim table. *)
+    fingerprint lanes.  Exposed so the out-of-core {!Spill_table} keys
+    by {e exactly} the same 62-bit representation as a [`Folded] claim
+    table. *)
 
 val encode : int -> int
 (** Force the live-entry tag (sign bit) onto a lane word: a stored word

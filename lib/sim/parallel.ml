@@ -12,7 +12,7 @@
    so [idle = jobs] can only be observed when every deque is empty and no
    domain holds work — at that point the search space is exhausted.
 
-   Deduplication goes through one of three visited tables ({!visited}):
+   Deduplication goes through one of four visited tables ({!visited}):
 
    - [Lockfree] (default): a single open-addressed claim table
      ({!Claim_table}, [`Two_lane]) storing both fingerprint lanes in
@@ -26,6 +26,10 @@
      [~paranoid] stores full canonical keys, which only this
      representation can hold, so paranoid runs use it regardless of the
      requested mode.
+   - [Spill dir]: the out-of-core {!Spill_table} — the [Compressed]
+     62-bit words in mmap'd files under [dir], so the visited set is
+     bounded by disk rather than heap.  Claims serialize on the table's
+     mutex.
 
    A state is {e claimed} exactly once, by whichever domain's claim
    lands first; only the claimer expands the state, so every state is
@@ -42,8 +46,8 @@
    claims; checkers built on this module return deterministic verdicts
    with possibly different (equally valid) witnesses.
 
-   Budget exactness: under [Lockfree]/[Compressed] a successful claim
-   draws a ticket from the global state counter; tickets below
+   Budget exactness: under [Lockfree]/[Compressed]/[Spill] a successful
+   claim draws a ticket from the global state counter; tickets below
    [max_states] are counted ([`Fresh]), the first ticket at the budget
    raises the stop flag and is {e not} counted — so a truncated search
    reports exactly [max_states] states, matching the sequential engine
@@ -72,14 +76,15 @@ module Obs = Subc_obs
 
 exception Stop
 
-type visited = Sharded | Lockfree | Compressed
+type visited = Sharded | Lockfree | Compressed | Spill of string
 
 let pp_visited ppf v =
   Format.pp_print_string ppf
     (match v with
     | Sharded -> "sharded"
     | Lockfree -> "lockfree"
-    | Compressed -> "compressed")
+    | Compressed -> "compressed"
+    | Spill _ -> "spill")
 
 (* Process-wide default, settable once by the CLI's [--visited] flag so
    every checker entry point inherits it without plumbing. *)
@@ -92,15 +97,9 @@ let default_visited () = Atomic.get default_visited_mode
    2-8x slower than jobs=1 on such families), so the seeding pass keeps
    going — it runs the identical claim/expand path — until it has counted
    this many states; only spaces that outlive the threshold pay for
-   domains.  [SUBC_SEQ_THRESHOLD] overrides (0 restores the old eager
-   spawn), as does [?seq_threshold] per call. *)
-let default_seq_threshold () =
-  match Sys.getenv_opt "SUBC_SEQ_THRESHOLD" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n -> max 0 n
-    | None -> 4096)
-  | None -> 4096
+   domains.  [?seq_threshold] overrides it per call (0 restores the old
+   eager spawn). *)
+let default_seq_threshold = 4096
 
 (* [sleep] is the node's sleep set in the concrete coordinates of the
    item's configuration — carried in the work item so a stolen subtree
@@ -126,7 +125,10 @@ type shard = { lock : Mutex.t; tbl : unit Fingerprint.Ktbl.t }
 
 let n_shards = 128
 
-type vtable = Shards of shard array | Claims of Claim_table.t
+type vtable =
+  | Shards of shard array
+  | Claims of Claim_table.t
+  | Spill of Spill_table.t
 
 type stop_cause = Budget | Deadline | Callback of exn
 
@@ -220,6 +222,26 @@ type ctx = {
    steal loop, so no wake-up broadcast is needed. *)
 let set_stop g cause = ignore (Atomic.compare_and_set g.stop None (Some cause))
 
+(* The fingerprint claim key of the [Claims] and [Spill] tables, with
+   the canonicalizing renaming and relevant sleep set that go with it. *)
+let[@inline] fingerprint_key g item config =
+  match item.fp with
+  | Some f ->
+    if g.reduction.Explore.source_sets && item.sleep <> [] then
+      Explore.source_fingerprint_from f g.reduction ~max_crashes:g.max_crashes
+        (Lazy.force config) ~sleep:item.sleep
+    else (f, None, [])
+  | None ->
+    Explore.source_fingerprint g.reduction ~max_crashes:g.max_crashes
+      (Lazy.force config) ~sleep:item.sleep
+
+(* Claim first, ticket second: every ticket below the budget goes to
+   exactly one successful claim, so the counted states of a truncated run
+   are exactly [max_states]. *)
+let[@inline] ticket g pi sleep =
+  if Atomic.fetch_and_add g.n_states 1 >= g.max_states then `Budget
+  else `Fresh (pi, sleep)
+
 (* Claim [config]'s canonical (state, sleep) key.  [`Fresh (pi, sleep)]
    means this domain owns the node and must expand it — [pi] is the
    canonicalizing renaming and [sleep] the enabled-restricted concrete
@@ -267,28 +289,21 @@ let claim ctx item config =
     Mutex.unlock sh.lock;
     r
   | Claims t -> (
-    let fp, pi, sleep =
-      match item.fp with
-      | Some f ->
-        if g.reduction.Explore.source_sets && item.sleep <> [] then
-          Explore.source_fingerprint_from f g.reduction
-            ~max_crashes:g.max_crashes (Lazy.force config) ~sleep:item.sleep
-        else (f, None, [])
-      | None ->
-        Explore.source_fingerprint g.reduction ~max_crashes:g.max_crashes
-          (Lazy.force config) ~sleep:item.sleep
-    in
+    let fp, pi, sleep = fingerprint_key g item config in
     match
       Claim_table.claim t ctx.stats.claim ~h1:fp.Fingerprint.h1
         ~h2:fp.Fingerprint.h2
     with
     | `Dup -> `Dup
-    | `Fresh ->
-      (* Claim first, ticket second: every ticket below the budget goes
-         to exactly one successful claim, so the counted states of a
-         truncated run are exactly [max_states]. *)
-      if Atomic.fetch_and_add g.n_states 1 >= g.max_states then `Budget
-      else `Fresh (pi, sleep))
+    | `Fresh -> ticket g pi sleep)
+  | Spill t -> (
+    let fp, pi, sleep = fingerprint_key g item config in
+    match
+      Spill_table.claim t ctx.stats.claim ~h1:fp.Fingerprint.h1
+        ~h2:fp.Fingerprint.h2
+    with
+    | `Dup -> `Dup
+    | `Fresh -> ticket g pi sleep)
 
 let m_escalated = Obs.Metrics.counter "parallel.visited_escalated"
 
@@ -315,7 +330,7 @@ let maybe_escalate ctx =
             n bound g.escalate_threshold
         end
       end
-    | Claims _ | Shards _ -> ()
+    | Claims _ | Shards _ | Spill _ -> ()
 
 (* Expand one work item.  Exceptions from user callbacks propagate to the
    caller (the worker loop converts them into a stop cause); no lock is
@@ -559,19 +574,24 @@ let merge_stats g (all : dstats list) =
          match g.table with
          | Shards _ ->
            Explore.collision_bound ~bits:Explore.fingerprint_bits ~states
-         | Claims t -> claims_bound t ~states);
+         | Claims t -> claims_bound t ~states
+         | Spill t ->
+           Explore.collision_bound ~bits:62
+             ~states:(Spill_table.occupancy t));
     limited = Explore.reason_truncates limit_reason;
     limit_reason;
   }
 
-(* Approximate footprint of the visited set, for the bench's
-   memory-per-state comparison: analytic for the claim table, a
-   bucket+cons+key estimate for the sharded hashtables ([Fp] keys are a
-   3-word record; [Exact] keys under paranoid hold whole key trees, not
-   counted — paranoid is a debug mode). *)
+(* Approximate heap footprint of the visited set, for the bench's
+   memory-per-state comparison: analytic for the claim table, the
+   bookkeeping alone for the spill table (its mapped pages are counted
+   by [spill_bytes]), a bucket+cons+key estimate for the sharded
+   hashtables ([Fp] keys are a 3-word record; [Exact] keys under paranoid
+   hold whole key trees, not counted — paranoid is a debug mode). *)
 let visited_bytes g =
   match g.table with
   | Claims t -> Claim_table.memory_bytes t
+  | Spill t -> Spill_table.memory_bytes t
   | Shards shards ->
     8
     * Array.fold_left
@@ -579,6 +599,9 @@ let visited_bytes g =
           let s = Fingerprint.Ktbl.stats sh.tbl in
           acc + s.Hashtbl.num_buckets + (7 * s.Hashtbl.num_bindings))
         0 shards
+
+let spill_bytes g =
+  match g.table with Spill t -> Spill_table.spill_bytes t | _ -> 0
 
 (* Observability: aggregate counters always; one "parallel" event with
    per-domain breakdown when a sink is installed. *)
@@ -589,6 +612,7 @@ let m_cas_retries = Obs.Metrics.counter "parallel.cas_retries"
 let m_contention = Obs.Metrics.counter "parallel.shard_contention"
 let m_source = Obs.Metrics.counter "parallel.source_skips"
 let m_searches = Obs.Metrics.counter "parallel.searches"
+let m_spill_bytes = Obs.Metrics.counter "parallel.spill_bytes"
 
 (* Same interned counters the sequential engine flushes into. *)
 let m_fp_patches = Obs.Metrics.counter "fp.patches"
@@ -619,6 +643,7 @@ let emit_obs label g stats (dstats : dstats array) ~all dt =
   let rate = if dt > 0.0 then float_of_int stats.Explore.states /. dt else 0.0 in
   Obs.Metrics.set_gauge "parallel.states_per_sec" rate;
   Obs.Metrics.set_gauge "parallel.visited_bytes" (float_of_int (visited_bytes g));
+  Obs.Metrics.add m_spill_bytes (spill_bytes g);
   Obs.Metrics.set_gauge "explore.frontier_bytes"
     (float_of_int stats.Explore.frontier_bytes);
   if Obs.Sink.get () != Obs.Sink.null then
@@ -702,7 +727,7 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
     | None -> (
       match seq_threshold with
       | Some n -> max 0 n
-      | None -> default_seq_threshold ())
+      | None -> default_seq_threshold)
   in
   let g =
     {
@@ -726,7 +751,8 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
             | None ->
               Claim_table.create
                 ~initial_capacity:(if threshold > 0 then 256 else 8192)
-                mode));
+                mode)
+        | Spill dir -> Spill (Spill_table.create ?expected_states ~dir ()));
       visited;
       deques = Array.init jobs (fun _ -> Ws_deque.create ~dummy:root ());
       idle = Atomic.make 0;

@@ -10,7 +10,7 @@
     (decrement-before-steal), with no mutex or condition variable
     anywhere on the work path.
 
-    {b Visited tables.}  Deduplication is claim-once through one of three
+    {b Visited tables.}  Deduplication is claim-once through one of four
     representations ({!visited}):
 
     - [Lockfree] (default): one open-addressed claim table of [Atomic]
@@ -24,6 +24,12 @@
       the measured baseline and as the exact-key representation:
       [~paranoid] runs always use it (full canonical keys, collisions
       impossible).
+    - [Spill dir]: the out-of-core {!Spill_table} — the [Compressed]
+      62-bit words kept in mmap'd files under [dir] (created if absent;
+      the files are unlinked once mapped), so heap residency drops to
+      bookkeeping.  Claims serialize on the table's mutex.  The same
+      62-bit birthday bound is surfaced in [stats.collision_bound], and
+      the mapped bytes are added to the [parallel.spill_bytes] counter.
 
     A search node is claimed exactly once whichever table is active, so
     every node is expanded at most once and the explored graph is exactly
@@ -53,7 +59,7 @@
     algorithm in this repository) the merged [states], [transitions],
     [terminals], [hung_terminals], [crashed_terminals],
     [recovered_terminals], [dedup_hits] and [source_skips] equal the
-    sequential explorer's — at any [jobs], under any of the three visited
+    sequential explorer's — at any [jobs], under any of the four visited
     modes: claim-once yields the same claimed-node set however the race
     for claims resolves, and each claimed node contributes an expansion
     that is a pure function of the node.  [max_depth] and the particular
@@ -86,7 +92,7 @@
 exception Stop
 
 (** Which visited-table representation deduplicates states. *)
-type visited = Sharded | Lockfree | Compressed
+type visited = Sharded | Lockfree | Compressed | Spill of string
 
 val pp_visited : Format.formatter -> visited -> unit
 
@@ -97,17 +103,16 @@ val set_default_visited : visited -> unit
 
 val default_visited : unit -> visited
 
-val default_seq_threshold : unit -> int
-(** The auto-sequential fallback threshold: the seeding pass (which runs
-    the identical claim/expand path on the calling domain) keeps going
-    until it has counted this many states before any worker domain is
-    spawned, so small state spaces — where E21 measures the spawn + steal
-    machinery at 2-8x the cost of the whole search — complete
-    sequentially with identical stats.  Defaults to [4096]; the
-    [SUBC_SEQ_THRESHOLD] environment variable overrides it process-wide
-    ([0] restores the historical eager spawn) and [?seq_threshold]
-    overrides it per call.  Passing [?seed_target] disables the fallback:
-    those callers want the domains regardless of size. *)
+val default_seq_threshold : int
+(** The auto-sequential fallback threshold, [4096]: the seeding pass
+    (which runs the identical claim/expand path on the calling domain)
+    keeps going until it has counted this many states before any worker
+    domain is spawned, so small state spaces — where E21 measures the
+    spawn + steal machinery at 2-8x the cost of the whole search —
+    complete sequentially with identical stats.  [?seq_threshold]
+    overrides it per call ([0] restores the historical eager spawn).
+    Passing [?seed_target] disables the fallback: those callers want the
+    domains regardless of size. *)
 
 (** Every entry point also takes [?fp], selecting the fingerprint mode
     exactly as in {!Explore} (defaulting to {!Explore.default_fp}).

@@ -1,8 +1,8 @@
 (* One record for every search knob, replacing the nine-optional-arg
    sprawl that every explorer and checker entry point used to duplicate.
-   The engines ({!Explore}, {!Parallel}, {!Partition}) keep their
-   low-level labelled interfaces; this module is the front door that
-   dispatches between them on [jobs] / [partitions] / [spill]. *)
+   The engines ({!Explore}, {!Parallel}) keep their low-level labelled
+   interfaces; this module is the front door that dispatches between
+   them on [jobs] and [visited]. *)
 
 type options = {
   max_states : int;
@@ -16,9 +16,6 @@ type options = {
   fp : Explore.fp_mode option;
   jobs : int;
   visited : Parallel.visited option;
-  partitions : int;
-  spill : string option;
-  seq_threshold : int option;
 }
 
 let default =
@@ -34,9 +31,6 @@ let default =
     fp = None;
     jobs = 1;
     visited = None;
-    partitions = 1;
-    spill = None;
-    seq_threshold = None;
   }
 
 let with_max_states n o = { o with max_states = n }
@@ -54,42 +48,10 @@ let with_paranoid b o = { o with paranoid = b }
 let with_fp m o = { o with fp = Some m }
 let with_jobs n o = { o with jobs = max 1 n }
 let with_visited v o = { o with visited = Some v }
-let with_partitions n o = { o with partitions = max 1 n }
-let with_spill dir o = { o with spill = Some dir }
-let with_seq_threshold n o = { o with seq_threshold = Some (max 0 n) }
-
-(* Bridge for the [@@deprecated] shims: each old optional argument
-   overrides the corresponding field of [default]. *)
-let of_legacy ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?reduction ?independence ?paranoid ?fp ?jobs ?visited
-    ?partitions ?spill ?seq_threshold () =
-  let reduction = Option.value reduction ~default:default.reduction in
-  let reduction =
-    match independence with
-    | None -> reduction
-    | Some i -> Explore.with_independence i reduction
-  in
-  {
-    max_states = Option.value max_states ~default:default.max_states;
-    max_depth = Option.value max_depth ~default:default.max_depth;
-    max_crashes = Option.value max_crashes ~default:default.max_crashes;
-    max_recoveries =
-      Option.value max_recoveries ~default:default.max_recoveries;
-    deadline;
-    expected_states;
-    reduction;
-    paranoid = Option.value paranoid ~default:default.paranoid;
-    fp;
-    jobs = max 1 (Option.value jobs ~default:1);
-    visited;
-    partitions = max 1 (Option.value partitions ~default:1);
-    spill;
-    seq_threshold;
-  }
 
 let pp ppf o =
   Format.fprintf ppf
-    "max-states=%d max-depth=%d crashes<=%d recoveries<=%d%s%s jobs=%d%s%s \
+    "max-states=%d max-depth=%d crashes<=%d recoveries<=%d%s%s jobs=%d \
      paranoid=%b %a"
     o.max_states o.max_depth o.max_crashes o.max_recoveries
     (match o.deadline with
@@ -98,41 +60,28 @@ let pp ppf o =
     (match o.visited with
     | None -> ""
     | Some v -> Format.asprintf " visited=%a" Parallel.pp_visited v)
-    o.jobs
-    (if o.partitions > 1 then Printf.sprintf " partitions=%d" o.partitions
-     else "")
-    (match o.spill with
-    | None -> ""
-    | Some dir -> Printf.sprintf " spill=%s" dir)
-    o.paranoid Explore.pp_reduction o.reduction;
+    o.jobs o.paranoid Explore.pp_reduction o.reduction;
   match o.fp with
   | None -> ()
   | Some m -> Format.fprintf ppf " fp=%a" Explore.pp_fp_mode m
 
-let parallel o = o.jobs > 1
-
-(* The partitioned engine is opt-in: asking for more than one partition
-   or for spilling routes there (even at [jobs = 1] — the single worker
-   still gets per-partition tables and the out-of-core representation);
-   otherwise the plain engines keep their zero-exchange fast paths. *)
-let partitioned o = o.partitions > 1 || o.spill <> None
+(* The out-of-core table lives only in the parallel engine, so a spill
+   search runs there even at [jobs = 1]. *)
+let parallel o =
+  o.jobs > 1
+  ||
+  match Option.value o.visited ~default:(Parallel.default_visited ()) with
+  | Parallel.Spill _ -> true
+  | Parallel.Sharded | Parallel.Lockfree | Parallel.Compressed -> false
 
 let iter_terminals ?(options = default) config ~f =
   let o = options in
-  if partitioned o then
-    Partition.iter_terminals ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
-  else if parallel o then
+  if parallel o then
     Parallel.iter_terminals ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ~jobs:o.jobs config ~f
+      ~paranoid:o.paranoid ?fp:o.fp ~jobs:o.jobs config ~f
   else
     Explore.iter_terminals ~max_states:o.max_states ~max_depth:o.max_depth
       ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
@@ -141,20 +90,12 @@ let iter_terminals ?(options = default) config ~f =
 
 let iter_reachable ?(options = default) config ~f =
   let o = options in
-  if partitioned o then
-    Partition.iter_reachable ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~f
-  else if parallel o then
+  if parallel o then
     Parallel.iter_reachable ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ~jobs:o.jobs config ~f
+      ~paranoid:o.paranoid ?fp:o.fp ~jobs:o.jobs config ~f
   else
     Explore.iter_reachable ~max_states:o.max_states ~max_depth:o.max_depth
       ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
@@ -163,20 +104,12 @@ let iter_reachable ?(options = default) config ~f =
 
 let find_terminal ?(options = default) config ~violates =
   let o = options in
-  if partitioned o then
-    Partition.find_terminal ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~violates
-  else if parallel o then
+  if parallel o then
     Parallel.find_terminal ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ~jobs:o.jobs config ~violates
+      ~paranoid:o.paranoid ?fp:o.fp ~jobs:o.jobs config ~violates
   else
     Explore.find_terminal ~max_states:o.max_states ~max_depth:o.max_depth
       ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
@@ -185,20 +118,12 @@ let find_terminal ?(options = default) config ~violates =
 
 let check_terminals ?(options = default) config ~ok =
   let o = options in
-  if partitioned o then
-    Partition.check_terminals ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ?spill:o.spill ~partitions:o.partitions ~jobs:o.jobs config ~ok
-  else if parallel o then
+  if parallel o then
     Parallel.check_terminals ?visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ?seq_threshold:o.seq_threshold
-      ~jobs:o.jobs config ~ok
+      ~paranoid:o.paranoid ?fp:o.fp ~jobs:o.jobs config ~ok
   else
     Explore.check_terminals ~max_states:o.max_states ~max_depth:o.max_depth
       ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries

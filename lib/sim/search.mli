@@ -16,14 +16,12 @@
       Search.iter_terminals ~options:opts config ~f
     ]}
 
-    The entry points here dispatch on the parallelism fields: asking
-    for more than one partition — or for out-of-core spilling — runs
-    the partitioned engine ({!Partition}); otherwise [jobs > 1] runs
-    the work-stealing {!Parallel} engine and [jobs <= 1] the
-    sequential {!Explore}.  Whatever the path, the observable counts
-    and verdicts agree (see the determinism notes in {!Parallel} and
-    {!Partition}); [--reduction full] runs at full strength on all of
-    them. *)
+    The entry points here dispatch on [jobs] and [visited]: [jobs > 1],
+    or the out-of-core [Parallel.Spill] visited mode (which only the
+    parallel engine has), runs the work-stealing {!Parallel} engine;
+    otherwise the sequential {!Explore} runs.  Whatever the path, the
+    observable counts and verdicts agree (see the determinism notes in
+    {!Parallel}); [--reduction full] runs at full strength on both. *)
 
 type options = {
   max_states : int;  (** visited-state budget (default [5_000_000]) *)
@@ -39,20 +37,9 @@ type options = {
   jobs : int;  (** worker domains; [<= 1] means sequential *)
   visited : Parallel.visited option;
       (** parallel visited-table representation; [None] defers to
-          {!Parallel.default_visited} *)
-  partitions : int;
-      (** state-ownership partitions; [> 1] routes to the partitioned
-          engine ({!Partition}) with per-partition visited tables and
-          batched cross-partition frontier exchange (default [1]) *)
-  spill : string option;
-      (** out-of-core mode: directory under which each partition mmaps
-          its visited set as 62-bit compressed claim words
-          ({!Spill_table}); implies the partitioned engine even at
-          [partitions = 1] *)
-  seq_threshold : int option;
-      (** auto-sequential fallback: state count the seeding pass reaches
-          before worker domains spawn; [None] defers to
-          {!Parallel.default_seq_threshold} *)
+          {!Parallel.default_visited}.  [Spill dir] keeps the visited
+          set in mmap'd files under [dir] and runs {!Parallel} even at
+          [jobs <= 1]. *)
 }
 
 val default : options
@@ -83,39 +70,6 @@ val with_jobs : int -> options -> options
 (** Clamped to at least [1]. *)
 
 val with_visited : Parallel.visited -> options -> options
-
-val with_partitions : int -> options -> options
-(** Clamped to at least [1]; [> 1] dispatches to {!Partition}. *)
-
-val with_spill : string -> options -> options
-(** Spill directory for the out-of-core visited tables; implies the
-    partitioned engine. *)
-
-val with_seq_threshold : int -> options -> options
-(** Override {!Parallel.default_seq_threshold} for this search
-    (clamped to at least [0]; [0] spawns domains eagerly). *)
-
-val of_legacy :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:Explore.reduction ->
-  ?independence:Explore.independence ->
-  ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
-  ?jobs:int ->
-  ?visited:Parallel.visited ->
-  ?partitions:int ->
-  ?spill:string ->
-  ?seq_threshold:int ->
-  unit ->
-  options
-(** Bridge from the historical optional-argument spelling; each supplied
-    argument overrides the corresponding field of {!default}.  The
-    [@@deprecated] checker shims are one-liners over this. *)
 
 val pp : Format.formatter -> options -> unit
 

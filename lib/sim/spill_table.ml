@@ -1,6 +1,6 @@
 (* Out-of-core visited table: an open-addressed set of 62-bit folded
-   fingerprint words stored in mmap'd files, so a partition's visited set
-   is bounded by disk, not by the OCaml heap.
+   fingerprint words stored in mmap'd files, so the visited set of a
+   [--spill] search is bounded by disk, not by the OCaml heap.
 
    Each segment is one [Bigarray.Array1] of native ints mapped shared
    from a freshly created file under the spill directory.  The file is
@@ -25,11 +25,9 @@
    lock-free subtlety: when the head segment crosses 3/4 occupancy a
    doubled segment is mapped and prepended; older segments serve
    read-only probes forever and nothing is rehashed.  Unlike
-   {!Claim_table} there is no CAS protocol: a spill table belongs to one
-   partition and is serialized by [lock] — out-of-core mode trades
-   claim-path parallelism within a partition for bounded memory, and
-   cross-partition parallelism is unaffected (each partition owns a
-   private table). *)
+   {!Claim_table} there is no CAS protocol: claims are serialized by
+   [lock] — out-of-core mode trades claim-path parallelism for bounded
+   memory. *)
 
 type segment = {
   mask : int;
@@ -42,20 +40,32 @@ type t = {
   lock : Mutex.t;
   mutable segments : segment list; (* head = newest = claim target *)
   dir : string;
-  part : int;
-  mutable n_segs : int; (* names the next segment file *)
 }
 
 let empty = 0
 
+(* Names segment files; shared by every table in the process. *)
+let next_file = Atomic.make 0
+
 (* Map a fresh all-zero segment of [cap] slots from an unlinked file in
-   [t.dir].  The fd is closed right away — the mapping survives it. *)
+   [t.dir].  The name carries the process id and a process-wide counter,
+   and [O_EXCL] refuses any file already there (a name that is taken —
+   say, left by a dead process with a recycled pid — just draws the next
+   counter value): an existing file is never truncated, and two tables
+   never share an inode.  The fd is closed right away — the mapping
+   survives it. *)
 let map_segment t cap =
-  let path =
-    Filename.concat t.dir (Printf.sprintf "part%d.seg%d.spill" t.part t.n_segs)
+  let rec create_file () =
+    let path =
+      Filename.concat t.dir
+        (Printf.sprintf "subc-%d-%d.spill" (Unix.getpid ())
+           (Atomic.fetch_and_add next_file 1))
+    in
+    match Unix.openfile path [ O_RDWR; O_CREAT; O_EXCL ] 0o600 with
+    | fd -> (path, fd)
+    | exception Unix.Unix_error (EEXIST, _, _) -> create_file ()
   in
-  t.n_segs <- t.n_segs + 1;
-  let fd = Unix.openfile path [ O_RDWR; O_CREAT; O_TRUNC ] 0o600 in
+  let path, fd = create_file () in
   let arr =
     Fun.protect
       ~finally:(fun () ->
@@ -67,8 +77,8 @@ let map_segment t cap =
   in
   { mask = cap - 1; arr; count = 0; limit = cap - (cap / 4) }
 
-let create ?initial_capacity ?expected_states ~dir ~part () =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+let create ?initial_capacity ?expected_states ~dir () =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ());
   let initial_capacity =
     match (initial_capacity, expected_states) with
     | Some c, _ -> c
@@ -79,7 +89,7 @@ let create ?initial_capacity ?expected_states ~dir ~part () =
     let rec up c = if c >= initial_capacity then c else up (c * 2) in
     up 64
   in
-  let t = { lock = Mutex.create (); segments = []; dir; part; n_segs = 0 } in
+  let t = { lock = Mutex.create (); segments = []; dir } in
   t.segments <- [ map_segment t cap ];
   t
 

@@ -1,27 +1,27 @@
 (** Out-of-core visited table: 62-bit folded fingerprint words in mmap'd
     files.
 
-    The spill mode of the partitioned explorer ({!Partition}): each
-    partition can keep its claim-once visited set in file-backed mapped
-    memory instead of the OCaml heap, bounding exploration by disk
-    rather than RAM.  Keys are compressed to exactly the folded claim
-    table's 62-bit word ([Claim_table.encode (Claim_table.fold_key h1
-    h2)]), so the collision characteristics — ~2^-62 per pair, surfaced
-    through the caller's [collision_bound] — match [--visited
-    compressed].
+    The visited table of [Parallel]'s [Spill] mode: the claim-once
+    visited set lives in file-backed mapped memory instead of the OCaml
+    heap, bounding exploration by disk rather than RAM.  Keys are
+    compressed to exactly the folded claim table's 62-bit word
+    ([Claim_table.encode (Claim_table.fold_key h1 h2)]), so the
+    collision characteristics — ~2^-62 per pair, surfaced through the
+    caller's [collision_bound] — match [--visited compressed].
 
-    Segment files are created under the spill directory and unlinked
-    immediately after mapping, so the directory stays clean even if the
-    process dies; the kernel reclaims the blocks when the table is
-    collected.  Growth maps a doubled segment and chains it (read-only
-    probes of older segments, claims in the head) — no rehash, no
-    stop-the-world.
+    Segment files are created under the spill directory with [O_EXCL]
+    under names unique to the process, so no file already in the
+    directory is touched and two tables never share storage.  Each file
+    is unlinked immediately after mapping, so the directory stays clean
+    even if the process dies; the kernel reclaims the blocks when the
+    table is collected.  Growth maps a doubled segment and chains it
+    (read-only probes of older segments, claims in the head) — no
+    rehash, no stop-the-world.
 
-    A spill table is owned by one partition and serialized by an
-    internal mutex: claims are safe from that partition's worker
-    domains, and the out-of-core trade is claim-path serialization
-    within a partition for a near-zero heap footprint ({!memory_bytes}
-    counts only bookkeeping; the mapped bytes are {!spill_bytes} and
+    Claims are serialized by an internal mutex, so any number of worker
+    domains may claim concurrently; the out-of-core trade is claim-path
+    serialization for a near-zero heap footprint ({!memory_bytes} counts
+    only bookkeeping; the mapped bytes are {!spill_bytes} and
     evictable). *)
 
 type t
@@ -30,10 +30,9 @@ val create :
   ?initial_capacity:int ->
   ?expected_states:int ->
   dir:string ->
-  part:int ->
   unit ->
   t
-(** Create the partition's spill table under [dir] (created if absent).
+(** Create a spill table under [dir] (created if absent).
     [initial_capacity] (rounded up to a power of two, minimum 64) wins
     over the [expected_states] sizing hint; the default first segment
     holds 2^16 slots (512 KiB of file). *)

@@ -13,7 +13,9 @@ let explore_stats_exn (v : Verdict.t) =
   | None -> Alcotest.fail "verdict carries no exploration stats"
 
 let options_of ?max_states () =
-  Subc_sim.Search.of_legacy ?max_states ()
+  match max_states with
+  | None -> Subc_sim.Search.default
+  | Some n -> Subc_sim.Search.(with_max_states n default)
 
 let check_exhaustive ?max_states store ~programs ~inputs ~task =
   match

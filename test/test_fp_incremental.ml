@@ -216,8 +216,9 @@ let engine_equivalence () =
               let stats mode =
                 Search.iter_terminals
                   ~options:
-                    (Search.of_legacy ~max_crashes:1 ~reduction ~fp:mode
-                       ~jobs ())
+                    Search.(
+                      default |> with_max_crashes 1 |> with_reduction reduction
+                      |> with_fp mode |> with_jobs jobs)
                   config
                   ~f:(fun _ _ -> ())
               in

@@ -6,9 +6,11 @@
    sequential explorer on [states], [transitions], [terminals],
    [hung_terminals] and [crashed_terminals], and every Verdict-typed
    checker must return the same status at [--jobs 1] and [--jobs N].
-   Fingerprint regression: the allocation-lean 126-bit hash must be
-   injective over every reachable set we explore, and a [~paranoid]
-   (exact-key) search must produce identical statistics. *)
+   Every visited-table representation, the out-of-core [Spill] table
+   included, must reproduce those counts.  Fingerprint regression: the
+   allocation-lean 126-bit hash must be injective over every reachable
+   set we explore, and a [~paranoid] (exact-key) search must produce
+   identical statistics. *)
 open Subc_sim
 open Helpers
 module Task = Subc_tasks.Task
@@ -17,6 +19,7 @@ module Verdict = Subc_check.Verdict
 module Progress = Subc_check.Progress
 module Lin = Subc_check.Linearizability
 module Valence = Subc_check.Valence
+module R = Subc_check.Recoverable
 
 (* Worker-domain count for the parallel side of each comparison;
    overridable so CI can pin it (SUBC_TEST_JOBS=4). *)
@@ -24,6 +27,10 @@ let jobs =
   match Sys.getenv_opt "SUBC_TEST_JOBS" with
   | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
   | None -> 4
+
+(* Directory for the [Spill] visited mode's segment files; each file is
+   unlinked as soon as it is mapped, so the directory stays empty. *)
+let spill_dir = "parallel-spill.tmp"
 
 (* CI runs the whole suite once per visited-table mode: SUBC_TEST_VISITED
    sets the process default, so every parallel call above that does not
@@ -171,17 +178,190 @@ let terminal_callback_count () =
   Alcotest.(check int) "terminals agree" seq.Explore.terminals
     par.Explore.terminals
 
+let all_visited =
+  [ Parallel.Sharded; Parallel.Lockfree; Parallel.Compressed;
+    Parallel.Spill spill_dir ]
+
 (* The max-states budget truncates identically (exactly [max_states]
-   states counted, Max_states reported). *)
+   states counted, Max_states reported) under every visited table. *)
 let budget_truncation () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let budget = 100 in
-  let par =
-    Parallel.iter_terminals ~max_states:budget ~jobs config ~f:(fun _ _ -> ())
+  List.iter
+    (fun visited ->
+      let label = Format.asprintf "%a" Parallel.pp_visited visited in
+      let par =
+        Parallel.iter_terminals ~visited ~max_states:budget ~jobs config
+          ~f:(fun _ _ -> ())
+      in
+      Alcotest.(check int)
+        (label ^ " exactly budget states") budget par.Explore.states;
+      Alcotest.(check bool) (label ^ " limited") true par.Explore.limited)
+    all_visited
+
+(* With [~seq_threshold:0] the seeding pass hands its frontier to the
+   worker domains at once, so even these small spaces are explored by
+   the domains (the default threshold would finish them on the seeding
+   pass) and the counts still match under every reduction. *)
+let eager_spawn_counts () =
+  List.iter
+    (fun (name, harness) ->
+      let store, programs, sym = harness () in
+      let config = Config.make store programs in
+      List.iter
+        (fun (rlabel, reduction) ->
+          let seq =
+            Explore.iter_terminals ~max_crashes:1 ?reduction config
+              ~f:(fun _ _ -> ())
+          in
+          let par =
+            Parallel.iter_terminals ~max_crashes:1 ?reduction
+              ~seq_threshold:0 ~jobs config
+              ~f:(fun _ _ -> ())
+          in
+          same_counts (Printf.sprintf "%s f=1 %s eager" name rlabel) seq par)
+        [
+          ("none", None);
+          ("source", Some Explore.source_only);
+          ("sym", Some (Explore.with_symmetry sym));
+          ("full", Some (Explore.full_reduction sym));
+        ])
+    [ ("alg2", fun () -> alg2_harness 3); ("alg5", fun () -> alg5_harness 3) ]
+
+(* A space below [default_seq_threshold] never leaves the seeding pass:
+   every visit runs on the calling domain.  With [~seq_threshold:0] the
+   same space is visited by worker domains.  Counts agree either way. *)
+let seq_fallback_stays_on_caller () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let seq =
+    Explore.iter_reachable ~max_crashes:1 config ~f:(fun _ _ -> ())
   in
-  Alcotest.(check int) "exactly budget states" budget par.Explore.states;
-  Alcotest.(check bool) "limited" true par.Explore.limited
+  Alcotest.(check bool)
+    "space is below the threshold" true
+    (seq.Explore.states < Parallel.default_seq_threshold);
+  let self = (Domain.self () :> int) in
+  let run ?seq_threshold () =
+    let elsewhere = Atomic.make 0 in
+    let stats =
+      Parallel.iter_reachable ~max_crashes:1 ?seq_threshold ~jobs config
+        ~f:(fun _ _ ->
+          if (Domain.self () :> int) <> self then Atomic.incr elsewhere)
+    in
+    (stats, Atomic.get elsewhere)
+  in
+  let fallback, off_caller = run () in
+  same_counts "fallback" seq fallback;
+  Alcotest.(check int) "fallback visits stay on the caller" 0 off_caller;
+  let eager, off_caller = run ~seq_threshold:0 () in
+  same_counts "eager" seq eager;
+  Alcotest.(check bool) "eager visits reach the workers" true (off_caller > 0)
+
+let recovery_config family ~n ~r =
+  let store, programs = R.protocol Store.empty family ~n ~max_recoveries:r in
+  Config.make store programs
+
+(* Crash-recovery budgets: the recovery count is part of the claim key,
+   so recover successors dedup identically under every visited table. *)
+let recovery_budgets_all_visited () =
+  List.iter
+    (fun family ->
+      List.iter
+        (fun r ->
+          let config = recovery_config family ~n:2 ~r in
+          let seq =
+            Explore.iter_terminals ~max_crashes:1 ~max_recoveries:r config
+              ~f:(fun _ _ -> ())
+          in
+          List.iter
+            (fun visited ->
+              let label =
+                Format.asprintf "%s r=%d %a" (R.family_name family) r
+                  Parallel.pp_visited visited
+              in
+              let par =
+                Parallel.iter_terminals ~visited ~max_crashes:1
+                  ~max_recoveries:r ~seq_threshold:0 ~jobs config
+                  ~f:(fun _ _ -> ())
+              in
+              same_counts label seq par;
+              Alcotest.(check int)
+                (label ^ " recovered")
+                seq.Explore.recovered_terminals par.Explore.recovered_terminals)
+            all_visited)
+        [ 0; 1 ])
+    [ R.Test_and_set; R.Cas ]
+
+(* [Parallel.Stop] raised from a terminal callback ends the search
+   gracefully: no exception escapes and the stats cover part of the
+   space. *)
+let stop_from_callback () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let seq =
+    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+  in
+  List.iter
+    (fun visited ->
+      let label = Format.asprintf "%a" Parallel.pp_visited visited in
+      let seen = Atomic.make 0 in
+      let s =
+        Parallel.iter_terminals ~visited ~max_crashes:1 ~seq_threshold:0 ~jobs
+          config
+          ~f:(fun _ _ ->
+            if Atomic.fetch_and_add seen 1 >= 3 then raise Parallel.Stop)
+      in
+      Alcotest.(check bool)
+        (label ^ " saw some terminals") true (s.Explore.terminals >= 1);
+      Alcotest.(check bool)
+        (label ^ " stopped early") true
+        (s.Explore.terminals < seq.Explore.terminals))
+    [ Parallel.Lockfree; Parallel.Spill spill_dir ]
+
+(* The spill table keys source-set searches on the same (configuration,
+   sleep set) fingerprint as the other tables, so source sets and the
+   full reduction prune identically through it. *)
+let spill_under_source_sets () =
+  List.iter
+    (fun (name, harness) ->
+      let store, programs, sym = harness () in
+      let config = Config.make store programs in
+      List.iter
+        (fun (rlabel, reduction) ->
+          let seq =
+            Explore.iter_terminals ~max_crashes:1 ~reduction config
+              ~f:(fun _ _ -> ())
+          in
+          let par =
+            Parallel.iter_terminals ~visited:(Parallel.Spill spill_dir)
+              ~max_crashes:1 ~reduction ~seq_threshold:0 ~jobs config
+              ~f:(fun _ _ -> ())
+          in
+          same_counts (Printf.sprintf "%s f=1 %s spill" name rlabel) seq par;
+          Alcotest.(check bool)
+            (name ^ " " ^ rlabel ^ " pruned something") true
+            (par.Explore.source_skips > 0))
+        [
+          ("source", Explore.source_only);
+          ("full", Explore.full_reduction sym);
+        ])
+    [ ("alg2", fun () -> alg2_harness 3); ("alg5", fun () -> alg5_harness 3) ]
+
+(* An expired deadline stops a spill search through the same stop
+   protocol as the heap tables: a Limited answer, never a proof. *)
+let spill_deadline_limits () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let s =
+    Parallel.iter_terminals ~visited:(Parallel.Spill spill_dir)
+      ~max_crashes:2 ~deadline:0.0 ~seq_threshold:0 ~jobs config
+      ~f:(fun _ _ -> ())
+  in
+  Alcotest.(check bool) "limited" true s.Explore.limited;
+  Alcotest.(check string)
+    "deadline reason" "deadline"
+    (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason)
 
 (* Every visited-table representation reproduces the sequential counts
    on every registry family, and the compressed (62-bit folded) mode
@@ -222,7 +402,7 @@ let visited_modes_matrix () =
                 (label ^ " collision bound present") true
                 (par.Explore.collision_bound > 0.0
                 && par.Explore.collision_bound < 1e-6))
-            [ Parallel.Sharded; Parallel.Lockfree; Parallel.Compressed ];
+            all_visited;
           (* Compressed vs exact keys: paranoid forces the sharded table
              with full canonical keys — collisions impossible. *)
           let compressed =
@@ -350,6 +530,11 @@ let same_status name a b =
   Alcotest.check verdict_status name (Verdict.status_string a)
     (Verdict.status_string b)
 
+let search_options ~max_crashes ?(reduction = Explore.no_reduction) jobs =
+  Search.(
+    default |> with_max_crashes max_crashes |> with_reduction reduction
+    |> with_jobs jobs)
+
 let task_check_agrees () =
   let store, programs, sym = alg2_harness 3 in
   let task = Task.set_consensus 2 in
@@ -358,7 +543,7 @@ let task_check_agrees () =
       List.iter
         (fun (rlabel, reduction) ->
           let name = Printf.sprintf "alg2 f=%d %s" f rlabel in
-          let opts j = Search.of_legacy ~max_crashes:f ?reduction ~jobs:j () in
+          let opts = search_options ~max_crashes:f ?reduction in
           let seq =
             Task_check.check ~options:(opts 1) store ~programs
               ~inputs:(inputs 3) ~task
@@ -408,7 +593,7 @@ let lin_agrees () =
       List.iter
         (fun (rlabel, reduction) ->
           let name = Printf.sprintf "alg5 lin f=%d %s" f rlabel in
-          let opts j = Search.of_legacy ~max_crashes:f ?reduction ~jobs:j () in
+          let opts = search_options ~max_crashes:f ?reduction in
           let seq =
             Lin.check_harness ~options:(opts 1) store ~programs ~ops ~spec
           in
@@ -438,7 +623,7 @@ let wait_free_agrees () =
   List.iter
     (fun (rlabel, reduction) ->
       let name = "alg2 wait-free " ^ rlabel in
-      let opts j = Search.of_legacy ~max_crashes:1 ?reduction ~jobs:j () in
+      let opts = search_options ~max_crashes:1 ?reduction in
       let seq = Progress.check_wait_free ~options:(opts 1) store ~programs in
       let par =
         Progress.check_wait_free ~options:(opts jobs) store ~programs
@@ -471,6 +656,44 @@ let consensus_verdict_agrees () =
   in
   same_status "consensus object solves" seq par;
   Alcotest.(check bool) "proved" true (Verdict.is_proved par)
+
+(* A spill search goes through the Search dispatcher to {!Parallel}
+   (even at one job) and preserves checker verdicts and counts. *)
+let spill_search_dispatch () =
+  let store, programs, inputs, task = alg3_harness () in
+  let seqv = Task_check.check store ~programs ~inputs ~task in
+  List.iter
+    (fun j ->
+      let spv =
+        Task_check.check
+          ~options:
+            Search.(
+              default |> with_visited (Parallel.Spill spill_dir) |> with_jobs j)
+          store ~programs ~inputs ~task
+      in
+      let name = Printf.sprintf "spill jobs=%d" j in
+      same_status name seqv spv;
+      same_counts name (explore_stats_exn seqv) (explore_stats_exn spv))
+    [ 1; 2 ]
+
+(* A refutation stays a refutation when the visited set is spilled. *)
+let spill_refutes () =
+  let store, programs, _ = alg2_harness 3 in
+  let task = Task.set_consensus 1 in
+  let seq = Task_check.check store ~programs ~inputs:(inputs 3) ~task in
+  List.iter
+    (fun j ->
+      let spv =
+        Task_check.check
+          ~options:
+            Search.(
+              default |> with_visited (Parallel.Spill spill_dir) |> with_jobs j)
+          store ~programs ~inputs:(inputs 3) ~task
+      in
+      let name = Printf.sprintf "spill jobs=%d" j in
+      same_status name seq spv;
+      Alcotest.(check bool) (name ^ " refuted") false (Verdict.is_proved spv))
+    [ 1; jobs ]
 
 (* ---------------------------------------------------------------- *)
 (* Fingerprint cross-validation.                                     *)
@@ -508,6 +731,48 @@ let paranoid_cross_validation () =
   check_harness "alg5 f=0 none" config5 ~max_crashes:0 None;
   check_harness "alg5 f=0 sym" config5 ~max_crashes:0
     (Some (Explore.with_symmetry sym5))
+
+(* A corrupted incremental patch is caught by the paranoid re-fold on
+   the worker domains too, also when a spill table was asked for. *)
+let parallel_paranoid_catches_mutation () =
+  let store, programs, _ = alg2_harness 3 in
+  let config = Config.make store programs in
+  List.iter
+    (fun visited ->
+      let label = Format.asprintf "%a" Parallel.pp_visited visited in
+      Fun.protect
+        ~finally:(fun () -> Explore.set_fp_fault_injection 0)
+        (fun () ->
+          Explore.set_fp_fault_injection 5;
+          match
+            Parallel.iter_terminals ~visited ~max_crashes:1 ~paranoid:true
+              ~fp:Explore.Incremental ~seq_threshold:0 ~jobs config
+              ~f:(fun _ _ -> ())
+          with
+          | _ -> Alcotest.fail (label ^ ": corrupted patches went unnoticed")
+          | exception Invalid_argument _ -> ()))
+    [ Parallel.Lockfree; Parallel.Spill spill_dir ]
+
+(* Spill and Compressed key on the same 62-bit folded word, so an
+   exhaustive run reports the same birthday bound from either. *)
+let spill_matches_compressed_bound () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let run visited =
+    Parallel.iter_terminals ~visited ~max_crashes:1 ~seq_threshold:0 ~jobs
+      config
+      ~f:(fun _ _ -> ())
+  in
+  let compressed = run Parallel.Compressed in
+  let spill = run (Parallel.Spill spill_dir) in
+  same_counts "spill vs compressed" compressed spill;
+  Alcotest.(check (float 0.0))
+    "same collision bound" compressed.Explore.collision_bound
+    spill.Explore.collision_bound;
+  Alcotest.(check (float 0.0))
+    "62-bit birthday bound"
+    (Explore.collision_bound ~bits:62 ~states:spill.Explore.states)
+    spill.Explore.collision_bound
 
 (* Injectivity of the 126-bit fingerprint over an actual reachable set:
    distinct canonical keys must map to distinct fingerprints. *)
@@ -678,6 +943,153 @@ let claim_table_claim_once () =
         (probes > n_keys))
     [ ("two-lane", `Two_lane); ("folded", `Folded) ]
 
+(* Claim-once semantics of the spill table itself, including forced
+   62-bit collisions (two distinct logical keys on one folded word) and
+   segment-chained growth past the initial capacity. *)
+let spill_claim_once () =
+  let t = Spill_table.create ~initial_capacity:64 ~dir:spill_dir () in
+  let ops = Claim_table.fresh_opstats () in
+  for i = 1 to 200 do
+    let h1 = (i * 0x9E37) lxor 0x55 and h2 = i * 7919 in
+    Alcotest.(check bool)
+      (Printf.sprintf "key %d fresh" i)
+      true
+      (Spill_table.claim t ops ~h1 ~h2 = `Fresh);
+    Alcotest.(check bool)
+      (Printf.sprintf "key %d dup" i)
+      true
+      (Spill_table.claim t ops ~h1 ~h2 = `Dup)
+  done;
+  Alcotest.(check int) "occupancy" 200 (Spill_table.occupancy t);
+  Alcotest.(check bool)
+    "grew past the initial segment" true
+    (Spill_table.segments t > 1);
+  (* Forced collision: a second logical key landing on the same folded
+     word must lose the claim — the documented ~2^-62 per-pair risk. *)
+  let w = Claim_table.encode (Claim_table.fold_key 123456789 987654321) in
+  Alcotest.(check bool)
+    "collided word fresh once" true
+    (Spill_table.claim_word t ops w = `Fresh);
+  Alcotest.(check bool)
+    "collided word dup after" true
+    (Spill_table.claim_word t ops w = `Dup);
+  Alcotest.(check bool) "probes counted" true (ops.Claim_table.probes > 0);
+  (* The mapped bytes dominate; the heap keeps only bookkeeping. *)
+  Alcotest.(check bool)
+    "spill bytes mapped" true
+    (Spill_table.spill_bytes t > 0);
+  Alcotest.(check bool)
+    "heap footprint is bookkeeping only" true
+    (Spill_table.memory_bytes t < Spill_table.spill_bytes t)
+
+(* Segment files are created exclusively: a file already in the spill
+   directory — here one with a plausible segment name — is neither
+   truncated nor unlinked, however many segments the table maps. *)
+let spill_keeps_existing_files () =
+  let dir = "spill-existing.tmp" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "part0.seg0.spill" in
+  let contents = "bytes that must survive\n" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc contents);
+  let t = Spill_table.create ~initial_capacity:64 ~dir () in
+  let ops = Claim_table.fresh_opstats () in
+  for i = 1 to 200 do
+    ignore (Spill_table.claim t ops ~h1:i ~h2:(i * 7919))
+  done;
+  Alcotest.(check bool) "grew" true (Spill_table.segments t > 1);
+  Alcotest.(check bool) "file still exists" true (Sys.file_exists path);
+  Alcotest.(check string)
+    "file unchanged" contents
+    (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path
+
+(* Two tables over one directory never share storage: each claims every
+   key afresh, and each counts only its own claims. *)
+let spill_tables_stay_separate () =
+  let a = Spill_table.create ~initial_capacity:64 ~dir:spill_dir () in
+  let b = Spill_table.create ~initial_capacity:64 ~dir:spill_dir () in
+  let ops = Claim_table.fresh_opstats () in
+  for i = 1 to 100 do
+    let h1 = i * 0x9E37 and h2 = i * 7919 in
+    Alcotest.(check bool)
+      (Printf.sprintf "key %d fresh in a" i)
+      true
+      (Spill_table.claim a ops ~h1 ~h2 = `Fresh);
+    Alcotest.(check bool)
+      (Printf.sprintf "key %d fresh in b" i)
+      true
+      (Spill_table.claim b ops ~h1 ~h2 = `Fresh)
+  done;
+  ignore (Spill_table.claim a ops ~h1:(-1) ~h2:(-1));
+  Alcotest.(check int) "a occupancy" 101 (Spill_table.occupancy a);
+  Alcotest.(check int) "b occupancy" 100 (Spill_table.occupancy b)
+
+(* [create] makes a missing spill directory, accepts an existing one,
+   and leaves no file behind: segments are unlinked once mapped. *)
+let spill_dir_created_and_clean () =
+  let dir = "spill-fresh.tmp" in
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end;
+  let t = Spill_table.create ~initial_capacity:64 ~dir () in
+  Alcotest.(check bool) "directory created" true (Sys.is_directory dir);
+  let ops = Claim_table.fresh_opstats () in
+  for i = 1 to 200 do
+    ignore (Spill_table.claim t ops ~h1:i ~h2:(i * 31))
+  done;
+  Alcotest.(check bool) "grew" true (Spill_table.segments t > 1);
+  let t' = Spill_table.create ~dir () in
+  Alcotest.(check int) "second table starts empty" 0 (Spill_table.occupancy t');
+  Alcotest.(check (array string)) "directory left empty" [||] (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* Two spill searches running at once over one directory each see the
+   whole space: a shared segment would lose states to the other run. *)
+let concurrent_spill_searches () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let seq =
+    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+  in
+  let run () =
+    Parallel.iter_terminals ~visited:(Parallel.Spill spill_dir)
+      ~max_crashes:1 ~seq_threshold:0 ~jobs:2 config
+      ~f:(fun _ _ -> ())
+  in
+  let other = Domain.spawn run in
+  let here = run () in
+  same_counts "this run" seq here;
+  same_counts "concurrent run" seq (Domain.join other)
+
+(* [~paranoid] keys on exact canonical forms, which only the sharded
+   table can hold, so it overrides a requested [Spill] table: counts
+   match the sequential explorer, the collision bound is zero and no
+   segment is mapped (a plain spill run, the control, maps some). *)
+let spill_paranoid_exact () =
+  let store, programs, _ = alg2_harness 3 in
+  let config = Config.make store programs in
+  let seq =
+    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+  in
+  let spilled () =
+    Option.value ~default:0.0 (Subc_obs.Metrics.find "parallel.spill_bytes")
+  in
+  let run ~paranoid =
+    Parallel.iter_terminals ~visited:(Parallel.Spill spill_dir) ~paranoid
+      ~max_crashes:1 ~seq_threshold:0 ~jobs config
+      ~f:(fun _ _ -> ())
+  in
+  let before = spilled () in
+  let exact = run ~paranoid:true in
+  same_counts "paranoid spill" seq exact;
+  Alcotest.(check (float 0.0))
+    "exact keys, no collision bound" 0.0 exact.Explore.collision_bound;
+  Alcotest.(check (float 0.0)) "nothing spilled" before (spilled ());
+  same_counts "spill" seq (run ~paranoid:false);
+  Alcotest.(check bool) "plain spill maps segments" true (spilled () > before)
+
 (* ---------------------------------------------------------------- *)
 (* Parallel.map.                                                     *)
 
@@ -708,12 +1120,31 @@ let suite =
         test "terminal callbacks serialized, once per terminal"
           terminal_callback_count;
         test "max-states budget truncates identically" budget_truncation;
+        test "eager spawn matches sequential (all reductions)"
+          eager_spawn_counts;
+        test "small spaces stay on the calling domain"
+          seq_fallback_stays_on_caller;
+        test "recovery budgets agree under every visited table"
+          recovery_budgets_all_visited;
+        test "Stop from a callback is graceful" stop_from_callback;
+        test "spill agrees under source sets" spill_under_source_sets;
+        test "deadline limits a spill search" spill_deadline_limits;
       ] );
     ( "parallel.structures",
       [
         test_slow "deque conserves work under steal/pop races" deque_stress;
         test_slow "claim table claims each key exactly once"
           claim_table_claim_once;
+        test "spill table claims once (forced collisions)" spill_claim_once;
+        test "spill table leaves existing files alone"
+          spill_keeps_existing_files;
+        test "paranoid overrides the spill table" spill_paranoid_exact;
+        test "spill tables in one directory stay separate"
+          spill_tables_stay_separate;
+        test "spill directory is created and left empty"
+          spill_dir_created_and_clean;
+        test "concurrent spill searches share a directory"
+          concurrent_spill_searches;
       ] );
     ( "parallel.verdicts",
       [
@@ -722,6 +1153,8 @@ let suite =
         test_slow "linearizability agrees across jobs" lin_agrees;
         test_slow "wait-freedom bound agrees across jobs" wait_free_agrees;
         test "consensus verdict agrees across jobs" consensus_verdict_agrees;
+        test "spill via Search preserves verdicts" spill_search_dispatch;
+        test "spill refutation agrees" spill_refutes;
       ] );
     ( "parallel.fingerprint",
       [
@@ -731,6 +1164,10 @@ let suite =
         test "equal canonical keys give equal fingerprints"
           fingerprint_respects_key;
         test "structural encoding is prefix-free" fingerprint_prefix_free;
+        test "parallel paranoid catches corrupted patches"
+          parallel_paranoid_catches_mutation;
+        test "spill reports the compressed collision bound"
+          spill_matches_compressed_bound;
       ] );
     ( "parallel.map",
       [

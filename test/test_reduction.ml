@@ -11,8 +11,8 @@ module Verdict = Subc_check.Verdict
 module Progress = Subc_check.Progress
 module Lin = Subc_check.Linearizability
 
-let options ?max_crashes ?reduction () =
-  Search.of_legacy ?max_crashes ?reduction ()
+let options ?(max_crashes = 0) ?(reduction = Explore.no_reduction) () =
+  Search.(default |> with_max_crashes max_crashes |> with_reduction reduction)
 
 let verdict_status = Alcotest.testable Fmt.string String.equal
 
@@ -458,8 +458,11 @@ let static_matches_semantic () =
             (fun jobs ->
               let run independence =
                 let options =
-                  Search.of_legacy ~max_crashes:f ~max_recoveries:r ~jobs
-                    ~reduction:(Explore.full_reduction sym) ~independence ()
+                  Search.(
+                    default |> with_max_crashes f |> with_max_recoveries r
+                    |> with_jobs jobs
+                    |> with_reduction (Explore.full_reduction sym)
+                    |> with_independence independence)
                 in
                 Search.iter_terminals ~options
                   (Config.make store programs)
