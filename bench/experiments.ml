@@ -1251,146 +1251,9 @@ let e19 () =
         "verdict" ]
     (rows @ [ ratio_row ])
 
-(* E20 — the static-independence fast path (Issue 8).  With the
-   analyzer's footprint tables installed, the full reduction runs under
-   the three independence modes on three families.  Checks per family:
-   every mode explores the identical space (states, transitions,
-   terminals, hung/crashed counts), the static fast path computes no
-   more diamonds than the semantic judge while actually taking table
-   hits, and the Both cross-validation observes zero static/semantic
-   disagreements.  Counters are read as before/after deltas so earlier
-   experiments' gauges survive into the --metrics snapshot. *)
-let e20 () =
-  ignore (Subc_analysis.Analyzer.install_static ());
-  let alg2_harness () =
-    let store, t = Alg2.alloc Store.empty ~k:3 ~one_shot:true in
-    ( store,
-      List.init 3 (fun i -> Alg2.propose t ~i (Value.Int (100 + i))),
-      Alg2.symmetry t ~input_base:100 () )
-  in
-  let alg5_harness () =
-    let store, t = Alg5.alloc Store.empty ~k:3 () in
-    ( store,
-      List.init 3 (fun i -> Alg5.wrn t ~i (Value.Int (100 + i))),
-      Alg5.symmetry t ~input_base:100 () )
-  in
-  let wrn_harness () =
-    let store, h =
-      Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k:3)
-    in
-    ( store,
-      List.init 3 (fun i ->
-          Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i))),
-      Symmetry.standard ~n:3 ~input_base:100 `Rotations )
-  in
-  let metric name =
-    match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
-  in
-  let counter_names =
-    [
-      "commute.diamonds"; "commute.memo_hits"; "commute.static_hits";
-      "commute.static_mismatches";
-    ]
-  in
-  let run harness independence =
-    let store, programs, sym = harness () in
-    let options =
-      Search.default
-      |> Search.with_max_crashes 1
-      |> Search.with_reduction (Explore.full_reduction sym)
-      |> Search.with_independence independence
-    in
-    let before = List.map metric counter_names in
-    let t0 = Unix.gettimeofday () in
-    let stats =
-      Search.iter_terminals ~options
-        (Config.make store programs)
-        ~f:(fun _ _ -> ())
-    in
-    let secs = Unix.gettimeofday () -. t0 in
-    let deltas = List.map2 ( -. ) (List.map metric counter_names) before in
-    (stats, secs, deltas)
-  in
-  let counts (s : Explore.stats) =
-    ( s.Explore.states,
-      s.Explore.transitions,
-      s.Explore.terminals,
-      s.Explore.hung_terminals,
-      s.Explore.crashed_terminals )
-  in
-  let rows =
-    List.concat_map
-      (fun (family, harness) ->
-        let cells =
-          List.map
-            (fun (mode, independence) -> (mode, run harness independence))
-            [
-              ("semantic", Explore.Semantic);
-              ("static", Explore.Static);
-              ("both", Explore.Both);
-            ]
-        in
-        let sem_stats, _, sem_deltas = List.assoc "semantic" cells in
-        let sem_diamonds = List.nth sem_deltas 0 in
-        List.map
-          (fun (mode, ((stats : Explore.stats), secs, deltas)) ->
-            let diamonds = List.nth deltas 0
-            and memo_hits = List.nth deltas 1
-            and static_hits = List.nth deltas 2
-            and mismatches = List.nth deltas 3 in
-            let states_per_sec =
-              float_of_int stats.Explore.states /. max 1e-9 secs
-            in
-            List.iter
-              (fun (k, v) ->
-                Subc_obs.Metrics.set_gauge
-                  (Printf.sprintf "e20.%s.%s.%s" family mode k)
-                  v)
-              [
-                ("diamonds", diamonds); ("memo_hits", memo_hits);
-                ("static_hits", static_hits);
-                ("states_per_sec", states_per_sec);
-              ];
-            let ok =
-              counts stats = counts sem_stats
-              &&
-              match mode with
-              | "static" -> diamonds <= sem_diamonds && static_hits > 0.
-              | "both" -> mismatches = 0. && static_hits > 0.
-              | _ -> true
-            in
-            [
-              family; mode;
-              string_of_int stats.Explore.states;
-              string_of_int stats.Explore.transitions;
-              Printf.sprintf "%.0f" diamonds;
-              Printf.sprintf "%.0f" memo_hits;
-              Printf.sprintf "%.0f" static_hits;
-              Printf.sprintf "%.0f" mismatches;
-              Printf.sprintf "%.0fk/s" (states_per_sec /. 1e3);
-              check (Printf.sprintf "E20 %s %s" family mode) ok;
-            ])
-          cells)
-      [
-        ("alg2 k=3", alg2_harness);
-        ("alg5 k=3", alg5_harness);
-        ("1swrn k=3", wrn_harness);
-      ]
-  in
-  table
-    ~title:
-      "E20. Static-independence fast path: full reduction, f=1 — three \
-       independence modes explore identical spaces; static decides pairs \
-       without diamonds; Both cross-validates with zero mismatches"
-    ~header:
-      [ "family"; "independence"; "states"; "transitions"; "diamonds";
-        "memo hits"; "static hits"; "mismatches"; "speed"; "verdict" ]
-    rows
-
-
-(* E21: incremental fingerprinting + delta-encoded frontier.  Same
-   family set as E20; each cell explores under both fingerprint modes
-   and both engines.  The claim is exactness: identical states,
+(* E21: incremental fingerprinting + delta-encoded frontier on alg2,
+   alg5 and the 1sWRN harness at k=3; each cell explores under both
+   fingerprint modes and both engines.  The claim is exactness: identical states,
    transitions and terminals between [--fp incremental] and [--fp full]
    per family x reduction x jobs, with the incremental lanes doing O(1)
    patches (fp.patches ~ transitions, fp.refolds ~ 1 per search) and a
@@ -1598,7 +1461,6 @@ let run_all () =
   e17 ();
   e18 ();
   e19 ();
-  e20 ();
   e21 ();
   scaling ();
   Format.printf "@.=== experiments complete: %s ===@."
@@ -1617,5 +1479,4 @@ let run_e16 () = run_one e16
 let run_e17 () = run_one e17
 let run_e18 () = run_one e18
 let run_e19 () = run_one e19
-let run_e20 () = run_one e20
 let run_e21 () = run_one e21

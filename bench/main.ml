@@ -35,7 +35,6 @@ let () =
     | "e17" -> Experiments.run_e17 ()
     | "e18" -> Experiments.run_e18 ()
     | "e19" -> Experiments.run_e19 ()
-    | "e20" -> Experiments.run_e20 ()
     | "e21" -> Experiments.run_e21 ()
     | "perf" ->
       (* [--jobs N] caps the sweep at N domains (the default sweeps

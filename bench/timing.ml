@@ -558,95 +558,6 @@ let perf_reduction ~jobs_list () =
   in
   k3 @ rows ~prefix:"e19.reduction.k4" 4 (List.map (cell 4 1) (reductions 4))
 
-(* P5: the static-independence fast path (Issue 8).  Full reduction,
-   three independence modes per family; the interesting numbers are the
-   diamond computations the static tables avoid and the resulting
-   states/sec, with commute.static_mismatches as the cross-validation
-   row (must stay 0).  Counters are read as before/after deltas. *)
-let perf_independence () =
-  ignore (Subc_analysis.Analyzer.install_static ());
-  let families =
-    [
-      ( "alg2",
-        fun () ->
-          let store, t = Subc_core.Alg2.alloc Store.empty ~k:3 ~one_shot:true in
-          ( store,
-            List.init 3 (fun i -> Subc_core.Alg2.propose t ~i (Value.Int (100 + i))),
-            Subc_core.Alg2.symmetry t ~input_base:100 () ) );
-      ( "alg5",
-        fun () ->
-          let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
-          ( store,
-            List.init 3 (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))),
-            Subc_core.Alg5.symmetry t ~input_base:100 () ) );
-      ( "1swrn",
-        fun () ->
-          let store, h =
-            Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k:3)
-          in
-          ( store,
-            List.init 3 (fun i ->
-                Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i))),
-            Symmetry.standard ~n:3 ~input_base:100 `Rotations ) );
-    ]
-  in
-  let metric name =
-    match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
-  in
-  let counter_names =
-    [
-      "commute.diamonds"; "commute.memo_hits"; "commute.static_hits";
-      "commute.static_mismatches";
-    ]
-  in
-  List.concat_map
-    (fun (family, harness) ->
-      List.map
-        (fun (mode, independence) ->
-          let store, programs, sym = harness () in
-          let options =
-            Search.default
-            |> Search.with_max_crashes 1
-            |> Search.with_reduction (Explore.full_reduction sym)
-            |> Search.with_independence independence
-          in
-          let before = List.map metric counter_names in
-          let t0 = Unix.gettimeofday () in
-          let stats =
-            Search.iter_terminals ~options
-              (Config.make store programs)
-              ~f:(fun _ _ -> ())
-          in
-          let secs = Unix.gettimeofday () -. t0 in
-          let deltas =
-            List.map2 ( -. ) (List.map metric counter_names) before
-          in
-          Format.printf
-            "p5: %s %s: %d states, %.0f diamonds, %.0f static hits, %.0f \
-             mismatches, %.3fs@."
-            family mode stats.Explore.states (List.nth deltas 0)
-            (List.nth deltas 2) (List.nth deltas 3) secs;
-          {
-            name = Printf.sprintf "p5.independence.%s.%s" family mode;
-            fields =
-              [
-                ("states", float_of_int stats.Explore.states);
-                ("transitions", float_of_int stats.Explore.transitions);
-                ("seconds", secs);
-                ( "states_per_sec",
-                  float_of_int stats.Explore.states /. max 1e-9 secs );
-                ("diamonds", List.nth deltas 0);
-                ("memo_hits", List.nth deltas 1);
-                ("static_hits", List.nth deltas 2);
-                ("static_mismatches", List.nth deltas 3);
-              ];
-          })
-        [
-          ("semantic", Explore.Semantic); ("static", Explore.Static);
-          ("both", Explore.Both);
-        ])
-    families
-
 (* E21 artifact rows: incremental fingerprinting + delta frontiers on
    the end-to-end explore path — per family x reduction x fp mode x
    domain count.  Counts must be identical between [--fp incremental]
@@ -884,12 +795,11 @@ let run_perf ?(jobs_list = [ 1; 2; 4; 8 ]) () =
   let reduction =
     perf_reduction ~jobs_list:(List.filter (fun j -> j <= 4) jobs_list) ()
   in
-  let independence = perf_independence () in
   let e21 =
     perf_e21 ~jobs_list:(List.filter (fun j -> j <= 4) jobs_list) ()
   in
   let spill = perf_spill ~jobs_list () in
   let seq_fallback = perf_seq_fallback () in
   write_results
-    ((fingerprint :: parallel) @ canonical @ reduction @ independence @ e21
+    ((fingerprint :: parallel) @ canonical @ reduction @ e21
     @ spill @ seq_fallback)

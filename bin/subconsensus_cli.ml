@@ -62,25 +62,6 @@ let reduction_arg =
            Algorithms with no symmetry group fall back to dead-state \
            erasure for $(b,sym)/$(b,full).")
 
-let independence_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("semantic", Explore.Semantic); ("static", Explore.Static);
-             ("both", Explore.Both) ])
-        Explore.Semantic
-    & info [ "independence" ] ~docv:"MODE"
-        ~doc:
-          "How source-set reduction judges op independence: $(b,semantic) \
-           (fresh diamond computations, memoized), $(b,static) (the \
-           analyzer's precomputed footprint tables, falling back to the \
-           diamond only on state-dependent or unknown pairs), or $(b,both) \
-           (consult both and count disagreements in \
-           $(b,commute.static_mismatches) — a cross-validation mode).  \
-           $(b,static)/$(b,both) first classify and install the registry's \
-           footprint tables.  No effect without source sets.")
-
 let setup_obs ~json ~metrics =
   if metrics then
     Obs.Sink.set (if json then Obs.Sink.jsonl stdout else Obs.Sink.stderr_sink)
@@ -253,29 +234,20 @@ let reduction_of ?(certified = false) ~alg choice inst =
          certified_reduction_for ~alg (Some (sym ())) ~source_sets:true
        else Explore.full_reduction (sym ()))
 
-(* Resolve --independence: static/both need the analyzer's footprint
-   tables published before the search starts.  Installing the whole
-   registry is cheap (each subject's space is a few thousand states) and
-   keeps the flag usable on any algorithm without naming a family. *)
-let resolve_independence independence reduction =
-  match independence with
-  | Explore.Semantic -> reduction
-  | mode ->
-    ignore (Subc_analysis.Analyzer.install_static ());
-    Option.map (Explore.with_independence mode) reduction
-
 (* Apply an optional flag's [Search.with_*] builder. *)
 let opt with_ x o = match x with None -> o | Some v -> with_ v o
 
 (* One [Search.options] record from the CLI's flags — the single funnel
    every checking subcommand goes through. *)
 let options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-    ~max_crashes ~max_recoveries ~jobs () =
+    ~max_crashes ~max_recoveries ~jobs ~visited ~fp () =
   Search.default
   |> Search.with_max_states max_states
   |> Search.with_max_crashes max_crashes
   |> Search.with_max_recoveries max_recoveries
   |> Search.with_jobs jobs
+  |> Search.with_visited visited
+  |> Search.with_fp fp
   |> opt Search.with_deadline deadline
   |> opt Search.with_expected_states expected_states
   |> opt Search.with_reduction reduction
@@ -405,18 +377,13 @@ let certified_arg =
 
 let check_cmd =
   let run alg n k f r deadline expected_states max_states jobs spill visited
-      fp choice independence certified json metrics =
+      fp choice certified json metrics =
     setup_obs ~json ~metrics;
-    Parallel.set_default_visited visited;
-    Explore.set_default_fp fp;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
-    let reduction =
-      resolve_independence independence
-        (reduction_of ~certified ~alg choice inst)
-    in
+    let reduction = reduction_of ~certified ~alg choice inst in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~visited ~fp ()
     in
     let v = check_instance ~options inst in
     report ~json alg v;
@@ -437,7 +404,7 @@ let check_cmd =
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
       $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
-      $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
+      $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explore: raw state-space statistics, with or without reductions.    *)
@@ -462,20 +429,15 @@ let stats_fields reduction (stats : Explore.stats) =
 
 let explore_cmd =
   let run alg n k f r deadline expected_states max_states jobs spill visited
-      fp choice independence certified json metrics =
+      fp choice certified json metrics =
     setup_obs ~json ~metrics;
-    Parallel.set_default_visited visited;
-    Explore.set_default_fp fp;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let store, programs = instance_store_programs inst in
-    let reduction =
-      resolve_independence independence
-        (reduction_of ~certified ~alg choice inst)
-    in
+    let reduction = reduction_of ~certified ~alg choice inst in
     let config = Config.make store programs in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~visited ~fp ()
     in
     let stats =
       Obs.Span.time "cli.explore" @@ fun () ->
@@ -520,7 +482,7 @@ let explore_cmd =
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
       $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
-      $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
+      $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Per-algorithm commands (sampled runs keep their own reporting; the
@@ -840,11 +802,8 @@ let analyze_cmd =
    crash-sweep at any --jobs.                                          *)
 
 let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-    jobs spill visited fp choice independence certified json
-    metrics =
+    jobs spill visited fp choice certified json metrics =
   setup_obs ~json ~metrics;
-  Parallel.set_default_visited visited;
-  Explore.set_default_fp fp;
   let verdicts = ref [] in
   let note name v =
     verdicts := v :: !verdicts;
@@ -852,12 +811,10 @@ let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
   in
   let rcell r' = if r' > 0 then Printf.sprintf "/r=%d" r' else "" in
   let inst = instance_of alg ~n:0 ~k ~crashes:(max f r) in
-  let reduction =
-    resolve_independence independence (reduction_of ~certified ~alg choice inst)
-  in
+  let reduction = reduction_of ~certified ~alg choice inst in
   let cell_options ~max_crashes ~max_recoveries =
     options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-      ~max_crashes ~max_recoveries ~jobs ()
+      ~max_crashes ~max_recoveries ~jobs ~visited ~fp ()
   in
   let store, programs = instance_store_programs inst in
   (match inst with
@@ -900,10 +857,9 @@ let solo_limit_arg =
 
 let crash_sweep_cmd =
   let run alg k f deadline expected_states max_states solo_limit jobs
-      spill visited fp choice independence certified json metrics =
+      spill visited fp choice certified json metrics =
     run_fault_sweep alg k f 0 deadline expected_states max_states solo_limit
-      jobs spill visited fp choice independence certified json
-      metrics
+      jobs spill visited fp choice certified json metrics
   in
   Cmd.v
     (Cmd.info "crash-sweep"
@@ -916,14 +872,13 @@ let crash_sweep_cmd =
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ deadline_arg
       $ expected_states_arg $ max_states_arg $ solo_limit_arg $ jobs_arg
       $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
-      $ independence_arg $ certified_arg $ json_arg $ metrics_arg)
+      $ certified_arg $ json_arg $ metrics_arg)
 
 let recover_sweep_cmd =
   let run alg k f r deadline expected_states max_states solo_limit jobs
-      spill visited fp choice independence certified json metrics =
+      spill visited fp choice certified json metrics =
     run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-      jobs spill visited fp choice independence certified json
-      metrics
+      jobs spill visited fp choice certified json metrics
   in
   let sweep_recoveries_arg =
     Arg.(
@@ -946,7 +901,7 @@ let recover_sweep_cmd =
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ sweep_recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ solo_limit_arg
       $ jobs_arg $ spill_arg $ visited_arg $ fp_arg
-      $ reduction_arg $ independence_arg $ certified_arg $ json_arg
+      $ reduction_arg $ certified_arg $ json_arg
       $ metrics_arg)
 
 let () =

@@ -28,7 +28,7 @@
     can issue), a {b syntactic step bound} (a wait-freedom witness, or
     [Unbounded] when a checkpoint loop is reachable), and {b lint findings}
     for alphabet/handle/checkpoint/determinism violations.  Footprints feed
-    {!Footprint} certificates and the [analyze --lint] CI gate. *)
+    the [analyze --lint] CI gate. *)
 
 open Subc_sim
 

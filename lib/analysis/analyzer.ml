@@ -13,7 +13,6 @@ let check_names =
     "reachability";
     "commutation";
     "source-closure";
-    "footprint";
     "equivariance";
     "recovery";
     "classification";
@@ -105,41 +104,6 @@ let sourceset_verdict (s : Subject.t) space =
                  steps stay applicable (%d diamond edges) on %d states"
                 s.Subject.group_name st.Sourceset.equivariance_checks
                 st.Sourceset.diamond_checks st.Sourceset.states)))
-
-(* Classify the subject's alphabet pairs over the enumerated space,
-   publish the table into the explorer's static-independence registry,
-   then validate the *installed* table (which may have been merged with
-   tables from other subjects of the same kind and initial state) against
-   fresh semantic diamonds at every state — the obligation that makes
-   [--independence static] reproduce semantic counts and verdicts. *)
-let footprint_verdict (s : Subject.t) space =
-  guarded (fun () ->
-      let fp = Footprint.classify s space in
-      Footprint.install fp;
-      match Footprint.validate s space with
-      | Error m ->
-        Verdict.refuted ~trace:[] (Format.asprintf "%a" Footprint.pp_mismatch m)
-      | Ok (st : Footprint.check_stats) ->
-        let cls = fp.Footprint.fp_stats in
-        seal space
-          (Verdict.proved
-             ~metrics:
-               [
-                 ("pairs", float_of_int cls.Footprint.pairs);
-                 ("always", float_of_int cls.Footprint.always);
-                 ("never", float_of_int cls.Footprint.never);
-                 ( "state_dependent",
-                   float_of_int cls.Footprint.state_dependent );
-                 ("decided_contexts", float_of_int st.Footprint.c_decided);
-                 ("fallback_contexts", float_of_int st.Footprint.c_fallback);
-               ]
-             (Printf.sprintf
-                "static table %d always / %d never / %d state-dependent of \
-                 %d pairs; installed table matches the semantic judgment \
-                 at all %d decided contexts (%d fall back)"
-                cls.Footprint.always cls.Footprint.never
-                cls.Footprint.state_dependent cls.Footprint.pairs
-                st.Footprint.c_decided st.Footprint.c_fallback)))
 
 let equivariance_verdict (s : Subject.t) space =
   guarded (fun () ->
@@ -243,7 +207,6 @@ let analyze_subject_until ?(family = "-") ?stop (s : Subject.t) =
         mk "reachability" (reach_verdict s r);
         run "commutation" commute_verdict;
         run "source-closure" sourceset_verdict;
-        run "footprint" footprint_verdict;
         run "equivariance" equivariance_verdict;
         run "recovery" recovery_verdict;
         run "classification" classification_verdict;
@@ -280,7 +243,6 @@ let obligations =
     "apply-purity";
     "pairwise-commutation";
     "source-set-closure";
-    "static-independence";
     "symmetry-equivariance";
     "recovery-projection";
     "classification";
@@ -350,22 +312,4 @@ let lint ?family () =
       List.map
         (lint_protocol ~family:e.Registry.family ~declared)
         e.Registry.protocols)
-    (registry_entries family)
-
-(* Publish every registry subject's static commutation table, so
-   [--independence static|both] runs resolve table hits instead of falling
-   back to the semantic judgment everywhere.  Enumeration failures are
-   skipped silently: the missing table only costs fallbacks, and the
-   footprint check reports the failure properly. *)
-let install_static ?family () =
-  List.concat_map
-    (fun (e : Registry.entry) ->
-      List.filter_map
-        (fun s ->
-          match Footprint.of_subject s with
-          | Error _ -> None
-          | Ok (fp, _space) ->
-            Footprint.install fp;
-            Some (s.Subject.name, List.length fp.Footprint.fp_pairs))
-        e.Registry.subjects)
     (registry_entries family)

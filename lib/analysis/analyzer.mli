@@ -2,7 +2,7 @@
     the results as {!Subc_check.Verdict.t} findings, and mint reduction
     certificates.
 
-    Seven checks run per subject, in dependency order:
+    Six checks run per subject, in dependency order:
 
     + {b reachability} ({!Reach}): enumerate the reachable state space,
       certifying purity and alphabet-totality of [apply] along the way;
@@ -15,11 +15,6 @@
       stealing — and corroborate the per-state diamonds one step out
       (persistence across steps is deliberately {e not} demanded: the
       explorer re-judges carried sleep entries at every state);
-    + {b footprint} ({!Footprint}): classify every alphabet pair as
-      always/never/state-dependent commuting over the enumerated space,
-      install the static table, and certify the {e installed} table agrees
-      with the semantic judgment at every state — the obligation behind
-      the [--independence static] fast path;
     + {b equivariance} ({!Equivariance}): certify the declared permutation
       group is an automorphism group of the reachable transition system;
     + {b recovery} ({!Recovery}): certify the crash-recovery projection
@@ -99,10 +94,3 @@ val lint : ?family:string -> unit -> finding list
     ["lint"]: [Proved] carries the footprint size and step bound, any lint
     is a [Refuted], widening is a [Limited].  The CLI [analyze --lint] and
     the CI gate consume this. *)
-
-val install_static : ?family:string -> unit -> (string * int) list
-(** Classify and publish the static commutation table of every registry
-    subject (or one family's) into
-    {!Subc_sim.Explore.install_static_independence}; returns
-    [(subject, pairs)] per installed table.  The CLI runs this before any
-    [--independence static|both] exploration. *)

@@ -76,12 +76,6 @@ let check (s : Subject.t) (space : Reach.space) =
   let judge =
     match s.Subject.independence with
     | Subject.Semantic -> fun st a b -> Explore.op_independent model st a b
-    | Subject.Static ->
-      let kind = model.Obj_model.kind and init = model.Obj_model.init in
-      fun st a b -> (
-        match Explore.static_independent ~kind ~init a b with
-        | Some r -> r
-        | None -> Explore.op_independent model st a b)
     | Subject.Declared p -> fun _st a b -> p a b
   in
   let rec op_pairs = function

@@ -2,10 +2,7 @@ open Subc_sim
 
 type expected_class = Deterministic | Nondeterministic
 
-type independence =
-  | Semantic
-  | Static
-  | Declared of (Op.t -> Op.t -> bool)
+type independence = Semantic | Declared of (Op.t -> Op.t -> bool)
 
 type bound = Closure | Ops of int
 

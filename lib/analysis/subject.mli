@@ -23,18 +23,10 @@ type independence =
       (** certify {!Explore.op_independent} — the exact judgment the
           source-set layer consumes — against a fresh, uncached diamond
           computation at every reachable state *)
-  | Static
-      (** certify the judgment the explorer uses under
-          [~independence:Static]: the installed
-          {!Explore.static_independent} table entry when one decides the
-          pair, the semantic diamond otherwise.  Install the subject's
-          {!Footprint} table first — with no table this degenerates to
-          [Semantic]. *)
   | Declared of (Op.t -> Op.t -> bool)
       (** a state-independent, footprint-style declaration.  Used by the
           negative tests to seed a false independence claim and harvest a
-          concrete race witness; a protocol shipping its own static
-          judgment would be certified the same way. *)
+          concrete race witness. *)
 
 (** How far the reachable state space extends. *)
 type bound =

@@ -52,10 +52,6 @@ let pp_fp_mode ppf = function
   | Incremental -> Format.fprintf ppf "incremental"
   | Full -> Format.fprintf ppf "full"
 
-let default_fp_mode : fp_mode Atomic.t = Atomic.make Incremental
-let set_default_fp m = Atomic.set default_fp_mode m
-let default_fp () = Atomic.get default_fp_mode
-
 (* Test-only fault injection: corrupt every [n]-th patched fingerprint
    (0 disables).  Used by the suite's seeded-mutation negative to prove
    [~paranoid] catches a wrong patch. *)
@@ -99,41 +95,12 @@ let pp_stats ppf s =
        Format.asprintf " (LIMITED: %a)" pp_limit_reason s.limit_reason
      else "")
 
-(* How the source-set reduction judges same-object commutation:
+type reduction = { symmetry : Symmetry.t option; source_sets : bool }
 
-   - [Semantic] (default): the state-local diamond [op_independent],
-     memoized per exploration — exactly the historical behaviour.
-   - [Static]: consult the statically-derived per-kind commutation table
-     first ({!static_independent}); a pair the table decides skips the
-     diamond computation {e and} the memo entirely.  Pairs the table
-     classifies as state-dependent (or does not cover) fall back to the
-     semantic judgment, so verdicts and counts are identical to
-     [Semantic] whenever the installed tables are sound — which is what
-     the analyzer's footprint obligation certifies.
-   - [Both]: belt and braces — every statically-decided pair is {e also}
-     recomputed semantically and disagreements are counted
-     ([commute.static_mismatches]); the semantic answer wins.  The
-     cross-validation mode. *)
-type independence = Semantic | Static | Both
-
-let pp_independence ppf = function
-  | Semantic -> Format.fprintf ppf "semantic"
-  | Static -> Format.fprintf ppf "static"
-  | Both -> Format.fprintf ppf "both"
-
-type reduction = {
-  symmetry : Symmetry.t option;
-  source_sets : bool;
-  independence : independence;
-}
-
-let no_reduction = { symmetry = None; source_sets = false; independence = Semantic }
-let with_symmetry sym =
-  { symmetry = Some sym; source_sets = false; independence = Semantic }
-let full_reduction sym =
-  { symmetry = Some sym; source_sets = true; independence = Semantic }
-let source_only = { symmetry = None; source_sets = true; independence = Semantic }
-let with_independence independence r = { r with independence }
+let no_reduction = { symmetry = None; source_sets = false }
+let with_symmetry sym = { symmetry = Some sym; source_sets = false }
+let full_reduction sym = { symmetry = Some sym; source_sets = true }
+let source_only = { symmetry = None; source_sets = true }
 
 (* Soundness certificates: an unforgeable-by-convention token recording
    that a tool mechanically discharged the trusted obligations behind a
@@ -155,18 +122,15 @@ module Certificate = struct
 end
 
 let certified_reduction ~certificate:(_ : Certificate.t) ?(source_sets = true)
-    ?(independence = Semantic) symmetry =
-  { symmetry; source_sets; independence }
+    symmetry =
+  { symmetry; source_sets }
 
 let pp_reduction ppf r =
-  Format.fprintf ppf "symmetry=%s source-sets=%b%s"
+  Format.fprintf ppf "symmetry=%s source-sets=%b"
     (match r.symmetry with
     | None -> "off"
     | Some s -> Printf.sprintf "|G|=%d" (Symmetry.group_order s))
     r.source_sets
-    (match r.independence with
-    | Semantic -> ""
-    | m -> Format.asprintf " independence=%a" pp_independence m)
 
 (* A transition identity, for source-set independence: a process step is
    identified by (process, object handle) — all nondeterministic outcomes
@@ -225,104 +189,6 @@ let op_independent (model : Obj_model.t) st0 a b =
     | ab, ba -> ab = ba
     | exception Exit -> false
 
-(* {2 Static commutation tables}
-
-   A statically-derived, whole-space classification of an op pair on one
-   object kind, minted by the analyzer's footprint pass
-   ([Subc_analysis.Footprint]) from the object's certified reachable
-   space and installed here for the source-set hot path to consume:
-
-   - [Always_commute]: [op_independent] is true at {e every} state of the
-     certified space — the pair is independent wherever the explorer can
-     meet it, with no diamond computation and no memo traffic;
-   - [Never_commute]: false at every state — dependent everywhere, again
-     with no per-state work;
-   - [State_dependent]: the judgment genuinely flips across the space
-     (a queue's enq/deq commute exactly while the queue is nonempty) —
-     the lookup abstains and the explorer falls back to the state-local
-     semantic diamond.
-
-   Tables are keyed by (kind, initial state): the repo-wide convention
-   that equal [kind] strings name behaviourally equal models (already
-   assumed by the commute memo) plus an initial-state match pins the
-   reachable space the classification was computed over.  The registry
-   is an atomic snapshot of immutable tables — installs publish a fresh
-   list via CAS, lookups are wait-free reads — so worker domains may
-   consult it while another thread installs. *)
-type static_class = Always_commute | Never_commute | State_dependent
-
-type static_table = {
-  st_kind : string;
-  st_init : Value.t;
-  st_alphabet : Op.t list;
-  st_pairs : (Op.t * Op.t, static_class) Hashtbl.t; (* frozen after publish *)
-}
-
-let static_registry : static_table list Atomic.t = Atomic.make []
-
-let canonical_pair a b = if Op.compare a b <= 0 then (a, b) else (b, a)
-
-(* Merge-with-demotion: if a table for the same (kind, init) already
-   classified a pair differently (two subjects with the same kind but
-   different alphabets enumerate different spaces), the pair is demoted
-   to [State_dependent] — the lookup then abstains and the semantic
-   judgment decides.  Soundness never rests on which install ran last. *)
-let install_static_independence ~kind ~init ~alphabet pairs =
-  let rec publish () =
-    let old = Atomic.get static_registry in
-    let prev =
-      List.find_opt (fun t -> t.st_kind = kind && t.st_init = init) old
-    in
-    let tbl = Hashtbl.create (max 16 (List.length pairs)) in
-    (match prev with
-    | None -> ()
-    | Some p -> Hashtbl.iter (Hashtbl.replace tbl) p.st_pairs);
-    List.iter
-      (fun ((a, b), cls) ->
-        let key = canonical_pair a b in
-        match Hashtbl.find_opt tbl key with
-        | Some prev_cls when prev_cls <> cls ->
-          Hashtbl.replace tbl key State_dependent
-        | _ -> Hashtbl.replace tbl key cls)
-      pairs;
-    let alphabet =
-      match prev with
-      | None -> alphabet
-      | Some p ->
-        p.st_alphabet
-        @ List.filter (fun o -> not (List.mem o p.st_alphabet)) alphabet
-    in
-    let entry = { st_kind = kind; st_init = init; st_alphabet = alphabet; st_pairs = tbl } in
-    let next =
-      entry
-      :: List.filter (fun t -> not (t.st_kind = kind && t.st_init = init)) old
-    in
-    if not (Atomic.compare_and_set static_registry old next) then publish ()
-  in
-  publish ()
-
-let clear_static_independence () = Atomic.set static_registry []
-
-let static_tables_installed () =
-  List.map
-    (fun t -> (t.st_kind, Hashtbl.length t.st_pairs))
-    (Atomic.get static_registry)
-
-let static_lookup ~kind ~init a b =
-  match
-    List.find_opt
-      (fun t -> t.st_kind = kind && t.st_init = init)
-      (Atomic.get static_registry)
-  with
-  | None -> None
-  | Some t -> (
-    match Hashtbl.find_opt t.st_pairs (canonical_pair a b) with
-    | Some Always_commute -> Some true
-    | Some Never_commute -> Some false
-    | Some State_dependent | None -> None)
-
-let static_independent ~kind ~init a b = static_lookup ~kind ~init a b
-
 (* The memo table for [op_independent] is per-exploration state (per
    worker domain in the parallel engine): no process-global hashtable, no
    unbounded growth across searches, no cross-domain data race.  It is
@@ -346,9 +212,6 @@ type commute_cache = {
   mutable cc_diamonds : int;
   mutable cc_memo_hits : int;
   mutable cc_memo_evictions : int;
-  mutable cc_static_hits : int;
-  mutable cc_static_fallbacks : int;
-  mutable cc_static_mismatches : int;
 }
 
 let commute_cache () : commute_cache =
@@ -357,33 +220,23 @@ let commute_cache () : commute_cache =
     cc_diamonds = 0;
     cc_memo_hits = 0;
     cc_memo_evictions = 0;
-    cc_static_hits = 0;
-    cc_static_fallbacks = 0;
-    cc_static_mismatches = 0;
   }
 
 let m_diamonds = Obs.Metrics.counter "commute.diamonds"
 let m_memo_hits = Obs.Metrics.counter "commute.memo_hits"
 let m_memo_evictions = Obs.Metrics.counter "commute.memo_evictions"
-let m_static_hits = Obs.Metrics.counter "commute.static_hits"
-let m_static_fallbacks = Obs.Metrics.counter "commute.static_fallbacks"
-let m_static_mismatches = Obs.Metrics.counter "commute.static_mismatches"
 
 let flush_commute_metrics (c : commute_cache) =
   Obs.Metrics.add m_diamonds c.cc_diamonds;
   Obs.Metrics.add m_memo_hits c.cc_memo_hits;
   Obs.Metrics.add m_memo_evictions c.cc_memo_evictions;
-  Obs.Metrics.add m_static_hits c.cc_static_hits;
-  Obs.Metrics.add m_static_fallbacks c.cc_static_fallbacks;
-  Obs.Metrics.add m_static_mismatches c.cc_static_mismatches;
   c.cc_diamonds <- 0;
   c.cc_memo_hits <- 0;
-  c.cc_memo_evictions <- 0;
-  c.cc_static_hits <- 0;
-  c.cc_static_fallbacks <- 0;
-  c.cc_static_mismatches <- 0
+  c.cc_memo_evictions <- 0
 
-let ops_commute_semantic (cache : commute_cache) model st0 a b =
+let ops_commute (cache : commute_cache) store h a b =
+  let model = Store.model store h in
+  let st0 = Store.state store h in
   let key =
     if Op.compare a b <= 0 then (model.Obj_model.kind, st0, a, b)
     else (model.Obj_model.kind, st0, b, a)
@@ -400,35 +253,6 @@ let ops_commute_semantic (cache : commute_cache) model st0 a b =
     else cache.cc_memo_evictions <- cache.cc_memo_evictions + 1;
     r
 
-let ops_commute independence (cache : commute_cache) store h a b =
-  let model = Store.model store h in
-  let st0 = Store.state store h in
-  match independence with
-  | Semantic -> ops_commute_semantic cache model st0 a b
-  | Static -> (
-    match
-      static_lookup ~kind:model.Obj_model.kind ~init:model.Obj_model.init a b
-    with
-    | Some r ->
-      cache.cc_static_hits <- cache.cc_static_hits + 1;
-      r
-    | None ->
-      cache.cc_static_fallbacks <- cache.cc_static_fallbacks + 1;
-      ops_commute_semantic cache model st0 a b)
-  | Both -> (
-    match
-      static_lookup ~kind:model.Obj_model.kind ~init:model.Obj_model.init a b
-    with
-    | Some r ->
-      cache.cc_static_hits <- cache.cc_static_hits + 1;
-      let sem = ops_commute_semantic cache model st0 a b in
-      if sem <> r then
-        cache.cc_static_mismatches <- cache.cc_static_mismatches + 1;
-      sem
-    | None ->
-      cache.cc_static_fallbacks <- cache.cc_static_fallbacks + 1;
-      ops_commute_semantic cache model st0 a b)
-
 let pending config i =
   match config.Config.procs.(i).Config.status with
   | Config.Running (Program.Invoke (h, op, _))
@@ -440,7 +264,7 @@ let pending config i =
    both are enabled (Katz–Peled conditional independence: state-local
    diamonds compose along any run that keeps the sleeping transition
    asleep). *)
-let dependent_at independence cache config a b =
+let dependent_at cache config a b =
   match (a, b) with
   | Trecover _, _ | _, Trecover _ -> true
   | Tstep (p, hp), Tstep (q, hq) ->
@@ -448,7 +272,7 @@ let dependent_at independence cache config a b =
     || (hp = hq
        &&
        let h, op_p = pending config p and _, op_q = pending config q in
-       not (ops_commute independence cache config.Config.store h op_p op_q))
+       not (ops_commute cache config.Config.store h op_p op_q))
   | Tstep (p, _), Tcrash q | Tcrash q, Tstep (p, _) -> p = q
   | Tcrash p, Tcrash q -> p = q
 
@@ -832,7 +656,7 @@ let source_successors cache (reduction : reduction) ~pi ~max_crashes
           else begin
             let child =
               List.filter
-                (fun s -> not (dependent_at reduction.independence cache config s tr))
+                (fun s -> not (dependent_at cache config s tr))
                 (List.rev_append !taken sleep)
             in
             taken := tr :: !taken;
@@ -988,7 +812,7 @@ let make_state ?(max_states = 5_000_000) ?(max_depth = 10_000)
     onstack = Vtbl.create 16;
     commute = commute_cache ();
     paranoid;
-    fp_mode = (match fp with Some m -> m | None -> default_fp ());
+    fp_mode = Option.value fp ~default:Incremental;
     states = 0;
     transitions = 0;
     terminals = 0;
@@ -1031,7 +855,7 @@ let m_fp_refolds = Obs.Metrics.counter "fp.refolds"
 let m_fp_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
 
 let run_search label st config =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let fp0 =
     if st.fp_mode = Incremental && st.reduction.symmetry = None then begin
       st.fp_refolds <- st.fp_refolds + 1;
@@ -1049,7 +873,7 @@ let run_search label st config =
     else 8 * st.max_depth * (34 + Config.n_procs config)
   in
   let s = stats_of ~frontier_bytes st in
-  let dt = Sys.time () -. t0 in
+  let dt = Unix.gettimeofday () -. t0 in
   flush_commute_metrics st.commute;
   Obs.Metrics.incr m_searches;
   Obs.Metrics.add m_states s.states;

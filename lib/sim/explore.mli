@@ -104,12 +104,6 @@ type fp_mode = Incremental | Full
 
 val pp_fp_mode : Format.formatter -> fp_mode -> unit
 
-val set_default_fp : fp_mode -> unit
-(** Process-wide default for searches that do not pin [?fp] (the CLI's
-    [--fp] flag lands here). *)
-
-val default_fp : unit -> fp_mode
-
 val set_fp_fault_injection : int -> unit
 (** Test-only: corrupt every [n]-th patched fingerprint ([0] disables,
     the initial state).  Lets the suite's seeded-mutation negative prove
@@ -165,30 +159,9 @@ val fingerprint_bits : int
 (** Effective key width of the full two-lane fingerprint comparison
     (126): the sequential visited table and the parallel sharded mode. *)
 
-(** How the source-set reduction judges same-object commutation.
-
-    - [Semantic]: the state-local diamond {!op_independent}, memoized per
-      exploration — the default and historical behaviour.
-    - [Static]: consult the statically-derived per-kind commutation table
-      ({!static_independent}, installed by the analyzer's footprint pass)
-      first; a decided pair skips the diamond computation and the memo
-      entirely, an undecided pair falls back to the semantic judgment.
-      With sound tables (the analyzer's footprint obligation), verdicts
-      and counts are identical to [Semantic].
-    - [Both]: cross-validation — statically-decided pairs are also
-      recomputed semantically, disagreements counted under
-      [commute.static_mismatches], and the semantic answer wins. *)
-type independence = Semantic | Static | Both
-
-val pp_independence : Format.formatter -> independence -> unit
-
 (** Which reductions to apply.  The default ({!no_reduction}) reproduces
     the plain exhaustive search exactly. *)
-type reduction = {
-  symmetry : Symmetry.t option;
-  source_sets : bool;
-  independence : independence;
-}
+type reduction = { symmetry : Symmetry.t option; source_sets : bool }
 
 val no_reduction : reduction
 val with_symmetry : Symmetry.t -> reduction
@@ -196,10 +169,8 @@ val full_reduction : Symmetry.t -> reduction
 (** Symmetry quotienting {e and} source sets. *)
 
 val source_only : reduction
-(** Source sets without symmetry ([{ symmetry = None; source_sets = true;
-    independence = Semantic }]). *)
-
-val with_independence : independence -> reduction -> reduction
+(** Source sets without symmetry
+    ([{ symmetry = None; source_sets = true }]). *)
 
 (** Soundness certificates.  The reductions above rest on trusted
     declarations (the symmetry spec is an automorphism group, the
@@ -227,13 +198,10 @@ end
 
 (** [certified_reduction ~certificate sym] — a reduction that demanded a
     certificate before enabling itself; [source_sets] defaults to [true]
-    (the certificate covers the independence judgment too) and
-    [independence] to [Semantic] (the certificate's footprint obligation
-    also licenses [Static]). *)
+    (the certificate covers the independence judgment too). *)
 val certified_reduction :
   certificate:Certificate.t ->
   ?source_sets:bool ->
-  ?independence:independence ->
   Symmetry.t option ->
   reduction
 
@@ -251,49 +219,6 @@ val certified_reduction :
 val op_independent : Obj_model.t -> Value.t -> Op.t -> Op.t -> bool
 
 val pp_reduction : Format.formatter -> reduction -> unit
-
-(** {1 Static commutation tables}
-
-    The [Static]/[Both] independence modes consult a process-global
-    registry of per-object-kind commutation tables: a whole-space
-    classification of each op pair as always-commuting, never-commuting,
-    or state-dependent, computed by the analyzer's footprint pass
-    ([Subc_analysis.Footprint]) over the object's certified reachable
-    space.  Tables are keyed by (kind, initial state) — the commute
-    memo's "equal kinds name behaviourally equal models" convention plus
-    an initial-state match pins the space the classification covers.
-    The registry is an atomic snapshot of immutable tables: installs
-    publish via CAS, lookups are wait-free, so worker domains may read
-    while a checker installs. *)
-
-type static_class = Always_commute | Never_commute | State_dependent
-
-val install_static_independence :
-  kind:string ->
-  init:Value.t ->
-  alphabet:Op.t list ->
-  ((Op.t * Op.t) * static_class) list ->
-  unit
-(** Install (or extend) the table for (kind, init).  Pairs are keyed in
-    canonical [Op.compare] order.  Re-installing a pair with a
-    {e conflicting} class demotes it to [State_dependent] (the lookup then
-    abstains and the semantic judgment decides) — soundness never depends
-    on install order.  Intended to be called by
-    [Subc_analysis.Footprint]; installing a hand-written table bypasses
-    the footprint obligation and is only appropriate in tests. *)
-
-val clear_static_independence : unit -> unit
-
-val static_tables_installed : unit -> (string * int) list
-(** Installed (kind, pair-count) list, for reporting. *)
-
-val static_independent :
-  kind:string -> init:Value.t -> Op.t -> Op.t -> bool option
-(** The fast-path judgment: [Some true] iff the installed table for
-    (kind, init) classifies the pair as always-commuting over the
-    certified space, [Some false] iff never-commuting, [None] when the
-    pair is state-dependent, uncovered, or no table is installed — the
-    caller must then fall back to {!op_independent}. *)
 
 (** {1 Source-set machinery}
 
@@ -313,7 +238,7 @@ val map_tr : Symmetry.perm -> tr -> tr
 
 (** The bounded per-exploration (per-domain) memo for {!op_independent},
     with local counters (diamond computations, memo hits, dropped
-    inserts, static-table hits/fallbacks/mismatches).  Callers running
+    inserts).  Callers running
     concurrent expansions must use one cache per domain. *)
 type commute_cache
 
@@ -321,9 +246,8 @@ val commute_cache : unit -> commute_cache
 
 val flush_commute_metrics : commute_cache -> unit
 (** Add the cache's local counters to the global metrics registry
-    ([commute.diamonds], [commute.memo_hits], [commute.memo_evictions],
-    [commute.static_hits], [commute.static_fallbacks],
-    [commute.static_mismatches]) and zero them.  The sequential explorer
+    ([commute.diamonds], [commute.memo_hits], [commute.memo_evictions])
+    and zero them.  The sequential explorer
     flushes at the end of every search; the parallel engine flushes each
     domain's cache when its worker finishes. *)
 

@@ -37,14 +37,15 @@
    sequential one.
 
    What is deterministic and what is not (see DESIGN.md "Parallel
-   exploration"): [states], [transitions], [terminals], [hung_terminals]
-   and [crashed_terminals] are schedule-independent — claim-once
-   partitions the same reachable set, and each claimed state contributes
-   its fixed out-degree — so they agree with the sequential explorer on
-   acyclic state graphs (all one-shot bounded algorithms).  [max_depth],
-   [dedup_hits] and the specific witness traces depend on the race for
-   claims; checkers built on this module return deterministic verdicts
-   with possibly different (equally valid) witnesses.
+   exploration"): [states], [transitions], [terminals], [hung_terminals],
+   [crashed_terminals], [recovered_terminals], [dedup_hits] and
+   [source_skips] are schedule-independent — claim-once partitions the
+   same reachable set, and each claimed state contributes its fixed
+   out-degree — so they agree with the sequential explorer on acyclic
+   state graphs (all one-shot bounded algorithms).  [max_depth] and the
+   specific witness traces depend on the race for claims; checkers
+   built on this module return deterministic verdicts with possibly
+   different (equally valid) witnesses.
 
    Budget exactness: under [Lockfree]/[Compressed]/[Spill] a successful
    claim draws a ticket from the global state counter; tickets below
@@ -85,12 +86,6 @@ let pp_visited ppf v =
     | Lockfree -> "lockfree"
     | Compressed -> "compressed"
     | Spill _ -> "spill")
-
-(* Process-wide default, settable once by the CLI's [--visited] flag so
-   every checker entry point inherits it without plumbing. *)
-let default_visited_mode = Atomic.make Lockfree
-let set_default_visited v = Atomic.set default_visited_mode v
-let default_visited () = Atomic.get default_visited_mode
 
 (* Auto-sequential fallback: on sub-10^4-state spaces the domain spawn +
    steal traffic costs more than the whole search (E21 measures jobs=2 at
@@ -687,15 +682,11 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
     ?(paranoid = false) ?fp ?seed_target ?seq_threshold ~jobs ~on_terminal
     ~on_visit label config =
   let jobs = max 1 jobs in
-  let visited =
-    match visited with
-    | Some v -> v
-    | None -> Atomic.get default_visited_mode
-  in
+  let visited = Option.value visited ~default:Lockfree in
   (* Exact canonical keys only fit the hashtable representation, so
      paranoid runs take the sharded path whatever mode was asked for. *)
   let visited = if paranoid then Sharded else visited in
-  let fp_mode = match fp with Some m -> m | None -> Explore.default_fp () in
+  let fp_mode = Option.value fp ~default:Explore.Incremental in
   (* The incremental lanes carry a homomorphic fingerprint only with
      symmetry off (canonical keys go through the orbit minimization);
      under [~paranoid] it is carried for cross-validation while the

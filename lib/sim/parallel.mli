@@ -96,13 +96,6 @@ type visited = Sharded | Lockfree | Compressed | Spill of string
 
 val pp_visited : Format.formatter -> visited -> unit
 
-val set_default_visited : visited -> unit
-(** Process-wide default for every entry point whose [?visited] is
-    omitted (initially [Lockfree]).  The CLI's [--visited] flag sets it
-    once at startup so the checkers inherit it without plumbing. *)
-
-val default_visited : unit -> visited
-
 val default_seq_threshold : int
 (** The auto-sequential fallback threshold, [4096]: the seeding pass
     (which runs the identical claim/expand path on the calling domain)
@@ -115,7 +108,7 @@ val default_seq_threshold : int
     domains regardless of size. *)
 
 (** Every entry point also takes [?fp], selecting the fingerprint mode
-    exactly as in {!Explore} (defaulting to {!Explore.default_fp}).
+    exactly as in {!Explore} (defaulting to [Incremental]).
     Under [Incremental] (symmetry off) work items travel delta-encoded
     ({!Config.Delta}) with a carried homomorphic fingerprint, so a
     duplicate claim needs neither a materialization nor a re-fold; the

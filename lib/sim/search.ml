@@ -41,9 +41,6 @@ let with_deadline secs o = { o with deadline = Some secs }
 let with_expected_states n o = { o with expected_states = Some n }
 let with_reduction r o = { o with reduction = r }
 
-let with_independence i o =
-  { o with reduction = Explore.with_independence i o.reduction }
-
 let with_paranoid b o = { o with paranoid = b }
 let with_fp m o = { o with fp = Some m }
 let with_jobs n o = { o with jobs = max 1 n }
@@ -70,9 +67,11 @@ let pp ppf o =
 let parallel o =
   o.jobs > 1
   ||
-  match Option.value o.visited ~default:(Parallel.default_visited ()) with
-  | Parallel.Spill _ -> true
-  | Parallel.Sharded | Parallel.Lockfree | Parallel.Compressed -> false
+  match o.visited with
+  | Some (Parallel.Spill _) -> true
+  | None | Some (Parallel.Sharded | Parallel.Lockfree | Parallel.Compressed)
+    ->
+    false
 
 let iter_terminals ?(options = default) config ~f =
   let o = options in

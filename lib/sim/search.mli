@@ -33,11 +33,11 @@ type options = {
   reduction : Explore.reduction;  (** default {!Explore.no_reduction} *)
   paranoid : bool;  (** exact canonical keys, no fingerprints *)
   fp : Explore.fp_mode option;
-      (** fingerprint mode; [None] defers to {!Explore.default_fp} *)
+      (** fingerprint mode; [None] means [Incremental] *)
   jobs : int;  (** worker domains; [<= 1] means sequential *)
   visited : Parallel.visited option;
-      (** parallel visited-table representation; [None] defers to
-          {!Parallel.default_visited}.  [Spill dir] keeps the visited
+      (** parallel visited-table representation; [None] means
+          [Lockfree].  [Spill dir] keeps the visited
           set in mmap'd files under [dir] and runs {!Parallel} even at
           [jobs <= 1]. *)
 }
@@ -53,12 +53,6 @@ val with_max_recoveries : int -> options -> options
 val with_deadline : float -> options -> options
 val with_expected_states : int -> options -> options
 val with_reduction : Explore.reduction -> options -> options
-
-val with_independence : Explore.independence -> options -> options
-(** Sets the independence judge of the current [reduction] field:
-    [Semantic] computes diamonds, [Static] consults installed
-    {!Explore.static_independent} tables (falling back to the semantic
-    judge on uncovered pairs), [Both] cross-validates. *)
 
 val with_paranoid : bool -> options -> options
 

@@ -4,6 +4,17 @@ module Verdict = Subc_check.Verdict
 
 let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
 
+(* CI runs the whole suite once per visited-table mode: SUBC_TEST_VISITED
+   names it (default [lockfree]), and every parallel search that does not
+   pin its own mode passes [test_visited] explicitly. *)
+let test_visited =
+  match Sys.getenv_opt "SUBC_TEST_VISITED" with
+  | None | Some "lockfree" -> Parallel.Lockfree
+  | Some "sharded" -> Parallel.Sharded
+  | Some "compressed" -> Parallel.Compressed
+  | Some other ->
+    invalid_arg (Printf.sprintf "SUBC_TEST_VISITED: unknown mode %S" other)
+
 (* Distinct proposal values for k processes: 100, 101, … *)
 let inputs k = List.init k (fun i -> Value.Int (100 + i))
 

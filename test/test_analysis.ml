@@ -305,7 +305,6 @@ let certificate_tests =
 (* --- the abstract interpreter: footprints, bounds, and DSL lints --- *)
 
 module Absint = Subc_analysis.Absint
-module Footprint = Subc_analysis.Footprint
 
 let objects_entry () =
   match Registry.find "objects" with
@@ -490,99 +489,41 @@ let lint_gate_tests =
             findings))
     (Registry.entries ())
 
-(* --- footprint classification and the static-table fast path --- *)
+(* --- the semantic commutation judgment on a register --- *)
 
-let register_fp_subject () =
-  Subject.make ~name:"register-fp" ~model:O.Register.model_bot
+let register_subject () =
+  Subject.make ~name:"register-commute" ~model:O.Register.model_bot
     ~alphabet:[ op "read" []; op "write" [ tok 0 ]; op "write" [ tok 1 ] ]
     ~expected:Subject.Deterministic ()
 
-let class_of fp a b =
-  let norm (x, y) = if Op.compare x y <= 0 then (x, y) else (y, x) in
-  match
-    List.assoc_opt (norm (a, b))
-      (List.map (fun (p, c) -> (norm p, c)) fp.Footprint.fp_pairs)
-  with
-  | Some c -> c
-  | None -> Alcotest.failf "pair (%s, %s) not classified" a.Op.name b.Op.name
-
-let static_class =
-  Alcotest.testable
-    (fun ppf -> function
-      | Explore.Always_commute -> Format.pp_print_string ppf "always"
-      | Explore.Never_commute -> Format.pp_print_string ppf "never"
-      | Explore.State_dependent -> Format.pp_print_string ppf "state-dependent")
-    ( = )
-
-let footprint_tests =
+let independence_tests =
   [
-    test "register pairs classify into all three classes" (fun () ->
-        match Footprint.of_subject (register_fp_subject ()) with
-        | Error flaw -> Alcotest.failf "reach: %a" Reach.pp_flaw flaw
-        | Ok (fp, _space) ->
-          Alcotest.check static_class "reads always commute"
-            Explore.Always_commute
-            (class_of fp (op "read" []) (op "read" []));
-          Alcotest.check static_class "distinct writes never commute"
-            Explore.Never_commute
-            (class_of fp (op "write" [ tok 0 ]) (op "write" [ tok 1 ]));
-          Alcotest.check static_class "read vs write depends on the state"
-            Explore.State_dependent
-            (class_of fp (op "read" []) (op "write" [ tok 0 ])));
-    test "installed table drives the fast-path lookup" (fun () ->
-        (match Footprint.of_subject (register_fp_subject ()) with
-        | Error flaw -> Alcotest.failf "reach: %a" Reach.pp_flaw flaw
-        | Ok (fp, _) -> Footprint.install fp);
-        let look a b =
-          Explore.static_independent ~kind:"register" ~init:Value.Bot a b
-        in
-        Alcotest.(check (option bool))
-          "reads decided commuting" (Some true)
-          (look (op "read" []) (op "read" []));
-        Alcotest.(check (option bool))
-          "writes decided racing" (Some false)
-          (look (op "write" [ tok 0 ]) (op "write" [ tok 1 ]));
-        Alcotest.(check (option bool))
-          "state-dependent pair abstains" None
-          (look (op "read" []) (op "write" [ tok 0 ])));
-    test "table lookups are order-insensitive and init-keyed" (fun () ->
-        let kind = "test-fake-kind" and init = Value.Bot in
-        let a = op "a" [] and b = op "b" [] and c = op "c" [] in
-        Explore.install_static_independence ~kind ~init ~alphabet:[ a; b; c ]
-          [
-            ((a, b), Explore.Always_commute);
-            ((a, c), Explore.Never_commute);
-          ];
-        let look = Explore.static_independent ~kind ~init in
-        Alcotest.(check (option bool)) "a,b" (Some true) (look a b);
-        Alcotest.(check (option bool)) "b,a (swapped)" (Some true) (look b a);
-        Alcotest.(check (option bool)) "a,c" (Some false) (look a c);
-        Alcotest.(check (option bool)) "uncovered pair" None (look b c);
-        Alcotest.(check (option bool))
-          "other init has no table" None
-          (Explore.static_independent ~kind ~init:(tok 0) a b);
-        Alcotest.(check (option bool))
-          "other kind has no table" None
-          (Explore.static_independent ~kind:"test-other-kind" ~init a b));
-    test "conflicting re-install demotes, agreeing re-install keeps"
+    test "register pairs: reads commute, writes race, read/write depends"
       (fun () ->
-        let kind = "test-demotion-kind" and init = Value.Bot in
-        let a = op "a" [] and b = op "b" [] and c = op "c" [] in
-        let look = Explore.static_independent ~kind ~init in
-        Explore.install_static_independence ~kind ~init ~alphabet:[ a; b; c ]
-          [
-            ((a, b), Explore.Always_commute);
-            ((a, c), Explore.Never_commute);
-          ];
-        Explore.install_static_independence ~kind ~init ~alphabet:[ a; b ]
-          [ ((a, b), Explore.Never_commute) ];
-        Alcotest.(check (option bool))
-          "conflicting classes abstain" None (look a b);
-        Explore.install_static_independence ~kind ~init ~alphabet:[ a; c ]
-          [ ((a, c), Explore.Never_commute) ];
-        Alcotest.(check (option bool))
-          "agreeing classes survive" (Some false) (look a c));
-    test "certificates attest the static-independence obligation" (fun () ->
+        match Reach.enumerate (register_subject ()) with
+        | Error flaw -> Alcotest.failf "reach: %a" Reach.pp_flaw flaw
+        | Ok space ->
+          let model = O.Register.model_bot in
+          let judged a b =
+            List.map
+              (fun st -> Explore.op_independent model st a b)
+              space.Reach.states
+          in
+          let read = op "read" []
+          and w0 = op "write" [ tok 0 ]
+          and w1 = op "write" [ tok 1 ] in
+          Alcotest.(check int) "bot plus two written values" 3
+            space.Reach.n_states;
+          Alcotest.(check bool) "reads always commute" true
+            (List.for_all Fun.id (judged read read));
+          Alcotest.(check bool) "distinct writes never commute" true
+            (List.for_all not (judged w0 w1));
+          let rw = judged read w0 in
+          Alcotest.(check bool) "read vs write commutes somewhere" true
+            (List.mem true rw);
+          Alcotest.(check bool) "read vs write races somewhere" true
+            (List.mem false rw));
+    test "certificates attest exactly the remaining obligations" (fun () ->
         let entry =
           match Registry.find "alg2" with
           | Some e -> e
@@ -592,9 +533,17 @@ let footprint_tests =
         | Error fs ->
           Alcotest.failf "certify failed with %d findings" (List.length fs)
         | Ok cert ->
-          Alcotest.(check bool) "static-independence discharged" true
-            (List.mem "static-independence"
-               (Explore.Certificate.obligations cert)));
+          Alcotest.(check (list string))
+            "obligations"
+            [
+              "apply-purity";
+              "pairwise-commutation";
+              "source-set-closure";
+              "symmetry-equivariance";
+              "recovery-projection";
+              "classification";
+            ]
+            (Explore.Certificate.obligations cert));
   ]
 
 let suite =
@@ -606,5 +555,5 @@ let suite =
     ("analysis.absint", absint_tests);
     ("analysis.mutations", mutation_tests);
     ("analysis.lint-gate", lint_gate_tests);
-    ("analysis.footprint", footprint_tests);
+    ("analysis.independence", independence_tests);
   ]

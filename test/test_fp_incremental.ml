@@ -218,7 +218,8 @@ let engine_equivalence () =
                   ~options:
                     Search.(
                       default |> with_max_crashes 1 |> with_reduction reduction
-                      |> with_fp mode |> with_jobs jobs)
+                      |> with_fp mode |> with_jobs jobs
+                      |> with_visited test_visited)
                   config
                   ~f:(fun _ _ -> ())
               in

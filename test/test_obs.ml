@@ -137,10 +137,68 @@ let span_tests =
                 (List.length es)));
   ]
 
+(* The explore event's [seconds] is wall time around the search.  A
+   second domain spins through five Alg5 k=3 searches, so process CPU
+   time would read about twice the wall time on a host with two or more
+   cores. *)
+let explore_event_tests =
+  [
+    test "explore seconds are wall time under a busy domain" (fun () ->
+        let open Subc_sim in
+        let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
+        let config =
+          Config.make store
+            (List.init 3 (fun i ->
+                 Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))))
+        in
+        let running = Atomic.make false and stop = Atomic.make false in
+        let spinner =
+          Domain.spawn (fun () ->
+              Atomic.set running true;
+              while not (Atomic.get stop) do
+                Domain.cpu_relax ()
+              done)
+        in
+        while not (Atomic.get running) do
+          Domain.cpu_relax ()
+        done;
+        let seconds, wall =
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set stop true;
+              Domain.join spinner)
+            (fun () ->
+              with_memory_sink (fun events ->
+                  let t0 = Unix.gettimeofday () in
+                  for _ = 1 to 5 do
+                    ignore
+                      (Explore.iter_terminals ~max_crashes:1 config
+                         ~f:(fun _ _ -> ()))
+                  done;
+                  let wall = Unix.gettimeofday () -. t0 in
+                  let seconds =
+                    List.filter_map
+                      (fun e ->
+                        match List.assoc_opt "seconds" e.Sink.fields with
+                        | Some (Sink.Float s) when e.Sink.name = "explore" ->
+                          Some s
+                        | _ -> None)
+                      (events ())
+                  in
+                  Alcotest.(check int) "one event per search" 5
+                    (List.length seconds);
+                  (List.fold_left ( +. ) 0.0 seconds, wall)))
+        in
+        if seconds > wall +. 0.005 then
+          Alcotest.failf "event seconds %.4f exceed wall time %.4f + 5 ms"
+            seconds wall);
+  ]
+
 let suite =
   [
     ("obs.sink", sink_tests);
     ("obs.json", json_tests);
     ("obs.metrics", metrics_tests);
     ("obs.span", span_tests);
+    ("obs.explore", explore_event_tests);
   ]

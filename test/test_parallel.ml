@@ -32,18 +32,6 @@ let jobs =
    unlinked as soon as it is mapped, so the directory stays empty. *)
 let spill_dir = "parallel-spill.tmp"
 
-(* CI runs the whole suite once per visited-table mode: SUBC_TEST_VISITED
-   sets the process default, so every parallel call above that does not
-   pin [?visited] exercises the requested representation. *)
-let () =
-  match Sys.getenv_opt "SUBC_TEST_VISITED" with
-  | Some "sharded" -> Parallel.set_default_visited Parallel.Sharded
-  | Some "lockfree" -> Parallel.set_default_visited Parallel.Lockfree
-  | Some "compressed" -> Parallel.set_default_visited Parallel.Compressed
-  | Some other ->
-    invalid_arg (Printf.sprintf "SUBC_TEST_VISITED: unknown mode %S" other)
-  | None -> ()
-
 (* ---------------------------------------------------------------- *)
 (* Harnesses (shared shapes with test_reduction).                    *)
 
@@ -147,8 +135,8 @@ let stats_matrix () =
                   ~f:(fun _ _ -> ())
               in
               let par =
-                Parallel.iter_terminals ~max_crashes:f ?reduction ~jobs
-                  config
+                Parallel.iter_terminals ~visited:test_visited ~max_crashes:f
+                  ?reduction ~jobs config
                   ~f:(fun _ _ -> ())
               in
               same_counts label seq par)
@@ -170,8 +158,8 @@ let terminal_callback_count () =
     Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
   in
   let par =
-    Parallel.iter_terminals ~max_crashes:1 ~jobs config ~f:(fun _ _ ->
-        incr count)
+    Parallel.iter_terminals ~visited:test_visited ~max_crashes:1 ~jobs config
+      ~f:(fun _ _ -> incr count)
   in
   Alcotest.(check int) "callback count = terminals" par.Explore.terminals
     !count;
@@ -216,8 +204,8 @@ let eager_spawn_counts () =
               ~f:(fun _ _ -> ())
           in
           let par =
-            Parallel.iter_terminals ~max_crashes:1 ?reduction
-              ~seq_threshold:0 ~jobs config
+            Parallel.iter_terminals ~visited:test_visited ~max_crashes:1
+              ?reduction ~seq_threshold:0 ~jobs config
               ~f:(fun _ _ -> ())
           in
           same_counts (Printf.sprintf "%s f=1 %s eager" name rlabel) seq par)
@@ -245,7 +233,8 @@ let seq_fallback_stays_on_caller () =
   let run ?seq_threshold () =
     let elsewhere = Atomic.make 0 in
     let stats =
-      Parallel.iter_reachable ~max_crashes:1 ?seq_threshold ~jobs config
+      Parallel.iter_reachable ~visited:test_visited ~max_crashes:1
+        ?seq_threshold ~jobs config
         ~f:(fun _ _ ->
           if (Domain.self () :> int) <> self then Atomic.incr elsewhere)
     in
@@ -461,8 +450,8 @@ let source_sets_cross_validation () =
                   ~f:(fun _ _ -> ())
               in
               let par =
-                Parallel.iter_terminals ~max_crashes:f ~max_recoveries:r
-                  ~reduction ~jobs config
+                Parallel.iter_terminals ~visited:test_visited ~max_crashes:f
+                  ~max_recoveries:r ~reduction ~jobs config
                   ~f:(fun _ _ -> ())
               in
               same_counts label seq par;
@@ -508,8 +497,8 @@ let source_sets_steal_stress () =
       List.iter
         (fun seed_target ->
           let par =
-            Parallel.iter_terminals ~seed_target ~max_crashes:1 ~reduction
-              ~jobs config
+            Parallel.iter_terminals ~visited:test_visited ~seed_target
+              ~max_crashes:1 ~reduction ~jobs config
               ~f:(fun _ _ -> ())
           in
           same_counts
@@ -533,7 +522,7 @@ let same_status name a b =
 let search_options ~max_crashes ?(reduction = Explore.no_reduction) jobs =
   Search.(
     default |> with_max_crashes max_crashes |> with_reduction reduction
-    |> with_jobs jobs)
+    |> with_jobs jobs |> with_visited test_visited)
 
 let task_check_agrees () =
   let store, programs, sym = alg2_harness 3 in
@@ -566,7 +555,8 @@ let task_check_agrees () =
   same_status "alg3"
     (Task_check.check store3 ~programs:programs3 ~inputs:inputs3 ~task:task3)
     (Task_check.check
-       ~options:Search.(with_jobs jobs default)
+       ~options:
+         Search.(default |> with_jobs jobs |> with_visited test_visited)
        store3 ~programs:programs3 ~inputs:inputs3 ~task:task3)
 
 (* A refuted instance refutes in parallel too (1-set consensus from a
@@ -577,7 +567,8 @@ let task_check_refutes () =
   let seq = Task_check.check store ~programs ~inputs:(inputs 3) ~task in
   let par =
     Task_check.check
-      ~options:Search.(with_jobs jobs default)
+      ~options:
+        Search.(default |> with_jobs jobs |> with_visited test_visited)
       store ~programs ~inputs:(inputs 3) ~task
   in
   same_status "alg2 1-set refuted" seq par;
@@ -651,7 +642,8 @@ let consensus_verdict_agrees () =
   let seq = Valence.consensus_verdict config ~inputs in
   let par =
     Valence.consensus_verdict
-      ~options:Search.(with_jobs jobs default)
+      ~options:
+        Search.(default |> with_jobs jobs |> with_visited test_visited)
       config ~inputs
   in
   same_status "consensus object solves" seq par;
@@ -1106,6 +1098,93 @@ let map_propagates_exceptions () =
            (fun x -> if x = 13 then failwith "boom" else x)
            (List.init 20 (fun i -> i))))
 
+(* ---------------------------------------------------------------- *)
+(* Run settings come from the call, never from process state.        *)
+
+let bound (s : Explore.stats) = s.Explore.collision_bound
+
+(* An omitted [?visited] is the lock-free table and an omitted [?fp] is
+   the incremental patch path: constants, not a settable default. *)
+let omitted_modes_are_constants () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let run ?visited () =
+    Parallel.iter_terminals ?visited ~max_crashes:1 ~jobs config
+      ~f:(fun _ _ -> ())
+  in
+  let omitted = run () and lockfree = run ~visited:Parallel.Lockfree () in
+  same_counts "omitted vs lockfree" lockfree omitted;
+  Alcotest.(check (float 0.0))
+    "lockfree bound" (bound lockfree) (bound omitted);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Format.asprintf "%a bound differs" Parallel.pp_visited v)
+        true
+        (bound (run ~visited:v ()) <> bound omitted))
+    [ Parallel.Sharded; Parallel.Compressed ];
+  let patches_so_far () =
+    Option.value (Subc_obs.Metrics.find "fp.patches") ~default:0.
+  in
+  let patches ?fp () =
+    let before = patches_so_far () in
+    ignore
+      (Explore.iter_terminals ?fp ~max_crashes:1 config ~f:(fun _ _ -> ()));
+    patches_so_far () -. before
+  in
+  Alcotest.(check bool) "omitted fp patches" true (patches () > 0.);
+  Alcotest.(check (float 0.0)) "full fp never patches" 0.
+    (patches ~fp:Explore.Full ())
+
+(* [Search] leaves the sequential engine only for [jobs > 1] or a spill
+   table: an in-memory visited mode alone changes nothing at one job. *)
+let visited_alone_stays_sequential () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let run o =
+    Search.iter_terminals
+      ~options:Search.(o (default |> with_max_crashes 1))
+      config
+      ~f:(fun _ _ -> ())
+  in
+  let seq = run Fun.id in
+  let compressed = run (Search.with_visited Parallel.Compressed) in
+  same_counts "compressed at one job" seq compressed;
+  Alcotest.(check (float 0.0))
+    "sequential bound" (bound seq) (bound compressed);
+  let spill = run (Search.with_visited (Parallel.Spill spill_dir)) in
+  let par =
+    Parallel.iter_terminals ~visited:Parallel.Compressed ~max_crashes:1 ~jobs
+      config
+      ~f:(fun _ _ -> ())
+  in
+  same_counts "spill at one job" seq spill;
+  Alcotest.(check (float 0.0)) "spill runs the parallel engine" (bound par)
+    (bound spill)
+
+(* Two searches running at once on separate domains each keep the
+   visited mode their own options name. *)
+let concurrent_searches_keep_their_modes () =
+  let store, programs, _ = alg5_harness 3 in
+  let config = Config.make store programs in
+  let run v =
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_max_crashes 1 |> with_jobs 2 |> with_visited v)
+      config
+      ~f:(fun _ _ -> ())
+  in
+  let modes = [ Parallel.Compressed; Parallel.Sharded ] in
+  let alone = List.map run modes in
+  let together = Parallel.map ~jobs:2 run modes in
+  List.iter2
+    (fun (v, a) t ->
+      let label = Format.asprintf "%a" Parallel.pp_visited v in
+      same_counts label a t;
+      Alcotest.(check (float 0.0)) (label ^ " bound") (bound a) (bound t))
+    (List.combine modes alone) together
+
 let suite =
   [
     ( "parallel.stats",
@@ -1173,5 +1252,13 @@ let suite =
       [
         test "preserves order" map_preserves_order;
         test "propagates exceptions" map_propagates_exceptions;
+      ] );    ( "parallel.options",
+      [
+        test "omitted visited and fp modes are constants"
+          omitted_modes_are_constants;
+        test "a visited mode alone keeps one job sequential"
+          visited_alone_stays_sequential;
+        test "concurrent searches keep their own visited mode"
+          concurrent_searches_keep_their_modes;
       ] );
   ]

@@ -212,7 +212,8 @@ let recovery_counts_parallel () =
           ~f:(fun _ _ -> ())
       in
       let par =
-        Parallel.iter_terminals ~max_crashes ~max_recoveries:r ~jobs config
+        Parallel.iter_terminals ~visited:test_visited ~max_crashes
+          ~max_recoveries:r ~jobs config
           ~f:(fun _ _ -> ())
       in
       same_counts name seq par;
@@ -234,7 +235,8 @@ let verdict_agrees_across_jobs () =
           let v1 = R.verdict family ~n:2 ~max_recoveries:r in
           let vn =
             R.verdict
-              ~options:Search.(with_jobs jobs default)
+              ~options:
+                Search.(default |> with_jobs jobs |> with_visited test_visited)
               family ~n:2 ~max_recoveries:r
           in
           Alcotest.(check string)
@@ -266,8 +268,8 @@ let expected_states_hint () =
   in
   same_counts "expected-states hint (sequential)" plain hinted;
   let par =
-    Parallel.iter_terminals ~max_crashes:1 ~max_recoveries:1
-      ~expected_states:4096 ~jobs config
+    Parallel.iter_terminals ~visited:test_visited ~max_crashes:1
+      ~max_recoveries:1 ~expected_states:4096 ~jobs config
       ~f:(fun _ _ -> ())
   in
   same_counts "expected-states hint (parallel)" plain par
@@ -286,8 +288,8 @@ let deadline_truncates () =
   Alcotest.(check bool) "sequential: reason = deadline" true
     (seq.Explore.limit_reason = Explore.Deadline);
   let par =
-    Parallel.iter_terminals ~max_crashes:2 ~max_recoveries:1 ~deadline:0.0
-      ~jobs config
+    Parallel.iter_terminals ~visited:test_visited ~max_crashes:2
+      ~max_recoveries:1 ~deadline:0.0 ~jobs config
       ~f:(fun _ _ -> ())
   in
   Alcotest.(check bool) "parallel: limited" true par.Explore.limited;

@@ -429,75 +429,6 @@ let memo_eviction_counts () =
     (metric "commute.memo_evictions" > 0.);
   Alcotest.(check bool) "memo starvation changes nothing" true (base = starved)
 
-(* ---------------------------------------------------------------- *)
-(* Static-vs-semantic cross-validation: with the analyzer's footprint
-   tables installed, the Static fast path and the Both cross-check
-   must reproduce the semantic search node-for-node — same states,
-   transitions, terminals, hung and crashed counts — per family, per
-   fault budget, sequentially and under work stealing; and Both must
-   observe zero static/semantic disagreements.                       *)
-
-let static_matches_semantic () =
-  let installed = Subc_analysis.Analyzer.install_static () in
-  Alcotest.(check bool) "tables installed" true (installed <> []);
-  let counts (s : Explore.stats) =
-    ( s.Explore.states,
-      s.Explore.transitions,
-      s.Explore.terminals,
-      s.Explore.hung_terminals,
-      s.Explore.crashed_terminals )
-  in
-  let metric name =
-    match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
-  in
-  List.iter
-    (fun (name, store, programs, sym) ->
-      List.iter
-        (fun (f, r) ->
-          List.iter
-            (fun jobs ->
-              let run independence =
-                let options =
-                  Search.(
-                    default |> with_max_crashes f |> with_max_recoveries r
-                    |> with_jobs jobs
-                    |> with_reduction (Explore.full_reduction sym)
-                    |> with_independence independence)
-                in
-                Search.iter_terminals ~options
-                  (Config.make store programs)
-                  ~f:(fun _ _ -> ())
-              in
-              let cell mode =
-                Printf.sprintf "%s f=%d r=%d jobs=%d %s" name f r jobs mode
-              in
-              let semantic = counts (run Explore.Semantic) in
-              Alcotest.(check bool)
-                (cell "static")
-                true
-                (counts (run Explore.Static) = semantic);
-              Subc_obs.Metrics.reset ();
-              Alcotest.(check bool)
-                (cell "both")
-                true
-                (counts (run Explore.Both) = semantic);
-              Alcotest.(check (float 0.0))
-                (cell "zero mismatches")
-                0.
-                (metric "commute.static_mismatches");
-              Alcotest.(check bool)
-                (cell "fast path exercised")
-                true
-                (metric "commute.static_hits" > 0.))
-            [ 1; 4 ])
-        [ (0, 0); (1, 0); (1, 1) ])
-    [
-      (let store, programs, sym = alg2_harness 3 in
-       ("alg2", store, programs, sym));
-      (let store, programs, sym = wrn_harness 3 in
-       ("1swrn", store, programs, sym));
-    ]
-
 let suite =
   [
     ( "reduction",
@@ -518,7 +449,5 @@ let suite =
         test "orbit members share a canonical key" orbit_members_share_key;
         test "commute memo overflow is counted and harmless"
           memo_eviction_counts;
-        test "static independence reproduces the semantic search exactly"
-          static_matches_semantic;
       ] );
   ]
