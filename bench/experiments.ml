@@ -68,7 +68,7 @@ let max_distinct_exhaustive store programs =
   let config = Config.make store programs in
   let best = ref 0 in
   let stats =
-    Explore.iter_terminals config ~f:(fun final _ ->
+    Search.iter_terminals config ~f:(fun final _ ->
         best := max !best (List.length (Task.distinct (Config.decisions final))))
   in
   (!best, stats)
@@ -207,7 +207,7 @@ let e4 () =
     in
     let config = Config.make store programs in
     let all_bot, _ =
-      Explore.find_terminal config ~violates:(fun final ->
+      Search.find_terminal config ~violates:(fun final ->
           List.for_all Value.is_bot (Config.decisions final))
     in
     [
@@ -241,7 +241,9 @@ let e5_row ~k ~participants ~max_states =
   let config = Config.make store programs in
   let terminals = ref 0 and bad = ref 0 in
   let stats =
-    Explore.iter_terminals ~max_states config ~f:(fun final trace ->
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_states max_states)
+      config ~f:(fun final trace ->
         incr terminals;
         let history = Lin.history ~ops final trace in
         if Lin.check ~spec history = None then incr bad)
@@ -426,7 +428,7 @@ let e10 () =
     let config = Config.make store programs in
     let acc = ref [] in
     let _ =
-      Explore.iter_terminals config ~f:(fun final _ ->
+      Search.iter_terminals config ~f:(fun final _ ->
           acc := Config.decisions final :: !acc)
     in
     List.sort_uniq compare !acc
@@ -458,7 +460,7 @@ let e10 () =
   let config = Config.make store [ program 0; program 1 ] in
   let flag_ok =
     Result.is_ok
-      (Explore.check_terminals config ~ok:(fun final ->
+      (Search.check_terminals config ~ok:(fun final ->
            List.length
              (List.filter (Value.equal (Value.Int 1)) (Config.decisions final))
            <= 1))
@@ -661,7 +663,9 @@ let e15 () =
         let config = Config.make store programs in
         let outcome, states, ok =
           match
-            Explore.check_terminals ~max_crashes:f config ~ok:(fun c ->
+            Search.check_terminals
+              ~options:Search.(default |> with_max_crashes f)
+              config ~ok:(fun c ->
                 Task.satisfies task ~inputs c)
           with
           | Ok stats ->
@@ -689,7 +693,9 @@ let e15 () =
     let config = Config.make store programs in
     let bad = ref 0 in
     let stats =
-      Explore.iter_terminals ~max_crashes:1 config ~f:(fun final trace ->
+      Search.iter_terminals
+        ~options:Search.(default |> with_max_crashes 1)
+        config ~f:(fun final trace ->
           let history = Lin.history ~ops final trace in
           if Lin.check ~spec history = None then incr bad)
     in
@@ -857,11 +863,17 @@ let e16 () =
   let totals = ref (0, 0, 0, 0) in
   let ratios = ref [] in
   let row name ~f ~group ~n config =
-    let base = Explore.iter_terminals ~max_crashes:f config ~f:(fun _ _ -> ()) in
+    let base = Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes f)
+      config ~f:(fun _ _ -> ()) in
     let sym = Symmetry.standard ~n ~input_base:100 group in
     let full =
-      Explore.iter_terminals ~max_crashes:f
-        ~reduction:(Explore.full_reduction sym) config
+      Search.iter_terminals
+        ~options:
+          Search.(
+            default |> with_max_crashes f
+            |> with_reduction (Explore.full_reduction sym))
+        config
         ~f:(fun _ _ -> ())
     in
     let ratio a b = float_of_int a /. float_of_int (max 1 b) in
@@ -992,14 +1004,12 @@ let e17 () =
   let instance name config ~max_crashes ~reduction =
     let explore jobs =
       let t0 = Unix.gettimeofday () in
-      let stats =
-        if jobs <= 1 then
-          Explore.iter_terminals ~max_crashes ?reduction config
-            ~f:(fun _ _ -> ())
-        else
-          Parallel.iter_terminals ~max_crashes ?reduction ~jobs config
-            ~f:(fun _ _ -> ())
+      let options =
+        Search.(
+          default |> with_max_crashes max_crashes |> with_jobs jobs
+          |> with_reduction reduction)
       in
+      let stats = Search.iter_terminals ~options config ~f:(fun _ _ -> ()) in
       (stats, Unix.gettimeofday () -. t0)
     in
     let base, base_secs = explore 1 in
@@ -1034,7 +1044,7 @@ let e17 () =
     in
     instance "Alg 2 (k=4), f=1"
       (Config.make store programs)
-      ~max_crashes:1 ~reduction:None
+      ~max_crashes:1 ~reduction:Explore.no_reduction
   in
   let alg5_rows =
     let store, t = Alg5.alloc Store.empty ~k:3 () in
@@ -1043,7 +1053,7 @@ let e17 () =
     in
     instance "Alg 5 (k=3), f=1"
       (Config.make store programs)
-      ~max_crashes:1 ~reduction:None
+      ~max_crashes:1 ~reduction:Explore.no_reduction
   in
   let alg5_sym_rows =
     let store, t = Alg5.alloc Store.empty ~k:3 () in
@@ -1054,7 +1064,7 @@ let e17 () =
     instance "Alg 5 (k=3), f=1, sym"
       (Config.make store programs)
       ~max_crashes:1
-      ~reduction:(Some (Explore.with_symmetry sym))
+      ~reduction:(Explore.with_symmetry sym)
   in
   table
     ~title:
@@ -1159,9 +1169,9 @@ let e19 () =
   let sym () = Symmetry.standard ~n:k ~input_base:100 `Rotations in
   let reductions =
     [
-      ("none", None);
-      ("symmetry", Some (Explore.with_symmetry (sym ())));
-      ("full", Some (Explore.full_reduction (sym ())));
+      ("none", Explore.no_reduction);
+      ("symmetry", Explore.with_symmetry (sym ()));
+      ("full", Explore.full_reduction (sym ()));
     ]
   in
   let jobs_axis = [ 1; 2; 4 ] in
@@ -1171,14 +1181,12 @@ let e19 () =
       let history = Lin.history ~ops final trace in
       if Lin.check ~spec history = None then incr bad
     in
-    let stats =
-      if jobs <= 1 then
-        Explore.iter_terminals ~max_crashes:1 ?reduction (config ())
-          ~f:on_terminal
-      else
-        Parallel.iter_terminals ~max_crashes:1 ?reduction ~jobs (config ())
-          ~f:on_terminal
+    let options =
+      Search.(
+        default |> with_max_crashes 1 |> with_jobs jobs
+        |> with_reduction reduction)
     in
+    let stats = Search.iter_terminals ~options (config ()) ~f:on_terminal in
     (stats, !bad = 0 && not stats.Explore.limited)
   in
   let cells =
@@ -1399,7 +1407,7 @@ let scaling () =
   let explore_stats store programs =
     let config = Config.make store programs in
     let t0 = Sys.time () in
-    let stats = Explore.iter_terminals config ~f:(fun _ _ -> ()) in
+    let stats = Search.iter_terminals config ~f:(fun _ _ -> ()) in
     (stats, Sys.time () -. t0)
   in
   let alg2_row k =

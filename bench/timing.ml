@@ -52,7 +52,7 @@ let b3_explore =
   let config = Config.make store programs in
   Test.make ~name:"b3: explore alg2 k=4 (exhaustive)"
     (Staged.stage (fun () ->
-         ignore (Explore.iter_terminals config ~f:(fun _ _ -> ()))))
+         ignore (Search.iter_terminals config ~f:(fun _ _ -> ()))))
 
 (* B4: linearizability checking — a 6-operation 1sWRN history. *)
 let b4_linearizability =
@@ -198,7 +198,7 @@ let perf_fingerprint () =
   in
   let config = Config.make store programs in
   let configs = ref [] in
-  ignore (Explore.iter_reachable config ~f:(fun c _ -> configs := c :: !configs));
+  ignore (Search.iter_reachable config ~f:(fun c _ -> configs := c :: !configs));
   let configs = !configs in
   let repeat = 50 in
   let structural_ns =
@@ -270,6 +270,18 @@ let counter_delta names f =
   let after = read () in
   (r, List.map2 (fun a b -> a -. b) after before)
 
+(* The parallel engine called directly — at [jobs = 1] too, where
+   [Search] never sends a search — with [Search.default]'s knobs and a
+   crash budget of one. *)
+let parallel_f1 ?seq_threshold ~visited ~jobs label config =
+  let o = Search.default in
+  Parallel.run ~visited ~max_states:o.max_states ~max_depth:o.max_depth
+    ~max_crashes:1 ~max_recoveries:o.max_recoveries ~reduction:o.reduction
+    ~paranoid:o.paranoid ~fp:o.fp ?seq_threshold ~jobs
+    ~on_terminal:(fun _ _ -> ())
+    ~on_visit:(fun _ _ -> ())
+    label config
+
 (* P2: exploration throughput across visited-table modes and domain
    counts, over Algorithm 5 k=3 f=1 (the largest registry family).
    Counts are asserted identical to the sequential run in every mode at
@@ -303,7 +315,9 @@ let perf_parallel ~jobs_list () =
   in
   let base_stats, base_secs =
     best_of (fun () ->
-        Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ()))
+        Search.iter_terminals
+          ~options:Search.(default |> with_max_crashes 1)
+          config ~f:(fun _ _ -> ()))
   in
   Format.printf "p2: explore alg5 k=3 f=1, sequential: %d states, %.3fs@."
     base_stats.Explore.states base_secs;
@@ -312,8 +326,7 @@ let perf_parallel ~jobs_list () =
     let (stats, secs), deltas =
       counter_delta counter_names (fun () ->
           best_of (fun () ->
-              Parallel.iter_terminals ~visited ~max_crashes:1 ~jobs config
-                ~f:(fun _ _ -> ())))
+              parallel_f1 ~visited ~jobs "p2" config))
     in
     (stats, secs, List.map (fun d -> d /. float_of_int repeat) deltas)
   in
@@ -491,18 +504,18 @@ let perf_reduction ~jobs_list () =
   let reductions k =
     let sym () = Symmetry.standard ~n:k ~input_base:100 `Rotations in
     [
-      ("none", None);
-      ("symmetry", Some (Explore.with_symmetry (sym ())));
-      ("full", Some (Explore.full_reduction (sym ())));
+      ("none", Explore.no_reduction);
+      ("symmetry", Explore.with_symmetry (sym ()));
+      ("full", Explore.full_reduction (sym ()));
     ]
   in
   let explore k reduction jobs () =
-    if jobs <= 1 then
-      Explore.iter_terminals ~max_crashes:1 ?reduction (config k)
-        ~f:(fun _ _ -> ())
-    else
-      Parallel.iter_terminals ~max_crashes:1 ?reduction ~jobs (config k)
-        ~f:(fun _ _ -> ())
+    let options =
+      Search.(
+        default |> with_max_crashes 1 |> with_jobs jobs
+        |> with_reduction reduction)
+    in
+    Search.iter_terminals ~options (config k) ~f:(fun _ _ -> ())
   in
   let cell k jobs (name, red) =
     let stats = explore k red jobs () in
@@ -674,7 +687,9 @@ let perf_spill ~jobs_list () =
   in
   let config = Config.make store programs in
   let base_stats =
-    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 1)
+      config ~f:(fun _ _ -> ())
   in
   let jobs = match List.rev jobs_list with j :: _ -> min j 4 | [] -> 4 in
   (* Best of three; the visited-bytes gauge is read after the last run. *)
@@ -683,9 +698,7 @@ let perf_spill ~jobs_list () =
     for _ = 1 to 3 do
       let t0 = Unix.gettimeofday () in
       stats :=
-        Parallel.iter_terminals ~visited ~max_crashes:1 ~seq_threshold:0 ~jobs
-          config
-          ~f:(fun _ _ -> ());
+        parallel_f1 ~seq_threshold:0 ~visited ~jobs "p6" config;
       best := min !best (Unix.gettimeofday () -. t0)
     done;
     if
@@ -753,17 +766,21 @@ let perf_seq_fallback () =
   in
   let seq_secs =
     per_call (fun () ->
-        Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ()))
+        Search.iter_terminals
+          ~options:Search.(default |> with_max_crashes 1)
+          config ~f:(fun _ _ -> ()))
   in
   let fallback_secs =
     per_call (fun () ->
-        Parallel.iter_terminals ~max_crashes:1 ~jobs:4 config
+        Search.iter_terminals
+          ~options:Search.(default |> with_max_crashes 1 |> with_jobs 4)
+          config
           ~f:(fun _ _ -> ()))
   in
   let eager_secs =
     per_call (fun () ->
-        Parallel.iter_terminals ~max_crashes:1 ~seq_threshold:0 ~jobs:4 config
-          ~f:(fun _ _ -> ()))
+        parallel_f1 ~seq_threshold:0 ~visited:Search.default.visited ~jobs:4
+          "p7" config)
   in
   let ratio = if seq_secs > 0.0 then fallback_secs /. seq_secs else 0.0 in
   Format.printf

@@ -74,7 +74,9 @@ let () =
     (fun f ->
       let config = Config.make store3 programs3 in
       match
-        Explore.check_terminals ~max_crashes:f config ~ok:(fun c ->
+        Search.check_terminals
+          ~options:Search.(default |> with_max_crashes f)
+          config ~ok:(fun c ->
             Task.satisfies task3 ~inputs:inputs3 c)
       with
       | Ok stats ->

@@ -49,7 +49,7 @@ let () =
      values. *)
   let best = ref 0 in
   let _ =
-    Explore.iter_terminals config ~f:(fun final _ ->
+    Search.iter_terminals config ~f:(fun final _ ->
         best := max !best (List.length (Task.distinct (Config.decisions final))))
   in
   Format.printf "max distinct decisions over all schedules: %d (bound %d)@."

@@ -83,7 +83,12 @@ let solves_consensus ?max_states ~k p =
   in
   (* Straight-line programs terminate on every schedule, so checking
      terminals is complete. *)
-  Result.is_ok (Explore.check_terminals ?max_states config ~ok)
+  let options =
+    match max_states with
+    | None -> Search.default
+    | Some n -> Search.with_max_states n Search.default
+  in
+  Result.is_ok (Search.check_terminals ~options config ~ok)
 
 type census = {
   total : int;

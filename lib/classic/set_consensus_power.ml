@@ -89,13 +89,18 @@ let verdict ?max_states family ~n ~k =
   let programs = List.mapi program inputs in
   let task = Task.conj (Task.set_consensus k) Task.all_decided in
   let config = Config.make store programs in
+  let options =
+    match max_states with
+    | None -> Search.default
+    | Some n -> Search.with_max_states n Search.default
+  in
   match
-    Explore.check_terminals ?max_states config ~ok:(fun final ->
+    Search.check_terminals ~options config ~ok:(fun final ->
         Task.satisfies task ~inputs final)
   with
   | Error _ -> `Violates
   | Ok stats when stats.Explore.limited -> `Unknown
   | Ok _ -> (
-    match Explore.find_cycle ?max_states config with
+    match Search.find_cycle ~options config with
     | Some _, _ -> `Diverges
     | None, stats -> if stats.Explore.limited then `Unknown else `Solves)

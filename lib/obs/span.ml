@@ -1,6 +1,6 @@
-(* Wall-time accumulation per phase label. Uses [Sys.time] (CPU seconds) to
-   avoid a Unix dependency in the libraries; bench-grade timing stays in
-   bechamel. *)
+(* Wall-time accumulation per phase label.  Wall clock, not CPU time: a
+   phase that fans out over several domains, or sleeps, must not be
+   inflated or hidden by the process's CPU seconds. *)
 
 let totals_tbl : (string, float) Hashtbl.t = Hashtbl.create 16
 
@@ -9,9 +9,9 @@ let record label dt =
   Hashtbl.replace totals_tbl label (prev +. dt)
 
 let time label f =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let finish () =
-    let dt = Sys.time () -. t0 in
+    let dt = Unix.gettimeofday () -. t0 in
     record label dt;
     Sink.emit "span" [ ("label", Sink.Str label); ("seconds", Sink.Float dt) ]
   in

@@ -2,8 +2,8 @@
 
     [time label f] runs [f], adds its duration to the running total for
     [label], and emits a ["span"] event on the current {!Sink}. Durations
-    use [Sys.time] (CPU seconds) so the libraries stay free of a Unix
-    dependency; precise benchmarking remains bechamel's job. *)
+    are wall-clock seconds ([Unix.gettimeofday]), so a phase run across
+    several domains counts once and a blocked phase still counts. *)
 
 val time : string -> (unit -> 'a) -> 'a
 (** Run the thunk, accounting its duration under [label]. Exceptions

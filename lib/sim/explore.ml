@@ -48,10 +48,6 @@ type stats = {
    [hom_of_config] re-fold at every node ([fp.paranoid_mismatches]). *)
 type fp_mode = Incremental | Full
 
-let pp_fp_mode ppf = function
-  | Incremental -> Format.fprintf ppf "incremental"
-  | Full -> Format.fprintf ppf "full"
-
 (* Test-only fault injection: corrupt every [n]-th patched fingerprint
    (0 disables).  Used by the suite's seeded-mutation negative to prove
    [~paranoid] catches a wrong patch. *)
@@ -374,12 +370,13 @@ module Vtbl = Fingerprint.Ktbl
 
 exception Stop
 
-type state = {
-  visited : unit Vtbl.t;
-  onstack : unit Vtbl.t;
-  commute : commute_cache;
-  paranoid : bool;
-  fp_mode : fp_mode;
+(* The counters both engines keep, one record per search (per domain in
+   the parallel engine, summed after the join — [max_depth] takes the
+   maximum).  Every schedule-independent figure of {!stats} is one of
+   these, so the determinism contract (equal counts at any [jobs]) rests
+   on this one definition and on the helpers below, which both engines
+   call at the same points of an expansion. *)
+type counters = {
   mutable states : int;
   mutable transitions : int;
   mutable terminals : int;
@@ -389,10 +386,114 @@ type state = {
   mutable max_depth : int;
   mutable dedup_hits : int;
   mutable source_skips : int;
-  mutable cycles : int;
   mutable fp_patches : int;
   mutable fp_refolds : int;
   mutable fp_mismatches : int;
+}
+
+let fresh_counters () =
+  {
+    states = 0;
+    transitions = 0;
+    terminals = 0;
+    hung_terminals = 0;
+    crashed_terminals = 0;
+    recovered_terminals = 0;
+    max_depth = 0;
+    dedup_hits = 0;
+    source_skips = 0;
+    fp_patches = 0;
+    fp_refolds = 0;
+    fp_mismatches = 0;
+  }
+
+let add_counters t c =
+  t.states <- t.states + c.states;
+  t.transitions <- t.transitions + c.transitions;
+  t.terminals <- t.terminals + c.terminals;
+  t.hung_terminals <- t.hung_terminals + c.hung_terminals;
+  t.crashed_terminals <- t.crashed_terminals + c.crashed_terminals;
+  t.recovered_terminals <- t.recovered_terminals + c.recovered_terminals;
+  t.max_depth <- max t.max_depth c.max_depth;
+  t.dedup_hits <- t.dedup_hits + c.dedup_hits;
+  t.source_skips <- t.source_skips + c.source_skips;
+  t.fp_patches <- t.fp_patches + c.fp_patches;
+  t.fp_refolds <- t.fp_refolds + c.fp_refolds;
+  t.fp_mismatches <- t.fp_mismatches + c.fp_mismatches
+
+(* Terminal for the processes is not necessarily terminal for the search:
+   with recovery budget left, the adversary may still revive a crashed
+   process.  The configuration is reported as a terminal either way — the
+   adversary may equally choose never to recover — and then expanded
+   through its recover successors.  Terminals key by state alone (empty
+   relevant sleep), so this fires once per terminal configuration. *)
+let count_terminal c config =
+  Config.running config = []
+  && begin
+       c.terminals <- c.terminals + 1;
+       if Config.any_hung config then c.hung_terminals <- c.hung_terminals + 1;
+       if Config.any_crashed config then
+         c.crashed_terminals <- c.crashed_terminals + 1;
+       if Config.any_recovered config then
+         c.recovered_terminals <- c.recovered_terminals + 1;
+       true
+     end
+
+(* Under [~paranoid] the carried incremental fingerprint is re-validated
+   against a full homomorphic re-fold at every claimed node. *)
+let cross_check c ~paranoid fp config =
+  match fp with
+  | Some f when paranoid ->
+    c.fp_refolds <- c.fp_refolds + 1;
+    if not (Fingerprint.equal f (Fingerprint.hom_of_config config)) then
+      c.fp_mismatches <- c.fp_mismatches + 1
+  | _ -> ()
+
+let m_fp_patches = Obs.Metrics.counter "fp.patches"
+let m_fp_refolds = Obs.Metrics.counter "fp.refolds"
+let m_fp_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
+
+(* A paranoid run that saw any patch/re-fold disagreement is a soundness
+   bug (or injected fault) — fail loudly rather than return counts built
+   on a corrupted carry.  The counters are flushed first so the mismatch
+   stays visible in the metrics snapshot. *)
+let flush_fp_counters ~engine c =
+  Obs.Metrics.add m_fp_patches c.fp_patches;
+  Obs.Metrics.add m_fp_refolds c.fp_refolds;
+  Obs.Metrics.add m_fp_mismatches c.fp_mismatches;
+  if c.fp_mismatches > 0 then
+    invalid_arg
+      (Printf.sprintf
+         "%s: %d incremental fingerprint patch(es) disagree with the paranoid \
+          re-fold"
+         engine c.fp_mismatches)
+
+let stats_of_counters c ~cycles ~collision_bound ~limit_reason ~frontier_bytes
+    =
+  {
+    states = c.states;
+    transitions = c.transitions;
+    terminals = c.terminals;
+    hung_terminals = c.hung_terminals;
+    crashed_terminals = c.crashed_terminals;
+    recovered_terminals = c.recovered_terminals;
+    max_depth = c.max_depth;
+    dedup_hits = c.dedup_hits;
+    source_skips = c.source_skips;
+    cycles;
+    collision_bound;
+    limited = reason_truncates limit_reason;
+    limit_reason;
+    frontier_bytes;
+  }
+
+type state = {
+  visited : unit Vtbl.t;
+  onstack : unit Vtbl.t;
+  commute : commute_cache;
+  paranoid : bool;
+  c : counters;
+  mutable cycles : int;
   mutable limit_reason : limit_reason;
   max_states : int;
   depth_limit : int;
@@ -413,26 +514,6 @@ type state = {
 (* The sequential visited table compares both full fingerprint lanes:
    126 effective bits. *)
 let fingerprint_bits = 126
-
-let stats_of ?(frontier_bytes = 0) st =
-  {
-    frontier_bytes;
-    states = st.states;
-    transitions = st.transitions;
-    terminals = st.terminals;
-    hung_terminals = st.hung_terminals;
-    crashed_terminals = st.crashed_terminals;
-    recovered_terminals = st.recovered_terminals;
-    max_depth = st.max_depth;
-    dedup_hits = st.dedup_hits;
-    source_skips = st.source_skips;
-    cycles = st.cycles;
-    collision_bound =
-      (if st.paranoid then 0.0
-       else collision_bound ~bits:fingerprint_bits ~states:st.states);
-    limited = reason_truncates st.limit_reason;
-    limit_reason = st.limit_reason;
-  }
 
 (* The canonical state key of [config] under [sym], with the stabilizer
    coset of the canonical representative (head: the canonicalizing
@@ -462,14 +543,6 @@ let key_of ~paranoid (reduction : reduction) config =
 
 let state_key ?(paranoid = false) reduction config =
   fst (key_of ~paranoid reduction config)
-
-(* The bare two-lane fingerprint of the canonical representative — the
-   parallel engine's claim-table path, which stores the raw lanes and
-   never allocates a [Fingerprint.key] wrapper. *)
-let state_fingerprint (reduction : reduction) config =
-  match reduction.symmetry with
-  | None -> Fingerprint.of_config config
-  | Some sym -> fst (Symmetry.canonical_fingerprint sym config)
 
 (* (state, sleep) visited key: the state key extended with the canonical
    relevant sleep.  An empty relevant sleep leaves the state key
@@ -604,6 +677,15 @@ let patched_fingerprint parent fp (s : Step.slots) child =
         v')
     fp s.Step.sl_store
 
+(* The child's carried fingerprint on the incremental lanes ([None]
+   elsewhere): the parent's, patched through the transition's slots. *)
+let child_fingerprint c fp parent slots child =
+  match fp with
+  | None -> None
+  | Some f ->
+    c.fp_patches <- c.fp_patches + 1;
+    Some (fp_inject_fault (patched_fingerprint parent f slots child))
+
 (* The source-set expansion of a (config, sleep) node, shared verbatim by
    the sequential DFS and every parallel worker domain.
 
@@ -687,6 +769,7 @@ let source_successors cache (reduction : reduction) ~pi ~max_crashes
 let deadline_mask = 1023
 
 let rec dfs st config fp rev_trace depth sleep =
+  let c = st.c in
   st.deadline_tick <- st.deadline_tick + 1;
   if
     st.deadline_tick land deadline_mask = 0
@@ -695,7 +778,7 @@ let rec dfs st config fp rev_trace depth sleep =
     st.limit_reason <- Deadline;
     raise Stop
   end;
-  if depth > st.max_depth then st.max_depth <- depth;
+  if depth > c.max_depth then c.max_depth <- depth;
   if depth > st.depth_limit then begin
     (* Prune this branch only; siblings are still explored. *)
     if st.limit_reason = No_limit then st.limit_reason <- Max_depth
@@ -705,12 +788,7 @@ let rec dfs st config fp rev_trace depth sleep =
        state's homomorphic fingerprint, patched from the parent's.  Under
        [~paranoid] the visited keys stay exact but the carried
        fingerprint is cross-validated against a full re-fold. *)
-    (match fp with
-    | Some f when st.paranoid ->
-      st.fp_refolds <- st.fp_refolds + 1;
-      if not (Fingerprint.equal f (Fingerprint.hom_of_config config)) then
-        st.fp_mismatches <- st.fp_mismatches + 1
-    | _ -> ());
+    cross_check c ~paranoid:st.paranoid fp config;
     let key, pi, sleep =
       match fp with
       | Some f when not st.paranoid ->
@@ -733,54 +811,31 @@ let rec dfs st config fp rev_trace depth sleep =
       if st.cycle_witness = None then st.cycle_witness <- Some (List.rev rev_trace);
       if st.stop_on_cycle then raise Stop
     end
-    else if Vtbl.mem st.visited key then
-      st.dedup_hits <- st.dedup_hits + 1
-    else if st.states >= st.max_states then begin
+    else if Vtbl.mem st.visited key then c.dedup_hits <- c.dedup_hits + 1
+    else if c.states >= st.max_states then begin
       st.limit_reason <- Max_states;
       raise Stop
     end
     else begin
       Vtbl.add st.visited key ();
-      st.states <- st.states + 1;
+      c.states <- c.states + 1;
       st.on_visit config (lazy (List.rev rev_trace));
-      (* Terminal for the processes is not necessarily terminal for the
-         search: with recovery budget left, the adversary may still
-         revive a crashed process.  The configuration is reported as a
-         terminal either way — the adversary may equally choose never to
-         recover — and then expanded through its recover successors.
-         Terminals key by state alone (empty relevant sleep), so this
-         fires once per terminal configuration. *)
-      if Config.running config = [] then begin
-        st.terminals <- st.terminals + 1;
-        if Config.any_hung config then
-          st.hung_terminals <- st.hung_terminals + 1;
-        if Config.any_crashed config then
-          st.crashed_terminals <- st.crashed_terminals + 1;
-        if Config.any_recovered config then
-          st.recovered_terminals <- st.recovered_terminals + 1;
-        st.on_terminal config (List.rev rev_trace)
-      end;
+      if count_terminal c config then
+        st.on_terminal config (List.rev rev_trace);
       let groups, skips =
         source_successors st.commute st.reduction ~pi
           ~max_crashes:st.max_crashes ~max_recoveries:st.max_recoveries config
           ~sleep
       in
-      st.source_skips <- st.source_skips + skips;
+      c.source_skips <- c.source_skips + skips;
       if groups <> [] then begin
         Vtbl.add st.onstack key ();
         List.iter
           (fun g ->
             List.iter
               (fun (config', event, slots) ->
-                st.transitions <- st.transitions + 1;
-                let fp' =
-                  match fp with
-                  | None -> None
-                  | Some f ->
-                    st.fp_patches <- st.fp_patches + 1;
-                    Some
-                      (fp_inject_fault (patched_fingerprint config f slots config'))
-                in
+                c.transitions <- c.transitions + 1;
+                let fp' = child_fingerprint c fp config slots config' in
                 dfs st config' fp' (event :: rev_trace) (depth + 1) g.g_sleep)
               g.g_succs)
           groups;
@@ -803,46 +858,6 @@ let table_hint expected_states =
   | None -> 256
   | Some n -> max 256 (min (1 lsl 20) n)
 
-let make_state ?(max_states = 5_000_000) ?(max_depth = 10_000)
-    ?(max_crashes = 0) ?(max_recoveries = 0) ?deadline ?expected_states
-    ?(reduction = no_reduction) ?(paranoid = false) ?fp
-    ?(stop_on_cycle = false) ?(on_visit = fun _ _ -> ()) on_terminal =
-  {
-    visited = Vtbl.create (table_hint expected_states);
-    onstack = Vtbl.create 16;
-    commute = commute_cache ();
-    paranoid;
-    fp_mode = Option.value fp ~default:Incremental;
-    states = 0;
-    transitions = 0;
-    terminals = 0;
-    hung_terminals = 0;
-    crashed_terminals = 0;
-    recovered_terminals = 0;
-    max_depth = 0;
-    dedup_hits = 0;
-    source_skips = 0;
-    cycles = 0;
-    fp_patches = 0;
-    fp_refolds = 0;
-    fp_mismatches = 0;
-    limit_reason = No_limit;
-    max_states;
-    depth_limit = max_depth;
-    max_crashes;
-    max_recoveries;
-    deadline_at =
-      (match deadline with
-      | None -> infinity
-      | Some secs -> Unix.gettimeofday () +. secs);
-    deadline_tick = 0;
-    reduction;
-    cycle_witness = None;
-    on_terminal;
-    on_visit;
-    stop_on_cycle;
-  }
-
 (* Observability: cumulative counters are cheap and always on; a per-search
    event is emitted only when a sink is installed. *)
 let m_states = Obs.Metrics.counter "explore.states"
@@ -850,15 +865,40 @@ let m_transitions = Obs.Metrics.counter "explore.transitions"
 let m_dedup = Obs.Metrics.counter "explore.dedup_hits"
 let m_source = Obs.Metrics.counter "explore.source_skips"
 let m_searches = Obs.Metrics.counter "explore.searches"
-let m_fp_patches = Obs.Metrics.counter "fp.patches"
-let m_fp_refolds = Obs.Metrics.counter "fp.refolds"
-let m_fp_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
 
-let run_search label st config =
+let run ~max_states ~max_depth ~max_crashes ~max_recoveries ?deadline
+    ?expected_states ~reduction ~paranoid ~fp ~stop_on_cycle ~on_terminal
+    ~on_visit label config =
   let t0 = Unix.gettimeofday () in
+  let st =
+    {
+      visited = Vtbl.create (table_hint expected_states);
+      onstack = Vtbl.create 16;
+      commute = commute_cache ();
+      paranoid;
+      c = fresh_counters ();
+      cycles = 0;
+      limit_reason = No_limit;
+      max_states;
+      depth_limit = max_depth;
+      max_crashes;
+      max_recoveries;
+      deadline_at =
+        (match deadline with
+        | None -> infinity
+        | Some secs -> t0 +. secs);
+      deadline_tick = 0;
+      reduction;
+      cycle_witness = None;
+      on_terminal;
+      on_visit;
+      stop_on_cycle;
+    }
+  in
+  let c = st.c in
   let fp0 =
-    if st.fp_mode = Incremental && st.reduction.symmetry = None then begin
-      st.fp_refolds <- st.fp_refolds + 1;
+    if fp = Incremental && reduction.symmetry = None then begin
+      c.fp_refolds <- c.fp_refolds + 1;
       Some (Fingerprint.hom_of_config config)
     end
     else None
@@ -869,10 +909,16 @@ let run_search label st config =
      level of the deepest path.  A rough estimate — the parallel engine
      measures its deques instead. *)
   let frontier_bytes =
-    if st.states = 0 then 0
-    else 8 * st.max_depth * (34 + Config.n_procs config)
+    if c.states = 0 then 0
+    else 8 * c.max_depth * (34 + Config.n_procs config)
   in
-  let s = stats_of ~frontier_bytes st in
+  let s =
+    stats_of_counters c ~cycles:st.cycles ~limit_reason:st.limit_reason
+      ~frontier_bytes
+      ~collision_bound:
+        (if paranoid then 0.0
+         else collision_bound ~bits:fingerprint_bits ~states:c.states)
+  in
   let dt = Unix.gettimeofday () -. t0 in
   flush_commute_metrics st.commute;
   Obs.Metrics.incr m_searches;
@@ -880,20 +926,8 @@ let run_search label st config =
   Obs.Metrics.add m_transitions s.transitions;
   Obs.Metrics.add m_dedup s.dedup_hits;
   Obs.Metrics.add m_source s.source_skips;
-  Obs.Metrics.add m_fp_patches st.fp_patches;
-  Obs.Metrics.add m_fp_refolds st.fp_refolds;
-  Obs.Metrics.add m_fp_mismatches st.fp_mismatches;
   Obs.Metrics.set_gauge "explore.frontier_bytes" (float_of_int frontier_bytes);
-  (* A paranoid run that saw any patch/re-fold disagreement is a soundness
-     bug (or injected fault) — fail loudly rather than return counts built
-     on a corrupted carry.  The counter above is flushed first so the
-     mismatch stays visible in the metrics snapshot. *)
-  if st.fp_mismatches > 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Explore: %d incremental fingerprint patch(es) disagree with the \
-          paranoid re-fold"
-         st.fp_mismatches);
+  flush_fp_counters ~engine:"Explore" c;
   if Obs.Sink.get () != Obs.Sink.null then
     Obs.Sink.emit "explore"
       [
@@ -910,71 +944,4 @@ let run_search label st config =
           Obs.Sink.Float
             (if dt > 0.0 then float_of_int s.states /. dt else 0.0) );
       ];
-  s
-
-let iter_terminals ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?reduction ?paranoid ?fp config ~f =
-  let st =
-    make_state ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?paranoid ?fp f
-  in
-  run_search "iter_terminals" st config
-
-(* Source sets are forced off: [iter_reachable] exists to enumerate every
-   reachable configuration (wait-freedom bounds quantify over all of them),
-   and the reduction's guarantee covers terminals, not every intermediate
-   state. *)
-let iter_reachable ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?reduction ?paranoid ?fp config ~f =
-  let reduction =
-    Option.map (fun r -> { r with source_sets = false }) reduction
-  in
-  let st =
-    make_state ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?paranoid ?fp ~on_visit:f
-      (fun _ _ -> ())
-  in
-  run_search "iter_reachable" st config
-
-let find_terminal ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?reduction ?paranoid ?fp config ~violates =
-  let found = ref None in
-  let on_terminal c trace =
-    if violates c then begin
-      found := Some (c, trace);
-      raise Stop
-    end
-  in
-  let st =
-    make_state ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?paranoid ?fp on_terminal
-  in
-  let stats = run_search "find_terminal" st config in
-  (!found, stats)
-
-let check_terminals ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?reduction ?paranoid ?fp config ~ok =
-  match
-    find_terminal ?max_states ?max_depth ?max_crashes ?max_recoveries
-      ?deadline ?expected_states ?reduction ?paranoid ?fp config
-      ~violates:(fun c -> not (ok c))
-  with
-  | None, stats -> Ok stats
-  | Some (c, trace), stats -> Error (c, trace, stats)
-
-(* Source sets are forced off: skipping a transition at a state revisited on
-   the DFS stack could hide a back-edge.  Symmetry stays on — an orbit
-   back-edge still witnesses an infinite run (apply the automorphism
-   repeatedly to extend the lasso). *)
-let find_cycle ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?reduction ?paranoid ?fp config =
-  let reduction =
-    Option.map (fun r -> { r with source_sets = false }) reduction
-  in
-  let st =
-    make_state ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?reduction ?paranoid ?fp ~stop_on_cycle:true
-      (fun _ _ -> ())
-  in
-  let stats = run_search "find_cycle" st config in
-  (st.cycle_witness, stats)
+  (s, st.cycle_witness)

@@ -1,4 +1,8 @@
-(** Exhaustive state-space exploration (model checking).
+(** Exhaustive state-space exploration (model checking): the sequential
+    engine, and the key, expansion and counting machinery it shares with
+    the work-stealing {!Parallel} engine.  Searches start at {!Search},
+    which runs this module's {!run} at [jobs = 1] and {!Parallel.run}
+    otherwise; the knobs named below are {!Search.options} fields.
 
     Explores {e all} interleavings of process steps {e and} all resolutions
     of object nondeterminism, by depth-first search over configurations.
@@ -64,8 +68,8 @@
       assumptions are certified over each object's reachable state space
       by [Subc_analysis].  Assumes an acyclic state graph (true for all
       one-shot bounded algorithms); the entry points that hunt cycles or
-      enumerate all reachable states ({!find_cycle}, {!iter_reachable})
-      force source sets off.
+      enumerate all reachable states ([Search.find_cycle],
+      [Search.iter_reachable]) force source sets off.
 
     For the bounded one-shot algorithms of the paper the state space is
     finite and exploration is complete: a property checked here is a proof
@@ -102,17 +106,71 @@ val reason_truncates : limit_reason -> bool
     ([fp.paranoid_mismatches]; any mismatch fails the search loudly). *)
 type fp_mode = Incremental | Full
 
-val pp_fp_mode : Format.formatter -> fp_mode -> unit
-
 val set_fp_fault_injection : int -> unit
 (** Test-only: corrupt every [n]-th patched fingerprint ([0] disables,
     the initial state).  Lets the suite's seeded-mutation negative prove
     that [~paranoid] catches a wrong patch. *)
 
-val fp_inject_fault : Fingerprint.t -> Fingerprint.t
-(** Apply the {!set_fp_fault_injection} counter to one patched
-    fingerprint — identity unless injection is armed.  Exposed so the
-    parallel engine shares the same fault hook. *)
+(** Raised to end a search early.  A callback of any entry point may
+    raise it (re-exported as [Search.Stop]) to stop the search
+    gracefully; both engines catch it and return the stats of the work
+    done so far. *)
+exception Stop
+
+(** The counters both engines keep per search (per domain in
+    {!Parallel}, summed after the join except [max_depth], which takes
+    the maximum).  Every schedule-independent figure of {!stats} is one
+    of them, and both engines update them through the helpers below at
+    the same points of an expansion — the determinism contract rests on
+    this one definition. *)
+type counters = {
+  mutable states : int;
+  mutable transitions : int;
+  mutable terminals : int;
+  mutable hung_terminals : int;
+  mutable crashed_terminals : int;
+  mutable recovered_terminals : int;
+  mutable max_depth : int;
+  mutable dedup_hits : int;
+  mutable source_skips : int;
+  mutable fp_patches : int;
+  mutable fp_refolds : int;
+  mutable fp_mismatches : int;
+}
+
+val fresh_counters : unit -> counters
+
+val add_counters : counters -> counters -> unit
+(** [add_counters t c] merges [c] into [t]: every counter summed,
+    [max_depth] the maximum. *)
+
+val count_terminal : counters -> Config.t -> bool
+(** [count_terminal c config] classifies a freshly claimed node: when no
+    process of [config] can run it counts a terminal (and a hung,
+    crashed or recovered one, as [config] says) and returns [true].  A
+    terminal may still have recover successors; it is reported either
+    way. *)
+
+val cross_check :
+  counters -> paranoid:bool -> Fingerprint.t option -> Config.t -> unit
+(** Under [~paranoid], re-fold the node and count a mismatch when the
+    carried incremental fingerprint disagrees ([fp.paranoid_mismatches]). *)
+
+val child_fingerprint :
+  counters ->
+  Fingerprint.t option ->
+  Config.t ->
+  Step.slots ->
+  Config.t ->
+  Fingerprint.t option
+(** [child_fingerprint c fp parent slots child] — the carried fingerprint
+    of a successor: {!patched_fingerprint} of the parent's (counted in
+    [fp_patches], subject to {!set_fp_fault_injection}), or [None] off
+    the incremental lanes. *)
+
+val flush_fp_counters : engine:string -> counters -> unit
+(** Add the [fp.*] counters to the metrics registry, then fail with
+    [Invalid_argument] if any paranoid cross-check disagreed. *)
 
 type stats = {
   states : int;
@@ -158,6 +216,14 @@ val collision_bound : bits:int -> states:int -> float
 val fingerprint_bits : int
 (** Effective key width of the full two-lane fingerprint comparison
     (126): the sequential visited table and the parallel sharded mode. *)
+
+val stats_of_counters :
+  counters ->
+  cycles:int ->
+  collision_bound:float ->
+  limit_reason:limit_reason ->
+  frontier_bytes:int ->
+  stats
 
 (** Which reductions to apply.  The default ({!no_reduction}) reproduces
     the plain exhaustive search exactly. *)
@@ -346,98 +412,30 @@ val source_successors :
     and for the cross-validation tests. *)
 val state_key : ?paranoid:bool -> reduction -> Config.t -> Fingerprint.key
 
-val state_fingerprint : reduction -> Config.t -> Fingerprint.t
-(** The bare two-lane fingerprint of the canonical orbit representative
-    (no sleep extension). *)
+(** {1 The sequential engine} *)
 
-(** {1 Entry points} *)
-
-(** [iter_terminals config ~f] visits every reachable terminal configuration
-    once, passing a witness trace.  Under symmetry, one representative per
-    terminal orbit is reported (checked properties must be
-    renaming-invariant). *)
-val iter_terminals :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
+val run :
+  max_states:int ->
+  max_depth:int ->
+  max_crashes:int ->
+  max_recoveries:int ->
   ?deadline:float ->
   ?expected_states:int ->
-  ?reduction:reduction ->
-  ?paranoid:bool ->
-  ?fp:fp_mode ->
+  reduction:reduction ->
+  paranoid:bool ->
+  fp:fp_mode ->
+  stop_on_cycle:bool ->
+  on_terminal:(Config.t -> Trace.t -> unit) ->
+  on_visit:(Config.t -> Trace.t Lazy.t -> unit) ->
+  string ->
   Config.t ->
-  f:(Config.t -> Trace.t -> unit) ->
-  stats
-
-(** [iter_reachable config ~f] visits {e every} reachable configuration
-    (one representative per orbit under symmetry) once, passing a lazy
-    witness trace — forcing it is linear in the depth, so callers that only
-    need the trace on failure pay nothing on the common path.  Source sets
-    are forced off (their guarantee covers terminals, and reachability
-    callers quantify over every intermediate configuration). *)
-val iter_reachable :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:reduction ->
-  ?paranoid:bool ->
-  ?fp:fp_mode ->
-  Config.t ->
-  f:(Config.t -> Trace.t Lazy.t -> unit) ->
-  stats
-
-(** [find_terminal config ~violates] returns the first reachable terminal
-    configuration satisfying [violates], with a witness trace. *)
-val find_terminal :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:reduction ->
-  ?paranoid:bool ->
-  ?fp:fp_mode ->
-  Config.t ->
-  violates:(Config.t -> bool) ->
-  (Config.t * Trace.t) option * stats
-
-(** [check_terminals config ~ok] verifies [ok] on every reachable terminal:
-    [Ok stats] if all satisfy it, [Error (cex, trace, stats)] otherwise. *)
-val check_terminals :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:reduction ->
-  ?paranoid:bool ->
-  ?fp:fp_mode ->
-  Config.t ->
-  ok:(Config.t -> bool) ->
-  (stats, Config.t * Trace.t * stats) result
-
-(** [find_cycle config] searches for an infinite schedule: a configuration
-    reachable from itself (modulo symmetry, when enabled — an orbit
-    back-edge extends to an infinite run by repeated application of the
-    automorphism).  Returns the lasso trace (stem to the repeated
-    configuration).  Source sets are forced off — skipping transitions at
-    on-stack states could hide back-edges.  Wait-free algorithms must
-    return [None]. *)
-val find_cycle :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?reduction:reduction ->
-  ?paranoid:bool ->
-  ?fp:fp_mode ->
-  Config.t ->
-  Trace.t option * stats
+  stats * Trace.t option
+(** [run ... label config] — the depth-first search behind every
+    sequential {!Search} entry point.  [on_visit] sees every claimed
+    node once with a lazy witness trace, [on_terminal] every terminal
+    once; either may raise {!Stop}.  A back-edge into the DFS stack is
+    counted in [cycles] and its lasso kept as the returned witness;
+    [~stop_on_cycle] ends the search at the first one.  The caller
+    chooses the reduction: source sets assume an acyclic graph, so
+    cycle hunting and reachability pass them off.  [label] names the
+    search in the [explore] observability event. *)

@@ -70,12 +70,10 @@
    deterministic as [states] and [transitions].
    Cycle detection is not offered: back-edges are indistinguishable
    from cross-edges without a per-domain DFS stack discipline, so
-   revisits count as [dedup_hits]; use the sequential
-   [Explore.find_cycle]. *)
+   revisits count as [dedup_hits]; [Search.find_cycle] runs the
+   sequential DFS. *)
 
 module Obs = Subc_obs
-
-exception Stop
 
 type visited = Sharded | Lockfree | Compressed | Spill of string
 
@@ -127,20 +125,11 @@ type vtable =
 
 type stop_cause = Budget | Deadline | Callback of exn
 
-(* Per-domain statistics; merged after join (sums, except [max_depth]). *)
+(* Per-domain statistics: the engines' shared counters, merged after the
+   join ([merge_stats]), plus this engine's own work-distribution
+   figures. *)
 type dstats = {
-  mutable states : int;
-  mutable transitions : int;
-  mutable terminals : int;
-  mutable hung_terminals : int;
-  mutable crashed_terminals : int;
-  mutable recovered_terminals : int;
-  mutable max_depth : int;
-  mutable dedup_hits : int;
-  mutable source_skips : int;
-  mutable fp_patches : int;
-  mutable fp_refolds : int;
-  mutable fp_mismatches : int;
+  counts : Explore.counters;
   mutable pushed_items : int;
   mutable pushed_words : int; (* unique-retention estimate of pushed work *)
   mutable depth_limited : bool;
@@ -152,18 +141,7 @@ type dstats = {
 
 let fresh_dstats () =
   {
-    states = 0;
-    transitions = 0;
-    terminals = 0;
-    hung_terminals = 0;
-    crashed_terminals = 0;
-    recovered_terminals = 0;
-    max_depth = 0;
-    dedup_hits = 0;
-    source_skips = 0;
-    fp_patches = 0;
-    fp_refolds = 0;
-    fp_mismatches = 0;
+    counts = Explore.fresh_counters ();
     pushed_items = 0;
     pushed_words = 0;
     depth_limited = false;
@@ -217,8 +195,9 @@ type ctx = {
    steal loop, so no wake-up broadcast is needed. *)
 let set_stop g cause = ignore (Atomic.compare_and_set g.stop None (Some cause))
 
-(* The fingerprint claim key of the [Claims] and [Spill] tables, with
-   the canonicalizing renaming and relevant sleep set that go with it. *)
+(* The fingerprint claim key (every table but a paranoid [Shards] one,
+   which keeps exact keys), with the canonicalizing renaming and
+   relevant sleep set that go with it. *)
 let[@inline] fingerprint_key g item config =
   match item.fp with
   | Some f ->
@@ -255,18 +234,12 @@ let claim ctx item config =
   match g.table with
   | Shards shards ->
     let key, pi, sleep =
-      match item.fp with
-      | Some f when not g.paranoid ->
-        if g.reduction.Explore.source_sets && item.sleep <> [] then
-          let fp, pi, sleep =
-            Explore.source_fingerprint_from f g.reduction
-              ~max_crashes:g.max_crashes (Lazy.force config) ~sleep:item.sleep
-          in
-          (Fingerprint.Fp fp, pi, sleep)
-        else (Fingerprint.Fp f, None, [])
-      | _ ->
-        Explore.source_key ~paranoid:g.paranoid g.reduction
+      if g.paranoid then
+        Explore.source_key ~paranoid:true g.reduction
           ~max_crashes:g.max_crashes (Lazy.force config) ~sleep:item.sleep
+      else
+        let fp, pi, sleep = fingerprint_key g item config in
+        (Fingerprint.Fp fp, pi, sleep)
     in
     let sh = shards.(Fingerprint.shard_index key mod n_shards) in
     if not (Mutex.try_lock sh.lock) then begin
@@ -309,7 +282,7 @@ let m_escalated = Obs.Metrics.counter "parallel.visited_escalated"
    fire once via the [escalated] CAS. *)
 let maybe_escalate ctx =
   let g = ctx.g in
-  if g.escalate_threshold > 0.0 && ctx.stats.states land 255 = 0 then
+  if g.escalate_threshold > 0.0 && ctx.stats.counts.states land 255 = 0 then
     match g.table with
     | Claims t when Claim_table.is_folded t ->
       let n = Atomic.get g.n_states in
@@ -347,40 +320,21 @@ let process ctx item =
     in
     bump ()
   end;
-  if item.depth > ctx.stats.max_depth then ctx.stats.max_depth <- item.depth;
+  let c = ctx.stats.counts in
+  if item.depth > c.max_depth then c.max_depth <- item.depth;
   if item.depth > g.depth_limit then ctx.stats.depth_limited <- true
   else
     let config = lazy (Config.Delta.materialize item.delta) in
     match claim ctx item config with
-    | `Dup -> ctx.stats.dedup_hits <- ctx.stats.dedup_hits + 1
+    | `Dup -> c.dedup_hits <- c.dedup_hits + 1
     | `Budget -> set_stop g Budget
     | `Fresh (pi, sleep) ->
       let config = Lazy.force config in
-      ctx.stats.states <- ctx.stats.states + 1;
+      c.states <- c.states + 1;
       maybe_escalate ctx;
-      (* Paranoid cross-validation of the carried incremental
-         fingerprint against a full homomorphic re-fold (mirrors the
-         sequential DFS; any mismatch fails the run after the join). *)
-      (match item.fp with
-      | Some f when g.paranoid ->
-        ctx.stats.fp_refolds <- ctx.stats.fp_refolds + 1;
-        if not (Fingerprint.equal f (Fingerprint.hom_of_config config)) then
-          ctx.stats.fp_mismatches <- ctx.stats.fp_mismatches + 1
-      | _ -> ());
+      Explore.cross_check c ~paranoid:g.paranoid item.fp config;
       g.on_visit config (lazy (List.rev item.rev_trace));
-      (* Terminal for the processes, not necessarily for the search:
-         with recovery budget left, the adversary may still revive a
-         crashed process (the sequential explorer does the same).  A
-         terminal's relevant sleep is empty, so it claims by state alone
-         and this fires exactly once per terminal configuration. *)
-      if Config.running config = [] then begin
-        ctx.stats.terminals <- ctx.stats.terminals + 1;
-        if Config.any_hung config then
-          ctx.stats.hung_terminals <- ctx.stats.hung_terminals + 1;
-        if Config.any_crashed config then
-          ctx.stats.crashed_terminals <- ctx.stats.crashed_terminals + 1;
-        if Config.any_recovered config then
-          ctx.stats.recovered_terminals <- ctx.stats.recovered_terminals + 1;
+      if Explore.count_terminal c config then begin
         Mutex.lock g.cb_lock;
         Fun.protect
           ~finally:(fun () -> Mutex.unlock g.cb_lock)
@@ -395,20 +349,14 @@ let process ctx item =
           ~max_crashes:g.max_crashes ~max_recoveries:g.max_recoveries config
           ~sleep
       in
-      ctx.stats.source_skips <- ctx.stats.source_skips + skips;
+      c.source_skips <- c.source_skips + skips;
       List.iter
         (fun grp ->
           List.iter
             (fun (config', event, slots) ->
-              ctx.stats.transitions <- ctx.stats.transitions + 1;
+              c.transitions <- c.transitions + 1;
               let fp' =
-                match item.fp with
-                | None -> None
-                | Some f ->
-                  ctx.stats.fp_patches <- ctx.stats.fp_patches + 1;
-                  Some
-                    (Explore.fp_inject_fault
-                       (Explore.patched_fingerprint config f slots config'))
+                Explore.child_fingerprint c item.fp config slots config'
               in
               let delta' =
                 match g.fp_mode with
@@ -530,7 +478,14 @@ let claims_bound t ~states =
     ((((fnf *. (fnf -. 1.0) /. 2.0) +. (fnf *. fnt)) *. ldexp 1.0 (-62))
     +. (fnt *. (fnt -. 1.0) /. 2.0 *. ldexp 1.0 (-124)))
 
-let merge_stats g (all : dstats list) =
+(* The domains' counters summed ([max_depth]: the maximum) — the
+   schedule-independent half of the merged stats. *)
+let sum_counters (all : dstats list) =
+  let t = Explore.fresh_counters () in
+  List.iter (fun d -> Explore.add_counters t d.counts) all;
+  t
+
+let merge_stats g (all : dstats list) (c : Explore.counters) =
   let sum f = List.fold_left (fun acc d -> acc + f d) 0 all in
   let limit_reason =
     match Atomic.get g.stop with
@@ -540,7 +495,7 @@ let merge_stats g (all : dstats list) =
       if List.exists (fun d -> d.depth_limited) all then Explore.Max_depth
       else Explore.No_limit
   in
-  let states = sum (fun d -> d.states) in
+  let states = c.Explore.states in
   let frontier_bytes =
     let items = sum (fun d -> d.pushed_items) in
     if items = 0 then 0
@@ -551,19 +506,8 @@ let merge_stats g (all : dstats list) =
         (8.0 *. float_of_int peak
         *. (float_of_int words /. float_of_int items))
   in
-  {
-    Explore.states;
-    frontier_bytes;
-    transitions = sum (fun d -> d.transitions);
-    terminals = sum (fun d -> d.terminals);
-    hung_terminals = sum (fun d -> d.hung_terminals);
-    crashed_terminals = sum (fun d -> d.crashed_terminals);
-    recovered_terminals = sum (fun d -> d.recovered_terminals);
-    max_depth = List.fold_left (fun acc d -> max acc d.max_depth) 0 all;
-    dedup_hits = sum (fun d -> d.dedup_hits);
-    source_skips = sum (fun d -> d.source_skips);
-    cycles = 0;
-    collision_bound =
+  Explore.stats_of_counters c ~cycles:0 ~limit_reason ~frontier_bytes
+    ~collision_bound:
       (if g.paranoid then 0.0
        else
          match g.table with
@@ -571,11 +515,7 @@ let merge_stats g (all : dstats list) =
            Explore.collision_bound ~bits:Explore.fingerprint_bits ~states
          | Claims t -> claims_bound t ~states
          | Spill t ->
-           Explore.collision_bound ~bits:62
-             ~states:(Spill_table.occupancy t));
-    limited = Explore.reason_truncates limit_reason;
-    limit_reason;
-  }
+           Explore.collision_bound ~bits:62 ~states:(Spill_table.occupancy t))
 
 (* Approximate heap footprint of the visited set, for the bench's
    memory-per-state comparison: analytic for the claim table, the
@@ -609,16 +549,9 @@ let m_source = Obs.Metrics.counter "parallel.source_skips"
 let m_searches = Obs.Metrics.counter "parallel.searches"
 let m_spill_bytes = Obs.Metrics.counter "parallel.spill_bytes"
 
-(* Same interned counters the sequential engine flushes into. *)
-let m_fp_patches = Obs.Metrics.counter "fp.patches"
-let m_fp_refolds = Obs.Metrics.counter "fp.refolds"
-let m_fp_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
-
-(* [all] additionally carries the seeding pass's stats: fp patches and
-   re-folds happen there too, and the shared fp.* counters must cover
-   the whole search (the per-domain d0../steals breakdown below stays
-   worker-only). *)
-let emit_obs label g stats (dstats : dstats array) ~all dt =
+(* The per-domain d0../steals breakdown below is worker-only; the
+   seeding pass's work shows in the merged totals. *)
+let emit_obs label g stats (dstats : dstats array) dt =
   Obs.Metrics.incr m_searches;
   Obs.Metrics.add m_states stats.Explore.states;
   Obs.Metrics.add m_source stats.Explore.source_skips;
@@ -629,12 +562,6 @@ let emit_obs label g stats (dstats : dstats array) ~all dt =
       Obs.Metrics.add m_cas_retries d.claim.Claim_table.cas_retries;
       Obs.Metrics.add m_contention d.contention)
     dstats;
-  List.iter
-    (fun d ->
-      Obs.Metrics.add m_fp_patches d.fp_patches;
-      Obs.Metrics.add m_fp_refolds d.fp_refolds;
-      Obs.Metrics.add m_fp_mismatches d.fp_mismatches)
-    all;
   let rate = if dt > 0.0 then float_of_int stats.Explore.states /. dt else 0.0 in
   Obs.Metrics.set_gauge "parallel.states_per_sec" rate;
   Obs.Metrics.set_gauge "parallel.visited_bytes" (float_of_int (visited_bytes g));
@@ -662,11 +589,11 @@ let emit_obs label g stats (dstats : dstats array) ~all dt =
              (fun i (d : dstats) ->
                let pfx = Printf.sprintf "d%d." i in
                [
-                 (pfx ^ "states", Obs.Sink.Int d.states);
+                 (pfx ^ "states", Obs.Sink.Int d.counts.states);
                  ( pfx ^ "states_per_sec",
                    Obs.Sink.Float
                      (if d.seconds > 0.0 then
-                        float_of_int d.states /. d.seconds
+                        float_of_int d.counts.states /. d.seconds
                       else 0.0) );
                  (pfx ^ "steals", Obs.Sink.Int d.steals);
                  (pfx ^ "probes", Obs.Sink.Int d.claim.Claim_table.probes);
@@ -676,17 +603,14 @@ let emit_obs label g stats (dstats : dstats array) ~all dt =
                ])
              (Array.to_list dstats)))
 
-let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
-    ?(max_crashes = 0) ?(max_recoveries = 0) ?deadline ?expected_states
-    ?(escalate_threshold = 1e-6) ?(reduction = Explore.no_reduction)
-    ?(paranoid = false) ?fp ?seed_target ?seq_threshold ~jobs ~on_terminal
+let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
+    ?deadline ?expected_states ?(escalate_threshold = 1e-6) ~reduction
+    ~paranoid ~fp:fp_mode ?seed_target ?seq_threshold ~jobs ~on_terminal
     ~on_visit label config =
   let jobs = max 1 jobs in
-  let visited = Option.value visited ~default:Lockfree in
   (* Exact canonical keys only fit the hashtable representation, so
      paranoid runs take the sharded path whatever mode was asked for. *)
   let visited = if paranoid then Sharded else visited in
-  let fp_mode = Option.value fp ~default:Explore.Incremental in
   (* The incremental lanes carry a homomorphic fingerprint only with
      symmetry off (canonical keys go through the orbit minimization);
      under [~paranoid] it is carried for cross-validation while the
@@ -777,7 +701,7 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
      enough to keep [jobs] domains busy.  The seeder claims and counts
      states through the same [process] path the workers use. *)
   let seed_stats = fresh_dstats () in
-  if root_fp <> None then seed_stats.fp_refolds <- 1;
+  if root_fp <> None then seed_stats.counts.fp_refolds <- 1;
   let seed_ctx =
     {
       g;
@@ -798,7 +722,7 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
   (try
      while
        (not (Queue.is_empty queue))
-       && (Queue.length queue < target || seed_stats.states < threshold)
+       && (Queue.length queue < target || seed_stats.counts.states < threshold)
        && Atomic.get g.stop = None
      do
        process seed_ctx (Queue.pop queue)
@@ -843,76 +767,14 @@ let run ?visited ?(max_states = 5_000_000) ?(max_depth = 10_000)
   end;
   let dt = Unix.gettimeofday () -. t0 in
   let all = seed_stats :: Array.to_list dstats in
-  let stats = merge_stats g all in
-  emit_obs label g stats dstats ~all dt;
+  let counts = sum_counters all in
+  let stats = merge_stats g all counts in
+  emit_obs label g stats dstats dt;
+  Explore.flush_fp_counters ~engine:"Parallel" counts;
   (match Atomic.get g.stop with
-  | Some (Callback Stop) | Some Budget | Some Deadline | None -> ()
+  | Some (Callback Explore.Stop) | Some Budget | Some Deadline | None -> ()
   | Some (Callback e) -> raise e);
-  let mismatches = List.fold_left (fun acc d -> acc + d.fp_mismatches) 0 all in
-  if mismatches > 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Parallel: %d incremental fingerprint patch(es) disagree with the \
-          paranoid re-fold"
-         mismatches);
   stats
-
-let iter_terminals ?visited ?max_states ?max_depth ?max_crashes
-    ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ~jobs config ~f =
-  run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp ?seed_target
-    ?seq_threshold ~jobs ~on_terminal:f
-    ~on_visit:(fun _ _ -> ())
-    "iter_terminals" config
-
-(* Source sets are forced off, exactly as in [Explore.iter_reachable]:
-   the reduction's guarantee covers terminals, and reachability callers
-   quantify over every intermediate configuration. *)
-let iter_reachable ?visited ?max_states ?max_depth ?max_crashes
-    ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ~jobs config ~f =
-  let reduction =
-    Option.map (fun r -> { r with Explore.source_sets = false }) reduction
-  in
-  run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-    ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp ?seed_target
-    ?seq_threshold ~jobs
-    ~on_terminal:(fun _ _ -> ())
-    ~on_visit:f "iter_reachable" config
-
-let find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
-    ?deadline ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
-    ?seed_target ?seq_threshold ~jobs config ~violates =
-  let found = ref None in
-  (* [on_terminal] runs under the callback lock, so the first writer
-     wins and the witness is stable once set. *)
-  let on_terminal c trace =
-    if Option.is_none !found && violates c then begin
-      found := Some (c, trace);
-      raise Stop
-    end
-  in
-  let stats =
-    run ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries ?deadline
-      ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
-      ?seed_target ?seq_threshold ~jobs ~on_terminal
-      ~on_visit:(fun _ _ -> ())
-      "find_terminal" config
-  in
-  (!found, stats)
-
-let check_terminals ?visited ?max_states ?max_depth ?max_crashes
-    ?max_recoveries ?deadline ?expected_states ?escalate_threshold ?reduction
-    ?paranoid ?fp ?seed_target ?seq_threshold ~jobs config ~ok =
-  match
-    find_terminal ?visited ?max_states ?max_depth ?max_crashes ?max_recoveries
-      ?deadline ?expected_states ?escalate_threshold ?reduction ?paranoid ?fp
-      ?seed_target ?seq_threshold ~jobs config
-      ~violates:(fun c -> not (ok c))
-  with
-  | None, stats -> Ok stats
-  | Some (c, trace), stats -> Error (c, trace, stats)
 
 (* Domain fan-out over an ordinary list: static index partition (item [i]
    goes to domain [i mod jobs]).  The work items handed to it are few and

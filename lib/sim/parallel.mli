@@ -1,7 +1,12 @@
 (** Multicore state-space exploration.
 
-    Runs the same transition relation as {!Explore} across [jobs] domains:
-    a bounded breadth-first pass on the calling domain seeds a frontier of
+    Runs the same transition relation as {!Explore} across [jobs] domains.
+    Searches start at {!Search}, which runs this engine at [jobs > 1] or
+    under the out-of-core [Spill] table; {!run} is exported for the
+    tests and benches that need the engine at [jobs = 1] or its
+    work-distribution knobs.
+
+    A bounded breadth-first pass on the calling domain seeds a frontier of
     roughly [4 * jobs] work items ([?seed_target] overrides), distributed
     round-robin across per-domain Chase–Lev work-stealing deques
     ({!Ws_deque}).  Each domain runs depth-first search over its own
@@ -13,10 +18,10 @@
     {b Visited tables.}  Deduplication is claim-once through one of four
     representations ({!visited}):
 
-    - [Lockfree] (default): one open-addressed claim table of [Atomic]
-      slot words storing both fingerprint lanes (effective 124 bits) —
-      CAS claim, linear probing, segment-chained growth with no rehash
-      stall ({!Claim_table}).
+    - [Lockfree] ([Search.default]'s): one open-addressed claim table
+      of [Atomic] slot words storing both fingerprint lanes (effective
+      124 bits) — CAS claim, linear probing, segment-chained growth
+      with no rehash stall ({!Claim_table}).
     - [Compressed]: the claim table in folded mode — a single mixed
       62-bit word per state, about half the memory; the birthday
       collision bound is surfaced in [stats.collision_bound].
@@ -66,8 +71,8 @@
     witness traces are racy; checkers built on this module return
     deterministic {e verdicts} with possibly different (equally valid)
     witnesses.  [cycles] is always [0] here: back-edges count as
-    [dedup_hits] (use the sequential {!Explore.find_cycle} for
-    non-termination hunting).
+    [dedup_hits] ([Search.find_cycle] hunts non-termination with the
+    sequential DFS).
 
     {b Reductions.}  Both reductions compose with work stealing.
     Symmetry quotienting canonicalizes before the claim, so an orbit's
@@ -79,17 +84,7 @@
     function of the claimed pair under the canonical sibling order.  A
     stolen subtree therefore prunes {e identically} to the subtree the
     victim would have explored, and [source_skips] is deterministic.
-    See DESIGN.md, "Source sets under work stealing".
-
-    {b Callbacks.}  [f] in {!iter_terminals} is serialized under a lock
-    (terminals are sparse); [f] in {!iter_reachable} is called
-    concurrently from worker domains and must be domain-safe.  A callback
-    may raise {!Stop} to end the search gracefully (stats reflect work
-    done so far); any other exception aborts the search and is re-raised
-    on the calling domain. *)
-
-(** Raise from a callback to stop the search gracefully. *)
-exception Stop
+    See DESIGN.md, "Source sets under work stealing". *)
 
 (** Which visited-table representation deduplicates states. *)
 type visited = Sharded | Lockfree | Compressed | Spill of string
@@ -107,103 +102,37 @@ val default_seq_threshold : int
     Passing [?seed_target] disables the fallback: those callers want the
     domains regardless of size. *)
 
-(** Every entry point also takes [?fp], selecting the fingerprint mode
-    exactly as in {!Explore} (defaulting to [Incremental]).
-    Under [Incremental] (symmetry off) work items travel delta-encoded
-    ({!Config.Delta}) with a carried homomorphic fingerprint, so a
-    duplicate claim needs neither a materialization nor a re-fold; the
-    merged stats expose [frontier_bytes] — peak deque population times
-    the mean retained words per item. *)
-
-val iter_terminals :
-  ?visited:visited ->
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
+val run :
+  visited:visited ->
+  max_states:int ->
+  max_depth:int ->
+  max_crashes:int ->
+  max_recoveries:int ->
   ?deadline:float ->
   ?expected_states:int ->
   ?escalate_threshold:float ->
-  ?reduction:Explore.reduction ->
-  ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
+  reduction:Explore.reduction ->
+  paranoid:bool ->
+  fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
   jobs:int ->
+  on_terminal:(Config.t -> Trace.t -> unit) ->
+  on_visit:(Config.t -> Trace.t Lazy.t -> unit) ->
+  string ->
   Config.t ->
-  f:(Config.t -> Trace.t -> unit) ->
   Explore.stats
-(** Parallel {!Explore.iter_terminals}.  [f] sees every reachable terminal
-    exactly once (one representative per orbit under symmetry), serialized
-    under the callback lock, in a nondeterministic order.  [?seed_target]
-    sets the width the sequential seeding pass aims for before handing
-    the frontier to the domains (default [4 * jobs], clamped to at least
-    [1]); tests force it to [1] to maximize steal pressure. *)
-
-val iter_reachable :
-  ?visited:visited ->
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?escalate_threshold:float ->
-  ?reduction:Explore.reduction ->
-  ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
-  ?seed_target:int ->
-  ?seq_threshold:int ->
-  jobs:int ->
-  Config.t ->
-  f:(Config.t -> Trace.t Lazy.t -> unit) ->
-  Explore.stats
-(** Parallel {!Explore.iter_reachable}.  [f] runs {e concurrently} on
-    worker domains — it must be domain-safe.  Source sets are stripped
-    here exactly as in the sequential version: reachability consumers
-    want every state, not a reduced cover. *)
-
-val find_terminal :
-  ?visited:visited ->
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?escalate_threshold:float ->
-  ?reduction:Explore.reduction ->
-  ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
-  ?seed_target:int ->
-  ?seq_threshold:int ->
-  jobs:int ->
-  Config.t ->
-  violates:(Config.t -> bool) ->
-  (Config.t * Trace.t) option * Explore.stats
-(** Parallel {!Explore.find_terminal}: whether a violating terminal exists
-    is deterministic; {e which} one is returned is not. *)
-
-val check_terminals :
-  ?visited:visited ->
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_crashes:int ->
-  ?max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?escalate_threshold:float ->
-  ?reduction:Explore.reduction ->
-  ?paranoid:bool ->
-  ?fp:Explore.fp_mode ->
-  ?seed_target:int ->
-  ?seq_threshold:int ->
-  jobs:int ->
-  Config.t ->
-  ok:(Config.t -> bool) ->
-  (Explore.stats, Config.t * Trace.t * Explore.stats) result
-(** Parallel {!Explore.check_terminals}: the [Ok]/[Error] outcome is
-    deterministic, the counterexample in [Error] need not be. *)
+(** [run ~jobs ~on_terminal ~on_visit label config] — one parallel
+    search, with the callback contract of {!Search} ([on_terminal]
+    serialized under a lock, [on_visit] concurrent; {!Explore.Stop} ends
+    the search gracefully).  The search knobs mean what the
+    {!Search.options} fields of the same names mean; only the engine's
+    own test knobs are optional.  [label] names the search in the
+    [parallel] observability event.  [?seed_target] sets the width the
+    seeding pass
+    aims for before handing the frontier to the domains (default
+    [4 * jobs], clamped to at least [1]; tests force it to [1] to
+    maximize steal pressure). *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] applies [f] to every element across [jobs] domains

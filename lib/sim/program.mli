@@ -27,7 +27,7 @@ val invoke : Store.handle -> Op.t -> Value.t t
     process is fully determined by [key]: the simulator replaces the
     process's recorded response history with [key], which is what makes a
     {e non-terminating} loop revisit configurations so that
-    [Explore.find_cycle] can detect it.
+    [Search.find_cycle] can detect it.
 
     Soundness requirement: use only in tail position of a top-level process
     program (i.e. the loop is the entire rest of the program) with a [key]

@@ -1,8 +1,8 @@
-(* One record for every search knob, replacing the nine-optional-arg
-   sprawl that every explorer and checker entry point used to duplicate.
-   The engines ({!Explore}, {!Parallel}) keep their low-level labelled
-   interfaces; this module is the front door that dispatches between
-   them on [jobs] and [visited]. *)
+(* One record for every search knob, and the one front door that runs
+   every search: [run] is the only place that chooses between the
+   sequential {!Explore} and the work-stealing {!Parallel} engine. *)
+
+exception Stop = Explore.Stop
 
 type options = {
   max_states : int;
@@ -13,9 +13,9 @@ type options = {
   expected_states : int option;
   reduction : Explore.reduction;
   paranoid : bool;
-  fp : Explore.fp_mode option;
+  fp : Explore.fp_mode;
   jobs : int;
-  visited : Parallel.visited option;
+  visited : Parallel.visited;
 }
 
 let default =
@@ -28,9 +28,9 @@ let default =
     expected_states = None;
     reduction = Explore.no_reduction;
     paranoid = false;
-    fp = None;
+    fp = Explore.Incremental;
     jobs = 1;
-    visited = None;
+    visited = Parallel.Lockfree;
   }
 
 let with_max_states n o = { o with max_states = n }
@@ -42,98 +42,74 @@ let with_expected_states n o = { o with expected_states = Some n }
 let with_reduction r o = { o with reduction = r }
 
 let with_paranoid b o = { o with paranoid = b }
-let with_fp m o = { o with fp = Some m }
+let with_fp m o = { o with fp = m }
 let with_jobs n o = { o with jobs = max 1 n }
-let with_visited v o = { o with visited = Some v }
+let with_visited v o = { o with visited = v }
 
-let pp ppf o =
-  Format.fprintf ppf
-    "max-states=%d max-depth=%d crashes<=%d recoveries<=%d%s%s jobs=%d \
-     paranoid=%b %a"
-    o.max_states o.max_depth o.max_crashes o.max_recoveries
-    (match o.deadline with
-    | None -> ""
-    | Some s -> Printf.sprintf " deadline=%.3gs" s)
-    (match o.visited with
-    | None -> ""
-    | Some v -> Format.asprintf " visited=%a" Parallel.pp_visited v)
-    o.jobs o.paranoid Explore.pp_reduction o.reduction;
-  match o.fp with
-  | None -> ()
-  | Some m -> Format.fprintf ppf " fp=%a" Explore.pp_fp_mode m
+let no_terminal _ _ = ()
+let no_visit _ _ = ()
 
-(* The out-of-core table lives only in the parallel engine, so a spill
-   search runs there even at [jobs = 1]. *)
-let parallel o =
-  o.jobs > 1
-  ||
-  match o.visited with
-  | Some (Parallel.Spill _) -> true
-  | None | Some (Parallel.Sharded | Parallel.Lockfree | Parallel.Compressed)
-    ->
-    false
+let explore ~stop_on_cycle ~on_terminal ~on_visit label o config =
+  Explore.run ~max_states:o.max_states ~max_depth:o.max_depth
+    ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
+    ?deadline:o.deadline ?expected_states:o.expected_states
+    ~reduction:o.reduction ~paranoid:o.paranoid ~fp:o.fp ~stop_on_cycle
+    ~on_terminal ~on_visit label config
+
+(* The one engine dispatch.  The out-of-core table lives only in the
+   parallel engine, so a spill search runs there even at [jobs = 1]. *)
+let run ~on_terminal ~on_visit label o config =
+  let spill =
+    match o.visited with
+    | Parallel.Spill _ -> true
+    | Parallel.Sharded | Parallel.Lockfree | Parallel.Compressed -> false
+  in
+  if o.jobs > 1 || spill then
+    Parallel.run ~visited:o.visited ~max_states:o.max_states
+      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
+      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
+      ?expected_states:o.expected_states ~reduction:o.reduction
+      ~paranoid:o.paranoid ~fp:o.fp ~jobs:o.jobs ~on_terminal ~on_visit label
+      config
+  else fst (explore ~stop_on_cycle:false ~on_terminal ~on_visit label o config)
+
+(* Source sets cover terminals only; reachability and cycle hunting need
+   every state and every back-edge. *)
+let without_source_sets o =
+  { o with reduction = { o.reduction with Explore.source_sets = false } }
 
 let iter_terminals ?(options = default) config ~f =
-  let o = options in
-  if parallel o then
-    Parallel.iter_terminals ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ~jobs:o.jobs config ~f
-  else
-    Explore.iter_terminals ~max_states:o.max_states ~max_depth:o.max_depth
-      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-      ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~f
+  run ~on_terminal:f ~on_visit:no_visit "iter_terminals" options config
 
 let iter_reachable ?(options = default) config ~f =
-  let o = options in
-  if parallel o then
-    Parallel.iter_reachable ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ~jobs:o.jobs config ~f
-  else
-    Explore.iter_reachable ~max_states:o.max_states ~max_depth:o.max_depth
-      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-      ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~f
+  run ~on_terminal:no_terminal ~on_visit:f "iter_reachable"
+    (without_source_sets options) config
 
 let find_terminal ?(options = default) config ~violates =
-  let o = options in
-  if parallel o then
-    Parallel.find_terminal ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ~jobs:o.jobs config ~violates
-  else
-    Explore.find_terminal ~max_states:o.max_states ~max_depth:o.max_depth
-      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-      ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~violates
+  let found = ref None in
+  (* [on_terminal] is serialized on both engines, so the first writer
+     wins and the witness is stable once set. *)
+  let on_terminal c trace =
+    if Option.is_none !found && violates c then begin
+      found := Some (c, trace);
+      raise Stop
+    end
+  in
+  let stats =
+    run ~on_terminal ~on_visit:no_visit "find_terminal" options config
+  in
+  (!found, stats)
 
-let check_terminals ?(options = default) config ~ok =
-  let o = options in
-  if parallel o then
-    Parallel.check_terminals ?visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ?fp:o.fp ~jobs:o.jobs config ~ok
-  else
-    Explore.check_terminals ~max_states:o.max_states ~max_depth:o.max_depth
-      ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-      ?deadline:o.deadline ?expected_states:o.expected_states
-      ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config ~ok
+let check_terminals ?options config ~ok =
+  match find_terminal ?options config ~violates:(fun c -> not (ok c)) with
+  | None, stats -> Ok stats
+  | Some (c, trace), stats -> Error (c, trace, stats)
 
 (* Cycle hunting needs the sequential DFS stack discipline whatever
    [jobs] says; the options record still supplies every other knob. *)
 let find_cycle ?(options = default) config =
-  let o = options in
-  Explore.find_cycle ~max_states:o.max_states ~max_depth:o.max_depth
-    ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-    ?deadline:o.deadline ?expected_states:o.expected_states
-    ~reduction:o.reduction ~paranoid:o.paranoid ?fp:o.fp config
+  let stats, witness =
+    explore ~stop_on_cycle:true ~on_terminal:no_terminal ~on_visit:no_visit
+      "find_cycle" (without_source_sets options) config
+  in
+  (witness, stats)

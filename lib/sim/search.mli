@@ -1,9 +1,6 @@
-(** Unified search options.
+(** The one way to run a search.
 
-    Every explorer and checker entry point used to take the same sprawl
-    of optional arguments ([?max_states ?max_depth ?max_crashes
-    ?max_recoveries ?deadline ?expected_states ?reduction ?paranoid
-    ?jobs ?visited]).  {!options} packs them into one record with
+    Every knob of a search lives in one record, {!options}, with
     pipe-friendly [with_*] builders:
 
     {[
@@ -16,12 +13,40 @@
       Search.iter_terminals ~options:opts config ~f
     ]}
 
-    The entry points here dispatch on [jobs] and [visited]: [jobs > 1],
-    or the out-of-core [Parallel.Spill] visited mode (which only the
-    parallel engine has), runs the work-stealing {!Parallel} engine;
-    otherwise the sequential {!Explore} runs.  Whatever the path, the
-    observable counts and verdicts agree (see the determinism notes in
-    {!Parallel}); [--reduction full] runs at full strength on both. *)
+    The entry points below choose the engine: [jobs > 1], or the
+    out-of-core [Parallel.Spill] visited mode (which only the parallel
+    engine has), runs the work-stealing {!Parallel} engine; otherwise the
+    sequential {!Explore} DFS runs.  Whatever the path, the observable
+    counts and verdicts agree (see the determinism notes in {!Parallel});
+    [--reduction full] runs at full strength on both.
+
+    {b Callbacks.}  [f] in {!iter_terminals} (and the predicates of
+    {!find_terminal} and {!check_terminals}) sees each reachable terminal
+    once, serialized under a lock on the parallel engine (terminals are
+    sparse); [f] in {!iter_reachable} is called concurrently from worker
+    domains there and must be domain-safe.  Under symmetry one
+    representative per orbit is reported, so checked properties must be
+    renaming-invariant.  Visit order, and so the witness a search
+    returns, depends on the engine and the schedule.
+
+    {b Stopping.}  A callback may raise {!Stop} to end the search
+    gracefully at any [jobs]: the entry point returns normally, and its
+    stats reflect the work done so far.  Any other exception aborts the
+    search and is re-raised on the calling domain.
+
+    {b Fingerprints.}  [fp] selects how visited keys are produced on the
+    symmetry-off lanes ({!Explore.fp_mode}).  Under [Incremental] each
+    child's fingerprint is patched from its parent's, and the parallel
+    engine's work items travel delta-encoded ({!Config.Delta}) with the
+    carried fingerprint, so a duplicate claim needs neither a
+    materialization nor a re-fold; [stats.frontier_bytes] then reports
+    peak deque population times the mean retained words per item.
+    [Full] re-folds every configuration.  Counts and verdicts are the
+    same under both. *)
+
+exception Stop
+(** Raise from a callback to stop the search gracefully (the same
+    exception as {!Explore.Stop}). *)
 
 type options = {
   max_states : int;  (** visited-state budget (default [5_000_000]) *)
@@ -32,14 +57,12 @@ type options = {
   expected_states : int option;  (** visited-table pre-size hint *)
   reduction : Explore.reduction;  (** default {!Explore.no_reduction} *)
   paranoid : bool;  (** exact canonical keys, no fingerprints *)
-  fp : Explore.fp_mode option;
-      (** fingerprint mode; [None] means [Incremental] *)
+  fp : Explore.fp_mode;  (** fingerprint mode (default [Incremental]) *)
   jobs : int;  (** worker domains; [<= 1] means sequential *)
-  visited : Parallel.visited option;
-      (** parallel visited-table representation; [None] means
-          [Lockfree].  [Spill dir] keeps the visited
-          set in mmap'd files under [dir] and runs {!Parallel} even at
-          [jobs <= 1]. *)
+  visited : Parallel.visited;
+      (** parallel visited-table representation (default [Lockfree]).
+          [Spill dir] keeps the visited set in mmap'd files under [dir]
+          and runs {!Parallel} even at [jobs <= 1]. *)
 }
 
 val default : options
@@ -65,39 +88,48 @@ val with_jobs : int -> options -> options
 
 val with_visited : Parallel.visited -> options -> options
 
-val pp : Format.formatter -> options -> unit
-
-(** {1 Entry points}
-
-    Thin dispatchers over {!Explore} (sequential) and {!Parallel}
-    (work-stealing); see those modules for callback and determinism
-    contracts. *)
+(** {1 Entry points} *)
 
 val iter_terminals :
   ?options:options -> Config.t -> f:(Config.t -> Trace.t -> unit) -> Explore.stats
+(** Visit every reachable terminal configuration once, with a witness
+    trace. *)
 
 val iter_reachable :
   ?options:options ->
   Config.t ->
   f:(Config.t -> Trace.t Lazy.t -> unit) ->
   Explore.stats
-(** Source sets are stripped on both paths — reachability consumers want
-    every state, not a reduced cover. *)
+(** Visit {e every} reachable configuration once, with a lazy witness
+    trace — forcing it is linear in the depth, so callers that only need
+    the trace on failure pay nothing on the common path.  Source sets are
+    stripped: reachability consumers want every state, not a reduced
+    cover. *)
 
 val find_terminal :
   ?options:options ->
   Config.t ->
   violates:(Config.t -> bool) ->
   (Config.t * Trace.t) option * Explore.stats
+(** The first reachable terminal satisfying [violates], with a witness
+    trace.  Whether one exists is deterministic; which one is returned
+    is not. *)
 
 val check_terminals :
   ?options:options ->
   Config.t ->
   ok:(Config.t -> bool) ->
   (Explore.stats, Config.t * Trace.t * Explore.stats) result
+(** [Ok stats] if [ok] holds on every reachable terminal, else
+    [Error (cex, trace, stats)]. *)
 
 val find_cycle :
   ?options:options -> Config.t -> Trace.t option * Explore.stats
-(** Always sequential — cycle detection needs the DFS stack discipline —
-    but honors every other field of [options] ([jobs] and [visited] are
-    ignored). *)
+(** Search for an infinite schedule: a configuration reachable from
+    itself (modulo symmetry, when enabled — an orbit back-edge extends
+    to an infinite run by repeated application of the automorphism).
+    Returns the lasso trace (stem to the repeated configuration).
+    Always sequential — cycle detection needs the DFS stack discipline
+    ([jobs] and [visited] are ignored) — and source sets are stripped,
+    since skipping transitions at on-stack states could hide back-edges.
+    Wait-free algorithms must return [None]. *)

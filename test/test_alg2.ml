@@ -53,7 +53,7 @@ let bound_is_tight ~k () =
   let config = Config.make store programs in
   let best = ref 0 in
   let _stats =
-    Explore.iter_terminals config ~f:(fun c _ ->
+    Search.iter_terminals config ~f:(fun c _ ->
         best := max !best (List.length (Task.distinct (Config.decisions c))))
   in
   Alcotest.(check int) "max distinct decisions" (k - 1) !best

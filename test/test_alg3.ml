@@ -133,7 +133,7 @@ let alg3_tests =
         in
         let config = Config.make store programs in
         let result =
-          Explore.check_terminals config ~ok:(fun final ->
+          Search.check_terminals config ~ok:(fun final ->
               List.exists
                 (fun (i, input) ->
                   match Config.decision final i with
@@ -151,7 +151,7 @@ let alg3_tests =
         in
         let config = Config.make store programs in
         let result =
-          Explore.check_terminals config ~ok:(fun final ->
+          Search.check_terminals config ~ok:(fun final ->
               List.exists
                 (fun (i, input) ->
                   match Config.decision final i with

@@ -23,7 +23,7 @@ let distinct_indices_behave_like_wrn ~k () =
     let config = Config.make store programs in
     let acc = ref [] in
     let stats =
-      Explore.iter_terminals config ~f:(fun final _ ->
+      Search.iter_terminals config ~f:(fun final _ ->
           acc := Config.decisions final :: !acc)
     in
     Alcotest.(check bool) "exhaustive" false stats.Explore.limited;
@@ -56,7 +56,7 @@ let collisions_give_up_safely ~k () =
   in
   let config = Config.make store programs in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         (not (Config.any_hung final))
         && List.for_all
              (fun v -> Value.is_bot v || List.exists (Value.equal v) inputs)
@@ -75,7 +75,7 @@ let both_bot_reachable () =
   in
   let config = Config.make store programs in
   let found, _ =
-    Explore.find_terminal config ~violates:(fun final ->
+    Search.find_terminal config ~violates:(fun final ->
         Config.decisions final = [ Value.Bot; Value.Bot ])
   in
   Alcotest.(check bool) "both give up in some schedule" true (found <> None)

@@ -26,7 +26,9 @@ let linearizable ~k ~participants ?(register_snapshots = false)
   let config = Config.make store programs in
   let checked = ref 0 in
   let stats =
-    Explore.iter_terminals ~max_states config ~f:(fun final trace ->
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_states max_states)
+      config ~f:(fun final trace ->
         incr checked;
         let history = Lin.history ~ops:(ops participants) final trace in
         match Lin.check ~spec history with
@@ -46,7 +48,7 @@ let output_shape ~k () =
   let store, programs = harness ~k ~participants ~register_snapshots:false in
   let config = Config.make store programs in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         let decisions =
           List.init k (fun i -> Option.get (Config.decision final i))
         in
@@ -79,7 +81,7 @@ let solo_returns_bot ~k ~i () =
   let store, programs = harness ~k ~participants:[ i ] ~register_snapshots:false in
   let config = Config.make store programs in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         Config.decision final 0 = Some Value.Bot)
   in
   Alcotest.(check bool) "⊥ on every schedule" true (Result.is_ok result)
@@ -147,7 +149,7 @@ let graph_claims ~k ~use_impl () =
   let config = Config.make store programs in
   let checked = ref 0 in
   let stats =
-    Explore.iter_terminals config ~f:(fun final _ ->
+    Search.iter_terminals config ~f:(fun final _ ->
         incr checked;
         let results = List.init k (fun i -> Config.decision final i) in
         let g = Subc_core.Alg5_graph.of_results ~k results in

@@ -26,7 +26,7 @@ let sa_agreement_validity ~slots () =
   let programs = List.mapi (fun me v -> join_and_resolve sa ~me v) inputs in
   let config = Config.make store programs in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         let os = Task.outcomes ~inputs final in
         Result.is_ok (Task.consensus.Task.check os)
         && Result.is_ok (Task.all_decided.Task.check os))
@@ -47,7 +47,7 @@ let sa_window_blocks () =
     ]
   in
   let config = Config.make store programs in
-  let cycle, _ = Explore.find_cycle config in
+  let cycle, _ = Search.find_cycle config in
   Alcotest.(check bool) "a blocking schedule exists" true (cycle <> None)
 
 (* A solo joiner always resolves to its own value. *)
@@ -107,7 +107,9 @@ let bg_exhaustive ~n ~m () =
   let programs = List.init n (fun me -> Bg.simulate bg ~me) in
   let config = Config.make store programs in
   let result =
-    Explore.check_terminals ~max_states:3_000_000 config ~ok:(fun final ->
+    Search.check_terminals
+      ~options:Search.(default |> with_max_states 3_000_000)
+      config ~ok:(fun final ->
         views_legal m (decided_views m final n))
   in
   match result with
@@ -137,7 +139,9 @@ let bg_terminates ~n ~m () =
   let store, bg = Bg.alloc Store.empty ~simulators:n ~codes:(view_codes m) in
   let programs = List.init n (fun me -> Bg.simulate bg ~me) in
   let config = Config.make store programs in
-  let cycle, _ = Explore.find_cycle ~max_states:3_000_000 config in
+  let cycle, _ = Search.find_cycle
+    ~options:Search.(default |> with_max_states 3_000_000)
+    config in
   Alcotest.(check bool) "no infinite schedule" true (cycle = None)
 
 (* A lone simulator simulates everything by itself. *)

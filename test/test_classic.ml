@@ -76,7 +76,7 @@ let rw_baseline_tests =
         let programs = List.mapi (fun i v -> Rw.propose t ~i v) inputs in
         let config = Config.make store programs in
         let found, _ =
-          Explore.find_terminal config ~violates:(fun final ->
+          Search.find_terminal config ~violates:(fun final ->
               List.length (Task.distinct (Config.decisions final)) = k)
         in
         Alcotest.(check bool) "k distinct decisions reachable" true
@@ -180,7 +180,7 @@ let tournament_tests =
         in
         let config = Config.make store programs in
         let result =
-          Explore.check_terminals config ~ok:(fun final -> winners final n = 1)
+          Search.check_terminals config ~ok:(fun final -> winners final n = 1)
         in
         Alcotest.(check bool) "one winner on every schedule" true
           (Result.is_ok result));
@@ -195,7 +195,7 @@ let tournament_tests =
         in
         let config = Config.make store programs in
         let result =
-          Explore.check_terminals config ~ok:(fun final -> winners final n = 1)
+          Search.check_terminals config ~ok:(fun final -> winners final n = 1)
         in
         Alcotest.(check bool) "one winner on every schedule" true
           (Result.is_ok result));
@@ -226,7 +226,7 @@ let universal_tests =
     let config = Config.make store programs in
     let acc = ref [] in
     let stats =
-      Explore.iter_terminals config ~f:(fun final _ ->
+      Search.iter_terminals config ~f:(fun final _ ->
           acc := Config.decisions final :: !acc)
     in
     Alcotest.(check bool) "exhaustive" false stats.Explore.limited;

@@ -109,7 +109,9 @@ let alg2_exhaustive_crash_sweep () =
     (fun (f, expect_states) ->
       let config = Config.make store programs in
       match
-        Explore.check_terminals ~max_crashes:f config ~ok:(fun c ->
+        Search.check_terminals
+          ~options:Search.(default |> with_max_crashes f)
+          config ~ok:(fun c ->
             Task.satisfies task ~inputs c)
       with
       | Ok stats ->

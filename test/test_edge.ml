@@ -159,7 +159,9 @@ let explore_edges =
         in
         let config = Config.make store [ program ] in
         let stats =
-          Explore.iter_terminals ~max_depth:5 config ~f:(fun _ _ -> ())
+          Search.iter_terminals
+            ~options:Search.(default |> with_max_depth 5)
+            config ~f:(fun _ _ -> ())
         in
         Alcotest.(check bool) "limited" true stats.Explore.limited);
     test "find_terminal stops early" (fun () ->
@@ -170,9 +172,9 @@ let explore_edges =
           Register.read reg
         in
         let config = Config.make store (List.init 3 writer) in
-        let full = Explore.iter_terminals config ~f:(fun _ _ -> ()) in
+        let full = Search.iter_terminals config ~f:(fun _ _ -> ()) in
         let found, early =
-          Explore.find_terminal config ~violates:(fun _ -> true)
+          Search.find_terminal config ~violates:(fun _ -> true)
         in
         Alcotest.(check bool) "found" true (found <> None);
         Alcotest.(check bool) "fewer states than full" true
@@ -180,7 +182,7 @@ let explore_edges =
     test "iter_terminals witness traces have terminal length" (fun () ->
         let store, reg = Store.alloc Store.empty Register.model_bot in
         let config = Config.make store [ Register.read reg ] in
-        Explore.iter_terminals config ~f:(fun _ trace ->
+        Search.iter_terminals config ~f:(fun _ trace ->
             Alcotest.(check int) "one step" 1 (Trace.length trace))
         |> fun stats -> Alcotest.(check int) "one terminal" 1 stats.Explore.terminals);
   ]

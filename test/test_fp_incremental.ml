@@ -57,7 +57,11 @@ let root_of (store, programs, _) = Config.make store programs
 let reachable ?(max_crashes = 0) ?(max_recoveries = 0) harness =
   let acc = ref [] in
   ignore
-    (Explore.iter_reachable ~max_crashes ~max_recoveries ~fp:Explore.Full
+    (Search.iter_reachable
+      ~options:
+        Search.(
+          default |> with_max_crashes max_crashes
+          |> with_max_recoveries max_recoveries |> with_fp Explore.Full)
        (root_of harness) ~f:(fun c _ -> acc := c :: !acc));
   !acc
 
@@ -247,15 +251,22 @@ let engine_equivalence () =
 let paranoid_clean () =
   let config = root_of (alg2_harness 3) in
   let run paranoid =
-    Explore.iter_terminals ~max_crashes:1 ~paranoid ~fp:Explore.Incremental
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_max_crashes 1 |> with_paranoid paranoid
+          |> with_fp Explore.Incremental)
       config
       ~f:(fun _ _ -> ())
   in
   same_counts "paranoid vs not" (run true) (run false);
   let jstats =
-    Parallel.iter_terminals ~max_crashes:1 ~paranoid:true
-      ~fp:Explore.Incremental ~jobs:4 config
-      ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_max_crashes 1 |> with_paranoid true
+          |> with_fp Explore.Incremental |> with_jobs 4)
+      config ~f:(fun _ _ -> ())
   in
   same_counts "parallel paranoid" jstats (run false)
 
@@ -266,7 +277,11 @@ let paranoid_catches_mutation () =
     (fun () ->
       Explore.set_fp_fault_injection 5;
       match
-        Explore.iter_terminals ~paranoid:true ~fp:Explore.Incremental config
+        Search.iter_terminals
+          ~options:
+            Search.(
+              default |> with_paranoid true |> with_fp Explore.Incremental)
+          config
           ~f:(fun _ _ -> ())
       with
       | _ -> Alcotest.fail "corrupted patches went unnoticed"

@@ -59,7 +59,7 @@ let partition_tests =
         let config = Config.make store programs in
         let best = ref 0 in
         let _ =
-          Explore.iter_terminals config ~f:(fun final _ ->
+          Search.iter_terminals config ~f:(fun final _ ->
               best :=
                 max !best
                   (List.length (Task.distinct (Config.decisions final))))

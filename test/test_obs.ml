@@ -118,6 +118,14 @@ let span_tests =
         ignore (Span.time "obs.test.span" (fun () -> 0));
         let t2 = Option.get (Span.total "obs.test.span") in
         Alcotest.(check bool) "accumulation is monotone" true (t2 >= t1));
+    test "a span times wall clock, not CPU time" (fun () ->
+        Span.reset ();
+        Span.time "obs.test.sleep" (fun () -> Unix.sleepf 0.05);
+        let t = Option.get (Span.total "obs.test.sleep") in
+        (* Sleeping burns no CPU, so a CPU-time span would read ~0. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "recorded %.3fs >= 0.04s" t)
+          true (t >= 0.04));
     test "a span is recorded even when the thunk raises" (fun () ->
         Span.reset ();
         (try Span.time "obs.test.raise" (fun () -> raise Exit)
@@ -172,7 +180,9 @@ let explore_event_tests =
                   let t0 = Unix.gettimeofday () in
                   for _ = 1 to 5 do
                     ignore
-                      (Explore.iter_terminals ~max_crashes:1 config
+                      (Search.iter_terminals
+                        ~options:Search.(default |> with_max_crashes 1)
+                        config
                          ~f:(fun _ _ -> ()))
                   done;
                   let wall = Unix.gettimeofday () -. t0 in

@@ -131,20 +131,28 @@ let stats_matrix () =
             (fun (rlabel, reduction) ->
               let label = Printf.sprintf "%s f=%d %s" name f rlabel in
               let seq =
-                Explore.iter_terminals ~max_crashes:f ?reduction config
+                Search.iter_terminals
+                  ~options:
+                    Search.(
+                      default |> with_max_crashes f |> with_reduction reduction)
+                  config
                   ~f:(fun _ _ -> ())
               in
               let par =
-                Parallel.iter_terminals ~visited:test_visited ~max_crashes:f
-                  ?reduction ~jobs config
-                  ~f:(fun _ _ -> ())
+                Search.iter_terminals
+                  ~options:
+                    Search.(
+                      default |> with_visited test_visited
+                      |> with_max_crashes f |> with_reduction reduction
+                      |> with_jobs jobs)
+                  config ~f:(fun _ _ -> ())
               in
               same_counts label seq par)
             [
-              ("none", None);
-              ("source", Some Explore.source_only);
-              ("sym", Some (Explore.with_symmetry sym));
-              ("full", Some (Explore.full_reduction sym));
+              ("none", Explore.no_reduction);
+              ("source", Explore.source_only);
+              ("sym", Explore.with_symmetry sym);
+              ("full", Explore.full_reduction sym);
             ])
         budgets)
     harnesses
@@ -155,11 +163,17 @@ let terminal_callback_count () =
   let config = Config.make store programs in
   let count = ref 0 in
   let seq =
-    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 1)
+      config ~f:(fun _ _ -> ())
   in
   let par =
-    Parallel.iter_terminals ~visited:test_visited ~max_crashes:1 ~jobs config
-      ~f:(fun _ _ -> incr count)
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_visited test_visited |> with_max_crashes 1
+          |> with_jobs jobs)
+      config ~f:(fun _ _ -> incr count)
   in
   Alcotest.(check int) "callback count = terminals" par.Explore.terminals
     !count;
@@ -180,8 +194,12 @@ let budget_truncation () =
     (fun visited ->
       let label = Format.asprintf "%a" Parallel.pp_visited visited in
       let par =
-        Parallel.iter_terminals ~visited ~max_states:budget ~jobs config
-          ~f:(fun _ _ -> ())
+        Search.iter_terminals
+          ~options:
+            Search.(
+              default |> with_visited visited |> with_max_states budget
+              |> with_jobs jobs)
+          config ~f:(fun _ _ -> ())
       in
       Alcotest.(check int)
         (label ^ " exactly budget states") budget par.Explore.states;
@@ -200,20 +218,26 @@ let eager_spawn_counts () =
       List.iter
         (fun (rlabel, reduction) ->
           let seq =
-            Explore.iter_terminals ~max_crashes:1 ?reduction config
+            Search.iter_terminals
+              ~options:
+                Search.(
+                  default |> with_max_crashes 1 |> with_reduction reduction)
+              config
               ~f:(fun _ _ -> ())
           in
           let par =
-            Parallel.iter_terminals ~visited:test_visited ~max_crashes:1
-              ?reduction ~seq_threshold:0 ~jobs config
-              ~f:(fun _ _ -> ())
+            parallel_run ~seq_threshold:0
+              Search.(
+                default |> with_visited test_visited |> with_max_crashes 1
+                |> with_reduction reduction |> with_jobs jobs)
+              config
           in
           same_counts (Printf.sprintf "%s f=1 %s eager" name rlabel) seq par)
         [
-          ("none", None);
-          ("source", Some Explore.source_only);
-          ("sym", Some (Explore.with_symmetry sym));
-          ("full", Some (Explore.full_reduction sym));
+          ("none", Explore.no_reduction);
+          ("source", Explore.source_only);
+          ("sym", Explore.with_symmetry sym);
+          ("full", Explore.full_reduction sym);
         ])
     [ ("alg2", fun () -> alg2_harness 3); ("alg5", fun () -> alg5_harness 3) ]
 
@@ -224,7 +248,9 @@ let seq_fallback_stays_on_caller () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let seq =
-    Explore.iter_reachable ~max_crashes:1 config ~f:(fun _ _ -> ())
+    Search.iter_reachable
+      ~options:Search.(default |> with_max_crashes 1)
+      config ~f:(fun _ _ -> ())
   in
   Alcotest.(check bool)
     "space is below the threshold" true
@@ -233,10 +259,13 @@ let seq_fallback_stays_on_caller () =
   let run ?seq_threshold () =
     let elsewhere = Atomic.make 0 in
     let stats =
-      Parallel.iter_reachable ~visited:test_visited ~max_crashes:1
-        ?seq_threshold ~jobs config
-        ~f:(fun _ _ ->
+      parallel_run ?seq_threshold
+        ~on_visit:(fun _ _ ->
           if (Domain.self () :> int) <> self then Atomic.incr elsewhere)
+        Search.(
+          default |> with_visited test_visited |> with_max_crashes 1
+          |> with_jobs jobs)
+        config
     in
     (stats, Atomic.get elsewhere)
   in
@@ -260,7 +289,11 @@ let recovery_budgets_all_visited () =
         (fun r ->
           let config = recovery_config family ~n:2 ~r in
           let seq =
-            Explore.iter_terminals ~max_crashes:1 ~max_recoveries:r config
+            Search.iter_terminals
+              ~options:
+                Search.(
+                  default |> with_max_crashes 1 |> with_max_recoveries r)
+              config
               ~f:(fun _ _ -> ())
           in
           List.iter
@@ -270,9 +303,11 @@ let recovery_budgets_all_visited () =
                   Parallel.pp_visited visited
               in
               let par =
-                Parallel.iter_terminals ~visited ~max_crashes:1
-                  ~max_recoveries:r ~seq_threshold:0 ~jobs config
-                  ~f:(fun _ _ -> ())
+                parallel_run ~seq_threshold:0
+                  Search.(
+                    default |> with_visited visited |> with_max_crashes 1
+                    |> with_max_recoveries r |> with_jobs jobs)
+                  config
               in
               same_counts label seq par;
               Alcotest.(check int)
@@ -282,31 +317,85 @@ let recovery_budgets_all_visited () =
         [ 0; 1 ])
     [ R.Test_and_set; R.Cas ]
 
-(* [Parallel.Stop] raised from a terminal callback ends the search
-   gracefully: no exception escapes and the stats cover part of the
-   space. *)
+(* [Search.Stop] raised from a terminal callback ends the search
+   gracefully on either engine: no exception escapes and the stats cover
+   part of the space.  The worker domains run under [~seq_threshold:0]
+   (this space is small); the front door at [jobs = 1] runs the
+   sequential engine, or the parallel one under [Spill]. *)
 let stop_from_callback () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let seq =
-    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 1)
+      config ~f:(fun _ _ -> ())
   in
   List.iter
-    (fun visited ->
-      let label = Format.asprintf "%a" Parallel.pp_visited visited in
-      let seen = Atomic.make 0 in
-      let s =
-        Parallel.iter_terminals ~visited ~max_crashes:1 ~seq_threshold:0 ~jobs
-          config
-          ~f:(fun _ _ ->
-            if Atomic.fetch_and_add seen 1 >= 3 then raise Parallel.Stop)
+    (fun (visited, j) ->
+      let label = Format.asprintf "%a jobs=%d" Parallel.pp_visited visited j in
+      let options =
+        Search.(
+          default |> with_max_crashes 1 |> with_visited visited |> with_jobs j)
       in
-      Alcotest.(check bool)
-        (label ^ " saw some terminals") true (s.Explore.terminals >= 1);
-      Alcotest.(check bool)
-        (label ^ " stopped early") true
-        (s.Explore.terminals < seq.Explore.terminals))
-    [ Parallel.Lockfree; Parallel.Spill spill_dir ]
+      let seen = Atomic.make 0 in
+      let on_terminal _ _ =
+        if Atomic.fetch_and_add seen 1 >= 3 then raise Search.Stop
+      in
+      match
+        if j = 1 then Search.iter_terminals ~options config ~f:on_terminal
+        else parallel_run ~seq_threshold:0 ~on_terminal options config
+      with
+      | s ->
+        Alcotest.(check bool)
+          (label ^ " saw some terminals") true (s.Explore.terminals >= 1);
+        Alcotest.(check bool)
+          (label ^ " stopped early") true
+          (s.Explore.terminals < seq.Explore.terminals)
+      | exception e ->
+        Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e))
+    [
+      (Parallel.Lockfree, 1);
+      (Parallel.Lockfree, jobs);
+      (Parallel.Spill spill_dir, 1);
+      (Parallel.Spill spill_dir, jobs);
+    ]
+
+(* The per-domain counters merge field by field: every count summed,
+   [max_depth] the maximum — the rule the jobs-independent stats rest on. *)
+let counters_merge () =
+  let c = Explore.fresh_counters () in
+  let fields (c : Explore.counters) =
+    [
+      c.states; c.transitions; c.terminals; c.hung_terminals;
+      c.crashed_terminals; c.recovered_terminals; c.max_depth; c.dedup_hits;
+      c.source_skips; c.fp_patches; c.fp_refolds; c.fp_mismatches;
+    ]
+  in
+  let fill (c : Explore.counters) base =
+    c.states <- base + 1;
+    c.transitions <- base + 2;
+    c.terminals <- base + 3;
+    c.hung_terminals <- base + 4;
+    c.crashed_terminals <- base + 5;
+    c.recovered_terminals <- base + 6;
+    c.max_depth <- base + 7;
+    c.dedup_hits <- base + 8;
+    c.source_skips <- base + 9;
+    c.fp_patches <- base + 10;
+    c.fp_refolds <- base + 11;
+    c.fp_mismatches <- base + 12
+  in
+  let a = Explore.fresh_counters () and b = Explore.fresh_counters () in
+  fill a 100;
+  fill b 20;
+  Explore.add_counters c a;
+  Explore.add_counters c b;
+  Alcotest.(check (list int))
+    "summed, max_depth the maximum"
+    (List.mapi
+       (fun i (x, y) -> if i = 6 (* max_depth *) then max x y else x + y)
+       (List.combine (fields a) (fields b)))
+    (fields c)
 
 (* The spill table keys source-set searches on the same (configuration,
    sleep set) fingerprint as the other tables, so source sets and the
@@ -319,13 +408,21 @@ let spill_under_source_sets () =
       List.iter
         (fun (rlabel, reduction) ->
           let seq =
-            Explore.iter_terminals ~max_crashes:1 ~reduction config
+            Search.iter_terminals
+              ~options:
+                Search.(
+                  default |> with_max_crashes 1 |> with_reduction reduction)
+              config
               ~f:(fun _ _ -> ())
           in
           let par =
-            Parallel.iter_terminals ~visited:(Parallel.Spill spill_dir)
-              ~max_crashes:1 ~reduction ~seq_threshold:0 ~jobs config
-              ~f:(fun _ _ -> ())
+            parallel_run ~seq_threshold:0
+              Search.(
+                default
+                |> with_visited (Parallel.Spill spill_dir)
+                |> with_max_crashes 1 |> with_reduction reduction
+                |> with_jobs jobs)
+              config
           in
           same_counts (Printf.sprintf "%s f=1 %s spill" name rlabel) seq par;
           Alcotest.(check bool)
@@ -343,9 +440,12 @@ let spill_deadline_limits () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let s =
-    Parallel.iter_terminals ~visited:(Parallel.Spill spill_dir)
-      ~max_crashes:2 ~deadline:0.0 ~seq_threshold:0 ~jobs config
-      ~f:(fun _ _ -> ())
+    parallel_run ~seq_threshold:0
+      Search.(
+        default
+        |> with_visited (Parallel.Spill spill_dir)
+        |> with_max_crashes 2 |> with_deadline 0.0 |> with_jobs jobs)
+      config
   in
   Alcotest.(check bool) "limited" true s.Explore.limited;
   Alcotest.(check string)
@@ -372,7 +472,11 @@ let visited_modes_matrix () =
       List.iter
         (fun (rlabel, reduction) ->
           let seq =
-            Explore.iter_terminals ~max_crashes:f ?reduction config
+            Search.iter_terminals
+              ~options:
+                Search.(
+                  default |> with_max_crashes f |> with_reduction reduction)
+              config
               ~f:(fun _ _ -> ())
           in
           List.iter
@@ -382,9 +486,12 @@ let visited_modes_matrix () =
                   Parallel.pp_visited visited
               in
               let par =
-                Parallel.iter_terminals ~visited ~max_crashes:f ?reduction
-                  ~jobs config
-                  ~f:(fun _ _ -> ())
+                Search.iter_terminals
+                  ~options:
+                    Search.(
+                      default |> with_visited visited |> with_max_crashes f
+                      |> with_reduction reduction |> with_jobs jobs)
+                  config ~f:(fun _ _ -> ())
               in
               same_counts label seq par;
               Alcotest.(check bool)
@@ -395,14 +502,21 @@ let visited_modes_matrix () =
           (* Compressed vs exact keys: paranoid forces the sharded table
              with full canonical keys — collisions impossible. *)
           let compressed =
-            Parallel.iter_terminals ~visited:Parallel.Compressed
-              ~max_crashes:f ?reduction ~jobs config
-              ~f:(fun _ _ -> ())
+            Search.iter_terminals
+              ~options:
+                Search.(
+                  default |> with_visited Parallel.Compressed
+                  |> with_max_crashes f |> with_reduction reduction
+                  |> with_jobs jobs)
+              config ~f:(fun _ _ -> ())
           in
           let exact =
-            Parallel.iter_terminals ~paranoid:true ~max_crashes:f ?reduction
-              ~jobs config
-              ~f:(fun _ _ -> ())
+            Search.iter_terminals
+              ~options:
+                Search.(
+                  default |> with_paranoid true |> with_max_crashes f
+                  |> with_reduction reduction |> with_jobs jobs)
+              config ~f:(fun _ _ -> ())
           in
           same_counts
             (Printf.sprintf "%s f=%d %s compressed-vs-exact" name f rlabel)
@@ -410,7 +524,7 @@ let visited_modes_matrix () =
           Alcotest.(check (float 0.0))
             (name ^ " paranoid collision bound") 0.0
             exact.Explore.collision_bound)
-        [ ("none", None); ("sym", Some (Explore.with_symmetry sym)) ])
+        [ ("none", Explore.no_reduction); ("sym", Explore.with_symmetry sym) ])
     harnesses
 
 (* The tentpole cross-validation: the source-set reduction runs at full
@@ -440,19 +554,30 @@ let source_sets_cross_validation () =
             (fun (rlabel, reduction) ->
               let label = Printf.sprintf "%s f=%d r=%d %s" name f r rlabel in
               let bare =
-                Explore.iter_terminals ~max_crashes:f ~max_recoveries:r
+                Search.iter_terminals
+                  ~options:
+                    Search.(
+                      default |> with_max_crashes f |> with_max_recoveries r)
                   config
                   ~f:(fun _ _ -> ())
               in
               let seq =
-                Explore.iter_terminals ~max_crashes:f ~max_recoveries:r
-                  ~reduction config
+                Search.iter_terminals
+                  ~options:
+                    Search.(
+                      default |> with_max_crashes f |> with_max_recoveries r
+                      |> with_reduction reduction)
+                  config
                   ~f:(fun _ _ -> ())
               in
               let par =
-                Parallel.iter_terminals ~visited:test_visited ~max_crashes:f
-                  ~max_recoveries:r ~reduction ~jobs config
-                  ~f:(fun _ _ -> ())
+                Search.iter_terminals
+                  ~options:
+                    Search.(
+                      default |> with_visited test_visited
+                      |> with_max_crashes f |> with_max_recoveries r
+                      |> with_reduction reduction |> with_jobs jobs)
+                  config ~f:(fun _ _ -> ())
               in
               same_counts label seq par;
               Alcotest.(check bool)
@@ -491,15 +616,21 @@ let source_sets_steal_stress () =
   List.iter
     (fun (rlabel, reduction) ->
       let seq =
-        Explore.iter_terminals ~max_crashes:1 ~reduction config
+        Search.iter_terminals
+          ~options:
+            Search.(
+              default |> with_max_crashes 1 |> with_reduction reduction)
+          config
           ~f:(fun _ _ -> ())
       in
       List.iter
         (fun seed_target ->
           let par =
-            Parallel.iter_terminals ~visited:test_visited ~seed_target
-              ~max_crashes:1 ~reduction ~jobs config
-              ~f:(fun _ _ -> ())
+            parallel_run ~seed_target
+              Search.(
+                default |> with_visited test_visited |> with_max_crashes 1
+                |> with_reduction reduction |> with_jobs jobs)
+              config
           in
           same_counts
             (Printf.sprintf "alg5 f=1 %s seed_target=%d" rlabel seed_target)
@@ -696,10 +827,19 @@ let spill_refutes () =
 let paranoid_cross_validation () =
   let check_harness name config ~max_crashes reduction =
     let fp =
-      Explore.iter_terminals ~max_crashes ?reduction config ~f:(fun _ _ -> ())
+      Search.iter_terminals
+        ~options:
+          Search.(
+            default |> with_max_crashes max_crashes |> with_reduction reduction)
+        config ~f:(fun _ _ -> ())
     in
     let exact =
-      Explore.iter_terminals ~max_crashes ?reduction ~paranoid:true config
+      Search.iter_terminals
+        ~options:
+          Search.(
+            default |> with_max_crashes max_crashes |> with_reduction reduction
+            |> with_paranoid true)
+        config
         ~f:(fun _ _ -> ())
     in
     same_counts name exact fp;
@@ -707,22 +847,25 @@ let paranoid_cross_validation () =
       fp.Explore.max_depth;
     (* Parallel paranoid mode agrees as well. *)
     let par =
-      Parallel.iter_terminals ~max_crashes ?reduction ~paranoid:true ~jobs
-        config
-        ~f:(fun _ _ -> ())
+      Search.iter_terminals
+        ~options:
+          Search.(
+            default |> with_max_crashes max_crashes |> with_reduction reduction
+            |> with_paranoid true |> with_jobs jobs)
+        config ~f:(fun _ _ -> ())
     in
     same_counts (name ^ " parallel") exact par
   in
   let store, programs, sym = alg2_harness 3 in
   let config = Config.make store programs in
-  check_harness "alg2 f=1 none" config ~max_crashes:1 None;
+  check_harness "alg2 f=1 none" config ~max_crashes:1 Explore.no_reduction;
   check_harness "alg2 f=1 sym" config ~max_crashes:1
-    (Some (Explore.with_symmetry sym));
+    (Explore.with_symmetry sym);
   let store5, programs5, sym5 = alg5_harness 3 in
   let config5 = Config.make store5 programs5 in
-  check_harness "alg5 f=0 none" config5 ~max_crashes:0 None;
+  check_harness "alg5 f=0 none" config5 ~max_crashes:0 Explore.no_reduction;
   check_harness "alg5 f=0 sym" config5 ~max_crashes:0
-    (Some (Explore.with_symmetry sym5))
+    (Explore.with_symmetry sym5)
 
 (* A corrupted incremental patch is caught by the paranoid re-fold on
    the worker domains too, also when a spill table was asked for. *)
@@ -737,9 +880,12 @@ let parallel_paranoid_catches_mutation () =
         (fun () ->
           Explore.set_fp_fault_injection 5;
           match
-            Parallel.iter_terminals ~visited ~max_crashes:1 ~paranoid:true
-              ~fp:Explore.Incremental ~seq_threshold:0 ~jobs config
-              ~f:(fun _ _ -> ())
+            parallel_run ~seq_threshold:0
+              Search.(
+                default |> with_visited visited |> with_max_crashes 1
+                |> with_paranoid true |> with_fp Explore.Incremental
+                |> with_jobs jobs)
+              config
           with
           | _ -> Alcotest.fail (label ^ ": corrupted patches went unnoticed")
           | exception Invalid_argument _ -> ()))
@@ -751,9 +897,10 @@ let spill_matches_compressed_bound () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let run visited =
-    Parallel.iter_terminals ~visited ~max_crashes:1 ~seq_threshold:0 ~jobs
+    parallel_run ~seq_threshold:0
+      Search.(
+        default |> with_visited visited |> with_max_crashes 1 |> with_jobs jobs)
       config
-      ~f:(fun _ _ -> ())
   in
   let compressed = run Parallel.Compressed in
   let spill = run (Parallel.Spill spill_dir) in
@@ -774,7 +921,9 @@ let fingerprint_injective () =
   let keys = Hashtbl.create 4096 in
   let fps = Hashtbl.create 4096 in
   let stats =
-    Explore.iter_reachable ~max_crashes:1 config ~f:(fun c _ ->
+    Search.iter_reachable
+      ~options:Search.(default |> with_max_crashes 1)
+      config ~f:(fun c _ ->
         let key = Config.key c in
         Hashtbl.replace keys key ();
         Hashtbl.replace fps (Fingerprint.of_config c) ())
@@ -792,7 +941,9 @@ let fingerprint_respects_key () =
   let config = Config.make store programs in
   let by_key = Hashtbl.create 256 in
   ignore
-    (Explore.iter_reachable ~max_crashes:1 config ~f:(fun c _ ->
+    (Search.iter_reachable
+      ~options:Search.(default |> with_max_crashes 1)
+      config ~f:(fun c _ ->
          let key = Config.key c in
          let fp = Fingerprint.of_config c in
          match Hashtbl.find_opt by_key key with
@@ -1043,12 +1194,17 @@ let concurrent_spill_searches () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let seq =
-    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 1)
+      config ~f:(fun _ _ -> ())
   in
   let run () =
-    Parallel.iter_terminals ~visited:(Parallel.Spill spill_dir)
-      ~max_crashes:1 ~seq_threshold:0 ~jobs:2 config
-      ~f:(fun _ _ -> ())
+    parallel_run ~seq_threshold:0
+      Search.(
+        default
+        |> with_visited (Parallel.Spill spill_dir)
+        |> with_max_crashes 1 |> with_jobs 2)
+      config
   in
   let other = Domain.spawn run in
   let here = run () in
@@ -1063,15 +1219,20 @@ let spill_paranoid_exact () =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
   let seq =
-    Explore.iter_terminals ~max_crashes:1 config ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 1)
+      config ~f:(fun _ _ -> ())
   in
   let spilled () =
     Option.value ~default:0.0 (Subc_obs.Metrics.find "parallel.spill_bytes")
   in
   let run ~paranoid =
-    Parallel.iter_terminals ~visited:(Parallel.Spill spill_dir) ~paranoid
-      ~max_crashes:1 ~seq_threshold:0 ~jobs config
-      ~f:(fun _ _ -> ())
+    parallel_run ~seq_threshold:0
+      Search.(
+        default
+        |> with_visited (Parallel.Spill spill_dir)
+        |> with_paranoid paranoid |> with_max_crashes 1 |> with_jobs jobs)
+      config
   in
   let before = spilled () in
   let exact = run ~paranoid:true in
@@ -1103,14 +1264,16 @@ let map_propagates_exceptions () =
 
 let bound (s : Explore.stats) = s.Explore.collision_bound
 
-(* An omitted [?visited] is the lock-free table and an omitted [?fp] is
-   the incremental patch path: constants, not a settable default. *)
+(* Options that never name a visited table get the lock-free one, and
+   options that never name a fingerprint mode get the incremental patch
+   path: constants, not a settable default. *)
 let omitted_modes_are_constants () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let run ?visited () =
-    Parallel.iter_terminals ?visited ~max_crashes:1 ~jobs config
-      ~f:(fun _ _ -> ())
+    let o = Search.(default |> with_max_crashes 1 |> with_jobs jobs) in
+    let o = Option.fold ~none:o ~some:(fun v -> Search.with_visited v o) visited in
+    Search.iter_terminals ~options:o config ~f:(fun _ _ -> ())
   in
   let omitted = run () and lockfree = run ~visited:Parallel.Lockfree () in
   same_counts "omitted vs lockfree" lockfree omitted;
@@ -1127,12 +1290,16 @@ let omitted_modes_are_constants () =
     Option.value (Subc_obs.Metrics.find "fp.patches") ~default:0.
   in
   let patches ?fp () =
+    let o = Search.(default |> with_max_crashes 1) in
+    let o = Option.fold ~none:o ~some:(fun m -> Search.with_fp m o) fp in
     let before = patches_so_far () in
-    ignore
-      (Explore.iter_terminals ?fp ~max_crashes:1 config ~f:(fun _ _ -> ()));
+    ignore (Search.iter_terminals ~options:o config ~f:(fun _ _ -> ()));
     patches_so_far () -. before
   in
-  Alcotest.(check bool) "omitted fp patches" true (patches () > 0.);
+  let omitted = patches () in
+  Alcotest.(check bool) "omitted fp patches" true (omitted > 0.);
+  Alcotest.(check (float 0.0)) "omitted fp is incremental"
+    (patches ~fp:Explore.Incremental ()) omitted;
   Alcotest.(check (float 0.0)) "full fp never patches" 0.
     (patches ~fp:Explore.Full ())
 
@@ -1154,9 +1321,12 @@ let visited_alone_stays_sequential () =
     "sequential bound" (bound seq) (bound compressed);
   let spill = run (Search.with_visited (Parallel.Spill spill_dir)) in
   let par =
-    Parallel.iter_terminals ~visited:Parallel.Compressed ~max_crashes:1 ~jobs
-      config
-      ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_visited Parallel.Compressed |> with_max_crashes 1
+          |> with_jobs jobs)
+      config ~f:(fun _ _ -> ())
   in
   same_counts "spill at one job" seq spill;
   Alcotest.(check (float 0.0)) "spill runs the parallel engine" (bound par)
@@ -1206,6 +1376,7 @@ let suite =
         test "recovery budgets agree under every visited table"
           recovery_budgets_all_visited;
         test "Stop from a callback is graceful" stop_from_callback;
+        test "merged counters: summed, max_depth the maximum" counters_merge;
         test "spill agrees under source sets" spill_under_source_sets;
         test "deadline limits a spill search" spill_deadline_limits;
       ] );
@@ -1252,7 +1423,8 @@ let suite =
       [
         test "preserves order" map_preserves_order;
         test "propagates exceptions" map_propagates_exceptions;
-      ] );    ( "parallel.options",
+      ] );
+    ( "parallel.options",
       [
         test "omitted visited and fp modes are constants"
           omitted_modes_are_constants;

@@ -37,7 +37,7 @@ let election_validity ~slots ~k () =
   in
   let config = Config.make store programs in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         List.for_all
           (fun i ->
             match Config.decision final i with

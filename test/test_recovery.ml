@@ -208,13 +208,21 @@ let recovery_counts_parallel () =
       let config, _ = recovery_config family ~n ~r in
       let max_crashes = max (n - 1) r in
       let seq =
-        Explore.iter_terminals ~max_crashes ~max_recoveries:r config
+        Search.iter_terminals
+          ~options:
+            Search.(
+              default |> with_max_crashes max_crashes |> with_max_recoveries r)
+          config
           ~f:(fun _ _ -> ())
       in
       let par =
-        Parallel.iter_terminals ~visited:test_visited ~max_crashes
-          ~max_recoveries:r ~jobs config
-          ~f:(fun _ _ -> ())
+        Search.iter_terminals
+          ~options:
+            Search.(
+              default |> with_visited test_visited
+              |> with_max_crashes max_crashes |> with_max_recoveries r
+              |> with_jobs jobs)
+          config ~f:(fun _ _ -> ())
       in
       same_counts name seq par;
       Alcotest.(check bool)
@@ -258,19 +266,29 @@ let verdict_agrees_across_jobs () =
 let expected_states_hint () =
   let config, _ = recovery_config R.Test_and_set ~n:2 ~r:1 in
   let plain =
-    Explore.iter_terminals ~max_crashes:1 ~max_recoveries:1 config
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 1 |> with_max_recoveries 1)
+      config
       ~f:(fun _ _ -> ())
   in
   let hinted =
-    Explore.iter_terminals ~max_crashes:1 ~max_recoveries:1
-      ~expected_states:4096 config
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_max_crashes 1 |> with_max_recoveries 1
+          |> with_expected_states 4096)
+      config
       ~f:(fun _ _ -> ())
   in
   same_counts "expected-states hint (sequential)" plain hinted;
   let par =
-    Parallel.iter_terminals ~visited:test_visited ~max_crashes:1
-      ~max_recoveries:1 ~expected_states:4096 ~jobs config
-      ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_visited test_visited |> with_max_crashes 1
+          |> with_max_recoveries 1 |> with_expected_states 4096
+          |> with_jobs jobs)
+      config ~f:(fun _ _ -> ())
   in
   same_counts "expected-states hint (parallel)" plain par
 
@@ -280,7 +298,11 @@ let expected_states_hint () =
 let deadline_truncates () =
   let config, _ = recovery_config R.Test_and_set ~n:3 ~r:1 in
   let seq =
-    Explore.iter_terminals ~max_crashes:2 ~max_recoveries:1 ~deadline:0.0
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_max_crashes 2 |> with_max_recoveries 1
+          |> with_deadline 0.0)
       config
       ~f:(fun _ _ -> ())
   in
@@ -288,9 +310,12 @@ let deadline_truncates () =
   Alcotest.(check bool) "sequential: reason = deadline" true
     (seq.Explore.limit_reason = Explore.Deadline);
   let par =
-    Parallel.iter_terminals ~visited:test_visited ~max_crashes:2
-      ~max_recoveries:1 ~deadline:0.0 ~jobs config
-      ~f:(fun _ _ -> ())
+    Search.iter_terminals
+      ~options:
+        Search.(
+          default |> with_visited test_visited |> with_max_crashes 2
+          |> with_max_recoveries 1 |> with_deadline 0.0 |> with_jobs jobs)
+      config ~f:(fun _ _ -> ())
   in
   Alcotest.(check bool) "parallel: limited" true par.Explore.limited;
   Alcotest.(check bool) "parallel: reason = deadline" true
@@ -303,16 +328,20 @@ let deadline_truncates () =
 let escalation_preserves_counts () =
   let config, _ = recovery_config R.Test_and_set ~n:3 ~r:1 in
   let seq =
-    Explore.iter_terminals ~max_crashes:2 ~max_recoveries:1 config
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 2 |> with_max_recoveries 1)
+      config
       ~f:(fun _ _ -> ())
   in
   let counter = "parallel.visited_escalated" in
   let before = Option.value ~default:0.0 (Subc_obs.Metrics.find counter) in
   let par =
-    Parallel.iter_terminals ~visited:Parallel.Compressed
-      ~escalate_threshold:1e-300 ~max_crashes:2 ~max_recoveries:1 ~jobs
+    parallel_run ~escalate_threshold:1e-300
+      Search.(
+        default
+        |> with_visited Parallel.Compressed
+        |> with_max_crashes 2 |> with_max_recoveries 1 |> with_jobs jobs)
       config
-      ~f:(fun _ _ -> ())
   in
   same_counts "escalated counts" seq par;
   let after = Option.value ~default:0.0 (Subc_obs.Metrics.find counter) in

@@ -188,10 +188,11 @@ let wrn_agrees () =
      set-validity-free task: at most k distinct decisions trivially holds;
      instead cross-validate the raw exploration verdict shape). *)
   let base =
-    Explore.iter_terminals (Config.make store programs) ~f:(fun _ _ -> ())
+    Search.iter_terminals (Config.make store programs) ~f:(fun _ _ -> ())
   in
   let red =
-    Explore.iter_terminals ~reduction:(Explore.full_reduction sym)
+    Search.iter_terminals
+      ~options:Search.(default |> with_reduction (Explore.full_reduction sym))
       (Config.make store programs)
       ~f:(fun _ _ -> ())
   in
@@ -260,16 +261,15 @@ let source_preserves_terminals () =
       let collect reduction =
         let acc = ref [] in
         let stats =
-          Explore.iter_terminals ?reduction
+          Search.iter_terminals
+            ~options:Search.(default |> with_reduction reduction)
             (Config.make store programs)
             ~f:(fun final _ -> acc := Config.decisions final :: !acc)
         in
         (List.sort compare !acc, stats)
       in
-      let base, bstats = collect None in
-      let reduced, sstats =
-        collect (Some Explore.source_only)
-      in
+      let base, bstats = collect Explore.no_reduction in
+      let reduced, sstats = collect Explore.source_only in
       Alcotest.(check bool)
         (name ^ " complete") true
         ((not bstats.Explore.limited) && not sstats.Explore.limited);
@@ -326,7 +326,11 @@ let canonicalization_sound () =
       let perms = Symmetry.perms sym in
       let checked = ref 0 in
       let stats =
-        Explore.iter_reachable ~max_crashes ~max_recoveries
+        Search.iter_reachable
+          ~options:
+            Search.(
+              default |> with_max_crashes max_crashes
+              |> with_max_recoveries max_recoveries)
           (Config.make store programs) ~f:(fun c _ ->
             incr checked;
             let key, mins = reference_minimizers sym c in
@@ -402,7 +406,8 @@ let memo_eviction_counts () =
   let run () =
     let acc = ref [] in
     let stats =
-      Explore.iter_terminals ~reduction:Explore.source_only
+      Search.iter_terminals
+        ~options:Search.(default |> with_reduction Explore.source_only)
         (Config.make store programs)
         ~f:(fun final _ -> acc := Config.decisions final :: !acc)
     in

@@ -35,7 +35,7 @@ let exhaustive_renaming ~setup ~bound ~ids () =
      names, so check only distinctness/range/termination. *)
   let config = Config.make store programs in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         Result.is_ok (task.Task.check (Task.outcomes ~inputs final)))
   in
   match result with

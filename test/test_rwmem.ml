@@ -16,7 +16,7 @@ let outcomes_of store programs =
   let config = Config.make store programs in
   let acc = ref [] in
   let stats =
-    Explore.iter_terminals config ~f:(fun final _ ->
+    Search.iter_terminals config ~f:(fun final _ ->
         acc := Config.decisions final :: !acc)
   in
   Alcotest.(check bool) "exhaustive" false stats.Explore.limited;
@@ -81,7 +81,7 @@ let broken_scan_detected () =
   let config = Config.make store [ program_double; reader ] in
   let found_inversion = ref false in
   let _ =
-    Explore.iter_terminals config ~f:(fun final _ ->
+    Search.iter_terminals config ~f:(fun final _ ->
         match Config.decision final 1 with
         | Some (Value.Vec [ Value.Bot; Value.Int 2 ]) ->
           (* Saw the later write, missed the earlier one: no atomic point. *)
@@ -128,7 +128,7 @@ let counter_flag_principle () =
   in
   let config = Config.make store [ program 0; program 1 ] in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         let reads = Config.decisions final in
         List.length (List.filter (Value.equal (Value.Int 1)) reads) <= 1)
   in
@@ -150,7 +150,7 @@ let counter_register_based () =
   in
   let config = Config.make store [ program 0; program 1 ] in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         let reads = Config.decisions final in
         List.length (List.filter (Value.equal (Value.Int 1)) reads) <= 1
         && List.for_all
@@ -184,7 +184,7 @@ let splitter_properties () =
   in
   let config = Config.make store (List.init 3 program) in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         let ds = Config.decisions final in
         let count d = List.length (List.filter (Value.equal (Value.Sym d)) ds) in
         count "stop" <= 1 && count "right" <= 2 && count "down" <= 2)
@@ -219,7 +219,7 @@ let immediate_snapshot_properties () =
       [ 0; 1 ]
   in
   let result =
-    Explore.check_terminals config ~ok:(fun final ->
+    Search.check_terminals config ~ok:(fun final ->
         match (Config.decision final 0, Config.decision final 1) with
         | Some v0, Some v1 ->
           in_view v0 0 && in_view v1 1 (* self-inclusion *)
@@ -286,7 +286,7 @@ let mwmr_refines_register () =
     let config = Config.make store programs in
     let acc = ref [] in
     let stats =
-      Explore.iter_terminals config ~f:(fun final _ ->
+      Search.iter_terminals config ~f:(fun final _ ->
           acc := Config.decisions final :: !acc)
     in
     Alcotest.(check bool) "exhaustive" false stats.Explore.limited;

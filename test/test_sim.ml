@@ -169,7 +169,7 @@ let explore_tests =
             (Program.invoke (List.nth regs i) (Op.make "write" [ Value.Int i ]))
         in
         let config = Config.make store (List.init 3 writer) in
-        let stats = Explore.iter_terminals config ~f:(fun _ _ -> ()) in
+        let stats = Search.iter_terminals config ~f:(fun _ _ -> ()) in
         Alcotest.(check int) "one canonical terminal" 1 stats.Explore.terminals;
         Alcotest.(check bool) "dedup happened" true (stats.Explore.dedup_hits > 0));
     test "consensus object: exhaustive agreement for 3 procs" (fun () ->
@@ -179,7 +179,7 @@ let explore_tests =
         in
         let config = Config.make store programs in
         let result =
-          Explore.check_terminals config ~ok:(fun c ->
+          Search.check_terminals config ~ok:(fun c ->
               match Subc_tasks.Task.distinct (Config.decisions c) with
               | [ _ ] -> true
               | _ -> false)
@@ -197,7 +197,7 @@ let explore_tests =
         let config = Config.make store programs in
         let terminals = ref [] in
         let _stats =
-          Explore.iter_terminals config ~f:(fun c _ ->
+          Search.iter_terminals config ~f:(fun c _ ->
               terminals := Config.decisions c :: !terminals)
         in
         Alcotest.(check bool) "several outcomes" true
@@ -214,7 +214,7 @@ let explore_tests =
           spin ()
         in
         let config = Config.make store [ spinner ] in
-        let cycle, _ = Explore.find_cycle config in
+        let cycle, _ = Search.find_cycle config in
         Alcotest.(check bool) "cycle found" true (cycle <> None));
     test "find_cycle passes wait-free programs" (fun () ->
         let store, reg = Store.alloc Store.empty Register.model_bot in
@@ -224,7 +224,7 @@ let explore_tests =
           Register.read reg
         in
         let config = Config.make store [ program; program ] in
-        let cycle, stats = Explore.find_cycle config in
+        let cycle, stats = Search.find_cycle config in
         Alcotest.(check bool) "no cycle" true (cycle = None);
         Alcotest.(check bool) "not limited" false stats.Explore.limited);
     test "hang marks the process and the terminal" (fun () ->
@@ -239,7 +239,7 @@ let explore_tests =
         in
         let config = Config.make store [ program ] in
         let stats =
-          Explore.iter_terminals config ~f:(fun c _ ->
+          Search.iter_terminals config ~f:(fun c _ ->
               Alcotest.(check bool) "hung" true (Config.any_hung c))
         in
         Alcotest.(check int) "one terminal" 1 stats.Explore.terminals;
@@ -254,7 +254,9 @@ let explore_tests =
         in
         let config = Config.make store (List.init 3 writer) in
         let stats =
-          Explore.iter_terminals ~max_states:5 config ~f:(fun _ _ -> ())
+          Search.iter_terminals
+            ~options:Search.(default |> with_max_states 5)
+            config ~f:(fun _ _ -> ())
         in
         Alcotest.(check bool) "limited" true stats.Explore.limited);
     test "depth limit prunes the branch, not the search" (fun () ->
@@ -268,7 +270,9 @@ let explore_tests =
         let config = Config.make store (List.init 3 writer) in
         let max_depth = 2 in
         let stats =
-          Explore.iter_terminals ~max_depth config ~f:(fun _ _ -> ())
+          Search.iter_terminals
+            ~options:Search.(default |> with_max_depth max_depth)
+            config ~f:(fun _ _ -> ())
         in
         Alcotest.(check bool) "limited" true stats.Explore.limited;
         (* An abort-on-first-deep-branch search would visit at most
@@ -302,7 +306,7 @@ let replay_tests =
         (* Find any terminal and replay its witness trace. *)
         let witness = ref None in
         let _ =
-          Explore.iter_terminals config ~f:(fun final trace ->
+          Search.iter_terminals config ~f:(fun final trace ->
               if !witness = None then witness := Some (final, trace))
         in
         match !witness with

@@ -89,7 +89,9 @@ let iterated_self_election_holds () =
       os
   in
   let result =
-    Explore.check_terminals ~max_states:4_000_000 config ~ok:self_election_ok
+    Search.check_terminals
+      ~options:Search.(default |> with_max_states 4_000_000)
+      config ~ok:self_election_ok
   in
   match result with
   | Ok stats -> Alcotest.(check bool) "exhaustive" false stats.Explore.limited
