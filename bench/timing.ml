@@ -282,13 +282,13 @@ let parallel_f1 ?seq_threshold ~visited ~jobs label config =
     ~on_visit:(fun _ _ -> ())
     label config
 
-(* P2: exploration throughput across visited-table modes and domain
-   counts, over Algorithm 5 k=3 f=1 (the largest registry family).
-   Counts are asserted identical to the sequential run in every mode at
-   every domain count (determinism is part of the bench); wall-clock,
-   states/sec and the contention counters (steals, probes, CAS retries,
-   shard contention) are informational — on a single-core host every
-   jobs>1 row just measures synchronization overhead. *)
+(* P2: exploration throughput across domain counts, over Algorithm 5
+   k=3 f=1 (the largest registry family).  Counts are asserted identical
+   to the sequential run at every domain count (determinism is part of
+   the bench); wall-clock, states/sec and the contention counters
+   (steals, probes, steal CAS retries) are informational — on a
+   single-core host every jobs>1 row just measures synchronization
+   overhead. *)
 let perf_parallel ~jobs_list () =
   let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
   let programs =
@@ -296,11 +296,9 @@ let perf_parallel ~jobs_list () =
   in
   let config = Config.make store programs in
   let counter_names =
-    [ "parallel.steals"; "parallel.probes"; "parallel.cas_retries";
-      "parallel.shard_contention" ]
+    [ "parallel.steals"; "parallel.probes"; "parallel.cas_retries" ]
   in
-  (* Best-of-[repeat] wall clock: single ~10ms runs are too noisy for the
-     headline jobs=1 mode comparison. *)
+  (* Best-of-[repeat] wall clock: single ~10ms runs are too noisy. *)
   let repeat = 3 in
   let best_of f =
     let best = ref infinity and result = ref None in
@@ -321,100 +319,53 @@ let perf_parallel ~jobs_list () =
   in
   Format.printf "p2: explore alg5 k=3 f=1, sequential: %d states, %.3fs@."
     base_stats.Explore.states base_secs;
-  let mode_name v = Format.asprintf "%a" Parallel.pp_visited v in
-  let explore visited jobs =
+  let explore jobs =
     let (stats, secs), deltas =
       counter_delta counter_names (fun () ->
           best_of (fun () ->
-              parallel_f1 ~visited ~jobs "p2" config))
+              parallel_f1 ~visited:Parallel.Heap ~jobs "p2" config))
     in
     (stats, secs, List.map (fun d -> d /. float_of_int repeat) deltas)
   in
-  let rate_j1 = Hashtbl.create 4 in
-  let bytes_by_mode = Hashtbl.create 4 in
-  let rows =
-    List.concat_map
-      (fun visited ->
-        List.map
-          (fun jobs ->
-            let stats, secs, deltas = explore visited jobs in
-            if
-              stats.Explore.states <> base_stats.Explore.states
-              || stats.Explore.terminals <> base_stats.Explore.terminals
-            then
-              Format.printf
-                "!! p2 %s jobs=%d NONDETERMINISM: %d states / %d terminals, \
-                 expected %d / %d@."
-                (mode_name visited) jobs stats.Explore.states
-                stats.Explore.terminals base_stats.Explore.states
-                base_stats.Explore.terminals;
-            let rate = float_of_int stats.Explore.states /. secs in
-            let visited_bytes =
-              Option.value ~default:0.0
-                (Obs.Metrics.find "parallel.visited_bytes")
-            in
-            if jobs = 1 then Hashtbl.replace rate_j1 (mode_name visited) rate;
-            Hashtbl.replace bytes_by_mode (mode_name visited) visited_bytes;
-            Format.printf
-              "p2: explore alg5 k=3 f=1, visited=%s jobs=%d: %d states, \
-               %.3fs, %.0f states/s, speedup %.2fx, visited %.0f bytes@."
-              (mode_name visited) jobs stats.Explore.states secs rate
-              (base_secs /. secs) visited_bytes;
-            {
-              name =
-                Printf.sprintf "p2.parallel_explore.%s.jobs%d"
-                  (mode_name visited) jobs;
-              fields =
-                [
-                  ("jobs", float_of_int jobs);
-                  ("states", float_of_int stats.Explore.states);
-                  ("seconds", secs);
-                  ("states_per_sec", rate);
-                  ("speedup_vs_seq", base_secs /. secs);
-                  ("collision_bound", stats.Explore.collision_bound);
-                  ("visited_bytes", visited_bytes);
-                ]
-                @ List.map2
-                    (fun n d ->
-                      (* "parallel.steals" -> "steals" *)
-                      let short =
-                        String.sub n 9 (String.length n - 9)
-                      in
-                      (short, d))
-                    counter_names deltas;
-            })
-          jobs_list)
-      [ Parallel.Sharded; Parallel.Lockfree; Parallel.Compressed ]
-  in
-  (* Headline comparisons: the lock-free table must not be slower than the
-     sharded baseline at jobs=1 (no contention to hide behind), and the
-     compressed table must use less visited memory than the payload one. *)
-  let r m = try Hashtbl.find rate_j1 m with Not_found -> 0.0 in
-  let b m = try Hashtbl.find bytes_by_mode m with Not_found -> 0.0 in
-  let compare_row =
-    {
-      name = "p2.visited_compare";
-      fields =
-        [
-          ("sequential_states_per_sec",
-           float_of_int base_stats.Explore.states /. base_secs);
-          ("lockfree_vs_sharded_rate_jobs1",
-           if r "sharded" > 0.0 then r "lockfree" /. r "sharded" else 0.0);
-          ("compressed_vs_sharded_rate_jobs1",
-           if r "sharded" > 0.0 then r "compressed" /. r "sharded" else 0.0);
-          ("sharded_visited_bytes", b "sharded");
-          ("lockfree_visited_bytes", b "lockfree");
-          ("compressed_visited_bytes", b "compressed");
-          ("compressed_vs_sharded_memory",
-           if b "sharded" > 0.0 then b "compressed" /. b "sharded" else 0.0);
-        ];
-    }
-  in
-  Format.printf
-    "p2: jobs=1 rate lockfree/sharded %.2fx, compressed/sharded memory %.2fx@."
-    (if r "sharded" > 0.0 then r "lockfree" /. r "sharded" else 0.0)
-    (if b "sharded" > 0.0 then b "compressed" /. b "sharded" else 0.0);
-  rows @ [ compare_row ]
+  List.map
+    (fun jobs ->
+      let stats, secs, deltas = explore jobs in
+      if
+        stats.Explore.states <> base_stats.Explore.states
+        || stats.Explore.terminals <> base_stats.Explore.terminals
+      then
+        Format.printf
+          "!! p2 jobs=%d NONDETERMINISM: %d states / %d terminals, expected \
+           %d / %d@."
+          jobs stats.Explore.states stats.Explore.terminals
+          base_stats.Explore.states base_stats.Explore.terminals;
+      let rate = float_of_int stats.Explore.states /. secs in
+      let visited_bytes =
+        Option.value ~default:0.0 (Obs.Metrics.find "parallel.visited_bytes")
+      in
+      Format.printf
+        "p2: explore alg5 k=3 f=1, jobs=%d: %d states, %.3fs, %.0f states/s, \
+         speedup %.2fx, visited %.0f bytes@."
+        jobs stats.Explore.states secs rate (base_secs /. secs) visited_bytes;
+      {
+        name = Printf.sprintf "p2.parallel_explore.jobs%d" jobs;
+        fields =
+          [
+            ("jobs", float_of_int jobs);
+            ("states", float_of_int stats.Explore.states);
+            ("seconds", secs);
+            ("states_per_sec", rate);
+            ("speedup_vs_seq", base_secs /. secs);
+            ("collision_bound", stats.Explore.collision_bound);
+            ("visited_bytes", visited_bytes);
+          ]
+          @ List.map2
+              (fun n d ->
+                (* "parallel.steals" -> "steals" *)
+                (String.sub n 9 (String.length n - 9), d))
+              counter_names deltas;
+      })
+    jobs_list
 
 (* Run [f] back to back, each run after an untimed full major GC, until
    the runs add up to at least [min_total] seconds (and number at least
@@ -675,10 +626,10 @@ let perf_e21 ~jobs_list () =
 
 (* P6 artifact row: the out-of-core visited table.  [p6.spill_compare]
    runs the parallel engine twice on the same family at the same domain
-   count — lock-free claim table vs [Spill] — and records both wall
-   times and heap-resident visited bytes.  CI asserts
-   [spill_vs_lockfree_memory <= 0.5]: the spill table's heap residency
-   is bookkeeping only (the mapped pages are file-backed).  Both runs'
+   count — the [Heap] backing vs [Spill] — and records both wall times
+   and heap-resident visited bytes.  CI asserts
+   [spill_vs_heap_memory <= 0.5]: the spill table's heap residency is
+   bookkeeping only (the mapped pages are file-backed).  Both runs'
    counts are diffed against the sequential explorer, like P2 does. *)
 let perf_spill ~jobs_list () =
   let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
@@ -715,17 +666,15 @@ let perf_spill ~jobs_list () =
     in
     (!best, bytes)
   in
-  let lockfree_secs, lockfree_bytes = explore "lockfree" Parallel.Lockfree in
+  let heap_secs, heap_bytes = explore "heap" Parallel.Heap in
   let spill_secs, spill_bytes =
     explore "spill" (Parallel.Spill "_perf_spill.tmp")
   in
-  let memory =
-    if lockfree_bytes > 0.0 then spill_bytes /. lockfree_bytes else 0.0
-  in
+  let memory = if heap_bytes > 0.0 then spill_bytes /. heap_bytes else 0.0 in
   Format.printf
-    "p6: explore alg5 k=3 f=1 jobs=%d: lockfree %.3fs / %.0f B, spill %.3fs \
-     / %.0f B heap (%.2fx)@."
-    jobs lockfree_secs lockfree_bytes spill_secs spill_bytes memory;
+    "p6: explore alg5 k=3 f=1 jobs=%d: heap %.3fs / %.0f B, spill %.3fs / \
+     %.0f B heap (%.2fx)@."
+    jobs heap_secs heap_bytes spill_secs spill_bytes memory;
   [
     {
       name = "p6.spill_compare";
@@ -733,11 +682,11 @@ let perf_spill ~jobs_list () =
         [
           ("jobs", float_of_int jobs);
           ("states", float_of_int base_stats.Explore.states);
-          ("lockfree_seconds", lockfree_secs);
+          ("heap_seconds", heap_secs);
           ("spill_seconds", spill_secs);
-          ("lockfree_visited_bytes", lockfree_bytes);
+          ("heap_visited_bytes", heap_bytes);
           ("spill_heap_bytes", spill_bytes);
-          ("spill_vs_lockfree_memory", memory);
+          ("spill_vs_heap_memory", memory);
         ];
     };
   ]

@@ -240,13 +240,12 @@ let opt with_ x o = match x with None -> o | Some v -> with_ v o
 (* One [Search.options] record from the CLI's flags — the single funnel
    every checking subcommand goes through. *)
 let options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-    ~max_crashes ~max_recoveries ~jobs ~visited ~fp () =
+    ~max_crashes ~max_recoveries ~jobs ~fp () =
   Search.default
   |> Search.with_max_states max_states
   |> Search.with_max_crashes max_crashes
   |> Search.with_max_recoveries max_recoveries
   |> Search.with_jobs jobs
-  |> Search.with_visited visited
   |> Search.with_fp fp
   |> opt Search.with_deadline deadline
   |> opt Search.with_expected_states expected_states
@@ -325,30 +324,12 @@ let spill_arg =
     value & opt (some string) None
     & info [ "spill" ] ~docv:"DIR"
         ~doc:
-          "Out-of-core mode: keep the visited set in mmap'd files of \
-           62-bit compressed claim words under $(docv) (created if \
-           absent; segment files are unlinked after mapping, so nothing \
-           persists).  Heap residency drops to bookkeeping; collision \
-           characteristics match $(b,--visited) compressed.  Runs the \
-           parallel engine even at $(b,--jobs) 1, and overrides \
-           $(b,--visited).")
-
-let visited_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("sharded", Parallel.Sharded); ("lockfree", Parallel.Lockfree);
-             ("compressed", Parallel.Compressed) ])
-        Parallel.Lockfree
-    & info [ "visited" ] ~docv:"MODE"
-        ~doc:
-          "Visited-table representation for parallel exploration \
-           ($(b,--jobs) > 1): $(b,lockfree) (default; CAS claim table, \
-           124-bit keys), $(b,compressed) (folded 62-bit words, half the \
-           memory, collision bound surfaced in the stats), or \
-           $(b,sharded) (the mutex-sharded baseline).  Verdicts and state \
-           counts are identical across all three.")
+          "Out-of-core mode: keep the visited table in mmap'd files under \
+           $(docv) (created if absent; each file is unlinked once mapped, \
+           so nothing persists), 16 bytes per slot.  Heap residency drops \
+           to bookkeeping; keys, counts and the collision bound are those \
+           of the heap table.  Runs the parallel engine even at \
+           $(b,--jobs) 1.")
 
 let fp_arg =
   Arg.(
@@ -376,14 +357,14 @@ let certified_arg =
 (* check: one verdict per invocation, under the shared contract.       *)
 
 let check_cmd =
-  let run alg n k f r deadline expected_states max_states jobs spill visited
+  let run alg n k f r deadline expected_states max_states jobs spill
       fp choice certified json metrics =
     setup_obs ~json ~metrics;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let reduction = reduction_of ~certified ~alg choice inst in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~visited ~fp ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~fp ()
     in
     let v = check_instance ~options inst in
     report ~json alg v;
@@ -403,7 +384,7 @@ let check_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ fp_arg $ reduction_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -428,7 +409,7 @@ let stats_fields reduction (stats : Explore.stats) =
   ]
 
 let explore_cmd =
-  let run alg n k f r deadline expected_states max_states jobs spill visited
+  let run alg n k f r deadline expected_states max_states jobs spill
       fp choice certified json metrics =
     setup_obs ~json ~metrics;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
@@ -437,7 +418,7 @@ let explore_cmd =
     let config = Config.make store programs in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~visited ~fp ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~fp ()
     in
     let stats =
       Obs.Span.time "cli.explore" @@ fun () ->
@@ -454,8 +435,7 @@ let explore_cmd =
                :: ( "visited",
                     Obs.Sink.Str
                       (if spill <> None then "spill"
-                       else if jobs > 1 then
-                         Format.asprintf "%a" Parallel.pp_visited visited
+                       else if jobs > 1 then "heap"
                        else "sequential") )
                :: stats_fields reduction stats;
            })
@@ -481,7 +461,7 @@ let explore_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ fp_arg $ reduction_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -802,7 +782,7 @@ let analyze_cmd =
    crash-sweep at any --jobs.                                          *)
 
 let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-    jobs spill visited fp choice certified json metrics =
+    jobs spill fp choice certified json metrics =
   setup_obs ~json ~metrics;
   let verdicts = ref [] in
   let note name v =
@@ -814,7 +794,7 @@ let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
   let reduction = reduction_of ~certified ~alg choice inst in
   let cell_options ~max_crashes ~max_recoveries =
     options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-      ~max_crashes ~max_recoveries ~jobs ~visited ~fp ()
+      ~max_crashes ~max_recoveries ~jobs ~fp ()
   in
   let store, programs = instance_store_programs inst in
   (match inst with
@@ -857,9 +837,9 @@ let solo_limit_arg =
 
 let crash_sweep_cmd =
   let run alg k f deadline expected_states max_states solo_limit jobs
-      spill visited fp choice certified json metrics =
+      spill fp choice certified json metrics =
     run_fault_sweep alg k f 0 deadline expected_states max_states solo_limit
-      jobs spill visited fp choice certified json metrics
+      jobs spill fp choice certified json metrics
   in
   Cmd.v
     (Cmd.info "crash-sweep"
@@ -871,14 +851,14 @@ let crash_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ deadline_arg
       $ expected_states_arg $ max_states_arg $ solo_limit_arg $ jobs_arg
-      $ spill_arg $ visited_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ fp_arg $ reduction_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 let recover_sweep_cmd =
   let run alg k f r deadline expected_states max_states solo_limit jobs
-      spill visited fp choice certified json metrics =
+      spill fp choice certified json metrics =
     run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-      jobs spill visited fp choice certified json metrics
+      jobs spill fp choice certified json metrics
   in
   let sweep_recoveries_arg =
     Arg.(
@@ -900,7 +880,7 @@ let recover_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ sweep_recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ solo_limit_arg
-      $ jobs_arg $ spill_arg $ visited_arg $ fp_arg
+      $ jobs_arg $ spill_arg $ fp_arg
       $ reduction_arg $ certified_arg $ json_arg
       $ metrics_arg)
 

@@ -1,286 +1,202 @@
-(* Lock-free open-addressed claim table for the parallel explorer.
+(* The parallel explorer's visited table: an open-addressed set of
+   two-lane fingerprints in one flat [Bigarray.Array1], claimed under one
+   mutex.
 
    A claim table answers one question, once per state: "am I the first
    domain to reach this fingerprint?"  It supports exactly one operation,
    [claim], which returns [`Fresh] to exactly one caller per distinct key
-   and [`Dup] to every other — claim-once, with no mutex anywhere on the
-   path.
+   and [`Dup] to every other.
 
-   {b Slot encoding.}  Each slot is one or two [int Atomic.t] words.  A
-   stored lane keeps the low 62 bits of its fingerprint lane and forces
-   the sign bit on ([encode] below), so a live word is always negative —
-   distinguishable from [empty] (0) and from the [dead] tombstone (1)
-   without a separate presence bit.  Dropping one bit per lane leaves an
-   effective 124-bit key in two-lane mode (collision odds ~2^-124 per
-   pair) and 62 bits in folded mode (~2^-62 per pair; the birthday bound
-   is surfaced through [Explore.stats.collision_bound]).
+   {b Slot encoding.}  Slot [i] is words [2i] (lane 1) and [2i + 1]
+   (lane 2).  A stored lane keeps the low 62 bits of its fingerprint lane
+   and forces the sign bit on ([encode]), so a live lane-1 word is never
+   0 and 0 marks an empty slot.  Dropping one bit per lane leaves a
+   124-bit key ([bits]).  Linear probing starts at the low bits of
+   lane 1.
 
-   {b Two-lane claim protocol.}  Lane 1 is the claim word: CASing it from
-   [empty] wins the slot.  Lane 2 is published immediately after; until
-   then it reads [empty] and probers spin ([pending] lasts two
-   instructions of the claimer).  A probe that matches lane 1 but not
-   lane 2 — a genuine 62-bit lane-1 collision between distinct keys, or a
-   tombstone — continues down the probe chain.  Folded mode stores a
-   single mixed word, so one CAS both claims and publishes; there is no
-   pending state.
+   {b Claim-once.}  Every claim — the probe, the write of a fresh key and
+   any growth it triggers — is one critical section under [lock].  A
+   second claimer of a key therefore runs after the first one's write and
+   finds its words: [`Dup].
 
-   {b Growth without a rehash stall.}  The table is a chain of segments
-   (newest first), each a fixed power-of-two array.  Nothing is ever
-   rehashed or moved: when the newest segment's occupancy crosses its
-   limit, a grower appends a doubled segment at the head (serialized by a
-   mutex — growth is rare and off the hot path; claims never take it).
-   A claim probes the older segments read-only, then claims in the head
-   segment, then {e validates} that the head is unchanged; if a new
-   segment was published in the window, the claimer tombstones its own
-   entry and retries from scratch.
+   {b Growth.}  When a fresh key would take occupancy past 3/4 of the
+   capacity, the claimer doubles the array and re-inserts every live
+   slot, still inside the lock; claims after it probe the one new array.
+   Each key is moved once per doubling, O(1) amortized per claim.
 
-   {b Why claim-once holds (sketch; DESIGN.md has the full argument).}
-   Two [`Fresh] answers for one key would need two validated CASes.  In
-   the same segment the second CAS on the probed slot fails and the
-   probe re-reads the winner's entry ([`Dup]).  Across segments, suppose
-   A validated in segment S1 and B claimed in a newer head S2: B's
-   snapshot of the segment list contains S2, so B's read of the list
-   follows the publication of S2 in the SC order, which follows A's
-   validation read (A saw a list without S2), which follows A's entry
-   write — so B's read-only probe of S1 sees A's entry and returns
-   [`Dup], a contradiction.  A tombstoned (aborted) entry can earn other
-   claimers a [`Dup] answer, but its owner retries until it claims or
-   meets a validated entry, so exactly one [`Fresh] per key survives;
-   growth is finite, so the retries terminate. *)
+   {b Backings.}  The heap table is [Bigarray.Array1.create] filled with
+   0.  The spill table maps a file created under the spill directory:
+   [O_EXCL] under a name unique to the process (an existing file is never
+   touched and two tables never share storage), unlinked as soon as it
+   is mapped (the mapping keeps the inode alive, the directory stays
+   clean whatever happens to the process, and the kernel reclaims the
+   blocks once the array is collected).  A new mapping reads as zeros,
+   since [Unix.map_file] extends the file with holes.  Its pages are
+   file-backed and evictable, so [memory_bytes] counts only bookkeeping
+   and [spill_bytes] the mapped file: 16 B per slot. *)
 
-let empty = 0
-let dead = 1
+module A = Bigarray.Array1
 
-let[@inline] encode h = h lor min_int
-
-(* One well-mixed word out of both lanes, for folded mode. *)
-let fold_key h1 h2 =
-  let x = h1 + (h2 * 0x27D4EB2F165667C5) in
-  let x = (x lxor (x lsr 31)) * 0x2545F4914F6CDD1D in
-  x lxor (x lsr 29)
-
-(* Foldedness is a {e per-segment} property: escalation (below) flips the
-   table's mode mid-run by prepending a two-lane head segment while the
-   folded tail keeps serving read-only probes.  Each probe picks its
-   words by the segment it is probing. *)
-type segment = {
-  folded : bool;
-  mask : int;
-  lane1 : int Atomic.t array;
-  lane2 : int Atomic.t array; (* [||] in folded mode *)
-  count : int Atomic.t; (* successful claims incl. tombstoned; occupancy *)
-  limit : int; (* occupancy that triggers growth; margin = cap/4 slots
-                  absorbs the claimers already past the check *)
-}
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) A.t
 
 type t = {
-  folded : bool Atomic.t; (* current mode: what new segments use *)
-  segments : segment list Atomic.t; (* head = newest = claim target *)
-  grow_lock : Mutex.t;
+  lock : Mutex.t;
+  spill : string option; (* the spill directory; [None] on the heap *)
+  mutable arr : words; (* [2 * (mask + 1)] words *)
+  mutable mask : int;
+  mutable count : int;
+  mutable limit : int; (* 3/4 of the capacity *)
 }
 
-(* Per-claim instrumentation, filled by the caller's domain — no shared
-   counters on the hot path. *)
-type opstats = { mutable probes : int; mutable cas_retries : int }
+type opstats = { mutable probes : int }
 
-let fresh_opstats () = { probes = 0; cas_retries = 0 }
+let fresh_opstats () = { probes = 0 }
+let bits = 124
+let[@inline] encode h = h lor min_int
 
-let make_segment folded cap =
-  {
-    folded;
-    mask = cap - 1;
-    lane1 = Array.init cap (fun _ -> Atomic.make empty);
-    lane2 =
-      (if folded then [||] else Array.init cap (fun _ -> Atomic.make empty));
-    count = Atomic.make 0;
-    limit = cap - (cap / 4);
-  }
+(* Names spill files; shared by every table in the process. *)
+let file_lock = Mutex.create ()
+let next_file = ref 0
 
-(* A segment holds 3/4 of its capacity before growth triggers, so an
-   expectation of [n] live entries needs a capacity of 4n/3; the cap
-   keeps a loose expectation from pre-allocating hundreds of MB. *)
-let capacity_for_expectation n = min (1 lsl 21) (max 64 (n + (n / 3)))
+let file_number () =
+  Mutex.protect file_lock (fun () ->
+      incr next_file;
+      !next_file)
 
-let create ?initial_capacity ?expected_states mode =
-  let folded = match mode with `Folded -> true | `Two_lane -> false in
-  let initial_capacity =
+(* Map [n] zero words from a fresh unlinked file in [dir].  The name
+   carries the process id and a process-wide counter, and [O_EXCL]
+   refuses any file already there (a taken name — say, one left by a dead
+   process with a recycled pid — just draws the next counter value).  The
+   fd is closed right away: the mapping survives it. *)
+let map_words dir n : words =
+  let rec create_file () =
+    let path =
+      Filename.concat dir
+        (Printf.sprintf "subc-%d-%d.spill" (Unix.getpid ()) (file_number ()))
+    in
+    match Unix.openfile path [ O_RDWR; O_CREAT; O_EXCL ] 0o600 with
+    | fd -> (path, fd)
+    | exception Unix.Unix_error (EEXIST, _, _) -> create_file ()
+  in
+  let path, fd = create_file () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      Unix.close fd)
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| n |]))
+
+let alloc spill cap =
+  match spill with
+  | Some dir -> map_words dir (2 * cap)
+  | None ->
+    let a = A.create Bigarray.int Bigarray.c_layout (2 * cap) in
+    A.fill a 0;
+    a
+
+let limit_of cap = cap - (cap / 4)
+
+(* An expectation of [n] live entries needs a capacity of 4n/3 to stay
+   under the growth limit; the cap keeps a loose hint from pre-allocating
+   hundreds of MB (growth covers the rest). *)
+let capacity_for_expectation n = min (1 lsl 21) (n + (n / 3))
+
+let create ?initial_capacity ?expected_states ?spill `Two_lane =
+  Option.iter
+    (fun dir ->
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ())
+    spill;
+  let wanted =
     match (initial_capacity, expected_states) with
     | Some c, _ -> c
     | None, Some n -> capacity_for_expectation n
     | None, None -> 4096
   in
   let cap =
-    let rec up c = if c >= initial_capacity then c else up (c * 2) in
+    let rec up c = if c >= wanted then c else up (c * 2) in
     up 64
   in
   {
-    folded = Atomic.make folded;
-    segments = Atomic.make [ make_segment folded cap ];
-    grow_lock = Mutex.create ();
+    lock = Mutex.create ();
+    spill;
+    arr = alloc spill cap;
+    mask = cap - 1;
+    count = 0;
+    limit = limit_of cap;
   }
 
-let bits t = if Atomic.get t.folded then 62 else 124
-let is_folded t = Atomic.get t.folded
+let rec free_slot arr mask j =
+  if A.unsafe_get arr (2 * j) = 0 then j
+  else free_slot arr mask ((j + 1) land mask)
 
-(* Spin until the claimer of slot [i] publishes lane 2 (two instructions
-   away); returns the published word ([dead] if the claim was aborted). *)
-let rec lane2_value seg i =
-  let b = Atomic.get seg.lane2.(i) in
-  if b = empty then begin
-    Domain.cpu_relax ();
-    lane2_value seg i
-  end
-  else b
-
-(* Read-only probe of an older segment: [true] iff a live entry for
-   (w1, w2) is present.  Stops at the first empty slot — older segments
-   receive no new claims except in-flight ones that will abort. *)
-let probe_ro st (seg : segment) w1 w2 =
-  let cap = seg.mask + 1 in
-  let rec go i remaining =
-    if remaining = 0 then false
-    else begin
-      st.probes <- st.probes + 1;
-      let a = Atomic.get seg.lane1.(i) in
-      if a = empty then false
-      else if a = w1 then
-        if seg.folded then true
-        else if lane2_value seg i = w2 then true
-        else go ((i + 1) land seg.mask) (remaining - 1)
-      else go ((i + 1) land seg.mask) (remaining - 1)
+(* Double the capacity and re-insert every live slot.  Keys are distinct,
+   so re-insertion only looks for the first empty slot. *)
+let grow t =
+  let old = t.arr and old_cap = t.mask + 1 in
+  let cap = 2 * old_cap in
+  let arr = alloc t.spill cap in
+  let mask = cap - 1 in
+  for i = 0 to old_cap - 1 do
+    let w1 = A.unsafe_get old (2 * i) in
+    if w1 <> 0 then begin
+      let j = free_slot arr mask (w1 land mask) in
+      A.unsafe_set arr (2 * j) w1;
+      A.unsafe_set arr ((2 * j) + 1) (A.unsafe_get old ((2 * i) + 1))
     end
+  done;
+  t.arr <- arr;
+  t.mask <- mask;
+  t.limit <- limit_of cap
+
+(* The critical section of [claim].  Occupancy stays below capacity, so
+   every probe sequence meets an empty slot. *)
+let rec insert t st w1 w2 =
+  let arr = t.arr and mask = t.mask in
+  let rec go i =
+    st.probes <- st.probes + 1;
+    let a = A.unsafe_get arr (2 * i) in
+    if a = 0 then
+      if t.count >= t.limit then begin
+        grow t;
+        insert t st w1 w2
+      end
+      else begin
+        A.unsafe_set arr (2 * i) w1;
+        A.unsafe_set arr ((2 * i) + 1) w2;
+        t.count <- t.count + 1;
+        `Fresh
+      end
+    else if a = w1 && A.unsafe_get arr ((2 * i) + 1) = w2 then `Dup
+    else go ((i + 1) land mask)
   in
-  go (w1 land seg.mask) cap
-
-(* Claim in the head segment. *)
-let claim_in_head st (seg : segment) w1 w2 =
-  let cap = seg.mask + 1 in
-  let rec go i remaining =
-    if remaining = 0 then `Full
-    else begin
-      st.probes <- st.probes + 1;
-      let a = Atomic.get seg.lane1.(i) in
-      if a = empty then
-        if Atomic.get seg.count >= seg.limit then `Full
-        else if Atomic.compare_and_set seg.lane1.(i) empty w1 then begin
-          if not seg.folded then Atomic.set seg.lane2.(i) w2;
-          Atomic.incr seg.count;
-          `Claimed i
-        end
-        else begin
-          (* Lost the slot race: re-examine the same slot. *)
-          st.cas_retries <- st.cas_retries + 1;
-          go i remaining
-        end
-      else if a = w1 then
-        if seg.folded then `Dup
-        else if lane2_value seg i = w2 then `Dup
-        else go ((i + 1) land seg.mask) (remaining - 1)
-      else go ((i + 1) land seg.mask) (remaining - 1)
-    end
-  in
-  go (w1 land seg.mask) cap
-
-(* Tombstone our own aborted claim: the slot stays occupied (probe chains
-   must not shorten), but no key matches it again. *)
-let retract (seg : segment) i =
-  if seg.folded then Atomic.set seg.lane1.(i) dead
-  else Atomic.set seg.lane2.(i) dead
-
-(* Append a doubled segment, unless someone already did.  New segments
-   take the table's {e current} mode, so growth after an escalation keeps
-   producing two-lane segments. *)
-let grow t seen =
-  Mutex.lock t.grow_lock;
-  (if Atomic.get t.segments == seen then
-     let cap =
-       match seen with [] -> assert false | s :: _ -> 2 * (s.mask + 1)
-     in
-     Atomic.set t.segments (make_segment (Atomic.get t.folded) cap :: seen));
-  Mutex.unlock t.grow_lock
-
-(* Escalate a folded table to two-lane keys mid-run: prepend a same-size
-   two-lane head segment and flip the mode for future growth.  Existing
-   folded entries stay where they are and keep answering read-only probes
-   with folded words — escalation caps the {e growth} of the collision
-   bound rather than rewriting history.  In-flight claims against the old
-   head observe the new segment list during validation and abort-retry
-   through the exact mechanism growth uses, so claim-once is untouched.
-   Idempotent; a no-op on a table that is already two-lane. *)
-let escalate t =
-  Mutex.lock t.grow_lock;
-  (if Atomic.get t.folded then begin
-     Atomic.set t.folded false;
-     let segs = Atomic.get t.segments in
-     let cap = match segs with [] -> assert false | s :: _ -> s.mask + 1 in
-     Atomic.set t.segments (make_segment false cap :: segs)
-   end);
-  Mutex.unlock t.grow_lock
+  go (w1 land mask)
 
 let claim t st ~h1 ~h2 =
-  (* Words for both modes are cheap to precompute; each segment picks by
-     its own foldedness. *)
-  let wf = encode (fold_key h1 h2) in
   let w1 = encode h1 and w2 = encode h2 in
-  let words (seg : segment) = if seg.folded then (wf, 0) else (w1, w2) in
-  let rec attempt () =
-    let segs = Atomic.get t.segments in
-    match segs with
-    | [] -> assert false
-    | head :: older ->
-      if
-        List.exists
-          (fun s ->
-            let a, b = words s in
-            probe_ro st s a b)
-          older
-      then `Dup
-      else begin
-        let a, b = words head in
-        match claim_in_head st head a b with
-        | `Dup -> `Dup
-        | `Full ->
-          grow t segs;
-          attempt ()
-        | `Claimed i ->
-          if Atomic.get t.segments == segs then `Fresh
-          else begin
-            (* A new segment appeared in the window: another claimer of
-               this key may have missed our entry.  Abort and retry. *)
-            retract head i;
-            st.cas_retries <- st.cas_retries + 1;
-            attempt ()
-          end
-      end
-  in
-  attempt ()
+  Mutex.lock t.lock;
+  match insert t st w1 w2 with
+  | r ->
+    Mutex.unlock t.lock;
+    r
+  | exception e ->
+    (* Only growth raises (a spill file that cannot be created or
+       mapped); the table is unchanged and the lock is released. *)
+    Mutex.unlock t.lock;
+    raise e
 
-let occupancy t =
-  List.fold_left
-    (fun acc s -> acc + Atomic.get s.count)
-    0
-    (Atomic.get t.segments)
+let locked t f =
+  Mutex.lock t.lock;
+  let r = f t in
+  Mutex.unlock t.lock;
+  r
 
-(* Live-ish entries still guarded only by a 62-bit word — the piecewise
-   collision bound in the parallel engine charges these pairs at 2^-62
-   and the rest at 2^-124. *)
-let folded_occupancy t =
-  List.fold_left
-    (fun acc (s : segment) -> if s.folded then acc + Atomic.get s.count else acc)
-    0
-    (Atomic.get t.segments)
+let occupancy t = locked t (fun t -> t.count)
+let slots t = locked t (fun t -> t.mask + 1)
 
-let slots t =
-  List.fold_left (fun acc s -> acc + s.mask + 1) 0 (Atomic.get t.segments)
-
-(* Analytic footprint: each [int Atomic.t] is a one-field boxed record
-   (header + field = 2 words) plus its array slot — 3 words per lane per
-   slot — plus the array headers. *)
+(* Heap-resident bytes: the word array on the heap, only the table
+   record and the bigarray's custom block when the words are mapped. *)
 let memory_bytes t =
-  List.fold_left
-    (fun acc (s : segment) ->
-      let words_per_slot = if s.folded then 3 else 6 in
-      acc + (((s.mask + 1) * words_per_slot) + 8))
-    0
-    (Atomic.get t.segments)
-  * 8
+  match t.spill with None -> 16 * slots t | Some _ -> 8 * 16
+
+let spill_bytes t = match t.spill with None -> 0 | Some _ -> 16 * slots t

@@ -193,8 +193,8 @@ type stats = {
       (** birthday bound on the probability that {e any} fingerprint
           collision merged two distinct states this search
           (n(n-1)/2 · 2^-bits for the visited-table width in use:
-          126 sequential, 124 lock-free, 62 compressed; exactly 0.0
-          under [~paranoid]) *)
+          126 sequential, 124 parallel; exactly 0.0 under
+          [~paranoid]) *)
   limited : bool;
       (** true iff the search was truncated — it is then {e not} a proof;
           [limit_reason] says why *)
@@ -215,7 +215,7 @@ val collision_bound : bits:int -> states:int -> float
 
 val fingerprint_bits : int
 (** Effective key width of the full two-lane fingerprint comparison
-    (126): the sequential visited table and the parallel sharded mode. *)
+    (126): the sequential visited table. *)
 
 val stats_of_counters :
   counters ->

@@ -333,13 +333,6 @@ let key_hash = function
   | Fp f -> hash f
   | Exact v -> Value.hash v
 
-(* Shard selection for the parallel engine's sharded visited table: use
-   the second lane so shard choice is independent of the bits [hash]
-   feeds to the per-shard hashtable. *)
-let shard_index = function
-  | Fp f -> f.h2 land max_int
-  | Exact v -> Value.hash v
-
 module Ktbl = Hashtbl.Make (struct
   type nonrec t = key
 

@@ -123,9 +123,5 @@ type key = Fp of t | Exact of Value.t
 val key_equal : key -> key -> bool
 val key_hash : key -> int
 
-val shard_index : key -> int
-(** Non-negative shard selector, independent of the bits {!key_hash}
-    feeds to the per-shard table (used by the parallel engine). *)
-
 (** Hashtables keyed by {!key}. *)
 module Ktbl : Hashtbl.S with type key = key

@@ -12,24 +12,12 @@
    so [idle = jobs] can only be observed when every deque is empty and no
    domain holds work — at that point the search space is exhausted.
 
-   Deduplication goes through one of four visited tables ({!visited}):
-
-   - [Lockfree] (default): a single open-addressed claim table
-     ({!Claim_table}, [`Two_lane]) storing both fingerprint lanes in
-     [Atomic] slot words — CAS claim-once, no mutex on the hot path,
-     effective 124-bit keys.
-   - [Compressed]: the same claim table in [`Folded] mode — one mixed
-     62-bit word per state, half the memory; the birthday collision
-     bound is surfaced in [stats.collision_bound].
-   - [Sharded]: the historical mutex-sharded [Fingerprint.Ktbl] tables,
-     kept as the comparison baseline and as the exact-key path:
-     [~paranoid] stores full canonical keys, which only this
-     representation can hold, so paranoid runs use it regardless of the
-     requested mode.
-   - [Spill dir]: the out-of-core {!Spill_table} — the [Compressed]
-     62-bit words in mmap'd files under [dir], so the visited set is
-     bounded by disk rather than heap.  Claims serialize on the table's
-     mutex.
+   Deduplication goes through one {!Claim_table}: two-lane fingerprint
+   words (124-bit keys) in a flat array claimed under a mutex, on the
+   heap ([Heap]) or in mmap'd files under a spill directory ([Spill dir]),
+   so the visited set is bounded by disk rather than heap.  [~paranoid]
+   runs key on full canonical forms instead, in one mutex-guarded
+   [Fingerprint.Ktbl] that only they allocate, whatever [visited] says.
 
    A state is {e claimed} exactly once, by whichever domain's claim
    lands first; only the claimer expands the state, so every state is
@@ -47,13 +35,11 @@
    built on this module return deterministic verdicts with possibly
    different (equally valid) witnesses.
 
-   Budget exactness: under [Lockfree]/[Compressed]/[Spill] a successful
-   claim draws a ticket from the global state counter; tickets below
-   [max_states] are counted ([`Fresh]), the first ticket at the budget
-   raises the stop flag and is {e not} counted — so a truncated search
-   reports exactly [max_states] states, matching the sequential engine
-   and the [Sharded] path (which checks the budget under the shard
-   lock).
+   Budget exactness: a successful claim draws a ticket from the global
+   state counter; tickets below [max_states] are counted ([`Fresh]), the
+   first ticket at the budget raises the stop flag and is {e not} counted
+   — so a truncated search reports exactly [max_states] states, matching
+   the sequential engine.
 
    Reductions: symmetry quotienting composes (the canonical key is
    computed before the claim, so all orbit members race for one slot),
@@ -75,15 +61,10 @@
 
 module Obs = Subc_obs
 
-type visited = Sharded | Lockfree | Compressed | Spill of string
+type visited = Heap | Spill of string
 
 let pp_visited ppf v =
-  Format.pp_print_string ppf
-    (match v with
-    | Sharded -> "sharded"
-    | Lockfree -> "lockfree"
-    | Compressed -> "compressed"
-    | Spill _ -> "spill")
+  Format.pp_print_string ppf (match v with Heap -> "heap" | Spill _ -> "spill")
 
 (* Auto-sequential fallback: on sub-10^4-state spaces the domain spawn +
    steal traffic costs more than the whole search (E21 measures jobs=2 at
@@ -114,14 +95,9 @@ type work = {
   sleep : Explore.tr list;
 }
 
-type shard = { lock : Mutex.t; tbl : unit Fingerprint.Ktbl.t }
-
-let n_shards = 128
-
 type vtable =
-  | Shards of shard array
   | Claims of Claim_table.t
-  | Spill of Spill_table.t
+  | Exact of { lock : Mutex.t; tbl : unit Fingerprint.Ktbl.t }
 
 type stop_cause = Budget | Deadline | Callback of exn
 
@@ -134,8 +110,8 @@ type dstats = {
   mutable pushed_words : int; (* unique-retention estimate of pushed work *)
   mutable depth_limited : bool;
   mutable steals : int;
-  mutable contention : int;
-  claim : Claim_table.opstats; (* probes + CAS retries, all hot paths *)
+  mutable cas_retries : int; (* lost steal races *)
+  claim : Claim_table.opstats;
   mutable seconds : float;
 }
 
@@ -146,7 +122,7 @@ let fresh_dstats () =
     pushed_words = 0;
     depth_limited = false;
     steals = 0;
-    contention = 0;
+    cas_retries = 0;
     claim = Claim_table.fresh_opstats ();
     seconds = 0.0;
   }
@@ -164,11 +140,6 @@ type global = {
   max_crashes : int;
   max_recoveries : int;
   deadline_at : float; (* absolute wall clock, or infinity *)
-  (* Collision-bound threshold above which a folded (compressed) claim
-     table escalates to two-lane keys; <= 0 disables.  [escalated]
-     makes the stderr note and the metric fire once. *)
-  escalate_threshold : float;
-  escalated : bool Atomic.t;
   reduction : Explore.reduction;
   paranoid : bool;
   fp_mode : Explore.fp_mode;
@@ -195,9 +166,9 @@ type ctx = {
    steal loop, so no wake-up broadcast is needed. *)
 let set_stop g cause = ignore (Atomic.compare_and_set g.stop None (Some cause))
 
-(* The fingerprint claim key (every table but a paranoid [Shards] one,
-   which keeps exact keys), with the canonicalizing renaming and
-   relevant sleep set that go with it. *)
+(* The fingerprint claim key (every table but the paranoid [Exact] one),
+   with the canonicalizing renaming and relevant sleep set that go with
+   it. *)
 let[@inline] fingerprint_key g item config =
   match item.fp with
   | Some f ->
@@ -232,30 +203,6 @@ let claim ctx item config =
      restriction needs the configuration, or on the exact/symmetry
      paths. *)
   match g.table with
-  | Shards shards ->
-    let key, pi, sleep =
-      if g.paranoid then
-        Explore.source_key ~paranoid:true g.reduction
-          ~max_crashes:g.max_crashes (Lazy.force config) ~sleep:item.sleep
-      else
-        let fp, pi, sleep = fingerprint_key g item config in
-        (Fingerprint.Fp fp, pi, sleep)
-    in
-    let sh = shards.(Fingerprint.shard_index key mod n_shards) in
-    if not (Mutex.try_lock sh.lock) then begin
-      ctx.stats.contention <- ctx.stats.contention + 1;
-      Mutex.lock sh.lock
-    end;
-    let r =
-      if Fingerprint.Ktbl.mem sh.tbl key then `Dup
-      else if Atomic.fetch_and_add g.n_states 1 >= g.max_states then `Budget
-      else begin
-        Fingerprint.Ktbl.add sh.tbl key ();
-        `Fresh (pi, sleep)
-      end
-    in
-    Mutex.unlock sh.lock;
-    r
   | Claims t -> (
     let fp, pi, sleep = fingerprint_key g item config in
     match
@@ -264,41 +211,16 @@ let claim ctx item config =
     with
     | `Dup -> `Dup
     | `Fresh -> ticket g pi sleep)
-  | Spill t -> (
-    let fp, pi, sleep = fingerprint_key g item config in
-    match
-      Spill_table.claim t ctx.stats.claim ~h1:fp.Fingerprint.h1
-        ~h2:fp.Fingerprint.h2
-    with
-    | `Dup -> `Dup
-    | `Fresh -> ticket g pi sleep)
-
-let m_escalated = Obs.Metrics.counter "parallel.visited_escalated"
-
-(* Auto-escalation: every 256 fresh states per domain, if the claim table
-   is still folded and the 62-bit birthday bound over the global state
-   count has crossed the threshold, flip it to two-lane.  [escalate] is
-   idempotent and racing domains are harmless; the note and the metric
-   fire once via the [escalated] CAS. *)
-let maybe_escalate ctx =
-  let g = ctx.g in
-  if g.escalate_threshold > 0.0 && ctx.stats.counts.states land 255 = 0 then
-    match g.table with
-    | Claims t when Claim_table.is_folded t ->
-      let n = Atomic.get g.n_states in
-      let bound = Explore.collision_bound ~bits:62 ~states:n in
-      if bound > g.escalate_threshold then begin
-        Claim_table.escalate t;
-        if Atomic.compare_and_set g.escalated false true then begin
-          Obs.Metrics.incr m_escalated;
-          Printf.eprintf
-            "subconsensus: compressed visited table escalated to lockfree at \
-             %d states (collision bound %.2g > %.2g)\n\
-             %!"
-            n bound g.escalate_threshold
-        end
-      end
-    | Claims _ | Shards _ | Spill _ -> ()
+  | Exact { lock; tbl } ->
+    let key, pi, sleep =
+      Explore.source_key ~paranoid:true g.reduction ~max_crashes:g.max_crashes
+        (Lazy.force config) ~sleep:item.sleep
+    in
+    Mutex.lock lock;
+    let fresh = not (Fingerprint.Ktbl.mem tbl key) in
+    if fresh then Fingerprint.Ktbl.add tbl key ();
+    Mutex.unlock lock;
+    if fresh then ticket g pi sleep else `Dup
 
 (* Expand one work item.  Exceptions from user callbacks propagate to the
    caller (the worker loop converts them into a stop cause); no lock is
@@ -331,7 +253,6 @@ let process ctx item =
     | `Fresh (pi, sleep) ->
       let config = Lazy.force config in
       c.states <- c.states + 1;
-      maybe_escalate ctx;
       Explore.cross_check c ~paranoid:g.paranoid item.fp config;
       g.on_visit config (lazy (List.rev item.rev_trace));
       if Explore.count_terminal c config then begin
@@ -434,8 +355,7 @@ let acquire ctx =
           Domain.cpu_relax ();
           scan ()
         | `Retry ->
-          ctx.stats.claim.Claim_table.cas_retries <-
-            ctx.stats.claim.Claim_table.cas_retries + 1;
+          ctx.stats.cas_retries <- ctx.stats.cas_retries + 1;
           Atomic.incr g.idle;
           scan ())
       | None ->
@@ -464,19 +384,6 @@ let rec worker ctx =
         (try process ctx item with e -> set_stop ctx.g (Callback e));
         worker ctx
       | None -> ())
-
-(* Collision bound for a claim table, piecewise after an escalation:
-   a state is missed when its words match an earlier entry, so pairs
-   whose earlier member sits in a folded segment collide at 2^-62 and
-   purely two-lane pairs at 2^-124.  With no escalation this reduces to
-   the plain single-width birthday bound. *)
-let claims_bound t ~states =
-  let nf = min (Claim_table.folded_occupancy t) states in
-  let nt = states - nf in
-  let fnf = float_of_int nf and fnt = float_of_int nt in
-  min 1.0
-    ((((fnf *. (fnf -. 1.0) /. 2.0) +. (fnf *. fnt)) *. ldexp 1.0 (-62))
-    +. (fnt *. (fnt -. 1.0) /. 2.0 *. ldexp 1.0 (-124)))
 
 (* The domains' counters summed ([max_depth]: the maximum) — the
    schedule-independent half of the merged stats. *)
@@ -508,35 +415,18 @@ let merge_stats g (all : dstats list) (c : Explore.counters) =
   in
   Explore.stats_of_counters c ~cycles:0 ~limit_reason ~frontier_bytes
     ~collision_bound:
-      (if g.paranoid then 0.0
-       else
-         match g.table with
-         | Shards _ ->
-           Explore.collision_bound ~bits:Explore.fingerprint_bits ~states
-         | Claims t -> claims_bound t ~states
-         | Spill t ->
-           Explore.collision_bound ~bits:62 ~states:(Spill_table.occupancy t))
+      (match g.table with
+      | Claims _ -> Explore.collision_bound ~bits:Claim_table.bits ~states
+      | Exact _ -> 0.0)
 
-(* Approximate heap footprint of the visited set, for the bench's
-   memory-per-state comparison: analytic for the claim table, the
-   bookkeeping alone for the spill table (its mapped pages are counted
-   by [spill_bytes]), a bucket+cons+key estimate for the sharded
-   hashtables ([Fp] keys are a 3-word record; [Exact] keys under paranoid
-   hold whole key trees, not counted — paranoid is a debug mode). *)
+(* Heap footprint of the visited set, for the bench's memory comparison
+   (the exact keys of a paranoid run are whole key trees, not counted —
+   paranoid is a debug mode), and the mapped bytes of a spill table. *)
 let visited_bytes g =
-  match g.table with
-  | Claims t -> Claim_table.memory_bytes t
-  | Spill t -> Spill_table.memory_bytes t
-  | Shards shards ->
-    8
-    * Array.fold_left
-        (fun acc sh ->
-          let s = Fingerprint.Ktbl.stats sh.tbl in
-          acc + s.Hashtbl.num_buckets + (7 * s.Hashtbl.num_bindings))
-        0 shards
+  match g.table with Claims t -> Claim_table.memory_bytes t | Exact _ -> 0
 
 let spill_bytes g =
-  match g.table with Spill t -> Spill_table.spill_bytes t | _ -> 0
+  match g.table with Claims t -> Claim_table.spill_bytes t | Exact _ -> 0
 
 (* Observability: aggregate counters always; one "parallel" event with
    per-domain breakdown when a sink is installed. *)
@@ -544,7 +434,6 @@ let m_states = Obs.Metrics.counter "parallel.states"
 let m_steals = Obs.Metrics.counter "parallel.steals"
 let m_probes = Obs.Metrics.counter "parallel.probes"
 let m_cas_retries = Obs.Metrics.counter "parallel.cas_retries"
-let m_contention = Obs.Metrics.counter "parallel.shard_contention"
 let m_source = Obs.Metrics.counter "parallel.source_skips"
 let m_searches = Obs.Metrics.counter "parallel.searches"
 let m_spill_bytes = Obs.Metrics.counter "parallel.spill_bytes"
@@ -559,8 +448,7 @@ let emit_obs label g stats (dstats : dstats array) dt =
     (fun d ->
       Obs.Metrics.add m_steals d.steals;
       Obs.Metrics.add m_probes d.claim.Claim_table.probes;
-      Obs.Metrics.add m_cas_retries d.claim.Claim_table.cas_retries;
-      Obs.Metrics.add m_contention d.contention)
+      Obs.Metrics.add m_cas_retries d.cas_retries)
     dstats;
   let rate = if dt > 0.0 then float_of_int stats.Explore.states /. dt else 0.0 in
   Obs.Metrics.set_gauge "parallel.states_per_sec" rate;
@@ -597,20 +485,14 @@ let emit_obs label g stats (dstats : dstats array) dt =
                       else 0.0) );
                  (pfx ^ "steals", Obs.Sink.Int d.steals);
                  (pfx ^ "probes", Obs.Sink.Int d.claim.Claim_table.probes);
-                 ( pfx ^ "cas_retries",
-                   Obs.Sink.Int d.claim.Claim_table.cas_retries );
-                 (pfx ^ "contention", Obs.Sink.Int d.contention);
+                 (pfx ^ "cas_retries", Obs.Sink.Int d.cas_retries);
                ])
              (Array.to_list dstats)))
 
 let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
-    ?deadline ?expected_states ?(escalate_threshold = 1e-6) ~reduction
-    ~paranoid ~fp:fp_mode ?seed_target ?seq_threshold ~jobs ~on_terminal
-    ~on_visit label config =
+    ?deadline ?expected_states ~reduction ~paranoid ~fp:fp_mode ?seed_target
+    ?seq_threshold ~jobs ~on_terminal ~on_visit label config =
   let jobs = max 1 jobs in
-  (* Exact canonical keys only fit the hashtable representation, so
-     paranoid runs take the sharded path whatever mode was asked for. *)
-  let visited = if paranoid then Sharded else visited in
   (* The incremental lanes carry a homomorphic fingerprint only with
      symmetry off (canonical keys go through the orbit minimization);
      under [~paranoid] it is carried for cross-validation while the
@@ -630,12 +512,12 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
     }
   in
   (* The auto-sequential fallback threshold, resolved early because it
-     also sizes the visited tables: when it is active and no
+     also sizes the visited table: when it is active and no
      [?expected_states] hint says otherwise, the space is presumed small
-     until the seeder proves it big, so the tables start tiny (a
+     until the seeder proves it big, so the table starts tiny (a
      right-sized allocation costs more than the whole search on the
-     small spaces the fallback exists for — segment-chained growth
-     amortizes the big-space case). *)
+     small spaces the fallback exists for — growth amortizes the
+     big-space case). *)
   let threshold =
     match seed_target with
     | Some _ -> 0
@@ -647,27 +529,20 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
   let g =
     {
       table =
-        (match visited with
-        | Sharded ->
-          let shard_slots = if threshold > 0 then 64 else 1024 in
-          Shards
-            (Array.init n_shards (fun _ ->
-                 {
-                   lock = Mutex.create ();
-                   tbl = Fingerprint.Ktbl.create shard_slots;
-                 }))
-        | Lockfree | Compressed ->
-          let mode =
-            match visited with Compressed -> `Folded | _ -> `Two_lane
-          in
-          Claims
-            (match expected_states with
-            | Some _ -> Claim_table.create ?expected_states mode
-            | None ->
-              Claim_table.create
-                ~initial_capacity:(if threshold > 0 then 256 else 8192)
-                mode)
-        | Spill dir -> Spill (Spill_table.create ?expected_states ~dir ()));
+        (if paranoid then
+           Exact { lock = Mutex.create (); tbl = Fingerprint.Ktbl.create 1024 }
+         else
+           let spill =
+             match visited with Spill dir -> Some dir | Heap -> None
+           in
+           let initial_capacity =
+             match expected_states with
+             | Some _ -> None
+             | None -> Some (if threshold > 0 then 256 else 8192)
+           in
+           Claims
+             (Claim_table.create ?initial_capacity ?expected_states ?spill
+                `Two_lane));
       visited;
       deques = Array.init jobs (fun _ -> Ws_deque.create ~dummy:root ());
       idle = Atomic.make 0;
@@ -682,8 +557,6 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
         (match deadline with
         | None -> infinity
         | Some secs -> Unix.gettimeofday () +. secs);
-      escalate_threshold;
-      escalated = Atomic.make false;
       reduction;
       paranoid;
       fp_mode;

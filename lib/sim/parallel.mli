@@ -15,39 +15,25 @@
     (decrement-before-steal), with no mutex or condition variable
     anywhere on the work path.
 
-    {b Visited tables.}  Deduplication is claim-once through one of four
-    representations ({!visited}):
+    {b Visited table.}  Deduplication is claim-once through one
+    {!Claim_table}: an open-addressed table of two-lane fingerprint words
+    (effective 124 bits; the birthday bound is [stats.collision_bound]),
+    every claim under one mutex, grown by rehashing into a doubled array.
+    {!visited} picks its backing:
 
-    - [Lockfree] ([Search.default]'s): one open-addressed claim table
-      of [Atomic] slot words storing both fingerprint lanes (effective
-      124 bits) — CAS claim, linear probing, segment-chained growth
-      with no rehash stall ({!Claim_table}).
-    - [Compressed]: the claim table in folded mode — a single mixed
-      62-bit word per state, about half the memory; the birthday
-      collision bound is surfaced in [stats.collision_bound].
-    - [Sharded]: the historical 128 mutex-sharded hashtables, kept as
-      the measured baseline and as the exact-key representation:
-      [~paranoid] runs always use it (full canonical keys, collisions
-      impossible).
-    - [Spill dir]: the out-of-core {!Spill_table} — the [Compressed]
-      62-bit words kept in mmap'd files under [dir] (created if absent;
-      the files are unlinked once mapped), so heap residency drops to
-      bookkeeping.  Claims serialize on the table's mutex.  The same
-      62-bit birthday bound is surfaced in [stats.collision_bound], and
-      the mapped bytes are added to the [parallel.spill_bytes] counter.
+    - [Heap] ([Search.default]'s): the words live in a heap bigarray.
+    - [Spill dir]: the words live in mmap'd files under [dir] (created if
+      absent; the files are unlinked once mapped), so heap residency
+      drops to bookkeeping.  The mapped bytes are added to the
+      [parallel.spill_bytes] counter.  [Unix.Unix_error] is raised if
+      [dir] cannot be created or a file cannot be mapped.
 
-    A search node is claimed exactly once whichever table is active, so
-    every node is expanded at most once and the explored graph is exactly
-    the sequential one.
+    [~paranoid] runs key on exact canonical forms instead, in one
+    mutex-guarded hashtable that only they allocate, whatever [visited]
+    says; their collision bound is [0].
 
-    {b Escalation.}  Under [Compressed], once the 62-bit birthday bound
-    over the global state count crosses [?escalate_threshold] (default
-    [1e-6]; [<= 0.] disables) the claim table escalates in place to
-    two-lane keys: a two-lane head segment is prepended, the folded tail
-    keeps serving probes, and [stats.collision_bound] switches to the
-    piecewise accounting (folded-era pairs at 2^-62, the rest at
-    2^-124).  A one-line note goes to stderr and the
-    [parallel.visited_escalated] metrics counter is bumped.
+    A search node is claimed exactly once, so every node is expanded at
+    most once and the explored graph is exactly the sequential one.
 
     {b Fault budgets.}  [?max_crashes] and [?max_recoveries] mirror the
     sequential explorer exactly — budget exactness holds at any [jobs]
@@ -64,10 +50,10 @@
     algorithm in this repository) the merged [states], [transitions],
     [terminals], [hung_terminals], [crashed_terminals],
     [recovered_terminals], [dedup_hits] and [source_skips] equal the
-    sequential explorer's — at any [jobs], under any of the four visited
-    modes: claim-once yields the same claimed-node set however the race
-    for claims resolves, and each claimed node contributes an expansion
-    that is a pure function of the node.  [max_depth] and the particular
+    sequential explorer's — at any [jobs], under either backing:
+    claim-once yields the same claimed-node set however the race for
+    claims resolves, and each claimed node contributes an expansion that
+    is a pure function of the node.  [max_depth] and the particular
     witness traces are racy; checkers built on this module return
     deterministic {e verdicts} with possibly different (equally valid)
     witnesses.  [cycles] is always [0] here: back-edges count as
@@ -86,8 +72,8 @@
     victim would have explored, and [source_skips] is deterministic.
     See DESIGN.md, "Source sets under work stealing". *)
 
-(** Which visited-table representation deduplicates states. *)
-type visited = Sharded | Lockfree | Compressed | Spill of string
+(** Where the visited table keeps its words. *)
+type visited = Heap | Spill of string
 
 val pp_visited : Format.formatter -> visited -> unit
 
@@ -110,7 +96,6 @@ val run :
   max_recoveries:int ->
   ?deadline:float ->
   ?expected_states:int ->
-  ?escalate_threshold:float ->
   reduction:Explore.reduction ->
   paranoid:bool ->
   fp:Explore.fp_mode ->

@@ -30,7 +30,7 @@ let default =
     paranoid = false;
     fp = Explore.Incremental;
     jobs = 1;
-    visited = Parallel.Lockfree;
+    visited = Parallel.Heap;
   }
 
 let with_max_states n o = { o with max_states = n }
@@ -60,9 +60,7 @@ let explore ~stop_on_cycle ~on_terminal ~on_visit label o config =
    parallel engine, so a spill search runs there even at [jobs = 1]. *)
 let run ~on_terminal ~on_visit label o config =
   let spill =
-    match o.visited with
-    | Parallel.Spill _ -> true
-    | Parallel.Sharded | Parallel.Lockfree | Parallel.Compressed -> false
+    match o.visited with Parallel.Spill _ -> true | Parallel.Heap -> false
   in
   if o.jobs > 1 || spill then
     Parallel.run ~visited:o.visited ~max_states:o.max_states

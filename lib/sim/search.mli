@@ -60,8 +60,8 @@ type options = {
   fp : Explore.fp_mode;  (** fingerprint mode (default [Incremental]) *)
   jobs : int;  (** worker domains; [<= 1] means sequential *)
   visited : Parallel.visited;
-      (** parallel visited-table representation (default [Lockfree]).
-          [Spill dir] keeps the visited set in mmap'd files under [dir]
+      (** where the parallel visited table keeps its words (default
+          [Heap]).  [Spill dir] keeps them in mmap'd files under [dir]
           and runs {!Parallel} even at [jobs <= 1]. *)
 }
 

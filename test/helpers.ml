@@ -4,28 +4,29 @@ module Verdict = Subc_check.Verdict
 
 let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
 
-(* CI runs the whole suite once per visited-table mode: SUBC_TEST_VISITED
-   names it (default [lockfree]), and every parallel search that does not
-   pin its own mode passes [test_visited] explicitly. *)
+(* CI runs the whole suite once per visited-table backing:
+   SUBC_TEST_VISITED names it (default [heap]; [spill] maps the tables
+   from the temporary directory, which TMPDIR chooses), and every
+   parallel search that does not pin its own backing passes
+   [test_visited] explicitly. *)
 let test_visited =
   match Sys.getenv_opt "SUBC_TEST_VISITED" with
-  | None | Some "lockfree" -> Parallel.Lockfree
-  | Some "sharded" -> Parallel.Sharded
-  | Some "compressed" -> Parallel.Compressed
+  | None | Some "heap" -> Parallel.Heap
+  | Some "spill" -> Parallel.Spill (Filename.get_temp_dir_name ())
   | Some other ->
-    invalid_arg (Printf.sprintf "SUBC_TEST_VISITED: unknown mode %S" other)
+    invalid_arg (Printf.sprintf "SUBC_TEST_VISITED: unknown backing %S" other)
 
 (* The parallel engine called directly, for the cells [Search] never
    routes there (the parallel engine at [jobs = 1]) and for its own test
    knobs: every search knob comes from [options], the engine knobs pass
    through. *)
-let parallel_run ?seed_target ?seq_threshold ?escalate_threshold
+let parallel_run ?seed_target ?seq_threshold
     ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ -> ())
     (o : Search.options) config =
   Parallel.run ~visited:o.visited ~max_states:o.max_states
     ~max_depth:o.max_depth ~max_crashes:o.max_crashes
     ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-    ?expected_states:o.expected_states ?escalate_threshold
+    ?expected_states:o.expected_states
     ~reduction:o.reduction ~paranoid:o.paranoid ~fp:o.fp ?seed_target
     ?seq_threshold ~jobs:o.jobs ~on_terminal ~on_visit "test" config
 

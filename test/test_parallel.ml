@@ -6,8 +6,8 @@
    sequential explorer on [states], [transitions], [terminals],
    [hung_terminals] and [crashed_terminals], and every Verdict-typed
    checker must return the same status at [--jobs 1] and [--jobs N].
-   Every visited-table representation, the out-of-core [Spill] table
-   included, must reproduce those counts.  Fingerprint regression: the
+   Both visited-table backings, the heap and the out-of-core [Spill]
+   files, must reproduce those counts.  Fingerprint regression: the
    allocation-lean 126-bit hash must be injective over every reachable
    set we explore, and a [~paranoid] (exact-key) search must produce
    identical statistics. *)
@@ -31,6 +31,16 @@ let jobs =
 (* Directory for the [Spill] visited mode's segment files; each file is
    unlinked as soon as it is mapped, so the directory stays empty. *)
 let spill_dir = "parallel-spill.tmp"
+
+(* The [parallel.spill_bytes] counter: what spill tables have mapped. *)
+let spilled () =
+  Option.value ~default:0.0 (Subc_obs.Metrics.find "parallel.spill_bytes")
+
+(* The bytes [f] maps for spill tables. *)
+let spilled_by f =
+  let before = spilled () in
+  let r = f () in
+  (r, spilled () -. before)
 
 (* ---------------------------------------------------------------- *)
 (* Harnesses (shared shapes with test_reduction).                    *)
@@ -180,9 +190,7 @@ let terminal_callback_count () =
   Alcotest.(check int) "terminals agree" seq.Explore.terminals
     par.Explore.terminals
 
-let all_visited =
-  [ Parallel.Sharded; Parallel.Lockfree; Parallel.Compressed;
-    Parallel.Spill spill_dir ]
+let all_visited = [ Parallel.Heap; Parallel.Spill spill_dir ]
 
 (* The max-states budget truncates identically (exactly [max_states]
    states counted, Max_states reported) under every visited table. *)
@@ -354,11 +362,70 @@ let stop_from_callback () =
       | exception e ->
         Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e))
     [
-      (Parallel.Lockfree, 1);
-      (Parallel.Lockfree, jobs);
+      (Parallel.Heap, 1);
+      (Parallel.Heap, jobs);
       (Parallel.Spill spill_dir, 1);
       (Parallel.Spill spill_dir, jobs);
     ]
+
+exception Boom
+
+(* A non-[Stop] exception from [on_visit] on a worker domain ends a
+   jobs=2 search and reaches the caller exactly once, under either
+   backing; a second parallel search in the same process then completes
+   with the sequential counts, so no lock was left held and no domain
+   left running. *)
+let callback_exception_then_next_search () =
+  let store, programs, _ = alg5_harness 4 in
+  let big = Config.make store programs in
+  let store, programs, _ = alg5_harness 3 in
+  let small = Config.make store programs in
+  let seq =
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 1)
+      small ~f:(fun _ _ -> ())
+  in
+  List.iter
+    (fun visited ->
+      let label = Format.asprintf "%a" Parallel.pp_visited visited in
+      let options = Search.(default |> with_visited visited |> with_jobs 2) in
+      let caught = ref 0 in
+      (match
+         Search.iter_reachable ~options big ~f:(fun _ _ ->
+             if not (Domain.is_main_domain ()) then raise Boom)
+       with
+      | _ -> ()
+      | exception Boom -> incr caught);
+      Alcotest.(check int) (label ^ " raised once on the caller") 1 !caught;
+      same_counts (label ^ " next search") seq
+        (parallel_run ~seq_threshold:0
+           (Search.with_max_crashes 1 options)
+           small))
+    all_visited
+
+(* A spill directory that cannot be created (its parent is a regular
+   file) fails the search with a clean [Unix.Unix_error] before any
+   state is explored, at one job and at two. *)
+let spill_dir_uncreatable () =
+  let store, programs, _ = alg2_harness 3 in
+  let config = Config.make store programs in
+  let file = "spill-notdir.tmp" in
+  Out_channel.with_open_bin file ignore;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun j ->
+          let options =
+            Search.(
+              default
+              |> with_visited (Parallel.Spill (Filename.concat file "spill"))
+              |> with_jobs j)
+          in
+          match Search.iter_terminals ~options config ~f:(fun _ _ -> ()) with
+          | _ -> Alcotest.failf "jobs=%d: the search ran without its table" j
+          | exception Unix.Unix_error (Unix.ENOTDIR, _, _) -> ())
+        [ 1; 2 ])
 
 (* The per-domain counters merge field by field: every count summed,
    [max_depth] the maximum — the rule the jobs-independent stats rest on. *)
@@ -452,9 +519,9 @@ let spill_deadline_limits () =
     "deadline reason" "deadline"
     (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason)
 
-(* Every visited-table representation reproduces the sequential counts
-   on every registry family, and the compressed (62-bit folded) mode
-   agrees state-for-state with the exact-key paranoid search — a folded
+(* Both visited-table backings reproduce the sequential counts on every
+   registry family, and the 124-bit fingerprint keys agree
+   state-for-state with the exact-key paranoid search — a fingerprint
    collision would show up as a missing state here. *)
 let visited_modes_matrix () =
   let harnesses =
@@ -499,14 +566,13 @@ let visited_modes_matrix () =
                 (par.Explore.collision_bound > 0.0
                 && par.Explore.collision_bound < 1e-6))
             all_visited;
-          (* Compressed vs exact keys: paranoid forces the sharded table
-             with full canonical keys — collisions impossible. *)
-          let compressed =
+          (* Fingerprint vs exact keys: paranoid keys on full canonical
+             forms — collisions impossible. *)
+          let fingerprinted =
             Search.iter_terminals
               ~options:
                 Search.(
-                  default |> with_visited Parallel.Compressed
-                  |> with_max_crashes f |> with_reduction reduction
+                  default |> with_max_crashes f |> with_reduction reduction
                   |> with_jobs jobs)
               config ~f:(fun _ _ -> ())
           in
@@ -519,8 +585,8 @@ let visited_modes_matrix () =
               config ~f:(fun _ _ -> ())
           in
           same_counts
-            (Printf.sprintf "%s f=%d %s compressed-vs-exact" name f rlabel)
-            exact compressed;
+            (Printf.sprintf "%s f=%d %s fingerprint-vs-exact" name f rlabel)
+            exact fingerprinted;
           Alcotest.(check (float 0.0))
             (name ^ " paranoid collision bound") 0.0
             exact.Explore.collision_bound)
@@ -889,11 +955,11 @@ let parallel_paranoid_catches_mutation () =
           with
           | _ -> Alcotest.fail (label ^ ": corrupted patches went unnoticed")
           | exception Invalid_argument _ -> ()))
-    [ Parallel.Lockfree; Parallel.Spill spill_dir ]
+    all_visited
 
-(* Spill and Compressed key on the same 62-bit folded word, so an
-   exhaustive run reports the same birthday bound from either. *)
-let spill_matches_compressed_bound () =
+(* Spill and heap tables hold the same two-lane words, so an exhaustive
+   run reports the same 124-bit birthday bound from either. *)
+let spill_matches_heap_bound () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let run visited =
@@ -902,15 +968,15 @@ let spill_matches_compressed_bound () =
         default |> with_visited visited |> with_max_crashes 1 |> with_jobs jobs)
       config
   in
-  let compressed = run Parallel.Compressed in
+  let heap = run Parallel.Heap in
   let spill = run (Parallel.Spill spill_dir) in
-  same_counts "spill vs compressed" compressed spill;
+  same_counts "spill vs heap" heap spill;
   Alcotest.(check (float 0.0))
-    "same collision bound" compressed.Explore.collision_bound
+    "same collision bound" heap.Explore.collision_bound
     spill.Explore.collision_bound;
   Alcotest.(check (float 0.0))
-    "62-bit birthday bound"
-    (Explore.collision_bound ~bits:62 ~states:spill.Explore.states)
+    "124-bit birthday bound"
+    (Explore.collision_bound ~bits:124 ~states:spill.Explore.states)
     spill.Explore.collision_bound
 
 (* Injectivity of the 126-bit fingerprint over an actual reachable set:
@@ -1032,18 +1098,21 @@ let deque_stress () =
 (* ---------------------------------------------------------------- *)
 (* Claim table: claim-once under forced probe collisions.            *)
 
+(* Both backings of the claim table, labelled. *)
+let backings = [ ("heap", None); ("spill", Some spill_dir) ]
+
 (* [jobs] domains race to claim an overlapping key set whose hashes all
    start probing at the same slot of a deliberately tiny table (so the
-   linear probe chains are long and growth happens many times mid-race).
-   Exactly one domain must win [`Fresh] for each key. *)
+   linear probe chains are long and the table doubles many times
+   mid-race).  Exactly one domain must win [`Fresh] for each key. *)
 let claim_table_claim_once () =
   List.iter
-    (fun (mode_label, mode) ->
-      let t = Claim_table.create ~initial_capacity:64 mode in
+    (fun (label, spill) ->
+      let t = Claim_table.create ~initial_capacity:64 ?spill `Two_lane in
       let n_keys = 4096 in
       (* Low bits constant: every key's probe sequence begins at the same
-         slot in the initial segment.  High bits keep the keys distinct
-         in both lanes. *)
+         slot of the 64-slot table.  High bits keep the keys distinct in
+         both lanes. *)
       let h1_of i = (i + 1) lsl 12 in
       let h2_of i = ((i + 1) * 0x9E3779B9) lxor 0x55 in
       let wins = Array.init n_keys (fun _ -> Atomic.make 0) in
@@ -1066,68 +1135,79 @@ let claim_table_claim_once () =
       Array.iteri
         (fun i w ->
           if Atomic.get w <> 1 then
-            Alcotest.failf "%s: key %d claimed fresh %d times" mode_label i
+            Alcotest.failf "%s: key %d claimed fresh %d times" label i
               (Atomic.get w))
         wins;
-      (* Occupancy counts consumed slots, which includes claims aborted
-         by the growth-validation race and tombstoned — so it can exceed
-         the distinct-key count by the (rare, scheduling-dependent)
-         number of retried claims, never fall below it. *)
+      Alcotest.(check int)
+        (label ^ " occupancy") n_keys (Claim_table.occupancy t);
       Alcotest.(check bool)
-        (mode_label ^ " occupancy >= distinct keys")
-        true
-        (Claim_table.occupancy t >= n_keys);
+        (label ^ " several doublings") true
+        (Claim_table.slots t >= 64 lsl 6);
       (* The clustered hashes force long probe chains: the probe counter
          must reflect that (strictly more probes than claims). *)
       let probes =
         List.fold_left (fun acc st -> acc + st.Claim_table.probes) 0 stats
       in
-      Alcotest.(check bool) (mode_label ^ " probes counted") true
-        (probes > n_keys))
-    [ ("two-lane", `Two_lane); ("folded", `Folded) ]
+      Alcotest.(check bool) (label ^ " probes counted") true (probes > n_keys))
+    backings
 
-(* Claim-once semantics of the spill table itself, including forced
-   62-bit collisions (two distinct logical keys on one folded word) and
-   segment-chained growth past the initial capacity. *)
-let spill_claim_once () =
-  let t = Spill_table.create ~initial_capacity:64 ~dir:spill_dir () in
-  let ops = Claim_table.fresh_opstats () in
-  for i = 1 to 200 do
-    let h1 = (i * 0x9E37) lxor 0x55 and h2 = i * 7919 in
-    Alcotest.(check bool)
-      (Printf.sprintf "key %d fresh" i)
-      true
-      (Spill_table.claim t ops ~h1 ~h2 = `Fresh);
-    Alcotest.(check bool)
-      (Printf.sprintf "key %d dup" i)
-      true
-      (Spill_table.claim t ops ~h1 ~h2 = `Dup)
-  done;
-  Alcotest.(check int) "occupancy" 200 (Spill_table.occupancy t);
-  Alcotest.(check bool)
-    "grew past the initial segment" true
-    (Spill_table.segments t > 1);
-  (* Forced collision: a second logical key landing on the same folded
-     word must lose the claim — the documented ~2^-62 per-pair risk. *)
-  let w = Claim_table.encode (Claim_table.fold_key 123456789 987654321) in
-  Alcotest.(check bool)
-    "collided word fresh once" true
-    (Spill_table.claim_word t ops w = `Fresh);
-  Alcotest.(check bool)
-    "collided word dup after" true
-    (Spill_table.claim_word t ops w = `Dup);
-  Alcotest.(check bool) "probes counted" true (ops.Claim_table.probes > 0);
-  (* The mapped bytes dominate; the heap keeps only bookkeeping. *)
-  Alcotest.(check bool)
-    "spill bytes mapped" true
-    (Spill_table.spill_bytes t > 0);
-  Alcotest.(check bool)
-    "heap footprint is bookkeeping only" true
-    (Spill_table.memory_bytes t < Spill_table.spill_bytes t)
+(* Claim-once on one domain, through growth past the initial capacity,
+   including a forced collision: two keys that differ only in bit 62 of
+   each lane, which the stored words drop, are one key to the table —
+   the documented ~2^-124 per-pair risk. *)
+let claim_table_forced_collision () =
+  List.iter
+    (fun (label, spill) ->
+      let t = Claim_table.create ~initial_capacity:64 ?spill `Two_lane in
+      let ops = Claim_table.fresh_opstats () in
+      for i = 1 to 200 do
+        let h1 = (i * 0x9E37) lxor 0x55 and h2 = i * 7919 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s key %d fresh" label i)
+          true
+          (Claim_table.claim t ops ~h1 ~h2 = `Fresh);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s key %d dup" label i)
+          true
+          (Claim_table.claim t ops ~h1 ~h2 = `Dup)
+      done;
+      Alcotest.(check int) (label ^ " occupancy") 200 (Claim_table.occupancy t);
+      Alcotest.(check bool)
+        (label ^ " grew past the initial capacity") true
+        (Claim_table.slots t > 64);
+      let h1 = 123456789 and h2 = 987654321 in
+      Alcotest.(check bool)
+        (label ^ " collided key fresh once") true
+        (Claim_table.claim t ops ~h1 ~h2 = `Fresh);
+      Alcotest.(check bool)
+        (label ^ " collided key dup after") true
+        (Claim_table.claim t ops ~h1:(h1 lxor min_int) ~h2:(h2 lxor min_int)
+        = `Dup);
+      Alcotest.(check bool)
+        (label ^ " lane 2 still tells keys apart") true
+        (Claim_table.claim t ops ~h1 ~h2:(h2 + 1) = `Fresh);
+      Alcotest.(check bool)
+        (label ^ " probes counted") true (ops.Claim_table.probes > 0);
+      (* The spill table maps 16 B per slot and keeps only bookkeeping on
+         the heap; the heap table is the other way round. *)
+      let slot_bytes = 16 * Claim_table.slots t in
+      match spill with
+      | Some _ ->
+        Alcotest.(check int)
+          "spill bytes mapped" slot_bytes
+          (Claim_table.spill_bytes t);
+        Alcotest.(check bool)
+          "heap footprint is bookkeeping only" true
+          (Claim_table.memory_bytes t < Claim_table.spill_bytes t)
+      | None ->
+        Alcotest.(check int) "nothing mapped" 0 (Claim_table.spill_bytes t);
+        Alcotest.(check int)
+          "heap words" slot_bytes (Claim_table.memory_bytes t))
+    backings
 
-(* Segment files are created exclusively: a file already in the spill
-   directory — here one with a plausible segment name — is neither
-   truncated nor unlinked, however many segments the table maps. *)
+(* Spill files are created exclusively: a file already in the spill
+   directory — here one with a plausible name — is neither truncated nor
+   unlinked, however many times the table grows. *)
 let spill_keeps_existing_files () =
   let dir = "spill-existing.tmp" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -1135,12 +1215,12 @@ let spill_keeps_existing_files () =
   let contents = "bytes that must survive\n" in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc contents);
-  let t = Spill_table.create ~initial_capacity:64 ~dir () in
+  let t = Claim_table.create ~initial_capacity:64 ~spill:dir `Two_lane in
   let ops = Claim_table.fresh_opstats () in
   for i = 1 to 200 do
-    ignore (Spill_table.claim t ops ~h1:i ~h2:(i * 7919))
+    ignore (Claim_table.claim t ops ~h1:i ~h2:(i * 7919))
   done;
-  Alcotest.(check bool) "grew" true (Spill_table.segments t > 1);
+  Alcotest.(check bool) "grew" true (Claim_table.slots t > 64);
   Alcotest.(check bool) "file still exists" true (Sys.file_exists path);
   Alcotest.(check string)
     "file unchanged" contents
@@ -1150,41 +1230,43 @@ let spill_keeps_existing_files () =
 (* Two tables over one directory never share storage: each claims every
    key afresh, and each counts only its own claims. *)
 let spill_tables_stay_separate () =
-  let a = Spill_table.create ~initial_capacity:64 ~dir:spill_dir () in
-  let b = Spill_table.create ~initial_capacity:64 ~dir:spill_dir () in
+  let create () =
+    Claim_table.create ~initial_capacity:64 ~spill:spill_dir `Two_lane
+  in
+  let a = create () and b = create () in
   let ops = Claim_table.fresh_opstats () in
   for i = 1 to 100 do
     let h1 = i * 0x9E37 and h2 = i * 7919 in
     Alcotest.(check bool)
       (Printf.sprintf "key %d fresh in a" i)
       true
-      (Spill_table.claim a ops ~h1 ~h2 = `Fresh);
+      (Claim_table.claim a ops ~h1 ~h2 = `Fresh);
     Alcotest.(check bool)
       (Printf.sprintf "key %d fresh in b" i)
       true
-      (Spill_table.claim b ops ~h1 ~h2 = `Fresh)
+      (Claim_table.claim b ops ~h1 ~h2 = `Fresh)
   done;
-  ignore (Spill_table.claim a ops ~h1:(-1) ~h2:(-1));
-  Alcotest.(check int) "a occupancy" 101 (Spill_table.occupancy a);
-  Alcotest.(check int) "b occupancy" 100 (Spill_table.occupancy b)
+  ignore (Claim_table.claim a ops ~h1:(-1) ~h2:(-1));
+  Alcotest.(check int) "a occupancy" 101 (Claim_table.occupancy a);
+  Alcotest.(check int) "b occupancy" 100 (Claim_table.occupancy b)
 
 (* [create] makes a missing spill directory, accepts an existing one,
-   and leaves no file behind: segments are unlinked once mapped. *)
+   and leaves no file behind: files are unlinked once mapped. *)
 let spill_dir_created_and_clean () =
   let dir = "spill-fresh.tmp" in
   if Sys.file_exists dir then begin
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
     Sys.rmdir dir
   end;
-  let t = Spill_table.create ~initial_capacity:64 ~dir () in
+  let t = Claim_table.create ~initial_capacity:64 ~spill:dir `Two_lane in
   Alcotest.(check bool) "directory created" true (Sys.is_directory dir);
   let ops = Claim_table.fresh_opstats () in
   for i = 1 to 200 do
-    ignore (Spill_table.claim t ops ~h1:i ~h2:(i * 31))
+    ignore (Claim_table.claim t ops ~h1:i ~h2:(i * 31))
   done;
-  Alcotest.(check bool) "grew" true (Spill_table.segments t > 1);
-  let t' = Spill_table.create ~dir () in
-  Alcotest.(check int) "second table starts empty" 0 (Spill_table.occupancy t');
+  Alcotest.(check bool) "grew" true (Claim_table.slots t > 64);
+  let t' = Claim_table.create ~spill:dir `Two_lane in
+  Alcotest.(check int) "second table starts empty" 0 (Claim_table.occupancy t');
   Alcotest.(check (array string)) "directory left empty" [||] (Sys.readdir dir);
   Sys.rmdir dir
 
@@ -1211,10 +1293,10 @@ let concurrent_spill_searches () =
   same_counts "this run" seq here;
   same_counts "concurrent run" seq (Domain.join other)
 
-(* [~paranoid] keys on exact canonical forms, which only the sharded
-   table can hold, so it overrides a requested [Spill] table: counts
-   match the sequential explorer, the collision bound is zero and no
-   segment is mapped (a plain spill run, the control, maps some). *)
+(* [~paranoid] keys on exact canonical forms, which only its own
+   hashtable can hold, so it overrides a requested [Spill] table: counts
+   match the sequential explorer, the collision bound is zero and no file
+   is mapped (a plain spill run, the control, maps some). *)
 let spill_paranoid_exact () =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
@@ -1222,9 +1304,6 @@ let spill_paranoid_exact () =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
       config ~f:(fun _ _ -> ())
-  in
-  let spilled () =
-    Option.value ~default:0.0 (Subc_obs.Metrics.find "parallel.spill_bytes")
   in
   let run ~paranoid =
     parallel_run ~seq_threshold:0
@@ -1241,7 +1320,7 @@ let spill_paranoid_exact () =
     "exact keys, no collision bound" 0.0 exact.Explore.collision_bound;
   Alcotest.(check (float 0.0)) "nothing spilled" before (spilled ());
   same_counts "spill" seq (run ~paranoid:false);
-  Alcotest.(check bool) "plain spill maps segments" true (spilled () > before)
+  Alcotest.(check bool) "plain spill maps its table" true (spilled () > before)
 
 (* ---------------------------------------------------------------- *)
 (* Parallel.map.                                                     *)
@@ -1264,7 +1343,7 @@ let map_propagates_exceptions () =
 
 let bound (s : Explore.stats) = s.Explore.collision_bound
 
-(* Options that never name a visited table get the lock-free one, and
+(* Options that never name a visited table get the heap one, and
    options that never name a fingerprint mode get the incremental patch
    path: constants, not a settable default. *)
 let omitted_modes_are_constants () =
@@ -1273,19 +1352,17 @@ let omitted_modes_are_constants () =
   let run ?visited () =
     let o = Search.(default |> with_max_crashes 1 |> with_jobs jobs) in
     let o = Option.fold ~none:o ~some:(fun v -> Search.with_visited v o) visited in
-    Search.iter_terminals ~options:o config ~f:(fun _ _ -> ())
+    spilled_by (fun () ->
+        Search.iter_terminals ~options:o config ~f:(fun _ _ -> ()))
   in
-  let omitted = run () and lockfree = run ~visited:Parallel.Lockfree () in
-  same_counts "omitted vs lockfree" lockfree omitted;
-  Alcotest.(check (float 0.0))
-    "lockfree bound" (bound lockfree) (bound omitted);
-  List.iter
-    (fun v ->
-      Alcotest.(check bool)
-        (Format.asprintf "%a bound differs" Parallel.pp_visited v)
-        true
-        (bound (run ~visited:v ()) <> bound omitted))
-    [ Parallel.Sharded; Parallel.Compressed ];
+  let omitted, omitted_spilled = run () in
+  let heap, _ = run ~visited:Parallel.Heap () in
+  same_counts "omitted vs heap" heap omitted;
+  Alcotest.(check (float 0.0)) "heap bound" (bound heap) (bound omitted);
+  Alcotest.(check (float 0.0)) "omitted maps nothing" 0.0 omitted_spilled;
+  let spill, spill_spilled = run ~visited:(Parallel.Spill spill_dir) () in
+  same_counts "omitted vs spill" spill omitted;
+  Alcotest.(check bool) "spill maps its table" true (spill_spilled > 0.0);
   let patches_so_far () =
     Option.value (Subc_obs.Metrics.find "fp.patches") ~default:0.
   in
@@ -1304,7 +1381,7 @@ let omitted_modes_are_constants () =
     (patches ~fp:Explore.Full ())
 
 (* [Search] leaves the sequential engine only for [jobs > 1] or a spill
-   table: an in-memory visited mode alone changes nothing at one job. *)
+   table: naming the heap table alone changes nothing at one job. *)
 let visited_alone_stays_sequential () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
@@ -1315,25 +1392,23 @@ let visited_alone_stays_sequential () =
       ~f:(fun _ _ -> ())
   in
   let seq = run Fun.id in
-  let compressed = run (Search.with_visited Parallel.Compressed) in
-  same_counts "compressed at one job" seq compressed;
-  Alcotest.(check (float 0.0))
-    "sequential bound" (bound seq) (bound compressed);
-  let spill = run (Search.with_visited (Parallel.Spill spill_dir)) in
-  let par =
-    Search.iter_terminals
-      ~options:
-        Search.(
-          default |> with_visited Parallel.Compressed |> with_max_crashes 1
-          |> with_jobs jobs)
-      config ~f:(fun _ _ -> ())
+  let heap = run (Search.with_visited Parallel.Heap) in
+  same_counts "heap at one job" seq heap;
+  Alcotest.(check (float 0.0)) "sequential bound" (bound seq) (bound heap);
+  let spill, mapped =
+    spilled_by (fun () -> run (Search.with_visited (Parallel.Spill spill_dir)))
   in
   same_counts "spill at one job" seq spill;
-  Alcotest.(check (float 0.0)) "spill runs the parallel engine" (bound par)
+  Alcotest.(check bool) "spill runs the parallel engine" true (mapped > 0.0);
+  Alcotest.(check (float 0.0))
+    "parallel bound"
+    (Explore.collision_bound ~bits:Claim_table.bits
+       ~states:spill.Explore.states)
     (bound spill)
 
 (* Two searches running at once on separate domains each keep the
-   visited mode their own options name. *)
+   visited table their own options name: together they map exactly what
+   the spill search maps alone. *)
 let concurrent_searches_keep_their_modes () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
@@ -1345,15 +1420,18 @@ let concurrent_searches_keep_their_modes () =
       config
       ~f:(fun _ _ -> ())
   in
-  let modes = [ Parallel.Compressed; Parallel.Sharded ] in
-  let alone = List.map run modes in
-  let together = Parallel.map ~jobs:2 run modes in
+  let modes = [ Parallel.Heap; Parallel.Spill spill_dir ] in
+  let alone, alone_mapped = spilled_by (fun () -> List.map run modes) in
+  let together, together_mapped =
+    spilled_by (fun () -> Parallel.map ~jobs:2 run modes)
+  in
   List.iter2
     (fun (v, a) t ->
       let label = Format.asprintf "%a" Parallel.pp_visited v in
       same_counts label a t;
       Alcotest.(check (float 0.0)) (label ^ " bound") (bound a) (bound t))
-    (List.combine modes alone) together
+    (List.combine modes alone) together;
+  Alcotest.(check (float 0.0)) "mapped bytes" alone_mapped together_mapped
 
 let suite =
   [
@@ -1376,6 +1454,10 @@ let suite =
         test "recovery budgets agree under every visited table"
           recovery_budgets_all_visited;
         test "Stop from a callback is graceful" stop_from_callback;
+        test "a callback exception surfaces once; the next search runs"
+          callback_exception_then_next_search;
+        test "an uncreatable spill directory raises Unix_error"
+          spill_dir_uncreatable;
         test "merged counters: summed, max_depth the maximum" counters_merge;
         test "spill agrees under source sets" spill_under_source_sets;
         test "deadline limits a spill search" spill_deadline_limits;
@@ -1385,7 +1467,8 @@ let suite =
         test_slow "deque conserves work under steal/pop races" deque_stress;
         test_slow "claim table claims each key exactly once"
           claim_table_claim_once;
-        test "spill table claims once (forced collisions)" spill_claim_once;
+        test "claim table claims once (forced collisions)"
+          claim_table_forced_collision;
         test "spill table leaves existing files alone"
           spill_keeps_existing_files;
         test "paranoid overrides the spill table" spill_paranoid_exact;
@@ -1416,8 +1499,7 @@ let suite =
         test "structural encoding is prefix-free" fingerprint_prefix_free;
         test "parallel paranoid catches corrupted patches"
           parallel_paranoid_catches_mutation;
-        test "spill reports the compressed collision bound"
-          spill_matches_compressed_bound;
+        test "spill reports the heap collision bound" spill_matches_heap_bound;
       ] );
     ( "parallel.map",
       [

@@ -3,8 +3,8 @@
    power once a recovery is allowed, CAS and consensus objects keep it),
    the deterministic and randomized recovery adversaries with trace
    replay, jobs=1 vs jobs=N agreement of the recovery-aware explorations,
-   and the budget plumbing (deadline truncation, expected-states hint,
-   compressed-table escalation) on recovery state spaces. *)
+   and the budget plumbing (deadline truncation, expected-states hint)
+   on recovery state spaces. *)
 open Subc_sim
 open Helpers
 module Register = Subc_objects.Register
@@ -321,32 +321,6 @@ let deadline_truncates () =
   Alcotest.(check bool) "parallel: reason = deadline" true
     (par.Explore.limit_reason = Explore.Deadline)
 
-(* Forcing an absurdly small collision-bound threshold makes the
-   compressed claim table escalate to the two-lane (lockfree) keys
-   mid-run; counts must still match the sequential explorer and the
-   escalation must be surfaced in the metrics registry. *)
-let escalation_preserves_counts () =
-  let config, _ = recovery_config R.Test_and_set ~n:3 ~r:1 in
-  let seq =
-    Search.iter_terminals
-      ~options:Search.(default |> with_max_crashes 2 |> with_max_recoveries 1)
-      config
-      ~f:(fun _ _ -> ())
-  in
-  let counter = "parallel.visited_escalated" in
-  let before = Option.value ~default:0.0 (Subc_obs.Metrics.find counter) in
-  let par =
-    parallel_run ~escalate_threshold:1e-300
-      Search.(
-        default
-        |> with_visited Parallel.Compressed
-        |> with_max_crashes 2 |> with_max_recoveries 1 |> with_jobs jobs)
-      config
-  in
-  same_counts "escalated counts" seq par;
-  let after = Option.value ~default:0.0 (Subc_obs.Metrics.find counter) in
-  Alcotest.(check bool) "escalation counter bumped" true (after > before)
-
 (* ---------------------------------------------------------------- *)
 (* The recovery store transition is delta-encoded: slots whose
    projection is a fixed point — physically or structurally — keep
@@ -415,8 +389,6 @@ let suite =
         test "expected-states hint leaves counts unchanged"
           expected_states_hint;
         test "expired deadline truncates to Limited" deadline_truncates;
-        test_slow "compressed-table escalation preserves counts"
-          escalation_preserves_counts;
       ] );
     ( "recovery.store",
       [
