@@ -1260,12 +1260,12 @@ let e19 () =
     (rows @ [ ratio_row ])
 
 (* E21: incremental fingerprinting + delta-encoded frontier on alg2,
-   alg5 and the 1sWRN harness at k=3; each cell explores under both
-   fingerprint modes and both engines.  The claim is exactness: identical states,
-   transitions and terminals between [--fp incremental] and [--fp full]
-   per family x reduction x jobs, with the incremental lanes doing O(1)
-   patches (fp.patches ~ transitions, fp.refolds ~ 1 per search) and a
-   frontier-proportional memory gauge. *)
+   alg5 and the 1sWRN harness at k=3; each cell explores fingerprinted
+   and paranoid (exact keys, the reference) on both engines.  The claim
+   is exactness: identical states, transitions and terminals between
+   the two per family x reduction x jobs, with the unreduced lanes doing
+   O(1) patches (fp.patches ~ transitions, fp.refolds ~ 1 per search)
+   and a frontier-proportional memory gauge. *)
 let e21 () =
   let alg2_harness () =
     let store, t = Alg2.alloc Store.empty ~k:3 ~one_shot:true in
@@ -1292,7 +1292,7 @@ let e21 () =
     match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
   in
   let counter_names = [ "fp.patches"; "fp.refolds" ] in
-  let run harness reduction fp jobs =
+  let run harness reduction ~paranoid jobs =
     let store, programs, sym = harness () in
     let reduction =
       match reduction with
@@ -1302,7 +1302,7 @@ let e21 () =
     let options =
       Search.(
         default |> with_max_crashes 1 |> with_reduction reduction
-        |> with_fp fp |> with_jobs jobs)
+        |> with_paranoid paranoid |> with_jobs jobs)
     in
     let before = List.map metric counter_names in
     let t0 = Unix.gettimeofday () in
@@ -1330,17 +1330,17 @@ let e21 () =
             List.map
               (fun jobs ->
                 let inc_stats, inc_secs, inc_deltas =
-                  run harness reduction Explore.Incremental jobs
+                  run harness reduction ~paranoid:false jobs
                 in
-                let full_stats, full_secs, _ =
-                  run harness reduction Explore.Full jobs
+                let exact_stats, exact_secs, _ =
+                  run harness reduction ~paranoid:true jobs
                 in
                 let patches = List.nth inc_deltas 0
                 and refolds = List.nth inc_deltas 1 in
                 let inc_rate =
                   float_of_int inc_stats.Explore.states /. max 1e-9 inc_secs
-                and full_rate =
-                  float_of_int full_stats.Explore.states /. max 1e-9 full_secs
+                and exact_rate =
+                  float_of_int exact_stats.Explore.states /. max 1e-9 exact_secs
                 in
                 List.iter
                   (fun (k, v) ->
@@ -1354,10 +1354,10 @@ let e21 () =
                     ( "frontier_bytes",
                       float_of_int inc_stats.Explore.frontier_bytes );
                     ("inc_states_per_sec", inc_rate);
-                    ("full_states_per_sec", full_rate);
+                    ("paranoid_states_per_sec", exact_rate);
                   ];
                 let ok =
-                  counts inc_stats = counts full_stats
+                  counts inc_stats = counts exact_stats
                   && inc_stats.Explore.frontier_bytes > 0
                   &&
                   (* On the unreduced lanes the carried hash is live:
@@ -1378,7 +1378,7 @@ let e21 () =
                   Printf.sprintf "%.0f" refolds;
                   string_of_int inc_stats.Explore.frontier_bytes;
                   Printf.sprintf "%.0fk/s" (inc_rate /. 1e3);
-                  Printf.sprintf "%.0fk/s" (full_rate /. 1e3);
+                  Printf.sprintf "%.0fk/s" (exact_rate /. 1e3);
                   check
                     (Printf.sprintf "E21 %s %s jobs=%d" family rname jobs)
                     ok;
@@ -1394,11 +1394,12 @@ let e21 () =
   table
     ~title:
       "E21. Incremental fingerprints + delta frontiers: f=1 — identical \
-       spaces under --fp incremental and --fp full at jobs 1 and 4; O(1) \
-       patches replace per-state re-folds; frontier-proportional memory"
+       spaces fingerprinted and under paranoid exact keys at jobs 1 and \
+       4; O(1) patches replace per-state re-folds; frontier-proportional \
+       memory"
     ~header:
       [ "family"; "reduction"; "jobs"; "states"; "transitions"; "patches";
-        "refolds"; "frontier B"; "inc speed"; "full speed"; "verdict" ]
+        "refolds"; "frontier B"; "inc speed"; "paranoid speed"; "verdict" ]
     rows
 
 (* ------------------------------------------------------------ scaling *)

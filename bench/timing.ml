@@ -277,7 +277,7 @@ let parallel_f1 ?seq_threshold ~visited ~jobs label config =
   let o = Search.default in
   Parallel.run ~visited ~max_states:o.max_states ~max_depth:o.max_depth
     ~max_crashes:1 ~max_recoveries:o.max_recoveries ~reduction:o.reduction
-    ~paranoid:o.paranoid ~fp:o.fp ?seq_threshold ~jobs
+    ~paranoid:o.paranoid ?seq_threshold ~jobs
     ~on_terminal:(fun _ _ -> ())
     ~on_visit:(fun _ _ -> ())
     label config
@@ -523,14 +523,10 @@ let perf_reduction ~jobs_list () =
   k3 @ rows ~prefix:"e19.reduction.k4" 4 (List.map (cell 4 1) (reductions 4))
 
 (* E21 artifact rows: incremental fingerprinting + delta frontiers on
-   the end-to-end explore path — per family x reduction x fp mode x
-   domain count.  Counts must be identical between [--fp incremental]
-   and [--fp full] everywhere (the homomorphic hash and the fold are
-   both injective w.h.p., and a run keys consistently by one of them);
-   states/sec, fp.patches / fp.refolds deltas and the frontier_bytes
-   gauge are the measurement.  On the unreduced lanes the patch path
-   must pay >= 3x fewer re-folds per state (fp.refolds stays at the
-   roots while every visited state costs one patch). *)
+   the end-to-end explore path — per family x reduction x domain count.
+   States/sec, fp.patches / fp.refolds deltas and the frontier_bytes
+   gauge are the measurement; [bench e21] checks the counts against the
+   paranoid exact-key run. *)
 let perf_e21 ~jobs_list () =
   let families =
     [
@@ -556,70 +552,41 @@ let perf_e21 ~jobs_list () =
       let config, sym = make () in
       List.concat_map
         (fun (rname, reduction) ->
-          List.concat_map
+          List.map
             (fun jobs ->
-              let run fp =
-                let t0 = Unix.gettimeofday () in
-                let (stats : Explore.stats), deltas =
-                  counter_delta [ "fp.patches"; "fp.refolds" ] (fun () ->
-                      Search.iter_terminals
-                        ~options:
-                          Search.(
-                            default |> with_max_crashes 1
-                            |> with_reduction reduction |> with_fp fp
-                            |> with_jobs jobs)
-                        config
-                        ~f:(fun _ _ -> ()))
-                in
-                (stats, Unix.gettimeofday () -. t0, deltas)
+              let t0 = Unix.gettimeofday () in
+              let (stats : Explore.stats), deltas =
+                counter_delta [ "fp.patches"; "fp.refolds" ] (fun () ->
+                    Search.iter_terminals
+                      ~options:
+                        Search.(
+                          default |> with_max_crashes 1
+                          |> with_reduction reduction |> with_jobs jobs)
+                      config
+                      ~f:(fun _ _ -> ()))
               in
-              let inc, inc_secs, inc_deltas = run Explore.Incremental in
-              let full, full_secs, _ = run Explore.Full in
-              if
-                inc.Explore.states <> full.Explore.states
-                || inc.Explore.transitions <> full.Explore.transitions
-                || inc.Explore.terminals <> full.Explore.terminals
-              then
-                Format.printf
-                  "!! e21 %s/%s jobs=%d MODE DISAGREEMENT: inc %d/%d/%d vs \
-                   full %d/%d/%d@."
-                  fam rname jobs inc.Explore.states inc.Explore.transitions
-                  inc.Explore.terminals full.Explore.states
-                  full.Explore.transitions full.Explore.terminals;
+              let secs = Unix.gettimeofday () -. t0 in
+              let rate = float_of_int stats.Explore.states /. secs in
               Format.printf
-                "e21: %s %s jobs=%d: %d states; inc %.0f st/s (patches \
-                 %.0f, refolds %.0f, frontier %dB), full %.0f st/s \
-                 (%.2fx)@."
-                fam rname jobs inc.Explore.states
-                (float_of_int inc.Explore.states /. inc_secs)
-                (List.nth inc_deltas 0) (List.nth inc_deltas 1)
-                inc.Explore.frontier_bytes
-                (float_of_int full.Explore.states /. full_secs)
-                (full_secs /. inc_secs);
-              List.map2
-                (fun fp (stats, secs, deltas) ->
-                  {
-                    name =
-                      Printf.sprintf "e21.%s.%s.%s.jobs%d" fam rname fp jobs;
-                    fields =
-                      [
-                        ("jobs", float_of_int jobs);
-                        ("states", float_of_int stats.Explore.states);
-                        ("transitions", float_of_int stats.Explore.transitions);
-                        ("terminals", float_of_int stats.Explore.terminals);
-                        ("seconds", secs);
-                        ( "states_per_sec",
-                          if secs > 0.0 then
-                            float_of_int stats.Explore.states /. secs
-                          else 0.0 );
-                        ("fp_patches", List.nth deltas 0);
-                        ("fp_refolds", List.nth deltas 1);
-                        ( "frontier_bytes",
-                          float_of_int stats.Explore.frontier_bytes );
-                      ];
-                  })
-                [ "incremental"; "full" ]
-                [ (inc, inc_secs, inc_deltas); (full, full_secs, [ 0.0; 0.0 ]) ])
+                "e21: %s %s jobs=%d: %d states; %.0f st/s (patches %.0f, \
+                 refolds %.0f, frontier %dB)@."
+                fam rname jobs stats.Explore.states rate (List.nth deltas 0)
+                (List.nth deltas 1) stats.Explore.frontier_bytes;
+              {
+                name = Printf.sprintf "e21.%s.%s.jobs%d" fam rname jobs;
+                fields =
+                  [
+                    ("jobs", float_of_int jobs);
+                    ("states", float_of_int stats.Explore.states);
+                    ("transitions", float_of_int stats.Explore.transitions);
+                    ("terminals", float_of_int stats.Explore.terminals);
+                    ("seconds", secs);
+                    ("states_per_sec", rate);
+                    ("fp_patches", List.nth deltas 0);
+                    ("fp_refolds", List.nth deltas 1);
+                    ("frontier_bytes", float_of_int stats.Explore.frontier_bytes);
+                  ];
+              })
             jobs_list)
         [ ("none", Explore.no_reduction); ("full", Explore.full_reduction sym) ])
     families

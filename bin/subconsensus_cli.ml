@@ -240,13 +240,12 @@ let opt with_ x o = match x with None -> o | Some v -> with_ v o
 (* One [Search.options] record from the CLI's flags — the single funnel
    every checking subcommand goes through. *)
 let options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-    ~max_crashes ~max_recoveries ~jobs ~fp () =
+    ~max_crashes ~max_recoveries ~jobs () =
   Search.default
   |> Search.with_max_states max_states
   |> Search.with_max_crashes max_crashes
   |> Search.with_max_recoveries max_recoveries
   |> Search.with_jobs jobs
-  |> Search.with_fp fp
   |> opt Search.with_deadline deadline
   |> opt Search.with_expected_states expected_states
   |> opt Search.with_reduction reduction
@@ -328,19 +327,7 @@ let spill_arg =
            $(docv) (created if absent; each file is unlinked once mapped, \
            so nothing persists), 16 bytes per slot.  Heap residency drops \
            to bookkeeping; keys, counts and the collision bound are those \
-           of the heap table.  Runs the parallel engine even at \
-           $(b,--jobs) 1.")
-
-let fp_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("incremental", Explore.Incremental); ("full", Explore.Full) ])
-        Explore.Incremental
-    & info [ "fp" ] ~docv:"MODE"
-        ~doc:
-          "Fingerprint mode: $(b,incremental) (default; each step patches            the parent's homomorphic hash in O(1) and the frontier is            delta-encoded) or $(b,full) (re-fold every configuration — the            escape hatch / baseline).  States, transitions, terminals and            verdicts are identical across the two; symmetry-reduced and            $(b,--paranoid) runs key on exact canonical forms either way.")
+           of the heap table, at any $(b,--jobs).")
 
 let certified_arg =
   Arg.(
@@ -358,13 +345,13 @@ let certified_arg =
 
 let check_cmd =
   let run alg n k f r deadline expected_states max_states jobs spill
-      fp choice certified json metrics =
+      choice certified json metrics =
     setup_obs ~json ~metrics;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let reduction = reduction_of ~certified ~alg choice inst in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~fp ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
     in
     let v = check_instance ~options inst in
     report ~json alg v;
@@ -384,7 +371,7 @@ let check_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ spill_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ reduction_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -410,7 +397,7 @@ let stats_fields reduction (stats : Explore.stats) =
 
 let explore_cmd =
   let run alg n k f r deadline expected_states max_states jobs spill
-      fp choice certified json metrics =
+      choice certified json metrics =
     setup_obs ~json ~metrics;
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let store, programs = instance_store_programs inst in
@@ -418,7 +405,7 @@ let explore_cmd =
     let config = Config.make store programs in
     let options =
       options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ~fp ()
+        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
     in
     let stats =
       Obs.Span.time "cli.explore" @@ fun () ->
@@ -434,9 +421,7 @@ let explore_cmd =
                :: ("jobs", Obs.Sink.Int jobs)
                :: ( "visited",
                     Obs.Sink.Str
-                      (if spill <> None then "spill"
-                       else if jobs > 1 then "heap"
-                       else "sequential") )
+                      (if spill <> None then "spill" else "heap") )
                :: stats_fields reduction stats;
            })
     else
@@ -461,7 +446,7 @@ let explore_cmd =
     Term.(
       const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ spill_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ reduction_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -782,7 +767,7 @@ let analyze_cmd =
    crash-sweep at any --jobs.                                          *)
 
 let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-    jobs spill fp choice certified json metrics =
+    jobs spill choice certified json metrics =
   setup_obs ~json ~metrics;
   let verdicts = ref [] in
   let note name v =
@@ -794,7 +779,7 @@ let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
   let reduction = reduction_of ~certified ~alg choice inst in
   let cell_options ~max_crashes ~max_recoveries =
     options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-      ~max_crashes ~max_recoveries ~jobs ~fp ()
+      ~max_crashes ~max_recoveries ~jobs ()
   in
   let store, programs = instance_store_programs inst in
   (match inst with
@@ -837,9 +822,9 @@ let solo_limit_arg =
 
 let crash_sweep_cmd =
   let run alg k f deadline expected_states max_states solo_limit jobs
-      spill fp choice certified json metrics =
+      spill choice certified json metrics =
     run_fault_sweep alg k f 0 deadline expected_states max_states solo_limit
-      jobs spill fp choice certified json metrics
+      jobs spill choice certified json metrics
   in
   Cmd.v
     (Cmd.info "crash-sweep"
@@ -851,14 +836,14 @@ let crash_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ deadline_arg
       $ expected_states_arg $ max_states_arg $ solo_limit_arg $ jobs_arg
-      $ spill_arg $ fp_arg $ reduction_arg
+      $ spill_arg $ reduction_arg
       $ certified_arg $ json_arg $ metrics_arg)
 
 let recover_sweep_cmd =
   let run alg k f r deadline expected_states max_states solo_limit jobs
-      spill fp choice certified json metrics =
+      spill choice certified json metrics =
     run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-      jobs spill fp choice certified json metrics
+      jobs spill choice certified json metrics
   in
   let sweep_recoveries_arg =
     Arg.(
@@ -880,7 +865,7 @@ let recover_sweep_cmd =
     Term.(
       const run $ alg_arg $ k_arg $ sweep_crashes_arg $ sweep_recoveries_arg
       $ deadline_arg $ expected_states_arg $ max_states_arg $ solo_limit_arg
-      $ jobs_arg $ spill_arg $ fp_arg
+      $ jobs_arg $ spill_arg
       $ reduction_arg $ certified_arg $ json_arg
       $ metrics_arg)
 

@@ -1,11 +1,12 @@
-(* The parallel explorer's visited table: an open-addressed set of
-   two-lane fingerprints in one flat [Bigarray.Array1], claimed under one
-   mutex.
+(* The visited table of every search: an open-addressed set of two-lane
+   fingerprints in one flat [Bigarray.Array1], claimed under one mutex.
+   Both engines claim in it, the sequential DFS from its one domain and
+   the work-stealing engine from many.
 
    A claim table answers one question, once per state: "am I the first
-   domain to reach this fingerprint?"  It supports exactly one operation,
-   [claim], which returns [`Fresh] to exactly one caller per distinct key
-   and [`Dup] to every other.
+   to reach this key?"  It supports exactly one operation, [claim_key],
+   which returns [`Fresh] to exactly one caller per distinct key and
+   [`Dup] to every other.
 
    {b Slot encoding.}  Slot [i] is words [2i] (lane 1) and [2i + 1]
    (lane 2).  A stored lane keeps the low 62 bits of its fingerprint lane
@@ -33,20 +34,26 @@
    blocks once the array is collected).  A new mapping reads as zeros,
    since [Unix.map_file] extends the file with holes.  Its pages are
    file-backed and evictable, so [memory_bytes] counts only bookkeeping
-   and [spill_bytes] the mapped file: 16 B per slot. *)
+   and [spill_bytes] the mapped file: 16 B per slot.
+
+   {b Exact keys.}  A [`Exact] table (the [~paranoid] searches) holds
+   whole canonical keys in a [Fingerprint.Ktbl] under the same lock: no
+   collision is possible, and no word array is allocated or mapped. *)
 
 module A = Bigarray.Array1
 
 type words = (int, Bigarray.int_elt, Bigarray.c_layout) A.t
 
-type t = {
-  lock : Mutex.t;
+type words_table = {
   spill : string option; (* the spill directory; [None] on the heap *)
   mutable arr : words; (* [2 * (mask + 1)] words *)
   mutable mask : int;
   mutable count : int;
   mutable limit : int; (* 3/4 of the capacity *)
 }
+
+type table = Words of words_table | Keys of unit Fingerprint.Ktbl.t
+type t = { lock : Mutex.t; table : table }
 
 type opstats = { mutable probes : int }
 
@@ -63,11 +70,14 @@ let file_number () =
       incr next_file;
       !next_file)
 
-(* Map [n] zero words from a fresh unlinked file in [dir].  The name
-   carries the process id and a process-wide counter, and [O_EXCL]
-   refuses any file already there (a taken name — say, one left by a dead
-   process with a recycled pid — just draws the next counter value).  The
-   fd is closed right away: the mapping survives it. *)
+let m_spill_bytes = Subc_obs.Metrics.counter "visited.spill_bytes"
+
+(* Map [n] zero words from a fresh unlinked file in [dir], adding their
+   bytes to [visited.spill_bytes].  The name carries the process id and
+   a process-wide counter, and [O_EXCL] refuses any file already there (a
+   taken name — say, one left by a dead process with a recycled pid —
+   just draws the next counter value).  The fd is closed right away: the
+   mapping survives it. *)
 let map_words dir n : words =
   let rec create_file () =
     let path =
@@ -79,13 +89,17 @@ let map_words dir n : words =
     | exception Unix.Unix_error (EEXIST, _, _) -> create_file ()
   in
   let path, fd = create_file () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Unix.close fd)
-    (fun () ->
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| n |]))
+  let words =
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.unlink path with Unix.Unix_error _ -> ());
+        Unix.close fd)
+      (fun () ->
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| n |]))
+  in
+  Subc_obs.Metrics.add m_spill_bytes (8 * n);
+  words
 
 let alloc spill cap =
   match spill with
@@ -102,7 +116,7 @@ let limit_of cap = cap - (cap / 4)
    hundreds of MB (growth covers the rest). *)
 let capacity_for_expectation n = min (1 lsl 21) (n + (n / 3))
 
-let create ?initial_capacity ?expected_states ?spill `Two_lane =
+let create_words ?initial_capacity ?expected_states spill =
   Option.iter
     (fun dir ->
       try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ())
@@ -111,20 +125,15 @@ let create ?initial_capacity ?expected_states ?spill `Two_lane =
     match (initial_capacity, expected_states) with
     | Some c, _ -> c
     | None, Some n -> capacity_for_expectation n
-    | None, None -> 4096
+    | None, None -> 64
   in
   let cap =
     let rec up c = if c >= wanted then c else up (c * 2) in
     up 64
   in
-  {
-    lock = Mutex.create ();
-    spill;
-    arr = alloc spill cap;
-    mask = cap - 1;
-    count = 0;
-    limit = limit_of cap;
-  }
+  Words
+    { spill; arr = alloc spill cap; mask = cap - 1; count = 0;
+      limit = limit_of cap }
 
 let rec free_slot arr mask j =
   if A.unsafe_get arr (2 * j) = 0 then j
@@ -172,31 +181,66 @@ let rec insert t st w1 w2 =
   in
   go (w1 land mask)
 
-let claim t st ~h1 ~h2 =
-  let w1 = encode h1 and w2 = encode h2 in
+let create ?initial_capacity ?expected_states ?spill kind =
+  {
+    lock = Mutex.create ();
+    table =
+      (match kind with
+      | `Two_lane -> create_words ?initial_capacity ?expected_states spill
+      | `Exact -> Keys (Fingerprint.Ktbl.create 64));
+  }
+
+(* [insert] runs under [lock]; only growth raises (a spill file that
+   cannot be created or mapped), leaving the table unchanged. *)
+let[@inline] locked_insert t w st w1 w2 =
   Mutex.lock t.lock;
-  match insert t st w1 w2 with
+  match insert w st w1 w2 with
   | r ->
     Mutex.unlock t.lock;
     r
   | exception e ->
-    (* Only growth raises (a spill file that cannot be created or
-       mapped); the table is unchanged and the lock is released. *)
     Mutex.unlock t.lock;
     raise e
 
+let claim t st ~h1 ~h2 =
+  match t.table with
+  | Words w -> locked_insert t w st (encode h1) (encode h2)
+  | Keys _ -> invalid_arg "Claim_table.claim: an exact-key table"
+
+let claim_key t st key =
+  match (t.table, key) with
+  | Words w, Fingerprint.Fp fp ->
+    locked_insert t w st (encode fp.Fingerprint.h1) (encode fp.Fingerprint.h2)
+  | Words _, Fingerprint.Exact _ ->
+    invalid_arg "Claim_table.claim_key: an exact key in a two-lane table"
+  | Keys keys, key ->
+    Mutex.lock t.lock;
+    let fresh = not (Fingerprint.Ktbl.mem keys key) in
+    if fresh then Fingerprint.Ktbl.add keys key ();
+    Mutex.unlock t.lock;
+    if fresh then `Fresh else `Dup
+
 let locked t f =
   Mutex.lock t.lock;
-  let r = f t in
+  let r = f t.table in
   Mutex.unlock t.lock;
   r
 
-let occupancy t = locked t (fun t -> t.count)
-let slots t = locked t (fun t -> t.mask + 1)
+let occupancy t =
+  locked t (function Words w -> w.count | Keys k -> Fingerprint.Ktbl.length k)
+
+let slots t = locked t (function Words w -> w.mask + 1 | Keys _ -> 0)
 
 (* Heap-resident bytes: the word array on the heap, only the table
-   record and the bigarray's custom block when the words are mapped. *)
+   record and the bigarray's custom block when the words are mapped.
+   Exact keys are whole key trees, not counted. *)
 let memory_bytes t =
-  match t.spill with None -> 16 * slots t | Some _ -> 8 * 16
+  match t.table with
+  | Words { spill = None; _ } -> 16 * slots t
+  | Words { spill = Some _; _ } -> 8 * 16
+  | Keys _ -> 0
 
-let spill_bytes t = match t.spill with None -> 0 | Some _ -> 16 * slots t
+let spill_bytes t =
+  match t.table with
+  | Words { spill = Some _; _ } -> 16 * slots t
+  | Words { spill = None; _ } | Keys _ -> 0

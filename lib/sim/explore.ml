@@ -23,59 +23,27 @@ type stats = {
   max_depth : int;
   dedup_hits : int;
   source_skips : int;
-  cycles : int;
   collision_bound : float;
   limited : bool;
   limit_reason : limit_reason;
   frontier_bytes : int;
 }
 
-(* How visited-set keys are produced on the unreduced (symmetry-off)
-   lanes:
-
-   - [Incremental] (default): the root configuration is hashed once with
-     the homomorphic fold ([Fingerprint.hom_of_config]); every transition
-     then {e patches} the parent's fingerprint through the slots it
-     rewrote ([Step.slots]) — O(1) per transition instead of
-     O(|store| + |procs|).
-   - [Full]: every state is re-folded from scratch ([of_config]) — the
-     escape hatch, and the cross-validation baseline.
-
-   Symmetry-canonicalized keys are folded from the orbit minimization's
-   winner ([Symmetry.canonical_fingerprint]: no key tree, no patch), and
-   [~paranoid] keys stay exact; under paranoid the incremental
-   fingerprint is still carried and cross-validated against a
-   [hom_of_config] re-fold at every node ([fp.paranoid_mismatches]). *)
-type fp_mode = Incremental | Full
-
-(* Test-only fault injection: corrupt every [n]-th patched fingerprint
-   (0 disables).  Used by the suite's seeded-mutation negative to prove
-   [~paranoid] catches a wrong patch. *)
-let fp_fault_period = Atomic.make 0
-let fp_fault_tick = Atomic.make 0
-
-let set_fp_fault_injection n =
-  Atomic.set fp_fault_period (max 0 n);
-  Atomic.set fp_fault_tick 0
-
-let[@inline] fp_inject_fault fp =
-  let n = Atomic.get fp_fault_period in
-  if n = 0 then fp
-  else if (Atomic.fetch_and_add fp_fault_tick 1 + 1) mod n = 0 then
-    Fingerprint.extend fp 0xBAD
-  else fp
-
 (* Birthday bound on any-fingerprint-collision over the whole search:
-   n(n-1)/2 pairs, each colliding with odds 2^-bits.  Zero under the
-   exact-key [~paranoid] mode. *)
+   n(n-1)/2 pairs, each colliding with odds 2^-bits. *)
 let collision_bound ~bits ~states =
   let n = float_of_int states in
   min 1.0 (n *. (n -. 1.0) /. 2.0 *. ldexp 1.0 (-bits))
 
+(* The bound of a search's visited table: the two-lane width, or zero
+   under the exact-key [~paranoid] mode. *)
+let table_bound ~paranoid ~states =
+  if paranoid then 0.0 else collision_bound ~bits:Claim_table.bits ~states
+
 let pp_stats ppf s =
   Format.fprintf ppf
     "states=%d transitions=%d terminals=%d hung=%d crashed=%d%s depth=%d \
-     dedup=%d%s cycles=%d%s%s"
+     dedup=%d%s%s%s"
     s.states s.transitions s.terminals s.hung_terminals s.crashed_terminals
     (if s.recovered_terminals > 0 then
        Printf.sprintf " recovered=%d" s.recovered_terminals
@@ -83,7 +51,6 @@ let pp_stats ppf s =
     s.max_depth s.dedup_hits
     (if s.source_skips > 0 then Printf.sprintf " source-skips=%d" s.source_skips
      else "")
-    s.cycles
     (if s.collision_bound >= 1e-9 then
        Printf.sprintf " p-collision<=%.2g" s.collision_bound
      else "")
@@ -188,20 +155,16 @@ let op_independent (model : Obj_model.t) st0 a b =
 (* The memo table for [op_independent] is per-exploration state (per
    worker domain in the parallel engine): no process-global hashtable, no
    unbounded growth across searches, no cross-domain data race.  It is
-   also bounded: past [commute_cache_bound] entries new results are
+   also bounded: past the cache's [cc_bound] entries new results are
    recomputed instead of cached — the cache is a pure memoization, so
    dropping inserts only costs time, never soundness.  Each dropped
    insert is counted ([commute.memo_evictions] after the flush), so the
    silent-recomputation regime is visible in the metrics instead of
-   indistinguishable from a healthy cache.  The bound is settable for
-   tests that want to exercise the overflow path cheaply. *)
-let default_commute_cache_bound = 1 lsl 16
-let commute_cache_bound = Atomic.make default_commute_cache_bound
-let set_commute_cache_bound n = Atomic.set commute_cache_bound (max 0 n)
-let get_commute_cache_bound () = Atomic.get commute_cache_bound
-
+   indistinguishable from a healthy cache.  [?bound] is an argument so
+   tests can exercise the overflow path cheaply. *)
 type commute_cache = {
   cc_tbl : (string * Value.t * Op.t * Op.t, bool) Hashtbl.t;
+  cc_bound : int;
   (* Local counters, flushed to the global metrics registry once per
      search ([flush_commute_metrics]) — the hot path never touches an
      atomic. *)
@@ -210,9 +173,10 @@ type commute_cache = {
   mutable cc_memo_evictions : int;
 }
 
-let commute_cache () : commute_cache =
+let commute_cache ?(bound = 1 lsl 16) () : commute_cache =
   {
     cc_tbl = Hashtbl.create 16;
+    cc_bound = max 0 bound;
     cc_diamonds = 0;
     cc_memo_hits = 0;
     cc_memo_evictions = 0;
@@ -244,7 +208,7 @@ let ops_commute (cache : commute_cache) store h a b =
   | None ->
     let r = op_independent model st0 a b in
     cache.cc_diamonds <- cache.cc_diamonds + 1;
-    if Hashtbl.length cache.cc_tbl < Atomic.get commute_cache_bound then
+    if Hashtbl.length cache.cc_tbl < cache.cc_bound then
       Hashtbl.replace cache.cc_tbl key r
     else cache.cc_memo_evictions <- cache.cc_memo_evictions + 1;
     r
@@ -354,20 +318,6 @@ let canonical_packed_sleep minimizers sleep =
       (packed_sleep (Some pi0) sleep)
       rest
 
-(* Canonical configurations are interned as two-word structural
-   fingerprints ({!Fingerprint}): the visited set of a multi-million-state
-   exploration must not retain the full structured keys, and the
-   fingerprint is folded directly over the configuration — no key tree,
-   no marshal buffer, no digest string.  Under [~paranoid] the exact
-   canonical key is kept instead (collisions impossible; the
-   cross-validation mode).  Under source sets the visited key is the
-   {e pair} (canonical state, canonical relevant sleep): expansion under
-   the source-set protocol is a pure function of that pair, so claiming
-   each pair exactly once reproduces the stateless sleep-set search tree
-   with identical subtrees shared — the protocol every engine (sequential
-   or work-stealing) observes identically. *)
-module Vtbl = Fingerprint.Ktbl
-
 exception Stop
 
 (* The counters both engines keep, one record per search (per domain in
@@ -468,8 +418,7 @@ let flush_fp_counters ~engine c =
           re-fold"
          engine c.fp_mismatches)
 
-let stats_of_counters c ~cycles ~collision_bound ~limit_reason ~frontier_bytes
-    =
+let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes =
   {
     states = c.states;
     transitions = c.transitions;
@@ -480,40 +429,11 @@ let stats_of_counters c ~cycles ~collision_bound ~limit_reason ~frontier_bytes
     max_depth = c.max_depth;
     dedup_hits = c.dedup_hits;
     source_skips = c.source_skips;
-    cycles;
     collision_bound;
     limited = reason_truncates limit_reason;
     limit_reason;
     frontier_bytes;
   }
-
-type state = {
-  visited : unit Vtbl.t;
-  onstack : unit Vtbl.t;
-  commute : commute_cache;
-  paranoid : bool;
-  c : counters;
-  mutable cycles : int;
-  mutable limit_reason : limit_reason;
-  max_states : int;
-  depth_limit : int;
-  max_crashes : int;
-  max_recoveries : int;
-  (* Absolute wall-clock cutoff, or infinity.  Checked every
-     [deadline_mask + 1] DFS nodes so the common case costs one integer
-     test. *)
-  deadline_at : float;
-  mutable deadline_tick : int;
-  reduction : reduction;
-  mutable cycle_witness : Trace.t option;
-  on_terminal : Config.t -> Trace.t -> unit;
-  on_visit : Config.t -> Trace.t Lazy.t -> unit;
-  stop_on_cycle : bool;
-}
-
-(* The sequential visited table compares both full fingerprint lanes:
-   126 effective bits. *)
-let fingerprint_bits = 126
 
 (* The canonical state key of [config] under [sym], with the stabilizer
    coset of the canonical representative (head: the canonicalizing
@@ -582,27 +502,18 @@ let source_key ?(paranoid = false) (reduction : reduction) ~max_crashes config
       Some (List.hd mins),
       sleep )
 
-(* Raw-lane variant of [source_key] for the parallel claim table. *)
+(* [source_key] as bare lanes, for callers that claim in a two-lane
+   table directly. *)
 let source_fingerprint (reduction : reduction) ~max_crashes config ~sleep =
-  let sleep =
-    if reduction.source_sets then restrict_sleep ~max_crashes config sleep
-    else []
-  in
-  match reduction.symmetry with
-  | None ->
-    let fp = Fingerprint.of_config config in
-    (List.fold_left Fingerprint.extend fp (packed_sleep None sleep), None, sleep)
-  | Some sym ->
-    let fp, mins = Symmetry.canonical_fingerprint sym config in
-    ( List.fold_left Fingerprint.extend fp (canonical_packed_sleep mins sleep),
-      Some (List.hd mins),
-      sleep )
+  match source_key reduction ~max_crashes config ~sleep with
+  | Fingerprint.Fp fp, pi, sleep -> (fp, pi, sleep)
+  | Fingerprint.Exact _, _, _ -> assert false
 
 (* [source_fingerprint] when the bare state fingerprint is already in
-   hand (the incremental engines carry it patched from the parent's, so
+   hand (the engines carry it patched from the parent's, so
    the claim key costs O(|relevant sleep|) instead of a configuration
-   re-fold).  Only valid with symmetry off — the incremental path never
-   carries a fingerprint under symmetry quotienting. *)
+   re-fold).  Only valid with symmetry off — no fingerprint is carried
+   under symmetry quotienting. *)
 let source_fingerprint_from fp (reduction : reduction) ~max_crashes config
     ~sleep =
   let sleep =
@@ -611,10 +522,45 @@ let source_fingerprint_from fp (reduction : reduction) ~max_crashes config
   in
   (List.fold_left Fingerprint.extend fp (packed_sleep None sleep), None, sleep)
 
+(* The claim key of a search node, the one way every engine keys a node.
+   Under source sets it is the {e pair} (canonical state, canonical
+   relevant sleep): expansion is a pure function of that pair, so
+   claiming each pair exactly once reproduces the stateless sleep-set
+   search tree with identical subtrees shared, whichever engine or domain
+   claims it.  The state half is, on the symmetry-off lanes, the carried
+   fingerprint [fp] — patched from the parent's, so a duplicate costs no
+   re-fold and, when the relevant sleep is empty, not even the
+   configuration ([config] is forced only when needed); under symmetry
+   the fold of the orbit minimization's winner; under [~paranoid] the
+   exact canonical key (collisions impossible), while [fp] is still
+   carried for {!cross_check}.  Also returns the canonicalizing renaming
+   and the restricted concrete sleep that {!source_successors} takes. *)
+let node_key ~paranoid (reduction : reduction) ~max_crashes fp config ~sleep =
+  match fp with
+  | Some f when not paranoid ->
+    if reduction.source_sets && sleep <> [] then
+      let f, pi, sleep =
+        source_fingerprint_from f reduction ~max_crashes (Lazy.force config)
+          ~sleep
+      in
+      (Fingerprint.Fp f, pi, sleep)
+    else (Fingerprint.Fp f, None, [])
+  | _ -> source_key ~paranoid reduction ~max_crashes (Lazy.force config) ~sleep
+
+(* The carried fingerprint of a root: its homomorphic re-fold on the
+   symmetry-off lanes (counted), [None] under symmetry, whose keys fold
+   the orbit winner instead. *)
+let root_fingerprint c (reduction : reduction) config =
+  match reduction.symmetry with
+  | Some _ -> None
+  | None ->
+    c.fp_refolds <- c.fp_refolds + 1;
+    Some (Fingerprint.hom_of_config config)
+
 (* One enabled transition bundle of the expansion, with the sleep set its
    children inherit (concrete coordinates of {e this} configuration).
    Each successor carries the slots its transition rewrote
-   ({!Step.slots}), which is what lets the incremental engines patch
+   ({!Step.slots}), which is what lets the engines patch
    fingerprints and delta-encode frontier entries instead of re-folding
    and copying. *)
 type succ_group = {
@@ -677,14 +623,14 @@ let patched_fingerprint parent fp (s : Step.slots) child =
         v')
     fp s.Step.sl_store
 
-(* The child's carried fingerprint on the incremental lanes ([None]
+(* The child's carried fingerprint on the symmetry-off lanes ([None]
    elsewhere): the parent's, patched through the transition's slots. *)
 let child_fingerprint c fp parent slots child =
   match fp with
   | None -> None
   | Some f ->
     c.fp_patches <- c.fp_patches + 1;
-    Some (fp_inject_fault (patched_fingerprint parent f slots child))
+    Some (patched_fingerprint parent f slots child)
 
 (* The source-set expansion of a (config, sleep) node, shared verbatim by
    the sequential DFS and every parallel worker domain.
@@ -749,13 +695,38 @@ let source_successors cache (reduction : reduction) ~pi ~max_crashes
     (out, !skips)
   end
 
+type state = {
+  table : Claim_table.t;
+  probes : Claim_table.opstats;
+  (* The keys on the DFS stack, kept only when hunting a cycle. *)
+  onstack : unit Fingerprint.Ktbl.t option;
+  commute : commute_cache;
+  paranoid : bool;
+  c : counters;
+  mutable limit_reason : limit_reason;
+  max_states : int;
+  depth_limit : int;
+  max_crashes : int;
+  max_recoveries : int;
+  (* Absolute wall-clock cutoff, or infinity.  Checked every
+     [deadline_mask + 1] DFS nodes so the common case costs one integer
+     test. *)
+  deadline_at : float;
+  mutable deadline_tick : int;
+  reduction : reduction;
+  mutable cycle_witness : Trace.t option;
+  on_terminal : Config.t -> Trace.t -> unit;
+  on_visit : Config.t -> Trace.t Lazy.t -> unit;
+}
+
 (* DFS with claim-once memoization on canonical (configuration, sleep)
-   keys.  [rev_trace] is the path from the root, newest event first.
-   Crash transitions are ordinary transitions of the search: every
-   running process may crash as long as the crash budget is not
-   exhausted.  The budget needs no separate memoization key — crashed
-   processes are part of the configuration, so the number of crashes used
-   is derivable from the configuration itself.
+   keys, claimed in the same table and through the same [node_key] as
+   the parallel engine.  [rev_trace] is the path from the root, newest
+   event first.  Crash transitions are ordinary transitions of the
+   search: every running process may crash as long as the crash budget
+   is not exhausted.  The budget needs no separate memoization key —
+   crashed processes are part of the configuration, so the number of
+   crashes used is derivable from the configuration itself.
 
    [sleep] is the sleep set in concrete coordinates: transitions whose
    exploration is covered by a sibling branch and must not be re-explored
@@ -765,7 +736,10 @@ let source_successors cache (reduction : reduction) ~pi ~max_crashes
    is empty), so terminal verdicts and counts are preserved exactly.
    (Completeness of the pruning assumes the state graph is acyclic, which
    holds for all one-shot bounded algorithms; the cycle-hunting entry
-   points force source sets off.) *)
+   points force source sets off.)
+
+   Outside cycle hunting a back-edge into the DFS stack is a claimed key
+   like any other, a [dedup_hits] count as in the parallel engine. *)
 let deadline_mask = 1023
 
 let rec dfs st config fp rev_trace depth sleep =
@@ -784,52 +758,38 @@ let rec dfs st config fp rev_trace depth sleep =
     if st.limit_reason = No_limit then st.limit_reason <- Max_depth
   end
   else begin
-    (* [fp] is [Some] only on the incremental lanes (symmetry off): the
-       state's homomorphic fingerprint, patched from the parent's.  Under
-       [~paranoid] the visited keys stay exact but the carried
-       fingerprint is cross-validated against a full re-fold. *)
-    cross_check c ~paranoid:st.paranoid fp config;
     let key, pi, sleep =
-      match fp with
-      | Some f when not st.paranoid ->
-        let sleep =
-          if st.reduction.source_sets then
-            restrict_sleep ~max_crashes:st.max_crashes config sleep
-          else []
-        in
-        ( extend_with_sleep (Fingerprint.Fp f) (packed_sleep None sleep),
-          None,
-          sleep )
-      | _ ->
-        source_key ~paranoid:st.paranoid st.reduction
-          ~max_crashes:st.max_crashes config ~sleep
+      node_key ~paranoid:st.paranoid st.reduction ~max_crashes:st.max_crashes
+        fp (Lazy.from_val config) ~sleep
     in
-    if Vtbl.mem st.onstack key then begin
-      (* Back-edge into the current DFS stack: an infinite schedule (modulo
-         symmetry, when enabled). *)
-      st.cycles <- st.cycles + 1;
-      if st.cycle_witness = None then st.cycle_witness <- Some (List.rev rev_trace);
-      if st.stop_on_cycle then raise Stop
-    end
-    else if Vtbl.mem st.visited key then c.dedup_hits <- c.dedup_hits + 1
-    else if c.states >= st.max_states then begin
-      st.limit_reason <- Max_states;
+    match st.onstack with
+    | Some onstack when Fingerprint.Ktbl.mem onstack key ->
+      (* Back-edge into the current DFS stack: an infinite schedule
+         (modulo symmetry, when enabled). *)
+      st.cycle_witness <- Some (List.rev rev_trace);
       raise Stop
-    end
-    else begin
-      Vtbl.add st.visited key ();
-      c.states <- c.states + 1;
-      st.on_visit config (lazy (List.rev rev_trace));
-      if count_terminal c config then
-        st.on_terminal config (List.rev rev_trace);
-      let groups, skips =
-        source_successors st.commute st.reduction ~pi
-          ~max_crashes:st.max_crashes ~max_recoveries:st.max_recoveries config
-          ~sleep
-      in
-      c.source_skips <- c.source_skips + skips;
-      if groups <> [] then begin
-        Vtbl.add st.onstack key ();
+    | onstack -> (
+      match Claim_table.claim_key st.table st.probes key with
+      | `Dup -> c.dedup_hits <- c.dedup_hits + 1
+      | `Fresh ->
+        if c.states >= st.max_states then begin
+          st.limit_reason <- Max_states;
+          raise Stop
+        end;
+        c.states <- c.states + 1;
+        cross_check c ~paranoid:st.paranoid fp config;
+        st.on_visit config (lazy (List.rev rev_trace));
+        if count_terminal c config then
+          st.on_terminal config (List.rev rev_trace);
+        let groups, skips =
+          source_successors st.commute st.reduction ~pi
+            ~max_crashes:st.max_crashes ~max_recoveries:st.max_recoveries
+            config ~sleep
+        in
+        c.source_skips <- c.source_skips + skips;
+        (match onstack with
+        | Some t -> Fingerprint.Ktbl.add t key ()
+        | None -> ());
         List.iter
           (fun g ->
             List.iter
@@ -839,24 +799,10 @@ let rec dfs st config fp rev_trace depth sleep =
                 dfs st config' fp' (event :: rev_trace) (depth + 1) g.g_sleep)
               g.g_succs)
           groups;
-        Vtbl.remove st.onstack key
-      end
-    end
+        match onstack with
+        | Some t -> Fingerprint.Ktbl.remove t key
+        | None -> ())
   end
-
-(* Initial bucket-array sizing for the visited table.  An explicit
-   expectation skips the rehash generations of a million-state search;
-   the cap keeps a loose upper bound (a default state budget, say) from
-   pre-allocating a huge empty table.  Without one, a search starts at
-   256 buckets, the largest array the minor heap takes: many checks run
-   thousands of tiny searches that stop early (a protocol census), and a
-   bigger default made each of them allocate, and later collect, a
-   major-heap array.  The on-stack table and the commute memo start at
-   16 for the same reason. *)
-let table_hint expected_states =
-  match expected_states with
-  | None -> 256
-  | Some n -> max 256 (min (1 lsl 20) n)
 
 (* Observability: cumulative counters are cheap and always on; a per-search
    event is emitted only when a sink is installed. *)
@@ -867,17 +813,19 @@ let m_source = Obs.Metrics.counter "explore.source_skips"
 let m_searches = Obs.Metrics.counter "explore.searches"
 
 let run ~max_states ~max_depth ~max_crashes ~max_recoveries ?deadline
-    ?expected_states ~reduction ~paranoid ~fp ~stop_on_cycle ~on_terminal
+    ?expected_states ?spill ~reduction ~paranoid ~find_cycle ~on_terminal
     ~on_visit label config =
   let t0 = Unix.gettimeofday () in
   let st =
     {
-      visited = Vtbl.create (table_hint expected_states);
-      onstack = Vtbl.create 16;
+      table =
+        Claim_table.create ?expected_states ?spill
+          (if paranoid then `Exact else `Two_lane);
+      probes = Claim_table.fresh_opstats ();
+      onstack = (if find_cycle then Some (Fingerprint.Ktbl.create 16) else None);
       commute = commute_cache ();
       paranoid;
       c = fresh_counters ();
-      cycles = 0;
       limit_reason = No_limit;
       max_states;
       depth_limit = max_depth;
@@ -892,18 +840,11 @@ let run ~max_states ~max_depth ~max_crashes ~max_recoveries ?deadline
       cycle_witness = None;
       on_terminal;
       on_visit;
-      stop_on_cycle;
     }
   in
   let c = st.c in
-  let fp0 =
-    if fp = Incremental && reduction.symmetry = None then begin
-      c.fp_refolds <- c.fp_refolds + 1;
-      Some (Fingerprint.hom_of_config config)
-    end
-    else None
-  in
-  (try dfs st config fp0 [] 0 [] with Stop -> ());
+  (try dfs st config (root_fingerprint c reduction config) [] 0 []
+   with Stop -> ());
   (* Sequential frontier retention is the DFS stack: one frame of unique
      words (successor config + trace cons + a few map spine nodes) per
      level of the deepest path.  A rough estimate — the parallel engine
@@ -913,11 +854,8 @@ let run ~max_states ~max_depth ~max_crashes ~max_recoveries ?deadline
     else 8 * c.max_depth * (34 + Config.n_procs config)
   in
   let s =
-    stats_of_counters c ~cycles:st.cycles ~limit_reason:st.limit_reason
-      ~frontier_bytes
-      ~collision_bound:
-        (if paranoid then 0.0
-         else collision_bound ~bits:fingerprint_bits ~states:c.states)
+    stats_of_counters c ~limit_reason:st.limit_reason ~frontier_bytes
+      ~collision_bound:(table_bound ~paranoid ~states:c.states)
   in
   let dt = Unix.gettimeofday () -. t0 in
   flush_commute_metrics st.commute;
@@ -937,7 +875,6 @@ let run ~max_states ~max_depth ~max_crashes ~max_recoveries ?deadline
         ("terminals", Obs.Sink.Int s.terminals);
         ("dedup_hits", Obs.Sink.Int s.dedup_hits);
         ("source_skips", Obs.Sink.Int s.source_skips);
-        ("cycles", Obs.Sink.Int s.cycles);
         ("limited", Obs.Sink.Bool s.limited);
         ("seconds", Obs.Sink.Float dt);
         ( "states_per_sec",

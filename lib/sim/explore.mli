@@ -6,14 +6,19 @@
 
     Explores {e all} interleavings of process steps {e and} all resolutions
     of object nondeterminism, by depth-first search over configurations.
-    Configurations are memoized by a 126-bit structural fingerprint
-    ({!Fingerprint.t}) folded directly over the configuration — no
-    intermediate key tree, no marshal buffer — which agrees with
-    [Config.key] equality (sound because programs are deterministic
-    functions of their response histories; collisions have odds ~2^-126
-    per pair).  Pass [~paranoid:true] to memoize by the exact canonical
-    key instead — collisions impossible, memory proportional to key size;
-    the test suite cross-validates the two modes.
+    Both engines key a node one way ({!node_key}) and claim it in one
+    visited table ({!Claim_table}).  On the symmetry-off lanes the key is
+    the homomorphic fingerprint ({!Fingerprint.hom_of_config}) that every
+    search folds once at the root and then carries, {e patched} from
+    parent to child through the slots each transition rewrote
+    ({!Step.slots}) — O(1) per transition.  It agrees with [Config.key]
+    equality (sound because programs are deterministic functions of their
+    response histories), and the two-lane table keeps 124 of its bits
+    (collision odds ~2^-124 per pair).  Pass [~paranoid:true] to claim the
+    exact canonical key instead — collisions impossible, memory
+    proportional to key size.  The paranoid search still carries the
+    fingerprint and re-folds it at every claimed node ({!cross_check}),
+    so it is the reference the fingerprinted search is checked against.
 
     Crash faults are part of the transition relation: with [~max_crashes:f]
     the search also branches on crashing any running process, as long as
@@ -87,30 +92,6 @@ val reason_truncates : limit_reason -> bool
 (** Whether the reason makes the search inconclusive ([Max_states],
     [Max_depth], [Deadline]). *)
 
-(** {1 Fingerprinting strategy}
-
-    How visited-set keys are produced on the unreduced (symmetry-off)
-    lanes.  [Incremental] (the default) hashes the root once with the
-    homomorphic fold ({!Fingerprint.hom_of_config}) and then {e patches}
-    each child's fingerprint from its parent's through the slots the
-    transition rewrote ({!Step.slots}) — O(1) per transition.  [Full]
-    re-folds every state from scratch ({!Fingerprint.of_config}) — the
-    escape hatch and cross-validation baseline.  Both are injective up to
-    ~2^-126 collisions on canonical content, so states/transitions/
-    terminal counts and verdicts are identical across the two modes.
-    Symmetry-canonicalized keys are folded straight from the orbit
-    minimization's winner ({!Symmetry.canonical_fingerprint}: no key
-    tree, no patch); [~paranoid] keys stay exact — the key-tree reference
-    path — and the carried incremental fingerprint
-    is then cross-validated against a re-fold at every node
-    ([fp.paranoid_mismatches]; any mismatch fails the search loudly). *)
-type fp_mode = Incremental | Full
-
-val set_fp_fault_injection : int -> unit
-(** Test-only: corrupt every [n]-th patched fingerprint ([0] disables,
-    the initial state).  Lets the suite's seeded-mutation negative prove
-    that [~paranoid] catches a wrong patch. *)
-
 (** Raised to end a search early.  A callback of any entry point may
     raise it (re-exported as [Search.Stop]) to stop the search
     gracefully; both engines catch it and return the stats of the work
@@ -165,8 +146,7 @@ val child_fingerprint :
   Fingerprint.t option
 (** [child_fingerprint c fp parent slots child] — the carried fingerprint
     of a successor: {!patched_fingerprint} of the parent's (counted in
-    [fp_patches], subject to {!set_fp_fault_injection}), or [None] off
-    the incremental lanes. *)
+    [fp_patches]), or [None] under symmetry. *)
 
 val flush_fp_counters : engine:string -> counters -> unit
 (** Add the [fp.*] counters to the metrics registry, then fail with
@@ -187,13 +167,10 @@ type stats = {
   source_skips : int;
       (** transitions skipped by the source-set reduction (deterministic:
           a per-node function of the canonical key, summed over nodes) *)
-  cycles : int;  (** back-edges into the current DFS stack: each witnesses
-                     an infinite schedule (non-termination potential) *)
   collision_bound : float;
       (** birthday bound on the probability that {e any} fingerprint
           collision merged two distinct states this search
-          (n(n-1)/2 · 2^-bits for the visited-table width in use:
-          126 sequential, 124 parallel; exactly 0.0 under
+          (n(n-1)/2 · 2^-{!Claim_table.bits}; exactly 0.0 under
           [~paranoid]) *)
   limited : bool;
       (** true iff the search was truncated — it is then {e not} a proof;
@@ -210,16 +187,15 @@ type stats = {
 val pp_stats : Format.formatter -> stats -> unit
 
 val collision_bound : bits:int -> states:int -> float
-(** The birthday bound above, exposed for the parallel engine and the
-    bench tables: [min 1 (n(n-1)/2 · 2^-bits)]. *)
+(** The birthday bound above, exposed for the bench tables:
+    [min 1 (n(n-1)/2 · 2^-bits)]. *)
 
-val fingerprint_bits : int
-(** Effective key width of the full two-lane fingerprint comparison
-    (126): the sequential visited table. *)
+val table_bound : paranoid:bool -> states:int -> float
+(** The [collision_bound] of a search: [0.0] under [~paranoid], else the
+    bound at {!Claim_table.bits}. *)
 
 val stats_of_counters :
   counters ->
-  cycles:int ->
   collision_bound:float ->
   limit_reason:limit_reason ->
   frontier_bytes:int ->
@@ -308,7 +284,10 @@ val map_tr : Symmetry.perm -> tr -> tr
     concurrent expansions must use one cache per domain. *)
 type commute_cache
 
-val commute_cache : unit -> commute_cache
+val commute_cache : ?bound:int -> unit -> commute_cache
+(** [?bound] caps the memo's entries (default [2^16]; clamped at [0]).
+    Past the bound new results are recomputed instead of cached and each
+    dropped insert counts as a [commute.memo_evictions] event. *)
 
 val flush_commute_metrics : commute_cache -> unit
 (** Add the cache's local counters to the global metrics registry
@@ -316,16 +295,6 @@ val flush_commute_metrics : commute_cache -> unit
     and zero them.  The sequential explorer
     flushes at the end of every search; the parallel engine flushes each
     domain's cache when its worker finishes. *)
-
-val set_commute_cache_bound : int -> unit
-(** Override the memo's entry bound (default [2^16]; clamped at [0]).
-    Past the bound new results are recomputed instead of cached and each
-    dropped insert counts as a [commute.memo_evictions] event.  Exposed
-    so tests can exercise the overflow path cheaply; affects subsequent
-    searches process-wide. *)
-
-val get_commute_cache_bound : unit -> int
-val default_commute_cache_bound : int
 
 (** [source_key reduction ~max_crashes config ~sleep] — the visited key of
     the (configuration, sleep) node: the canonical state key extended with
@@ -348,9 +317,8 @@ val source_fingerprint :
   Config.t ->
   sleep:tr list ->
   Fingerprint.t * Symmetry.perm option * tr list
-(** Raw-two-lane variant of {!source_key} for the parallel engine's
-    lock-free claim table, which stores bare lanes and never allocates a
-    {!Fingerprint.key}. *)
+(** {!source_key} as bare lanes, for callers that claim in a two-lane
+    {!Claim_table} directly. *)
 
 val source_fingerprint_from :
   Fingerprint.t ->
@@ -360,10 +328,31 @@ val source_fingerprint_from :
   sleep:tr list ->
   Fingerprint.t * Symmetry.perm option * tr list
 (** {!source_fingerprint} when the bare state fingerprint is already in
-    hand — the incremental engines carry it patched from the parent's, so
-    the claim key costs O(|relevant sleep|) instead of a re-fold.  Only
-    meaningful with symmetry off (the incremental path never carries a
-    fingerprint under symmetry quotienting). *)
+    hand — the engines carry it patched from the parent's, so the claim
+    key costs O(|relevant sleep|) instead of a re-fold.  Only meaningful
+    with symmetry off (no fingerprint is carried under symmetry
+    quotienting). *)
+
+val node_key :
+  paranoid:bool ->
+  reduction ->
+  max_crashes:int ->
+  Fingerprint.t option ->
+  Config.t Lazy.t ->
+  sleep:tr list ->
+  Fingerprint.key * Symmetry.perm option * tr list
+(** [node_key ~paranoid reduction ~max_crashes fp config ~sleep] — the
+    claim key of a search node, as both engines compute it: the carried
+    fingerprint [fp] (extended with the relevant sleep) when it is there
+    and [paranoid] is off, without forcing [config] unless the sleep
+    restriction needs it; otherwise {!source_key}.  Returns what
+    {!source_key} returns. *)
+
+val root_fingerprint : counters -> reduction -> Config.t -> Fingerprint.t option
+(** [root_fingerprint c reduction root] — the carried fingerprint a
+    search starts from: the root's homomorphic re-fold (counted in
+    [fp_refolds]) with symmetry off, [None] under symmetry, whose keys
+    fold the orbit minimization's winner instead. *)
 
 val patched_fingerprint :
   Config.t -> Fingerprint.t -> Step.slots -> Config.t -> Fingerprint.t
@@ -421,21 +410,25 @@ val run :
   max_recoveries:int ->
   ?deadline:float ->
   ?expected_states:int ->
+  ?spill:string ->
   reduction:reduction ->
   paranoid:bool ->
-  fp:fp_mode ->
-  stop_on_cycle:bool ->
+  find_cycle:bool ->
   on_terminal:(Config.t -> Trace.t -> unit) ->
   on_visit:(Config.t -> Trace.t Lazy.t -> unit) ->
   string ->
   Config.t ->
   stats * Trace.t option
 (** [run ... label config] — the depth-first search behind every
-    sequential {!Search} entry point.  [on_visit] sees every claimed
-    node once with a lazy witness trace, [on_terminal] every terminal
-    once; either may raise {!Stop}.  A back-edge into the DFS stack is
-    counted in [cycles] and its lasso kept as the returned witness;
-    [~stop_on_cycle] ends the search at the first one.  The caller
-    chooses the reduction: source sets assume an acyclic graph, so
-    cycle hunting and reachability pass them off.  [label] names the
-    search in the [explore] observability event. *)
+    sequential {!Search} entry point.  It claims nodes in a
+    {!Claim_table} sized by [?expected_states] (else a small start) and
+    mapped from [?spill] when given, the table {!Parallel} uses.
+    [on_visit] sees every claimed node once with a lazy witness trace,
+    [on_terminal] every terminal once; either may raise {!Stop}.  Under
+    [~find_cycle] the search also keeps the keys on its stack, and the
+    first back-edge into it ends the search with its lasso as the
+    returned witness; otherwise the witness is [None] and a back-edge
+    counts in [dedup_hits].  The caller chooses the reduction: source
+    sets assume an acyclic graph, so cycle hunting and reachability pass
+    them off.  [label] names the search in the [explore] observability
+    event. *)

@@ -12,12 +12,12 @@
    so [idle = jobs] can only be observed when every deque is empty and no
    domain holds work — at that point the search space is exhausted.
 
-   Deduplication goes through one {!Claim_table}: two-lane fingerprint
-   words (124-bit keys) in a flat array claimed under a mutex, on the
-   heap ([Heap]) or in mmap'd files under a spill directory ([Spill dir]),
-   so the visited set is bounded by disk rather than heap.  [~paranoid]
-   runs key on full canonical forms instead, in one mutex-guarded
-   [Fingerprint.Ktbl] that only they allocate, whatever [visited] says.
+   Deduplication goes through one {!Claim_table}, the sequential
+   explorer's table too: two-lane fingerprint words (124-bit keys) in a
+   flat array claimed under a mutex, on the heap ([Heap]) or in mmap'd
+   files under a spill directory ([Spill dir]), so the visited set is
+   bounded by disk rather than heap.  [~paranoid] runs claim exact
+   canonical keys in an [`Exact] table instead, whatever [visited] says.
 
    A state is {e claimed} exactly once, by whichever domain's claim
    lands first; only the claimer expands the state, so every state is
@@ -79,14 +79,13 @@ let default_seq_threshold = 4096
    item's configuration — carried in the work item so a stolen subtree
    prunes identically to an owner-executed one.
 
-   The configuration itself travels delta-encoded ([Config.Delta]): under
-   the incremental fingerprint mode each push extends the parent's chain
-   with the one-proc-slot/one-store-slot patch of its transition, so a
-   deque entry retains O(1) fresh words; under [Full] every item is a
-   materialized root (the historical representation).  [fp] is the
-   state's homomorphic fingerprint patched from the parent's — [Some]
-   exactly on the incremental symmetry-off lanes — which lets [claim]
-   skip both the materialization and the re-fold on the hot path. *)
+   The configuration itself travels delta-encoded ([Config.Delta]): each
+   push extends the parent's chain with the one-proc-slot/one-store-slot
+   patch of its transition, so a deque entry retains O(1) fresh words.
+   [fp] is the state's homomorphic fingerprint patched from the
+   parent's — [Some] exactly on the symmetry-off lanes — which lets
+   [claim] skip both the materialization and the re-fold on the hot
+   path. *)
 type work = {
   delta : Config.Delta.t;
   fp : Fingerprint.t option;
@@ -94,10 +93,6 @@ type work = {
   depth : int;
   sleep : Explore.tr list;
 }
-
-type vtable =
-  | Claims of Claim_table.t
-  | Exact of { lock : Mutex.t; tbl : unit Fingerprint.Ktbl.t }
 
 type stop_cause = Budget | Deadline | Callback of exn
 
@@ -128,7 +123,7 @@ let fresh_dstats () =
   }
 
 type global = {
-  table : vtable;
+  table : Claim_table.t;
   visited : visited;
   deques : work Ws_deque.t array;
   idle : int Atomic.t;
@@ -142,7 +137,6 @@ type global = {
   deadline_at : float; (* absolute wall clock, or infinity *)
   reduction : Explore.reduction;
   paranoid : bool;
-  fp_mode : Explore.fp_mode;
   (* Peak total deque population, sampled every 256 processed items —
      the frontier-memory gauge's item count. *)
   frontier_peak : int Atomic.t;
@@ -166,20 +160,6 @@ type ctx = {
    steal loop, so no wake-up broadcast is needed. *)
 let set_stop g cause = ignore (Atomic.compare_and_set g.stop None (Some cause))
 
-(* The fingerprint claim key (every table but the paranoid [Exact] one),
-   with the canonicalizing renaming and relevant sleep set that go with
-   it. *)
-let[@inline] fingerprint_key g item config =
-  match item.fp with
-  | Some f ->
-    if g.reduction.Explore.source_sets && item.sleep <> [] then
-      Explore.source_fingerprint_from f g.reduction ~max_crashes:g.max_crashes
-        (Lazy.force config) ~sleep:item.sleep
-    else (f, None, [])
-  | None ->
-    Explore.source_fingerprint g.reduction ~max_crashes:g.max_crashes
-      (Lazy.force config) ~sleep:item.sleep
-
 (* Claim first, ticket second: every ticket below the budget goes to
    exactly one successful claim, so the counted states of a truncated run
    are exactly [max_states]. *)
@@ -196,31 +176,15 @@ let[@inline] ticket g pi sleep =
    reports exactly [max_states] states, like the sequential explorer. *)
 let claim ctx item config =
   let g = ctx.g in
-  (* Incremental fast path: the carried fingerprint IS the claim key
-     (extended with the relevant sleep when source sets are on), so a
-     duplicate is rejected without materializing the delta chain and
-     without any re-fold.  Materialization is forced only when the sleep
-     restriction needs the configuration, or on the exact/symmetry
-     paths. *)
-  match g.table with
-  | Claims t -> (
-    let fp, pi, sleep = fingerprint_key g item config in
-    match
-      Claim_table.claim t ctx.stats.claim ~h1:fp.Fingerprint.h1
-        ~h2:fp.Fingerprint.h2
-    with
-    | `Dup -> `Dup
-    | `Fresh -> ticket g pi sleep)
-  | Exact { lock; tbl } ->
-    let key, pi, sleep =
-      Explore.source_key ~paranoid:true g.reduction ~max_crashes:g.max_crashes
-        (Lazy.force config) ~sleep:item.sleep
-    in
-    Mutex.lock lock;
-    let fresh = not (Fingerprint.Ktbl.mem tbl key) in
-    if fresh then Fingerprint.Ktbl.add tbl key ();
-    Mutex.unlock lock;
-    if fresh then ticket g pi sleep else `Dup
+  (* The carried fingerprint is the claim key, so a duplicate is usually
+     rejected without materializing the delta chain. *)
+  let key, pi, sleep =
+    Explore.node_key ~paranoid:g.paranoid g.reduction
+      ~max_crashes:g.max_crashes item.fp config ~sleep:item.sleep
+  in
+  match Claim_table.claim_key g.table ctx.stats.claim key with
+  | `Dup -> `Dup
+  | `Fresh -> ticket g pi sleep
 
 (* Expand one work item.  Exceptions from user callbacks propagate to the
    caller (the worker loop converts them into a stop cause); no lock is
@@ -280,13 +244,10 @@ let process ctx item =
                 Explore.child_fingerprint c item.fp config slots config'
               in
               let delta' =
-                match g.fp_mode with
-                | Explore.Full -> Config.Delta.root config'
-                | Explore.Incremental ->
-                  let i = slots.Step.sl_proc in
-                  Config.Delta.extend item.delta
-                    ~proc_sets:[ (i, config'.Config.procs.(i)) ]
-                    ~store_sets:slots.Step.sl_store
+                let i = slots.Step.sl_proc in
+                Config.Delta.extend item.delta
+                  ~proc_sets:[ (i, config'.Config.procs.(i)) ]
+                  ~store_sets:slots.Step.sl_store
               in
               ctx.stats.pushed_items <- ctx.stats.pushed_items + 1;
               ctx.stats.pushed_words <-
@@ -413,20 +374,8 @@ let merge_stats g (all : dstats list) (c : Explore.counters) =
         (8.0 *. float_of_int peak
         *. (float_of_int words /. float_of_int items))
   in
-  Explore.stats_of_counters c ~cycles:0 ~limit_reason ~frontier_bytes
-    ~collision_bound:
-      (match g.table with
-      | Claims _ -> Explore.collision_bound ~bits:Claim_table.bits ~states
-      | Exact _ -> 0.0)
-
-(* Heap footprint of the visited set, for the bench's memory comparison
-   (the exact keys of a paranoid run are whole key trees, not counted —
-   paranoid is a debug mode), and the mapped bytes of a spill table. *)
-let visited_bytes g =
-  match g.table with Claims t -> Claim_table.memory_bytes t | Exact _ -> 0
-
-let spill_bytes g =
-  match g.table with Claims t -> Claim_table.spill_bytes t | Exact _ -> 0
+  Explore.stats_of_counters c ~limit_reason ~frontier_bytes
+    ~collision_bound:(Explore.table_bound ~paranoid:g.paranoid ~states)
 
 (* Observability: aggregate counters always; one "parallel" event with
    per-domain breakdown when a sink is installed. *)
@@ -436,7 +385,6 @@ let m_probes = Obs.Metrics.counter "parallel.probes"
 let m_cas_retries = Obs.Metrics.counter "parallel.cas_retries"
 let m_source = Obs.Metrics.counter "parallel.source_skips"
 let m_searches = Obs.Metrics.counter "parallel.searches"
-let m_spill_bytes = Obs.Metrics.counter "parallel.spill_bytes"
 
 (* The per-domain d0../steals breakdown below is worker-only; the
    seeding pass's work shows in the merged totals. *)
@@ -452,8 +400,10 @@ let emit_obs label g stats (dstats : dstats array) dt =
     dstats;
   let rate = if dt > 0.0 then float_of_int stats.Explore.states /. dt else 0.0 in
   Obs.Metrics.set_gauge "parallel.states_per_sec" rate;
-  Obs.Metrics.set_gauge "parallel.visited_bytes" (float_of_int (visited_bytes g));
-  Obs.Metrics.add m_spill_bytes (spill_bytes g);
+  (* Heap footprint of the visited set, for the bench's memory
+     comparison. *)
+  Obs.Metrics.set_gauge "parallel.visited_bytes"
+    (float_of_int (Claim_table.memory_bytes g.table));
   Obs.Metrics.set_gauge "explore.frontier_bytes"
     (float_of_int stats.Explore.frontier_bytes);
   if Obs.Sink.get () != Obs.Sink.null then
@@ -490,18 +440,11 @@ let emit_obs label g stats (dstats : dstats array) dt =
              (Array.to_list dstats)))
 
 let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
-    ?deadline ?expected_states ~reduction ~paranoid ~fp:fp_mode ?seed_target
+    ?deadline ?expected_states ~reduction ~paranoid ?seed_target
     ?seq_threshold ~jobs ~on_terminal ~on_visit label config =
   let jobs = max 1 jobs in
-  (* The incremental lanes carry a homomorphic fingerprint only with
-     symmetry off (canonical keys go through the orbit minimization);
-     under [~paranoid] it is carried for cross-validation while the
-     claim keys stay exact. *)
-  let root_fp =
-    if fp_mode = Explore.Incremental && reduction.Explore.symmetry = None then
-      Some (Fingerprint.hom_of_config config)
-    else None
-  in
+  let seed_stats = fresh_dstats () in
+  let root_fp = Explore.root_fingerprint seed_stats.counts reduction config in
   let root =
     {
       delta = Config.Delta.root config;
@@ -511,13 +454,6 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
       sleep = [];
     }
   in
-  (* The auto-sequential fallback threshold, resolved early because it
-     also sizes the visited table: when it is active and no
-     [?expected_states] hint says otherwise, the space is presumed small
-     until the seeder proves it big, so the table starts tiny (a
-     right-sized allocation costs more than the whole search on the
-     small spaces the fallback exists for — growth amortizes the
-     big-space case). *)
   let threshold =
     match seed_target with
     | Some _ -> 0
@@ -529,20 +465,9 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
   let g =
     {
       table =
-        (if paranoid then
-           Exact { lock = Mutex.create (); tbl = Fingerprint.Ktbl.create 1024 }
-         else
-           let spill =
-             match visited with Spill dir -> Some dir | Heap -> None
-           in
-           let initial_capacity =
-             match expected_states with
-             | Some _ -> None
-             | None -> Some (if threshold > 0 then 256 else 8192)
-           in
-           Claims
-             (Claim_table.create ?initial_capacity ?expected_states ?spill
-                `Two_lane));
+        Claim_table.create ?expected_states
+          ?spill:(match visited with Spill dir -> Some dir | Heap -> None)
+          (if paranoid then `Exact else `Two_lane);
       visited;
       deques = Array.init jobs (fun _ -> Ws_deque.create ~dummy:root ());
       idle = Atomic.make 0;
@@ -559,7 +484,6 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
         | Some secs -> Unix.gettimeofday () +. secs);
       reduction;
       paranoid;
-      fp_mode;
       frontier_peak = Atomic.make 0;
       jobs;
       cb_lock = Mutex.create ();
@@ -573,8 +497,6 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
   (* Seed: bounded BFS on the main domain until the frontier is wide
      enough to keep [jobs] domains busy.  The seeder claims and counts
      states through the same [process] path the workers use. *)
-  let seed_stats = fresh_dstats () in
-  if root_fp <> None then seed_stats.counts.fp_refolds <- 1;
   let seed_ctx =
     {
       g;

@@ -1,10 +1,9 @@
 (** Multicore state-space exploration.
 
     Runs the same transition relation as {!Explore} across [jobs] domains.
-    Searches start at {!Search}, which runs this engine at [jobs > 1] or
-    under the out-of-core [Spill] table; {!run} is exported for the
-    tests and benches that need the engine at [jobs = 1] or its
-    work-distribution knobs.
+    Searches start at {!Search}, which runs this engine at [jobs > 1];
+    {!run} is exported for the tests and benches that need the engine at
+    [jobs = 1] or its work-distribution knobs.
 
     A bounded breadth-first pass on the calling domain seeds a frontier of
     roughly [4 * jobs] work items ([?seed_target] overrides), distributed
@@ -16,21 +15,21 @@
     anywhere on the work path.
 
     {b Visited table.}  Deduplication is claim-once through one
-    {!Claim_table}: an open-addressed table of two-lane fingerprint words
-    (effective 124 bits; the birthday bound is [stats.collision_bound]),
-    every claim under one mutex, grown by rehashing into a doubled array.
-    {!visited} picks its backing:
+    {!Claim_table}, the table the sequential explorer claims in too, on
+    the same keys ({!Explore.node_key}): an open-addressed table of
+    two-lane fingerprint words (effective 124 bits; the birthday bound is
+    [stats.collision_bound]), every claim under one mutex, grown by
+    rehashing into a doubled array.  {!visited} picks its backing:
 
     - [Heap] ([Search.default]'s): the words live in a heap bigarray.
     - [Spill dir]: the words live in mmap'd files under [dir] (created if
       absent; the files are unlinked once mapped), so heap residency
       drops to bookkeeping.  The mapped bytes are added to the
-      [parallel.spill_bytes] counter.  [Unix.Unix_error] is raised if
+      [visited.spill_bytes] counter.  [Unix.Unix_error] is raised if
       [dir] cannot be created or a file cannot be mapped.
 
-    [~paranoid] runs key on exact canonical forms instead, in one
-    mutex-guarded hashtable that only they allocate, whatever [visited]
-    says; their collision bound is [0].
+    [~paranoid] runs claim exact canonical keys instead, in an [`Exact]
+    table, whatever [visited] says; their collision bound is [0].
 
     A search node is claimed exactly once, so every node is expanded at
     most once and the explored graph is exactly the sequential one.
@@ -56,9 +55,8 @@
     is a pure function of the node.  [max_depth] and the particular
     witness traces are racy; checkers built on this module return
     deterministic {e verdicts} with possibly different (equally valid)
-    witnesses.  [cycles] is always [0] here: back-edges count as
-    [dedup_hits] ([Search.find_cycle] hunts non-termination with the
-    sequential DFS).
+    witnesses.  Back-edges count as [dedup_hits] ([Search.find_cycle]
+    hunts non-termination with the sequential DFS).
 
     {b Reductions.}  Both reductions compose with work stealing.
     Symmetry quotienting canonicalizes before the claim, so an orbit's
@@ -98,7 +96,6 @@ val run :
   ?expected_states:int ->
   reduction:Explore.reduction ->
   paranoid:bool ->
-  fp:Explore.fp_mode ->
   ?seed_target:int ->
   ?seq_threshold:int ->
   jobs:int ->

@@ -13,7 +13,6 @@ type options = {
   expected_states : int option;
   reduction : Explore.reduction;
   paranoid : bool;
-  fp : Explore.fp_mode;
   jobs : int;
   visited : Parallel.visited;
 }
@@ -28,7 +27,6 @@ let default =
     expected_states = None;
     reduction = Explore.no_reduction;
     paranoid = false;
-    fp = Explore.Incremental;
     jobs = 1;
     visited = Parallel.Heap;
   }
@@ -42,34 +40,29 @@ let with_expected_states n o = { o with expected_states = Some n }
 let with_reduction r o = { o with reduction = r }
 
 let with_paranoid b o = { o with paranoid = b }
-let with_fp m o = { o with fp = m }
 let with_jobs n o = { o with jobs = max 1 n }
 let with_visited v o = { o with visited = v }
 
 let no_terminal _ _ = ()
 let no_visit _ _ = ()
 
-let explore ~stop_on_cycle ~on_terminal ~on_visit label o config =
+let explore ~find_cycle ~on_terminal ~on_visit label o config =
   Explore.run ~max_states:o.max_states ~max_depth:o.max_depth
     ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
     ?deadline:o.deadline ?expected_states:o.expected_states
-    ~reduction:o.reduction ~paranoid:o.paranoid ~fp:o.fp ~stop_on_cycle
-    ~on_terminal ~on_visit label config
+    ?spill:(match o.visited with Parallel.Spill dir -> Some dir | Heap -> None)
+    ~reduction:o.reduction ~paranoid:o.paranoid ~find_cycle ~on_terminal
+    ~on_visit label config
 
-(* The one engine dispatch.  The out-of-core table lives only in the
-   parallel engine, so a spill search runs there even at [jobs = 1]. *)
+(* The one engine dispatch, on [jobs] alone. *)
 let run ~on_terminal ~on_visit label o config =
-  let spill =
-    match o.visited with Parallel.Spill _ -> true | Parallel.Heap -> false
-  in
-  if o.jobs > 1 || spill then
+  if o.jobs > 1 then
     Parallel.run ~visited:o.visited ~max_states:o.max_states
       ~max_depth:o.max_depth ~max_crashes:o.max_crashes
       ~max_recoveries:o.max_recoveries ?deadline:o.deadline
       ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ~fp:o.fp ~jobs:o.jobs ~on_terminal ~on_visit label
-      config
-  else fst (explore ~stop_on_cycle:false ~on_terminal ~on_visit label o config)
+      ~paranoid:o.paranoid ~jobs:o.jobs ~on_terminal ~on_visit label config
+  else fst (explore ~find_cycle:false ~on_terminal ~on_visit label o config)
 
 (* Source sets cover terminals only; reachability and cycle hunting need
    every state and every back-edge. *)
@@ -107,7 +100,7 @@ let check_terminals ?options config ~ok =
    [jobs] says; the options record still supplies every other knob. *)
 let find_cycle ?(options = default) config =
   let stats, witness =
-    explore ~stop_on_cycle:true ~on_terminal:no_terminal ~on_visit:no_visit
+    explore ~find_cycle:true ~on_terminal:no_terminal ~on_visit:no_visit
       "find_cycle" (without_source_sets options) config
   in
   (witness, stats)

@@ -13,12 +13,13 @@
       Search.iter_terminals ~options:opts config ~f
     ]}
 
-    The entry points below choose the engine: [jobs > 1], or the
-    out-of-core [Parallel.Spill] visited mode (which only the parallel
-    engine has), runs the work-stealing {!Parallel} engine; otherwise the
-    sequential {!Explore} DFS runs.  Whatever the path, the observable
-    counts and verdicts agree (see the determinism notes in {!Parallel});
-    [--reduction full] runs at full strength on both.
+    The entry points below choose the engine on [jobs] alone: [jobs > 1]
+    runs the work-stealing {!Parallel} engine, otherwise the sequential
+    {!Explore} DFS runs.  Both key a node the same way and claim it in
+    the same visited table ({!Claim_table}), whose backing [visited]
+    picks, so the observable counts and verdicts agree whatever the path
+    (see the determinism notes in {!Parallel}); [--reduction full] runs
+    at full strength on both.
 
     {b Callbacks.}  [f] in {!iter_terminals} (and the predicates of
     {!find_terminal} and {!check_terminals}) sees each reachable terminal
@@ -34,15 +35,15 @@
     stats reflect the work done so far.  Any other exception aborts the
     search and is re-raised on the calling domain.
 
-    {b Fingerprints.}  [fp] selects how visited keys are produced on the
-    symmetry-off lanes ({!Explore.fp_mode}).  Under [Incremental] each
-    child's fingerprint is patched from its parent's, and the parallel
-    engine's work items travel delta-encoded ({!Config.Delta}) with the
-    carried fingerprint, so a duplicate claim needs neither a
-    materialization nor a re-fold; [stats.frontier_bytes] then reports
-    peak deque population times the mean retained words per item.
-    [Full] re-folds every configuration.  Counts and verdicts are the
-    same under both. *)
+    {b Fingerprints.}  On the symmetry-off lanes every search keys a node
+    by its homomorphic fingerprint, patched from its parent's
+    ({!Explore.node_key}); the parallel engine's work items travel
+    delta-encoded ({!Config.Delta}) with it, so a duplicate claim needs
+    neither a materialization nor a re-fold, and [stats.frontier_bytes]
+    then reports peak deque population times the mean retained words per
+    item.  [paranoid] claims exact canonical keys instead and re-folds
+    the carried fingerprint at every claimed node: the reference the
+    fingerprinted search is checked against. *)
 
 exception Stop
 (** Raise from a callback to stop the search gracefully (the same
@@ -56,13 +57,13 @@ type options = {
   deadline : float option;  (** wall-clock budget in seconds *)
   expected_states : int option;  (** visited-table pre-size hint *)
   reduction : Explore.reduction;  (** default {!Explore.no_reduction} *)
-  paranoid : bool;  (** exact canonical keys, no fingerprints *)
-  fp : Explore.fp_mode;  (** fingerprint mode (default [Incremental]) *)
+  paranoid : bool;
+      (** exact canonical keys, each carried fingerprint re-folded *)
   jobs : int;  (** worker domains; [<= 1] means sequential *)
   visited : Parallel.visited;
-      (** where the parallel visited table keeps its words (default
-          [Heap]).  [Spill dir] keeps them in mmap'd files under [dir]
-          and runs {!Parallel} even at [jobs <= 1]. *)
+      (** where the visited table keeps its words (default [Heap]).
+          [Spill dir] keeps them in mmap'd files under [dir], at any
+          [jobs]. *)
 }
 
 val default : options
@@ -78,10 +79,6 @@ val with_expected_states : int -> options -> options
 val with_reduction : Explore.reduction -> options -> options
 
 val with_paranoid : bool -> options -> options
-
-val with_fp : Explore.fp_mode -> options -> options
-(** Pin the fingerprint mode ([Incremental] patches the parent's
-    homomorphic hash per step; [Full] re-folds every configuration). *)
 
 val with_jobs : int -> options -> options
 (** Clamped to at least [1]. *)
@@ -130,6 +127,6 @@ val find_cycle :
     to an infinite run by repeated application of the automorphism).
     Returns the lasso trace (stem to the repeated configuration).
     Always sequential — cycle detection needs the DFS stack discipline
-    ([jobs] and [visited] are ignored) — and source sets are stripped,
+    ([jobs] is ignored) — and source sets are stripped,
     since skipping transitions at on-stack states could hide back-edges.
     Wait-free algorithms must return [None]. *)

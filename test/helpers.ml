@@ -27,7 +27,7 @@ let parallel_run ?seed_target ?seq_threshold
     ~max_depth:o.max_depth ~max_crashes:o.max_crashes
     ~max_recoveries:o.max_recoveries ?deadline:o.deadline
     ?expected_states:o.expected_states
-    ~reduction:o.reduction ~paranoid:o.paranoid ~fp:o.fp ?seed_target
+    ~reduction:o.reduction ~paranoid:o.paranoid ?seed_target
     ?seq_threshold ~jobs:o.jobs ~on_terminal ~on_visit "test" config
 
 (* Distinct proposal values for k processes: 100, 101, … *)

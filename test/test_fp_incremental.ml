@@ -7,9 +7,10 @@
    bit-for-bit.  The suite checks that identity over every reachable
    state of several families (process steps, crashes, recoveries), the
    group laws it rests on, the delta-chain materialization it travels
-   with, engine-level count agreement between [--fp incremental] and
-   [--fp full] at jobs 1 and 4, and — via seeded fault injection — that
-   [~paranoid] actually catches a wrong patch. *)
+   with, engine-level count agreement between the fingerprinted search
+   and the paranoid exact-key reference at jobs 1 and 4, and that
+   [~paranoid] re-folds at every claimed node and fails loudly on a
+   wrong patch. *)
 open Subc_sim
 open Helpers
 
@@ -51,9 +52,9 @@ let families =
 let root_of (store, programs, _) = Config.make store programs
 
 (* Every reachable configuration of a family under the given fault
-   budgets, via the full-refold sequential explorer (no reduction, so
-   the enumeration itself does not depend on the machinery under
-   test). *)
+   budgets, via the paranoid sequential explorer (exact keys and no
+   reduction, so the enumeration itself does not depend on the
+   fingerprints under test). *)
 let reachable ?(max_crashes = 0) ?(max_recoveries = 0) harness =
   let acc = ref [] in
   ignore
@@ -61,7 +62,7 @@ let reachable ?(max_crashes = 0) ?(max_recoveries = 0) harness =
       ~options:
         Search.(
           default |> with_max_crashes max_crashes
-          |> with_max_recoveries max_recoveries |> with_fp Explore.Full)
+          |> with_max_recoveries max_recoveries |> with_paranoid true)
        (root_of harness) ~f:(fun c _ -> acc := c :: !acc));
   !acc
 
@@ -192,8 +193,8 @@ let delta_roundtrip () =
         intervals)
 
 (* ---------------------------------------------------------------- *)
-(* Engine-level equivalence: identical counts across fingerprint
-   modes, reductions, and job counts.                                *)
+(* Engine-level equivalence: identical counts fingerprinted and under
+   the paranoid exact-key reference, across reductions and job counts. *)
 
 let same_counts name (a : Explore.stats) (b : Explore.stats) =
   Alcotest.(check int) (name ^ " states") a.Explore.states b.Explore.states;
@@ -217,21 +218,20 @@ let engine_equivalence () =
         (fun (rname, reduction) ->
           List.iter
             (fun jobs ->
-              let stats mode =
+              let stats paranoid =
                 Search.iter_terminals
                   ~options:
                     Search.(
                       default |> with_max_crashes 1 |> with_reduction reduction
-                      |> with_fp mode |> with_jobs jobs
+                      |> with_paranoid paranoid |> with_jobs jobs
                       |> with_visited test_visited)
                   config
                   ~f:(fun _ _ -> ())
               in
-              let inc = stats Explore.Incremental in
-              let full = stats Explore.Full in
+              let inc = stats false in
               same_counts
                 (Printf.sprintf "%s/%s/j%d" name rname jobs)
-                inc full;
+                inc (stats true);
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s/j%d frontier gauge" name rname jobs)
                 true
@@ -245,8 +245,8 @@ let engine_equivalence () =
     [ ("alg2/k3", alg2_harness 3); ("1swrn/k3", wrn_harness 3) ]
 
 (* ---------------------------------------------------------------- *)
-(* Paranoid: carried fingerprints are re-validated at every node —
-   clean on a correct patcher, loud on a corrupted one.              *)
+(* Paranoid: carried fingerprints are re-validated at every claimed
+   node — clean on a correct patcher, loud on a corrupted one.       *)
 
 let paranoid_clean () =
   let config = root_of (alg2_harness 3) in
@@ -254,8 +254,7 @@ let paranoid_clean () =
     Search.iter_terminals
       ~options:
         Search.(
-          default |> with_max_crashes 1 |> with_paranoid paranoid
-          |> with_fp Explore.Incremental)
+          default |> with_max_crashes 1 |> with_paranoid paranoid)
       config
       ~f:(fun _ _ -> ())
   in
@@ -264,38 +263,56 @@ let paranoid_clean () =
     Search.iter_terminals
       ~options:
         Search.(
-          default |> with_max_crashes 1 |> with_paranoid true
-          |> with_fp Explore.Incremental |> with_jobs 4)
+          default |> with_max_crashes 1 |> with_paranoid true |> with_jobs 4)
       config ~f:(fun _ _ -> ())
   in
   same_counts "parallel paranoid" jstats (run false)
 
+(* A carried fingerprint that disagrees with its re-fold is counted by
+   [cross_check] and fails the search at the flush; and a paranoid
+   search runs that check at every claimed node, on both engines. *)
 let paranoid_catches_mutation () =
   let config = root_of (alg2_harness 3) in
-  Fun.protect
-    ~finally:(fun () -> Explore.set_fp_fault_injection 0)
-    (fun () ->
-      Explore.set_fp_fault_injection 5;
-      match
+  let c = Explore.fresh_counters () in
+  let good = Fingerprint.hom_of_config config in
+  Explore.cross_check c ~paranoid:true (Some good) config;
+  Explore.flush_fp_counters ~engine:"test" c;
+  Explore.cross_check c ~paranoid:true
+    (Some (Fingerprint.extend good 0xBAD))
+    config;
+  (match Explore.flush_fp_counters ~engine:"test" c with
+  | () -> Alcotest.fail "a corrupted fingerprint went unnoticed"
+  | exception Invalid_argument msg ->
+    let contains hay needle =
+      let nh = String.length hay and nn = String.length needle in
+      let rec go i =
+        i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check bool)
+      "mismatch is attributed to the incremental patcher" true
+      (contains msg "incremental fingerprint"));
+  let refolds () =
+    Option.value (Subc_obs.Metrics.find "fp.refolds") ~default:0.
+  in
+  List.iter
+    (fun jobs ->
+      let before = refolds () in
+      let s =
         Search.iter_terminals
           ~options:
             Search.(
-              default |> with_paranoid true |> with_fp Explore.Incremental)
+              default |> with_max_crashes 1 |> with_paranoid true
+              |> with_jobs jobs |> with_visited test_visited)
           config
           ~f:(fun _ _ -> ())
-      with
-      | _ -> Alcotest.fail "corrupted patches went unnoticed"
-      | exception Invalid_argument msg ->
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
-        Alcotest.(check bool)
-          "mismatch is attributed to the incremental patcher" true
-          (contains msg "incremental fingerprint"))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d re-folds every claimed node" jobs)
+        true
+        (refolds () -. before >= float_of_int s.Explore.states))
+    [ 1; 4 ]
 
 let suite =
   [
@@ -304,7 +321,7 @@ let suite =
         test "homomorphic group laws" hom_group_laws;
         test_slow "patch == refold over reachable states" patch_matrix;
         test "delta chains materialize exactly" delta_roundtrip;
-        test_slow "incremental == full across engines" engine_equivalence;
+        test_slow "incremental == paranoid across engines" engine_equivalence;
         test_slow "paranoid cross-validation is clean" paranoid_clean;
         test "paranoid catches a seeded wrong patch" paranoid_catches_mutation;
       ] );

@@ -8,9 +8,9 @@
    checker must return the same status at [--jobs 1] and [--jobs N].
    Both visited-table backings, the heap and the out-of-core [Spill]
    files, must reproduce those counts.  Fingerprint regression: the
-   allocation-lean 126-bit hash must be injective over every reachable
-   set we explore, and a [~paranoid] (exact-key) search must produce
-   identical statistics. *)
+   allocation-lean hash must be injective over every reachable set we
+   explore, and a [~paranoid] (exact-key) search must produce identical
+   statistics. *)
 open Subc_sim
 open Helpers
 module Task = Subc_tasks.Task
@@ -32,9 +32,9 @@ let jobs =
    unlinked as soon as it is mapped, so the directory stays empty. *)
 let spill_dir = "parallel-spill.tmp"
 
-(* The [parallel.spill_bytes] counter: what spill tables have mapped. *)
+(* The [visited.spill_bytes] counter: what spill tables have mapped. *)
 let spilled () =
-  Option.value ~default:0.0 (Subc_obs.Metrics.find "parallel.spill_bytes")
+  Option.value ~default:0.0 (Subc_obs.Metrics.find "visited.spill_bytes")
 
 (* The bytes [f] maps for spill tables. *)
 let spilled_by f =
@@ -329,7 +329,7 @@ let recovery_budgets_all_visited () =
    gracefully on either engine: no exception escapes and the stats cover
    part of the space.  The worker domains run under [~seq_threshold:0]
    (this space is small); the front door at [jobs = 1] runs the
-   sequential engine, or the parallel one under [Spill]. *)
+   sequential engine under either backing. *)
 let stop_from_callback () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
@@ -405,7 +405,8 @@ let callback_exception_then_next_search () =
 
 (* A spill directory that cannot be created (its parent is a regular
    file) fails the search with a clean [Unix.Unix_error] before any
-   state is explored, at one job and at two. *)
+   state is explored, on the sequential engine at one job and on the
+   parallel one at two. *)
 let spill_dir_uncreatable () =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
@@ -933,28 +934,29 @@ let paranoid_cross_validation () =
   check_harness "alg5 f=0 sym" config5 ~max_crashes:0
     (Explore.with_symmetry sym5)
 
-(* A corrupted incremental patch is caught by the paranoid re-fold on
-   the worker domains too, also when a spill table was asked for. *)
-let parallel_paranoid_catches_mutation () =
+(* The paranoid re-fold runs at every node the worker domains claim
+   too, also when a spill table was asked for. *)
+let parallel_paranoid_refolds () =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
+  let refolds () =
+    Option.value (Subc_obs.Metrics.find "fp.refolds") ~default:0.
+  in
   List.iter
     (fun visited ->
       let label = Format.asprintf "%a" Parallel.pp_visited visited in
-      Fun.protect
-        ~finally:(fun () -> Explore.set_fp_fault_injection 0)
-        (fun () ->
-          Explore.set_fp_fault_injection 5;
-          match
-            parallel_run ~seq_threshold:0
-              Search.(
-                default |> with_visited visited |> with_max_crashes 1
-                |> with_paranoid true |> with_fp Explore.Incremental
-                |> with_jobs jobs)
-              config
-          with
-          | _ -> Alcotest.fail (label ^ ": corrupted patches went unnoticed")
-          | exception Invalid_argument _ -> ()))
+      let before = refolds () in
+      let s =
+        parallel_run ~seq_threshold:0
+          Search.(
+            default |> with_visited visited |> with_max_crashes 1
+            |> with_paranoid true |> with_jobs jobs)
+          config
+      in
+      Alcotest.(check bool)
+        (label ^ ": one re-fold per claimed node")
+        true
+        (refolds () -. before >= float_of_int s.Explore.states))
     all_visited
 
 (* Spill and heap tables hold the same two-lane words, so an exhaustive
@@ -1343,9 +1345,9 @@ let map_propagates_exceptions () =
 
 let bound (s : Explore.stats) = s.Explore.collision_bound
 
-(* Options that never name a visited table get the heap one, and
-   options that never name a fingerprint mode get the incremental patch
-   path: constants, not a settable default. *)
+(* Options that never name a visited table get the heap one, a
+   constant, not a settable default; and every unreduced search patches
+   its carried fingerprint, at one job and at [jobs]. *)
 let omitted_modes_are_constants () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
@@ -1366,44 +1368,56 @@ let omitted_modes_are_constants () =
   let patches_so_far () =
     Option.value (Subc_obs.Metrics.find "fp.patches") ~default:0.
   in
-  let patches ?fp () =
-    let o = Search.(default |> with_max_crashes 1) in
-    let o = Option.fold ~none:o ~some:(fun m -> Search.with_fp m o) fp in
-    let before = patches_so_far () in
-    ignore (Search.iter_terminals ~options:o config ~f:(fun _ _ -> ()));
-    patches_so_far () -. before
-  in
-  let omitted = patches () in
-  Alcotest.(check bool) "omitted fp patches" true (omitted > 0.);
-  Alcotest.(check (float 0.0)) "omitted fp is incremental"
-    (patches ~fp:Explore.Incremental ()) omitted;
-  Alcotest.(check (float 0.0)) "full fp never patches" 0.
-    (patches ~fp:Explore.Full ())
+  List.iter
+    (fun j ->
+      let before = patches_so_far () in
+      let s =
+        Search.iter_terminals
+          ~options:Search.(default |> with_max_crashes 1 |> with_jobs j)
+          config
+          ~f:(fun _ _ -> ())
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "jobs=%d: one patch per transition" j)
+        (float_of_int s.Explore.transitions)
+        (patches_so_far () -. before))
+    [ 1; jobs ]
 
-(* [Search] leaves the sequential engine only for [jobs > 1] or a spill
-   table: naming the heap table alone changes nothing at one job. *)
-let visited_alone_stays_sequential () =
+(* [Search] picks the engine on [jobs] alone: a spill table at one job
+   runs the sequential engine, which maps its table like the parallel
+   one, leaves no file behind and reports the same bound. *)
+let spill_at_one_job_stays_sequential () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
-  let run o =
+  let dir = "spill-seq.tmp" in
+  let run j visited =
     Search.iter_terminals
-      ~options:Search.(o (default |> with_max_crashes 1))
+      ~options:
+        Search.(
+          default |> with_max_crashes 1 |> with_visited visited |> with_jobs j)
       config
       ~f:(fun _ _ -> ())
   in
-  let seq = run Fun.id in
-  let heap = run (Search.with_visited Parallel.Heap) in
-  same_counts "heap at one job" seq heap;
-  Alcotest.(check (float 0.0)) "sequential bound" (bound seq) (bound heap);
-  let spill, mapped =
-    spilled_by (fun () -> run (Search.with_visited (Parallel.Spill spill_dir)))
+  let searches engine =
+    Option.value ~default:0.0
+      (Subc_obs.Metrics.find (engine ^ ".searches"))
   in
-  same_counts "spill at one job" seq spill;
-  Alcotest.(check bool) "spill runs the parallel engine" true (mapped > 0.0);
+  let heap = run 1 Parallel.Heap in
+  let seq_before = searches "explore" and par_before = searches "parallel" in
+  let spill, mapped = spilled_by (fun () -> run 1 (Parallel.Spill dir)) in
+  same_counts "spill vs heap at one job" heap spill;
   Alcotest.(check (float 0.0))
-    "parallel bound"
-    (Explore.collision_bound ~bits:Claim_table.bits
-       ~states:spill.Explore.states)
+    "the sequential engine ran" 1.0
+    (searches "explore" -. seq_before);
+  Alcotest.(check (float 0.0))
+    "the parallel engine did not" 0.0
+    (searches "parallel" -. par_before);
+  Alcotest.(check bool) "a mapped table" true (mapped > 0.0);
+  Alcotest.(check (array string)) "no file left behind" [||] (Sys.readdir dir);
+  Sys.rmdir dir;
+  Alcotest.(check (float 0.0))
+    "the bound of jobs 2"
+    (bound (run 2 (Parallel.Spill spill_dir)))
     (bound spill)
 
 (* Two searches running at once on separate domains each keep the
@@ -1497,8 +1511,8 @@ let suite =
         test "equal canonical keys give equal fingerprints"
           fingerprint_respects_key;
         test "structural encoding is prefix-free" fingerprint_prefix_free;
-        test "parallel paranoid catches corrupted patches"
-          parallel_paranoid_catches_mutation;
+        test "parallel paranoid re-folds every claimed node"
+          parallel_paranoid_refolds;
         test "spill reports the heap collision bound" spill_matches_heap_bound;
       ] );
     ( "parallel.map",
@@ -1508,10 +1522,10 @@ let suite =
       ] );
     ( "parallel.options",
       [
-        test "omitted visited and fp modes are constants"
+        test "omitted visited mode is constant; unreduced searches patch"
           omitted_modes_are_constants;
-        test "a visited mode alone keeps one job sequential"
-          visited_alone_stays_sequential;
+        test "spill at one job runs the sequential engine"
+          spill_at_one_job_stays_sequential;
         test "concurrent searches keep their own visited mode"
           concurrent_searches_keep_their_modes;
       ] );

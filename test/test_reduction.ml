@@ -397,42 +397,43 @@ let orbit_members_share_key () =
   | _ -> assert false
 
 (* ---------------------------------------------------------------- *)
-(* The commute memo's overflow path: with the bound collapsed to zero
-   every insert is dropped and counted, and the search results do not
-   depend on the cache at all.                                       *)
+(* The commute memo's overflow path: over every reachable state, a cache
+   bounded at zero expands exactly as a default one — the same groups
+   and the same inherited sleeps — while every insert it drops is
+   counted.                                                          *)
 
 let memo_eviction_counts () =
   let store, programs, _ = alg2_harness 3 in
-  let run () =
-    let acc = ref [] in
-    let stats =
-      Search.iter_terminals
-        ~options:Search.(default |> with_reduction Explore.source_only)
-        (Config.make store programs)
-        ~f:(fun final _ -> acc := Config.decisions final :: !acc)
+  let states = ref [] in
+  ignore
+    (Search.iter_reachable (Config.make store programs) ~f:(fun c _ ->
+         states := c :: !states));
+  let evictions () =
+    Option.value (Subc_obs.Metrics.find "commute.memo_evictions") ~default:0.
+  in
+  let starved = Explore.commute_cache ~bound:0 ()
+  and fed = Explore.commute_cache () in
+  let expand cache config =
+    let groups, skips =
+      Explore.source_successors cache Explore.source_only ~pi:None
+        ~max_crashes:0 ~max_recoveries:0 config ~sleep:[]
     in
-    (List.sort compare !acc, stats.Explore.states, stats.Explore.transitions)
+    (List.map (fun g -> (g.Explore.g_tr, g.Explore.g_sleep)) groups, skips)
   in
-  let metric name =
-    match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
-  in
-  Subc_obs.Metrics.reset ();
-  let base = run () in
+  List.iter
+    (fun config ->
+      Alcotest.(check bool)
+        "memo starvation changes no expansion" true
+        (expand starved config = expand fed config))
+    !states;
+  let before = evictions () in
+  Explore.flush_commute_metrics fed;
   Alcotest.(check (float 0.0))
     "no evictions at the default bound" 0.
-    (metric "commute.memo_evictions");
-  let old = Explore.get_commute_cache_bound () in
-  Explore.set_commute_cache_bound 0;
-  let starved =
-    Fun.protect
-      ~finally:(fun () -> Explore.set_commute_cache_bound old)
-      (fun () ->
-        Subc_obs.Metrics.reset ();
-        run ())
-  in
+    (evictions () -. before);
+  Explore.flush_commute_metrics starved;
   Alcotest.(check bool) "dropped inserts are counted" true
-    (metric "commute.memo_evictions" > 0.);
-  Alcotest.(check bool) "memo starvation changes nothing" true (base = starved)
+    (evictions () > before)
 
 let suite =
   [
