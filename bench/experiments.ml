@@ -996,8 +996,8 @@ let e16 () =
 
 (* ------------------------------------------------------------------ E17 *)
 
-(* Multicore scaling: the parallel engine must reproduce the sequential
-   counts bit-for-bit at every domain count (that part is asserted); the
+(* Multicore scaling: every domain count must reproduce the jobs-1
+   counts bit-for-bit (that part is asserted); the
    timing columns are informational — wall-clock speedup is bounded by
    the host's core count, which the table header records. *)
 let e17 () =
@@ -1073,7 +1073,7 @@ let e17 () =
           single-core host can only measure synchronization overhead. *)
        let mode = if host_domains > 1 then "parallel" else "overhead-only" in
        Printf.sprintf
-         "E17. Multicore scaling: parallel engine vs sequential counts \
+         "E17. Multicore scaling: counts at jobs N vs jobs 1 \
           (identical by construction, asserted); host offers %d domain(s) \
           [mode: %s], which bounds any wall-clock speedup"
          host_domains mode)
@@ -1259,13 +1259,13 @@ let e19 () =
         "verdict" ]
     (rows @ [ ratio_row ])
 
-(* E21: incremental fingerprinting + delta-encoded frontier on alg2,
-   alg5 and the 1sWRN harness at k=3; each cell explores fingerprinted
-   and paranoid (exact keys, the reference) on both engines.  The claim
-   is exactness: identical states, transitions and terminals between
-   the two per family x reduction x jobs, with the unreduced lanes doing
-   O(1) patches (fp.patches ~ transitions, fp.refolds ~ 1 per search)
-   and a frontier-proportional memory gauge. *)
+(* E21: incremental fingerprinting on alg2, alg5 and the 1sWRN harness
+   at k=3; each cell explores fingerprinted and paranoid (exact keys, the
+   reference) at jobs 1 and 4.  The claim is exactness: identical states,
+   transitions and terminals between the two per family x reduction x
+   jobs, with the unreduced lanes doing O(1) patches (fp.patches ~
+   transitions, fp.refolds ~ 1 per search) and a live frontier memory
+   gauge. *)
 let e21 () =
   let alg2_harness () =
     let store, t = Alg2.alloc Store.empty ~k:3 ~one_shot:true in
@@ -1393,10 +1393,9 @@ let e21 () =
   in
   table
     ~title:
-      "E21. Incremental fingerprints + delta frontiers: f=1 — identical \
-       spaces fingerprinted and under paranoid exact keys at jobs 1 and \
-       4; O(1) patches replace per-state re-folds; frontier-proportional \
-       memory"
+      "E21. Incremental fingerprints: f=1 — identical spaces \
+       fingerprinted and under paranoid exact keys at jobs 1 and 4; O(1) \
+       patches replace per-state re-folds"
     ~header:
       [ "family"; "reduction"; "jobs"; "states"; "transitions"; "patches";
         "refolds"; "frontier B"; "inc speed"; "paranoid speed"; "verdict" ]

@@ -259,7 +259,7 @@ let perf_fingerprint () =
       ];
   }
 
-(* Metric deltas around one exploration: the parallel engine adds to the
+(* Metric deltas around one exploration: the engine adds to the
    process-global counters; subtracting a snapshot isolates one run. *)
 let counter_delta names f =
   let read () =
@@ -270,25 +270,25 @@ let counter_delta names f =
   let after = read () in
   (r, List.map2 (fun a b -> a -. b) after before)
 
-(* The parallel engine called directly — at [jobs = 1] too, where
-   [Search] never sends a search — with [Search.default]'s knobs and a
-   crash budget of one. *)
+(* The engine called directly, for its [?seq_threshold] knob, with
+   [Search.default]'s knobs and a crash budget of one. *)
 let parallel_f1 ?seq_threshold ~visited ~jobs label config =
   let o = Search.default in
-  Parallel.run ~visited ~max_states:o.max_states ~max_depth:o.max_depth
-    ~max_crashes:1 ~max_recoveries:o.max_recoveries ~reduction:o.reduction
-    ~paranoid:o.paranoid ?seq_threshold ~jobs
-    ~on_terminal:(fun _ _ -> ())
-    ~on_visit:(fun _ _ -> ())
-    label config
+  fst
+    (Parallel.run ~visited ~max_states:o.max_states ~max_depth:o.max_depth
+       ~max_crashes:1 ~max_recoveries:o.max_recoveries ~reduction:o.reduction
+       ~paranoid:o.paranoid ?seq_threshold ~find_cycle:false ~jobs
+       ~on_terminal:(fun _ _ -> ())
+       ~on_visit:(fun _ _ -> ())
+       label config)
 
 (* P2: exploration throughput across domain counts, over Algorithm 5
    k=3 f=1 (the largest registry family).  Counts are asserted identical
-   to the sequential run at every domain count (determinism is part of
-   the bench); wall-clock, states/sec and the contention counters
-   (steals, probes, steal CAS retries) are informational — on a
-   single-core host every jobs>1 row just measures synchronization
-   overhead. *)
+   to the jobs-1 run at every domain count (determinism is part of the
+   bench), and each row's speedup is taken against that run;
+   wall-clock, states/sec and the contention counters (steals, probes,
+   steal CAS retries) are informational — on a single-core host every
+   jobs>1 row just measures synchronization overhead. *)
 let perf_parallel ~jobs_list () =
   let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
   let programs =
@@ -311,14 +311,6 @@ let perf_parallel ~jobs_list () =
     done;
     (Option.get !result, !best)
   in
-  let base_stats, base_secs =
-    best_of (fun () ->
-        Search.iter_terminals
-          ~options:Search.(default |> with_max_crashes 1)
-          config ~f:(fun _ _ -> ()))
-  in
-  Format.printf "p2: explore alg5 k=3 f=1, sequential: %d states, %.3fs@."
-    base_stats.Explore.states base_secs;
   let explore jobs =
     let (stats, secs), deltas =
       counter_delta counter_names (fun () ->
@@ -327,9 +319,11 @@ let perf_parallel ~jobs_list () =
     in
     (stats, secs, List.map (fun d -> d /. float_of_int repeat) deltas)
   in
+  let base = explore 1 in
+  let base_stats, base_secs, _ = base in
   List.map
     (fun jobs ->
-      let stats, secs, deltas = explore jobs in
+      let stats, secs, deltas = if jobs = 1 then base else explore jobs in
       if
         stats.Explore.states <> base_stats.Explore.states
         || stats.Explore.terminals <> base_stats.Explore.terminals
@@ -592,12 +586,12 @@ let perf_e21 ~jobs_list () =
     families
 
 (* P6 artifact row: the out-of-core visited table.  [p6.spill_compare]
-   runs the parallel engine twice on the same family at the same domain
-   count — the [Heap] backing vs [Spill] — and records both wall times
+   runs the engine twice, helpers spawned at the root, on the same
+   family at the same domain count — the [Heap] backing vs [Spill] — and records both wall times
    and heap-resident visited bytes.  CI asserts
    [spill_vs_heap_memory <= 0.5]: the spill table's heap residency is
    bookkeeping only (the mapped pages are file-backed).  Both runs'
-   counts are diffed against the sequential explorer, like P2 does. *)
+   counts are diffed against the jobs-1 search, like P2 does. *)
 let perf_spill ~jobs_list () =
   let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
   let programs =
@@ -659,10 +653,11 @@ let perf_spill ~jobs_list () =
   ]
 
 (* P7: the auto-sequential fallback ([Parallel.default_seq_threshold]).
-   On a space far below the threshold the parallel entry points complete
-   on the seeding pass without spawning a single domain, so asking for jobs=4
-   must cost about the same as the sequential explorer — CI asserts the
-   ratio <= 1.2 (the old eager spawn measured 2-8x here). *)
+   On a space far below the threshold a jobs=4 search is the caller's own
+   DFS from root to end: it never spawns a helper, allocates no deque
+   and takes no extra lock, so asking for jobs=4 must cost about what
+   jobs=1 costs — CI asserts the ratio <= 1.2.  The [eager_ratio] row
+   spawns the helpers at the root instead, for contrast. *)
 let perf_seq_fallback () =
   let harness () =
     let store, t = Subc_core.Alg2.alloc Store.empty ~k:3 ~one_shot:true in

@@ -107,8 +107,9 @@ let check_harness ?(options = Search.default) store ~programs ~ops ~spec =
   let config = Config.make store programs in
   let failure = ref None in
   let histories = ref 0 in
-  (* The terminal callback is serialized on either engine ([Parallel]
-     holds the callback lock), so the two refs need no extra locking. *)
+  (* The terminal callback is serialized at any [jobs] ([Parallel] holds
+     the callback lock once helpers run), so the two refs need no extra
+     locking. *)
   let on_terminal final trace =
     if !failure = None then begin
       incr histories;

@@ -48,7 +48,7 @@ val pp_failure : Format.formatter -> failure -> unit
     spreads the reachable-prefix enumeration across that many domains
     ({!Subc_sim.Parallel}).  [reduction] applies to the reachable-prefix
     enumeration (symmetry only; source sets are stripped from
-    reachability on either engine).  [solo_limit] caps the solo search
+    reachability at any [jobs]).  [solo_limit] caps the solo search
     per process (default 10000); exceeding it counts as non-termination.
     The verdict status, solo bound and configuration count are
     deterministic, the counterexample witness (on refutation) may differ

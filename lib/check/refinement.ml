@@ -6,8 +6,8 @@ type failure = { outcome : Value.t list; trace : Trace.t }
 (* Symmetry reduction is deliberately stripped: outcome vectors are
    compared literally between the two harnesses, and quotienting each
    side independently could pick different orbit representatives.
-   Terminal callbacks are serialized under the parallel engine's
-   callback lock, so the accumulator needs no further protection. *)
+   Terminal callbacks are serialized under the engine's callback lock
+   once helpers run, so the accumulator needs no further protection. *)
 let sanitize options =
   Search.with_reduction Explore.no_reduction options
 

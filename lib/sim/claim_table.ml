@@ -1,7 +1,7 @@
 (* The visited table of every search: an open-addressed set of two-lane
    fingerprints in one flat [Bigarray.Array1], claimed under one mutex.
-   Both engines claim in it, the sequential DFS from its one domain and
-   the work-stealing engine from many.
+   Every domain of a search claims in it: the calling domain alone until
+   it spawns helpers, then every helper too.
 
    A claim table answers one question, once per state: "am I the first
    to reach this key?"  It supports exactly one operation, [claim_key],

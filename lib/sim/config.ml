@@ -144,8 +144,8 @@ module Delta = struct
 
   let default_rebase_interval = 8
 
-  (* Settable (tests shrink it to force rebases on tiny chains); shared
-     across the parallel engine's domains, hence atomic. *)
+  (* Settable (tests shrink it to force rebases on tiny chains); read
+     from any domain, hence atomic. *)
   let rebase_interval = Atomic.make default_rebase_interval
   let set_rebase_interval n = Atomic.set rebase_interval (max 1 n)
   let get_rebase_interval () = Atomic.get rebase_interval

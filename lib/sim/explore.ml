@@ -153,7 +153,7 @@ let op_independent (model : Obj_model.t) st0 a b =
     | exception Exit -> false
 
 (* The memo table for [op_independent] is per-exploration state (per
-   worker domain in the parallel engine): no process-global hashtable, no
+   search domain): no process-global hashtable, no
    unbounded growth across searches, no cross-domain data race.  It is
    also bounded: past the cache's [cc_bound] entries new results are
    recomputed instead of cached — the cache is a pure memoization, so
@@ -320,12 +320,11 @@ let canonical_packed_sleep minimizers sleep =
 
 exception Stop
 
-(* The counters both engines keep, one record per search (per domain in
-   the parallel engine, summed after the join — [max_depth] takes the
-   maximum).  Every schedule-independent figure of {!stats} is one of
-   these, so the determinism contract (equal counts at any [jobs]) rests
-   on this one definition and on the helpers below, which both engines
-   call at the same points of an expansion. *)
+(* The counters a search keeps, one record per domain, summed after the
+   join ([max_depth] takes the maximum).  Every schedule-independent
+   figure of {!stats} is one of these, so the determinism contract (equal
+   counts at any [jobs]) rests on this one definition and on the helpers
+   below, which every domain calls at the same points of an expansion. *)
 type counters = {
   mutable states : int;
   mutable transitions : int;
@@ -510,7 +509,7 @@ let source_fingerprint (reduction : reduction) ~max_crashes config ~sleep =
   | Fingerprint.Exact _, _, _ -> assert false
 
 (* [source_fingerprint] when the bare state fingerprint is already in
-   hand (the engines carry it patched from the parent's, so
+   hand (a search carries it patched from the parent's, so
    the claim key costs O(|relevant sleep|) instead of a configuration
    re-fold).  Only valid with symmetry off — no fingerprint is carried
    under symmetry quotienting. *)
@@ -522,12 +521,12 @@ let source_fingerprint_from fp (reduction : reduction) ~max_crashes config
   in
   (List.fold_left Fingerprint.extend fp (packed_sleep None sleep), None, sleep)
 
-(* The claim key of a search node, the one way every engine keys a node.
+(* The claim key of a search node, the one way every search keys a node.
    Under source sets it is the {e pair} (canonical state, canonical
    relevant sleep): expansion is a pure function of that pair, so
    claiming each pair exactly once reproduces the stateless sleep-set
-   search tree with identical subtrees shared, whichever engine or domain
-   claims it.  The state half is, on the symmetry-off lanes, the carried
+   search tree with identical subtrees shared, whichever domain claims
+   it.  The state half is, on the symmetry-off lanes, the carried
    fingerprint [fp] — patched from the parent's, so a duplicate costs no
    re-fold and, when the relevant sleep is empty, not even the
    configuration ([config] is forced only when needed); under symmetry
@@ -560,9 +559,8 @@ let root_fingerprint c (reduction : reduction) config =
 (* One enabled transition bundle of the expansion, with the sleep set its
    children inherit (concrete coordinates of {e this} configuration).
    Each successor carries the slots its transition rewrote
-   ({!Step.slots}), which is what lets the engines patch
-   fingerprints and delta-encode frontier entries instead of re-folding
-   and copying. *)
+   ({!Step.slots}), which is what lets a search patch fingerprints
+   instead of re-folding. *)
 type succ_group = {
   g_tr : tr;
   g_sleep : tr list;
@@ -632,8 +630,8 @@ let child_fingerprint c fp parent slots child =
     c.fp_patches <- c.fp_patches + 1;
     Some (patched_fingerprint parent f slots child)
 
-(* The source-set expansion of a (config, sleep) node, shared verbatim by
-   the sequential DFS and every parallel worker domain.
+(* The source-set expansion of a (config, sleep) node, run by every
+   search domain.
 
    Siblings are processed in {e canonical} order (sorted by their image
    under the canonicalizing renaming), so the k-th sibling — and hence
@@ -694,191 +692,3 @@ let source_successors cache (reduction : reduction) ~pi ~max_crashes
     in
     (out, !skips)
   end
-
-type state = {
-  table : Claim_table.t;
-  probes : Claim_table.opstats;
-  (* The keys on the DFS stack, kept only when hunting a cycle. *)
-  onstack : unit Fingerprint.Ktbl.t option;
-  commute : commute_cache;
-  paranoid : bool;
-  c : counters;
-  mutable limit_reason : limit_reason;
-  max_states : int;
-  depth_limit : int;
-  max_crashes : int;
-  max_recoveries : int;
-  (* Absolute wall-clock cutoff, or infinity.  Checked every
-     [deadline_mask + 1] DFS nodes so the common case costs one integer
-     test. *)
-  deadline_at : float;
-  mutable deadline_tick : int;
-  reduction : reduction;
-  mutable cycle_witness : Trace.t option;
-  on_terminal : Config.t -> Trace.t -> unit;
-  on_visit : Config.t -> Trace.t Lazy.t -> unit;
-}
-
-(* DFS with claim-once memoization on canonical (configuration, sleep)
-   keys, claimed in the same table and through the same [node_key] as
-   the parallel engine.  [rev_trace] is the path from the root, newest
-   event first.  Crash transitions are ordinary transitions of the
-   search: every running process may crash as long as the crash budget
-   is not exhausted.  The budget needs no separate memoization key —
-   crashed processes are part of the configuration, so the number of
-   crashes used is derivable from the configuration itself.
-
-   [sleep] is the sleep set in concrete coordinates: transitions whose
-   exploration is covered by a sibling branch and must not be re-explored
-   here.  Source sets only prune transitions, never terminals: every
-   reachable terminal is still visited through some canonical
-   interleaving, and terminals key by state alone (their relevant sleep
-   is empty), so terminal verdicts and counts are preserved exactly.
-   (Completeness of the pruning assumes the state graph is acyclic, which
-   holds for all one-shot bounded algorithms; the cycle-hunting entry
-   points force source sets off.)
-
-   Outside cycle hunting a back-edge into the DFS stack is a claimed key
-   like any other, a [dedup_hits] count as in the parallel engine. *)
-let deadline_mask = 1023
-
-let rec dfs st config fp rev_trace depth sleep =
-  let c = st.c in
-  st.deadline_tick <- st.deadline_tick + 1;
-  if
-    st.deadline_tick land deadline_mask = 0
-    && Unix.gettimeofday () > st.deadline_at
-  then begin
-    st.limit_reason <- Deadline;
-    raise Stop
-  end;
-  if depth > c.max_depth then c.max_depth <- depth;
-  if depth > st.depth_limit then begin
-    (* Prune this branch only; siblings are still explored. *)
-    if st.limit_reason = No_limit then st.limit_reason <- Max_depth
-  end
-  else begin
-    let key, pi, sleep =
-      node_key ~paranoid:st.paranoid st.reduction ~max_crashes:st.max_crashes
-        fp (Lazy.from_val config) ~sleep
-    in
-    match st.onstack with
-    | Some onstack when Fingerprint.Ktbl.mem onstack key ->
-      (* Back-edge into the current DFS stack: an infinite schedule
-         (modulo symmetry, when enabled). *)
-      st.cycle_witness <- Some (List.rev rev_trace);
-      raise Stop
-    | onstack -> (
-      match Claim_table.claim_key st.table st.probes key with
-      | `Dup -> c.dedup_hits <- c.dedup_hits + 1
-      | `Fresh ->
-        if c.states >= st.max_states then begin
-          st.limit_reason <- Max_states;
-          raise Stop
-        end;
-        c.states <- c.states + 1;
-        cross_check c ~paranoid:st.paranoid fp config;
-        st.on_visit config (lazy (List.rev rev_trace));
-        if count_terminal c config then
-          st.on_terminal config (List.rev rev_trace);
-        let groups, skips =
-          source_successors st.commute st.reduction ~pi
-            ~max_crashes:st.max_crashes ~max_recoveries:st.max_recoveries
-            config ~sleep
-        in
-        c.source_skips <- c.source_skips + skips;
-        (match onstack with
-        | Some t -> Fingerprint.Ktbl.add t key ()
-        | None -> ());
-        List.iter
-          (fun g ->
-            List.iter
-              (fun (config', event, slots) ->
-                c.transitions <- c.transitions + 1;
-                let fp' = child_fingerprint c fp config slots config' in
-                dfs st config' fp' (event :: rev_trace) (depth + 1) g.g_sleep)
-              g.g_succs)
-          groups;
-        match onstack with
-        | Some t -> Fingerprint.Ktbl.remove t key
-        | None -> ())
-  end
-
-(* Observability: cumulative counters are cheap and always on; a per-search
-   event is emitted only when a sink is installed. *)
-let m_states = Obs.Metrics.counter "explore.states"
-let m_transitions = Obs.Metrics.counter "explore.transitions"
-let m_dedup = Obs.Metrics.counter "explore.dedup_hits"
-let m_source = Obs.Metrics.counter "explore.source_skips"
-let m_searches = Obs.Metrics.counter "explore.searches"
-
-let run ~max_states ~max_depth ~max_crashes ~max_recoveries ?deadline
-    ?expected_states ?spill ~reduction ~paranoid ~find_cycle ~on_terminal
-    ~on_visit label config =
-  let t0 = Unix.gettimeofday () in
-  let st =
-    {
-      table =
-        Claim_table.create ?expected_states ?spill
-          (if paranoid then `Exact else `Two_lane);
-      probes = Claim_table.fresh_opstats ();
-      onstack = (if find_cycle then Some (Fingerprint.Ktbl.create 16) else None);
-      commute = commute_cache ();
-      paranoid;
-      c = fresh_counters ();
-      limit_reason = No_limit;
-      max_states;
-      depth_limit = max_depth;
-      max_crashes;
-      max_recoveries;
-      deadline_at =
-        (match deadline with
-        | None -> infinity
-        | Some secs -> t0 +. secs);
-      deadline_tick = 0;
-      reduction;
-      cycle_witness = None;
-      on_terminal;
-      on_visit;
-    }
-  in
-  let c = st.c in
-  (try dfs st config (root_fingerprint c reduction config) [] 0 []
-   with Stop -> ());
-  (* Sequential frontier retention is the DFS stack: one frame of unique
-     words (successor config + trace cons + a few map spine nodes) per
-     level of the deepest path.  A rough estimate — the parallel engine
-     measures its deques instead. *)
-  let frontier_bytes =
-    if c.states = 0 then 0
-    else 8 * c.max_depth * (34 + Config.n_procs config)
-  in
-  let s =
-    stats_of_counters c ~limit_reason:st.limit_reason ~frontier_bytes
-      ~collision_bound:(table_bound ~paranoid ~states:c.states)
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  flush_commute_metrics st.commute;
-  Obs.Metrics.incr m_searches;
-  Obs.Metrics.add m_states s.states;
-  Obs.Metrics.add m_transitions s.transitions;
-  Obs.Metrics.add m_dedup s.dedup_hits;
-  Obs.Metrics.add m_source s.source_skips;
-  Obs.Metrics.set_gauge "explore.frontier_bytes" (float_of_int frontier_bytes);
-  flush_fp_counters ~engine:"Explore" c;
-  if Obs.Sink.get () != Obs.Sink.null then
-    Obs.Sink.emit "explore"
-      [
-        ("search", Obs.Sink.Str label);
-        ("states", Obs.Sink.Int s.states);
-        ("transitions", Obs.Sink.Int s.transitions);
-        ("terminals", Obs.Sink.Int s.terminals);
-        ("dedup_hits", Obs.Sink.Int s.dedup_hits);
-        ("source_skips", Obs.Sink.Int s.source_skips);
-        ("limited", Obs.Sink.Bool s.limited);
-        ("seconds", Obs.Sink.Float dt);
-        ( "states_per_sec",
-          Obs.Sink.Float
-            (if dt > 0.0 then float_of_int s.states /. dt else 0.0) );
-      ];
-  (s, st.cycle_witness)

@@ -1,13 +1,12 @@
-(** Exhaustive state-space exploration (model checking): the sequential
-    engine, and the key, expansion and counting machinery it shares with
-    the work-stealing {!Parallel} engine.  Searches start at {!Search},
-    which runs this module's {!run} at [jobs = 1] and {!Parallel.run}
-    otherwise; the knobs named below are {!Search.options} fields.
+(** Exhaustive state-space exploration (model checking): the key,
+    expansion and counting machinery of the search engine ({!Parallel},
+    one depth-first search per domain).  Searches start at {!Search};
+    the knobs named below are {!Search.options} fields.
 
-    Explores {e all} interleavings of process steps {e and} all resolutions
-    of object nondeterminism, by depth-first search over configurations.
-    Both engines key a node one way ({!node_key}) and claim it in one
-    visited table ({!Claim_table}).  On the symmetry-off lanes the key is
+    A search explores {e all} interleavings of process steps {e and} all
+    resolutions of object nondeterminism, by depth-first search over
+    configurations.  Every search keys a node one way ({!node_key}) and
+    claims it in one visited table ({!Claim_table}).  On the symmetry-off lanes the key is
     the homomorphic fingerprint ({!Fingerprint.hom_of_config}) that every
     search folds once at the root and then carries, {e patched} from
     parent to child through the slots each transition rewrote
@@ -65,9 +64,8 @@
       {!op_independent}).  The visited key is the canonical
       {e (configuration, sleep set)} pair and expansion is a deterministic
       function of that pair ({!source_successors}), so the reduction is
-      claim-once safe: the parallel work-stealing engine ({!Parallel})
-      runs it at full strength and reproduces the sequential counts
-      bit-for-bit.  Terminals carry an empty relevant sleep and key by
+      claim-once safe: a search runs it at full strength at any [jobs]
+      and reproduces the one-domain counts bit-for-bit.  Terminals carry an empty relevant sleep and key by
       state alone, so terminal verdicts {e and} terminal counts are
       preserved exactly.  The judgment's purity, equivariance and closure
       assumptions are certified over each object's reachable state space
@@ -94,16 +92,16 @@ val reason_truncates : limit_reason -> bool
 
 (** Raised to end a search early.  A callback of any entry point may
     raise it (re-exported as [Search.Stop]) to stop the search
-    gracefully; both engines catch it and return the stats of the work
+    gracefully; the search catches it and returns the stats of the work
     done so far. *)
 exception Stop
 
-(** The counters both engines keep per search (per domain in
-    {!Parallel}, summed after the join except [max_depth], which takes
-    the maximum).  Every schedule-independent figure of {!stats} is one
-    of them, and both engines update them through the helpers below at
-    the same points of an expansion — the determinism contract rests on
-    this one definition. *)
+(** The counters a search keeps, one record per domain, summed after
+    the join except [max_depth], which takes the maximum.  Every
+    schedule-independent figure of {!stats} is one of them, and every
+    domain updates them through the helpers below at the same points of
+    an expansion — the determinism contract rests on this one
+    definition. *)
 type counters = {
   mutable states : int;
   mutable transitions : int;
@@ -150,7 +148,8 @@ val child_fingerprint :
 
 val flush_fp_counters : engine:string -> counters -> unit
 (** Add the [fp.*] counters to the metrics registry, then fail with
-    [Invalid_argument] if any paranoid cross-check disagreed. *)
+    [Invalid_argument], naming [engine] (the search's label), if any
+    paranoid cross-check disagreed. *)
 
 type stats = {
   states : int;
@@ -178,10 +177,10 @@ type stats = {
   limit_reason : limit_reason;
   frontier_bytes : int;
       (** estimated peak unique retention of the search frontier, in
-          bytes: the DFS stack's per-frame words (sequential engine) or
-          the measured peak work-deque population times the average
-          delta-entry size (parallel engine).  An estimate for memory
-          accounting, not an allocator measurement. *)
+          bytes: one frame of words per level of each domain's DFS stack
+          at [max_depth], plus one per work item at the deques' sampled
+          peak.  An estimate for memory accounting, not an allocator
+          measurement. *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit
@@ -264,8 +263,7 @@ val pp_reduction : Format.formatter -> reduction -> unit
 
 (** {1 Source-set machinery}
 
-    Shared verbatim by the sequential DFS and the parallel work-stealing
-    engine, so both observe the same protocol: visited keys are canonical
+    Run by every search domain, so all observe the same protocol: visited keys are canonical
     (configuration, sleep) pairs, and expansion is a deterministic
     function of the key. *)
 
@@ -292,9 +290,8 @@ val commute_cache : ?bound:int -> unit -> commute_cache
 val flush_commute_metrics : commute_cache -> unit
 (** Add the cache's local counters to the global metrics registry
     ([commute.diamonds], [commute.memo_hits], [commute.memo_evictions])
-    and zero them.  The sequential explorer
-    flushes at the end of every search; the parallel engine flushes each
-    domain's cache when its worker finishes. *)
+    and zero them.  A search flushes each domain's cache when that
+    domain finishes. *)
 
 (** [source_key reduction ~max_crashes config ~sleep] — the visited key of
     the (configuration, sleep) node: the canonical state key extended with
@@ -328,7 +325,7 @@ val source_fingerprint_from :
   sleep:tr list ->
   Fingerprint.t * Symmetry.perm option * tr list
 (** {!source_fingerprint} when the bare state fingerprint is already in
-    hand — the engines carry it patched from the parent's, so the claim
+    hand — a search carries it patched from the parent's, so the claim
     key costs O(|relevant sleep|) instead of a re-fold.  Only meaningful
     with symmetry off (no fingerprint is carried under symmetry
     quotienting). *)
@@ -342,7 +339,7 @@ val node_key :
   sleep:tr list ->
   Fingerprint.key * Symmetry.perm option * tr list
 (** [node_key ~paranoid reduction ~max_crashes fp config ~sleep] — the
-    claim key of a search node, as both engines compute it: the carried
+    claim key of a search node, as every search computes it: the carried
     fingerprint [fp] (extended with the relevant sleep) when it is there
     and [paranoid] is off, without forcing [config] unless the sleep
     restriction needs it; otherwise {!source_key}.  Returns what
@@ -366,8 +363,8 @@ val patched_fingerprint :
 (** One enabled transition bundle of an expansion: its identity, the
     sleep set its children inherit (concrete coordinates of the expanded
     configuration), and its successor configurations with their trace
-    events and rewritten slots ({!Step.slots} — the incremental engines'
-    patch inputs). *)
+    events and rewritten slots ({!Step.slots} — the fingerprint patch's
+    inputs). *)
 type succ_group = {
   g_tr : tr;
   g_sleep : tr list;
@@ -400,35 +397,3 @@ val source_successors :
     for per-state memoization outside the explorer (e.g. solo-run bounds)
     and for the cross-validation tests. *)
 val state_key : ?paranoid:bool -> reduction -> Config.t -> Fingerprint.key
-
-(** {1 The sequential engine} *)
-
-val run :
-  max_states:int ->
-  max_depth:int ->
-  max_crashes:int ->
-  max_recoveries:int ->
-  ?deadline:float ->
-  ?expected_states:int ->
-  ?spill:string ->
-  reduction:reduction ->
-  paranoid:bool ->
-  find_cycle:bool ->
-  on_terminal:(Config.t -> Trace.t -> unit) ->
-  on_visit:(Config.t -> Trace.t Lazy.t -> unit) ->
-  string ->
-  Config.t ->
-  stats * Trace.t option
-(** [run ... label config] — the depth-first search behind every
-    sequential {!Search} entry point.  It claims nodes in a
-    {!Claim_table} sized by [?expected_states] (else a small start) and
-    mapped from [?spill] when given, the table {!Parallel} uses.
-    [on_visit] sees every claimed node once with a lazy witness trace,
-    [on_terminal] every terminal once; either may raise {!Stop}.  Under
-    [~find_cycle] the search also keeps the keys on its stack, and the
-    first back-edge into it ends the search with its lasso as the
-    returned witness; otherwise the witness is [None] and a back-edge
-    counts in [dedup_hits].  The caller chooses the reduction: source
-    sets assume an acyclic graph, so cycle hunting and reachability pass
-    them off.  [label] names the search in the [explore] observability
-    event. *)

@@ -1,63 +1,50 @@
-(* Multicore exploration: a frontier-splitting parallel driver for the
-   sequential explorer's transition relation.
+(* The search engine: one recursive depth-first search per domain.
 
-   The driver seeds a work frontier by bounded breadth-first search from
-   the root (until roughly [4 * jobs] items are pending), distributes the
-   frontier round-robin across per-domain Chase–Lev deques ({!Ws_deque}),
-   then fans out across [jobs] domains.  Each domain runs depth-first
-   search over its own deque (LIFO bottom); a domain whose deque empties
-   steals from a randomly chosen victim's top (lock-free CAS).
-   Termination is the idle-counter protocol: a domain decrements the idle
-   counter {e before} every steal attempt and re-increments on failure,
-   so [idle = jobs] can only be observed when every deque is empty and no
-   domain holds work — at that point the search space is exhausted.
+   The calling domain is worker 0.  It runs the DFS from the root and,
+   at [jobs > 1], spawns [jobs - 1] helper domains from inside that DFS
+   once it has claimed [?seq_threshold] states; smaller spaces never pay
+   for a domain.  Helpers begin idle.  Work moves only toward idleness:
+   a domain about to recurse into a child pushes that child onto its own
+   Chase–Lev deque ({!Ws_deque}) instead, when some domain is idle and
+   its own deque is empty, and an idle domain steals from a random
+   victim's top (lock-free CAS).  A work item carries everything the DFS
+   needs to resume there: the configuration, its carried fingerprint,
+   the trace, the depth and the sleep set.  Termination is the
+   idle-counter protocol: a domain is counted idle whenever it holds no
+   work, and decrements the counter {e before} every steal attempt and
+   re-increments on failure, so [idle = jobs] can only be observed when
+   every deque is empty and no domain holds work.
 
-   Deduplication goes through one {!Claim_table}, the sequential
-   explorer's table too: two-lane fingerprint words (124-bit keys) in a
-   flat array claimed under a mutex, on the heap ([Heap]) or in mmap'd
-   files under a spill directory ([Spill dir]), so the visited set is
-   bounded by disk rather than heap.  [~paranoid] runs claim exact
-   canonical keys in an [`Exact] table instead, whatever [visited] says.
+   Deduplication goes through one {!Claim_table}: two-lane fingerprint
+   words (124-bit keys) in a flat array claimed under a mutex, on the
+   heap ([Heap]) or in mmap'd files under a spill directory
+   ([Spill dir]), so the visited set is bounded by disk rather than
+   heap.  [~paranoid] runs claim exact canonical keys in an [`Exact]
+   table instead, whatever [visited] says.
 
-   A state is {e claimed} exactly once, by whichever domain's claim
-   lands first; only the claimer expands the state, so every state is
-   expanded at most once and the explored graph is exactly the
-   sequential one.
-
-   What is deterministic and what is not (see DESIGN.md "Parallel
-   exploration"): [states], [transitions], [terminals], [hung_terminals],
-   [crashed_terminals], [recovered_terminals], [dedup_hits] and
-   [source_skips] are schedule-independent — claim-once partitions the
-   same reachable set, and each claimed state contributes its fixed
-   out-degree — so they agree with the sequential explorer on acyclic
-   state graphs (all one-shot bounded algorithms).  [max_depth] and the
-   specific witness traces depend on the race for claims; checkers
-   built on this module return deterministic verdicts with possibly
-   different (equally valid) witnesses.
+   A node is {e claimed} exactly once, by whichever domain's claim lands
+   first, and only the claimer expands it; the expansion
+   ([Explore.source_successors]) is a pure function of the claimed
+   (state, sleep) key.  So [states], [transitions], [terminals],
+   [hung_terminals], [crashed_terminals], [recovered_terminals],
+   [dedup_hits] and [source_skips] are schedule-independent on acyclic
+   state graphs (all one-shot bounded algorithms): every domain count
+   reports the one-domain figures, and a stolen subtree prunes exactly as
+   an owner-executed one because everything the pruning depends on
+   travels inside the work item.  At one domain the DFS visits nodes in
+   canonical sibling preorder; [max_depth] and the witness traces of a
+   multi-domain search depend on the race for claims.
 
    Budget exactness: a successful claim draws a ticket from the global
-   state counter; tickets below [max_states] are counted ([`Fresh]), the
-   first ticket at the budget raises the stop flag and is {e not} counted
-   — so a truncated search reports exactly [max_states] states, matching
-   the sequential engine.
+   state counter; tickets below [max_states] are counted, the first
+   ticket at the budget stops the search and is {e not} counted — so a
+   truncated search reports exactly [max_states] states at any [jobs].
 
-   Reductions: symmetry quotienting composes (the canonical key is
-   computed before the claim, so all orbit members race for one slot),
-   and so does the source-set partial-order reduction: work items carry
-   their sleep set, the visited key is the canonical {e (state, sleep)}
-   pair, and expansion ([Explore.source_successors] — the same function
-   the sequential DFS runs) is a deterministic function of that pair.
-   Claim-once on pairs therefore reproduces the stateless sleep-set
-   search tree with identical subtrees shared, whichever domain claims
-   each node and however the Chase–Lev steals interleave — a stolen
-   frame prunes exactly as an owner-executed one because everything the
-   pruning depends on travels inside the work item.  [source_skips] is
-   the per-key skip count summed over claimed keys, so it is as
-   deterministic as [states] and [transitions].
-   Cycle detection is not offered: back-edges are indistinguishable
-   from cross-edges without a per-domain DFS stack discipline, so
-   revisits count as [dedup_hits]; [Search.find_cycle] runs the
-   sequential DFS. *)
+   Every way a search ends — budget, deadline, a callback's [Stop] or
+   other exception, a cycle's back-edge — goes through [halt]: the first
+   cause lands in [stop] and the domain's DFS unwinds with [Halt]; every
+   other domain sees [stop] at its next node or steal attempt and unwinds
+   too.  Worker 0 joins every helper before [run] returns. *)
 
 module Obs = Subc_obs
 
@@ -66,68 +53,53 @@ type visited = Heap | Spill of string
 let pp_visited ppf v =
   Format.pp_print_string ppf (match v with Heap -> "heap" | Spill _ -> "spill")
 
-(* Auto-sequential fallback: on sub-10^4-state spaces the domain spawn +
-   steal traffic costs more than the whole search (E21 measures jobs=2 at
-   2-8x slower than jobs=1 on such families), so the seeding pass keeps
-   going — it runs the identical claim/expand path — until it has counted
-   this many states; only spaces that outlive the threshold pay for
-   domains.  [?seq_threshold] overrides it per call (0 restores the old
-   eager spawn). *)
+(* On sub-10^4-state spaces the domain spawn + steal traffic costs more
+   than the whole search (E21 measures eager spawning at 2-8x slower
+   than one domain on such families), so worker 0 spawns its helpers
+   only once it has claimed this many states.  [?seq_threshold]
+   overrides it per call (0 spawns at the root). *)
 let default_seq_threshold = 4096
 
-(* [sleep] is the node's sleep set in the concrete coordinates of the
-   item's configuration — carried in the work item so a stolen subtree
-   prunes identically to an owner-executed one.
-
-   The configuration itself travels delta-encoded ([Config.Delta]): each
-   push extends the parent's chain with the one-proc-slot/one-store-slot
-   patch of its transition, so a deque entry retains O(1) fresh words.
-   [fp] is the state's homomorphic fingerprint patched from the
-   parent's — [Some] exactly on the symmetry-off lanes — which lets
-   [claim] skip both the materialization and the re-fold on the hot
-   path. *)
+(* A child handed to an idle domain: the arguments of the [dfs] call the
+   pusher would otherwise have made. *)
 type work = {
-  delta : Config.Delta.t;
+  config : Config.t;
   fp : Fingerprint.t option;
   rev_trace : Trace.event list;
   depth : int;
   sleep : Explore.tr list;
 }
 
-type stop_cause = Budget | Deadline | Callback of exn
+type stop_cause = Budget | Deadline | Cycle of Trace.t | Callback of exn
 
-(* Per-domain statistics: the engines' shared counters, merged after the
-   join ([merge_stats]), plus this engine's own work-distribution
-   figures. *)
-type dstats = {
+(* Unwinds a domain's DFS once [stop] is set. *)
+exception Halt
+
+(* One per domain: the search counters, merged after the join, plus this
+   domain's work-distribution figures. *)
+type ctx = {
+  g : global;
+  id : int; (* index into the pool's deques *)
   counts : Explore.counters;
-  mutable pushed_items : int;
-  mutable pushed_words : int; (* unique-retention estimate of pushed work *)
+  claim : Claim_table.opstats;
+  commute : Explore.commute_cache; (* per-domain independence memo *)
   mutable depth_limited : bool;
   mutable steals : int;
   mutable cas_retries : int; (* lost steal races *)
-  claim : Claim_table.opstats;
+  mutable rng : int; (* xorshift state for victim selection *)
+  mutable tick : int; (* nodes entered; deadline poll every 1024 *)
+  (* The claimed-state count at which worker 0 spawns the helpers;
+     [max_int] on every other domain and once they are spawned. *)
+  mutable spawn_at : int;
   mutable seconds : float;
 }
 
-let fresh_dstats () =
-  {
-    counts = Explore.fresh_counters ();
-    pushed_items = 0;
-    pushed_words = 0;
-    depth_limited = false;
-    steals = 0;
-    cas_retries = 0;
-    claim = Claim_table.fresh_opstats ();
-    seconds = 0.0;
-  }
-
-type global = {
+and global = {
   table : Claim_table.t;
-  visited : visited;
-  deques : work Ws_deque.t array;
-  idle : int Atomic.t;
-  finished : bool Atomic.t;
+  jobs : int;
+  (* Written by worker 0 just before it spawns the helpers (the spawn
+     publishes it); [None] for a search that never spawns. *)
+  mutable pool : pool option;
   stop : stop_cause option Atomic.t;
   n_states : int Atomic.t;
   max_states : int;
@@ -137,131 +109,65 @@ type global = {
   deadline_at : float; (* absolute wall clock, or infinity *)
   reduction : Explore.reduction;
   paranoid : bool;
-  (* Peak total deque population, sampled every 256 processed items —
-     the frontier-memory gauge's item count. *)
-  frontier_peak : int Atomic.t;
-  jobs : int;
-  cb_lock : Mutex.t;
-  on_terminal : Config.t -> Trace.t -> unit;
+  (* The keys on the DFS stack, kept only when hunting a cycle (one
+     domain). *)
+  onstack : unit Fingerprint.Ktbl.t option;
+  (* Serialized under a lock once helpers run. *)
+  mutable on_terminal : Config.t -> Trace.t -> unit;
   on_visit : Config.t -> Trace.t Lazy.t -> unit;
 }
 
-type ctx = {
-  g : global;
-  id : int; (* owner index into [deques]; the seeder uses 0 pre-spawn *)
-  stats : dstats;
-  commute : Explore.commute_cache; (* per-domain independence memo *)
-  mutable rng : int; (* xorshift state for victim selection *)
-  mutable tick : int; (* items processed; deadline poll every 256 *)
-  push : work -> unit;
+(* What only a search with helpers needs. *)
+and pool = {
+  deques : work Ws_deque.t array;
+  mutable helpers : (ctx * unit Domain.t) list;
+  idle : int Atomic.t;
+  finished : bool Atomic.t;
+  (* Peak total deque population, sampled at every poll. *)
+  frontier_peak : int Atomic.t;
 }
 
-(* First cause wins; workers poll [stop] between items and inside the
+let fresh_ctx g id ~spawn_at =
+  {
+    g;
+    id;
+    counts = Explore.fresh_counters ();
+    claim = Claim_table.fresh_opstats ();
+    commute = Explore.commute_cache ();
+    depth_limited = false;
+    steals = 0;
+    cas_retries = 0;
+    rng = 0x9E3779B9 * (id + 1);
+    tick = 0;
+    spawn_at;
+    seconds = 0.0;
+  }
+
+(* First cause wins; domains poll [stop] at every node and inside the
    steal loop, so no wake-up broadcast is needed. *)
 let set_stop g cause = ignore (Atomic.compare_and_set g.stop None (Some cause))
 
-(* Claim first, ticket second: every ticket below the budget goes to
-   exactly one successful claim, so the counted states of a truncated run
-   are exactly [max_states]. *)
-let[@inline] ticket g pi sleep =
-  if Atomic.fetch_and_add g.n_states 1 >= g.max_states then `Budget
-  else `Fresh (pi, sleep)
+let halt g cause =
+  set_stop g cause;
+  raise Halt
 
-(* Claim [config]'s canonical (state, sleep) key.  [`Fresh (pi, sleep)]
-   means this domain owns the node and must expand it — [pi] is the
-   canonicalizing renaming and [sleep] the enabled-restricted concrete
-   sleep set, both fed to [Explore.source_successors]; [`Dup] means
-   another claim got there first; [`Budget] means the global state budget
-   is exhausted — the node is left uncounted, so a truncated search
-   reports exactly [max_states] states, like the sequential explorer. *)
-let claim ctx item config =
-  let g = ctx.g in
-  (* The carried fingerprint is the claim key, so a duplicate is usually
-     rejected without materializing the delta chain. *)
-  let key, pi, sleep =
-    Explore.node_key ~paranoid:g.paranoid g.reduction
-      ~max_crashes:g.max_crashes item.fp config ~sleep:item.sleep
-  in
-  match Claim_table.claim_key g.table ctx.stats.claim key with
-  | `Dup -> `Dup
-  | `Fresh -> ticket g pi sleep
+let poll_mask = 1023
 
-(* Expand one work item.  Exceptions from user callbacks propagate to the
-   caller (the worker loop converts them into a stop cause); no lock is
-   held while a callback runs. *)
-let process ctx item =
-  let g = ctx.g in
-  ctx.tick <- ctx.tick + 1;
-  if ctx.tick land 255 = 0 then begin
-    if g.deadline_at < infinity && Unix.gettimeofday () > g.deadline_at then
-      set_stop g Deadline;
-    (* Sample the frontier population for the peak gauge. *)
-    let sz =
-      Array.fold_left (fun acc d -> acc + Ws_deque.size d) 0 g.deques
-    in
+(* Every [poll_mask + 1] nodes: the deadline, and the frontier
+   population for the peak gauge. *)
+let poll g =
+  if g.deadline_at < infinity && Unix.gettimeofday () > g.deadline_at then
+    halt g Deadline;
+  match g.pool with
+  | None -> ()
+  | Some p ->
+    let sz = Array.fold_left (fun acc d -> acc + Ws_deque.size d) 0 p.deques in
     let rec bump () =
-      let cur = Atomic.get g.frontier_peak in
-      if sz > cur && not (Atomic.compare_and_set g.frontier_peak cur sz) then
+      let cur = Atomic.get p.frontier_peak in
+      if sz > cur && not (Atomic.compare_and_set p.frontier_peak cur sz) then
         bump ()
     in
     bump ()
-  end;
-  let c = ctx.stats.counts in
-  if item.depth > c.max_depth then c.max_depth <- item.depth;
-  if item.depth > g.depth_limit then ctx.stats.depth_limited <- true
-  else
-    let config = lazy (Config.Delta.materialize item.delta) in
-    match claim ctx item config with
-    | `Dup -> c.dedup_hits <- c.dedup_hits + 1
-    | `Budget -> set_stop g Budget
-    | `Fresh (pi, sleep) ->
-      let config = Lazy.force config in
-      c.states <- c.states + 1;
-      Explore.cross_check c ~paranoid:g.paranoid item.fp config;
-      g.on_visit config (lazy (List.rev item.rev_trace));
-      if Explore.count_terminal c config then begin
-        Mutex.lock g.cb_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock g.cb_lock)
-          (fun () -> g.on_terminal config (List.rev item.rev_trace))
-      end;
-      (* The same expansion the sequential DFS runs: enabled transition
-         bundles in canonical sibling order, each with the sleep set its
-         children inherit.  Deterministic per claimed key, so pushes are
-         schedule-independent however the deques drain. *)
-      let groups, skips =
-        Explore.source_successors ctx.commute g.reduction ~pi
-          ~max_crashes:g.max_crashes ~max_recoveries:g.max_recoveries config
-          ~sleep
-      in
-      c.source_skips <- c.source_skips + skips;
-      List.iter
-        (fun grp ->
-          List.iter
-            (fun (config', event, slots) ->
-              c.transitions <- c.transitions + 1;
-              let fp' =
-                Explore.child_fingerprint c item.fp config slots config'
-              in
-              let delta' =
-                let i = slots.Step.sl_proc in
-                Config.Delta.extend item.delta
-                  ~proc_sets:[ (i, config'.Config.procs.(i)) ]
-                  ~store_sets:slots.Step.sl_store
-              in
-              ctx.stats.pushed_items <- ctx.stats.pushed_items + 1;
-              ctx.stats.pushed_words <-
-                ctx.stats.pushed_words + 7 + Config.Delta.approx_words delta';
-              ctx.push
-                {
-                  delta = delta';
-                  fp = fp';
-                  rev_trace = event :: item.rev_trace;
-                  depth = item.depth + 1;
-                  sleep = grp.Explore.g_sleep;
-                })
-            grp.Explore.g_succs)
-        groups
 
 let[@inline] next_rand ctx =
   let x = ctx.rng in
@@ -274,204 +180,256 @@ let[@inline] next_rand ctx =
 
 (* A victim with apparently pending work, scanning all peers from a
    random start — [None] when every other deque looks empty. *)
-let pick_victim ctx =
-  let g = ctx.g in
-  let n = g.jobs in
-  if n <= 1 then None
+let pick_victim ctx p =
+  let n = ctx.g.jobs in
+  let start = next_rand ctx mod n in
+  let rec go k =
+    if k = n then None
+    else
+      let v = (start + k) mod n in
+      if v <> ctx.id && Ws_deque.size p.deques.(v) > 0 then Some v
+      else go (k + 1)
+  in
+  go 0
+
+(* Called by a domain counted idle.  Returns a stolen item with the
+   domain no longer counted idle, or [None] once the search is stopped
+   or finished: observing [idle = jobs] proves every domain is workless,
+   and a workless owner's deque is empty (only the owner pushes), so
+   nothing remains anywhere. *)
+let rec steal ctx p =
+  if Option.is_some (Atomic.get ctx.g.stop) || Atomic.get p.finished then None
+  else
+    match pick_victim ctx p with
+    | Some v -> (
+      Atomic.decr p.idle;
+      match Ws_deque.steal p.deques.(v) with
+      | `Stolen w ->
+        ctx.steals <- ctx.steals + 1;
+        Some w
+      | `Empty ->
+        Atomic.incr p.idle;
+        Domain.cpu_relax ();
+        steal ctx p
+      | `Retry ->
+        ctx.cas_retries <- ctx.cas_retries + 1;
+        Atomic.incr p.idle;
+        steal ctx p)
+    | None ->
+      if Atomic.get p.idle = ctx.g.jobs then begin
+        Atomic.set p.finished true;
+        None
+      end
+      else begin
+        Domain.cpu_relax ();
+        steal ctx p
+      end
+
+(* DFS with claim-once memoization on canonical (configuration, sleep)
+   keys ([Explore.node_key]).  [rev_trace] is the path from the root,
+   newest event first.  Crash and recover transitions are ordinary
+   transitions of the search, bounded by budgets the configuration
+   itself records.  [sleep] is the sleep set in concrete coordinates:
+   transitions covered by a sibling branch.  Source sets only prune
+   transitions, never terminals: terminals key by state alone, so
+   terminal verdicts and counts are preserved exactly (assuming an
+   acyclic state graph; the cycle-hunting and reachability entry points
+   force source sets off).  Outside cycle hunting a back-edge is a
+   claimed key like any other, a [dedup_hits] count. *)
+let rec dfs ctx config fp rev_trace depth sleep =
+  let g = ctx.g and c = ctx.counts in
+  (match Atomic.get g.stop with None -> () | Some _ -> raise Halt);
+  ctx.tick <- ctx.tick + 1;
+  if ctx.tick land poll_mask = 0 then poll g;
+  if depth > c.max_depth then c.max_depth <- depth;
+  (* Past the depth bound prune this branch only; siblings go on. *)
+  if depth > g.depth_limit then ctx.depth_limited <- true
   else begin
-    let start = next_rand ctx mod n in
-    let rec go k =
-      if k = n then None
-      else
-        let v = (start + k) mod n in
-        if v <> ctx.id && Ws_deque.size g.deques.(v) > 0 then Some v
-        else go (k + 1)
+    let key, pi, sleep =
+      Explore.node_key ~paranoid:g.paranoid g.reduction
+        ~max_crashes:g.max_crashes fp (Lazy.from_val config) ~sleep
     in
-    go 0
+    match g.onstack with
+    | Some onstack when Fingerprint.Ktbl.mem onstack key ->
+      (* Back-edge into the DFS stack: an infinite schedule (modulo
+         symmetry, when enabled). *)
+      halt g (Cycle (List.rev rev_trace))
+    | onstack -> (
+      match Claim_table.claim_key g.table ctx.claim key with
+      | `Dup -> c.dedup_hits <- c.dedup_hits + 1
+      | `Fresh ->
+        (* Claim first, ticket second: every ticket below the budget
+           goes to exactly one successful claim. *)
+        if Atomic.fetch_and_add g.n_states 1 >= g.max_states then
+          halt g Budget;
+        c.states <- c.states + 1;
+        if c.states >= ctx.spawn_at then spawn ctx config;
+        Explore.cross_check c ~paranoid:g.paranoid fp config;
+        g.on_visit config (lazy (List.rev rev_trace));
+        if Explore.count_terminal c config then
+          g.on_terminal config (List.rev rev_trace);
+        let groups, skips =
+          Explore.source_successors ctx.commute g.reduction ~pi
+            ~max_crashes:g.max_crashes ~max_recoveries:g.max_recoveries
+            config ~sleep
+        in
+        c.source_skips <- c.source_skips + skips;
+        (match onstack with
+        | Some t -> Fingerprint.Ktbl.add t key ()
+        | None -> ());
+        (* The closures capture [ctx] alone of the search state: a
+           one-domain search runs many tiny DFSs, and every captured
+           word is allocated per node. *)
+        List.iter
+          (fun grp ->
+            List.iter
+              (fun (config', event, slots) ->
+                let c = ctx.counts in
+                c.transitions <- c.transitions + 1;
+                child ctx config'
+                  (Explore.child_fingerprint c fp config slots config')
+                  (event :: rev_trace) (depth + 1) grp.Explore.g_sleep)
+              grp.Explore.g_succs)
+          groups;
+        match onstack with
+        | Some t -> Fingerprint.Ktbl.remove t key
+        | None -> ())
   end
 
-(* Steal with idle-counter termination.  The domain is counted idle
-   whenever it holds no work; it decrements {e before} a steal attempt
-   and re-increments on failure, so observing [idle = jobs] proves every
-   domain is workless — and a workless owner's deque is empty (only the
-   owner pushes), so nothing remains anywhere and the search is done. *)
-let acquire ctx =
+(* Recurse into a child, or hand it over when some domain is idle and
+   this domain's own deque is empty. *)
+and child ctx config fp rev_trace depth sleep =
+  match ctx.g.pool with
+  | Some p when Atomic.get p.idle > 0 && Ws_deque.size p.deques.(ctx.id) = 0 ->
+    Ws_deque.push p.deques.(ctx.id) { config; fp; rev_trace; depth; sleep }
+  | _ -> dfs ctx config fp rev_trace depth sleep
+
+(* Everything this domain's own deque still holds (it stays busy). *)
+and drain ctx p =
+  match Ws_deque.pop p.deques.(ctx.id) with
+  | Some w ->
+    dfs ctx w.config w.fp w.rev_trace w.depth w.sleep;
+    drain ctx p
+  | None -> ()
+
+(* Steal, run and drain until the search is finished or stopped; the
+   domain is counted idle on entry. *)
+and idle_loop ctx p =
+  match steal ctx p with
+  | Some w ->
+    dfs ctx w.config w.fp w.rev_trace w.depth w.sleep;
+    drain ctx p;
+    Atomic.incr p.idle;
+    idle_loop ctx p
+  | None -> ()
+
+(* Worker 0, mid-DFS: create the pool, serialize [on_terminal] and start
+   the helpers, counted idle. *)
+and spawn ctx config =
   let g = ctx.g in
-  Atomic.incr g.idle;
-  let rec scan () =
-    if Atomic.get g.stop <> None || Atomic.get g.finished then begin
-      Atomic.decr g.idle;
-      None
-    end
-    else
-      match pick_victim ctx with
-      | Some v -> (
-        Atomic.decr g.idle;
-        match Ws_deque.steal g.deques.(v) with
-        | `Stolen w ->
-          ctx.stats.steals <- ctx.stats.steals + 1;
-          Some w
-        | `Empty ->
-          Atomic.incr g.idle;
-          Domain.cpu_relax ();
-          scan ()
-        | `Retry ->
-          ctx.stats.cas_retries <- ctx.stats.cas_retries + 1;
-          Atomic.incr g.idle;
-          scan ())
-      | None ->
-        if Atomic.get g.idle = g.jobs then begin
-          Atomic.set g.finished true;
-          Atomic.decr g.idle;
-          None
-        end
-        else begin
-          Domain.cpu_relax ();
-          scan ()
-        end
+  ctx.spawn_at <- max_int;
+  let dummy = { config; fp = None; rev_trace = []; depth = 0; sleep = [] } in
+  let p =
+    {
+      deques = Array.init g.jobs (fun _ -> Ws_deque.create ~dummy ());
+      helpers = [];
+      idle = Atomic.make (g.jobs - 1);
+      finished = Atomic.make false;
+      frontier_peak = Atomic.make 0;
+    }
   in
-  scan ()
+  g.pool <- Some p;
+  let lock = Mutex.create () and f = g.on_terminal in
+  g.on_terminal <- (fun c t -> Mutex.protect lock (fun () -> f c t));
+  for id = 1 to g.jobs - 1 do
+    let h = fresh_ctx g id ~spawn_at:max_int in
+    let d =
+      Domain.spawn (fun () ->
+          let t0 = Unix.gettimeofday () in
+          (try idle_loop h p with Halt -> () | e -> set_stop g (Callback e));
+          Explore.flush_commute_metrics h.commute;
+          h.seconds <- Unix.gettimeofday () -. t0)
+    in
+    p.helpers <- (h, d) :: p.helpers
+  done
 
-let rec worker ctx =
-  if Atomic.get ctx.g.stop <> None then ()
-  else
-    match Ws_deque.pop ctx.g.deques.(ctx.id) with
-    | Some item ->
-      (try process ctx item with e -> set_stop ctx.g (Callback e));
-      worker ctx
-    | None -> (
-      match acquire ctx with
-      | Some item ->
-        (try process ctx item with e -> set_stop ctx.g (Callback e));
-        worker ctx
-      | None -> ())
-
-(* The domains' counters summed ([max_depth]: the maximum) — the
-   schedule-independent half of the merged stats. *)
-let sum_counters (all : dstats list) =
-  let t = Explore.fresh_counters () in
-  List.iter (fun d -> Explore.add_counters t d.counts) all;
-  t
-
-let merge_stats g (all : dstats list) (c : Explore.counters) =
-  let sum f = List.fold_left (fun acc d -> acc + f d) 0 all in
-  let limit_reason =
-    match Atomic.get g.stop with
-    | Some Budget -> Explore.Max_states
-    | Some Deadline -> Explore.Deadline
-    | Some (Callback _) | None ->
-      if List.exists (fun d -> d.depth_limited) all then Explore.Max_depth
-      else Explore.No_limit
-  in
-  let states = c.Explore.states in
-  let frontier_bytes =
-    let items = sum (fun d -> d.pushed_items) in
-    if items = 0 then 0
-    else
-      let words = sum (fun d -> d.pushed_words) in
-      let peak = max 1 (Atomic.get g.frontier_peak) in
-      int_of_float
-        (8.0 *. float_of_int peak
-        *. (float_of_int words /. float_of_int items))
-  in
-  Explore.stats_of_counters c ~limit_reason ~frontier_bytes
-    ~collision_bound:(Explore.table_bound ~paranoid:g.paranoid ~states)
-
-(* Observability: aggregate counters always; one "parallel" event with
-   per-domain breakdown when a sink is installed. *)
-let m_states = Obs.Metrics.counter "parallel.states"
+let m_searches = Obs.Metrics.counter "explore.searches"
+let m_states = Obs.Metrics.counter "explore.states"
+let m_transitions = Obs.Metrics.counter "explore.transitions"
+let m_dedup = Obs.Metrics.counter "explore.dedup_hits"
+let m_source = Obs.Metrics.counter "explore.source_skips"
 let m_steals = Obs.Metrics.counter "parallel.steals"
 let m_probes = Obs.Metrics.counter "parallel.probes"
 let m_cas_retries = Obs.Metrics.counter "parallel.cas_retries"
-let m_source = Obs.Metrics.counter "parallel.source_skips"
-let m_searches = Obs.Metrics.counter "parallel.searches"
 
-(* The per-domain d0../steals breakdown below is worker-only; the
-   seeding pass's work shows in the merged totals. *)
-let emit_obs label g stats (dstats : dstats array) dt =
+(* Observability, one set per search: the counters always, and one
+   [explore] event when a sink is installed — with the per-domain
+   breakdown when helpers ran. *)
+let emit_obs label g (domains : ctx list) (s : Explore.stats) dt =
   Obs.Metrics.incr m_searches;
-  Obs.Metrics.add m_states stats.Explore.states;
-  Obs.Metrics.add m_source stats.Explore.source_skips;
-  Array.iter
+  Obs.Metrics.add m_states s.states;
+  Obs.Metrics.add m_transitions s.transitions;
+  Obs.Metrics.add m_dedup s.dedup_hits;
+  Obs.Metrics.add m_source s.source_skips;
+  List.iter
     (fun d ->
       Obs.Metrics.add m_steals d.steals;
       Obs.Metrics.add m_probes d.claim.Claim_table.probes;
       Obs.Metrics.add m_cas_retries d.cas_retries)
-    dstats;
-  let rate = if dt > 0.0 then float_of_int stats.Explore.states /. dt else 0.0 in
-  Obs.Metrics.set_gauge "parallel.states_per_sec" rate;
+    domains;
+  Obs.Metrics.set_gauge "explore.frontier_bytes" (float_of_int s.frontier_bytes);
   (* Heap footprint of the visited set, for the bench's memory
      comparison. *)
   Obs.Metrics.set_gauge "parallel.visited_bytes"
     (float_of_int (Claim_table.memory_bytes g.table));
-  Obs.Metrics.set_gauge "explore.frontier_bytes"
-    (float_of_int stats.Explore.frontier_bytes);
-  if Obs.Sink.get () != Obs.Sink.null then
-    Obs.Sink.emit "parallel"
-      ([
-         ("search", Obs.Sink.Str label);
-         ("jobs", Obs.Sink.Int g.jobs);
-         ("visited", Obs.Sink.Str (Format.asprintf "%a" pp_visited g.visited));
-         ("states", Obs.Sink.Int stats.Explore.states);
-         ("transitions", Obs.Sink.Int stats.Explore.transitions);
-         ("terminals", Obs.Sink.Int stats.Explore.terminals);
-         ("dedup_hits", Obs.Sink.Int stats.Explore.dedup_hits);
-         ("source_skips", Obs.Sink.Int stats.Explore.source_skips);
-         ("collision_bound", Obs.Sink.Float stats.Explore.collision_bound);
-         ("limited", Obs.Sink.Bool stats.Explore.limited);
-         ("seconds", Obs.Sink.Float dt);
-         ("states_per_sec", Obs.Sink.Float rate);
-       ]
-      @ List.concat
-          (List.mapi
-             (fun i (d : dstats) ->
-               let pfx = Printf.sprintf "d%d." i in
+  if Obs.Sink.get () != Obs.Sink.null then begin
+    let rate n secs = if secs > 0.0 then float_of_int n /. secs else 0.0 in
+    let per_domain =
+      match domains with
+      | [ _ ] -> []
+      | _ ->
+        ("jobs", Obs.Sink.Int g.jobs)
+        :: List.concat_map
+             (fun d ->
+               let pfx = Printf.sprintf "d%d." d.id in
                [
                  (pfx ^ "states", Obs.Sink.Int d.counts.states);
-                 ( pfx ^ "states_per_sec",
-                   Obs.Sink.Float
-                     (if d.seconds > 0.0 then
-                        float_of_int d.counts.states /. d.seconds
-                      else 0.0) );
+                 (pfx ^ "states_per_sec",
+                  Obs.Sink.Float (rate d.counts.states d.seconds));
                  (pfx ^ "steals", Obs.Sink.Int d.steals);
                  (pfx ^ "probes", Obs.Sink.Int d.claim.Claim_table.probes);
                  (pfx ^ "cas_retries", Obs.Sink.Int d.cas_retries);
                ])
-             (Array.to_list dstats)))
+             domains
+    in
+    Obs.Sink.emit "explore"
+      ([
+         ("search", Obs.Sink.Str label);
+         ("states", Obs.Sink.Int s.states);
+         ("transitions", Obs.Sink.Int s.transitions);
+         ("terminals", Obs.Sink.Int s.terminals);
+         ("dedup_hits", Obs.Sink.Int s.dedup_hits);
+         ("source_skips", Obs.Sink.Int s.source_skips);
+         ("limited", Obs.Sink.Bool s.limited);
+         ("seconds", Obs.Sink.Float dt);
+         ("states_per_sec", Obs.Sink.Float (rate s.states dt));
+       ]
+      @ per_domain)
+  end
 
 let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
-    ?deadline ?expected_states ~reduction ~paranoid ?seed_target
-    ?seq_threshold ~jobs ~on_terminal ~on_visit label config =
-  let jobs = max 1 jobs in
-  let seed_stats = fresh_dstats () in
-  let root_fp = Explore.root_fingerprint seed_stats.counts reduction config in
-  let root =
-    {
-      delta = Config.Delta.root config;
-      fp = root_fp;
-      rev_trace = [];
-      depth = 0;
-      sleep = [];
-    }
-  in
-  let threshold =
-    match seed_target with
-    | Some _ -> 0
-    | None -> (
-      match seq_threshold with
-      | Some n -> max 0 n
-      | None -> default_seq_threshold)
-  in
+    ?deadline ?expected_states ~reduction ~paranoid ?seq_threshold
+    ~find_cycle ~jobs ~on_terminal ~on_visit label config =
+  let t0 = Unix.gettimeofday () in
+  let jobs = if find_cycle then 1 else max 1 jobs in
   let g =
     {
       table =
         Claim_table.create ?expected_states
           ?spill:(match visited with Spill dir -> Some dir | Heap -> None)
           (if paranoid then `Exact else `Two_lane);
-      visited;
-      deques = Array.init jobs (fun _ -> Ws_deque.create ~dummy:root ());
-      idle = Atomic.make 0;
-      finished = Atomic.make false;
+      jobs;
+      pool = None;
       stop = Atomic.make None;
       n_states = Atomic.make 0;
       max_states;
@@ -479,97 +437,78 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
       max_crashes;
       max_recoveries;
       deadline_at =
-        (match deadline with
-        | None -> infinity
-        | Some secs -> Unix.gettimeofday () +. secs);
+        (match deadline with None -> infinity | Some secs -> t0 +. secs);
       reduction;
       paranoid;
-      frontier_peak = Atomic.make 0;
-      jobs;
-      cb_lock = Mutex.create ();
+      onstack = (if find_cycle then Some (Fingerprint.Ktbl.create 16) else None);
       on_terminal;
       on_visit;
     }
   in
-  let t0 = Unix.gettimeofday () in
-  let queue = Queue.create () in
-  Queue.push root queue;
-  (* Seed: bounded BFS on the main domain until the frontier is wide
-     enough to keep [jobs] domains busy.  The seeder claims and counts
-     states through the same [process] path the workers use. *)
-  let seed_ctx =
-    {
-      g;
-      id = 0;
-      stats = seed_stats;
-      commute = Explore.commute_cache ();
-      rng = 0x9E3779B9;
-      tick = 0;
-      push = (fun w -> Queue.push w queue);
-    }
+  let spawn_at =
+    if jobs = 1 then max_int
+    else match seq_threshold with Some n -> max 0 n | None -> default_seq_threshold
   in
-  (* [?seed_target] shrinks (or widens) the seeded frontier; the stress
-     tests set it to 1 so nearly all distribution happens through steals
-     of freshly pushed work rather than the round-robin seeding.  Setting
-     it also disables the sequential-fallback threshold — such callers
-     want the domains regardless of the space's size. *)
-  let target = match seed_target with Some t -> max 1 t | None -> 4 * jobs in
+  let w0 = fresh_ctx g 0 ~spawn_at in
+  let root_fp = Explore.root_fingerprint w0.counts reduction config in
+  (* Every exception of a domain's work becomes a stop cause. *)
   (try
-     while
-       (not (Queue.is_empty queue))
-       && (Queue.length queue < target || seed_stats.counts.states < threshold)
-       && Atomic.get g.stop = None
-     do
-       process seed_ctx (Queue.pop queue)
-     done
-   with e -> set_stop g (Callback e));
-  Explore.flush_commute_metrics seed_ctx.commute;
-  seed_stats.seconds <- Unix.gettimeofday () -. t0;
-  let dstats = Array.init jobs (fun _ -> fresh_dstats ()) in
-  (* The seeded queue is frontier too: fold it into the peak before the
-     per-item sampling takes over. *)
-  if Queue.length queue > Atomic.get g.frontier_peak then
-    Atomic.set g.frontier_peak (Queue.length queue);
-  if (not (Queue.is_empty queue)) && Atomic.get g.stop = None then begin
-    (* Distribute the frontier round-robin before spawning: spawn
-       provides the happens-before edge publishing the deque contents. *)
-    let i = ref 0 in
-    Queue.iter
-      (fun w ->
-        Ws_deque.push g.deques.(!i mod jobs) w;
-        incr i)
-      queue;
-    let domains =
-      Array.init jobs (fun i ->
-          Domain.spawn (fun () ->
-              let w0 = Unix.gettimeofday () in
-              let ctx =
-                {
-                  g;
-                  id = i;
-                  stats = dstats.(i);
-                  commute = Explore.commute_cache ();
-                  rng = 0x9E3779B9 * (i + 1);
-                  tick = 0;
-                  push = (fun w -> Ws_deque.push g.deques.(i) w);
-                }
-              in
-              worker ctx;
-              Explore.flush_commute_metrics ctx.commute;
-              dstats.(i).seconds <- Unix.gettimeofday () -. w0))
-    in
-    Array.iter Domain.join domains
-  end;
+     dfs w0 config root_fp [] 0 [];
+     match g.pool with
+     | Some p ->
+       drain w0 p;
+       Atomic.incr p.idle;
+       idle_loop w0 p
+     | None -> ()
+   with Halt -> () | e -> set_stop g (Callback e));
+  let helpers =
+    match g.pool with
+    | None -> []
+    | Some p ->
+      List.iter (fun (_, d) -> Domain.join d) p.helpers;
+      List.rev_map fst p.helpers
+  in
+  Explore.flush_commute_metrics w0.commute;
   let dt = Unix.gettimeofday () -. t0 in
-  let all = seed_stats :: Array.to_list dstats in
-  let counts = sum_counters all in
-  let stats = merge_stats g all counts in
-  emit_obs label g stats dstats dt;
-  Explore.flush_fp_counters ~engine:"Parallel" counts;
-  (match Atomic.get g.stop with
-  | Some (Callback Explore.Stop) | Some Budget | Some Deadline | None -> ()
-  | Some (Callback e) -> raise e);
-  stats
+  w0.seconds <- dt;
+  let domains = w0 :: helpers in
+  let c =
+    match helpers with
+    | [] -> w0.counts
+    | _ ->
+      let c = Explore.fresh_counters () in
+      List.iter (fun d -> Explore.add_counters c d.counts) domains;
+      c
+  in
+  let limit_reason =
+    match Atomic.get g.stop with
+    | Some Budget -> Explore.Max_states
+    | Some Deadline -> Explore.Deadline
+    | Some (Cycle _ | Callback _) | None ->
+      if List.exists (fun d -> d.depth_limited) domains then Explore.Max_depth
+      else Explore.No_limit
+  in
+  (* Frontier retention: one frame of unique words (successor config,
+     trace cons, a few map spine nodes) per level of each domain's
+     deepest path, and one per work item at the deques' peak.  An
+     estimate for memory accounting, not an allocator measurement. *)
+  let frontier_bytes =
+    if c.states = 0 then 0
+    else
+      8 * (34 + Config.n_procs config)
+      * ((List.length domains * c.max_depth)
+        + match g.pool with Some p -> Atomic.get p.frontier_peak | None -> 0)
+  in
+  let stats =
+    Explore.stats_of_counters c ~limit_reason ~frontier_bytes
+      ~collision_bound:(Explore.table_bound ~paranoid ~states:c.states)
+  in
+  emit_obs label g domains stats dt;
+  Explore.flush_fp_counters ~engine:label c;
+  match Atomic.get g.stop with
+  | Some (Callback Explore.Stop | Budget | Deadline) | None -> (stats, None)
+  | Some (Cycle trace) -> (stats, Some trace)
+  | Some (Callback e) -> raise e
 
 (* Domain fan-out over an ordinary list: static index partition (item [i]
    goes to domain [i mod jobs]).  The work items handed to it are few and

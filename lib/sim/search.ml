@@ -1,6 +1,5 @@
 (* One record for every search knob, and the one front door that runs
-   every search: [run] is the only place that chooses between the
-   sequential {!Explore} and the work-stealing {!Parallel} engine. *)
+   every search through {!Parallel.run}. *)
 
 exception Stop = Explore.Stop
 
@@ -46,23 +45,17 @@ let with_visited v o = { o with visited = v }
 let no_terminal _ _ = ()
 let no_visit _ _ = ()
 
-let explore ~find_cycle ~on_terminal ~on_visit label o config =
-  Explore.run ~max_states:o.max_states ~max_depth:o.max_depth
-    ~max_crashes:o.max_crashes ~max_recoveries:o.max_recoveries
-    ?deadline:o.deadline ?expected_states:o.expected_states
-    ?spill:(match o.visited with Parallel.Spill dir -> Some dir | Heap -> None)
-    ~reduction:o.reduction ~paranoid:o.paranoid ~find_cycle ~on_terminal
-    ~on_visit label config
+(* Every search, at any [jobs]: the one engine. *)
+let search ~find_cycle ~on_terminal ~on_visit label o config =
+  Parallel.run ~visited:o.visited ~max_states:o.max_states
+    ~max_depth:o.max_depth ~max_crashes:o.max_crashes
+    ~max_recoveries:o.max_recoveries ?deadline:o.deadline
+    ?expected_states:o.expected_states ~reduction:o.reduction
+    ~paranoid:o.paranoid ~find_cycle ~jobs:o.jobs ~on_terminal ~on_visit
+    label config
 
-(* The one engine dispatch, on [jobs] alone. *)
 let run ~on_terminal ~on_visit label o config =
-  if o.jobs > 1 then
-    Parallel.run ~visited:o.visited ~max_states:o.max_states
-      ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-      ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-      ?expected_states:o.expected_states ~reduction:o.reduction
-      ~paranoid:o.paranoid ~jobs:o.jobs ~on_terminal ~on_visit label config
-  else fst (explore ~find_cycle:false ~on_terminal ~on_visit label o config)
+  fst (search ~find_cycle:false ~on_terminal ~on_visit label o config)
 
 (* Source sets cover terminals only; reachability and cycle hunting need
    every state and every back-edge. *)
@@ -78,7 +71,7 @@ let iter_reachable ?(options = default) config ~f =
 
 let find_terminal ?(options = default) config ~violates =
   let found = ref None in
-  (* [on_terminal] is serialized on both engines, so the first writer
+  (* [on_terminal] is serialized at any [jobs], so the first writer
      wins and the witness is stable once set. *)
   let on_terminal c trace =
     if Option.is_none !found && violates c then begin
@@ -96,11 +89,11 @@ let check_terminals ?options config ~ok =
   | None, stats -> Ok stats
   | Some (c, trace), stats -> Error (c, trace, stats)
 
-(* Cycle hunting needs the sequential DFS stack discipline whatever
+(* Cycle hunting needs one DFS stack, so it runs at one domain whatever
    [jobs] says; the options record still supplies every other knob. *)
 let find_cycle ?(options = default) config =
   let stats, witness =
-    explore ~find_cycle:true ~on_terminal:no_terminal ~on_visit:no_visit
+    search ~find_cycle:true ~on_terminal:no_terminal ~on_visit:no_visit
       "find_cycle" (without_source_sets options) config
   in
   (witness, stats)

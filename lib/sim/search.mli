@@ -13,22 +13,25 @@
       Search.iter_terminals ~options:opts config ~f
     ]}
 
-    The entry points below choose the engine on [jobs] alone: [jobs > 1]
-    runs the work-stealing {!Parallel} engine, otherwise the sequential
-    {!Explore} DFS runs.  Both key a node the same way and claim it in
-    the same visited table ({!Claim_table}), whose backing [visited]
-    picks, so the observable counts and verdicts agree whatever the path
-    (see the determinism notes in {!Parallel}); [--reduction full] runs
-    at full strength on both.
+    Every entry point below runs the one engine, {!Parallel}: a
+    depth-first search on the calling domain that, at [jobs > 1] and once
+    the space outgrows {!Parallel.default_seq_threshold} states, shares
+    work with [jobs - 1] helper domains whenever one of them is idle.
+    Every domain keys a node the same way and claims it in one visited
+    table ({!Claim_table}), whose backing [visited] picks, so the
+    observable counts and verdicts agree at any [jobs] (see the
+    determinism notes in {!Parallel}); [--reduction full] runs at full
+    strength at any [jobs].
 
     {b Callbacks.}  [f] in {!iter_terminals} (and the predicates of
     {!find_terminal} and {!check_terminals}) sees each reachable terminal
-    once, serialized under a lock on the parallel engine (terminals are
-    sparse); [f] in {!iter_reachable} is called concurrently from worker
-    domains there and must be domain-safe.  Under symmetry one
+    once, serialized under a lock once helper domains run (terminals are
+    sparse); [f] in {!iter_reachable} is called concurrently from every
+    domain then and must be domain-safe.  Under symmetry one
     representative per orbit is reported, so checked properties must be
-    renaming-invariant.  Visit order, and so the witness a search
-    returns, depends on the engine and the schedule.
+    renaming-invariant.  At one domain the visit order, and so the
+    witness a search returns, is fixed; at more it depends on the
+    schedule.
 
     {b Stopping.}  A callback may raise {!Stop} to end the search
     gracefully at any [jobs]: the entry point returns normally, and its
@@ -37,11 +40,8 @@
 
     {b Fingerprints.}  On the symmetry-off lanes every search keys a node
     by its homomorphic fingerprint, patched from its parent's
-    ({!Explore.node_key}); the parallel engine's work items travel
-    delta-encoded ({!Config.Delta}) with it, so a duplicate claim needs
-    neither a materialization nor a re-fold, and [stats.frontier_bytes]
-    then reports peak deque population times the mean retained words per
-    item.  [paranoid] claims exact canonical keys instead and re-folds
+    ({!Explore.node_key}), so a duplicate claim needs no re-fold.
+    [paranoid] claims exact canonical keys instead and re-folds
     the carried fingerprint at every claimed node: the reference the
     fingerprinted search is checked against. *)
 
@@ -59,7 +59,7 @@ type options = {
   reduction : Explore.reduction;  (** default {!Explore.no_reduction} *)
   paranoid : bool;
       (** exact canonical keys, each carried fingerprint re-folded *)
-  jobs : int;  (** worker domains; [<= 1] means sequential *)
+  jobs : int;  (** domains; [<= 1] means the calling domain alone *)
   visited : Parallel.visited;
       (** where the visited table keeps its words (default [Heap]).
           [Spill dir] keeps them in mmap'd files under [dir], at any
@@ -126,7 +126,7 @@ val find_cycle :
     itself (modulo symmetry, when enabled — an orbit back-edge extends
     to an infinite run by repeated application of the automorphism).
     Returns the lasso trace (stem to the repeated configuration).
-    Always sequential — cycle detection needs the DFS stack discipline
-    ([jobs] is ignored) — and source sets are stripped,
+    Always at one domain — cycle detection needs one DFS stack ([jobs] is
+    ignored) — and source sets are stripped,
     since skipping transitions at on-stack states could hide back-edges.
     Wait-free algorithms must return [None]. *)

@@ -69,8 +69,8 @@ let diff old_store new_store =
 
    Per-slot physical sharing is preserved whenever the projection is a
    fixed point — [persist] rebuilding a structurally equal value must not
-   break the [==] pruning in [diff], or every recovery link in the
-   delta-encoded frontier would carry the whole store instead of the
+   break the [==] pruning in [diff], or every recovery link of a
+   [Config.Delta] chain would carry the whole store instead of the
    slots the crash actually erased.  The [Value.equal] check restores
    sharing that a rebuilding [persist] lost; it runs only on the
    recovery path of stores with at least one volatile object. *)

@@ -51,8 +51,8 @@ val diff : t -> t -> (handle * Value.t) list
     unchanged; otherwise every slot whose projection is a fixed point
     (physically {e or} structurally) keeps its old state value, so
     [diff store (recover store)] lists exactly the slots the crash
-    erased — the delta-encoded frontier's recovery links stay as small
-    as its step links. *)
+    erased — [Config.Delta]'s recovery links stay as small as its step
+    links. *)
 val recover : t -> t
 
 (** [contents store] lists (handle, state) pairs in increasing handle order;

@@ -16,19 +16,18 @@ let test_visited =
   | Some other ->
     invalid_arg (Printf.sprintf "SUBC_TEST_VISITED: unknown backing %S" other)
 
-(* The parallel engine called directly, for the cells [Search] never
-   routes there (the parallel engine at [jobs = 1]) and for its own test
-   knobs: every search knob comes from [options], the engine knobs pass
-   through. *)
-let parallel_run ?seed_target ?seq_threshold
+(* The engine called directly, for its own test knob [?seq_threshold]:
+   every search knob comes from [options]. *)
+let parallel_run ?seq_threshold
     ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ -> ())
     (o : Search.options) config =
   Parallel.run ~visited:o.visited ~max_states:o.max_states
     ~max_depth:o.max_depth ~max_crashes:o.max_crashes
     ~max_recoveries:o.max_recoveries ?deadline:o.deadline
     ?expected_states:o.expected_states
-    ~reduction:o.reduction ~paranoid:o.paranoid ?seed_target
-    ?seq_threshold ~jobs:o.jobs ~on_terminal ~on_visit "test" config
+    ~reduction:o.reduction ~paranoid:o.paranoid ?seq_threshold
+    ~find_cycle:false ~jobs:o.jobs ~on_terminal ~on_visit "test" config
+  |> fst
 
 (* Distinct proposal values for k processes: 100, 101, … *)
 let inputs k = List.init k (fun i -> Value.Int (100 + i))

@@ -1,4 +1,5 @@
-(* Incremental (homomorphic) fingerprints and delta-encoded frontiers.
+(* Incremental (homomorphic) fingerprints, and the [Config.Delta]
+   encoding of configurations.
 
    Soundness here is exact, not probabilistic: a successor differs from
    its parent in exactly the slots [Step.*_slots] reports, and each
@@ -270,7 +271,7 @@ let paranoid_clean () =
 
 (* A carried fingerprint that disagrees with its re-fold is counted by
    [cross_check] and fails the search at the flush; and a paranoid
-   search runs that check at every claimed node, on both engines. *)
+   search runs that check at every claimed node, at jobs 1 and 4. *)
 let paranoid_catches_mutation () =
   let config = root_of (alg2_harness 3) in
   let c = Explore.fresh_counters () in

@@ -1,9 +1,9 @@
-(* Cross-validation of the parallel exploration engine and the structural
-   fingerprint layer.
+(* Cross-validation of the search engine across domain counts and the
+   structural fingerprint layer.
 
    Determinism contract (see Parallel's interface): for every algorithm
-   family and crash budget, the parallel search must agree with the
-   sequential explorer on [states], [transitions], [terminals],
+   family and crash budget, a multi-domain search must agree with the
+   jobs-1 search on [states], [transitions], [terminals],
    [hung_terminals] and [crashed_terminals], and every Verdict-typed
    checker must return the same status at [--jobs 1] and [--jobs N].
    Both visited-table backings, the heap and the out-of-core [Spill]
@@ -94,7 +94,7 @@ let sc_harness ~n ~k =
   (store, programs, Symmetry.standard ~n ~input_base:100 `Full)
 
 (* ---------------------------------------------------------------- *)
-(* Raw-stats agreement: sequential explorer vs parallel engine.      *)
+(* Raw-stats agreement: jobs 1 vs jobs N.                          *)
 
 (* The deterministic slice of the statistics.  [dedup_hits] is included
    because on acyclic graphs it is a function of the others
@@ -214,10 +214,10 @@ let budget_truncation () =
       Alcotest.(check bool) (label ^ " limited") true par.Explore.limited)
     all_visited
 
-(* With [~seq_threshold:0] the seeding pass hands its frontier to the
-   worker domains at once, so even these small spaces are explored by
-   the domains (the default threshold would finish them on the seeding
-   pass) and the counts still match under every reduction. *)
+(* With [~seq_threshold:0] the helpers spawn at the root, so even these
+   small spaces are shared between domains (the default threshold would
+   finish them on the calling domain) and the counts still match under
+   every reduction. *)
 let eager_spawn_counts () =
   List.iter
     (fun (name, harness) ->
@@ -249,9 +249,9 @@ let eager_spawn_counts () =
         ])
     [ ("alg2", fun () -> alg2_harness 3); ("alg5", fun () -> alg5_harness 3) ]
 
-(* A space below [default_seq_threshold] never leaves the seeding pass:
-   every visit runs on the calling domain.  With [~seq_threshold:0] the
-   same space is visited by worker domains.  Counts agree either way. *)
+(* A space below [default_seq_threshold] never leaves the calling
+   domain.  With [~seq_threshold:0] helpers visit part of the same
+   space.  Counts agree either way. *)
 let seq_fallback_stays_on_caller () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
@@ -325,14 +325,44 @@ let recovery_budgets_all_visited () =
         [ 0; 1 ])
     [ R.Test_and_set; R.Cas ]
 
-(* [Search.Stop] raised from a terminal callback ends the search
-   gracefully on either engine: no exception escapes and the stats cover
-   part of the space.  The worker domains run under [~seq_threshold:0]
-   (this space is small); the front door at [jobs = 1] runs the
-   sequential engine under either backing. *)
+(* The cells where the calling domain raises from its own DFS after it
+   has spawned its helpers: [~seq_threshold:64] spawns them at the
+   caller's 64th claimed state, and [on_visit] raises [exn] at the
+   caller's 200th visit, or sleeps [pause] seconds there. *)
+let caller_after_spawn ?(pause = 0.0) ?exn options config =
+  let self = Domain.self () in
+  let seen = ref 0 in
+  parallel_run ~seq_threshold:64
+    ~on_visit:(fun _ _ ->
+      if Domain.self () = self then begin
+        incr seen;
+        if !seen = 200 then begin
+          Unix.sleepf pause;
+          Option.iter raise exn
+        end
+      end)
+    options config
+
+(* The search after each robustness cell: a jobs=2 search that returns
+   the sequential counts, so no domain was left running and no lock
+   held. *)
+let next_search_is_whole label visited ~seq small =
+  same_counts (label ^ " next search") seq
+    (parallel_run ~seq_threshold:0
+       Search.(
+         default |> with_visited visited |> with_max_crashes 1 |> with_jobs 2)
+       small)
+
+(* [Search.Stop] raised from a callback ends the search gracefully at
+   any [jobs]: no exception escapes and the stats cover part of the
+   space.  The worker domains run under [~seq_threshold:0] (this space is
+   small); the last cells raise on the calling domain after it spawned
+   its helpers mid-DFS, or let the deadline expire then. *)
 let stop_from_callback () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
+  let store, programs, _ = alg5_harness 4 in
+  let big = Config.make store programs in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -366,15 +396,44 @@ let stop_from_callback () =
       (Parallel.Heap, jobs);
       (Parallel.Spill spill_dir, 1);
       (Parallel.Spill spill_dir, jobs);
-    ]
+    ];
+  List.iter
+    (fun visited ->
+      let label = Format.asprintf "%a after spawn" Parallel.pp_visited visited in
+      let options = Search.(default |> with_visited visited |> with_jobs 2) in
+      (match caller_after_spawn ~exn:Search.Stop options big with
+      | s ->
+        Alcotest.(check bool)
+          (label ^ " stopped early") true (s.Explore.states < 60948);
+        Alcotest.(check bool)
+          (label ^ " not a budget stop") false s.Explore.limited
+      | exception e ->
+        Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e));
+      next_search_is_whole label visited ~seq config;
+      let label = label ^ " deadline" in
+      (match
+         caller_after_spawn ~pause:0.3
+           (Search.with_deadline 0.1 options)
+           big
+       with
+      | s ->
+        Alcotest.(check bool) (label ^ " limited") true s.Explore.limited;
+        Alcotest.(check string)
+          (label ^ " reason") "deadline"
+          (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason)
+      | exception e ->
+        Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e));
+      next_search_is_whole label visited ~seq config)
+    all_visited
 
 exception Boom
 
-(* A non-[Stop] exception from [on_visit] on a worker domain ends a
-   jobs=2 search and reaches the caller exactly once, under either
-   backing; a second parallel search in the same process then completes
-   with the sequential counts, so no lock was left held and no domain
-   left running. *)
+(* A non-[Stop] exception from [on_visit] ends a jobs=2 search and
+   reaches the caller exactly once, under either backing, whether a
+   helper raised it or the calling domain did after spawning its helpers
+   mid-DFS; a second search in the same process then completes with the
+   sequential counts, so no lock was left held and no domain left
+   running. *)
 let callback_exception_then_next_search () =
   let store, programs, _ = alg5_harness 4 in
   let big = Config.make store programs in
@@ -387,26 +446,30 @@ let callback_exception_then_next_search () =
   in
   List.iter
     (fun visited ->
-      let label = Format.asprintf "%a" Parallel.pp_visited visited in
       let options = Search.(default |> with_visited visited |> with_jobs 2) in
-      let caught = ref 0 in
-      (match
-         Search.iter_reachable ~options big ~f:(fun _ _ ->
-             if not (Domain.is_main_domain ()) then raise Boom)
-       with
-      | _ -> ()
-      | exception Boom -> incr caught);
-      Alcotest.(check int) (label ^ " raised once on the caller") 1 !caught;
-      same_counts (label ^ " next search") seq
-        (parallel_run ~seq_threshold:0
-           (Search.with_max_crashes 1 options)
-           small))
+      List.iter
+        (fun (where, search) ->
+          let label =
+            Format.asprintf "%a %s" Parallel.pp_visited visited where
+          in
+          let caught = ref 0 in
+          (match search () with
+          | _ -> ()
+          | exception Boom -> incr caught);
+          Alcotest.(check int) (label ^ " raised once on the caller") 1 !caught;
+          next_search_is_whole label visited ~seq small)
+        [
+          ( "helper",
+            fun () ->
+              Search.iter_reachable ~options big ~f:(fun _ _ ->
+                  if not (Domain.is_main_domain ()) then raise Boom) );
+          ("caller after spawn", fun () -> caller_after_spawn ~exn:Boom options big);
+        ])
     all_visited
 
 (* A spill directory that cannot be created (its parent is a regular
    file) fails the search with a clean [Unix.Unix_error] before any
-   state is explored, on the sequential engine at one job and on the
-   parallel one at two. *)
+   state is explored, at one job and at two. *)
 let spill_dir_uncreatable () =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
@@ -673,13 +736,16 @@ let source_sets_cross_validation () =
         budgets)
     harnesses
 
-(* Steal-heavy stress: seed a single work item so every other domain
-   must steal its entire workload mid-expansion, then check the stolen
-   subtrees still prune identically (sleep sets ride in the stolen
-   items).  [~seed_target:1] forces the narrowest possible seeding. *)
+(* Steal-heavy stress: spawn the helpers at the root so every other
+   domain must steal its entire workload mid-expansion, then check the
+   stolen subtrees still prune identically (sleep sets ride in the
+   stolen items) and that steals did happen. *)
 let source_sets_steal_stress () =
   let store, programs, sym = alg5_harness 3 in
   let config = Config.make store programs in
+  let steals () =
+    Option.value ~default:0.0 (Subc_obs.Metrics.find "parallel.steals")
+  in
   List.iter
     (fun (rlabel, reduction) ->
       let seq =
@@ -690,19 +756,17 @@ let source_sets_steal_stress () =
           config
           ~f:(fun _ _ -> ())
       in
-      List.iter
-        (fun seed_target ->
-          let par =
-            parallel_run ~seed_target
-              Search.(
-                default |> with_visited test_visited |> with_max_crashes 1
-                |> with_reduction reduction |> with_jobs jobs)
-              config
-          in
-          same_counts
-            (Printf.sprintf "alg5 f=1 %s seed_target=%d" rlabel seed_target)
-            seq par)
-        [ 1; 2; 64 ])
+      let before = steals () in
+      let par =
+        parallel_run ~seq_threshold:0
+          Search.(
+            default |> with_visited test_visited |> with_max_crashes 1
+            |> with_reduction reduction |> with_jobs jobs)
+          config
+      in
+      let label = Printf.sprintf "alg5 f=1 %s seq_threshold=0" rlabel in
+      same_counts label seq par;
+      Alcotest.(check bool) (label ^ " stole work") true (steals () > before))
     [
       ("source", Explore.source_only);
       ("full", Explore.full_reduction sym);
@@ -1297,7 +1361,7 @@ let concurrent_spill_searches () =
 
 (* [~paranoid] keys on exact canonical forms, which only its own
    hashtable can hold, so it overrides a requested [Spill] table: counts
-   match the sequential explorer, the collision bound is zero and no file
+   match the jobs-1 search, the collision bound is zero and no file
    is mapped (a plain spill run, the control, maps some). *)
 let spill_paranoid_exact () =
   let store, programs, _ = alg2_harness 3 in
@@ -1383,10 +1447,10 @@ let omitted_modes_are_constants () =
         (patches_so_far () -. before))
     [ 1; jobs ]
 
-(* [Search] picks the engine on [jobs] alone: a spill table at one job
-   runs the sequential engine, which maps its table like the parallel
-   one, leaves no file behind and reports the same bound. *)
-let spill_at_one_job_stays_sequential () =
+(* A spill table at one job maps its table like one at two, leaves no
+   file behind and reports the same counts as the heap and the same
+   bound as two jobs. *)
+let spill_at_one_job () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let dir = "spill-seq.tmp" in
@@ -1398,20 +1462,9 @@ let spill_at_one_job_stays_sequential () =
       config
       ~f:(fun _ _ -> ())
   in
-  let searches engine =
-    Option.value ~default:0.0
-      (Subc_obs.Metrics.find (engine ^ ".searches"))
-  in
   let heap = run 1 Parallel.Heap in
-  let seq_before = searches "explore" and par_before = searches "parallel" in
   let spill, mapped = spilled_by (fun () -> run 1 (Parallel.Spill dir)) in
   same_counts "spill vs heap at one job" heap spill;
-  Alcotest.(check (float 0.0))
-    "the sequential engine ran" 1.0
-    (searches "explore" -. seq_before);
-  Alcotest.(check (float 0.0))
-    "the parallel engine did not" 0.0
-    (searches "parallel" -. par_before);
   Alcotest.(check bool) "a mapped table" true (mapped > 0.0);
   Alcotest.(check (array string)) "no file left behind" [||] (Sys.readdir dir);
   Sys.rmdir dir;
@@ -1524,8 +1577,7 @@ let suite =
       [
         test "omitted visited mode is constant; unreduced searches patch"
           omitted_modes_are_constants;
-        test "spill at one job runs the sequential engine"
-          spill_at_one_job_stays_sequential;
+        test "spill at one job matches the heap" spill_at_one_job;
         test "concurrent searches keep their own visited mode"
           concurrent_searches_keep_their_modes;
       ] );
