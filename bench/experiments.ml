@@ -1069,8 +1069,8 @@ let e17 () =
   table
     ~title:
       (let host_domains = Domain.recommended_domain_count () in
-       (* The same marker lands in BENCH_results.json as "mode": a
-          single-core host can only measure synchronization overhead. *)
+       (* A single-core host can only measure synchronization
+          overhead, so the title says which kind of run this was. *)
        let mode = if host_domains > 1 then "parallel" else "overhead-only" in
        Printf.sprintf
          "E17. Multicore scaling: counts at jobs N vs jobs 1 \

@@ -1,15 +1,17 @@
-(* Benchmark/experiment harness.
+(* Experiment harness.
 
-   [dune exec bench/main.exe] runs the full experiment matrix (E1–E16, the
-   reproduction of the paper's theorems — the paper has no tables/figures)
-   followed by the bechamel timing benches (B1–B5).
+   [dune exec bench/main.exe] runs the full experiment matrix (E1–E21, the
+   reproduction of the paper's theorems — the paper has no tables/figures;
+   each table asserts its known answers) followed by the bechamel timing
+   benches (B1–B7, printed only).
 
    [dune exec bench/main.exe -- experiments] / [-- timing] run one half;
-   [-- e15] / [-- e16] / [-- e17] run a single experiment (the CI smoke
-   jobs); [-- perf] runs the fingerprint/multicore performance sweep and
-   writes BENCH_results.json (jobs list configurable with [--jobs N]).
+   [-- e15] / [-- e16] / [-- e17] / [-- e18] / [-- e19] / [-- e21] run a
+   single experiment (the CI smoke jobs).
    [--metrics] streams observability events and a final metrics snapshot;
-   with [--json] both go to stdout as JSON lines (the CI artifact). *)
+   with [--json] both go to stdout as JSON lines (the CI artifact).
+   Time to verdict, with pinned answers, a baseline and per-layer
+   metrics, is measured by benchmark/ (see benchmark/README.md). *)
 
 module Obs = Subc_obs
 
@@ -36,26 +38,13 @@ let () =
     | "e18" -> Experiments.run_e18 ()
     | "e19" -> Experiments.run_e19 ()
     | "e21" -> Experiments.run_e21 ()
-    | "perf" ->
-      (* [--jobs N] caps the sweep at N domains (the default sweeps
-         1/2/4/8 regardless of the host's core count). *)
-      let jobs_list =
-        let rec find = function
-          | "--jobs" :: n :: _ -> int_of_string_opt n
-          | _ :: rest -> find rest
-          | [] -> None
-        in
-        match find args with
-        | Some n when n >= 1 ->
-          List.filter (fun j -> j <= max n 1) [ 1; 2; 4; 8 ]
-        | _ -> [ 1; 2; 4; 8 ]
-      in
-      Timing.run_perf ~jobs_list ();
-      true
-    | _ ->
+    | "all" ->
       let ok = Experiments.run_all () in
       Timing.run_all ();
       ok
+    | other ->
+      Printf.eprintf "bench: unknown experiment %S\n" other;
+      exit 2
   in
   if metrics then begin
     Obs.Metrics.emit_snapshot ();

@@ -378,8 +378,8 @@ let emit_obs label g (domains : ctx list) (s : Explore.stats) dt =
       Obs.Metrics.add m_cas_retries d.cas_retries)
     domains;
   Obs.Metrics.set_gauge "explore.frontier_bytes" (float_of_int s.frontier_bytes);
-  (* Heap footprint of the visited set, for the bench's memory
-     comparison. *)
+  (* Heap footprint of the visited set, for the test suite's spill
+     against heap comparison. *)
   Obs.Metrics.set_gauge "parallel.visited_bytes"
     (float_of_int (Claim_table.memory_bytes g.table));
   if Obs.Sink.get () != Obs.Sink.null then begin

@@ -1,7 +1,7 @@
 (** The search engine: one recursive depth-first search per domain.
 
     Every search runs here; it starts at {!Search}, and {!run} is
-    exported for the tests and benches that need the engine's own knob,
+    exported for the tests that need the engine's own knob,
     [?seq_threshold].
 
     The calling domain is worker 0 and runs the DFS from the root.  At

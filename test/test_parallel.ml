@@ -28,13 +28,29 @@ let jobs =
   | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
   | None -> 4
 
-(* Directory for the [Spill] visited mode's segment files; each file is
-   unlinked as soon as it is mapped, so the directory stays empty. *)
-let spill_dir = "parallel-spill.tmp"
+(* [in_temp_dir f] is a test body that runs [f dir] with [dir] a fresh
+   directory under TMPDIR, removed, with anything still in it, when the
+   test ends.  The tests that spill take their [Spill] directory this
+   way; a spill table unlinks each file as soon as it is mapped, so the
+   directory normally stays empty. *)
+let in_temp_dir f () =
+  let dir = Filename.temp_dir "subc-test-" "" in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then remove dir)
+    (fun () -> f dir)
+
+(* A counter or gauge of the process-wide metrics registry, 0 if unset. *)
+let metric name = Option.value ~default:0.0 (Subc_obs.Metrics.find name)
 
 (* The [visited.spill_bytes] counter: what spill tables have mapped. *)
-let spilled () =
-  Option.value ~default:0.0 (Subc_obs.Metrics.find "visited.spill_bytes")
+let spilled () = metric "visited.spill_bytes"
 
 (* The bytes [f] maps for spill tables. *)
 let spilled_by f =
@@ -190,11 +206,11 @@ let terminal_callback_count () =
   Alcotest.(check int) "terminals agree" seq.Explore.terminals
     par.Explore.terminals
 
-let all_visited = [ Parallel.Heap; Parallel.Spill spill_dir ]
+let all_visited spill_dir = [ Parallel.Heap; Parallel.Spill spill_dir ]
 
 (* The max-states budget truncates identically (exactly [max_states]
    states counted, Max_states reported) under every visited table. *)
-let budget_truncation () =
+let budget_truncation spill_dir =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let budget = 100 in
@@ -212,7 +228,7 @@ let budget_truncation () =
       Alcotest.(check int)
         (label ^ " exactly budget states") budget par.Explore.states;
       Alcotest.(check bool) (label ^ " limited") true par.Explore.limited)
-    all_visited
+    (all_visited spill_dir)
 
 (* With [~seq_threshold:0] the helpers spawn at the root, so even these
    small spaces are shared between domains (the default threshold would
@@ -251,7 +267,11 @@ let eager_spawn_counts () =
 
 (* A space below [default_seq_threshold] never leaves the calling
    domain.  With [~seq_threshold:0] helpers visit part of the same
-   space.  Counts agree either way. *)
+   space.  Counts agree either way.  The fallback search also creates no
+   helper: its one [explore] event carries no [jobs] and no per-domain
+   [d1.*] field, and no steal is counted, so at [jobs] > 1 a small space
+   runs the jobs-1 per-state path by construction.  The eager search
+   shows the fields the fallback lacks. *)
 let seq_fallback_stays_on_caller () =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
@@ -264,25 +284,50 @@ let seq_fallback_stays_on_caller () =
     "space is below the threshold" true
     (seq.Explore.states < Parallel.default_seq_threshold);
   let self = (Domain.self () :> int) in
+  let module Sink = Subc_obs.Sink in
+  (* The stats, the visits made off the calling domain, the field names
+     of the search's one [explore] event and the steals counted. *)
   let run ?seq_threshold () =
     let elsewhere = Atomic.make 0 in
+    let steals = metric "parallel.steals" in
+    let sink, events = Sink.memory () in
+    Sink.set sink;
     let stats =
-      parallel_run ?seq_threshold
-        ~on_visit:(fun _ _ ->
-          if (Domain.self () :> int) <> self then Atomic.incr elsewhere)
-        Search.(
-          default |> with_visited test_visited |> with_max_crashes 1
-          |> with_jobs jobs)
-        config
+      Fun.protect
+        ~finally:(fun () -> Sink.set Sink.null)
+        (fun () ->
+          parallel_run ?seq_threshold
+            ~on_visit:(fun _ _ ->
+              if (Domain.self () :> int) <> self then Atomic.incr elsewhere)
+            Search.(
+              default |> with_visited test_visited |> with_max_crashes 1
+              |> with_jobs jobs)
+            config)
     in
-    (stats, Atomic.get elsewhere)
+    let fields =
+      match List.filter (fun e -> e.Sink.name = "explore") (events ()) with
+      | [ e ] -> List.map fst e.Sink.fields
+      | es -> Alcotest.failf "%d explore events, not one" (List.length es)
+    in
+    (stats, Atomic.get elsewhere, fields, metric "parallel.steals" -. steals)
   in
-  let fallback, off_caller = run () in
+  let per_domain fields =
+    ( List.mem "jobs" fields,
+      List.exists (String.starts_with ~prefix:"d1.") fields )
+  in
+  let fallback, off_caller, fields, steals = run () in
   same_counts "fallback" seq fallback;
   Alcotest.(check int) "fallback visits stay on the caller" 0 off_caller;
-  let eager, off_caller = run ~seq_threshold:0 () in
+  Alcotest.(check (pair bool bool))
+    "fallback event has no jobs or d1.* field" (false, false)
+    (per_domain fields);
+  Alcotest.(check (float 0.0)) "fallback steals nothing" 0.0 steals;
+  let eager, off_caller, fields, steals = run ~seq_threshold:0 () in
   same_counts "eager" seq eager;
-  Alcotest.(check bool) "eager visits reach the workers" true (off_caller > 0)
+  Alcotest.(check bool) "eager visits reach the workers" true (off_caller > 0);
+  Alcotest.(check (pair bool bool))
+    "eager event has jobs and d1.* fields" (true, true) (per_domain fields);
+  Alcotest.(check bool) "eager helpers steal" true (steals > 0.0)
 
 let recovery_config family ~n ~r =
   let store, programs = R.protocol Store.empty family ~n ~max_recoveries:r in
@@ -290,7 +335,7 @@ let recovery_config family ~n ~r =
 
 (* Crash-recovery budgets: the recovery count is part of the claim key,
    so recover successors dedup identically under every visited table. *)
-let recovery_budgets_all_visited () =
+let recovery_budgets_all_visited spill_dir =
   List.iter
     (fun family ->
       List.iter
@@ -321,7 +366,7 @@ let recovery_budgets_all_visited () =
               Alcotest.(check int)
                 (label ^ " recovered")
                 seq.Explore.recovered_terminals par.Explore.recovered_terminals)
-            all_visited)
+            (all_visited spill_dir))
         [ 0; 1 ])
     [ R.Test_and_set; R.Cas ]
 
@@ -358,7 +403,7 @@ let next_search_is_whole label visited ~seq small =
    space.  The worker domains run under [~seq_threshold:0] (this space is
    small); the last cells raise on the calling domain after it spawned
    its helpers mid-DFS, or let the deadline expire then. *)
-let stop_from_callback () =
+let stop_from_callback spill_dir =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let store, programs, _ = alg5_harness 4 in
@@ -424,7 +469,7 @@ let stop_from_callback () =
       | exception e ->
         Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e));
       next_search_is_whole label visited ~seq config)
-    all_visited
+    (all_visited spill_dir)
 
 exception Boom
 
@@ -434,7 +479,7 @@ exception Boom
    mid-DFS; a second search in the same process then completes with the
    sequential counts, so no lock was left held and no domain left
    running. *)
-let callback_exception_then_next_search () =
+let callback_exception_then_next_search spill_dir =
   let store, programs, _ = alg5_harness 4 in
   let big = Config.make store programs in
   let store, programs, _ = alg5_harness 3 in
@@ -465,31 +510,28 @@ let callback_exception_then_next_search () =
                   if not (Domain.is_main_domain ()) then raise Boom) );
           ("caller after spawn", fun () -> caller_after_spawn ~exn:Boom options big);
         ])
-    all_visited
+    (all_visited spill_dir)
 
 (* A spill directory that cannot be created (its parent is a regular
    file) fails the search with a clean [Unix.Unix_error] before any
    state is explored, at one job and at two. *)
-let spill_dir_uncreatable () =
+let spill_dir_uncreatable dir =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
-  let file = "spill-notdir.tmp" in
+  let file = Filename.concat dir "notdir" in
   Out_channel.with_open_bin file ignore;
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      List.iter
-        (fun j ->
-          let options =
-            Search.(
-              default
-              |> with_visited (Parallel.Spill (Filename.concat file "spill"))
-              |> with_jobs j)
-          in
-          match Search.iter_terminals ~options config ~f:(fun _ _ -> ()) with
-          | _ -> Alcotest.failf "jobs=%d: the search ran without its table" j
-          | exception Unix.Unix_error (Unix.ENOTDIR, _, _) -> ())
-        [ 1; 2 ])
+  List.iter
+    (fun j ->
+      let options =
+        Search.(
+          default
+          |> with_visited (Parallel.Spill (Filename.concat file "spill"))
+          |> with_jobs j)
+      in
+      match Search.iter_terminals ~options config ~f:(fun _ _ -> ()) with
+      | _ -> Alcotest.failf "jobs=%d: the search ran without its table" j
+      | exception Unix.Unix_error (Unix.ENOTDIR, _, _) -> ())
+    [ 1; 2 ]
 
 (* The per-domain counters merge field by field: every count summed,
    [max_depth] the maximum — the rule the jobs-independent stats rest on. *)
@@ -531,7 +573,7 @@ let counters_merge () =
 (* The spill table keys source-set searches on the same (configuration,
    sleep set) fingerprint as the other tables, so source sets and the
    full reduction prune identically through it. *)
-let spill_under_source_sets () =
+let spill_under_source_sets spill_dir =
   List.iter
     (fun (name, harness) ->
       let store, programs, sym = harness () in
@@ -567,7 +609,7 @@ let spill_under_source_sets () =
 
 (* An expired deadline stops a spill search through the same stop
    protocol as the heap tables: a Limited answer, never a proof. *)
-let spill_deadline_limits () =
+let spill_deadline_limits spill_dir =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let s =
@@ -587,7 +629,7 @@ let spill_deadline_limits () =
    registry family, and the 124-bit fingerprint keys agree
    state-for-state with the exact-key paranoid search — a fingerprint
    collision would show up as a missing state here. *)
-let visited_modes_matrix () =
+let visited_modes_matrix spill_dir =
   let harnesses =
     [
       ("alg2", (fun () -> alg2_harness 3), 1);
@@ -629,7 +671,7 @@ let visited_modes_matrix () =
                 (label ^ " collision bound present") true
                 (par.Explore.collision_bound > 0.0
                 && par.Explore.collision_bound < 1e-6))
-            all_visited;
+            (all_visited spill_dir);
           (* Fingerprint vs exact keys: paranoid keys on full canonical
              forms — collisions impossible. *)
           let fingerprinted =
@@ -743,9 +785,7 @@ let source_sets_cross_validation () =
 let source_sets_steal_stress () =
   let store, programs, sym = alg5_harness 3 in
   let config = Config.make store programs in
-  let steals () =
-    Option.value ~default:0.0 (Subc_obs.Metrics.find "parallel.steals")
-  in
+  let steals () = metric "parallel.steals" in
   List.iter
     (fun (rlabel, reduction) ->
       let seq =
@@ -913,7 +953,7 @@ let consensus_verdict_agrees () =
 
 (* A spill search goes through the Search dispatcher to {!Parallel}
    (even at one job) and preserves checker verdicts and counts. *)
-let spill_search_dispatch () =
+let spill_search_dispatch spill_dir =
   let store, programs, inputs, task = alg3_harness () in
   let seqv = Task_check.check store ~programs ~inputs ~task in
   List.iter
@@ -931,7 +971,7 @@ let spill_search_dispatch () =
     [ 1; 2 ]
 
 (* A refutation stays a refutation when the visited set is spilled. *)
-let spill_refutes () =
+let spill_refutes spill_dir =
   let store, programs, _ = alg2_harness 3 in
   let task = Task.set_consensus 1 in
   let seq = Task_check.check store ~programs ~inputs:(inputs 3) ~task in
@@ -1000,7 +1040,7 @@ let paranoid_cross_validation () =
 
 (* The paranoid re-fold runs at every node the worker domains claim
    too, also when a spill table was asked for. *)
-let parallel_paranoid_refolds () =
+let parallel_paranoid_refolds spill_dir =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
   let refolds () =
@@ -1021,11 +1061,11 @@ let parallel_paranoid_refolds () =
         (label ^ ": one re-fold per claimed node")
         true
         (refolds () -. before >= float_of_int s.Explore.states))
-    all_visited
+    (all_visited spill_dir)
 
 (* Spill and heap tables hold the same two-lane words, so an exhaustive
    run reports the same 124-bit birthday bound from either. *)
-let spill_matches_heap_bound () =
+let spill_matches_heap_bound spill_dir =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let run visited =
@@ -1165,13 +1205,13 @@ let deque_stress () =
 (* Claim table: claim-once under forced probe collisions.            *)
 
 (* Both backings of the claim table, labelled. *)
-let backings = [ ("heap", None); ("spill", Some spill_dir) ]
+let backings spill_dir = [ ("heap", None); ("spill", Some spill_dir) ]
 
 (* [jobs] domains race to claim an overlapping key set whose hashes all
    start probing at the same slot of a deliberately tiny table (so the
    linear probe chains are long and the table doubles many times
    mid-race).  Exactly one domain must win [`Fresh] for each key. *)
-let claim_table_claim_once () =
+let claim_table_claim_once spill_dir =
   List.iter
     (fun (label, spill) ->
       let t = Claim_table.create ~initial_capacity:64 ?spill `Two_lane in
@@ -1215,13 +1255,13 @@ let claim_table_claim_once () =
         List.fold_left (fun acc st -> acc + st.Claim_table.probes) 0 stats
       in
       Alcotest.(check bool) (label ^ " probes counted") true (probes > n_keys))
-    backings
+    (backings spill_dir)
 
 (* Claim-once on one domain, through growth past the initial capacity,
    including a forced collision: two keys that differ only in bit 62 of
    each lane, which the stored words drop, are one key to the table —
    the documented ~2^-124 per-pair risk. *)
-let claim_table_forced_collision () =
+let claim_table_forced_collision spill_dir =
   List.iter
     (fun (label, spill) ->
       let t = Claim_table.create ~initial_capacity:64 ?spill `Two_lane in
@@ -1255,7 +1295,8 @@ let claim_table_forced_collision () =
       Alcotest.(check bool)
         (label ^ " probes counted") true (ops.Claim_table.probes > 0);
       (* The spill table maps 16 B per slot and keeps only bookkeeping on
-         the heap; the heap table is the other way round. *)
+         the heap, at most half what the heap table keeps there for the
+         same slots; the heap table is the other way round. *)
       let slot_bytes = 16 * Claim_table.slots t in
       match spill with
       | Some _ ->
@@ -1264,19 +1305,17 @@ let claim_table_forced_collision () =
           (Claim_table.spill_bytes t);
         Alcotest.(check bool)
           "heap footprint is bookkeeping only" true
-          (Claim_table.memory_bytes t < Claim_table.spill_bytes t)
+          (2 * Claim_table.memory_bytes t <= Claim_table.spill_bytes t)
       | None ->
         Alcotest.(check int) "nothing mapped" 0 (Claim_table.spill_bytes t);
         Alcotest.(check int)
           "heap words" slot_bytes (Claim_table.memory_bytes t))
-    backings
+    (backings spill_dir)
 
 (* Spill files are created exclusively: a file already in the spill
    directory — here one with a plausible name — is neither truncated nor
    unlinked, however many times the table grows. *)
-let spill_keeps_existing_files () =
-  let dir = "spill-existing.tmp" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+let spill_keeps_existing_files dir =
   let path = Filename.concat dir "part0.seg0.spill" in
   let contents = "bytes that must survive\n" in
   Out_channel.with_open_bin path (fun oc ->
@@ -1290,12 +1329,11 @@ let spill_keeps_existing_files () =
   Alcotest.(check bool) "file still exists" true (Sys.file_exists path);
   Alcotest.(check string)
     "file unchanged" contents
-    (In_channel.with_open_bin path In_channel.input_all);
-  Sys.remove path
+    (In_channel.with_open_bin path In_channel.input_all)
 
 (* Two tables over one directory never share storage: each claims every
    key afresh, and each counts only its own claims. *)
-let spill_tables_stay_separate () =
+let spill_tables_stay_separate spill_dir =
   let create () =
     Claim_table.create ~initial_capacity:64 ~spill:spill_dir `Two_lane
   in
@@ -1318,12 +1356,8 @@ let spill_tables_stay_separate () =
 
 (* [create] makes a missing spill directory, accepts an existing one,
    and leaves no file behind: files are unlinked once mapped. *)
-let spill_dir_created_and_clean () =
-  let dir = "spill-fresh.tmp" in
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end;
+let spill_dir_created_and_clean parent =
+  let dir = Filename.concat parent "fresh" in
   let t = Claim_table.create ~initial_capacity:64 ~spill:dir `Two_lane in
   Alcotest.(check bool) "directory created" true (Sys.is_directory dir);
   let ops = Claim_table.fresh_opstats () in
@@ -1333,12 +1367,11 @@ let spill_dir_created_and_clean () =
   Alcotest.(check bool) "grew" true (Claim_table.slots t > 64);
   let t' = Claim_table.create ~spill:dir `Two_lane in
   Alcotest.(check int) "second table starts empty" 0 (Claim_table.occupancy t');
-  Alcotest.(check (array string)) "directory left empty" [||] (Sys.readdir dir);
-  Sys.rmdir dir
+  Alcotest.(check (array string)) "directory left empty" [||] (Sys.readdir dir)
 
 (* Two spill searches running at once over one directory each see the
    whole space: a shared segment would lose states to the other run. *)
-let concurrent_spill_searches () =
+let concurrent_spill_searches spill_dir =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let seq =
@@ -1363,7 +1396,7 @@ let concurrent_spill_searches () =
    hashtable can hold, so it overrides a requested [Spill] table: counts
    match the jobs-1 search, the collision bound is zero and no file
    is mapped (a plain spill run, the control, maps some). *)
-let spill_paranoid_exact () =
+let spill_paranoid_exact spill_dir =
   let store, programs, _ = alg2_harness 3 in
   let config = Config.make store programs in
   let seq =
@@ -1412,7 +1445,7 @@ let bound (s : Explore.stats) = s.Explore.collision_bound
 (* Options that never name a visited table get the heap one, a
    constant, not a settable default; and every unreduced search patches
    its carried fingerprint, at one job and at [jobs]. *)
-let omitted_modes_are_constants () =
+let omitted_modes_are_constants spill_dir =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let run ?visited () =
@@ -1449,11 +1482,11 @@ let omitted_modes_are_constants () =
 
 (* A spill table at one job maps its table like one at two, leaves no
    file behind and reports the same counts as the heap and the same
-   bound as two jobs. *)
-let spill_at_one_job () =
+   bound as two jobs.  The search's [parallel.visited_bytes] gauge, the
+   visited table's heap footprint, reads at most half the heap table's. *)
+let spill_at_one_job spill_dir =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
-  let dir = "spill-seq.tmp" in
   let run j visited =
     Search.iter_terminals
       ~options:
@@ -1463,11 +1496,17 @@ let spill_at_one_job () =
       ~f:(fun _ _ -> ())
   in
   let heap = run 1 Parallel.Heap in
-  let spill, mapped = spilled_by (fun () -> run 1 (Parallel.Spill dir)) in
+  let heap_bytes = metric "parallel.visited_bytes" in
+  let spill, mapped = spilled_by (fun () -> run 1 (Parallel.Spill spill_dir)) in
+  let spill_bytes = metric "parallel.visited_bytes" in
   same_counts "spill vs heap at one job" heap spill;
+  Alcotest.(check bool) "the heap table's bytes" true (heap_bytes > 0.0);
+  if 2.0 *. spill_bytes > heap_bytes then
+    Alcotest.failf "spill keeps %.0f B on the heap, over half the heap's %.0f B"
+      spill_bytes heap_bytes;
   Alcotest.(check bool) "a mapped table" true (mapped > 0.0);
-  Alcotest.(check (array string)) "no file left behind" [||] (Sys.readdir dir);
-  Sys.rmdir dir;
+  Alcotest.(check (array string))
+    "no file left behind" [||] (Sys.readdir spill_dir);
   Alcotest.(check (float 0.0))
     "the bound of jobs 2"
     (bound (run 2 (Parallel.Spill spill_dir)))
@@ -1476,7 +1515,7 @@ let spill_at_one_job () =
 (* Two searches running at once on separate domains each keep the
    visited table their own options name: together they map exactly what
    the spill search maps alone. *)
-let concurrent_searches_keep_their_modes () =
+let concurrent_searches_keep_their_modes spill_dir =
   let store, programs, _ = alg5_harness 3 in
   let config = Config.make store programs in
   let run v =
@@ -1506,45 +1545,50 @@ let suite =
       [
         test_slow "sequential vs parallel counts (all families)" stats_matrix;
         test_slow "all visited modes agree on all families"
-          visited_modes_matrix;
+          (in_temp_dir visited_modes_matrix);
         test_slow "source sets cross-validate (seq vs par vs unreduced)"
           source_sets_cross_validation;
         test_slow "source sets survive steal-heavy schedules"
           source_sets_steal_stress;
         test "terminal callbacks serialized, once per terminal"
           terminal_callback_count;
-        test "max-states budget truncates identically" budget_truncation;
+        test "max-states budget truncates identically"
+          (in_temp_dir budget_truncation);
         test "eager spawn matches sequential (all reductions)"
           eager_spawn_counts;
         test "small spaces stay on the calling domain"
           seq_fallback_stays_on_caller;
         test "recovery budgets agree under every visited table"
-          recovery_budgets_all_visited;
-        test "Stop from a callback is graceful" stop_from_callback;
+          (in_temp_dir recovery_budgets_all_visited);
+        test "Stop from a callback is graceful"
+          (in_temp_dir stop_from_callback);
         test "a callback exception surfaces once; the next search runs"
-          callback_exception_then_next_search;
+          (in_temp_dir callback_exception_then_next_search);
         test "an uncreatable spill directory raises Unix_error"
-          spill_dir_uncreatable;
+          (in_temp_dir spill_dir_uncreatable);
         test "merged counters: summed, max_depth the maximum" counters_merge;
-        test "spill agrees under source sets" spill_under_source_sets;
-        test "deadline limits a spill search" spill_deadline_limits;
+        test "spill agrees under source sets"
+          (in_temp_dir spill_under_source_sets);
+        test "deadline limits a spill search"
+          (in_temp_dir spill_deadline_limits);
       ] );
     ( "parallel.structures",
       [
         test_slow "deque conserves work under steal/pop races" deque_stress;
         test_slow "claim table claims each key exactly once"
-          claim_table_claim_once;
+          (in_temp_dir claim_table_claim_once);
         test "claim table claims once (forced collisions)"
-          claim_table_forced_collision;
+          (in_temp_dir claim_table_forced_collision);
         test "spill table leaves existing files alone"
-          spill_keeps_existing_files;
-        test "paranoid overrides the spill table" spill_paranoid_exact;
+          (in_temp_dir spill_keeps_existing_files);
+        test "paranoid overrides the spill table"
+          (in_temp_dir spill_paranoid_exact);
         test "spill tables in one directory stay separate"
-          spill_tables_stay_separate;
+          (in_temp_dir spill_tables_stay_separate);
         test "spill directory is created and left empty"
-          spill_dir_created_and_clean;
+          (in_temp_dir spill_dir_created_and_clean);
         test "concurrent spill searches share a directory"
-          concurrent_spill_searches;
+          (in_temp_dir concurrent_spill_searches);
       ] );
     ( "parallel.verdicts",
       [
@@ -1553,8 +1597,9 @@ let suite =
         test_slow "linearizability agrees across jobs" lin_agrees;
         test_slow "wait-freedom bound agrees across jobs" wait_free_agrees;
         test "consensus verdict agrees across jobs" consensus_verdict_agrees;
-        test "spill via Search preserves verdicts" spill_search_dispatch;
-        test "spill refutation agrees" spill_refutes;
+        test "spill via Search preserves verdicts"
+          (in_temp_dir spill_search_dispatch);
+        test "spill refutation agrees" (in_temp_dir spill_refutes);
       ] );
     ( "parallel.fingerprint",
       [
@@ -1565,8 +1610,9 @@ let suite =
           fingerprint_respects_key;
         test "structural encoding is prefix-free" fingerprint_prefix_free;
         test "parallel paranoid re-folds every claimed node"
-          parallel_paranoid_refolds;
-        test "spill reports the heap collision bound" spill_matches_heap_bound;
+          (in_temp_dir parallel_paranoid_refolds);
+        test "spill reports the heap collision bound"
+          (in_temp_dir spill_matches_heap_bound);
       ] );
     ( "parallel.map",
       [
@@ -1576,9 +1622,9 @@ let suite =
     ( "parallel.options",
       [
         test "omitted visited mode is constant; unreduced searches patch"
-          omitted_modes_are_constants;
-        test "spill at one job matches the heap" spill_at_one_job;
+          (in_temp_dir omitted_modes_are_constants);
+        test "spill at one job matches the heap" (in_temp_dir spill_at_one_job);
         test "concurrent searches keep their own visited mode"
-          concurrent_searches_keep_their_modes;
+          (in_temp_dir concurrent_searches_keep_their_modes);
       ] );
   ]
