@@ -34,49 +34,66 @@ let pp_failure ppf = function
 
 exception Failed of failure
 
-(* Structural fingerprints ({!Fingerprint.of_config}) replace the former
-   [Digest.string (Marshal.to_string (Config.key config) [])] pipeline:
-   one traversal, no marshal buffer, 126-bit collision resistance. *)
-let fingerprint = Fingerprint.of_config
+(* The memo entry of a configuration whose solo distance is still being
+   computed: it lies on the current solo path. *)
+let on_path = -1
 
-(* Exact solo distance of process [p] from [config]: the number of steps [p]
-   needs to terminate running alone, maximized over object nondeterminism.
-   Memoized per (configuration, process); a revisit of a configuration on
-   the current solo path (possible only through [Program.checkpoint], which
-   resets the history) witnesses an infinite solo run. *)
-let solo_distance ~memo ~solo_limit ~prefix config0 p =
-  let onstack = Hashtbl.create 16 in
-  let rec go config depth rev_spin =
-    match config.Config.procs.(p).Config.status with
-    | Config.Terminated _ | Config.Crashed -> 0
-    | Config.Hung ->
-      raise
-        (Failed
-           (Hang { proc = p; prefix = Lazy.force prefix; spin = List.rev rev_spin }))
-    | Config.Running _ | Config.Recovering _ ->
-      let digest = fingerprint config in
-      let key = (digest, p) in
-      (match Hashtbl.find_opt memo key with
-      | Some d -> d
-      | None ->
-        if depth >= solo_limit || Hashtbl.mem onstack digest then
-          raise
-            (Failed
-               (Non_terminating
-                  { proc = p; prefix = Lazy.force prefix; spin = List.rev rev_spin }));
-        Hashtbl.add onstack digest ();
-        let d =
-          List.fold_left
-            (fun acc (config', event) ->
-              max acc (1 + go config' (depth + 1) (Trace.Sched event :: rev_spin)))
-            0
-            (Step.step config p)
-        in
-        Hashtbl.remove onstack digest;
-        Hashtbl.replace memo key d;
-        d)
+(* Exact solo distance of process [p] from [config]: the number of steps
+   [p] needs to terminate running alone, maximized over object
+   nondeterminism.  [memo] is [p]'s own table, keyed by homomorphic
+   fingerprint; [fp] is [config]'s, and each solo successor's is patched
+   from its parent's, so nothing is re-folded.  Meeting an [on_path] entry
+   is a revisit of a configuration on the current solo path (possible only
+   through [Program.checkpoint], which resets the history): an infinite
+   solo run.  Under [~paranoid] every configuration entered is re-folded
+   and checked against its patched fingerprint. *)
+let solo_distance ~memo ~paranoid ~solo_limit ~prefix p config fp =
+  let rec go config fp depth rev_spin =
+    match Fingerprint.Tbl.find_opt memo fp with
+    | Some d when d <> on_path -> d
+    | seen ->
+      if Option.is_some seen || depth >= solo_limit then
+        raise
+          (Failed
+             (Non_terminating
+                {
+                  proc = p;
+                  prefix = Lazy.force prefix;
+                  spin = List.rev rev_spin;
+                }));
+      if
+        paranoid
+        && not (Fingerprint.equal fp (Fingerprint.hom_of_config config))
+      then
+        invalid_arg
+          "progress.wait_free: an incremental fingerprint patch disagrees with \
+           the paranoid re-fold";
+      Fingerprint.Tbl.replace memo fp on_path;
+      let d =
+        List.fold_left
+          (fun acc (config', event, slots) ->
+            let rev_spin = Trace.Sched event :: rev_spin in
+            match config'.Config.procs.(p).Config.status with
+            | Config.Terminated _ | Config.Crashed -> max acc 1
+            | Config.Hung ->
+              raise
+                (Failed
+                   (Hang
+                      {
+                        proc = p;
+                        prefix = Lazy.force prefix;
+                        spin = List.rev rev_spin;
+                      }))
+            | Config.Running _ | Config.Recovering _ ->
+              let fp' = Explore.patched_fingerprint config fp slots config' in
+              max acc (1 + go config' fp' (depth + 1) rev_spin))
+          0
+          (Step.step_slots config p)
+      in
+      Fingerprint.Tbl.replace memo fp d;
+      d
   in
-  go config0 0 []
+  go config fp 0 []
 
 (* Lock-free running maximum. *)
 let rec atomic_max a v =
@@ -86,29 +103,38 @@ let rec atomic_max a v =
 let wait_free_search ~options ~solo_limit store ~programs =
   Subc_obs.Span.time "progress.wait_free" @@ fun () ->
   let config0 = Config.make store programs in
+  let paranoid = options.Search.paranoid in
   let bound = Atomic.make 0 in
   let configs = Atomic.make 0 in
-  let visit memo config prefix =
+  (* One solo-distance memo per process. *)
+  let fresh_memos () =
+    Array.init (Config.n_procs config0) (fun _ -> Fingerprint.Tbl.create 4096)
+  in
+  let visit memos config fp prefix =
     Atomic.incr configs;
     List.iter
       (fun p ->
-        atomic_max bound (solo_distance ~memo ~solo_limit ~prefix config p))
+        atomic_max bound
+          (solo_distance ~memo:memos.(p) ~paranoid ~solo_limit ~prefix p config
+             fp))
       (Config.running config)
   in
   let explore () =
-    if options.Search.jobs <= 1 then begin
-      let memo = Hashtbl.create 4096 in
-      Search.iter_reachable ~options config0 ~f:(visit memo)
-    end
+    if options.Search.jobs <= 1 then
+      Search.iter_reachable_fp ~options config0 ~f:(visit (fresh_memos ()))
     else begin
-      (* The solo-distance memo is plain mutable state, so each worker
-         domain keeps its own (domain-local storage): no locking on the
-         hot path, at the price of some recomputation across domains.
-         The exact distances are deterministic, so per-domain memos
-         change only timing, never the resulting bound. *)
-      let memo_key = Domain.DLS.new_key (fun () -> Hashtbl.create 4096) in
-      Search.iter_reachable ~options config0 ~f:(fun config prefix ->
-          visit (Domain.DLS.get memo_key) config prefix)
+      (* The memos are plain mutable state, so each worker domain keeps
+         its own (domain-local storage): no locking on the hot path, at
+         the price of some recomputation across domains.  The exact
+         distances are deterministic, so per-domain memos change only
+         timing, never the resulting bound.  The calling domain outlives
+         the search, so its memos are dropped at the end. *)
+      let memos = Domain.DLS.new_key fresh_memos in
+      Fun.protect
+        ~finally:(fun () -> Domain.DLS.set memos [||])
+        (fun () ->
+          Search.iter_reachable_fp ~options config0 ~f:(fun config fp prefix ->
+              visit (Domain.DLS.get memos) config fp prefix))
     end
   in
   match explore () with

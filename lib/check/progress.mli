@@ -12,6 +12,20 @@
     runs solo forever (the signature of a merely lock-free construction) or
     hangs.
 
+    {b The solo memo.}  Solo distances are memoized in one table per
+    process, keyed by the configuration's homomorphic fingerprint
+    ({!Subc_sim.Fingerprint.hom_of_config}'s value) and never re-folded:
+    a visited configuration's key is the one the search carried
+    ({!Subc_sim.Search.iter_reachable_fp}; a re-fold under symmetry), and
+    each solo successor's is patched from its parent's
+    ({!Subc_sim.Explore.patched_fingerprint}).  While a configuration's
+    distance is being computed its entry reads [on_path]; meeting such an
+    entry again is a revisit on the current solo path — an infinite solo
+    run, reported as [Non_terminating].  Under [options.paranoid] every
+    configuration the memo takes is re-folded and compared with its
+    patched key; a disagreement raises [Invalid_argument].  At [jobs > 1]
+    each domain keeps its own tables.
+
     {!check_t_resilient} checks the weaker property that no execution with at most
     [t] crashes runs forever (and none hangs a process) — termination
     rather than a per-process solo bound. *)

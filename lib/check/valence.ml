@@ -39,22 +39,26 @@ let consensus_verdict ?(options = Search.default) config ~inputs =
           "consensus: agreement + validity on every terminal, and every \
            schedule terminates")
 
-module Vtbl = Hashtbl
-
-(* Structural fingerprints replace the former marshal+MD5 digest: one
-   traversal of the configuration, no marshal buffer (see {!Fingerprint}). *)
-let fingerprint = Fingerprint.of_config
-
 (* Memoized valence computation: the union over all reachable terminals of
-   the decided values. *)
+   the decided values.  The memo is keyed by homomorphic fingerprint: an
+   entry point folds its configuration once ({!Fingerprint.hom_of_config})
+   and the recursion patches each successor's from its parent's
+   ({!Explore.patched_fingerprint}). *)
 type valence_ctx = {
-  memo : (Fingerprint.t, Value.t list) Vtbl.t;
+  memo : Value.t list Fingerprint.Tbl.t;
   mutable budget : int;
 }
 
-let rec valence_rec ctx config =
-  let key = fingerprint config in
-  match Vtbl.find_opt ctx.memo key with
+(* Every successor of process [i]'s step from [config] (fingerprint [fp]),
+   with its event and patched fingerprint. *)
+let step_successors config fp i =
+  List.map
+    (fun (c', event, slots) ->
+      (c', event, Explore.patched_fingerprint config fp slots c'))
+    (Step.step_slots config i)
+
+let rec valence_rec ctx config fp =
+  match Fingerprint.Tbl.find_opt ctx.memo fp with
   | Some vs -> vs
   | None ->
     ctx.budget <- ctx.budget - 1;
@@ -67,20 +71,23 @@ let rec valence_rec ctx config =
           List.concat_map
             (fun i ->
               List.concat_map
-                (fun (c', _) -> valence_rec ctx c')
-                (Step.step config i))
+                (fun (c', _, fp') -> valence_rec ctx c' fp')
+                (step_successors config fp i))
             runnable
           |> Task.distinct
       in
-      Vtbl.replace ctx.memo key vs;
+      Fingerprint.Tbl.replace ctx.memo fp vs;
       vs
     end
 
 let make_ctx max_states =
-  { memo = Vtbl.create 1024; budget = Option.value max_states ~default:5_000_000 }
+  {
+    memo = Fingerprint.Tbl.create 1024;
+    budget = Option.value max_states ~default:5_000_000;
+  }
 
 let valence ?max_states config =
-  valence_rec (make_ctx max_states) config
+  valence_rec (make_ctx max_states) config (Fingerprint.hom_of_config config)
 
 type successor_valence = {
   proc : int;
@@ -94,42 +101,40 @@ type critical = {
   successors : successor_valence list;
 }
 
-let successors_of ctx config =
+(* Every successor of [config] (fingerprint [fp]) with its valence,
+   configuration and fingerprint. *)
+let successors_of ctx config fp =
   List.concat_map
     (fun i ->
       List.map
-        (fun (c', event) ->
-          { proc = i; event; valence = valence_rec ctx c' })
-        (Step.step config i))
+        (fun (c', event, fp') ->
+          ({ proc = i; event; valence = valence_rec ctx c' fp' }, c', fp'))
+        (step_successors config fp i))
     (Config.running config)
 
 let find_critical ?max_states config =
   let ctx = make_ctx max_states in
-  let bivalent c = List.length (valence_rec ctx c) >= 2 in
-  if not (bivalent config) then None
+  let fp = Fingerprint.hom_of_config config in
+  if List.length (valence_rec ctx config fp) < 2 then None
   else
-    let rec descend config rev_trace =
+    let rec descend config fp rev_trace =
       if List.length rev_trace > 100_000 then None
       else
-      let succs = successors_of ctx config in
-      match
-        List.find_opt (fun s -> List.length s.valence >= 2) succs
-      with
-      | None ->
-        Some { config; trace = List.rev rev_trace; successors = succs }
-      | Some s -> (
-        (* Follow one bivalent successor; replay the step to recover the
-           configuration. *)
-        let next =
-          List.find_map
-            (fun (c', e) -> if e = s.event then Some c' else None)
-            (Step.step config s.proc)
-        in
-        match next with
-        | Some c' -> descend c' (Trace.Sched s.event :: rev_trace)
-        | None -> None)
+        let succs = successors_of ctx config fp in
+        match
+          List.find_opt (fun (s, _, _) -> List.length s.valence >= 2) succs
+        with
+        | None ->
+          Some
+            {
+              config;
+              trace = List.rev rev_trace;
+              successors = List.map (fun (s, _, _) -> s) succs;
+            }
+        (* Follow one bivalent successor. *)
+        | Some (s, c', fp') -> descend c' fp' (Trace.Sched s.event :: rev_trace)
     in
-    descend config []
+    descend config fp []
 
 let pp_critical ppf c =
   Format.fprintf ppf

@@ -339,3 +339,10 @@ module Ktbl = Hashtbl.Make (struct
   let equal = key_equal
   let hash = key_hash
 end)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -18,6 +18,9 @@ val hash : t -> int
 val to_hex : t -> string
 val pp : Format.formatter -> t -> unit
 
+(** Hashtables keyed by fingerprints. *)
+module Tbl : Hashtbl.S with type key = t
+
 val of_config : Config.t -> t
 (** One traversal of store + procs; agrees with {!Config.key} equality
     (continuations erased, histories included). *)

@@ -114,7 +114,7 @@ and global = {
   onstack : unit Fingerprint.Ktbl.t option;
   (* Serialized under a lock once helpers run. *)
   mutable on_terminal : Config.t -> Trace.t -> unit;
-  on_visit : Config.t -> Trace.t Lazy.t -> unit;
+  on_visit : Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit;
 }
 
 (* What only a search with helpers needs. *)
@@ -265,7 +265,7 @@ let rec dfs ctx config fp rev_trace depth sleep =
         c.states <- c.states + 1;
         if c.states >= ctx.spawn_at then spawn ctx config;
         Explore.cross_check c ~paranoid:g.paranoid fp config;
-        g.on_visit config (lazy (List.rev rev_trace));
+        g.on_visit config fp (lazy (List.rev rev_trace));
         if Explore.count_terminal c config then
           g.on_terminal config (List.rev rev_trace);
         let groups, skips =

@@ -91,7 +91,7 @@ val run :
   find_cycle:bool ->
   jobs:int ->
   on_terminal:(Config.t -> Trace.t -> unit) ->
-  on_visit:(Config.t -> Trace.t Lazy.t -> unit) ->
+  on_visit:(Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit) ->
   string ->
   Config.t ->
   Explore.stats * Trace.t option
@@ -101,7 +101,10 @@ val run :
     may raise {!Explore.Stop} to end the search gracefully; any other
     exception is re-raised once every domain has joined.  The search
     knobs mean what the {!Search.options} fields of the same names mean.
-    [label] names the search in the [explore] observability event.
+    [on_visit] also receives the node's carried homomorphic fingerprint
+    ({!Explore.root_fingerprint}, patched along every transition): [Some]
+    on the symmetry-off lanes, [None] under symmetry.  [label] names the
+    search in the [explore] observability event.
 
     Under [~find_cycle] the search runs at one domain whatever [jobs]
     says and also keeps the keys on its DFS stack: the first back-edge

@@ -43,7 +43,7 @@ let with_jobs n o = { o with jobs = max 1 n }
 let with_visited v o = { o with visited = v }
 
 let no_terminal _ _ = ()
-let no_visit _ _ = ()
+let no_visit _ _ _ = ()
 
 (* Every search, at any [jobs]: the one engine. *)
 let search ~find_cycle ~on_terminal ~on_visit label o config =
@@ -65,9 +65,23 @@ let without_source_sets o =
 let iter_terminals ?(options = default) config ~f =
   run ~on_terminal:f ~on_visit:no_visit "iter_terminals" options config
 
-let iter_reachable ?(options = default) config ~f =
-  run ~on_terminal:no_terminal ~on_visit:f "iter_reachable"
+let reachable ~on_visit options config =
+  run ~on_terminal:no_terminal ~on_visit "iter_reachable"
     (without_source_sets options) config
+
+let iter_reachable ?(options = default) config ~f =
+  reachable ~on_visit:(fun c _ trace -> f c trace) options config
+
+(* The engine carries no fingerprint under symmetry (its keys fold the
+   orbit winner), so there the visited configuration is re-folded. *)
+let iter_reachable_fp ?(options = default) config ~f =
+  let on_visit c fp trace =
+    let fp =
+      match fp with Some fp -> fp | None -> Fingerprint.hom_of_config c
+    in
+    f c fp trace
+  in
+  reachable ~on_visit options config
 
 let find_terminal ?(options = default) config ~violates =
   let found = ref None in

@@ -26,10 +26,10 @@
     {b Callbacks.}  [f] in {!iter_terminals} (and the predicates of
     {!find_terminal} and {!check_terminals}) sees each reachable terminal
     once, serialized under a lock once helper domains run (terminals are
-    sparse); [f] in {!iter_reachable} is called concurrently from every
-    domain then and must be domain-safe.  Under symmetry one
-    representative per orbit is reported, so checked properties must be
-    renaming-invariant.  At one domain the visit order, and so the
+    sparse); [f] in {!iter_reachable} and {!iter_reachable_fp} is called
+    concurrently from every domain then and must be domain-safe.  Under
+    symmetry one representative per orbit is reported, so checked
+    properties must be renaming-invariant.  At one domain the visit order, and so the
     witness a search returns, is fixed; at more it depends on the
     schedule.
 
@@ -102,6 +102,20 @@ val iter_reachable :
     the trace on failure pay nothing on the common path.  Source sets are
     stripped: reachability consumers want every state, not a reduced
     cover. *)
+
+val iter_reachable_fp :
+  ?options:options ->
+  Config.t ->
+  f:(Config.t -> Fingerprint.t -> Trace.t Lazy.t -> unit) ->
+  Explore.stats
+(** {!iter_reachable} with each configuration's homomorphic fingerprint
+    ({!Fingerprint.hom_of_config}'s value): on the symmetry-off lanes the
+    one the search carried, patched from the parent's at no extra cost;
+    under symmetry, which carries none, a re-fold of the visited
+    configuration.  A caller that keys its own memo by this value can
+    patch it along further steps ({!Explore.patched_fingerprint}) instead
+    of re-folding.  {!iter_reachable} is the same search without the
+    fingerprint (so without the re-fold under symmetry). *)
 
 val find_terminal :
   ?options:options ->

@@ -19,7 +19,7 @@ let test_visited =
 (* The engine called directly, for its own test knob [?seq_threshold]:
    every search knob comes from [options]. *)
 let parallel_run ?seq_threshold
-    ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ -> ())
+    ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ _ -> ())
     (o : Search.options) config =
   Parallel.run ~visited:o.visited ~max_states:o.max_states
     ~max_depth:o.max_depth ~max_crashes:o.max_crashes

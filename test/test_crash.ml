@@ -233,14 +233,19 @@ let alg5_wait_free_certificate () =
     Alcotest.(check int) "solo bound" 5 (metric "solo_bound" v)
   | v -> Alcotest.failf "not wait-free: %a" Verdict.pp_summary v
 
-(* Acceptance criterion: a deliberately lock-free-only construction yields
-   a counterexample schedule, not a certificate. *)
-let spinner_counterexample () =
+(* A process spinning on a register until a second process writes it.
+   With [~checkpoint] each round resets its history, so its solo path
+   revisits a configuration; without, the history grows at every read
+   and no configuration repeats. *)
+let spinner_harness ~checkpoint =
   let store, reg = Store.alloc Store.empty Subc_objects.Register.model_bot in
   let spinner =
     let open Program.Syntax in
     let rec spin () =
-      let* () = Program.checkpoint (Value.Sym "spin") in
+      let* () =
+        if checkpoint then Program.checkpoint (Value.Sym "spin")
+        else Program.return ()
+      in
       let* v = Subc_objects.Register.read reg in
       if Value.is_bot v then spin () else Program.return v
     in
@@ -251,12 +256,63 @@ let spinner_counterexample () =
     let* () = Subc_objects.Register.write reg (Value.Int 1) in
     Program.return (Value.Int 1)
   in
-  match Progress.check_wait_free store ~programs:[ spinner; writer ] with
+  (store, [ spinner; writer ])
+
+(* Acceptance criterion: a deliberately lock-free-only construction yields
+   a counterexample schedule, not a certificate. *)
+let spinner_counterexample () =
+  let store, programs = spinner_harness ~checkpoint:true in
+  match Progress.check_wait_free store ~programs with
   | Verdict.Refuted { reason; trace; _ } ->
     Alcotest.(check bool) "the spinner is the culprit" true
       (contains reason "process 0 does not terminate running solo");
     Alcotest.(check bool) "counterexample has a schedule" true
       (Trace.length trace > 0)
+  | v -> Alcotest.failf "spinner not refuted: %a" Verdict.pp_summary v
+
+(* The refutation's trace replays from the root, and [proc] is still
+   running (a spinner) or hung (an illegal invocation) at its end. *)
+let replays_to store programs trace ~proc ~status =
+  match Replay.final (Config.make store programs) trace with
+  | Ok c ->
+    Alcotest.(check bool) "the witness ends as reported" true
+      (status c.Config.procs.(proc).Config.status)
+  | Error { Replay.at; reason } ->
+    Alcotest.failf "witness does not replay (event %d: %s)" at reason
+
+(* Invoking a 1sWRN twice on one index hangs the invoker: a [Hang]
+   refutation, not a certificate. *)
+let reused_index_hangs () =
+  let store, h =
+    Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k:2)
+  in
+  let reuser =
+    let open Program.Syntax in
+    let* _ = Subc_objects.One_shot_wrn.wrn h 0 (Value.Int 1) in
+    Subc_objects.One_shot_wrn.wrn h 0 (Value.Int 2)
+  in
+  let programs = [ reuser; Subc_objects.One_shot_wrn.wrn h 1 (Value.Int 3) ] in
+  match Progress.check_wait_free store ~programs with
+  | Verdict.Refuted { reason; trace; _ } ->
+    Alcotest.(check bool) "process 0 hangs" true
+      (contains reason "process 0 hangs (illegal invocation)");
+    replays_to store programs trace ~proc:0 ~status:(function
+      | Config.Hung -> true
+      | _ -> false)
+  | v -> Alcotest.failf "index reuse not refuted: %a" Verdict.pp_summary v
+
+(* Without a checkpoint only the solo-step limit refutes the spinner. *)
+let growing_spinner_hits_solo_limit () =
+  let store, programs = spinner_harness ~checkpoint:false in
+  match Progress.check_wait_free ~solo_limit:50 store ~programs with
+  | Verdict.Refuted { reason; trace; _ } ->
+    Alcotest.(check bool) "the spinner does not terminate" true
+      (contains reason "process 0 does not terminate running solo");
+    Alcotest.(check int) "the solo run is cut at the limit" 50
+      (Trace.length trace);
+    replays_to store programs trace ~proc:0 ~status:(function
+      | Config.Running _ -> true
+      | _ -> false)
   | v -> Alcotest.failf "spinner not refuted: %a" Verdict.pp_summary v
 
 let alg2_t_resilient () =
@@ -313,6 +369,9 @@ let suite =
         test "Algorithm 5 (k=3) wait-free cert, f=1" alg5_wait_free_certificate;
         test "lock-free spinner: counterexample schedule"
           spinner_counterexample;
+        test "1sWRN index reuse: hang refutation replays" reused_index_hangs;
+        test "growing spinner: solo-limit refutation replays"
+          growing_spinner_hits_solo_limit;
         test "Algorithm 2 (k=3) 2-resilient" alg2_t_resilient;
       ] );
     ("crash.diagram", [ test "space-time diagram renders" diagram_smoke ]);

@@ -10,7 +10,8 @@
    group laws it rests on, the delta-chain materialization it travels
    with, engine-level count agreement between the fingerprinted search
    and the paranoid exact-key reference at jobs 1 and 4, and that
-   [~paranoid] re-folds at every claimed node and fails loudly on a
+   [~paranoid] re-folds at every claimed node (and every configuration
+   the wait-freedom checker's solo memo takes) and fails loudly on a
    wrong patch. *)
 open Subc_sim
 open Helpers
@@ -267,7 +268,20 @@ let paranoid_clean () =
           default |> with_max_crashes 1 |> with_paranoid true |> with_jobs 4)
       config ~f:(fun _ _ -> ())
   in
-  same_counts "parallel paranoid" jstats (run false)
+  same_counts "parallel paranoid" jstats (run false);
+  (* The wait-freedom checker patches its own solo-step fingerprints, and
+     under [~paranoid] re-folds every configuration its memo takes: a
+     disagreement would fail the check with [Invalid_argument]. *)
+  let store, programs, _ = alg5_harness 3 in
+  let v =
+    Subc_check.Progress.check_wait_free
+      ~options:Search.(default |> with_max_crashes 1 |> with_paranoid true)
+      store ~programs
+  in
+  let metric name = List.assoc name (Verdict.stats v).Verdict.metrics in
+  Alcotest.(check bool) "paranoid wait-free proved" true (Verdict.is_proved v);
+  Alcotest.(check (float 0.0)) "paranoid solo bound" 5.0 (metric "solo_bound");
+  Alcotest.(check (float 0.0)) "paranoid configs" 2242.0 (metric "configs")
 
 (* A carried fingerprint that disagrees with its re-fold is counted by
    [cross_check] and fails the search at the flush; and a paranoid

@@ -297,7 +297,7 @@ let seq_fallback_stays_on_caller () =
         ~finally:(fun () -> Sink.set Sink.null)
         (fun () ->
           parallel_run ?seq_threshold
-            ~on_visit:(fun _ _ ->
+            ~on_visit:(fun _ _ _ ->
               if (Domain.self () :> int) <> self then Atomic.incr elsewhere)
             Search.(
               default |> with_visited test_visited |> with_max_crashes 1
@@ -378,7 +378,7 @@ let caller_after_spawn ?(pause = 0.0) ?exn options config =
   let self = Domain.self () in
   let seen = ref 0 in
   parallel_run ~seq_threshold:64
-    ~on_visit:(fun _ _ ->
+    ~on_visit:(fun _ _ _ ->
       if Domain.self () = self then begin
         incr seen;
         if !seen = 200 then begin
@@ -907,7 +907,7 @@ let lin_agrees () =
         ])
     [ 0; 1 ]
 
-let wait_free_agrees () =
+let wait_free_agrees dir =
   let store, programs, sym = alg2_harness 3 in
   let solo_bound v =
     List.assoc "solo_bound" (Verdict.stats v).Verdict.metrics
@@ -929,7 +929,36 @@ let wait_free_agrees () =
       Alcotest.(check (float 0.0))
         (name ^ " configs")
         (configs seq) (configs par))
-    [ ("none", None); ("sym", Some (Explore.with_symmetry sym)) ]
+    [ ("none", None); ("sym", Some (Explore.with_symmetry sym)) ];
+  (* Alg5 k=3 f=1: one solo bound and configuration count whether the
+     memo's fingerprints are re-folded (paranoid) or not, on either
+     visited backing, at one domain and at [jobs]. *)
+  let store, programs, _ = alg5_harness 3 in
+  List.iter
+    (fun (vlabel, visited) ->
+      List.iter
+        (fun paranoid ->
+          List.iter
+            (fun j ->
+              let name =
+                Printf.sprintf "alg5 wait-free %s paranoid=%b j%d" vlabel
+                  paranoid j
+              in
+              let options =
+                Search.(
+                  default |> with_max_crashes 1 |> with_paranoid paranoid
+                  |> with_visited visited |> with_jobs j)
+              in
+              let v = Progress.check_wait_free ~options store ~programs in
+              Alcotest.(check bool)
+                (name ^ " proved") true (Verdict.is_proved v);
+              Alcotest.(check (float 0.0)) (name ^ " solo bound") 5.0
+                (solo_bound v);
+              Alcotest.(check (float 0.0)) (name ^ " configs") 2242.0
+                (configs v))
+            [ 1; jobs ])
+        [ false; true ])
+    [ ("heap", Parallel.Heap); ("spill", Parallel.Spill dir) ]
 
 let consensus_verdict_agrees () =
   let store, c = Store.alloc Store.empty Subc_objects.Consensus_obj.model in
@@ -1595,7 +1624,8 @@ let suite =
         test_slow "task conformance agrees across jobs" task_check_agrees;
         test "refutation agrees across jobs" task_check_refutes;
         test_slow "linearizability agrees across jobs" lin_agrees;
-        test_slow "wait-freedom bound agrees across jobs" wait_free_agrees;
+        test_slow "wait-freedom bound agrees across jobs"
+          (in_temp_dir wait_free_agrees);
         test "consensus verdict agrees across jobs" consensus_verdict_agrees;
         test "spill via Search preserves verdicts"
           (in_temp_dir spill_search_dispatch);
