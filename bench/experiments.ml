@@ -16,21 +16,17 @@ module Progress = Subc_check.Progress
 module Verdict = Subc_check.Verdict
 module Lin = Subc_check.Linearizability
 
-(* Map the unified verdict back onto the e6/e9 table vocabulary: refutations
-   by an infinite schedule read "diverges", safety refutations "violation". *)
+(* Map the unified verdict onto the e6/e9 table vocabulary by replaying the
+   refutation's witness: a safety witness ends at a terminal ("violation"),
+   a divergence lasso where a process still runs ("diverges"). *)
 let consensus_verdict_name config ~inputs =
   match Valence.consensus_verdict config ~inputs with
   | Verdict.Proved _ -> "solves"
-  | Verdict.Refuted { reason; _ } ->
-    let diverges =
-      let sub = "infinite schedule" in
-      let n = String.length sub in
-      let rec scan i =
-        i + n <= String.length reason && (String.sub reason i n = sub || scan (i + 1))
-      in
-      scan 0
-    in
-    if diverges then "diverges" else "violation"
+  | Verdict.Refuted { trace; _ } -> (
+    match Replay.final config trace with
+    | Ok c when Config.is_terminal c -> "violation"
+    | Ok _ -> "diverges"
+    | Error _ -> "unreplayable")
   | Verdict.Limited _ -> "unknown"
 
 let failures = ref 0
@@ -424,28 +420,25 @@ let e9 () =
 
 let e10 () =
   (* Snapshot refinement. *)
-  let outcomes_of store programs =
-    let config = Config.make store programs in
-    let acc = ref [] in
-    let _ =
-      Search.iter_terminals config ~f:(fun final _ ->
-          acc := Config.decisions final :: !acc)
-    in
-    List.sort_uniq compare !acc
-  in
-  let harness (api : Subc_rwmem.Snapshot_api.t) =
+  let harness api_of =
+    let store, (api : Subc_rwmem.Snapshot_api.t) = api_of Store.empty 2 in
     let program me v =
       let open Program.Syntax in
       let* () = api.Subc_rwmem.Snapshot_api.update ~me (Value.Int v) in
       api.Subc_rwmem.Snapshot_api.scan
     in
-    [ program 0 10; program 1 11 ]
+    { Subc_check.Refinement.store; programs = [ program 0 10; program 1 11 ] }
   in
-  let store_p, api_p = Subc_rwmem.Snapshot_api.primitive Store.empty 2 in
-  let spec_outcomes = outcomes_of store_p (harness api_p) in
-  let store_r, api_r = Subc_rwmem.Snapshot_api.register_based Store.empty 2 in
-  let impl_outcomes = outcomes_of store_r (harness api_r) in
-  let refines = List.for_all (fun o -> List.mem o spec_outcomes) impl_outcomes in
+  let refinement =
+    Subc_check.Refinement.check_refines ()
+      ~impl:(harness Subc_rwmem.Snapshot_api.register_based)
+      ~spec:(harness Subc_rwmem.Snapshot_api.primitive)
+  in
+  let outcomes side =
+    match List.assoc_opt side (Verdict.stats refinement).Verdict.metrics with
+    | Some n -> string_of_int (int_of_float n)
+    | None -> "?"
+  in
   (* Counter flag principle. *)
   let store, counter =
     Subc_rwmem.Counter_impl.alloc Store.empty ~contributors:2
@@ -470,9 +463,9 @@ let e10 () =
     [
       [
         "AADGMS snapshot (n=2)"; "refines atomic snapshot";
-        Printf.sprintf "%d impl / %d spec outcomes"
-          (List.length impl_outcomes) (List.length spec_outcomes);
-        check "E10 snapshot" refines;
+        Printf.sprintf "%s impl / %s spec outcomes" (outcomes "impl_outcomes")
+          (outcomes "spec_outcomes");
+        check "E10 snapshot" (Verdict.is_proved refinement);
       ];
       [
         "counter from snapshot"; "flag principle (<=1 reads 1)";
@@ -533,10 +526,9 @@ let e11 () =
 
 let e12 () =
   let show = function
-    | `Solves -> "solves"
-    | `Violates -> "fails"
-    | `Diverges -> "diverges"
-    | `Unknown -> "unknown"
+    | Verdict.Proved _ -> "solves"
+    | Verdict.Refuted _ -> "fails"
+    | Verdict.Limited _ -> "unknown"
   in
   let rows =
     List.map
@@ -546,10 +538,10 @@ let e12 () =
         let known = Subc_classic.Consensus_number.known_consensus_number family in
         let expected =
           match known with
-          | Some 1 -> v2 <> `Solves && v3 <> `Solves
-          | Some 2 -> v2 = `Solves && v3 <> `Solves
+          | Some 1 -> Verdict.is_refuted v2 && Verdict.is_refuted v3
+          | Some 2 -> Verdict.is_proved v2 && Verdict.is_refuted v3
           | Some _ -> true
-          | None -> v2 = `Solves && v3 = `Solves
+          | None -> Verdict.is_proved v2 && Verdict.is_proved v3
         in
         [
           Subc_classic.Consensus_number.family_name family;
@@ -591,12 +583,12 @@ let e13 () =
                 let want = P.predicted family ~n ~k in
                 let shown =
                   match got with
-                  | `Solves -> "yes"
-                  | `Violates -> "no"
-                  | `Diverges -> "div"
-                  | `Unknown -> "?"
+                  | Verdict.Proved _ -> "yes"
+                  | Verdict.Refuted _ -> "no"
+                  | Verdict.Limited _ -> "?"
                 in
-                if (got = `Solves) <> want then begin
+                if Verdict.is_limited got || Verdict.is_proved got <> want
+                then begin
                   cells_ok := false;
                   shown ^ "!"
                 end
@@ -1482,6 +1474,10 @@ let run_one f =
   f ();
   !failures = before
 
+let run_e6 () = run_one e6
+let run_e10 () = run_one e10
+let run_e12 () = run_one e12
+let run_e13 () = run_one e13
 let run_e15 () = run_one e15
 let run_e16 () = run_one e16
 let run_e17 () = run_one e17

@@ -6,8 +6,9 @@
    benches (B1–B7, printed only).
 
    [dune exec bench/main.exe -- experiments] / [-- timing] run one half;
-   [-- e15] / [-- e16] / [-- e17] / [-- e18] / [-- e19] / [-- e21] run a
-   single experiment (the CI smoke jobs).
+   [-- e6] / [-- e10] / [-- e12] / [-- e13] / [-- e15] / [-- e16] /
+   [-- e17] / [-- e18] / [-- e19] / [-- e21] run a single experiment (the
+   CI smoke jobs).
    [--metrics] streams observability events and a final metrics snapshot;
    with [--json] both go to stdout as JSON lines (the CI artifact).
    Time to verdict, with pinned answers, a baseline and per-layer
@@ -32,6 +33,10 @@ let () =
     | "timing" ->
       Timing.run_all ();
       true
+    | "e6" -> Experiments.run_e6 ()
+    | "e10" -> Experiments.run_e10 ()
+    | "e12" -> Experiments.run_e12 ()
+    | "e13" -> Experiments.run_e13 ()
     | "e15" -> Experiments.run_e15 ()
     | "e16" -> Experiments.run_e16 ()
     | "e17" -> Experiments.run_e17 ()

@@ -603,10 +603,9 @@ let power_cmd =
         if P.applicable family ~n then begin
           let verdict =
             match P.verdict family ~n ~k with
-            | `Solves -> "solves"
-            | `Violates -> "fails"
-            | `Diverges -> "diverges"
-            | `Unknown -> "unknown"
+            | Verdict.Proved _ -> "solves"
+            | Verdict.Refuted _ -> "fails"
+            | Verdict.Limited _ -> "unknown"
           in
           Format.printf "%-20s (%d,%d)-set consensus: %-8s (predicted %s)@."
             (P.family_name family) n k verdict
@@ -663,11 +662,16 @@ let critical_cmd =
       ]
     in
     let config = Config.make store programs in
-    (match Subc_check.Valence.find_critical config with
+    match Subc_check.Valence.find_critical config with
     | Some crit ->
-      Format.printf "%a@." Subc_check.Valence.pp_critical crit
-    | None -> Format.printf "the initial configuration is univalent@.");
-    0
+      Format.printf "%a@." Subc_check.Valence.pp_critical crit;
+      0
+    | None ->
+      Format.printf "the initial configuration is univalent@.";
+      0
+    | exception Failure msg ->
+      Format.eprintf "error: %s@." msg;
+      2
   in
   let style_arg =
     Arg.(
@@ -678,7 +682,8 @@ let critical_cmd =
     (Cmd.info "critical"
        ~doc:
          "Descend to a critical configuration of a 2-consensus protocol \
-          over WRN_k (the Lemma 38 structure).")
+          over WRN_k (the Lemma 38 structure).  Exits 0, or 2 with an error \
+          when the valence memo's configuration budget runs out.")
     Term.(const run $ k_arg $ style_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -57,7 +57,7 @@ let () =
   Format.printf "@.== 500 randomized crash scenarios ==@.";
   let task = Task.set_consensus (k - 1) in
   let stats =
-    Task_check.sample_crashed store ~programs ~inputs ~task
+    Task_check.sample ~max_crashes:(k - 1) store ~programs ~inputs ~task
       ~seeds:(List.init 500 (fun i -> i + 1))
   in
   Format.printf "%a@." Task_check.pp_sample_stats stats;

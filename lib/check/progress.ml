@@ -180,25 +180,18 @@ let check_wait_free ?(options = Search.default) ?(solo_limit = 10_000) store
           %d-step prefix"
          proc (Trace.length prefix))
 
+(* Termination with at most [t] crashes is the pipeline with "no process
+   hangs" as the terminal check: a hang is refuted by the schedule that
+   reaches the hung terminal, a cycle by its lasso. *)
 let check_t_resilient ?(options = Search.default) ~t store ~programs =
   Subc_obs.Span.time "progress.t_resilient" @@ fun () ->
-  let options = Search.with_max_crashes t options in
-  match Search.find_cycle ~options (Config.make store programs) with
-  | Some lasso, stats ->
-    Verdict.refuted ~explore:stats ~trace:lasso
+  Task_check.verdict
+    ~options:(Search.with_max_crashes t options)
+    (Config.make store programs)
+    ~explain:(fun c ->
+      if Config.any_hung c then
+        Some "some execution hangs a process (illegal object use)"
+      else None)
+    ~proved:
       (Printf.sprintf
-         "infinite schedule with <= %d crashes (not %d-resilient \
-          terminating)"
-         t t)
-  | None, stats ->
-    if stats.Explore.limited then
-      Verdict.limited ~explore:stats "state limit reached — no verdict"
-    else if stats.Explore.hung_terminals > 0 then
-      Verdict.refuted ~explore:stats ~trace:[]
-        "some execution hangs a process (illegal object use)"
-    else
-      Verdict.proved ~explore:stats
-        (Printf.sprintf
-           "every schedule with <= %d crashes terminates (no cycles, no \
-            hangs)"
-           t)
+         "every schedule with <= %d crashes terminates (no cycles, no hangs)" t)

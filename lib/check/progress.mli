@@ -76,9 +76,12 @@ val check_wait_free :
   Verdict.t
 
 (** [check_t_resilient ~t store ~programs] checks that no schedule with at
-    most [t] crashes runs forever and none hangs a process.  The [t]
-    budget overrides [options.max_crashes]; cycle hunting is always
-    sequential, so [options.jobs] is ignored. *)
+    most [t] crashes runs forever and none hangs a process: the
+    {!Task_check.verdict} pipeline with "no process hangs" as the
+    terminal check.  A hang is refuted with the schedule that reaches the
+    hung terminal, a cycle with its lasso.  The [t] budget overrides
+    [options.max_crashes]; [options.jobs] spreads the terminal phase,
+    the cycle search stays sequential. *)
 val check_t_resilient :
   ?options:Search.options ->
   t:int ->

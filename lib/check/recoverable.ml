@@ -126,16 +126,15 @@ let protocol store family ~n ~max_recoveries =
    the budgets run out decides nothing, which is allowed), and no process
    hangs.  At a terminal every process is terminated, hung or crashed, so
    "not hung" makes every surviving process's decision count. *)
-let consensus_ok ~inputs c =
+let violation ~inputs c =
   if Config.any_hung c then
-    Error "some execution hangs a process (illegal object use)"
-  else Task.consensus.Task.check (Task.outcomes ~inputs c)
+    Some "some execution hangs a process (illegal object use)"
+  else Task.explain Task.consensus ~inputs c
 
 let verdict ?(options = Search.default) family ~n ~max_recoveries =
   Subc_obs.Span.time "recoverable.verdict" @@ fun () ->
   let store, programs = protocol Store.empty family ~n ~max_recoveries in
   let inputs = List.init n (fun i -> Value.Int i) in
-  let config = Config.make store programs in
   (* Recoveries need crashes: a zero crash budget (the record default)
      means "pick for me" — the classic n−1 budget, widened so every
      recovery can be exercised. *)
@@ -148,40 +147,20 @@ let verdict ?(options = Search.default) family ~n ~max_recoveries =
     |> Search.with_max_crashes max_crashes
     |> Search.with_max_recoveries max_recoveries
   in
-  let ok c = Result.is_ok (consensus_ok ~inputs c) in
   let budgets =
     Printf.sprintf "crash budget %d, recovery budget %d" max_crashes
       max_recoveries
   in
-  let result = Search.check_terminals ~options config ~ok in
-  match result with
-  | Error (c, trace, stats) ->
-    let reason =
-      match consensus_ok ~inputs c with Error e -> e | Ok () -> assert false
-    in
-    Verdict.refuted ~explore:stats ~trace
-      (Printf.sprintf "recoverable consensus (%s): %s" budgets reason)
-  | Ok stats when stats.Explore.limited ->
-    Verdict.limited ~explore:stats
-      (Format.asprintf
-         "exploration truncated (%a) before covering all terminals — no \
-          verdict"
-         Explore.pp_limit_reason stats.Explore.limit_reason)
-  | Ok stats -> (
-    match Search.find_cycle ~options config with
-    | Some trace, cycle_stats ->
-      Verdict.refuted ~explore:cycle_stats ~trace
-        "infinite schedule (protocol not wait-free)"
-    | None, cycle_stats ->
-      if cycle_stats.Explore.limited then
-        Verdict.limited ~explore:cycle_stats
-          "exploration truncated while searching cycles — no verdict"
-      else
-        Verdict.proved ~explore:stats
-          (Printf.sprintf
-             "recoverable consensus (%s): agreement + validity on every \
-              terminal, every schedule terminates"
-             budgets))
+  Task_check.verdict ~options (Config.make store programs)
+    ~explain:(fun c ->
+      Option.map
+        (Printf.sprintf "recoverable consensus (%s): %s" budgets)
+        (violation ~inputs c))
+    ~proved:
+      (Printf.sprintf
+         "recoverable consensus (%s): agreement + validity on every \
+          terminal, every schedule terminates"
+         budgets)
 
 (* The separation table: at n = 2, every consensus-number-2 object solves
    consensus with crashes only (r = 0) but the canonical protocol fails

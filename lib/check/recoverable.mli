@@ -54,10 +54,10 @@ val protocol :
   Store.t * Value.t Program.t list
 
 (** [verdict family ~n ~max_recoveries] — exhaustive recoverable-consensus
-    check: validity and agreement over the decided values on every
-    reachable terminal (a process still crashed when the budgets run out
-    decides nothing, which is allowed; a hung process refutes), plus
-    termination of every schedule.  Search knobs come from the
+    check on the {!Task_check.verdict} pipeline: validity and agreement
+    over the decided values on every reachable terminal (a process still
+    crashed when the budgets run out decides nothing, which is allowed; a
+    hung process refutes), plus termination of every schedule.  Search knobs come from the
     {!Subc_sim.Search.options} record ([?options]); the [max_recoveries]
     label overrides [options.max_recoveries], and a zero
     [options.max_crashes] (the record default) is widened to

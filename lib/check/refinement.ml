@@ -1,78 +1,58 @@
 open Subc_sim
 
 type harness = { store : Store.t; programs : Value.t Program.t list }
-type failure = { outcome : Value.t list; trace : Trace.t }
 
-(* Symmetry reduction is deliberately stripped: outcome vectors are
+(* Every reachable terminal outcome vector of [harness], with one witness
+   schedule per distinct outcome, or the stats of a truncated search.
+   Symmetry reduction is deliberately stripped: outcome vectors are
    compared literally between the two harnesses, and quotienting each
    side independently could pick different orbit representatives.
    Terminal callbacks are serialized under the engine's callback lock
-   once helpers run, so the accumulator needs no further protection. *)
-let sanitize options =
-  Search.with_reduction Explore.no_reduction options
-
-let outcomes_with_traces ~options harness =
-  let config = Config.make harness.store harness.programs in
-  let acc = ref [] in
+   once helpers run, so the table needs no further protection. *)
+let outcomes ~options harness =
+  let witnesses = Hashtbl.create 64 in
   let stats =
-    Search.iter_terminals ~options:(sanitize options) config
-      ~f:(fun final trace -> acc := (Config.decisions final, trace) :: !acc)
+    Search.iter_terminals
+      ~options:(Search.with_reduction Explore.no_reduction options)
+      (Config.make harness.store harness.programs)
+      ~f:(fun final trace ->
+        let o = Config.decisions final in
+        if not (Hashtbl.mem witnesses o) then Hashtbl.add witnesses o trace)
   in
-  if stats.Explore.limited then failwith "Refinement: state limit reached";
-  !acc
+  if stats.Explore.limited then Error stats else Ok witnesses
 
-let options_of_max_states max_states =
-  match max_states with
-  | None -> Search.default
-  | Some n -> Search.with_max_states n Search.default
+(* Enumerate each harness once, then judge the two outcome tables. *)
+let compare_outcomes ~options ~impl ~spec judge =
+  match (outcomes ~options impl, outcomes ~options spec) with
+  | Error stats, _ | _, Error stats ->
+    Verdict.limited ~explore:stats
+      (Format.asprintf
+         "exploration truncated (%a) before covering every outcome — no \
+          verdict"
+         Explore.pp_limit_reason stats.Explore.limit_reason)
+  | Ok impl, Ok spec -> judge impl spec
 
-let outcomes ?max_states harness =
-  List.sort_uniq compare
-    (List.map fst
-       (outcomes_with_traces ~options:(options_of_max_states max_states)
-          harness))
+(* An outcome of [a] that [b] lacks, with its witness schedule in [a]'s
+   harness. *)
+let missing a b =
+  Hashtbl.fold
+    (fun o trace found ->
+      if Option.is_some found || Hashtbl.mem b o then found
+      else Some (o, trace))
+    a None
 
-let refines_search ~options ~impl ~spec =
-  let spec_outcomes =
-    List.sort_uniq compare
-      (List.map fst (outcomes_with_traces ~options spec))
-  in
-  let impl_outcomes = outcomes_with_traces ~options impl in
-  match
-    List.find_opt
-      (fun (o, _) -> not (List.mem o spec_outcomes))
-      impl_outcomes
-  with
-  | Some (outcome, trace) -> Error { outcome; trace }
-  | None ->
-    Ok
-      ( List.length (List.sort_uniq compare (List.map fst impl_outcomes)),
-        List.length spec_outcomes )
+let refuted ~in_ ~not_in (outcome, trace) =
+  Verdict.refuted ~trace
+    (Format.asprintf "outcome %a reachable in the %s but not in the %s"
+       Value.pp (Value.Vec outcome) in_ not_in)
 
-let refines ?max_states () ~impl ~spec =
-  refines_search ~options:(options_of_max_states max_states) ~impl ~spec
-
-let equivalent_search ~options ~impl ~spec =
-  match refines_search ~options ~impl ~spec with
-  | Error _ as e -> e
-  | Ok (n_impl, n_spec) -> (
-    match refines_search ~options ~impl:spec ~spec:impl with
-    | Error _ as e -> e
-    | Ok _ ->
-      if n_impl = n_spec then Ok n_impl
-      else
-        (* Containment both ways with equal cardinality is equality; unequal
-           cardinalities here would be contradictory. *)
-        Ok n_impl)
-
-let equivalent ?max_states () ~impl ~spec =
-  equivalent_search ~options:(options_of_max_states max_states) ~impl ~spec
-
-(* Verdict-typed entry points. *)
 let check_refines ?(options = Search.default) () ~impl ~spec =
   Subc_obs.Span.time "refinement.refines" @@ fun () ->
-  match refines_search ~options ~impl ~spec with
-  | Ok (n_impl, n_spec) ->
+  compare_outcomes ~options ~impl ~spec @@ fun impl spec ->
+  match missing impl spec with
+  | Some w -> refuted ~in_:"implementation" ~not_in:"specification" w
+  | None ->
+    let n_impl = Hashtbl.length impl and n_spec = Hashtbl.length spec in
     Verdict.proved
       ~metrics:
         [
@@ -82,23 +62,15 @@ let check_refines ?(options = Search.default) () ~impl ~spec =
       (Printf.sprintf
          "every implementation outcome (%d) is a specification outcome (%d)"
          n_impl n_spec)
-  | Error { outcome; trace } ->
-    Verdict.refuted ~trace
-      (Format.asprintf
-         "outcome %a reachable in the implementation but not in the \
-          specification"
-         Value.pp (Value.Vec outcome))
-  | exception Failure msg -> Verdict.limited msg
 
 let check_equivalent ?(options = Search.default) () ~impl ~spec =
   Subc_obs.Span.time "refinement.equivalent" @@ fun () ->
-  match equivalent_search ~options ~impl ~spec with
-  | Ok n ->
+  compare_outcomes ~options ~impl ~spec @@ fun impl spec ->
+  match (missing impl spec, missing spec impl) with
+  | Some w, _ -> refuted ~in_:"implementation" ~not_in:"specification" w
+  | None, Some w -> refuted ~in_:"specification" ~not_in:"implementation" w
+  | None, None ->
+    let n = Hashtbl.length impl in
     Verdict.proved
       ~metrics:[ ("outcomes", float_of_int n) ]
       (Printf.sprintf "identical outcome sets (%d outcomes)" n)
-  | Error { outcome; trace } ->
-    Verdict.refuted ~trace
-      (Format.asprintf "outcome %a reachable on one side only" Value.pp
-         (Value.Vec outcome))
-  | exception Failure msg -> Verdict.limited msg

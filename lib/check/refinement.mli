@@ -11,43 +11,32 @@
     response: every implementation outcome must then be producible by some
     atomic interleaving.  It complements the per-history linearizability
     checker: refinement quantifies over outcomes, the linearizability
-    checker over orderings within a single execution. *)
+    checker over orderings within a single execution.
+
+    Each harness is enumerated once, keeping one witness schedule per
+    distinct outcome.  A [Refuted] verdict names the outcome one side
+    lacks, and its trace is that outcome's witness in the other side's
+    harness: {!Subc_sim.Replay.final} of it ends at a terminal whose
+    decisions are the outcome.  A truncated enumeration is [Limited]. *)
 
 open Subc_sim
 
 type harness = { store : Store.t; programs : Value.t Program.t list }
 
-type failure = {
-  outcome : Value.t list;  (** reachable in the impl, not in the spec *)
-  trace : Trace.t;  (** witness schedule in the implementation *)
-}
-
-(** [outcomes harness] — all reachable terminal decision vectors.
-    @raise Failure if the state limit is hit. *)
-val outcomes : ?max_states:int -> harness -> Value.t list list
-
-(** [refines ~impl ~spec] — [Ok (n_impl, n_spec)] with the outcome-set
-    sizes, or the first implementation outcome the spec cannot produce. *)
-val refines :
-  ?max_states:int ->
-  unit ->
-  impl:harness ->
-  spec:harness ->
-  (int * int, failure) result
-
-(** [equivalent ~impl ~spec] — containment in both directions. *)
-val equivalent :
-  ?max_states:int -> unit -> impl:harness -> spec:harness -> (int, failure) result
-
-(** Verdict-typed forms of {!refines} and {!equivalent}.  A hit state
-    limit becomes [Limited].  Search knobs come from the
-    {!Subc_sim.Search.options} record ([?options]); [options.reduction]
-    is ignored — outcome vectors are compared literally between the two
-    harnesses, and quotienting each side independently could pick
-    different orbit representatives — while [options.jobs] parallelizes
-    each terminal sweep. *)
+(** [check_refines ~impl ~spec] — every implementation outcome is a
+    specification outcome.  [Proved] carries the outcome-set sizes as
+    the metrics [impl_outcomes] and [spec_outcomes].  Search knobs come
+    from the {!Subc_sim.Search.options} record ([?options]);
+    [options.reduction] is ignored — outcome vectors are compared
+    literally between the two harnesses, and quotienting each side
+    independently could pick different orbit representatives — while
+    [options.jobs] parallelizes each terminal sweep. *)
 val check_refines :
   ?options:Search.options -> unit -> impl:harness -> spec:harness -> Verdict.t
 
+(** [check_equivalent ~impl ~spec] — containment in both directions.
+    [Proved] carries the common outcome-set size as the metric
+    [outcomes]; a refutation's witness replays in the harness that
+    reaches the outcome. *)
 val check_equivalent :
   ?options:Search.options -> unit -> impl:harness -> spec:harness -> Verdict.t

@@ -1,53 +1,27 @@
 open Subc_sim
 module Task = Subc_tasks.Task
 
-let consensus_ok ~inputs config =
-  let os = Task.outcomes ~inputs config in
-  match Task.all_decided.Task.check os with
-  | Error e -> Error e
-  | Ok () -> Task.consensus.Task.check os
-
-(* Verdict-typed consensus check.  Terminal checking
-   parallelizes ([options.jobs]); the cycle search stays sequential —
-   back-edge detection needs the DFS stack discipline (see [Parallel]). *)
-let consensus_verdict ?(options = Search.default) config ~inputs =
+let consensus_verdict ?options config ~inputs =
   Subc_obs.Span.time "valence.consensus" @@ fun () ->
-  let check_terminals_result =
-    Search.check_terminals ~options config ~ok:(fun c ->
-        Result.is_ok (consensus_ok ~inputs c))
-  in
-  match check_terminals_result with
-  | Error (c, trace, stats) ->
-    let reason =
-      match consensus_ok ~inputs c with Error e -> e | Ok () -> assert false
-    in
-    Verdict.refuted ~explore:stats ~trace reason
-  | Ok stats when stats.Explore.limited ->
-    Verdict.limited ~explore:stats
-      "state limit reached while checking terminals"
-  | Ok stats -> (
-    match Search.find_cycle ~options config with
-    | Some trace, cycle_stats ->
-      Verdict.refuted ~explore:cycle_stats ~trace
-        "infinite schedule (protocol not wait-free)"
-    | None, cycle_stats ->
-      if cycle_stats.Explore.limited then
-        Verdict.limited ~explore:cycle_stats
-          "state limit reached while searching cycles"
-      else
-        Verdict.proved ~explore:stats
-          "consensus: agreement + validity on every terminal, and every \
-           schedule terminates")
+  Task_check.verdict ?options config
+    ~explain:(Task.explain (Task.conj Task.all_decided Task.consensus) ~inputs)
+    ~proved:
+      "consensus: agreement + validity on every terminal, and every schedule \
+       terminates"
 
 (* Memoized valence computation: the union over all reachable terminals of
    the decided values.  The memo is keyed by homomorphic fingerprint: an
    entry point folds its configuration once ({!Fingerprint.hom_of_config})
    and the recursion patches each successor's from its parent's
-   ({!Explore.patched_fingerprint}). *)
+   ({!Explore.patched_fingerprint}).  The memo holds at most [budget]
+   configurations; past that the computation fails rather than report a
+   partial (possibly univalent-looking) valence. *)
 type valence_ctx = {
   memo : Value.t list Fingerprint.Tbl.t;
   mutable budget : int;
 }
+
+let budget = 5_000_000
 
 (* Every successor of process [i]'s step from [config] (fingerprint [fp]),
    with its event and patched fingerprint. *)
@@ -62,32 +36,31 @@ let rec valence_rec ctx config fp =
   | Some vs -> vs
   | None ->
     ctx.budget <- ctx.budget - 1;
-    if ctx.budget < 0 then []
-    else begin
-      let vs =
-        match Config.running config with
-        | [] -> Task.distinct (Config.decisions config)
-        | runnable ->
-          List.concat_map
-            (fun i ->
-              List.concat_map
-                (fun (c', _, fp') -> valence_rec ctx c' fp')
-                (step_successors config fp i))
-            runnable
-          |> Task.distinct
-      in
-      Fingerprint.Tbl.replace ctx.memo fp vs;
-      vs
-    end
+    if ctx.budget < 0 then
+      failwith
+        (Printf.sprintf
+           "Valence: the %d-configuration budget ran out before the valence \
+            was complete"
+           budget);
+    let vs =
+      match Config.running config with
+      | [] -> Task.distinct (Config.decisions config)
+      | runnable ->
+        List.concat_map
+          (fun i ->
+            List.concat_map
+              (fun (c', _, fp') -> valence_rec ctx c' fp')
+              (step_successors config fp i))
+          runnable
+        |> Task.distinct
+    in
+    Fingerprint.Tbl.replace ctx.memo fp vs;
+    vs
 
-let make_ctx max_states =
-  {
-    memo = Fingerprint.Tbl.create 1024;
-    budget = Option.value max_states ~default:5_000_000;
-  }
+let make_ctx () = { memo = Fingerprint.Tbl.create 1024; budget }
 
-let valence ?max_states config =
-  valence_rec (make_ctx max_states) config (Fingerprint.hom_of_config config)
+let valence config =
+  valence_rec (make_ctx ()) config (Fingerprint.hom_of_config config)
 
 type successor_valence = {
   proc : int;
@@ -112,8 +85,8 @@ let successors_of ctx config fp =
         (step_successors config fp i))
     (Config.running config)
 
-let find_critical ?max_states config =
-  let ctx = make_ctx max_states in
+let find_critical config =
+  let ctx = make_ctx () in
   let fp = Fingerprint.hom_of_config config in
   if List.length (valence_rec ctx config fp) < 2 then None
   else

@@ -9,7 +9,8 @@
 
     {!consensus_verdict} is the full verdict: does the protocol solve
     consensus (agreement + validity on every reachable terminal, and no
-    infinite schedule)?  [find_critical] reproduces the proof structure of
+    infinite schedule)?  It is {!Task_check.verdict}'s pipeline with
+    consensus as the terminal check.  [find_critical] reproduces the proof structure of
     Lemma 38 mechanically: it descends from the initial configuration
     through bivalent successors to a critical configuration and reports the
     pending steps. *)
@@ -19,7 +20,9 @@ open Subc_sim
 (** [consensus_verdict config ~inputs] — [inputs.(i)] is process [i]'s
     proposal; terminals must satisfy validity and agreement over decided
     values, every process must decide (no hung terminals), and no schedule
-    may run forever.  Search knobs come from the
+    may run forever.  A violation is refuted with a schedule ending at
+    the violating terminal, a divergence with a lasso ending where a
+    process still runs.  Search knobs come from the
     {!Subc_sim.Search.options} record ([?options]): [options.jobs]
     parallelizes the terminal check ({!Subc_sim.Parallel}); the cycle
     search stays sequential.  The verdict status is deterministic either
@@ -28,8 +31,12 @@ val consensus_verdict :
   ?options:Search.options -> Config.t -> inputs:Value.t list -> Verdict.t
 
 (** [valence config] — all values reachable as decisions from [config].
-    Decisions are the outputs of terminated processes. *)
-val valence : ?max_states:int -> Config.t -> Value.t list
+    Decisions are the outputs of terminated processes.  The memo holds at
+    most 5 000 000 configurations.
+    @raise Failure naming that budget when the reachable space is larger
+    (a partial valence could make a bivalent configuration look
+    univalent). *)
+val valence : Config.t -> Value.t list
 
 type successor_valence = {
   proc : int;  (** the process whose step was taken *)
@@ -44,7 +51,8 @@ type critical = {
 }
 
 (** [find_critical config] — [None] if the initial configuration is already
-    univalent (or no critical configuration exists within the bound). *)
-val find_critical : ?max_states:int -> Config.t -> critical option
+    univalent (or the descent exceeds 100 000 steps).
+    @raise Failure as {!valence} does, when the memo budget runs out. *)
+val find_critical : Config.t -> critical option
 
 val pp_critical : Format.formatter -> critical -> unit

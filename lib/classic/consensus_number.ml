@@ -131,24 +131,8 @@ let protocol store family ~n =
   in
   (store, List.mapi program values)
 
-let verdict ?max_states family ~n =
+let verdict family ~n =
   let store, programs = protocol Store.empty family ~n in
-  let inputs = List.init n (fun i -> Value.Int i) in
-  let config = Config.make store programs in
-  let contains s sub =
-    let n = String.length sub in
-    let rec scan i =
-      i + n <= String.length s && (String.sub s i n = sub || scan (i + 1))
-    in
-    scan 0
-  in
-  let options =
-    match max_states with
-    | None -> Subc_sim.Search.default
-    | Some n -> Subc_sim.Search.(with_max_states n default)
-  in
-  match Subc_check.Valence.consensus_verdict ~options config ~inputs with
-  | Subc_check.Verdict.Proved _ -> `Solves
-  | Subc_check.Verdict.Refuted { reason; _ } ->
-    if contains reason "infinite schedule" then `Diverges else `Violates
-  | Subc_check.Verdict.Limited _ -> `Unknown
+  Subc_check.Valence.consensus_verdict
+    (Config.make store programs)
+    ~inputs:(List.init n (fun i -> Value.Int i))

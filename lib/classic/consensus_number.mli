@@ -36,8 +36,9 @@ val known_consensus_number : family -> int option
     program per process, proposing values 0, …, n−1. *)
 val protocol : Store.t -> family -> n:int -> Store.t * Value.t Program.t list
 
-(** [verdict family ~n] — run the canonical protocol through
-    {!Subc_check.Valence.consensus_verdict}-style analysis: [`Solves],
-    [`Violates] or [`Diverges]. *)
-val verdict :
-  ?max_states:int -> family -> n:int -> [ `Solves | `Violates | `Diverges | `Unknown ]
+(** [verdict family ~n] — the canonical protocol's
+    {!Subc_check.Valence.consensus_verdict}: [Proved] when it solves
+    n-process consensus, [Refuted] by a violating terminal or a
+    divergence lasso, [Limited] when the default search budget
+    truncates. *)
+val verdict : family -> n:int -> Subc_check.Verdict.t

@@ -68,7 +68,7 @@ let program p ~wrn ~announcements ~me v =
   in
   steps 0 0
 
-let solves_consensus ?max_states ~k p =
+let solves_consensus ~k p =
   let store, wrn = Store.alloc Store.empty (Subc_objects.Wrn.model ~k) in
   let store, announcements = Store.alloc_many store 2 Register.model_bot in
   let inputs = [ Value.Int 0; Value.Int 1 ] in
@@ -83,12 +83,7 @@ let solves_consensus ?max_states ~k p =
   in
   (* Straight-line programs terminate on every schedule, so checking
      terminals is complete. *)
-  let options =
-    match max_states with
-    | None -> Search.default
-    | Some n -> Search.with_max_states n Search.default
-  in
-  Result.is_ok (Search.check_terminals ~options config ~ok)
+  Result.is_ok (Search.check_terminals config ~ok)
 
 type census = {
   total : int;
@@ -96,11 +91,11 @@ type census = {
   example_solver : protocol option;
 }
 
-let census ?max_states ~k ~ops () =
+let census ~k ~ops () =
   let protocols = enumerate ~k ~ops in
   List.fold_left
     (fun acc p ->
-      if solves_consensus ?max_states ~k p then
+      if solves_consensus ~k p then
         {
           acc with
           solving = acc.solving + 1;

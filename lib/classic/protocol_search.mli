@@ -28,7 +28,7 @@ val enumerate : k:int -> ops:int -> protocol list
 val describe : protocol -> string
 
 (** [solves_consensus ~k protocol] — exhaustive verdict for inputs (0,1). *)
-val solves_consensus : ?max_states:int -> k:int -> protocol -> bool
+val solves_consensus : k:int -> protocol -> bool
 
 type census = {
   total : int;
@@ -37,4 +37,4 @@ type census = {
 }
 
 (** [census ~k ~ops] — enumerate and check the whole class. *)
-val census : ?max_states:int -> k:int -> ops:int -> unit -> census
+val census : k:int -> ops:int -> unit -> census

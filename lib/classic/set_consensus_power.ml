@@ -30,77 +30,68 @@ let predicted_bound family ~n =
 
 let predicted family ~n ~k = predicted_bound family ~n <= k
 
+let inputs ~n = List.init n (fun i -> Value.Int (100 + i))
+
 (* Canonical protocols.  Every protocol announces its proposal first so
    adopters can look values up by process index. *)
-let protocol store family ~n ~k =
+let protocol store family ~n =
   let store, announcements = Store.alloc_many store n Register.model_bot in
   let announce me v = Register.write (List.nth announcements me) v in
   let value_of who = Register.read (List.nth announcements who) in
-  match family with
-  | Registers ->
-    (* Decide own value: the trivial n-set consensus, and the best
-       registers can do wait-free. *)
-    (store, fun _me v -> Program.return v)
-  | Wrn_objects j ->
-    let store, alg = Store.alloc_many store ((n + j - 1) / j) (Subc_objects.Wrn.model ~k:j) in
-    ( store,
-      fun me v ->
-        let group = List.nth alg (me / j) in
-        let* r = Subc_objects.Wrn.wrn group (me mod j) v in
-        Program.return (if Value.is_bot r then v else r) )
-  | Two_consensus_pairs ->
-    (* Processes 2g and 2g+1 share a swap; an unpaired last process
-       decides its own value. *)
-    let pairs = n / 2 in
-    let store, swaps =
-      Store.alloc_many store (max pairs 1) Subc_objects.Swap_obj.model_bot
-    in
-    ( store,
-      fun me v ->
-        if me >= 2 * pairs then Program.return v
-        else
-          let s = List.nth swaps (me / 2) in
+  let store, program =
+    match family with
+    | Registers ->
+      (* Decide own value: the trivial n-set consensus, and the best
+         registers can do wait-free. *)
+      (store, fun _me v -> Program.return v)
+    | Wrn_objects j ->
+      let store, alg = Store.alloc_many store ((n + j - 1) / j) (Subc_objects.Wrn.model ~k:j) in
+      ( store,
+        fun me v ->
+          let group = List.nth alg (me / j) in
+          let* r = Subc_objects.Wrn.wrn group (me mod j) v in
+          Program.return (if Value.is_bot r then v else r) )
+    | Two_consensus_pairs ->
+      (* Processes 2g and 2g+1 share a swap; an unpaired last process
+         decides its own value. *)
+      let pairs = n / 2 in
+      let store, swaps =
+        Store.alloc_many store (max pairs 1) Subc_objects.Swap_obj.model_bot
+      in
+      ( store,
+        fun me v ->
+          if me >= 2 * pairs then Program.return v
+          else
+            let s = List.nth swaps (me / 2) in
+            let* () = announce me v in
+            let* prev = Subc_objects.Swap_obj.swap s (Value.Int me) in
+            match prev with
+            | Value.Bot -> Program.return v
+            | Value.Int who -> value_of who
+            | _ -> assert false )
+    | Sse_object j ->
+      let store, h = Store.alloc store (Subc_objects.Sse_obj.model ~k:j ~j:(j - 1)) in
+      ( store,
+        fun me v ->
           let* () = announce me v in
-          let* prev = Subc_objects.Swap_obj.swap s (Value.Int me) in
-          match prev with
-          | Value.Bot -> Program.return v
-          | Value.Int who -> value_of who
-          | _ -> assert false )
-  | Sse_object j ->
-    let store, h = Store.alloc store (Subc_objects.Sse_obj.model ~k:j ~j:(j - 1)) in
-    ( store,
-      fun me v ->
-        let* () = announce me v in
-        let* w = Subc_objects.Sse_obj.propose h me in
-        if w = me then Program.return v else value_of w )
-  | Cas_object ->
-    let store, c = Store.alloc store Subc_objects.Cas_obj.model_bot in
-    ( store,
-      fun _me v ->
-        let* _ = Subc_objects.Cas_obj.compare_and_swap c ~expected:Value.Bot ~desired:v in
-        Subc_objects.Cas_obj.read c )
-  |> fun (store, p) ->
-  ignore k;
-  (store, p)
-
-let verdict ?max_states family ~n ~k =
-  let store, program = protocol Store.empty family ~n ~k in
-  let inputs = List.init n (fun i -> Value.Int (100 + i)) in
-  let programs = List.mapi program inputs in
-  let task = Task.conj (Task.set_consensus k) Task.all_decided in
-  let config = Config.make store programs in
-  let options =
-    match max_states with
-    | None -> Search.default
-    | Some n -> Search.with_max_states n Search.default
+          let* w = Subc_objects.Sse_obj.propose h me in
+          if w = me then Program.return v else value_of w )
+    | Cas_object ->
+      let store, c = Store.alloc store Subc_objects.Cas_obj.model_bot in
+      ( store,
+        fun _me v ->
+          let* _ = Subc_objects.Cas_obj.compare_and_swap c ~expected:Value.Bot ~desired:v in
+          Subc_objects.Cas_obj.read c )
   in
-  match
-    Search.check_terminals ~options config ~ok:(fun final ->
-        Task.satisfies task ~inputs final)
-  with
-  | Error _ -> `Violates
-  | Ok stats when stats.Explore.limited -> `Unknown
-  | Ok _ -> (
-    match Search.find_cycle ~options config with
-    | Some _, _ -> `Diverges
-    | None, stats -> if stats.Explore.limited then `Unknown else `Solves)
+  (store, List.mapi program (inputs ~n))
+
+let verdict family ~n ~k =
+  let store, programs = protocol Store.empty family ~n in
+  let task = Task.conj (Task.set_consensus k) Task.all_decided in
+  Subc_check.Task_check.verdict
+    (Config.make store programs)
+    ~explain:(Task.explain task ~inputs:(inputs ~n))
+    ~proved:
+      (Printf.sprintf
+         "(%d,%d)-set consensus on every terminal, every schedule terminates"
+         n k)

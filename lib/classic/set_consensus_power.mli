@@ -33,11 +33,17 @@ val predicted_bound : family -> n:int -> int
 (** [predicted family ~n ~k] = [predicted_bound family ~n <= k]. *)
 val predicted : family -> n:int -> k:int -> bool
 
-(** [verdict family ~n ~k] — model-check the canonical protocol against
-    the (n,k)-set-consensus task (exhaustive). *)
-val verdict :
-  ?max_states:int ->
+(** [protocol store family ~n] — the canonical protocol: one program per
+    process, proposing 100, …, 99 + n. *)
+val protocol :
+  Subc_sim.Store.t ->
   family ->
   n:int ->
-  k:int ->
-  [ `Solves | `Violates | `Diverges | `Unknown ]
+  Subc_sim.Store.t * Subc_sim.Value.t Subc_sim.Program.t list
+
+(** [verdict family ~n ~k] — model-check the canonical protocol against
+    the (n,k)-set-consensus task, every process deciding, on the
+    {!Subc_check.Task_check.verdict} pipeline: [Proved] when it solves
+    the task, [Refuted] by a violating terminal or a divergence lasso,
+    [Limited] when the default search budget truncates. *)
+val verdict : family -> n:int -> k:int -> Subc_check.Verdict.t

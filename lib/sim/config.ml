@@ -66,8 +66,6 @@ let decisions c =
 let any_hung c =
   Array.exists (fun p -> match p.status with Hung -> true | _ -> false) c.procs
 
-let is_crashed c i = c.procs.(i).status = Crashed
-
 let crashed c =
   let acc = ref [] in
   Array.iteri (fun i p -> if p.status = Crashed then acc := i :: !acc) c.procs;
@@ -142,13 +140,7 @@ module Delta = struct
 
   type t = Root of config | Link of t * int * patch
 
-  let default_rebase_interval = 8
-
-  (* Settable (tests shrink it to force rebases on tiny chains); read
-     from any domain, hence atomic. *)
-  let rebase_interval = Atomic.make default_rebase_interval
-  let set_rebase_interval n = Atomic.set rebase_interval (max 1 n)
-  let get_rebase_interval () = Atomic.get rebase_interval
+  let rebase_interval = 8
   let root c = Root c
   let links = function Root _ -> 0 | Link (_, n, _) -> n
 
@@ -181,19 +173,7 @@ module Delta = struct
     let link =
       Link (node, n, { p_procs = proc_sets; p_store = store_sets })
     in
-    if n >= Atomic.get rebase_interval then Root (materialize link) else link
-
-  (* Rough unique-retention estimate in words (excluding structure shared
-     with the parent/root), for frontier-memory accounting. *)
-  let approx_words = function
-    | Root c ->
-      (* config record + procs array + one fresh proc record + a handful
-         of store-map spine nodes not shared with the parent. *)
-      4 + (Array.length c.procs + 1) + 6 + 20
-    | Link (_, _, patch) ->
-      3 + 1
-      + List.fold_left (fun n _ -> n + 3 + 2 + 6) 0 patch.p_procs
-      + List.fold_left (fun n _ -> n + 3 + 2) 0 patch.p_store
+    if n >= rebase_interval then Root (materialize link) else link
 end
 
 let proc_key p =

@@ -84,8 +84,6 @@ val any_hung : t -> bool
     @raise Invalid_argument if process [i] is not running. *)
 val crash : t -> int -> t
 
-val is_crashed : t -> int -> bool
-
 (** Indices of crashed processes, in increasing order. *)
 val crashed : t -> int list
 
@@ -115,9 +113,8 @@ val key : t -> Value.t
     transition rewrote (one process slot, at most a handful of store
     slots — {!Step.slots}), so the explorer's work queues retain O(1)
     fresh words per entry instead of a copied process array each.  Chains
-    are rebased to a materialized {e root} every K links
-    ({!Delta.set_rebase_interval}, default 8), bounding both chain length
-    and materialization cost. *)
+    are rebased to a materialized {e root} every {!Delta.rebase_interval}
+    links, bounding both chain length and materialization cost. *)
 module Delta : sig
   type config := t
 
@@ -145,13 +142,8 @@ module Delta : sig
   (** Links back to the nearest root (0 for a root). *)
   val links : t -> int
 
-  val default_rebase_interval : int
-  val set_rebase_interval : int -> unit
-  val get_rebase_interval : unit -> int
-
-  (** Rough unique-retention estimate in words (excluding structure
-      shared with parent/root), for frontier-memory accounting. *)
-  val approx_words : t -> int
+  (** Chain length at which {!extend} rebases: 8. *)
+  val rebase_interval : int
 end
 
 val pp : Format.formatter -> t -> unit

@@ -86,10 +86,6 @@ type limit_reason =
 
 val pp_limit_reason : Format.formatter -> limit_reason -> unit
 
-val reason_truncates : limit_reason -> bool
-(** Whether the reason makes the search inconclusive ([Max_states],
-    [Max_depth], [Deadline]). *)
-
 (** Raised to end a search early.  A callback of any entry point may
     raise it (re-exported as [Search.Stop]) to stop the search
     gracefully; the search catches it and returns the stats of the work
@@ -273,9 +269,6 @@ val pp_reduction : Format.formatter -> reduction -> unit
     recovery by their victim. *)
 type tr = Tstep of int * int | Tcrash of int | Trecover of int
 
-val map_tr : Symmetry.perm -> tr -> tr
-(** Transport a transition identity along a process renaming. *)
-
 (** The bounded per-exploration (per-domain) memo for {!op_independent},
     with local counters (diamond computations, memo hits, dropped
     inserts).  Callers running
@@ -293,29 +286,20 @@ val flush_commute_metrics : commute_cache -> unit
     and zero them.  A search flushes each domain's cache when that
     domain finishes. *)
 
-(** [source_key reduction ~max_crashes config ~sleep] — the visited key of
-    the (configuration, sleep) node: the canonical state key extended with
-    the canonical enabled-restricted sleep set (the extension is the
-    identity when the relevant sleep is empty, so source-set-off searches
-    and terminal states key exactly as plain state keys).  Also returns
-    the canonicalizing renaming and the restricted concrete sleep — the
-    inputs {!source_successors} needs. *)
-val source_key :
-  ?paranoid:bool ->
-  reduction ->
-  max_crashes:int ->
-  Config.t ->
-  sleep:tr list ->
-  Fingerprint.key * Symmetry.perm option * tr list
-
 val source_fingerprint :
   reduction ->
   max_crashes:int ->
   Config.t ->
   sleep:tr list ->
   Fingerprint.t * Symmetry.perm option * tr list
-(** {!source_key} as bare lanes, for callers that claim in a two-lane
-    {!Claim_table} directly. *)
+(** [source_fingerprint reduction ~max_crashes config ~sleep] — the
+    visited key of the (configuration, sleep) node as bare lanes, for
+    callers that claim in a two-lane {!Claim_table} directly: the
+    canonical state key extended with the canonical enabled-restricted
+    sleep set (the extension is the identity when the relevant sleep is
+    empty, so source-set-off searches and terminal states key exactly as
+    plain state keys).  Also returns the canonicalizing renaming and the
+    restricted concrete sleep — the inputs {!source_successors} needs. *)
 
 val source_fingerprint_from :
   Fingerprint.t ->
@@ -342,8 +326,8 @@ val node_key :
     claim key of a search node, as every search computes it: the carried
     fingerprint [fp] (extended with the relevant sleep) when it is there
     and [paranoid] is off, without forcing [config] unless the sleep
-    restriction needs it; otherwise {!source_key}.  Returns what
-    {!source_key} returns. *)
+    restriction needs it; otherwise the canonical key
+    {!source_fingerprint} describes (exact under [paranoid]). *)
 
 val root_fingerprint : counters -> reduction -> Config.t -> Fingerprint.t option
 (** [root_fingerprint c reduction root] — the carried fingerprint a
@@ -385,7 +369,7 @@ val source_successors :
     under [pi]), minus those asleep (their count is returned — the
     [source_skips] contribution), each paired with its children's sleep
     set.  [sleep] must be the restricted sleep returned by
-    {!source_key}/{!source_fingerprint} for the same configuration.
+    {!node_key}/{!source_fingerprint} for the same configuration.
     Deterministic per canonical key — the property that makes the
     reduction safe under work stealing. *)
 

@@ -272,6 +272,3 @@ let run ?(max_steps = 1_000_000) strategy config =
         loop config (Trace.Sched event :: rev_trace) (steps + 1)
   in
   observe strategy (loop config [] 0)
-
-let run_random_many ?max_steps ~seeds config =
-  List.map (fun seed -> run ?max_steps (Random seed) config) seeds

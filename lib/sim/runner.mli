@@ -78,6 +78,3 @@ type result = {
 }
 
 val run : ?max_steps:int -> strategy -> Config.t -> result
-
-(** [run_many ~seeds strategy config] runs once per seed with [Random seed]. *)
-val run_random_many : ?max_steps:int -> seeds:int list -> Config.t -> result list

@@ -84,9 +84,6 @@ let crash_successors_slots (c : Config.t) =
     (fun i -> (Config.crash c i, i, { sl_proc = i; sl_store = [] }))
     (Config.running c)
 
-let crash_successors c =
-  List.map (fun (c', i, _) -> (c', i)) (crash_successors_slots c)
-
 (* Recovery transitions: any crashed process can recover, restarting its
    initial program over persistent object state.  One successor per
    crashed process, paired with the recoverer's index.  A recovery
@@ -105,6 +102,3 @@ let recover_successors_slots (c : Config.t) =
         { sl_proc = i; sl_store = Store.diff c.Config.store c'.Config.store }
       ))
     (Config.crashed c)
-
-let recover_successors c =
-  List.map (fun (c', i, _) -> (c', i)) (recover_successors_slots c)

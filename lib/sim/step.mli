@@ -33,23 +33,18 @@ val step : Config.t -> int -> (Config.t * event) list
     {!slots} attached. *)
 val step_slots : Config.t -> int -> (Config.t * event * slots) list
 
-(** [crash_successors config] is every successor obtained by crashing one
-    running process, paired with the victim's index.  The crash is a
+(** [crash_successors_slots config] is every successor obtained by
+    crashing one running process, paired with the victim's index and its
+    {!slots}: a crash rewrites only the victim's proc slot.  The crash is a
     transition of the operational semantics: the model checker uses it to
     quantify over crash patterns (bounded by its crash budget). *)
-val crash_successors : Config.t -> (Config.t * int) list
-
-(** {!crash_successors} with slots: a crash rewrites only the victim's
-    proc slot. *)
 val crash_successors_slots : Config.t -> (Config.t * int * slots) list
 
-(** [recover_successors config] is every successor obtained by recovering
-    one crashed process ({!Config.recover}), paired with the recoverer's
-    index.  Like crashes, recoveries are transitions of the operational
-    semantics, bounded by the model checker's recovery budget. *)
-val recover_successors : Config.t -> (Config.t * int) list
-
-(** {!recover_successors} with slots: a recovery rewrites the recoverer's
-    proc slot plus the store slots its persistence projection changed
-    ([[]] for fully persistent stores). *)
+(** [recover_successors_slots config] is every successor obtained by
+    recovering one crashed process ({!Config.recover}), paired with the
+    recoverer's index and its {!slots}: a recovery rewrites the
+    recoverer's proc slot plus the store slots its persistence projection
+    changed ([[]] for fully persistent stores).  Like crashes, recoveries
+    are transitions of the operational semantics, bounded by the model
+    checker's recovery budget. *)
 val recover_successors_slots : Config.t -> (Config.t * int * slots) list

@@ -4,10 +4,6 @@ type t = event list
 let empty = []
 let length = List.length
 let sched e = Sched e
-let crash_of i = Crash i
-let recover_of i = Recover i
-
-let actor = function Sched e -> e.Step.proc | Crash i | Recover i -> i
 
 let ops t =
   List.filter_map

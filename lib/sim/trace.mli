@@ -23,12 +23,6 @@ val empty : t
 val length : t -> int
 
 val sched : Step.event -> event
-val crash_of : int -> event
-val recover_of : int -> event
-
-(** [actor e] is the process the event concerns (the stepper, the crash
-    victim, or the recoverer). *)
-val actor : event -> int
 
 (** The scheduled (operation) events of the trace, crashes and recoveries
     elided. *)

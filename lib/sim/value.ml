@@ -47,7 +47,6 @@ let type_error expected v = raise (Type_error (expected, v))
 
 let to_int = function Int i -> i | v -> type_error "Int" v
 let to_bool = function Bool b -> b | v -> type_error "Bool" v
-let to_sym = function Sym s -> s | v -> type_error "Sym" v
 let to_pair = function Pair (a, b) -> (a, b) | v -> type_error "Pair" v
 let to_vec = function Vec vs -> vs | v -> type_error "Vec" v
 

@@ -44,7 +44,6 @@ exception Type_error of string * t
 
 val to_int : t -> int
 val to_bool : t -> bool
-val to_sym : t -> string
 val to_pair : t -> t * t
 val to_vec : t -> t list
 

@@ -93,3 +93,30 @@ let test name f = Alcotest.test_case name `Quick f
 let test_slow name f = Alcotest.test_case name `Slow f
 
 let seeds n = List.init n (fun i -> 7919 * (i + 1))
+
+(* The configuration a refutation's witness replays to from [config]:
+   a terminal for a violation, a configuration with a running process for
+   a divergence lasso.  Fails the test unless [v] is refuted and its
+   witness replays. *)
+let refutation_end config (v : Verdict.t) =
+  match v with
+  | Verdict.Refuted { trace; _ } -> (
+    match Replay.final config trace with
+    | Ok c -> c
+    | Error { Replay.at; reason } ->
+      Alcotest.failf "witness does not replay (event %d: %s)" at reason)
+  | v -> Alcotest.failf "expected Refuted, got %a" Verdict.pp_summary v
+
+(* [Subc_check.Refinement.check_refines] must prove [impl] refines
+   [spec], both reaching some outcome. *)
+let expect_refines ~impl ~spec =
+  match Subc_check.Refinement.check_refines () ~impl ~spec with
+  | Verdict.Proved _ as v ->
+    let metric name =
+      int_of_float (List.assoc name (Verdict.stats v).Verdict.metrics)
+    in
+    Alcotest.(check bool) "spec reachable outcomes nonempty" true
+      (metric "spec_outcomes" > 0);
+    Alcotest.(check bool) "impl reachable outcomes nonempty" true
+      (metric "impl_outcomes" > 0)
+  | v -> Alcotest.failf "refinement not proved: %a" Verdict.pp v

@@ -92,13 +92,14 @@ let rw_baseline_tests =
 
 (* E6: every natural 2-consensus attempt on WRN_k (k ≥ 3) fails; the same
    shapes succeed on WRN_2. *)
-let attempt_verdict ~k ~style =
+let attempt_config ~k ~style =
   let store, t = Attempts.alloc Store.empty ~k ~style in
-  let programs =
+  Config.make store
     [ Attempts.propose t ~me:0 (Value.Int 0); Attempts.propose t ~me:1 (Value.Int 1) ]
-  in
-  let config = Config.make store programs in
-  Valence.consensus_verdict config ~inputs:[ Value.Int 0; Value.Int 1 ]
+
+let attempt_verdict ~k ~style =
+  Valence.consensus_verdict (attempt_config ~k ~style)
+    ~inputs:[ Value.Int 0; Value.Int 1 ]
 
 let expect_violation_verdict ~k ~style () =
   match attempt_verdict ~k ~style with
@@ -116,10 +117,21 @@ let wrn_attempt_tests =
     test "announce+adjacent attempt fails on WRN₃"
       (expect_violation_verdict ~k:3 ~style:Attempts.Adjacent_announce);
     test "busy-wait attempt diverges on WRN₃" (fun () ->
+        (* The refutation is a lasso: it replays to a configuration where
+           a process still runs, and which the schedule already passed. *)
+        let config = attempt_config ~k:3 ~style:Attempts.Busy_wait in
         match attempt_verdict ~k:3 ~style:Attempts.Busy_wait with
-        | Verdict.Refuted { reason; _ } ->
-          Alcotest.(check bool) "cites an infinite schedule" true
-            (String.length reason > 0)
+        | Verdict.Refuted { trace; _ } -> (
+          match List.rev (config :: Result.get_ok (Replay.replay config trace)) with
+          | final :: earlier ->
+            Alcotest.(check bool) "a process still runs" true
+              (Config.running final <> []);
+            Alcotest.(check bool) "the lasso closes on an earlier configuration"
+              true
+              (List.exists
+                 (fun c -> Value.equal (Config.key c) (Config.key final))
+                 earlier)
+          | [] -> assert false)
         | v -> Alcotest.failf "expected Refuted, got %a" Verdict.pp_summary v);
     test "the same mirror shape SOLVES consensus on WRN₂" (fun () ->
         match attempt_verdict ~k:2 ~style:Attempts.Mirror_alg2 with
@@ -222,16 +234,6 @@ let tournament_tests =
    the primitive queue. *)
 let universal_tests =
   let queue_spec = Subc_objects.Queue_obj.model [ Value.Int 0 ] in
-  let outcomes_of store programs =
-    let config = Config.make store programs in
-    let acc = ref [] in
-    let stats =
-      Search.iter_terminals config ~f:(fun final _ ->
-          acc := Config.decisions final :: !acc)
-    in
-    Alcotest.(check bool) "exhaustive" false stats.Explore.limited;
-    List.sort_uniq compare !acc
-  in
   [
     test "universal queue refines the primitive queue (2 procs, exhaustive)"
       (fun () ->
@@ -242,21 +244,22 @@ let universal_tests =
         let store_u, u =
           Subc_classic.Universal.alloc Store.empty ~n:2 ~spec:queue_spec
         in
-        let programs_u =
-          List.mapi (fun me op -> Subc_classic.Universal.perform u ~me op) ops
+        let impl =
+          {
+            Subc_check.Refinement.store = store_u;
+            programs =
+              List.mapi (fun me op -> Subc_classic.Universal.perform u ~me op) ops;
+          }
         in
-        let impl = outcomes_of store_u programs_u in
         (* Primitive object. *)
         let store_p, q = Store.alloc Store.empty queue_spec in
-        let programs_p = List.map (fun op -> Program.invoke q op) ops in
-        let spec = outcomes_of store_p programs_p in
-        List.iter
-          (fun o ->
-            Alcotest.(check bool)
-              (Format.asprintf "outcome %a reachable atomically" Value.pp
-                 (Value.Vec o))
-              true (List.mem o spec))
-          impl);
+        let spec =
+          {
+            Subc_check.Refinement.store = store_p;
+            programs = List.map (fun op -> Program.invoke q op) ops;
+          }
+        in
+        expect_refines ~impl ~spec);
     test "universal counter: sequential responses" (fun () ->
         let store, u =
           Subc_classic.Universal.alloc Store.empty ~n:3
@@ -290,27 +293,38 @@ let universal_tests =
 (* E12: the consensus-number table. *)
 let consensus_number_tests =
   let module Cn = Subc_classic.Consensus_number in
-  let expect family ~n v () =
-    let got = Cn.verdict family ~n in
-    if got <> v then
-      Alcotest.failf "%s at n=%d: unexpected verdict" (Cn.family_name family) n
+  (* A failure must be a terminal violation, not a divergence: the
+     witness replays to a terminal configuration. *)
+  let expect family ~n solves () =
+    let v = Cn.verdict family ~n in
+    if solves then
+      Alcotest.(check bool)
+        (Format.asprintf "%s at n=%d: %a" (Cn.family_name family) n
+           Verdict.pp_summary v)
+        true (Verdict.is_proved v)
+    else
+      let store, programs = Cn.protocol Store.empty family ~n in
+      Alcotest.(check bool)
+        (Cn.family_name family ^ ": refuted at a terminal")
+        true
+        (Config.is_terminal (refutation_end (Config.make store programs) v))
   in
   [
-    test "registers fail at n=2" (expect Cn.Register ~n:2 `Violates);
-    test "WRN₃ fails at n=2" (expect (Cn.Wrn 3) ~n:2 `Violates);
-    test "WRN₂ solves n=2" (expect (Cn.Wrn 2) ~n:2 `Solves);
-    test "WRN₂ fails at n=3" (expect (Cn.Wrn 2) ~n:3 `Violates);
-    test "swap solves n=2" (expect Cn.Swap ~n:2 `Solves);
-    test "swap's canonical protocol fails at n=3" (expect Cn.Swap ~n:3 `Violates);
-    test "test-and-set solves n=2" (expect Cn.Test_and_set ~n:2 `Solves);
-    test "test-and-set fails at n=3" (expect Cn.Test_and_set ~n:3 `Violates);
-    test "fetch-and-add solves n=2" (expect Cn.Fetch_and_add ~n:2 `Solves);
-    test "fetch-and-add fails at n=3" (expect Cn.Fetch_and_add ~n:3 `Violates);
-    test "queue solves n=2" (expect Cn.Queue ~n:2 `Solves);
-    test "queue fails at n=3" (expect Cn.Queue ~n:3 `Violates);
-    test "CAS solves n=3" (expect Cn.Cas ~n:3 `Solves);
-    test "consensus object solves n=3" (expect Cn.Consensus_object ~n:3 `Solves);
-    test "SSE object fails at n=2" (expect (Cn.Strong_set_election 3) ~n:2 `Violates);
+    test "registers fail at n=2" (expect Cn.Register ~n:2 false);
+    test "WRN₃ fails at n=2" (expect (Cn.Wrn 3) ~n:2 false);
+    test "WRN₂ solves n=2" (expect (Cn.Wrn 2) ~n:2 true);
+    test "WRN₂ fails at n=3" (expect (Cn.Wrn 2) ~n:3 false);
+    test "swap solves n=2" (expect Cn.Swap ~n:2 true);
+    test "swap's canonical protocol fails at n=3" (expect Cn.Swap ~n:3 false);
+    test "test-and-set solves n=2" (expect Cn.Test_and_set ~n:2 true);
+    test "test-and-set fails at n=3" (expect Cn.Test_and_set ~n:3 false);
+    test "fetch-and-add solves n=2" (expect Cn.Fetch_and_add ~n:2 true);
+    test "fetch-and-add fails at n=3" (expect Cn.Fetch_and_add ~n:3 false);
+    test "queue solves n=2" (expect Cn.Queue ~n:2 true);
+    test "queue fails at n=3" (expect Cn.Queue ~n:3 false);
+    test "CAS solves n=3" (expect Cn.Cas ~n:3 true);
+    test "consensus object solves n=3" (expect Cn.Consensus_object ~n:3 true);
+    test "SSE object fails at n=2" (expect (Cn.Strong_set_election 3) ~n:2 false);
   ]
 
 (* E14: exhaustive protocol-space refutation. *)

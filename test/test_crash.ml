@@ -19,7 +19,8 @@ let alg2_crash_safety ~k () =
   (* No [all_decided] here: crashed processes legitimately never decide. *)
   let task = Task.set_consensus (k - 1) in
   assert_no_crash_violations
-    (Task_check.sample_crashed store ~programs ~inputs ~task ~seeds:(seeds 150))
+    (Task_check.sample ~max_crashes:(k - 1) store ~programs ~inputs ~task
+       ~seeds:(seeds 150))
 
 let alg6_crash_safety ~n ~k () =
   let store, t = Subc_core.Alg6.alloc Store.empty ~n ~k ~one_shot:true in
@@ -27,7 +28,8 @@ let alg6_crash_safety ~n ~k () =
   let programs = List.mapi (fun i v -> Subc_core.Alg6.propose t ~i v) inputs in
   let task = Task.set_consensus (Subc_core.Alg6.agreement_bound ~n ~k) in
   assert_no_crash_violations
-    (Task_check.sample_crashed store ~programs ~inputs ~task ~seeds:(seeds 150))
+    (Task_check.sample ~max_crashes:(n - 1) store ~programs ~inputs ~task
+       ~seeds:(seeds 150))
 
 let alg3_crash_safety ~k () =
   let ids = [ 9; 2; 14 ] in
@@ -43,7 +45,8 @@ let alg3_crash_safety ~k () =
   in
   let task = Task.set_consensus (k - 1) in
   assert_no_crash_violations
-    (Task_check.sample_crashed store ~programs ~inputs ~task ~seeds:(seeds 100))
+    (Task_check.sample ~max_crashes:(List.length ids - 1) store ~programs
+       ~inputs ~task ~seeds:(seeds 100))
 
 let sse_object_crash_safety () =
   let k = 3 in
@@ -57,7 +60,8 @@ let sse_object_crash_safety () =
   let inputs = List.init k (fun i -> Value.Int i) in
   let task = Task.strong_set_election (k - 1) in
   assert_no_crash_violations
-    (Task_check.sample_crashed store ~programs ~inputs ~task ~seeds:(seeds 150))
+    (Task_check.sample ~max_crashes:(k - 1) store ~programs ~inputs ~task
+       ~seeds:(seeds 150))
 
 (* Algorithm 5 under crashes: every partial execution's history — with its
    incomplete operations — must still linearize against the 1sWRN spec. *)
@@ -280,9 +284,8 @@ let replays_to store programs trace ~proc ~status =
   | Error { Replay.at; reason } ->
     Alcotest.failf "witness does not replay (event %d: %s)" at reason
 
-(* Invoking a 1sWRN twice on one index hangs the invoker: a [Hang]
-   refutation, not a certificate. *)
-let reused_index_hangs () =
+(* Process 0 invokes a 1sWRN twice on one index, which hangs it. *)
+let reused_index_harness () =
   let store, h =
     Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k:2)
   in
@@ -291,7 +294,11 @@ let reused_index_hangs () =
     let* _ = Subc_objects.One_shot_wrn.wrn h 0 (Value.Int 1) in
     Subc_objects.One_shot_wrn.wrn h 0 (Value.Int 2)
   in
-  let programs = [ reuser; Subc_objects.One_shot_wrn.wrn h 1 (Value.Int 3) ] in
+  (store, [ reuser; Subc_objects.One_shot_wrn.wrn h 1 (Value.Int 3) ])
+
+(* The index reuse is a [Hang] refutation, not a certificate. *)
+let reused_index_hangs () =
+  let store, programs = reused_index_harness () in
   match Progress.check_wait_free store ~programs with
   | Verdict.Refuted { reason; trace; _ } ->
     Alcotest.(check bool) "process 0 hangs" true
@@ -314,6 +321,19 @@ let growing_spinner_hits_solo_limit () =
       | Config.Running _ -> true
       | _ -> false)
   | v -> Alcotest.failf "spinner not refuted: %a" Verdict.pp_summary v
+
+(* t-resilience refutes the same hang through the pipeline's terminal
+   phase, with a schedule that replays to the hung process. *)
+let reused_index_not_t_resilient () =
+  let store, programs = reused_index_harness () in
+  match Progress.check_t_resilient ~t:0 store ~programs with
+  | Verdict.Refuted { reason; trace; _ } ->
+    Alcotest.(check bool) "a hang is reported" true
+      (contains reason "hangs a process");
+    replays_to store programs trace ~proc:0 ~status:(function
+      | Config.Hung -> true
+      | _ -> false)
+  | v -> Alcotest.failf "index reuse not refuted: %a" Verdict.pp_summary v
 
 let alg2_t_resilient () =
   let store, programs, _ = alg2_harness ~k:3 in
@@ -373,6 +393,8 @@ let suite =
         test "growing spinner: solo-limit refutation replays"
           growing_spinner_hits_solo_limit;
         test "Algorithm 2 (k=3) 2-resilient" alg2_t_resilient;
+        test "1sWRN index reuse: t-resilience hang refutation replays"
+          reused_index_not_t_resilient;
       ] );
     ("crash.diagram", [ test "space-time diagram renders" diagram_smoke ]);
   ]

@@ -142,14 +142,15 @@ let patch_matrix () =
 
 (* ---------------------------------------------------------------- *)
 (* Delta chains: materialize == the eagerly built configuration, and
-   rebasing preserves that — exercised at a tiny interval so chains
-   rebase constantly.                                                *)
+   rebasing preserves that — exercised on every execution of a harness
+   whose runs are longer than the rebase interval, so chains rebase.   *)
 
 let delta_roundtrip () =
   let exercise name harness =
-    (* Walk the state graph depth-first carrying (eager config, delta),
-       checking agreement at every node.  Depth-bounded: the identity
-       is per-link, so short chains crossing several rebases suffice. *)
+    (* Walk every execution depth-first carrying (eager config, delta),
+       checking agreement at every node and counting rebases (an extend
+       that comes back as a root). *)
+    let rebases = ref 0 in
     let rec walk depth config delta =
       let materialized = Config.Delta.materialize delta in
       Alcotest.check fp
@@ -159,40 +160,30 @@ let delta_roundtrip () =
       Alcotest.(check bool)
         (name ^ ": chain below rebase interval")
         true
-        (Config.Delta.links delta < Config.Delta.get_rebase_interval ());
-      if depth < 6 then
-        List.iter
-          (fun i ->
-            List.iter
-              (fun (c', _e, slots) ->
-                let delta' =
-                  Config.Delta.extend delta
-                    ~proc_sets:
-                      [
-                        ( slots.Step.sl_proc,
-                          c'.Config.procs.(slots.Step.sl_proc) );
-                      ]
-                    ~store_sets:slots.Step.sl_store
-                in
-                walk (depth + 1) c' delta')
-              (Step.step_slots config i))
-          (Config.running config)
+        (Config.Delta.links delta < Config.Delta.rebase_interval);
+      List.iter
+        (fun i ->
+          List.iter
+            (fun (c', _e, slots) ->
+              let delta' =
+                Config.Delta.extend delta
+                  ~proc_sets:
+                    [ (slots.Step.sl_proc, c'.Config.procs.(slots.Step.sl_proc)) ]
+                  ~store_sets:slots.Step.sl_store
+              in
+              if Config.Delta.links delta' = 0 then incr rebases;
+              walk (depth + 1) c' delta')
+            (Step.step_slots config i))
+        (Config.running config)
     in
     let config = root_of harness in
-    walk 0 config (Config.Delta.root config)
+    walk 0 config (Config.Delta.root config);
+    !rebases
   in
-  let intervals = [ 2; 3; Config.Delta.default_rebase_interval ] in
-  Fun.protect
-    ~finally:(fun () ->
-      Config.Delta.set_rebase_interval Config.Delta.default_rebase_interval)
-    (fun () ->
-      List.iter
-        (fun k ->
-          Config.Delta.set_rebase_interval k;
-          exercise
-            (Printf.sprintf "alg2/k2@K=%d" k)
-            (alg2_harness 2))
-        intervals)
+  (* Algorithm 5 at k=2 runs up to 11 steps, past the 8-link interval. *)
+  Alcotest.(check bool) "alg5/k2 rebases at least once" true
+    (exercise "alg5/k2" (alg5_harness 2) > 0);
+  ignore (exercise "alg2/k2" (alg2_harness 2))
 
 (* ---------------------------------------------------------------- *)
 (* Engine-level equivalence: identical counts fingerprinted and under

@@ -67,20 +67,37 @@ let equivalence_tests =
 
 let cell family ~n ~k () =
   if P.applicable family ~n then begin
-    let got = P.verdict family ~n ~k in
+    let v = P.verdict family ~n ~k in
     let want = P.predicted family ~n ~k in
-    match (got, want) with
-    | `Solves, true | `Violates, false -> ()
-    | got, want ->
-      Alcotest.failf "%s at (%d,%d): got %s, predicted %s"
-        (P.family_name family) n k
-        (match got with
-        | `Solves -> "solves"
-        | `Violates -> "violates"
-        | `Diverges -> "diverges"
-        | `Unknown -> "unknown")
-        (if want then "solves" else "violates")
+    Alcotest.(check bool)
+      (Format.asprintf "%s at (%d,%d), predicted %s: %a" (P.family_name family)
+         n k
+         (if want then "solves" else "fails")
+         Verdict.pp_summary v)
+      want (Verdict.is_proved v);
+    if not want then begin
+      (* A failure is a terminal violation, not a divergence. *)
+      let store, programs = P.protocol Store.empty family ~n in
+      Alcotest.(check bool) "refuted at a terminal" true
+        (Config.is_terminal (refutation_end (Config.make store programs) v))
+    end
   end
+
+(* Every refutation replays: registers cannot solve (2,1)-set consensus,
+   and the witness ends at a terminal that violates the task. *)
+let registers_violation_replays () =
+  let n = 2 and k = 1 in
+  let store, programs = P.protocol Store.empty P.Registers ~n in
+  let final =
+    refutation_end (Config.make store programs) (P.verdict P.Registers ~n ~k)
+  in
+  Alcotest.(check bool) "the witness ends at a terminal" true
+    (Config.is_terminal final);
+  Alcotest.(check bool) "the terminal violates the task" true
+    (Task.explain
+       (Task.conj (Task.set_consensus k) Task.all_decided)
+       ~inputs:(inputs n) final
+    <> None)
 
 let power_tests =
   let cases =
@@ -99,6 +116,8 @@ let power_tests =
   in
   cases
   @ [
+      test "registers at (2,1): the violation replays"
+        registers_violation_replays;
       test "predicted bounds are monotone in n" (fun () ->
           List.iter
             (fun family ->

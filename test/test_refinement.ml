@@ -4,20 +4,12 @@ open Subc_sim
 open Helpers
 module R = Subc_check.Refinement
 
-let check_refines ?max_states ~impl ~spec () =
-  match R.refines ?max_states () ~impl ~spec with
-  | Ok (n_impl, n_spec) ->
-    Alcotest.(check bool) "spec reachable outcomes nonempty" true (n_spec > 0);
-    Alcotest.(check bool) "impl reachable outcomes nonempty" true (n_impl > 0)
-  | Error { outcome; trace } ->
-    Alcotest.failf "unreachable outcome %a:@.%a" Value.pp (Value.Vec outcome)
-      Trace.pp trace
+let check_refines ~impl ~spec () = expect_refines ~impl ~spec
 
-let check_equivalent ?max_states ~impl ~spec () =
-  match R.equivalent ?max_states () ~impl ~spec with
-  | Ok _ -> ()
-  | Error { outcome; _ } ->
-    Alcotest.failf "sets differ at outcome %a" Value.pp (Value.Vec outcome)
+let check_equivalent ~impl ~spec () =
+  match R.check_equivalent () ~impl ~spec with
+  | Verdict.Proved _ -> ()
+  | v -> Alcotest.failf "outcome sets differ: %a" Verdict.pp v
 
 (* Harness builders. *)
 
@@ -155,13 +147,16 @@ let suite =
              ~spec:(primitive_queue_harness ()));
         test "negative control: a bare collect does NOT refine the snapshot"
           (fun () ->
-            match
-              R.refines () ~impl:(broken_collect_harness ())
-                ~spec:(atomic_double_write_harness ())
-            with
-            | Ok _ -> Alcotest.fail "expected a refinement failure"
-            | Error { outcome; _ } ->
-              Alcotest.(check bool) "torn outcome reported" true
-                (outcome <> []));
+            let impl = broken_collect_harness () in
+            let v =
+              R.check_refines () ~impl ~spec:(atomic_double_write_harness ())
+            in
+            let final =
+              refutation_end (Config.make impl.R.store impl.R.programs) v
+            in
+            Alcotest.(check bool) "the witness ends at a terminal" true
+              (Config.is_terminal final);
+            Alcotest.(check bool) "torn outcome reported" true
+              (Config.decisions final <> []));
       ] );
   ]

@@ -12,16 +12,6 @@ module Lin = Subc_check.Linearizability
    implementation must be a subset of those reachable on the primitive
    atomic snapshot object.  The harness: both processes update their own
    component and then scan. *)
-let outcomes_of store programs =
-  let config = Config.make store programs in
-  let acc = ref [] in
-  let stats =
-    Search.iter_terminals config ~f:(fun final _ ->
-        acc := Config.decisions final :: !acc)
-  in
-  Alcotest.(check bool) "exhaustive" false stats.Explore.limited;
-  List.sort_uniq compare !acc
-
 let update_scan_harness (api : Snapshot_api.t) =
   let program me v =
     let open Program.Syntax in
@@ -31,17 +21,13 @@ let update_scan_harness (api : Snapshot_api.t) =
   [ program 0 10; program 1 11 ]
 
 let snapshot_refines_atomic () =
-  let store_p, api_p = Snapshot_api.primitive Store.empty 2 in
-  let spec_outcomes = outcomes_of store_p (update_scan_harness api_p) in
-  let store_r, api_r = Snapshot_api.register_based Store.empty 2 in
-  let impl_outcomes = outcomes_of store_r (update_scan_harness api_r) in
-  List.iter
-    (fun o ->
-      if not (List.mem o spec_outcomes) then
-        Alcotest.failf "implementation outcome unreachable atomically: %a"
-          Value.pp (Value.Vec o))
-    impl_outcomes;
-  Alcotest.(check bool) "impl reaches some outcome" true (impl_outcomes <> [])
+  let harness api_of =
+    let store, api = api_of Store.empty 2 in
+    { Subc_check.Refinement.store; programs = update_scan_harness api }
+  in
+  expect_refines
+    ~impl:(harness Snapshot_api.register_based)
+    ~spec:(harness Snapshot_api.primitive)
 
 (* The same harness with a deliberately broken scan (a single collect) must
    produce a non-linearizable history somewhere. *)
