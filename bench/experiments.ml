@@ -806,7 +806,8 @@ let e15 () =
             let config = Config.make store programs in
             let r =
               Runner.run
-                (Runner.Crash_at { crashes = [ (s, 1) ]; seed = Some seed })
+                (Runner.Recover_after
+                   { crashes = [ (s, 1) ]; recoveries = []; seed = Some seed })
                 config
             in
             match Config.decision r.Runner.final 0 with
@@ -986,94 +987,6 @@ let e16 () =
         "transitions x"; "verdict" ]
     (rows @ [ agg_row ])
 
-(* ------------------------------------------------------------------ E17 *)
-
-(* Multicore scaling: every domain count must reproduce the jobs-1
-   counts bit-for-bit (that part is asserted); the
-   timing columns are informational — wall-clock speedup is bounded by
-   the host's core count, which the table header records. *)
-let e17 () =
-  let instance name config ~max_crashes ~reduction =
-    let explore jobs =
-      let t0 = Unix.gettimeofday () in
-      let options =
-        Search.(
-          default |> with_max_crashes max_crashes |> with_jobs jobs
-          |> with_reduction reduction)
-      in
-      let stats = Search.iter_terminals ~options config ~f:(fun _ _ -> ()) in
-      (stats, Unix.gettimeofday () -. t0)
-    in
-    let base, base_secs = explore 1 in
-    List.map
-      (fun jobs ->
-        let stats, secs = explore jobs in
-        let agree =
-          stats.Explore.states = base.Explore.states
-          && stats.Explore.transitions = base.Explore.transitions
-          && stats.Explore.terminals = base.Explore.terminals
-          && stats.Explore.hung_terminals = base.Explore.hung_terminals
-          && stats.Explore.crashed_terminals = base.Explore.crashed_terminals
-        in
-        let secs = if jobs = 1 then base_secs else secs in
-        [
-          name;
-          string_of_int jobs;
-          string_of_int stats.Explore.states;
-          string_of_int stats.Explore.terminals;
-          Printf.sprintf "%.3fs" secs;
-          Printf.sprintf "%.0f" (float_of_int stats.Explore.states /. secs);
-          Printf.sprintf "%.2fx" (base_secs /. secs);
-          check (Printf.sprintf "E17 %s jobs=%d counts" name jobs) agree;
-        ])
-      [ 1; 2; 4; 8 ]
-  in
-  let alg2_rows =
-    let k = 4 in
-    let store, t = Alg2.alloc Store.empty ~k ~one_shot:true in
-    let programs =
-      List.init k (fun i -> Alg2.propose t ~i (Value.Int (100 + i)))
-    in
-    instance "Alg 2 (k=4), f=1"
-      (Config.make store programs)
-      ~max_crashes:1 ~reduction:Explore.no_reduction
-  in
-  let alg5_rows =
-    let store, t = Alg5.alloc Store.empty ~k:3 () in
-    let programs =
-      List.init 3 (fun i -> Alg5.wrn t ~i (Value.Int (100 + i)))
-    in
-    instance "Alg 5 (k=3), f=1"
-      (Config.make store programs)
-      ~max_crashes:1 ~reduction:Explore.no_reduction
-  in
-  let alg5_sym_rows =
-    let store, t = Alg5.alloc Store.empty ~k:3 () in
-    let programs =
-      List.init 3 (fun i -> Alg5.wrn t ~i (Value.Int (100 + i)))
-    in
-    let sym = Alg5.symmetry t ~input_base:100 () in
-    instance "Alg 5 (k=3), f=1, sym"
-      (Config.make store programs)
-      ~max_crashes:1
-      ~reduction:(Explore.with_symmetry sym)
-  in
-  table
-    ~title:
-      (let host_domains = Domain.recommended_domain_count () in
-       (* A single-core host can only measure synchronization
-          overhead, so the title says which kind of run this was. *)
-       let mode = if host_domains > 1 then "parallel" else "overhead-only" in
-       Printf.sprintf
-         "E17. Multicore scaling: counts at jobs N vs jobs 1 \
-          (identical by construction, asserted); host offers %d domain(s) \
-          [mode: %s], which bounds any wall-clock speedup"
-         host_domains mode)
-    ~header:
-      [ "instance"; "jobs"; "states"; "terminals"; "wall"; "states/s";
-        "speedup"; "verdict" ]
-    (alg2_rows @ alg5_rows @ alg5_sym_rows)
-
 (* ------------------------------------------------------------------ E18 *)
 
 (* Recoverable consensus (the crash-recovery model of Golab–Ramaraju,
@@ -1251,148 +1164,6 @@ let e19 () =
         "verdict" ]
     (rows @ [ ratio_row ])
 
-(* E21: incremental fingerprinting on alg2, alg5 and the 1sWRN harness
-   at k=3; each cell explores fingerprinted and paranoid (exact keys, the
-   reference) at jobs 1 and 4.  The claim is exactness: identical states,
-   transitions and terminals between the two per family x reduction x
-   jobs, with the unreduced lanes doing O(1) patches (fp.patches ~
-   transitions, fp.refolds ~ 1 per search) and a live frontier memory
-   gauge. *)
-let e21 () =
-  let alg2_harness () =
-    let store, t = Alg2.alloc Store.empty ~k:3 ~one_shot:true in
-    ( store,
-      List.init 3 (fun i -> Alg2.propose t ~i (Value.Int (100 + i))),
-      Alg2.symmetry t ~input_base:100 () )
-  in
-  let alg5_harness () =
-    let store, t = Alg5.alloc Store.empty ~k:3 () in
-    ( store,
-      List.init 3 (fun i -> Alg5.wrn t ~i (Value.Int (100 + i))),
-      Alg5.symmetry t ~input_base:100 () )
-  in
-  let wrn_harness () =
-    let store, h =
-      Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k:3)
-    in
-    ( store,
-      List.init 3 (fun i ->
-          Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i))),
-      Symmetry.standard ~n:3 ~input_base:100 `Rotations )
-  in
-  let metric name =
-    match Subc_obs.Metrics.find name with Some v -> v | None -> 0.
-  in
-  let counter_names = [ "fp.patches"; "fp.refolds" ] in
-  let run harness reduction ~paranoid jobs =
-    let store, programs, sym = harness () in
-    let reduction =
-      match reduction with
-      | `None -> Explore.no_reduction
-      | `Full -> Explore.full_reduction sym
-    in
-    let options =
-      Search.(
-        default |> with_max_crashes 1 |> with_reduction reduction
-        |> with_paranoid paranoid |> with_jobs jobs)
-    in
-    let before = List.map metric counter_names in
-    let t0 = Unix.gettimeofday () in
-    let stats =
-      Search.iter_terminals ~options
-        (Config.make store programs)
-        ~f:(fun _ _ -> ())
-    in
-    let secs = Unix.gettimeofday () -. t0 in
-    let deltas = List.map2 ( -. ) (List.map metric counter_names) before in
-    (stats, secs, deltas)
-  in
-  let counts (s : Explore.stats) =
-    ( s.Explore.states,
-      s.Explore.transitions,
-      s.Explore.terminals,
-      s.Explore.hung_terminals,
-      s.Explore.crashed_terminals )
-  in
-  let rows =
-    List.concat_map
-      (fun (family, harness) ->
-        List.concat_map
-          (fun (rname, reduction) ->
-            List.map
-              (fun jobs ->
-                let inc_stats, inc_secs, inc_deltas =
-                  run harness reduction ~paranoid:false jobs
-                in
-                let exact_stats, exact_secs, _ =
-                  run harness reduction ~paranoid:true jobs
-                in
-                let patches = List.nth inc_deltas 0
-                and refolds = List.nth inc_deltas 1 in
-                let inc_rate =
-                  float_of_int inc_stats.Explore.states /. max 1e-9 inc_secs
-                and exact_rate =
-                  float_of_int exact_stats.Explore.states /. max 1e-9 exact_secs
-                in
-                List.iter
-                  (fun (k, v) ->
-                    Subc_obs.Metrics.set_gauge
-                      (Printf.sprintf "e21.%s.%s.jobs%d.%s" family rname jobs
-                         k)
-                      v)
-                  [
-                    ("states", float_of_int inc_stats.Explore.states);
-                    ("fp_patches", patches); ("fp_refolds", refolds);
-                    ( "frontier_bytes",
-                      float_of_int inc_stats.Explore.frontier_bytes );
-                    ("inc_states_per_sec", inc_rate);
-                    ("paranoid_states_per_sec", exact_rate);
-                  ];
-                let ok =
-                  counts inc_stats = counts exact_stats
-                  && inc_stats.Explore.frontier_bytes > 0
-                  &&
-                  (* On the unreduced lanes the carried hash is live:
-                     one patch per transition, re-folds only at roots
-                     (jobs > 1 re-folds once per seeded root). *)
-                  match rname with
-                  | "none" ->
-                    patches = float_of_int inc_stats.Explore.transitions
-                    && refolds >= 1.
-                    && refolds <= float_of_int (max 1 (8 * jobs))
-                  | _ -> true
-                in
-                [
-                  family; rname; string_of_int jobs;
-                  string_of_int inc_stats.Explore.states;
-                  string_of_int inc_stats.Explore.transitions;
-                  Printf.sprintf "%.0f" patches;
-                  Printf.sprintf "%.0f" refolds;
-                  string_of_int inc_stats.Explore.frontier_bytes;
-                  Printf.sprintf "%.0fk/s" (inc_rate /. 1e3);
-                  Printf.sprintf "%.0fk/s" (exact_rate /. 1e3);
-                  check
-                    (Printf.sprintf "E21 %s %s jobs=%d" family rname jobs)
-                    ok;
-                ])
-              [ 1; 4 ])
-          [ ("none", `None); ("full", `Full) ])
-      [
-        ("alg2 k=3", alg2_harness);
-        ("alg5 k=3", alg5_harness);
-        ("1swrn k=3", wrn_harness);
-      ]
-  in
-  table
-    ~title:
-      "E21. Incremental fingerprints: f=1 — identical spaces \
-       fingerprinted and under paranoid exact keys at jobs 1 and 4; O(1) \
-       patches replace per-state re-folds"
-    ~header:
-      [ "family"; "reduction"; "jobs"; "states"; "transitions"; "patches";
-        "refolds"; "frontier B"; "inc speed"; "paranoid speed"; "verdict" ]
-    rows
-
 (* ------------------------------------------------------------ scaling *)
 
 let scaling () =
@@ -1458,10 +1229,8 @@ let run_all () =
   e14 ();
   e15 ();
   e16 ();
-  e17 ();
   e18 ();
   e19 ();
-  e21 ();
   scaling ();
   Format.printf "@.=== experiments complete: %s ===@."
     (if !failures = 0 then "ALL PASS"
@@ -1480,7 +1249,5 @@ let run_e12 () = run_one e12
 let run_e13 () = run_one e13
 let run_e15 () = run_one e15
 let run_e16 () = run_one e16
-let run_e17 () = run_one e17
 let run_e18 () = run_one e18
 let run_e19 () = run_one e19
-let run_e21 () = run_one e21

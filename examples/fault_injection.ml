@@ -36,7 +36,8 @@ let () =
   let config = Config.make store programs in
   let r =
     Runner.run
-      (Runner.Crash_at { crashes = [ (1, 1); (2, 0) ]; seed = Some 5 })
+      (Runner.Recover_after
+         { crashes = [ (1, 1); (2, 0) ]; recoveries = []; seed = Some 5 })
       config
   in
   Format.printf "%a@." (Trace.pp_diagram ~n_procs:k) r.Runner.trace;

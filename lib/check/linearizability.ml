@@ -109,12 +109,15 @@ let check_harness ?(options = Search.default) store ~programs ~ops ~spec =
   let histories = ref 0 in
   (* The terminal callback is serialized at any [jobs] ([Parallel] holds
      the callback lock once helpers run), so the two refs need no extra
-     locking. *)
+     locking.  The first failure ends the search. *)
   let on_terminal final trace =
     if !failure = None then begin
       incr histories;
       let h = history ~ops final trace in
-      if check ~spec h = None then failure := Some (h, trace)
+      if check ~spec h = None then begin
+        failure := Some (h, trace);
+        raise Search.Stop
+      end
     end
   in
   let stats = Search.iter_terminals ~options config ~f:on_terminal in

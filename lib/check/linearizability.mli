@@ -42,7 +42,9 @@ val pp_history : Format.formatter -> op_record list -> unit
     and every crash-recovery pattern within [options.max_recoveries]
     recoveries), builds each execution's history with {!history}, and
     checks it with {!check}: [Proved] when every history linearizes,
-    [Refuted] with the offending history and its schedule, [Limited] when
+    [Refuted] with the offending history and its schedule (the search
+    stops at the first one, so its statistics cover part of the space),
+    [Limited] when
     the search was truncated — including by [options.deadline] seconds of
     wall clock.  Search knobs come from the {!Subc_sim.Search.options}
     record ([?options]).
@@ -53,8 +55,9 @@ val pp_history : Format.formatter -> op_record list -> unit
 
     [options.jobs] explores across that many domains
     ({!Subc_sim.Parallel}); terminal callbacks are serialized, so the
-    history count and verdict status are deterministic — only the
-    offending history reported on refutation may differ between runs. *)
+    verdict status, and the history count of a proof, are deterministic
+    — the offending history reported on refutation, and how much of the
+    space was explored before it, may differ between runs. *)
 val check_harness :
   ?options:Search.options ->
   Store.t ->

@@ -65,7 +65,8 @@ let sample ?max_steps ?max_crashes store ~programs ~inputs ~task ~seeds =
   let adversary seed =
     match max_crashes with
     | None -> Runner.Random seed
-    | Some max_crashes -> Runner.Crash_random { seed; max_crashes }
+    | Some max_crashes ->
+      Runner.Recover_random { seed; max_crashes; max_recoveries = 0 }
   in
   let distinct_counts = Array.make (max n 1) 0 in
   let violations = ref 0 in

@@ -65,10 +65,11 @@ type sample_stats = {
 
 (** [sample store ~programs ~inputs ~task ~seeds] runs once per seed
     under the random adversary.  With [max_crashes] each run is fault
-    injection instead: the {!Runner.Crash_random} adversary crashes up to
-    [max_crashes] random processes at random points.  Crashes are events
-    of the trace, so the task is evaluated against the true
-    partial-outcome history and a violating schedule replays
+    injection instead: the {!Runner.Recover_random} adversary, with no
+    recovery, crashes up to [max_crashes] random processes at random
+    points.  Crashes are events of the trace, so the task is evaluated
+    against the true partial-outcome history and a violating schedule
+    replays
     deterministically, crashes included.  Wait-free algorithms must keep
     their safety properties whatever the crash pattern, because a crashed
     process is indistinguishable from a slow one. *)

@@ -106,12 +106,14 @@ let pp_reduction ppf r =
    re-enable one within a recovery-free segment, so budget exhaustion
    cannot unsoundly skip.
 
-   A recovery is conservatively dependent on everything: it rewrites the
-   whole store through the persistence projections and restarts the
-   victim's program, so no commutation is assumed.  Recoveries are
-   therefore never slept and never put siblings to sleep — reordering
-   soundness never rests on a recovery diamond — and taking one wakes
-   every sleeping transition. *)
+   A recovery rewrites the whole store through the persistence
+   projections and restarts the victim's program, so no commutation is
+   assumed from the object models: it is dependent on every crash and
+   every recovery, and on a step of another process unless the diamond
+   is checked on the configuration itself (below).  Recoveries come last
+   among siblings and never enter a sleep set, so they never sleep and
+   never put a sibling to sleep; taking one wakes every sleeping crash
+   and every step it does not commute with. *)
 type tr = Tstep of int * int | Tcrash of int | Trecover of int
 
 (* Conditional (state-local) commutation of two operations on the same
@@ -220,12 +222,37 @@ let pending config i =
     (h, op)
   | _ -> assert false
 
+(* Whether recovering crashed process [p] and stepping running process
+   [q] commute at [config]: both orders reach the same configurations
+   (keys compared, so responses and recovery counts included) for every
+   resolution of the step's nondeterminism, and the step does not hang.
+   Neither order disables the other: a step leaves [p] crashed and the
+   recovery budget untouched, and a recovery leaves [q] running with the
+   same pending invocation.  Without this check a step taken before a
+   recovery and the same step taken after it are two traces that reach
+   one state under two sleep sets, and the (state, sleep) keying expands
+   that state once per sleep set. *)
+let recover_commutes config p q =
+  let step c = List.map (fun (c', _, _) -> c') (Step.step_slots c q) in
+  let keys cs = List.sort Value.compare (List.map Config.key cs) in
+  let step_first = step config in
+  List.for_all
+    (fun c ->
+      match c.Config.procs.(q).Config.status with
+      | Config.Hung -> false
+      | _ -> true)
+    step_first
+  && keys (List.map (fun c -> Config.recover c p) step_first)
+     = keys (step (Config.recover config p))
+
 (* Dependence of two transitions, conditional on the configuration where
    both are enabled (Katz–Peled conditional independence: state-local
    diamonds compose along any run that keeps the sleeping transition
    asleep). *)
 let dependent_at cache config a b =
   match (a, b) with
+  | Trecover p, Tstep (q, _) | Tstep (q, _), Trecover p ->
+    not (recover_commutes config p q)
   | Trecover _, _ | _, Trecover _ -> true
   | Tstep (p, hp), Tstep (q, hq) ->
     p = q
@@ -262,7 +289,7 @@ let pack_tr = function
    pending invocation is dependent with it, and dependence wakes it), so
    only [Tcrash] entries are ever dropped — when the crash budget is
    exhausted, which is monotone within a recovery-free segment, and any
-   recovery empties the sleep set wholesale. *)
+   recovery wakes every sleeping crash. *)
 let restrict_sleep ~max_crashes config sleep =
   match sleep with
   | [] -> []
@@ -455,7 +482,7 @@ let key_of ~paranoid (reduction : reduction) config =
   match reduction.symmetry with
   | None ->
     if paranoid then (Fingerprint.Exact (Config.key config), None)
-    else (Fingerprint.Fp (Fingerprint.of_config config), None)
+    else (Fingerprint.Fp (Fingerprint.hom_of_config config), None)
   | Some sym ->
     let key, mins = canonical_key_and_coset ~paranoid sym config in
     (key, Some (List.hd mins))

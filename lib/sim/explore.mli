@@ -35,8 +35,11 @@
     adversary may choose never to recover) {e and} is then expanded through
     them.  The recovery budget is derivable from the configuration key too:
     each process carries its recovery count, which the key and fingerprint
-    include.  Recover transitions are conservatively dependent on every
-    other transition, so the source-set reduction never prunes around them.
+    include.  A recover transition is dependent on every crash and
+    recovery, and on a step of another process unless both orders reach
+    the same configurations (checked on the configuration itself), so
+    the source-set reduction prunes around it only where that diamond
+    closes.
 
     {1 Reductions}
 

@@ -111,38 +111,6 @@ and feed_values ctx = function
     feed_value ctx v;
     feed_values ctx vs
 
-(* Mirrors [Config.key] exactly — same distinctions, no tree:
-   - store: (handle, object state) in increasing handle order;
-   - per process: the status kind (a [Running] continuation is erased,
-     exactly as [Config.proc_key] erases it — programs are deterministic
-     functions of their response histories), the decided value if any,
-     and the response history. *)
-let feed_config ctx (c : Config.t) =
-  Store.iter c.Config.store (fun h st ->
-      feed ctx h;
-      feed_value ctx st);
-  feed ctx 0x5E9;
-  Array.iter
-    (fun (p : Config.proc) ->
-      (match p.Config.status with
-      | Config.Running _ -> feed ctx 0x11
-      | Config.Terminated v ->
-        feed ctx 0x12;
-        feed_value ctx v
-      | Config.Hung -> feed ctx 0x13
-      | Config.Crashed -> feed ctx 0x14
-      | Config.Recovering _ -> feed ctx 0x15);
-      feed ctx p.Config.recoveries;
-      feed ctx (List.length p.Config.history);
-      feed_values ctx p.Config.history)
-    c.Config.procs;
-  feed ctx (Array.length c.Config.procs)
-
-let of_config c =
-  let ctx = create () in
-  feed_config ctx c;
-  finish ctx
-
 let of_value v =
   let ctx = create () in
   feed_value ctx v;
@@ -150,12 +118,13 @@ let of_value v =
 
 (* {1 Homomorphic (group-combinable) fingerprints}
 
-   [of_config] is a sequential fold: changing one slot forces an O(|store|
-   + |procs|) re-traversal.  The incremental explorer instead hashes each
-   (slot, content) pair to an independent, fully-finished mix and combines
-   the mixes with a per-lane *group* operation — lane 1 uses addition
-   modulo 2^63 (OCaml native-int [+]/[-] wrap), lane 2 uses XOR.  Both
-   operations are abelian and invertible, so when a [Step] rewrites one
+   A sequential fold over a configuration would force an O(|store| +
+   |procs|) re-traversal whenever one slot changes.  This hash instead
+   hashes each (slot, content) pair to an independent, fully-finished
+   mix and combines the mixes with a per-lane *group* operation — lane 1
+   uses addition modulo 2^63 (OCaml native-int [+]/[-] wrap), lane 2
+   uses XOR.  Both operations are abelian and invertible, so when a
+   [Step] rewrites one
    process slot and one object slot the child fingerprint is the parent's
    with the old contributions subtracted and the new ones added: O(1) per
    transition, Zobrist-hashing style.
@@ -166,10 +135,8 @@ let of_value v =
    combined fingerprints.  Distinct keys differ in at least one indexed
    slot; each slot mix is an independently seeded-and-finalized 126-bit
    hash, so the combined values collide with probability ~2^-126 per pair
-   — same bound as the sequential fold, on a *different* hash function
-   (the visited table is keyed consistently by exactly one of the two
-   within a run, so counts are unaffected; [~paranoid] cross-validates
-   patched fingerprints against [hom_of_config] re-folds). *)
+   ([~paranoid] cross-validates patched fingerprints against
+   [hom_of_config] re-folds). *)
 
 let hom_add a b = { h1 = a.h1 + b.h1; h2 = a.h2 lxor b.h2 }
 let hom_sub a b = { h1 = a.h1 - b.h1; h2 = a.h2 lxor b.h2 }
@@ -329,9 +296,13 @@ let key_equal a b =
   | Exact u, Exact v -> Value.compare u v = 0
   | Fp _, Exact _ | Exact _, Fp _ -> false
 
+(* An exact key hashes by its whole-tree fold: [Hashtbl.hash] reads only
+   the first few nodes of a tree, which configurations of one search
+   mostly share, so the exact table's buckets would degrade to long
+   chains of structural comparisons. *)
 let key_hash = function
   | Fp f -> hash f
-  | Exact v -> Value.hash v
+  | Exact v -> hash (of_value v)
 
 module Ktbl = Hashtbl.Make (struct
   type nonrec t = key

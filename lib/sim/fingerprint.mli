@@ -1,7 +1,7 @@
 (** Allocation-lean structural fingerprints of configurations.
 
-    A 126-bit hash (two 63-bit native-int lanes — nothing boxed) folded
-    directly over a configuration's store contents and process array,
+    A 126-bit hash (two 63-bit native-int lanes — nothing boxed) of a
+    configuration's store contents and process array ({!hom_of_config}),
     replacing the explorer's former per-node
     [Digest.string (Marshal.to_string (Config.key config) [])] pipeline:
     no intermediate [Value.t] key tree, no marshal buffer, no string
@@ -20,10 +20,6 @@ val pp : Format.formatter -> t -> unit
 
 (** Hashtables keyed by fingerprints. *)
 module Tbl : Hashtbl.S with type key = t
-
-val of_config : Config.t -> t
-(** One traversal of store + procs; agrees with {!Config.key} equality
-    (continuations erased, histories included). *)
 
 val of_value : Value.t -> t
 (** Fingerprint of an explicit key tree.  Symmetry quotienting never
@@ -70,17 +66,15 @@ val extend : t -> int -> t
 
 (** {1 Homomorphic (group-combinable) fingerprints}
 
-    An alternative, incrementally patchable hash of configurations: each
+    The incrementally patchable hash of configurations: each
     (slot, content) pair contributes an independently finalized mix, and
     mixes are combined per lane with an abelian group operation (addition
     modulo 2^63 / XOR).  Because the combination is invertible, a step
     that rewrites one process slot and one object slot turns the parent
     fingerprint into the child's in O(1) — subtract the old
     contributions, add the new ones — instead of re-folding the whole
-    configuration.  [hom_of_config] is a {e different} hash function from
-    {!of_config} with the same ~2^-126 pairwise collision bound; a run
-    keys its visited table consistently by one or the other, never a
-    mixture. *)
+    configuration.  Distinct {!Config.key}s collide with probability
+    ~2^-126 per pair. *)
 
 val hom_add : t -> t -> t
 (** Group combine: lane 1 adds modulo 2^63, lane 2 XORs.  Associative,
@@ -94,9 +88,8 @@ val mix_store_slot : int -> Value.t -> t
 
 val mix_proc_slot : int -> Config.proc -> t
 (** Contribution of one process slot, distinguishing exactly what
-    {!of_config}'s per-process stream does (status kind, decided value,
-    recovery count, response history — continuations and step counts
-    erased). *)
+    {!Config.key} does (status kind, decided value, recovery count,
+    response history — continuations and step counts erased). *)
 
 val hom_base : n_procs:int -> t
 (** Contribution of the configuration shape itself (process count). *)
@@ -104,8 +97,9 @@ val hom_base : n_procs:int -> t
 val hom_of_config : Config.t -> t
 (** [hom_base ⊕ Σ mix_store_slot ⊕ Σ mix_proc_slot] — the full re-fold;
     the root of every incremental run, and the [~paranoid]
-    cross-validation target for patched fingerprints.  Agrees with
-    {!Config.key} equality exactly as {!of_config} does. *)
+    cross-validation target for patched fingerprints, and the key of a
+    symmetry-off configuration.  Agrees with {!Config.key} equality:
+    continuations erased, histories included. *)
 
 val hom_patch_proc : t -> int -> Config.proc -> Config.proc -> t
 (** [hom_patch_proc fp i old new_] rewrites process slot [i]'s

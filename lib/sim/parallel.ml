@@ -54,8 +54,8 @@ let pp_visited ppf v =
   Format.pp_print_string ppf (match v with Heap -> "heap" | Spill _ -> "spill")
 
 (* On sub-10^4-state spaces the domain spawn + steal traffic costs more
-   than the whole search (E21 measures eager spawning at 2-8x slower
-   than one domain on such families), so worker 0 spawns its helpers
+   than the whole search (eager spawning measured 2-8x slower than one
+   domain on such families), so worker 0 spawns its helpers
    only once it has claimed this many states.  [?seq_threshold]
    overrides it per call (0 spawns at the root). *)
 let default_seq_threshold = 4096

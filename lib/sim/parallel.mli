@@ -74,7 +74,7 @@ val pp_visited : Format.formatter -> visited -> unit
 val default_seq_threshold : int
 (** [4096]: the claimed-state count at which worker 0 spawns its
     helpers.  Below it a search never leaves the calling domain, where
-    E21 measures eager spawning at 2-8x the cost of the whole search.
+    eager spawning measured 2-8x the cost of the whole search.
     [?seq_threshold] overrides it per call ([0] spawns at the root). *)
 
 val run :

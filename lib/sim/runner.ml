@@ -6,8 +6,6 @@ type strategy =
   | Fixed of int list
   | Priority of int list
   | Only of int list
-  | Crash_at of { crashes : (int * int) list; seed : int option }
-  | Crash_random of { seed : int; max_crashes : int }
   | Recover_after of {
       crashes : (int * int) list;
       recoveries : (int * int) list;
@@ -36,14 +34,14 @@ let scheduler_of_strategy = function
   | Random seed as s ->
     { pending = []; last = -1; rng = Some (Random.State.make [| seed |]); kind = s }
   | Fixed sched as s -> { pending = sched; last = -1; rng = None; kind = s }
-  | (Crash_at { seed; _ } | Recover_after { seed; _ }) as s ->
+  | Recover_after { seed; _ } as s ->
     {
       pending = [];
       last = -1;
       rng = Option.map (fun seed -> Random.State.make [| seed |]) seed;
       kind = s;
     }
-  | (Crash_random { seed; _ } | Recover_random { seed; _ }) as s ->
+  | Recover_random { seed; _ } as s ->
     { pending = []; last = -1; rng = Some (Random.State.make [| seed |]); kind = s }
 
 let round_robin_next sched runnable =
@@ -58,9 +56,9 @@ let random_next rng runnable =
 let next_proc sched runnable =
   match sched.kind with
   | Round_robin -> round_robin_next sched runnable
-  | Random _ | Crash_random _ | Recover_random _ ->
+  | Random _ | Recover_random _ ->
     random_next (Option.get sched.rng) runnable
-  | Crash_at _ | Recover_after _ -> (
+  | Recover_after _ -> (
     match sched.rng with
     | Some rng -> random_next rng runnable
     | None -> round_robin_next sched runnable)
@@ -100,8 +98,6 @@ let strategy_name = function
   | Fixed _ -> "fixed"
   | Priority _ -> "priority"
   | Only _ -> "only"
-  | Crash_at _ -> "crash_at"
-  | Crash_random _ -> "crash_random"
   | Recover_after _ -> "recover_after"
   | Recover_random _ -> "recover_random"
 
@@ -125,12 +121,12 @@ let observe strategy r =
 
 let run ?(max_steps = 1_000_000) strategy config =
   let sched = scheduler_of_strategy strategy in
-  (* Crash plan for [Crash_at]/[Recover_after]: (step, proc) pairs,
-     applied in step order. *)
+  (* Crash plan for [Recover_after]: (step, proc) pairs, applied in step
+     order. *)
   let plan =
     ref
       (match strategy with
-      | Crash_at { crashes; _ } | Recover_after { crashes; _ } ->
+      | Recover_after { crashes; _ } ->
         List.sort compare crashes
       | _ -> [])
   in
@@ -148,7 +144,7 @@ let run ?(max_steps = 1_000_000) strategy config =
      the current step; crash events enter the trace. *)
   let inject_crashes config rev_trace steps =
     match strategy with
-    | Crash_at _ | Recover_after _ ->
+    | Recover_after _ ->
       let due, later = List.partition (fun (s, _) -> s <= steps) !plan in
       plan := later;
       List.fold_left
@@ -158,17 +154,6 @@ let run ?(max_steps = 1_000_000) strategy config =
           then (Config.crash c p, Trace.Crash p :: rt)
           else (c, rt))
         (config, rev_trace) due
-    | Crash_random { max_crashes; _ } ->
-      let rng = Option.get sched.rng in
-      let running = Config.running config in
-      if
-        running <> []
-        && Config.n_crashed config < max_crashes
-        && Random.State.int rng 4 = 0
-      then
-        let victim = random_next rng running in
-        (Config.crash config victim, Trace.Crash victim :: rev_trace)
-      else (config, rev_trace)
     | Recover_random { max_crashes; _ } ->
       let rng = Option.get sched.rng in
       let running = Config.running config in

@@ -5,20 +5,18 @@
     so runs are reproducible.  [Round_robin] and [Fixed] resolve object
     nondeterminism by taking the first successor.
 
-    The crash adversaries make crashes events of the trace: [Crash_at]
-    crashes chosen processes at chosen steps (deterministic fault
-    injection), [Crash_random] crashes up to a budget of random victims at
-    random points (seeded, hence reproducible).  A crashed process never
-    takes another step; the run continues with the survivors.
-
-    The recovery adversaries additionally revive crashed processes
-    ([Trace.Recover] events): the object store's persistent components
-    survive, the process's volatile slot restarts ({!Config.recover}).
-    [Recover_after] is the deterministic crash/recover script;
+    The two fault adversaries make crashes and recoveries events of the
+    trace ([Trace.Crash], [Trace.Recover]): [Recover_after] is the
+    deterministic script of crashes and recoveries at chosen steps,
     [Recover_random] crashes and recovers at seeded-random points within
-    budgets.  When no process can run but a recovery is still scheduled
-    (or budgeted), the pending recoveries are drained so a planned revival
-    is never lost to early termination. *)
+    budgets (hence reproducible).  A crashed process never takes another
+    step unless recovered, and the run continues with the survivors; a
+    recovery keeps the object store's persistent components and restarts
+    the process's volatile slot ({!Config.recover}).  With no recoveries
+    ([recoveries = []], [max_recoveries = 0]) they are the crash-only
+    adversaries.  When no process can run but a recovery is still
+    scheduled (or budgeted), the pending recoveries are drained so a
+    planned revival is never lost to early termination. *)
 
 type strategy =
   | Round_robin
@@ -35,23 +33,16 @@ type strategy =
           configuration is not fully terminal at that point, the runnable
           non-survivors are reported in [starved] and [completed] is
           false *)
-  | Crash_at of { crashes : (int * int) list; seed : int option }
-      (** crash-at-step adversary: each [(s, p)] crashes process [p] just
-          before the [s]-th scheduled step (if it is still running).
-          Scheduling is round-robin, or seeded-random when [seed] is
-          given. *)
-  | Crash_random of { seed : int; max_crashes : int }
-      (** crash-at-random adversary: seeded-random scheduling; before each
-          step, with probability 1/4, crashes a random running process as
-          long as fewer than [max_crashes] processes have crashed *)
   | Recover_after of {
       crashes : (int * int) list;
       recoveries : (int * int) list;
       seed : int option;
     }
-      (** deterministic crash-recovery script: [crashes] as in [Crash_at];
-          each [(s, p)] in [recoveries] recovers process [p] just before
-          the [s]-th scheduled step (if it is crashed by then).
+      (** deterministic crash-recovery script: each [(s, p)] in
+          [crashes] crashes process [p] just before the [s]-th scheduled
+          step (if it is still running); each [(s, p)] in [recoveries]
+          recovers process [p] just before the [s]-th scheduled step (if
+          it is crashed by then).
           Recoveries whose step never arrives are drained when the run
           would otherwise end.  Scheduling is round-robin, or
           seeded-random when [seed] is given. *)

@@ -13,9 +13,8 @@ let assert_no_crash_violations stats =
     Alcotest.failf "crash violations: %a" Task_check.pp_sample_stats stats
 
 let alg2_crash_safety ~k () =
-  let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
+  let { store; programs; _ } = alg2_harness k in
   let inputs = inputs k in
-  let programs = List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) inputs in
   (* No [all_decided] here: crashed processes legitimately never decide. *)
   let task = Task.set_consensus (k - 1) in
   assert_no_crash_violations
@@ -67,13 +66,9 @@ let sse_object_crash_safety () =
    incomplete operations — must still linearize against the 1sWRN spec. *)
 let alg5_crash_linearizability () =
   let k = 3 in
-  let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
-  let programs =
-    List.init k (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)))
-  in
+  let config = root (alg5_harness k) in
   let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
   let spec = Subc_objects.One_shot_wrn.model ~k in
-  let config = Config.make store programs in
   let incomplete_seen = ref 0 in
   List.iter
     (fun seed ->
@@ -98,16 +93,11 @@ let alg5_crash_linearizability () =
 (* --- exhaustive crash sweeps (the model checker quantifies over crash
    patterns as well as interleavings) ------------------------------------ *)
 
-let alg2_harness ~k =
-  let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
-  let inputs = inputs k in
-  let programs = List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) inputs in
-  (store, programs, inputs)
-
 (* Acceptance criterion: Alg 2 k=3 verified exhaustively under every crash
    pattern with at most 2 crashes. *)
 let alg2_exhaustive_crash_sweep () =
-  let store, programs, inputs = alg2_harness ~k:3 in
+  let { store; programs; _ } = alg2_harness 3 in
+  let inputs = inputs 3 in
   let task = Task.set_consensus 2 in
   List.iter
     (fun (f, expect_states) ->
@@ -137,13 +127,19 @@ let alg2_exhaustive_crash_sweep () =
 
 (* --- determinism of the crash adversaries ----------------------------- *)
 
+(* The crash-only adversaries: the fault adversaries with no recovery. *)
+let crash_random ~seed ~max_crashes =
+  Runner.Recover_random { seed; max_crashes; max_recoveries = 0 }
+
+let crash_at crashes ~seed =
+  Runner.Recover_after { crashes; recoveries = []; seed }
+
 let crash_random_deterministic () =
-  let store, programs, _ = alg2_harness ~k:4 in
-  let config = Config.make store programs in
+  let config = root (alg2_harness 4) in
   List.iter
     (fun seed ->
       let run () =
-        Runner.run (Runner.Crash_random { seed; max_crashes = 3 }) config
+        Runner.run (crash_random ~seed ~max_crashes:3) config
       in
       let a = run () and b = run () in
       Alcotest.(check string)
@@ -159,12 +155,11 @@ let crash_random_deterministic () =
 (* A crash-containing trace is a complete certificate: replaying it
    reproduces the terminal configuration, crashes included. *)
 let crash_trace_replays () =
-  let store, programs, _ = alg2_harness ~k:4 in
-  let config = Config.make store programs in
+  let config = root (alg2_harness 4) in
   let replayed_crashes = ref 0 in
   List.iter
     (fun seed ->
-      let r = Runner.run (Runner.Crash_random { seed; max_crashes = 3 }) config in
+      let r = Runner.run (crash_random ~seed ~max_crashes:3) config in
       match Replay.final config r.Runner.trace with
       | Error { at; reason } ->
         Alcotest.failf "seed %d: replay failed at %d: %s" seed at reason
@@ -183,15 +178,53 @@ let crash_trace_replays () =
     (!replayed_crashes > 0)
 
 let crash_at_deterministic () =
-  let store, programs, _ = alg2_harness ~k:4 in
-  let config = Config.make store programs in
-  let strategy = Runner.Crash_at { crashes = [ (1, 1); (2, 0) ]; seed = Some 5 } in
+  let config = root (alg2_harness 4) in
+  let strategy = crash_at [ (1, 1); (2, 0) ] ~seed:(Some 5) in
   let a = Runner.run strategy config and b = Runner.run strategy config in
   Alcotest.(check string) "identical trace"
     (Trace.to_string a.Runner.trace)
     (Trace.to_string b.Runner.trace);
   Alcotest.(check (list int)) "both victims died" [ 0; 1 ]
     (Config.crashed a.Runner.final)
+
+(* The crash-only runs keep, event for event, the traces of the
+   dedicated crash adversaries they replaced (scripted crashes at steps,
+   seeded or round-robin; seeded random crashes), recorded on Algorithm
+   5 at k=3. *)
+let crash_only_traces_pinned () =
+  let config = root (alg5_harness 3) in
+  List.iter
+    (fun (name, strategy, want) ->
+      Alcotest.(check string)
+        name want
+        (Trace.to_string (Runner.run strategy config).Runner.trace))
+    [
+      ( "scripted, seed 5",
+        crash_at [ (1, 1); (4, 0) ] ~seed:(Some 5),
+        "  0. P2: #2:snapshot.update(2, 102) -> ()\n  1. P1: CRASH\n\
+        \  2. P2: #1:register.read -> opened\n\
+        \  3. P0: #2:snapshot.update(0, 100) -> ()\n\
+        \  4. P2: #1:register.write(closed) -> ()\n  5. P0: CRASH\n\
+        \  6. P2: #0:strong_set_election(3,2).propose(2) -> 2\n" );
+      ( "scripted, round-robin",
+        crash_at [ (1, 1); (4, 0) ] ~seed:None,
+        "  0. P0: #2:snapshot.update(0, 100) -> ()\n  1. P1: CRASH\n\
+        \  2. P2: #2:snapshot.update(2, 102) -> ()\n\
+        \  3. P0: #1:register.read -> opened\n\
+        \  4. P2: #1:register.read -> opened\n  5. P0: CRASH\n\
+        \  6. P2: #1:register.write(closed) -> ()\n\
+        \  7. P2: #0:strong_set_election(3,2).propose(2) -> 2\n" );
+      ( "random, seed 7919",
+        crash_random ~seed:7919 ~max_crashes:2,
+        "  0. P0: #2:snapshot.update(0, 100) -> ()\n\
+        \  1. P0: #1:register.read -> opened\n\
+        \  2. P2: #2:snapshot.update(2, 102) -> ()\n  3. P0: CRASH\n\
+        \  4. P2: #1:register.read -> opened\n  5. P2: CRASH\n\
+        \  6. P1: #2:snapshot.update(1, 101) -> ()\n\
+        \  7. P1: #1:register.read -> opened\n\
+        \  8. P1: #1:register.write(closed) -> ()\n\
+        \  9. P1: #0:strong_set_election(3,2).propose(1) -> 1\n" );
+    ]
 
 (* --- progress properties ---------------------------------------------- *)
 
@@ -211,7 +244,7 @@ let contains s sub =
 (* Acceptance criterion: wait-freedom certificate for Algorithm 2, even
    under a crash budget. *)
 let alg2_wait_free_certificate () =
-  let store, programs, _ = alg2_harness ~k:3 in
+  let { store; programs; _ } = alg2_harness 3 in
   match
     Progress.check_wait_free
       ~options:Search.(with_max_crashes 2 default)
@@ -223,11 +256,7 @@ let alg2_wait_free_certificate () =
   | v -> Alcotest.failf "not wait-free: %a" Verdict.pp_summary v
 
 let alg5_wait_free_certificate () =
-  let k = 3 in
-  let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
-  let programs =
-    List.init k (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)))
-  in
+  let { store; programs; _ } = alg5_harness 3 in
   match
     Progress.check_wait_free
       ~options:Search.(with_max_crashes 1 default)
@@ -336,18 +365,14 @@ let reused_index_not_t_resilient () =
   | v -> Alcotest.failf "index reuse not refuted: %a" Verdict.pp_summary v
 
 let alg2_t_resilient () =
-  let store, programs, _ = alg2_harness ~k:3 in
+  let { store; programs; _ } = alg2_harness 3 in
   let v = Progress.check_t_resilient ~t:2 store ~programs in
   Alcotest.(check bool) "2-resilient termination proved" true
     (Verdict.is_proved v)
 
 (* The space-time diagram renderer. *)
 let diagram_smoke () =
-  let store, t = Subc_core.Alg2.alloc Store.empty ~k:3 ~one_shot:true in
-  let programs =
-    List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) (inputs 3)
-  in
-  let config = Config.make store programs in
+  let config = root (alg2_harness 3) in
   let r = Runner.run (Runner.Random 3) config in
   let rendered =
     Format.asprintf "%a" (Trace.pp_diagram ~n_procs:3) r.Runner.trace
@@ -378,8 +403,11 @@ let suite =
       ] );
     ( "crash.determinism",
       [
-        test "Crash_random: same seed, same trace" crash_random_deterministic;
-        test "Crash_at: deterministic, victims die" crash_at_deterministic;
+        test "random crashes: same seed, same trace" crash_random_deterministic;
+        test "scripted crashes: deterministic, victims die"
+          crash_at_deterministic;
+        test "crash-only adversaries keep their traces"
+          crash_only_traces_pinned;
         test "crash traces replay to the same terminal config"
           crash_trace_replays;
       ] );

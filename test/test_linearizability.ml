@@ -135,9 +135,46 @@ let wrn_histories =
         Alcotest.(check int) "P1 ran first" 0 r1.Lin.inv);
   ]
 
+(* Algorithm 5 at k=3 checked against recorded operations in which
+   process 2 claims index 0 instead of 2: the history of every run that
+   lets process 2 return a value contradicts the 1sWRN spec, so the
+   check is refuted at one job and at four, stops at the first such
+   history, well short of the whole space, and its witness replays to a
+   terminal whose history does not linearize. *)
+let refuted_harness_stops () =
+  let h = alg5_harness 3 in
+  let ops i =
+    Op.make "wrn" [ Value.Int (if i = 2 then 0 else i); Value.Int (100 + i) ]
+  in
+  let spec = O.One_shot_wrn.model ~k:3 in
+  let whole = Search.iter_terminals (root h) ~f:(fun _ _ -> ()) in
+  List.iter
+    (fun jobs ->
+      let name = Printf.sprintf "jobs=%d" jobs in
+      let v =
+        Lin.check_harness
+          ~options:Search.(with_jobs jobs default)
+          h.store ~programs:h.programs ~ops ~spec
+      in
+      let final = refutation_end (root h) v in
+      Alcotest.(check bool)
+        (name ^ " stopped early") true
+        ((explore_stats_exn v).Explore.states < whole.Explore.states);
+      Alcotest.(check bool)
+        (name ^ " witness ends at a terminal") true (Config.is_terminal final);
+      match v with
+      | Verdict.Refuted { trace; _ } ->
+        Alcotest.(check bool)
+          (name ^ " witness history does not linearize") true
+          (Lin.check ~spec (Lin.history ~ops final trace) = None)
+      | _ -> assert false)
+    [ 1; 4 ]
+
 let suite =
   [
     ("linearizability.register", register_histories);
     ("linearizability.nondet-spec", nondet_spec_histories);
     ("linearizability.wrn-spec", wrn_histories);
+    ( "linearizability.harness",
+      [ test "a refuted harness stops at its witness" refuted_harness_stops ] );
   ]

@@ -1,16 +1,9 @@
-(* Cross-validation of the search engine across domain counts and the
-   structural fingerprint layer.
-
-   Determinism contract (see Parallel's interface): for every algorithm
-   family and crash budget, a multi-domain search must agree with the
-   jobs-1 search on [states], [transitions], [terminals],
-   [hung_terminals] and [crashed_terminals], and every Verdict-typed
-   checker must return the same status at [--jobs 1] and [--jobs N].
-   Both visited-table backings, the heap and the out-of-core [Spill]
-   files, must reproduce those counts.  Fingerprint regression: the
-   allocation-lean hash must be injective over every reachable set we
-   explore, and a [~paranoid] (exact-key) search must produce identical
-   statistics. *)
+(* The search engine beyond the determinism matrix (test_determinism):
+   budgets, callbacks that stop or raise, the small-space fallback, the
+   visited-table structures and their spill files, Verdict-typed checkers
+   at [--jobs 1] and [--jobs N], and the fingerprint the engine keys
+   on: injective over every reachable set we explore, and equal on equal
+   canonical keys. *)
 open Subc_sim
 open Helpers
 module Task = Subc_tasks.Task
@@ -19,35 +12,9 @@ module Verdict = Subc_check.Verdict
 module Progress = Subc_check.Progress
 module Lin = Subc_check.Linearizability
 module Valence = Subc_check.Valence
-module R = Subc_check.Recoverable
 
-(* Worker-domain count for the parallel side of each comparison;
-   overridable so CI can pin it (SUBC_TEST_JOBS=4). *)
-let jobs =
-  match Sys.getenv_opt "SUBC_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
-
-(* [in_temp_dir f] is a test body that runs [f dir] with [dir] a fresh
-   directory under TMPDIR, removed, with anything still in it, when the
-   test ends.  The tests that spill take their [Spill] directory this
-   way; a spill table unlinks each file as soon as it is mapped, so the
-   directory normally stays empty. *)
-let in_temp_dir f () =
-  let dir = Filename.temp_dir "subc-test-" "" in
-  let rec remove path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then remove dir)
-    (fun () -> f dir)
-
-(* A counter or gauge of the process-wide metrics registry, 0 if unset. *)
-let metric name = Option.value ~default:0.0 (Subc_obs.Metrics.find name)
+(* Domain count of the multi-domain side of each comparison. *)
+let jobs = 4
 
 (* The [visited.spill_bytes] counter: what spill tables have mapped. *)
 let spilled () = metric "visited.spill_bytes"
@@ -58,135 +25,9 @@ let spilled_by f =
   let r = f () in
   (r, spilled () -. before)
 
-(* ---------------------------------------------------------------- *)
-(* Harnesses (shared shapes with test_reduction).                    *)
-
-let alg2_harness k =
-  let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
-  let programs =
-    List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) (inputs k)
-  in
-  (store, programs, Subc_core.Alg2.symmetry t ~input_base:100 ())
-
-let alg3_harness () =
-  let k = 2 in
-  let ids = [ 9; 2 ] in
-  let store, t =
-    Subc_core.Alg3.alloc Store.empty ~k ~flavor:Subc_core.Alg3.Relaxed_wrn
-      ~renamer:Subc_core.Alg3.Rename_snapshot ()
-  in
-  let inputs = List.map (fun id -> Value.Int (1000 + id)) ids in
-  let programs =
-    List.mapi
-      (fun slot id ->
-        Subc_core.Alg3.propose t ~slot ~id (Value.Int (1000 + id)))
-      ids
-  in
-  (store, programs, inputs, Task.set_consensus (k - 1))
-
-let alg5_harness k =
-  let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
-  let programs =
-    List.init k (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)))
-  in
-  (store, programs, Subc_core.Alg5.symmetry t ~input_base:100 ())
-
-let wrn_harness k =
-  let store, h = Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k) in
-  let programs =
-    List.init k (fun i ->
-        Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i)))
-  in
-  (store, programs, Symmetry.standard ~n:k ~input_base:100 `Rotations)
-
-let sc_harness ~n ~k =
-  let store, h =
-    Store.alloc Store.empty (Subc_objects.Set_consensus_obj.model ~n ~k)
-  in
-  let programs =
-    List.init n (fun i ->
-        Subc_objects.Set_consensus_obj.propose h (Value.Int (100 + i)))
-  in
-  (store, programs, Symmetry.standard ~n ~input_base:100 `Full)
-
-(* ---------------------------------------------------------------- *)
-(* Raw-stats agreement: jobs 1 vs jobs N.                          *)
-
-(* The deterministic slice of the statistics.  [dedup_hits] is included
-   because on acyclic graphs it is a function of the others
-   (transitions − states + 1 per connected sweep); [max_depth] is
-   deliberately excluded (pop order is racy). *)
-let same_counts name (a : Explore.stats) (b : Explore.stats) =
-  Alcotest.(check int) (name ^ " states") a.Explore.states b.Explore.states;
-  Alcotest.(check int)
-    (name ^ " transitions")
-    a.Explore.transitions b.Explore.transitions;
-  Alcotest.(check int)
-    (name ^ " terminals")
-    a.Explore.terminals b.Explore.terminals;
-  Alcotest.(check int)
-    (name ^ " hung")
-    a.Explore.hung_terminals b.Explore.hung_terminals;
-  Alcotest.(check int)
-    (name ^ " crashed")
-    a.Explore.crashed_terminals b.Explore.crashed_terminals;
-  Alcotest.(check int)
-    (name ^ " dedup")
-    a.Explore.dedup_hits b.Explore.dedup_hits;
-  Alcotest.(check int)
-    (name ^ " source_skips")
-    a.Explore.source_skips b.Explore.source_skips;
-  Alcotest.(check bool) (name ^ " limited") a.Explore.limited b.Explore.limited
-
-let stats_matrix () =
-  let harnesses =
-    [
-      ("alg2", (fun () -> alg2_harness 3), [ 0; 1; 2 ]);
-      ("alg5", (fun () -> alg5_harness 3), [ 0; 1 ]);
-      ("wrn", (fun () -> wrn_harness 3), [ 0; 1 ]);
-      ("sc", (fun () -> sc_harness ~n:3 ~k:2), [ 0 ]);
-    ]
-  in
-  List.iter
-    (fun (name, harness, budgets) ->
-      let store, programs, sym = harness () in
-      let config = Config.make store programs in
-      List.iter
-        (fun f ->
-          List.iter
-            (fun (rlabel, reduction) ->
-              let label = Printf.sprintf "%s f=%d %s" name f rlabel in
-              let seq =
-                Search.iter_terminals
-                  ~options:
-                    Search.(
-                      default |> with_max_crashes f |> with_reduction reduction)
-                  config
-                  ~f:(fun _ _ -> ())
-              in
-              let par =
-                Search.iter_terminals
-                  ~options:
-                    Search.(
-                      default |> with_visited test_visited
-                      |> with_max_crashes f |> with_reduction reduction
-                      |> with_jobs jobs)
-                  config ~f:(fun _ _ -> ())
-              in
-              same_counts label seq par)
-            [
-              ("none", Explore.no_reduction);
-              ("source", Explore.source_only);
-              ("sym", Explore.with_symmetry sym);
-              ("full", Explore.full_reduction sym);
-            ])
-        budgets)
-    harnesses
-
 (* Terminal callbacks fire exactly once per terminal, serialized. *)
 let terminal_callback_count () =
-  let store, programs, _ = alg2_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg2_harness 3) in
   let count = ref 0 in
   let seq =
     Search.iter_terminals
@@ -197,7 +38,7 @@ let terminal_callback_count () =
     Search.iter_terminals
       ~options:
         Search.(
-          default |> with_visited test_visited |> with_max_crashes 1
+          default |> with_max_crashes 1
           |> with_jobs jobs)
       config ~f:(fun _ _ -> incr count)
   in
@@ -211,8 +52,7 @@ let all_visited spill_dir = [ Parallel.Heap; Parallel.Spill spill_dir ]
 (* The max-states budget truncates identically (exactly [max_states]
    states counted, Max_states reported) under every visited table. *)
 let budget_truncation spill_dir =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg5_harness 3) in
   let budget = 100 in
   List.iter
     (fun visited ->
@@ -230,41 +70,6 @@ let budget_truncation spill_dir =
       Alcotest.(check bool) (label ^ " limited") true par.Explore.limited)
     (all_visited spill_dir)
 
-(* With [~seq_threshold:0] the helpers spawn at the root, so even these
-   small spaces are shared between domains (the default threshold would
-   finish them on the calling domain) and the counts still match under
-   every reduction. *)
-let eager_spawn_counts () =
-  List.iter
-    (fun (name, harness) ->
-      let store, programs, sym = harness () in
-      let config = Config.make store programs in
-      List.iter
-        (fun (rlabel, reduction) ->
-          let seq =
-            Search.iter_terminals
-              ~options:
-                Search.(
-                  default |> with_max_crashes 1 |> with_reduction reduction)
-              config
-              ~f:(fun _ _ -> ())
-          in
-          let par =
-            parallel_run ~seq_threshold:0
-              Search.(
-                default |> with_visited test_visited |> with_max_crashes 1
-                |> with_reduction reduction |> with_jobs jobs)
-              config
-          in
-          same_counts (Printf.sprintf "%s f=1 %s eager" name rlabel) seq par)
-        [
-          ("none", Explore.no_reduction);
-          ("source", Explore.source_only);
-          ("sym", Explore.with_symmetry sym);
-          ("full", Explore.full_reduction sym);
-        ])
-    [ ("alg2", fun () -> alg2_harness 3); ("alg5", fun () -> alg5_harness 3) ]
-
 (* A space below [default_seq_threshold] never leaves the calling
    domain.  With [~seq_threshold:0] helpers visit part of the same
    space.  Counts agree either way.  The fallback search also creates no
@@ -273,8 +78,7 @@ let eager_spawn_counts () =
    runs the jobs-1 per-state path by construction.  The eager search
    shows the fields the fallback lacks. *)
 let seq_fallback_stays_on_caller () =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg5_harness 3) in
   let seq =
     Search.iter_reachable
       ~options:Search.(default |> with_max_crashes 1)
@@ -300,7 +104,7 @@ let seq_fallback_stays_on_caller () =
             ~on_visit:(fun _ _ _ ->
               if (Domain.self () :> int) <> self then Atomic.incr elsewhere)
             Search.(
-              default |> with_visited test_visited |> with_max_crashes 1
+              default |> with_max_crashes 1
               |> with_jobs jobs)
             config)
     in
@@ -328,47 +132,6 @@ let seq_fallback_stays_on_caller () =
   Alcotest.(check (pair bool bool))
     "eager event has jobs and d1.* fields" (true, true) (per_domain fields);
   Alcotest.(check bool) "eager helpers steal" true (steals > 0.0)
-
-let recovery_config family ~n ~r =
-  let store, programs = R.protocol Store.empty family ~n ~max_recoveries:r in
-  Config.make store programs
-
-(* Crash-recovery budgets: the recovery count is part of the claim key,
-   so recover successors dedup identically under every visited table. *)
-let recovery_budgets_all_visited spill_dir =
-  List.iter
-    (fun family ->
-      List.iter
-        (fun r ->
-          let config = recovery_config family ~n:2 ~r in
-          let seq =
-            Search.iter_terminals
-              ~options:
-                Search.(
-                  default |> with_max_crashes 1 |> with_max_recoveries r)
-              config
-              ~f:(fun _ _ -> ())
-          in
-          List.iter
-            (fun visited ->
-              let label =
-                Format.asprintf "%s r=%d %a" (R.family_name family) r
-                  Parallel.pp_visited visited
-              in
-              let par =
-                parallel_run ~seq_threshold:0
-                  Search.(
-                    default |> with_visited visited |> with_max_crashes 1
-                    |> with_max_recoveries r |> with_jobs jobs)
-                  config
-              in
-              same_counts label seq par;
-              Alcotest.(check int)
-                (label ^ " recovered")
-                seq.Explore.recovered_terminals par.Explore.recovered_terminals)
-            (all_visited spill_dir))
-        [ 0; 1 ])
-    [ R.Test_and_set; R.Cas ]
 
 (* The cells where the calling domain raises from its own DFS after it
    has spawned its helpers: [~seq_threshold:64] spawns them at the
@@ -404,10 +167,8 @@ let next_search_is_whole label visited ~seq small =
    small); the last cells raise on the calling domain after it spawned
    its helpers mid-DFS, or let the deadline expire then. *)
 let stop_from_callback spill_dir =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
-  let store, programs, _ = alg5_harness 4 in
-  let big = Config.make store programs in
+  let config = root (alg5_harness 3) in
+  let big = root (alg5_harness 4) in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -480,10 +241,8 @@ exception Boom
    sequential counts, so no lock was left held and no domain left
    running. *)
 let callback_exception_then_next_search spill_dir =
-  let store, programs, _ = alg5_harness 4 in
-  let big = Config.make store programs in
-  let store, programs, _ = alg5_harness 3 in
-  let small = Config.make store programs in
+  let big = root (alg5_harness 4) in
+  let small = root (alg5_harness 3) in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -516,8 +275,7 @@ let callback_exception_then_next_search spill_dir =
    file) fails the search with a clean [Unix.Unix_error] before any
    state is explored, at one job and at two. *)
 let spill_dir_uncreatable dir =
-  let store, programs, _ = alg2_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg2_harness 3) in
   let file = Filename.concat dir "notdir" in
   Out_channel.with_open_bin file ignore;
   List.iter
@@ -570,48 +328,10 @@ let counters_merge () =
        (List.combine (fields a) (fields b)))
     (fields c)
 
-(* The spill table keys source-set searches on the same (configuration,
-   sleep set) fingerprint as the other tables, so source sets and the
-   full reduction prune identically through it. *)
-let spill_under_source_sets spill_dir =
-  List.iter
-    (fun (name, harness) ->
-      let store, programs, sym = harness () in
-      let config = Config.make store programs in
-      List.iter
-        (fun (rlabel, reduction) ->
-          let seq =
-            Search.iter_terminals
-              ~options:
-                Search.(
-                  default |> with_max_crashes 1 |> with_reduction reduction)
-              config
-              ~f:(fun _ _ -> ())
-          in
-          let par =
-            parallel_run ~seq_threshold:0
-              Search.(
-                default
-                |> with_visited (Parallel.Spill spill_dir)
-                |> with_max_crashes 1 |> with_reduction reduction
-                |> with_jobs jobs)
-              config
-          in
-          same_counts (Printf.sprintf "%s f=1 %s spill" name rlabel) seq par;
-          Alcotest.(check bool)
-            (name ^ " " ^ rlabel ^ " pruned something") true
-            (par.Explore.source_skips > 0))
-        [
-          ("source", Explore.source_only);
-          ("full", Explore.full_reduction sym);
-        ])
-    [ ("alg2", fun () -> alg2_harness 3); ("alg5", fun () -> alg5_harness 3) ]
-
 (* An expired deadline stops a spill search through the same stop
    protocol as the heap tables: a Limited answer, never a proof. *)
 let spill_deadline_limits spill_dir =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg5_harness 3) in
   let s =
     parallel_run ~seq_threshold:0
       Search.(
@@ -625,193 +345,6 @@ let spill_deadline_limits spill_dir =
     "deadline reason" "deadline"
     (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason)
 
-(* Both visited-table backings reproduce the sequential counts on every
-   registry family, and the 124-bit fingerprint keys agree
-   state-for-state with the exact-key paranoid search — a fingerprint
-   collision would show up as a missing state here. *)
-let visited_modes_matrix spill_dir =
-  let harnesses =
-    [
-      ("alg2", (fun () -> alg2_harness 3), 1);
-      ("alg5", (fun () -> alg5_harness 3), 1);
-      ("wrn", (fun () -> wrn_harness 3), 1);
-      ("sc", (fun () -> sc_harness ~n:3 ~k:2), 0);
-    ]
-  in
-  List.iter
-    (fun (name, harness, f) ->
-      let store, programs, sym = harness () in
-      let config = Config.make store programs in
-      List.iter
-        (fun (rlabel, reduction) ->
-          let seq =
-            Search.iter_terminals
-              ~options:
-                Search.(
-                  default |> with_max_crashes f |> with_reduction reduction)
-              config
-              ~f:(fun _ _ -> ())
-          in
-          List.iter
-            (fun visited ->
-              let label =
-                Format.asprintf "%s f=%d %s %a" name f rlabel
-                  Parallel.pp_visited visited
-              in
-              let par =
-                Search.iter_terminals
-                  ~options:
-                    Search.(
-                      default |> with_visited visited |> with_max_crashes f
-                      |> with_reduction reduction |> with_jobs jobs)
-                  config ~f:(fun _ _ -> ())
-              in
-              same_counts label seq par;
-              Alcotest.(check bool)
-                (label ^ " collision bound present") true
-                (par.Explore.collision_bound > 0.0
-                && par.Explore.collision_bound < 1e-6))
-            (all_visited spill_dir);
-          (* Fingerprint vs exact keys: paranoid keys on full canonical
-             forms — collisions impossible. *)
-          let fingerprinted =
-            Search.iter_terminals
-              ~options:
-                Search.(
-                  default |> with_max_crashes f |> with_reduction reduction
-                  |> with_jobs jobs)
-              config ~f:(fun _ _ -> ())
-          in
-          let exact =
-            Search.iter_terminals
-              ~options:
-                Search.(
-                  default |> with_paranoid true |> with_max_crashes f
-                  |> with_reduction reduction |> with_jobs jobs)
-              config ~f:(fun _ _ -> ())
-          in
-          same_counts
-            (Printf.sprintf "%s f=%d %s fingerprint-vs-exact" name f rlabel)
-            exact fingerprinted;
-          Alcotest.(check (float 0.0))
-            (name ^ " paranoid collision bound") 0.0
-            exact.Explore.collision_bound)
-        [ ("none", Explore.no_reduction); ("sym", Explore.with_symmetry sym) ])
-    harnesses
-
-(* The tentpole cross-validation: the source-set reduction runs at full
-   strength under work stealing.  For every registry family × crash
-   budget × recovery budget, the reduced search at jobs=1 and jobs=N
-   must agree bit-for-bit on every deterministic statistic (including
-   [source_skips]); against the unreduced search it must agree on the
-   terminal structure (terminals, hung, crashed — sleep sets prune
-   interleavings, never outcomes) while actually pruning transitions
-   whenever any state has two independent enabled ops. *)
-let source_sets_cross_validation () =
-  let harnesses =
-    [
-      ("alg2", (fun () -> alg2_harness 3), [ (0, 0); (1, 0); (1, 1) ]);
-      ("alg5", (fun () -> alg5_harness 3), [ (0, 0); (1, 0); (1, 1) ]);
-      ("wrn", (fun () -> wrn_harness 3), [ (0, 0); (1, 1) ]);
-      ("sc", (fun () -> sc_harness ~n:3 ~k:2), [ (0, 0) ]);
-    ]
-  in
-  List.iter
-    (fun (name, harness, budgets) ->
-      let store, programs, sym = harness () in
-      let config = Config.make store programs in
-      List.iter
-        (fun (f, r) ->
-          List.iter
-            (fun (rlabel, reduction) ->
-              let label = Printf.sprintf "%s f=%d r=%d %s" name f r rlabel in
-              let bare =
-                Search.iter_terminals
-                  ~options:
-                    Search.(
-                      default |> with_max_crashes f |> with_max_recoveries r)
-                  config
-                  ~f:(fun _ _ -> ())
-              in
-              let seq =
-                Search.iter_terminals
-                  ~options:
-                    Search.(
-                      default |> with_max_crashes f |> with_max_recoveries r
-                      |> with_reduction reduction)
-                  config
-                  ~f:(fun _ _ -> ())
-              in
-              let par =
-                Search.iter_terminals
-                  ~options:
-                    Search.(
-                      default |> with_visited test_visited
-                      |> with_max_crashes f |> with_max_recoveries r
-                      |> with_reduction reduction |> with_jobs jobs)
-                  config ~f:(fun _ _ -> ())
-              in
-              same_counts label seq par;
-              Alcotest.(check bool)
-                (label ^ " never limited") false par.Explore.limited;
-              if reduction.Explore.symmetry = None then begin
-                (* Without quotienting, terminal structure is preserved
-                   state-for-state. *)
-                Alcotest.(check int)
-                  (label ^ " terminals vs unreduced")
-                  bare.Explore.terminals seq.Explore.terminals;
-                Alcotest.(check int)
-                  (label ^ " hung vs unreduced")
-                  bare.Explore.hung_terminals seq.Explore.hung_terminals;
-                Alcotest.(check int)
-                  (label ^ " crashed vs unreduced")
-                  bare.Explore.crashed_terminals seq.Explore.crashed_terminals
-              end;
-              if seq.Explore.source_skips > 0 then
-                Alcotest.(check bool)
-                  (label ^ " prunes transitions") true
-                  (seq.Explore.transitions < bare.Explore.transitions))
-            [
-              ("source", Explore.source_only);
-              ("full", Explore.full_reduction sym);
-            ])
-        budgets)
-    harnesses
-
-(* Steal-heavy stress: spawn the helpers at the root so every other
-   domain must steal its entire workload mid-expansion, then check the
-   stolen subtrees still prune identically (sleep sets ride in the
-   stolen items) and that steals did happen. *)
-let source_sets_steal_stress () =
-  let store, programs, sym = alg5_harness 3 in
-  let config = Config.make store programs in
-  let steals () = metric "parallel.steals" in
-  List.iter
-    (fun (rlabel, reduction) ->
-      let seq =
-        Search.iter_terminals
-          ~options:
-            Search.(
-              default |> with_max_crashes 1 |> with_reduction reduction)
-          config
-          ~f:(fun _ _ -> ())
-      in
-      let before = steals () in
-      let par =
-        parallel_run ~seq_threshold:0
-          Search.(
-            default |> with_visited test_visited |> with_max_crashes 1
-            |> with_reduction reduction |> with_jobs jobs)
-          config
-      in
-      let label = Printf.sprintf "alg5 f=1 %s seq_threshold=0" rlabel in
-      same_counts label seq par;
-      Alcotest.(check bool) (label ^ " stole work") true (steals () > before))
-    [
-      ("source", Explore.source_only);
-      ("full", Explore.full_reduction sym);
-    ]
-
 (* ---------------------------------------------------------------- *)
 (* Verdict agreement at jobs=1 vs jobs=N.                            *)
 
@@ -824,10 +357,11 @@ let same_status name a b =
 let search_options ~max_crashes ?(reduction = Explore.no_reduction) jobs =
   Search.(
     default |> with_max_crashes max_crashes |> with_reduction reduction
-    |> with_jobs jobs |> with_visited test_visited)
+    |> with_jobs jobs)
 
 let task_check_agrees () =
-  let store, programs, sym = alg2_harness 3 in
+  let ({ store; programs; _ } as h) = alg2_harness 3 in
+  let sym = sym h in
   let task = Task.set_consensus 2 in
   List.iter
     (fun f ->
@@ -853,24 +387,26 @@ let task_check_agrees () =
           ("full", Some (Explore.full_reduction sym));
         ])
     [ 0; 1; 2 ];
-  let store3, programs3, inputs3, task3 = alg3_harness () in
+  let { store = store3; programs = programs3; _ }, inputs3, task3 =
+    alg3_harness ()
+  in
   same_status "alg3"
     (Task_check.check store3 ~programs:programs3 ~inputs:inputs3 ~task:task3)
     (Task_check.check
        ~options:
-         Search.(default |> with_jobs jobs |> with_visited test_visited)
+         Search.(default |> with_jobs jobs)
        store3 ~programs:programs3 ~inputs:inputs3 ~task:task3)
 
 (* A refuted instance refutes in parallel too (1-set consensus from a
    WRN_3 is impossible — some schedule decides two values). *)
 let task_check_refutes () =
-  let store, programs, _ = alg2_harness 3 in
+  let { store; programs; _ } = alg2_harness 3 in
   let task = Task.set_consensus 1 in
   let seq = Task_check.check store ~programs ~inputs:(inputs 3) ~task in
   let par =
     Task_check.check
       ~options:
-        Search.(default |> with_jobs jobs |> with_visited test_visited)
+        Search.(default |> with_jobs jobs)
       store ~programs ~inputs:(inputs 3) ~task
   in
   same_status "alg2 1-set refuted" seq par;
@@ -878,7 +414,8 @@ let task_check_refutes () =
   Alcotest.(check bool) "refuted in parallel" false (Verdict.is_proved par)
 
 let lin_agrees () =
-  let store, programs, sym = alg5_harness 3 in
+  let ({ store; programs; _ } as h) = alg5_harness 3 in
+  let sym = sym h in
   let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
   let spec = Subc_objects.One_shot_wrn.model ~k:3 in
   List.iter
@@ -908,7 +445,8 @@ let lin_agrees () =
     [ 0; 1 ]
 
 let wait_free_agrees dir =
-  let store, programs, sym = alg2_harness 3 in
+  let ({ store; programs; _ } as h) = alg2_harness 3 in
+  let sym = sym h in
   let solo_bound v =
     List.assoc "solo_bound" (Verdict.stats v).Verdict.metrics
   in
@@ -933,7 +471,7 @@ let wait_free_agrees dir =
   (* Alg5 k=3 f=1: one solo bound and configuration count whether the
      memo's fingerprints are re-folded (paranoid) or not, on either
      visited backing, at one domain and at [jobs]. *)
-  let store, programs, _ = alg5_harness 3 in
+  let { store; programs; _ } = alg5_harness 3 in
   List.iter
     (fun (vlabel, visited) ->
       List.iter
@@ -974,7 +512,7 @@ let consensus_verdict_agrees () =
   let par =
     Valence.consensus_verdict
       ~options:
-        Search.(default |> with_jobs jobs |> with_visited test_visited)
+        Search.(default |> with_jobs jobs)
       config ~inputs
   in
   same_status "consensus object solves" seq par;
@@ -983,7 +521,7 @@ let consensus_verdict_agrees () =
 (* A spill search goes through the Search dispatcher to {!Parallel}
    (even at one job) and preserves checker verdicts and counts. *)
 let spill_search_dispatch spill_dir =
-  let store, programs, inputs, task = alg3_harness () in
+  let { store; programs; _ }, inputs, task = alg3_harness () in
   let seqv = Task_check.check store ~programs ~inputs ~task in
   List.iter
     (fun j ->
@@ -1001,7 +539,7 @@ let spill_search_dispatch spill_dir =
 
 (* A refutation stays a refutation when the visited set is spilled. *)
 let spill_refutes spill_dir =
-  let store, programs, _ = alg2_harness 3 in
+  let { store; programs; _ } = alg2_harness 3 in
   let task = Task.set_consensus 1 in
   let seq = Task_check.check store ~programs ~inputs:(inputs 3) ~task in
   List.iter
@@ -1018,107 +556,12 @@ let spill_refutes spill_dir =
       Alcotest.(check bool) (name ^ " refuted") false (Verdict.is_proved spv))
     [ 1; jobs ]
 
-(* ---------------------------------------------------------------- *)
-(* Fingerprint cross-validation.                                     *)
-
-(* Paranoid (exact canonical keys) and fingerprint modes must produce
-   bit-identical statistics — a fingerprint collision would show up as
-   fewer states/terminals in the default mode. *)
-let paranoid_cross_validation () =
-  let check_harness name config ~max_crashes reduction =
-    let fp =
-      Search.iter_terminals
-        ~options:
-          Search.(
-            default |> with_max_crashes max_crashes |> with_reduction reduction)
-        config ~f:(fun _ _ -> ())
-    in
-    let exact =
-      Search.iter_terminals
-        ~options:
-          Search.(
-            default |> with_max_crashes max_crashes |> with_reduction reduction
-            |> with_paranoid true)
-        config
-        ~f:(fun _ _ -> ())
-    in
-    same_counts name exact fp;
-    Alcotest.(check int) (name ^ " max_depth") exact.Explore.max_depth
-      fp.Explore.max_depth;
-    (* Parallel paranoid mode agrees as well. *)
-    let par =
-      Search.iter_terminals
-        ~options:
-          Search.(
-            default |> with_max_crashes max_crashes |> with_reduction reduction
-            |> with_paranoid true |> with_jobs jobs)
-        config ~f:(fun _ _ -> ())
-    in
-    same_counts (name ^ " parallel") exact par
-  in
-  let store, programs, sym = alg2_harness 3 in
-  let config = Config.make store programs in
-  check_harness "alg2 f=1 none" config ~max_crashes:1 Explore.no_reduction;
-  check_harness "alg2 f=1 sym" config ~max_crashes:1
-    (Explore.with_symmetry sym);
-  let store5, programs5, sym5 = alg5_harness 3 in
-  let config5 = Config.make store5 programs5 in
-  check_harness "alg5 f=0 none" config5 ~max_crashes:0 Explore.no_reduction;
-  check_harness "alg5 f=0 sym" config5 ~max_crashes:0
-    (Explore.with_symmetry sym5)
-
-(* The paranoid re-fold runs at every node the worker domains claim
-   too, also when a spill table was asked for. *)
-let parallel_paranoid_refolds spill_dir =
-  let store, programs, _ = alg2_harness 3 in
-  let config = Config.make store programs in
-  let refolds () =
-    Option.value (Subc_obs.Metrics.find "fp.refolds") ~default:0.
-  in
-  List.iter
-    (fun visited ->
-      let label = Format.asprintf "%a" Parallel.pp_visited visited in
-      let before = refolds () in
-      let s =
-        parallel_run ~seq_threshold:0
-          Search.(
-            default |> with_visited visited |> with_max_crashes 1
-            |> with_paranoid true |> with_jobs jobs)
-          config
-      in
-      Alcotest.(check bool)
-        (label ^ ": one re-fold per claimed node")
-        true
-        (refolds () -. before >= float_of_int s.Explore.states))
-    (all_visited spill_dir)
-
-(* Spill and heap tables hold the same two-lane words, so an exhaustive
-   run reports the same 124-bit birthday bound from either. *)
-let spill_matches_heap_bound spill_dir =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
-  let run visited =
-    parallel_run ~seq_threshold:0
-      Search.(
-        default |> with_visited visited |> with_max_crashes 1 |> with_jobs jobs)
-      config
-  in
-  let heap = run Parallel.Heap in
-  let spill = run (Parallel.Spill spill_dir) in
-  same_counts "spill vs heap" heap spill;
-  Alcotest.(check (float 0.0))
-    "same collision bound" heap.Explore.collision_bound
-    spill.Explore.collision_bound;
-  Alcotest.(check (float 0.0))
-    "124-bit birthday bound"
-    (Explore.collision_bound ~bits:124 ~states:spill.Explore.states)
-    spill.Explore.collision_bound
-
-(* Injectivity of the 126-bit fingerprint over an actual reachable set:
-   distinct canonical keys must map to distinct fingerprints. *)
+(* Injectivity of the fingerprint the symmetry-off searches key on
+   ([Fingerprint.hom_of_config], the re-fold of the carried hash) over an
+   actual reachable set: distinct canonical keys must map to distinct
+   fingerprints. *)
 let fingerprint_injective () =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg5_harness 3) in
   let keys = Hashtbl.create 4096 in
   let fps = Hashtbl.create 4096 in
   let stats =
@@ -1127,26 +570,25 @@ let fingerprint_injective () =
       config ~f:(fun c _ ->
         let key = Config.key c in
         Hashtbl.replace keys key ();
-        Hashtbl.replace fps (Fingerprint.of_config c) ())
+        Hashtbl.replace fps (Fingerprint.hom_of_config c) ())
   in
   Alcotest.(check int) "one key per state" stats.Explore.states
     (Hashtbl.length keys);
   Alcotest.(check int) "one fingerprint per key" (Hashtbl.length keys)
     (Hashtbl.length fps)
 
-(* [Fingerprint.of_config] must agree with [Config.key] equality: the
+(* [Fingerprint.hom_of_config] must agree with [Config.key] equality: the
    fingerprint may depend only on what the canonical key records (e.g.
    it must erase [Running] continuations). *)
 let fingerprint_respects_key () =
-  let store, programs, _ = alg2_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg2_harness 3) in
   let by_key = Hashtbl.create 256 in
   ignore
     (Search.iter_reachable
       ~options:Search.(default |> with_max_crashes 1)
       config ~f:(fun c _ ->
          let key = Config.key c in
-         let fp = Fingerprint.of_config c in
+         let fp = Fingerprint.hom_of_config c in
          match Hashtbl.find_opt by_key key with
          | None -> Hashtbl.add by_key key fp
          | Some fp' ->
@@ -1401,8 +843,7 @@ let spill_dir_created_and_clean parent =
 (* Two spill searches running at once over one directory each see the
    whole space: a shared segment would lose states to the other run. *)
 let concurrent_spill_searches spill_dir =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg5_harness 3) in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -1426,8 +867,7 @@ let concurrent_spill_searches spill_dir =
    match the jobs-1 search, the collision bound is zero and no file
    is mapped (a plain spill run, the control, maps some). *)
 let spill_paranoid_exact spill_dir =
-  let store, programs, _ = alg2_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg2_harness 3) in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -1472,50 +912,26 @@ let map_propagates_exceptions () =
 let bound (s : Explore.stats) = s.Explore.collision_bound
 
 (* Options that never name a visited table get the heap one, a
-   constant, not a settable default; and every unreduced search patches
-   its carried fingerprint, at one job and at [jobs]. *)
-let omitted_modes_are_constants spill_dir =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
-  let run ?visited () =
-    let o = Search.(default |> with_max_crashes 1 |> with_jobs jobs) in
-    let o = Option.fold ~none:o ~some:(fun v -> Search.with_visited v o) visited in
+   constant, not a settable default: the heap's bound, nothing mapped. *)
+let omitted_mode_is_heap () =
+  let config = root (alg5_harness 3) in
+  let run o =
     spilled_by (fun () ->
-        Search.iter_terminals ~options:o config ~f:(fun _ _ -> ()))
-  in
-  let omitted, omitted_spilled = run () in
-  let heap, _ = run ~visited:Parallel.Heap () in
-  same_counts "omitted vs heap" heap omitted;
-  Alcotest.(check (float 0.0)) "heap bound" (bound heap) (bound omitted);
-  Alcotest.(check (float 0.0)) "omitted maps nothing" 0.0 omitted_spilled;
-  let spill, spill_spilled = run ~visited:(Parallel.Spill spill_dir) () in
-  same_counts "omitted vs spill" spill omitted;
-  Alcotest.(check bool) "spill maps its table" true (spill_spilled > 0.0);
-  let patches_so_far () =
-    Option.value (Subc_obs.Metrics.find "fp.patches") ~default:0.
-  in
-  List.iter
-    (fun j ->
-      let before = patches_so_far () in
-      let s =
         Search.iter_terminals
-          ~options:Search.(default |> with_max_crashes 1 |> with_jobs j)
-          config
-          ~f:(fun _ _ -> ())
-      in
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "jobs=%d: one patch per transition" j)
-        (float_of_int s.Explore.transitions)
-        (patches_so_far () -. before))
-    [ 1; jobs ]
+          ~options:Search.(with_max_crashes 1 o |> with_jobs jobs)
+          config ~f:(fun _ _ -> ()))
+  in
+  let omitted, omitted_spilled = run Search.default in
+  let heap, _ = run Search.(with_visited Parallel.Heap default) in
+  Alcotest.(check (float 0.0)) "heap bound" (bound heap) (bound omitted);
+  Alcotest.(check (float 0.0)) "omitted maps nothing" 0.0 omitted_spilled
 
 (* A spill table at one job maps its table like one at two, leaves no
    file behind and reports the same counts as the heap and the same
    bound as two jobs.  The search's [parallel.visited_bytes] gauge, the
    visited table's heap footprint, reads at most half the heap table's. *)
 let spill_at_one_job spill_dir =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg5_harness 3) in
   let run j visited =
     Search.iter_terminals
       ~options:
@@ -1545,8 +961,7 @@ let spill_at_one_job spill_dir =
    visited table their own options name: together they map exactly what
    the spill search maps alone. *)
 let concurrent_searches_keep_their_modes spill_dir =
-  let store, programs, _ = alg5_harness 3 in
-  let config = Config.make store programs in
+  let config = root (alg5_harness 3) in
   let run v =
     Search.iter_terminals
       ~options:
@@ -1572,23 +987,12 @@ let suite =
   [
     ( "parallel.stats",
       [
-        test_slow "sequential vs parallel counts (all families)" stats_matrix;
-        test_slow "all visited modes agree on all families"
-          (in_temp_dir visited_modes_matrix);
-        test_slow "source sets cross-validate (seq vs par vs unreduced)"
-          source_sets_cross_validation;
-        test_slow "source sets survive steal-heavy schedules"
-          source_sets_steal_stress;
         test "terminal callbacks serialized, once per terminal"
           terminal_callback_count;
         test "max-states budget truncates identically"
           (in_temp_dir budget_truncation);
-        test "eager spawn matches sequential (all reductions)"
-          eager_spawn_counts;
         test "small spaces stay on the calling domain"
           seq_fallback_stays_on_caller;
-        test "recovery budgets agree under every visited table"
-          (in_temp_dir recovery_budgets_all_visited);
         test "Stop from a callback is graceful"
           (in_temp_dir stop_from_callback);
         test "a callback exception surfaces once; the next search runs"
@@ -1596,8 +1000,6 @@ let suite =
         test "an uncreatable spill directory raises Unix_error"
           (in_temp_dir spill_dir_uncreatable);
         test "merged counters: summed, max_depth the maximum" counters_merge;
-        test "spill agrees under source sets"
-          (in_temp_dir spill_under_source_sets);
         test "deadline limits a spill search"
           (in_temp_dir spill_deadline_limits);
       ] );
@@ -1633,16 +1035,10 @@ let suite =
       ] );
     ( "parallel.fingerprint",
       [
-        test_slow "paranoid (exact keys) cross-validates fingerprints"
-          paranoid_cross_validation;
         test "fingerprint injective over reachable set" fingerprint_injective;
         test "equal canonical keys give equal fingerprints"
           fingerprint_respects_key;
         test "structural encoding is prefix-free" fingerprint_prefix_free;
-        test "parallel paranoid re-folds every claimed node"
-          (in_temp_dir parallel_paranoid_refolds);
-        test "spill reports the heap collision bound"
-          (in_temp_dir spill_matches_heap_bound);
       ] );
     ( "parallel.map",
       [
@@ -1651,8 +1047,7 @@ let suite =
       ] );
     ( "parallel.options",
       [
-        test "omitted visited mode is constant; unreduced searches patch"
-          (in_temp_dir omitted_modes_are_constants);
+        test "omitted visited mode is the heap" omitted_mode_is_heap;
         test "spill at one job matches the heap" (in_temp_dir spill_at_one_job);
         test "concurrent searches keep their own visited mode"
           (in_temp_dir concurrent_searches_keep_their_modes);

@@ -2,7 +2,8 @@
    separation table (Ovens-style — readable one-shot winners lose their
    power once a recovery is allowed, CAS and consensus objects keep it),
    the deterministic and randomized recovery adversaries with trace
-   replay, jobs=1 vs jobs=N agreement of the recovery-aware explorations,
+   replay, jobs=1 vs jobs=N agreement of the recoverable verdicts (the
+   determinism matrix, test_determinism, runs the recovery spaces),
    and the budget plumbing (deadline truncation, expected-states hint)
    on recovery state spaces. *)
 open Subc_sim
@@ -13,18 +14,13 @@ module Task_check = Subc_check.Task_check
 module Verdict = Subc_check.Verdict
 module R = Subc_check.Recoverable
 
-(* Worker-domain count for the parallel side of each comparison;
-   overridable so CI can pin it (SUBC_TEST_JOBS=4). *)
-let jobs =
-  match Sys.getenv_opt "SUBC_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
+(* Domain count of the multi-domain side of each comparison. *)
+let jobs = 4
 
 let seeds n = List.init n (fun i -> (7919 * (i + 1)) + 13)
 
 let recovery_config family ~n ~r =
-  let store, programs = R.protocol Store.empty family ~n ~max_recoveries:r in
-  (Config.make store programs, List.init n (fun i -> Value.Int i))
+  (root (recovery_harness family ~n ~r), List.init n (fun i -> Value.Int i))
 
 (* ---------------------------------------------------------------- *)
 (* The separation table.                                             *)
@@ -184,57 +180,6 @@ let recover_random_deterministic_and_replays () =
 (* ---------------------------------------------------------------- *)
 (* jobs=1 vs jobs=N on recovery state spaces.                        *)
 
-let same_counts label (a : Explore.stats) (b : Explore.stats) =
-  Alcotest.(check int) (label ^ ": states") a.Explore.states b.Explore.states;
-  Alcotest.(check int)
-    (label ^ ": transitions")
-    a.Explore.transitions b.Explore.transitions;
-  Alcotest.(check int)
-    (label ^ ": terminals")
-    a.Explore.terminals b.Explore.terminals;
-  Alcotest.(check int)
-    (label ^ ": hung terminals")
-    a.Explore.hung_terminals b.Explore.hung_terminals;
-  Alcotest.(check int)
-    (label ^ ": crashed terminals")
-    a.Explore.crashed_terminals b.Explore.crashed_terminals;
-  Alcotest.(check int)
-    (label ^ ": recovered terminals")
-    a.Explore.recovered_terminals b.Explore.recovered_terminals
-
-let recovery_counts_parallel () =
-  List.iter
-    (fun (family, name, n, r) ->
-      let config, _ = recovery_config family ~n ~r in
-      let max_crashes = max (n - 1) r in
-      let seq =
-        Search.iter_terminals
-          ~options:
-            Search.(
-              default |> with_max_crashes max_crashes |> with_max_recoveries r)
-          config
-          ~f:(fun _ _ -> ())
-      in
-      let par =
-        Search.iter_terminals
-          ~options:
-            Search.(
-              default |> with_visited test_visited
-              |> with_max_crashes max_crashes |> with_max_recoveries r
-              |> with_jobs jobs)
-          config ~f:(fun _ _ -> ())
-      in
-      same_counts name seq par;
-      Alcotest.(check bool)
-        (name ^ ": some terminal recovered")
-        true
-        (seq.Explore.recovered_terminals > 0))
-    [
-      (R.Test_and_set, "tas n=2 r=1", 2, 1);
-      (R.Queue, "queue n=2 r=2", 2, 2);
-      (R.Cas, "cas n=3 r=1", 3, 1);
-    ]
-
 let verdict_agrees_across_jobs () =
   List.iter
     (fun family ->
@@ -242,10 +187,8 @@ let verdict_agrees_across_jobs () =
         (fun r ->
           let v1 = R.verdict family ~n:2 ~max_recoveries:r in
           let vn =
-            R.verdict
-              ~options:
-                Search.(default |> with_jobs jobs |> with_visited test_visited)
-              family ~n:2 ~max_recoveries:r
+            R.verdict ~options:Search.(default |> with_jobs jobs) family ~n:2
+              ~max_recoveries:r
           in
           Alcotest.(check string)
             (Printf.sprintf "%s r=%d: same status" (R.family_name family) r)
@@ -285,7 +228,7 @@ let expected_states_hint () =
     Search.iter_terminals
       ~options:
         Search.(
-          default |> with_visited test_visited |> with_max_crashes 1
+          default |> with_max_crashes 1
           |> with_max_recoveries 1 |> with_expected_states 4096
           |> with_jobs jobs)
       config ~f:(fun _ _ -> ())
@@ -313,7 +256,7 @@ let deadline_truncates () =
     Search.iter_terminals
       ~options:
         Search.(
-          default |> with_visited test_visited |> with_max_crashes 2
+          default |> with_max_crashes 2
           |> with_max_recoveries 1 |> with_deadline 0.0 |> with_jobs jobs)
       config ~f:(fun _ _ -> ())
   in
@@ -379,8 +322,6 @@ let suite =
       ] );
     ( "recovery.parallel",
       [
-        test_slow "sequential vs parallel counts (recovery spaces)"
-          recovery_counts_parallel;
         test_slow "recoverable verdicts agree across jobs"
           verdict_agrees_across_jobs;
       ] );

@@ -23,48 +23,12 @@ let agree name base reduced =
   Alcotest.(check bool) (name ^ " base proved") true (Verdict.is_proved base)
 
 (* ---------------------------------------------------------------- *)
-(* Instances.                                                        *)
-
-let alg2_harness k =
-  let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
-  let programs =
-    List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) (inputs k)
-  in
-  (store, programs, Subc_core.Alg2.symmetry t ~input_base:100 ())
-
-let alg5_harness k =
-  let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
-  let programs =
-    List.init k (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)))
-  in
-  (store, programs, Subc_core.Alg5.symmetry t ~input_base:100 ())
-
-let sc_harness ~n ~k =
-  let store, h =
-    Store.alloc Store.empty (Subc_objects.Set_consensus_obj.model ~n ~k)
-  in
-  let programs =
-    List.init n (fun i ->
-        Subc_objects.Set_consensus_obj.propose h (Value.Int (100 + i)))
-  in
-  (store, programs, Symmetry.standard ~n ~input_base:100 `Full)
-
-let wrn_harness k =
-  let store, h =
-    Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k)
-  in
-  let programs =
-    List.init k (fun i ->
-        Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i)))
-  in
-  (store, programs, Symmetry.standard ~n:k ~input_base:100 `Rotations)
-
-(* ---------------------------------------------------------------- *)
 (* Task-conformance agreement: reduced vs unreduced.                 *)
 
 let alg2_agrees () =
   let k = 3 in
-  let store, programs, sym = alg2_harness k in
+  let ({ store; programs; _ } as h) = alg2_harness k in
+  let sym = sym h in
   let task = Task.set_consensus (k - 1) in
   List.iter
     (fun f ->
@@ -91,19 +55,7 @@ let alg2_agrees () =
 let alg3_agrees () =
   (* k=2: the k=3 instance exceeds 200k states unreduced, too large for a
      cross-validation that runs the unreduced search too. *)
-  let k = 2 in
-  let ids = [ 9; 2 ] in
-  let store, t =
-    Subc_core.Alg3.alloc Store.empty ~k ~flavor:Subc_core.Alg3.Relaxed_wrn
-      ~renamer:Subc_core.Alg3.Rename_snapshot ()
-  in
-  let inputs = List.map (fun id -> Value.Int (1000 + id)) ids in
-  let programs =
-    List.mapi
-      (fun slot id -> Subc_core.Alg3.propose t ~slot ~id (Value.Int (1000 + id)))
-      ids
-  in
-  let task = Task.set_consensus (k - 1) in
+  let { store; programs; _ }, inputs, task = alg3_harness () in
   (* Identifier-asymmetric: only the universally-sound reductions apply. *)
   let base = Task_check.check store ~programs ~inputs ~task in
   List.iter
@@ -114,7 +66,7 @@ let alg3_agrees () =
            store ~programs ~inputs ~task))
     [
       ("source", Explore.source_only);
-      ("erase", Explore.with_symmetry (Symmetry.erasure_only ~n:k));
+      ("erase", Explore.with_symmetry (Symmetry.erasure_only ~n:2));
     ]
 
 let alg4_agrees () =
@@ -161,7 +113,8 @@ let alg6_agrees () =
     ]
 
 let set_consensus_agrees () =
-  let store, programs, sym = sc_harness ~n:3 ~k:2 in
+  let ({ store; programs; _ } as h) = sc_harness ~n:3 ~k:2 () in
+  let sym = sym h in
   let task = Task.set_consensus 2 in
   List.iter
     (fun f ->
@@ -181,7 +134,8 @@ let set_consensus_agrees () =
 
 let wrn_agrees () =
   let k = 3 in
-  let store, programs, sym = wrn_harness k in
+  let ({ store; programs; _ } as h) = wrn_harness k in
+  let sym = sym h in
   (* 1sWRN_k used once per index realizes (k-1)-set consensus of the
      proposals (with bot mapped to the proposer's own value by Alg2; here
      raw responses may include bot, so only check distinctness bound via
@@ -211,7 +165,8 @@ let wrn_agrees () =
 
 let alg5_lin_agrees () =
   let k = 3 in
-  let store, programs, sym = alg5_harness k in
+  let ({ store; programs; _ } as h) = alg5_harness k in
+  let sym = sym h in
   let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
   let spec = Subc_objects.One_shot_wrn.model ~k in
   List.iter
@@ -234,7 +189,8 @@ let alg5_lin_agrees () =
 (* Progress agreement: the wait-freedom verdict and its solo bound.  *)
 
 let progress_agrees () =
-  let store, programs, sym = alg2_harness 3 in
+  let ({ store; programs; _ } as h) = alg2_harness 3 in
+  let sym = sym h in
   let solo_bound v = List.assoc "solo_bound" (Verdict.stats v).Verdict.metrics in
   let base =
     Progress.check_wait_free
@@ -252,37 +208,81 @@ let progress_agrees () =
     "solo bound agrees" (solo_bound base) (solo_bound red)
 
 (* ---------------------------------------------------------------- *)
-(* Source sets alone preserve the terminal set exactly (same decision
-   multiset), not just the verdict.                                  *)
+(* Source sets alone preserve the terminal set exactly (same terminal
+   configurations, so the same decision multiset), not just the verdict,
+   at every crash and recovery budget of the harness.  The recovery rows
+   check the recovery/step diamonds [Explore] judges on the
+   configuration itself.                                             *)
+
+(* A recovery that erases a register another process writes and reads:
+   process 1 writes 1 to a volatile register and decides what it reads
+   back, process 0 reads a persistent one.  Recovering process 0 resets
+   the volatile register, so it does not commute with process 1's write,
+   and a search that slept the write across the recovery would miss the
+   terminals where the recovery comes first. *)
+let volatile_register_harness () =
+  let module Register = Subc_objects.Register in
+  let store, p = Store.alloc Store.empty Register.model_bot in
+  let store, v =
+    Store.alloc store
+      (Obj_model.with_persist (fun _ -> Value.Bot) Register.model_bot)
+  in
+  {
+    store;
+    programs =
+      [
+        Register.read p;
+        Program.Syntax.(
+          let* () = Register.write v (Value.Int 1) in
+          Register.read v);
+      ];
+    symmetry = None;
+    budgets = [ (1, 1) ];
+  }
 
 let source_preserves_terminals () =
   List.iter
-    (fun (name, store, programs) ->
-      let collect reduction =
-        let acc = ref [] in
-        let stats =
-          Search.iter_terminals
-            ~options:Search.(default |> with_reduction reduction)
-            (Config.make store programs)
-            ~f:(fun final _ -> acc := Config.decisions final :: !acc)
-        in
-        (List.sort compare !acc, stats)
-      in
-      let base, bstats = collect Explore.no_reduction in
-      let reduced, sstats = collect Explore.source_only in
-      Alcotest.(check bool)
-        (name ^ " complete") true
-        ((not bstats.Explore.limited) && not sstats.Explore.limited);
-      Alcotest.(check bool)
-        (name ^ " terminal decisions identical")
-        true (base = reduced))
+    (fun (name, h) ->
+      List.iter
+        (fun (f, r) ->
+          let name = Printf.sprintf "%s f=%d r=%d" name f r in
+          let collect reduction =
+            let acc = ref [] in
+            let stats =
+              Search.iter_terminals
+                ~options:
+                  Search.(
+                    default |> with_max_crashes f |> with_max_recoveries r
+                    |> with_reduction reduction)
+                (root h)
+                ~f:(fun final _ ->
+                  acc := (Config.decisions final, Config.key final) :: !acc)
+            in
+            (List.sort compare !acc, stats)
+          in
+          let base, bstats = collect Explore.no_reduction in
+          let reduced, sstats = collect Explore.source_only in
+          Alcotest.(check bool)
+            (name ^ " complete") true
+            ((not bstats.Explore.limited) && not sstats.Explore.limited);
+          Alcotest.(check bool)
+            (name ^ " terminal decisions identical")
+            true
+            (List.map fst base = List.map fst reduced);
+          Alcotest.(check bool)
+            (name ^ " terminal configurations identical")
+            true
+            (List.for_all2 (fun (_, a) (_, b) -> Value.equal a b) base reduced))
+        h.budgets)
     [
-      (let store, programs, _ = alg2_harness 3 in
-       ("alg2", store, programs));
-      (let store, programs, _ = sc_harness ~n:3 ~k:2 in
-       ("set-consensus", store, programs));
-      (let store, programs, _ = alg5_harness 3 in
-       ("alg5", store, programs));
+      ("alg2", alg2_harness 3);
+      ("set-consensus", sc_harness ~n:3 ~k:2 ());
+      ("alg5", alg5_harness ~budgets:[ (0, 0); (1, 1) ] 3);
+      ( "t&s",
+        recovery_harness Subc_check.Recoverable.Test_and_set ~n:2 ~r:1 );
+      ("queue", recovery_harness Subc_check.Recoverable.Queue ~n:2 ~r:2);
+      ("cas", recovery_harness Subc_check.Recoverable.Cas ~n:3 ~r:1);
+      ("volatile register", volatile_register_harness ());
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -322,7 +322,8 @@ let perms_t = Alcotest.(list (array int))
    and the identity group with erasure (terminal store erasure). *)
 let canonicalization_sound () =
   List.iter
-    (fun (name, (store, programs, sym), max_crashes, max_recoveries) ->
+    (fun (name, h, max_crashes, max_recoveries) ->
+      let sym = sym h in
       let perms = Symmetry.perms sym in
       let checked = ref 0 in
       let stats =
@@ -331,7 +332,7 @@ let canonicalization_sound () =
             Search.(
               default |> with_max_crashes max_crashes
               |> with_max_recoveries max_recoveries)
-          (Config.make store programs) ~f:(fun c _ ->
+          (root h) ~f:(fun c _ ->
             incr checked;
             let key, mins = reference_minimizers sym c in
             let fp, fast_mins = Symmetry.canonical_fingerprint sym c in
@@ -362,10 +363,9 @@ let canonicalization_sound () =
     [
       ("alg2 rotations", alg2_harness 3, 0, 0);
       ("alg5 rotations f=1", alg5_harness 3, 1, 0);
-      ("set consensus full f=1 r=1", sc_harness ~n:3 ~k:2, 1, 1);
+      ("set consensus full f=1 r=1", sc_harness ~n:3 ~k:2 (), 1, 1);
       ( "alg2 erasure only f=1",
-        (let store, programs, _ = alg2_harness 3 in
-         (store, programs, Symmetry.erasure_only ~n:3)),
+        { (alg2_harness 3) with symmetry = Some (Symmetry.erasure_only ~n:3) },
         1,
         0 );
     ]
@@ -403,7 +403,7 @@ let orbit_members_share_key () =
    counted.                                                          *)
 
 let memo_eviction_counts () =
-  let store, programs, _ = alg2_harness 3 in
+  let { store; programs; _ } = alg2_harness 3 in
   let states = ref [] in
   ignore
     (Search.iter_reachable (Config.make store programs) ~f:(fun c _ ->
