@@ -7,6 +7,13 @@
    limited).  --metrics streams observability events and a final metrics
    snapshot; --reduction selects the state-space reductions.
 
+   One command per job: check (one exhaustive verdict), explore (raw
+   state-space statistics), crash-sweep (a verdict per crash and recovery
+   budget, then wait-freedom), sample (seeded random runs), analyze (the
+   static soundness analyzer), and the single-protocol tools attempt,
+   critical, trace, power and bg.  check, explore and crash-sweep read
+   their search flags through one shared term.
+
    Examples:
      subconsensus_cli check --alg alg2 -k 4
      subconsensus_cli analyze --family alg2 --json
@@ -14,7 +21,8 @@
      subconsensus_cli check --alg alg5 -k 3 --reduction full --json
      subconsensus_cli explore --alg alg5 -k 3 --reduction full --metrics
      subconsensus_cli crash-sweep --alg alg2 -k 3 --max-crashes 2
-     subconsensus_cli alg2 -k 6 --seeds 500
+     subconsensus_cli crash-sweep --alg alg2 -k 3 --max-crashes 1 --max-recoveries 1
+     subconsensus_cli sample --alg alg2 -k 6 --seeds 500
      subconsensus_cli attempt --style mirror -k 3
      subconsensus_cli trace -k 3 --seed 7 *)
 
@@ -50,14 +58,13 @@ let reduction_arg =
     value
     & opt
         (enum
-           [ ("none", `None); ("source", `Source); ("sleep", `Source);
-             ("sym", `Sym); ("full", `Full) ])
+           [ ("none", `None); ("source", `Source); ("sym", `Sym);
+             ("full", `Full) ])
         `None
     & info [ "reduction" ] ~docv:"RED"
         ~doc:
           "State-space reduction: $(b,none), $(b,source) (source sets — \
-           partial-order reduction; $(b,sleep) is a deprecated alias), \
-           $(b,sym) (symmetry quotienting), or $(b,full) (both).  Every \
+           partial-order reduction), $(b,sym) (symmetry quotienting), or $(b,full) (both).  Every \
            reduction runs at full strength at any $(b,--jobs).  \
            Algorithms with no symmetry group fall back to dead-state \
            erasure for $(b,sym)/$(b,full).")
@@ -234,23 +241,6 @@ let reduction_of ?(certified = false) ~alg choice inst =
          certified_reduction_for ~alg (Some (sym ())) ~source_sets:true
        else Explore.full_reduction (sym ()))
 
-(* Apply an optional flag's [Search.with_*] builder. *)
-let opt with_ x o = match x with None -> o | Some v -> with_ v o
-
-(* One [Search.options] record from the CLI's flags — the single funnel
-   every checking subcommand goes through. *)
-let options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-    ~max_crashes ~max_recoveries ~jobs () =
-  Search.default
-  |> Search.with_max_states max_states
-  |> Search.with_max_crashes max_crashes
-  |> Search.with_max_recoveries max_recoveries
-  |> Search.with_jobs jobs
-  |> opt Search.with_deadline deadline
-  |> opt Search.with_expected_states expected_states
-  |> opt Search.with_reduction reduction
-  |> opt (fun dir -> Search.with_visited (Parallel.Spill dir)) spill
-
 let check_instance ~options inst =
   match inst with
   | Task_instance { store; programs; inputs; task; _ } ->
@@ -261,19 +251,15 @@ let check_instance ~options inst =
 
 (* Shared flags. *)
 let k_arg = Arg.(value & opt int 3 & info [ "k" ] ~doc:"WRN arity $(docv).")
-let exhaustive_arg =
-  Arg.(value & flag & info [ "exhaustive" ] ~doc:"Model-check all schedules.")
+let n_arg =
+  Arg.(value & opt int 0 & info [ "n" ] ~doc:"Process count (alg6; 0 means 2k).")
 let seeds_arg =
   Arg.(value & opt int 200 & info [ "seeds" ] ~doc:"Number of random runs.")
-let alg_arg =
+let alg_arg ?(doc = "Algorithm: $(docv).") algs =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("alg2", "alg2"); ("alg3", "alg3"); ("alg5", "alg5");
-             ("alg6", "alg6") ])
-        "alg2"
-    & info [ "alg" ] ~docv:"ALG" ~doc:"Algorithm: $(docv).")
+    & opt (enum (List.map (fun a -> (a, a)) algs)) "alg2"
+    & info [ "alg" ] ~docv:"ALG" ~doc)
 let crashes_arg =
   Arg.(
     value & opt int 0
@@ -290,7 +276,7 @@ let recoveries_arg =
           "Recovery budget $(docv): additionally quantify over every \
            crash-recovery pattern with at most $(docv) recoveries (a \
            recovered process restarts its program over persistent object \
-           state).")
+           state).  $(b,crash-sweep) sweeps r = 0..$(docv).")
 let deadline_arg =
   Arg.(
     value & opt (some float) None
@@ -341,26 +327,57 @@ let certified_arg =
            proved.")
 
 (* ------------------------------------------------------------------ *)
-(* check: one verdict per invocation, under the shared contract.       *)
+(* The search flags check, explore and crash-sweep share, resolved into
+   the instance and one [Search.options] record.  Resolution is a thunk,
+   run by the command after it installs its sink, so that building the
+   instance and certifying a reduction happen inside the command.        *)
 
-let check_cmd =
-  let run alg n k f r deadline expected_states max_states jobs spill
-      choice certified json metrics =
-    setup_obs ~json ~metrics;
+type search = {
+  alg : string;
+  inst : checkable;
+  crashes : int;  (** the --max-crashes value *)
+  options : Search.options;
+      (** at crash budget max(F, R) — a recovery presupposes a crash —
+          and recovery budget R *)
+}
+
+(* Apply an optional flag's [Search.with_*] builder. *)
+let opt with_ x o = match x with None -> o | Some v -> with_ v o
+
+let search_term ?(n = Term.const 0) crashes =
+  let resolve alg n k f r deadline expected_states max_states jobs spill choice
+      certified () =
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let reduction = reduction_of ~certified ~alg choice inst in
     let options =
-      options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
+      Search.default
+      |> Search.with_max_states max_states
+      |> Search.with_max_crashes (max f r)
+      |> Search.with_max_recoveries r
+      |> Search.with_jobs jobs
+      |> opt Search.with_deadline deadline
+      |> opt Search.with_expected_states expected_states
+      |> opt Search.with_reduction reduction
+      |> opt (fun dir -> Search.with_visited (Parallel.Spill dir)) spill
     in
+    { alg; inst; crashes = f; options }
+  in
+  Term.(
+    const resolve
+    $ alg_arg [ "alg2"; "alg3"; "alg5"; "alg6" ]
+    $ n $ k_arg $ crashes $ recoveries_arg $ deadline_arg $ expected_states_arg
+    $ max_states_arg $ jobs_arg $ spill_arg $ reduction_arg $ certified_arg)
+
+(* ------------------------------------------------------------------ *)
+(* check: one verdict per invocation, under the shared contract.       *)
+
+let check_cmd =
+  let run search json metrics =
+    setup_obs ~json ~metrics;
+    let { alg; inst; options; _ } = search () in
     let v = check_instance ~options inst in
     report ~json alg v;
     finish ~metrics [ v ]
-  in
-  let n_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "n" ] ~doc:"Process count (alg6; 0 means 2k).")
   in
   Cmd.v
     (Cmd.info "check"
@@ -368,48 +385,23 @@ let check_cmd =
          "Model-check an algorithm's defining property (task conformance \
           for alg2/alg3/alg6, linearizability against 1sWRN for alg5) and \
           report a verdict.  Exits 0 proved / 1 refuted / 2 limited.")
-    Term.(
-      const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
-      $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ spill_arg $ reduction_arg
-      $ certified_arg $ json_arg $ metrics_arg)
+    Term.(const run $ search_term ~n:n_arg crashes_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explore: raw state-space statistics, with or without reductions.    *)
 
-let stats_fields reduction (stats : Explore.stats) =
-  [
-    ("reduction", Obs.Sink.Str (Format.asprintf "%a" Explore.pp_reduction
-                                  (Option.value reduction ~default:Explore.no_reduction)));
-    ("states", Obs.Sink.Int stats.Explore.states);
-    ("transitions", Obs.Sink.Int stats.Explore.transitions);
-    ("terminals", Obs.Sink.Int stats.Explore.terminals);
-    ("dedup_hits", Obs.Sink.Int stats.Explore.dedup_hits);
-    ("source_skips", Obs.Sink.Int stats.Explore.source_skips);
-    ("max_depth", Obs.Sink.Int stats.Explore.max_depth);
-    ("frontier_bytes", Obs.Sink.Int stats.Explore.frontier_bytes);
-    ("collision_bound", Obs.Sink.Float stats.Explore.collision_bound);
-    ("limited", Obs.Sink.Bool stats.Explore.limited);
-    ("limit_reason",
-     Obs.Sink.Str
-       (Format.asprintf "%a" Explore.pp_limit_reason stats.Explore.limit_reason));
-  ]
-
 let explore_cmd =
-  let run alg n k f r deadline expected_states max_states jobs spill
-      choice certified json metrics =
+  let run search json metrics =
     setup_obs ~json ~metrics;
-    let inst = instance_of alg ~n ~k ~crashes:(max f r) in
+    let { alg; inst; options; _ } = search () in
     let store, programs = instance_store_programs inst in
-    let reduction = reduction_of ~certified ~alg choice inst in
-    let config = Config.make store programs in
-    let options =
-      options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-        ~max_crashes:(max f r) ~max_recoveries:r ~jobs ()
-    in
     let stats =
       Obs.Span.time "cli.explore" @@ fun () ->
-      Search.iter_terminals ~options config ~f:(fun _ _ -> ())
+      Search.iter_terminals ~options (Config.make store programs)
+        ~f:(fun _ _ -> ())
+    in
+    let reduction =
+      Format.asprintf "%a" Explore.pp_reduction options.Search.reduction
     in
     if json then
       print_endline
@@ -418,24 +410,17 @@ let explore_cmd =
              Obs.Sink.name = "explore";
              fields =
                ("alg", Obs.Sink.Str alg)
-               :: ("jobs", Obs.Sink.Int jobs)
+               :: ("jobs", Obs.Sink.Int options.Search.jobs)
                :: ( "visited",
                     Obs.Sink.Str
-                      (if spill <> None then "spill" else "heap") )
-               :: stats_fields reduction stats;
+                      (Format.asprintf "%a" Parallel.pp_visited
+                         options.Search.visited) )
+               :: ("reduction", Obs.Sink.Str reduction)
+               :: Explore.stats_fields stats;
            })
-    else
-      Format.printf "[%s] %a@.%a@." alg
-        Explore.pp_reduction
-        (Option.value reduction ~default:Explore.no_reduction)
-        Explore.pp_stats stats;
+    else Format.printf "[%s] %s@.%a@." alg reduction Explore.pp_stats stats;
     finish_obs ~metrics;
     if stats.Explore.limited then 2 else 0
-  in
-  let n_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "n" ] ~doc:"Process count (alg6; 0 means 2k).")
   in
   Cmd.v
     (Cmd.info "explore"
@@ -443,128 +428,76 @@ let explore_cmd =
          "Explore an algorithm's state space and print exploration \
           statistics (states, transitions, reduction effect, limit \
           reason).  Exits 0, or 2 when the search was truncated.")
-    Term.(
-      const run $ alg_arg $ n_arg $ k_arg $ crashes_arg $ recoveries_arg
-      $ deadline_arg $ expected_states_arg $ max_states_arg $ jobs_arg
-      $ spill_arg $ reduction_arg
-      $ certified_arg $ json_arg $ metrics_arg)
+    Term.(const run $ search_term ~n:n_arg crashes_arg $ json_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Per-algorithm commands (sampled runs keep their own reporting; the
-   exhaustive path uses the shared verdict contract).                  *)
+(* sample: seeded random runs of a task algorithm.                      *)
 
-let report_sampled store programs inputs task n_seeds =
-  let seeds = List.init n_seeds (fun i -> i + 1) in
-  let s = Subc_check.Task_check.sample store ~programs ~inputs ~task ~seeds in
-  Format.printf "%a@." Subc_check.Task_check.pp_sample_stats s;
-  (match s.Subc_check.Task_check.first_violation with
-  | Some (reason, trace) ->
-    Format.printf "first violation: %s@.%a@." reason Trace.pp trace
-  | None -> ());
-  if s.Subc_check.Task_check.violations = 0 then 0 else 1
-
-let run_task_alg name inst exhaustive n_seeds choice json metrics =
-  setup_obs ~json ~metrics;
-  match inst with
-  | Task_instance { store; programs; inputs; task; _ } ->
-    if exhaustive then begin
-      let reduction = reduction_of ~alg:name choice inst in
-      let options = Search.default |> opt Search.with_reduction reduction in
-      let v =
-        Subc_check.Task_check.check ~options store ~programs ~inputs ~task
-      in
-      report ~json name v;
-      finish ~metrics [ v ]
-    end
-    else report_sampled store programs inputs task n_seeds
-  | Lin_instance _ -> assert false
-
-let alg2_cmd =
-  let run k exhaustive n_seeds choice json metrics =
-    run_task_alg "alg2" (alg2_instance ~k ~crashes:0) exhaustive n_seeds
-      choice json metrics
-  in
-  Cmd.v
-    (Cmd.info "alg2" ~doc:"(k-1)-set consensus from one WRN_k (Algorithm 2).")
-    Term.(
-      const run $ k_arg $ exhaustive_arg $ seeds_arg $ reduction_arg
-      $ json_arg $ metrics_arg)
-
-let alg3_cmd =
-  let run k exhaustive n_seeds choice json metrics =
-    run_task_alg "alg3" (alg3_instance ~k ~crashes:0) exhaustive n_seeds
-      choice json metrics
-  in
-  Cmd.v
-    (Cmd.info "alg3"
-       ~doc:"(k-1)-set consensus for k participants out of many (Algorithm 3).")
-    Term.(
-      const run $ k_arg $ exhaustive_arg $ seeds_arg $ reduction_arg
-      $ json_arg $ metrics_arg)
-
-let alg5_cmd =
-  let run k choice json metrics =
-    setup_obs ~json ~metrics;
-    let inst = alg5_instance ~k in
-    let reduction = reduction_of ~alg:"alg5" choice inst in
-    let options = Search.default |> opt Search.with_reduction reduction in
-    let v = check_instance ~options inst in
-    report ~json "alg5" v;
-    finish ~metrics [ v ]
-  in
-  Cmd.v
-    (Cmd.info "alg5"
-       ~doc:
-         "Model-check the linearizability of 1sWRN_k from strong set \
-          election (Algorithm 5).")
-    Term.(const run $ k_arg $ reduction_arg $ json_arg $ metrics_arg)
-
-let alg6_cmd =
-  let run n k exhaustive n_seeds choice json metrics =
+let sample_cmd =
+  let run alg n k n_seeds metrics =
+    setup_obs ~json:false ~metrics;
     let n = if n = 0 then 2 * k else n in
-    Format.printf "agreement bound m = %d (n=%d, k=%d)@."
-      (Subc_core.Alg6.agreement_bound ~n ~k) n k;
-    run_task_alg "alg6" (alg6_instance ~n ~k ~crashes:0) exhaustive n_seeds
-      choice json metrics
+    if alg = "alg6" then
+      Format.printf "agreement bound m = %d (n=%d, k=%d)@."
+        (Subc_core.Alg6.agreement_bound ~n ~k) n k;
+    match instance_of alg ~n ~k ~crashes:0 with
+    | Lin_instance _ -> assert false (* alg5 is not an --alg choice here *)
+    | Task_instance { store; programs; inputs; task; _ } ->
+      let seeds = List.init n_seeds (fun i -> i + 1) in
+      let s = Subc_check.Task_check.sample store ~programs ~inputs ~task ~seeds in
+      Format.printf "%a@." Subc_check.Task_check.pp_sample_stats s;
+      Option.iter
+        (fun (reason, trace) ->
+          Format.printf "first violation: %s@.%a@." reason Trace.pp trace)
+        s.Subc_check.Task_check.first_violation;
+      finish_obs ~metrics;
+      if s.Subc_check.Task_check.violations = 0 then 0 else 1
   in
-  let n_arg = Arg.(value & opt int 6 & info [ "n" ] ~doc:"Process count.") in
+  let alg =
+    alg_arg [ "alg2"; "alg3"; "alg6" ]
+      ~doc:
+        "Task algorithm: $(docv).  Algorithm 5 has no sampled mode: its \
+         property is linearizability, checked by $(b,check --alg alg5)."
+  in
   Cmd.v
-    (Cmd.info "alg6" ~doc:"m-set consensus for n processes (Algorithm 6).")
-    Term.(
-      const run $ n_arg $ k_arg $ exhaustive_arg $ seeds_arg $ reduction_arg
-      $ json_arg $ metrics_arg)
+    (Cmd.info "sample"
+       ~doc:
+         "Run a set-consensus algorithm on $(b,--seeds) random schedules \
+          (seeds 1..N) and report the distinct-decision histogram and the \
+          first task violation.  Exits 0, or 1 on any violation.")
+    Term.(const run $ alg $ n_arg $ k_arg $ seeds_arg $ metrics_arg)
 
-let style_of = function
-  | "mirror" -> Subc_classic.Wrn_attempts.Mirror_alg2
-  | "same-index" -> Subc_classic.Wrn_attempts.Same_index
-  | "announce" -> Subc_classic.Wrn_attempts.Adjacent_announce
-  | "busy-wait" -> Subc_classic.Wrn_attempts.Busy_wait
-  | s -> Fmt.failwith "unknown style %S" s
+let styles =
+  Subc_classic.Wrn_attempts.
+    [
+      ("mirror", Mirror_alg2); ("same-index", Same_index);
+      ("announce", Adjacent_announce); ("busy-wait", Busy_wait);
+    ]
+
+(* The two-process consensus attempt over WRN_k that attempt and critical
+   examine. *)
+let attempt_config ~k style =
+  let module W = Subc_classic.Wrn_attempts in
+  let store, t = W.alloc Store.empty ~k ~style:(List.assoc style styles) in
+  Config.make store
+    [ W.propose t ~me:0 (Value.Int 0); W.propose t ~me:1 (Value.Int 1) ]
+
+let style_arg =
+  Arg.(
+    value
+    & opt (enum (List.map (fun (s, _) -> (s, s)) styles)) "mirror"
+    & info [ "style" ]
+        ~doc:"Protocol style: mirror | same-index | announce | busy-wait.")
 
 let attempt_cmd =
   let run style k json metrics =
     setup_obs ~json ~metrics;
-    let store, t = Subc_classic.Wrn_attempts.alloc Store.empty ~k ~style:(style_of style) in
-    let programs =
-      [
-        Subc_classic.Wrn_attempts.propose t ~me:0 (Value.Int 0);
-        Subc_classic.Wrn_attempts.propose t ~me:1 (Value.Int 1);
-      ]
-    in
-    let config = Config.make store programs in
     let v =
-      Subc_check.Valence.consensus_verdict config
+      Subc_check.Valence.consensus_verdict (attempt_config ~k style)
         ~inputs:[ Value.Int 0; Value.Int 1 ]
     in
     report ~json ("attempt/" ^ style) v;
     finish ~metrics [ v ]
-  in
-  let style_arg =
-    Arg.(
-      value
-      & opt string "mirror"
-      & info [ "style" ]
-          ~doc:"Protocol style: mirror | same-index | announce | busy-wait.")
   in
   Cmd.v
     (Cmd.info "attempt"
@@ -654,15 +587,7 @@ let bg_cmd =
 
 let critical_cmd =
   let run k style =
-    let store, t = Subc_classic.Wrn_attempts.alloc Store.empty ~k ~style:(style_of style) in
-    let programs =
-      [
-        Subc_classic.Wrn_attempts.propose t ~me:0 (Value.Int 0);
-        Subc_classic.Wrn_attempts.propose t ~me:1 (Value.Int 1);
-      ]
-    in
-    let config = Config.make store programs in
-    match Subc_check.Valence.find_critical config with
+    match Subc_check.Valence.find_critical (attempt_config ~k style) with
     | Some crit ->
       Format.printf "%a@." Subc_check.Valence.pp_critical crit;
       0
@@ -672,11 +597,6 @@ let critical_cmd =
     | exception Failure msg ->
       Format.eprintf "error: %s@." msg;
       2
-  in
-  let style_arg =
-    Arg.(
-      value & opt string "mirror"
-      & info [ "style" ] ~doc:"mirror | same-index | announce | busy-wait.")
   in
   Cmd.v
     (Cmd.info "critical"
@@ -750,10 +670,12 @@ let analyze_cmd =
          "Statically certify the reduction layer's soundness obligations: \
           enumerate each registered object's reachable states and prove \
           apply purity, pairwise commutation wherever the source-set \
-          judgment claims independence, the source-set closure properties \
-          (equivariance and persistence of that judgment), equivariance \
-          of the declared symmetry group, and the declared classification \
-          — or refute with a concrete witness.  No schedules are \
+          judgment claims independence, the source-set closure property \
+          (equivariance of that judgment; persistence across steps is \
+          deliberately not demanded, as the explorer re-judges carried \
+          sleep entries at every state), equivariance of the declared \
+          symmetry group, the crash-recovery projection, and the declared \
+          classification — or refute with a concrete witness.  No schedules are \
           explored.  $(b,--deadline) bounds the wall clock: checks not \
           started before it passes report limited.  With $(b,--lint), run \
           the protocol-side gate instead: the abstract interpreter over \
@@ -764,114 +686,72 @@ let analyze_cmd =
       $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
-(* crash-sweep / recover-sweep: a verdict per fault budget plus a
-   progress verdict, all under the shared contract.  Both subcommands
-   run the same sweep; crash-sweep pins the recovery budget to 0, and
-   every r = 0 cell keeps its crash-sweep name and arguments, so a
-   recover-sweep with --max-recoveries 0 is output-identical to a
-   crash-sweep at any --jobs.                                          *)
-
-let run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-    jobs spill choice certified json metrics =
-  setup_obs ~json ~metrics;
-  let verdicts = ref [] in
-  let note name v =
-    verdicts := v :: !verdicts;
-    report ~json name v
-  in
-  let rcell r' = if r' > 0 then Printf.sprintf "/r=%d" r' else "" in
-  let inst = instance_of alg ~n:0 ~k ~crashes:(max f r) in
-  let reduction = reduction_of ~certified ~alg choice inst in
-  let cell_options ~max_crashes ~max_recoveries =
-    options_of ?deadline ?expected_states ?reduction ?spill ~max_states
-      ~max_crashes ~max_recoveries ~jobs ()
-  in
-  let store, programs = instance_store_programs inst in
-  (match inst with
-  | Task_instance { inputs; task; _ } ->
-    for f' = 0 to f do
-      for r' = 0 to r do
-        note
-          (Printf.sprintf "%s/%s/f=%d%s" alg task.Task.name f' (rcell r'))
-          (Subc_check.Task_check.check
-             ~options:
-               (cell_options ~max_crashes:(max f' r') ~max_recoveries:r')
-             store ~programs ~inputs ~task)
-      done
-    done
-  | Lin_instance { ops; spec; _ } ->
-    for r' = 0 to r do
-      note
-        (Printf.sprintf "%s/linearizable/f<=%d%s" alg f (rcell r'))
-        (Subc_check.Linearizability.check_harness
-           ~options:(cell_options ~max_crashes:(max f r') ~max_recoveries:r')
-           store ~programs ~ops ~spec)
-    done);
-  note
-    (alg ^ "/wait-free")
-    (Subc_check.Progress.check_wait_free
-       ~options:(cell_options ~max_crashes:(max f r) ~max_recoveries:r)
-       ~solo_limit store ~programs);
-  finish ~metrics (List.rev !verdicts)
-
-let sweep_crashes_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "max-crashes" ] ~docv:"F"
-        ~doc:"Crash budget $(docv) (sweep f = 0..$(docv)).")
-
-let solo_limit_arg =
-  Arg.(
-    value & opt int 10_000
-    & info [ "solo-limit" ] ~doc:"Solo-step bound for the progress checker.")
+(* crash-sweep: a verdict per fault budget plus a progress verdict, all
+   under the shared contract.  The cells cover f = 0..F crashes and
+   r = 0..R recoveries; an r = 0 cell carries no recovery suffix in its
+   name, so at the default R = 0 the sweep is the plain crash sweep.     *)
 
 let crash_sweep_cmd =
-  let run alg k f deadline expected_states max_states solo_limit jobs
-      spill choice certified json metrics =
-    run_fault_sweep alg k f 0 deadline expected_states max_states solo_limit
-      jobs spill choice certified json metrics
+  let run search solo_limit json metrics =
+    setup_obs ~json ~metrics;
+    let { alg; inst; crashes = f; options } = search () in
+    let r = options.Search.max_recoveries in
+    let verdicts = ref [] in
+    let note name v =
+      verdicts := v :: !verdicts;
+      report ~json name v
+    in
+    let rcell r' = if r' > 0 then Printf.sprintf "/r=%d" r' else "" in
+    let cell f' r' =
+      options
+      |> Search.with_max_crashes (max f' r')
+      |> Search.with_max_recoveries r'
+    in
+    let store, programs = instance_store_programs inst in
+    (match inst with
+    | Task_instance { inputs; task; _ } ->
+      for f' = 0 to f do
+        for r' = 0 to r do
+          note
+            (Printf.sprintf "%s/%s/f=%d%s" alg task.Task.name f' (rcell r'))
+            (Subc_check.Task_check.check ~options:(cell f' r') store ~programs
+               ~inputs ~task)
+        done
+      done
+    | Lin_instance { ops; spec; _ } ->
+      for r' = 0 to r do
+        note
+          (Printf.sprintf "%s/linearizable/f<=%d%s" alg f (rcell r'))
+          (Subc_check.Linearizability.check_harness ~options:(cell f r') store
+             ~programs ~ops ~spec)
+      done);
+    note (alg ^ "/wait-free")
+      (Subc_check.Progress.check_wait_free ~options ~solo_limit store ~programs);
+    finish ~metrics (List.rev !verdicts)
+  in
+  let crashes =
+    Arg.(
+      value & opt int 1
+      & info [ "max-crashes" ] ~docv:"F"
+          ~doc:"Crash budget $(docv) (sweep f = 0..$(docv)).")
+  in
+  let solo_limit_arg =
+    Arg.(
+      value & opt int 10_000
+      & info [ "solo-limit" ] ~doc:"Solo-step bound for the progress checker.")
   in
   Cmd.v
     (Cmd.info "crash-sweep"
        ~doc:
          "Exhaustive crash-fault sweep: verify the algorithm's property \
-          under every crash pattern within the budget, then certify \
-          wait-freedom (solo-step bound).  Exits 1 on any refutation, \
-          else 2 when any search was truncated.")
+          under every crash pattern within the budget — and, with \
+          $(b,--max-recoveries), every crash-recovery pattern within the \
+          recovery budget (a recovered process restarts over persistent \
+          object state) — then certify wait-freedom (solo-step bound) \
+          under the same fault budgets.  Exits 1 on any refutation, else 2 \
+          when any search was truncated.")
     Term.(
-      const run $ alg_arg $ k_arg $ sweep_crashes_arg $ deadline_arg
-      $ expected_states_arg $ max_states_arg $ solo_limit_arg $ jobs_arg
-      $ spill_arg $ reduction_arg
-      $ certified_arg $ json_arg $ metrics_arg)
-
-let recover_sweep_cmd =
-  let run alg k f r deadline expected_states max_states solo_limit jobs
-      spill choice certified json metrics =
-    run_fault_sweep alg k f r deadline expected_states max_states solo_limit
-      jobs spill choice certified json metrics
-  in
-  let sweep_recoveries_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "max-recoveries" ] ~docv:"R"
-          ~doc:"Recovery budget $(docv) (sweep r = 0..$(docv)).")
-  in
-  Cmd.v
-    (Cmd.info "recover-sweep"
-       ~doc:
-         "Exhaustive crash-recovery sweep: verify the algorithm's property \
-          under every crash pattern within the crash budget and every \
-          recovery pattern within the recovery budget (a recovered \
-          process restarts over persistent object state), then certify \
-          wait-freedom under the same fault budgets.  With \
-          $(b,--max-recoveries) 0 this is exactly $(b,crash-sweep).  \
-          Exits 1 on any refutation, else 2 when any search was \
-          truncated.")
-    Term.(
-      const run $ alg_arg $ k_arg $ sweep_crashes_arg $ sweep_recoveries_arg
-      $ deadline_arg $ expected_states_arg $ max_states_arg $ solo_limit_arg
-      $ jobs_arg $ spill_arg
-      $ reduction_arg $ certified_arg $ json_arg
+      const run $ search_term crashes $ solo_limit_arg $ json_arg
       $ metrics_arg)
 
 let () =
@@ -881,7 +761,6 @@ let () =
        (Cmd.group
           (Cmd.info "subconsensus_cli" ~doc)
           [
-            check_cmd; explore_cmd; analyze_cmd; alg2_cmd; alg3_cmd;
-            alg5_cmd; alg6_cmd; attempt_cmd; trace_cmd; power_cmd; bg_cmd;
-            critical_cmd; crash_sweep_cmd; recover_sweep_cmd;
+            check_cmd; explore_cmd; crash_sweep_cmd; sample_cmd; analyze_cmd;
+            attempt_cmd; trace_cmd; power_cmd; bg_cmd; critical_cmd;
           ]))

@@ -1,38 +1,13 @@
 open Subc_sim
 
-type certificate = {
-  solo_bound : int;
-  configs : int;
-  stats : Explore.stats;
-}
+(* A solo run that never terminates, or hangs, ends the search with its
+   refutation. *)
+exception Failed of Verdict.t
 
-type failure =
-  | Non_terminating of { proc : int; prefix : Trace.t; spin : Trace.t }
-  | Hang of { proc : int; prefix : Trace.t; spin : Trace.t }
-  | Limited of Explore.stats
-
-let pp_certificate ppf c =
-  Format.fprintf ppf
-    "wait-free: every process terminates within %d solo steps from every \
-     reachable configuration (%d configurations, %a)"
-    c.solo_bound c.configs Explore.pp_stats c.stats
-
-let pp_failure ppf = function
-  | Non_terminating { proc; prefix; spin } ->
-    Format.fprintf ppf
-      "@[<v>NOT wait-free: process %d does not terminate running solo after \
-       the %d-step prefix@,%a@,solo continuation (truncated):@,%a@]"
-      proc (Trace.length prefix) Trace.pp prefix Trace.pp spin
-  | Hang { proc; prefix; spin } ->
-    Format.fprintf ppf
-      "@[<v>NOT wait-free: process %d hangs (illegal invocation) running \
-       solo after the %d-step prefix@,%a@,solo continuation:@,%a@]"
-      proc (Trace.length prefix) Trace.pp prefix Trace.pp spin
-  | Limited stats ->
-    Format.fprintf ppf "exploration truncated — no verdict (%a)"
-      Explore.pp_stats stats
-
-exception Failed of failure
+let refute ~prefix ~spin fmt =
+  Printf.ksprintf
+    (fun reason -> raise (Failed (Verdict.refuted ~trace:(prefix @ spin) reason)))
+    fmt
 
 (* The memo entry of a configuration whose solo distance is still being
    computed: it lies on the current solo path. *)
@@ -52,15 +27,12 @@ let solo_distance ~memo ~paranoid ~solo_limit ~prefix p config fp =
     match Fingerprint.Tbl.find_opt memo fp with
     | Some d when d <> on_path -> d
     | seen ->
-      if Option.is_some seen || depth >= solo_limit then
-        raise
-          (Failed
-             (Non_terminating
-                {
-                  proc = p;
-                  prefix = Lazy.force prefix;
-                  spin = List.rev rev_spin;
-                }));
+      if Option.is_some seen || depth >= solo_limit then begin
+        let prefix = Lazy.force prefix in
+        refute ~prefix ~spin:(List.rev rev_spin)
+          "process %d does not terminate running solo after a %d-step prefix"
+          p (Trace.length prefix)
+      end;
       if
         paranoid
         && not (Fingerprint.equal fp (Fingerprint.hom_of_config config))
@@ -76,14 +48,11 @@ let solo_distance ~memo ~paranoid ~solo_limit ~prefix p config fp =
             match config'.Config.procs.(p).Config.status with
             | Config.Terminated _ | Config.Crashed -> max acc 1
             | Config.Hung ->
-              raise
-                (Failed
-                   (Hang
-                      {
-                        proc = p;
-                        prefix = Lazy.force prefix;
-                        spin = List.rev rev_spin;
-                      }))
+              let prefix = Lazy.force prefix in
+              refute ~prefix ~spin:(List.rev rev_spin)
+                "process %d hangs (illegal invocation) running solo after a \
+                 %d-step prefix"
+                p (Trace.length prefix)
             | Config.Running _ | Config.Recovering _ ->
               let fp' = Explore.patched_fingerprint config fp slots config' in
               max acc (1 + go config' fp' (depth + 1) rev_spin))
@@ -100,7 +69,8 @@ let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
-let wait_free_search ~options ~solo_limit store ~programs =
+let check_wait_free ?(options = Search.default) ?(solo_limit = 10_000) store
+    ~programs =
   Subc_obs.Span.time "progress.wait_free" @@ fun () ->
   let config0 = Config.make store programs in
   let paranoid = options.Search.paranoid in
@@ -138,47 +108,21 @@ let wait_free_search ~options ~solo_limit store ~programs =
     end
   in
   match explore () with
-  | stats when stats.Explore.limited -> Error (Limited stats)
+  | stats when stats.Explore.limited ->
+    Verdict.limited ~explore:stats "exploration truncated — no verdict"
   | stats ->
-    Ok
-      {
-        solo_bound = Atomic.get bound;
-        configs = Atomic.get configs;
-        stats;
-      }
-  | exception Failed f -> Error f
-
-(* Verdict-typed entry points over the result-typed search above. *)
-
-let check_wait_free ?(options = Search.default) ?(solo_limit = 10_000) store
-    ~programs =
-  match wait_free_search ~options ~solo_limit store ~programs with
-  | Ok cert ->
-    Verdict.proved ~explore:cert.stats
+    let solo_bound = Atomic.get bound and configs = Atomic.get configs in
+    Verdict.proved ~explore:stats
       ~metrics:
         [
-          ("solo_bound", float_of_int cert.solo_bound);
-          ("configs", float_of_int cert.configs);
+          ("solo_bound", float_of_int solo_bound);
+          ("configs", float_of_int configs);
         ]
       (Printf.sprintf
          "wait-free: every process terminates within %d solo steps from \
           every reachable configuration (%d configurations)"
-         cert.solo_bound cert.configs)
-  | Error (Limited stats) ->
-    Verdict.limited ~explore:stats "exploration truncated — no verdict"
-  | Error (Non_terminating { proc; prefix; spin }) ->
-    Verdict.refuted
-      ~trace:(prefix @ spin)
-      (Printf.sprintf
-         "process %d does not terminate running solo after a %d-step prefix"
-         proc (Trace.length prefix))
-  | Error (Hang { proc; prefix; spin }) ->
-    Verdict.refuted
-      ~trace:(prefix @ spin)
-      (Printf.sprintf
-         "process %d hangs (illegal invocation) running solo after a \
-          %d-step prefix"
-         proc (Trace.length prefix))
+         solo_bound configs)
+  | exception Failed v -> v
 
 (* Termination with at most [t] crashes is the pipeline with "no process
    hangs" as the terminal check: a hang is refuted by the schedule that

@@ -21,7 +21,7 @@
     ({!Subc_sim.Explore.patched_fingerprint}).  While a configuration's
     distance is being computed its entry reads [on_path]; meeting such an
     entry again is a revisit on the current solo path — an infinite solo
-    run, reported as [Non_terminating].  Under [options.paranoid] every
+    run, refuted as non-termination.  Under [options.paranoid] every
     configuration the memo takes is re-folded and compared with its
     patched key; a disagreement raises [Invalid_argument].  At [jobs > 1]
     each domain keeps its own tables.
@@ -31,27 +31,6 @@
     rather than a per-process solo bound. *)
 
 open Subc_sim
-
-type certificate = {
-  solo_bound : int;
-      (** max over reachable configurations and running processes of the
-          number of solo steps needed to terminate *)
-  configs : int;  (** reachable configurations checked *)
-  stats : Explore.stats;
-}
-
-type failure =
-  | Non_terminating of { proc : int; prefix : Trace.t; spin : Trace.t }
-      (** after [prefix], [proc] running solo revisits a configuration or
-          exceeds the solo-step limit: an infinite solo run *)
-  | Hang of { proc : int; prefix : Trace.t; spin : Trace.t }
-      (** after [prefix], [proc] running solo performs an invocation with
-          no successor *)
-  | Limited of Explore.stats
-      (** the reachable-state exploration was truncated: no verdict *)
-
-val pp_certificate : Format.formatter -> certificate -> unit
-val pp_failure : Format.formatter -> failure -> unit
 
 (** [check_wait_free store ~programs] certifies wait-freedom.  Search
     knobs come from the {!Subc_sim.Search.options} record ([?options]):

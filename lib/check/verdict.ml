@@ -79,50 +79,23 @@ let pp_summary ppf v =
    verdict, suitable for JSON-lines output. *)
 let json_fields ?name v =
   let s = stats v in
-  let field k f = (k, f) in
   List.concat
     [
-      (match name with
-      | Some n -> [ field "check" (Obs.Sink.Str n) ]
-      | None -> []);
+      (match name with Some n -> [ ("check", Obs.Sink.Str n) ] | None -> []);
       [
-        field "verdict" (Obs.Sink.Str (status_string v));
-        field "exit_code" (Obs.Sink.Int (exit_code v));
-        field "note" (Obs.Sink.Str s.note);
+        ("verdict", Obs.Sink.Str (status_string v));
+        ("exit_code", Obs.Sink.Int (exit_code v));
+        ("note", Obs.Sink.Str s.note);
       ];
       (match v with
       | Refuted { trace; _ } ->
         [
-          field "counterexample"
-            (Obs.Sink.Str (Format.asprintf "%a" Trace.pp trace));
+          ( "counterexample",
+            Obs.Sink.Str (Format.asprintf "%a" Trace.pp trace) );
         ]
       | _ -> []);
-      (match s.explore with
-      | None -> []
-      | Some e ->
-        [
-          field "states" (Obs.Sink.Int e.Explore.states);
-          field "transitions" (Obs.Sink.Int e.Explore.transitions);
-          field "terminals" (Obs.Sink.Int e.Explore.terminals);
-          field "dedup_hits" (Obs.Sink.Int e.Explore.dedup_hits);
-          field "source_skips" (Obs.Sink.Int e.Explore.source_skips);
-          field "collision_bound" (Obs.Sink.Float e.Explore.collision_bound);
-          field "limited" (Obs.Sink.Bool e.Explore.limited);
-          field "limit_reason"
-            (Obs.Sink.Str
-               (Format.asprintf "%a" Explore.pp_limit_reason
-                  e.Explore.limit_reason));
-        ]);
-      List.map (fun (k, x) -> field k (Obs.Sink.Float x)) s.metrics;
+      Option.fold ~none:[] ~some:Explore.stats_fields s.explore;
+      List.map (fun (k, x) -> (k, Obs.Sink.Float x)) s.metrics;
     ]
 
-let to_json ?name v =
-  let fields = json_fields ?name v in
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, f) ->
-           Printf.sprintf "\"%s\":%s" (Obs.Sink.escape k)
-             (Obs.Sink.json_of_field f))
-         fields)
-  ^ "}"
+let to_json ?name v = Obs.Sink.json_object (json_fields ?name v)

@@ -40,15 +40,15 @@ let json_of_field = function
   | Str s -> Printf.sprintf "\"%s\"" (escape s)
   | Bool b -> if b then "true" else "false"
 
-let json_of_event { name; fields } =
-  let parts =
-    (Printf.sprintf "\"event\":\"%s\"" (escape name))
-    :: List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":%s" (escape k) (json_of_field v))
-         fields
-  in
-  "{" ^ String.concat "," parts ^ "}"
+let json_object fields =
+  "{"
+  ^ String.concat ","
+      (List.map
+         (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (json_of_field v))
+         fields)
+  ^ "}"
+
+let json_of_event { name; fields } = json_object (("event", Str name) :: fields)
 
 let text_of_field = function
   | Int i -> string_of_int i

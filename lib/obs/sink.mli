@@ -43,9 +43,13 @@ val emit : string -> (string * field) list -> unit
 
 val flush : unit -> unit
 
+val json_object : (string * field) list -> string
+(** One flat JSON object on one line: the renderer behind {!json_of_event}
+    and the verdict JSON lines. *)
+
 val json_of_event : event -> string
-(** JSON rendering of a single event (used by the [jsonl] backend and by the
-    CLI [--json] output path). *)
+(** [json_object] of the fields under a leading ["event"] key (used by the
+    [jsonl] backend and by the CLI [--json] output path). *)
 
 val text_of_event : event -> string
 

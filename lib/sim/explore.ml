@@ -58,6 +58,26 @@ let pp_stats ppf s =
        Format.asprintf " (LIMITED: %a)" pp_limit_reason s.limit_reason
      else "")
 
+(* The one JSON encoding of [stats], shared by the verdict lines, the
+   CLI's explore line and the engine's [explore] event. *)
+let stats_fields s =
+  Obs.Sink.
+    [
+      ("states", Int s.states);
+      ("transitions", Int s.transitions);
+      ("terminals", Int s.terminals);
+      ("hung_terminals", Int s.hung_terminals);
+      ("crashed_terminals", Int s.crashed_terminals);
+      ("recovered_terminals", Int s.recovered_terminals);
+      ("dedup_hits", Int s.dedup_hits);
+      ("source_skips", Int s.source_skips);
+      ("max_depth", Int s.max_depth);
+      ("frontier_bytes", Int s.frontier_bytes);
+      ("collision_bound", Float s.collision_bound);
+      ("limited", Bool s.limited);
+      ("limit_reason", Str (Format.asprintf "%a" pp_limit_reason s.limit_reason));
+    ]
+
 type reduction = { symmetry : Symmetry.t option; source_sets : bool }
 
 let no_reduction = { symmetry = None; source_sets = false }

@@ -184,6 +184,10 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
+val stats_fields : stats -> (string * Subc_obs.Sink.field) list
+(** The JSON fields of [stats], one per record field under its own name
+    ([limit_reason] as {!pp_limit_reason} prints it). *)
+
 val collision_bound : bits:int -> states:int -> float
 (** The birthday bound above, exposed for the bench tables:
     [min 1 (n(n-1)/2 · 2^-bits)]. *)

@@ -403,17 +403,11 @@ let emit_obs label g (domains : ctx list) (s : Explore.stats) dt =
              domains
     in
     Obs.Sink.emit "explore"
-      ([
-         ("search", Obs.Sink.Str label);
-         ("states", Obs.Sink.Int s.states);
-         ("transitions", Obs.Sink.Int s.transitions);
-         ("terminals", Obs.Sink.Int s.terminals);
-         ("dedup_hits", Obs.Sink.Int s.dedup_hits);
-         ("source_skips", Obs.Sink.Int s.source_skips);
-         ("limited", Obs.Sink.Bool s.limited);
-         ("seconds", Obs.Sink.Float dt);
-         ("states_per_sec", Obs.Sink.Float (rate s.states dt));
-       ]
+      ((("search", Obs.Sink.Str label) :: Explore.stats_fields s)
+      @ [
+          ("seconds", Obs.Sink.Float dt);
+          ("states_per_sec", Obs.Sink.Float (rate s.states dt));
+        ]
       @ per_domain)
   end
 
