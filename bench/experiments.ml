@@ -1045,125 +1045,6 @@ let e18 () =
       @ [ "verdict" ])
     rows
 
-(* ------------------------------------------------------------------ E19 *)
-
-(* Source-set reduction under work stealing: Algorithm 5 (k=3) with a
-   one-crash budget, explored unreduced / symmetry-only / full (symmetry
-   + source sets) at 1, 2 and 4 domains.  Three properties are asserted:
-   (1) determinism — per reduction, states/transitions/terminal counts are
-   identical at every domain count (the (state, sleep)-keyed claim table
-   reproduces the sequential search bit-for-bit, stolen subtrees
-   included); (2) identical verdicts — every cell proves the E15
-   linearizability property (crashed participants = incomplete
-   operations); (3) strength — the full reduction explores at least 3x
-   fewer transitions than the unreduced baseline.  The marginal factor
-   over symmetry alone is far smaller (the two reductions overlap: most
-   interleavings a sleep set prunes are also collapsed by
-   canonicalization) but must stay strictly above 1. *)
-let e19 () =
-  let k = 3 in
-  let config () =
-    let store, t = Alg5.alloc Store.empty ~k () in
-    let programs =
-      List.init k (fun i -> Alg5.wrn t ~i (Value.Int (100 + i)))
-    in
-    Config.make store programs
-  in
-  let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
-  let spec = Subc_objects.One_shot_wrn.model ~k in
-  let sym () = Symmetry.standard ~n:k ~input_base:100 `Rotations in
-  let reductions =
-    [
-      ("none", Explore.no_reduction);
-      ("symmetry", Explore.with_symmetry (sym ()));
-      ("full", Explore.full_reduction (sym ()));
-    ]
-  in
-  let jobs_axis = [ 1; 2; 4 ] in
-  let explore reduction jobs =
-    let bad = ref 0 in
-    let on_terminal final trace =
-      let history = Lin.history ~ops final trace in
-      if Lin.check ~spec history = None then incr bad
-    in
-    let options =
-      Search.(
-        default |> with_max_crashes 1 |> with_jobs jobs
-        |> with_reduction reduction)
-    in
-    let stats = Search.iter_terminals ~options (config ()) ~f:on_terminal in
-    (stats, !bad = 0 && not stats.Explore.limited)
-  in
-  let cells =
-    List.map
-      (fun (name, red) ->
-        (name, List.map (fun jobs -> (jobs, explore red jobs)) jobs_axis))
-      reductions
-  in
-  let same (a : Explore.stats) (b : Explore.stats) =
-    a.Explore.states = b.Explore.states
-    && a.Explore.transitions = b.Explore.transitions
-    && a.Explore.terminals = b.Explore.terminals
-    && a.Explore.hung_terminals = b.Explore.hung_terminals
-    && a.Explore.crashed_terminals = b.Explore.crashed_terminals
-    && a.Explore.source_skips = b.Explore.source_skips
-  in
-  let stats_of name = fst (snd (List.hd (List.assoc name cells))) in
-  let rows =
-    List.map
-      (fun (name, per_jobs) ->
-        let s1, _ = snd (List.hd per_jobs) in
-        let deterministic =
-          List.for_all (fun (_, (s, _)) -> same s1 s) per_jobs
-        in
-        let proved = List.for_all (fun (_, (_, ok)) -> ok) per_jobs in
-        Subc_obs.Metrics.set_gauge
-          (Printf.sprintf "e19.%s.transitions" name)
-          (float_of_int s1.Explore.transitions);
-        [
-          name;
-          string_of_int s1.Explore.states;
-          string_of_int s1.Explore.transitions;
-          string_of_int s1.Explore.terminals;
-          (if deterministic then "identical @ jobs 1/2/4" else "DIVERGED");
-          check
-            (Printf.sprintf "E19 %s" name)
-            (deterministic && proved);
-        ])
-      cells
-  in
-  let base = stats_of "none" in
-  let symmetry = stats_of "symmetry" in
-  let full = stats_of "full" in
-  let ratio a b =
-    float_of_int a.Explore.transitions
-    /. float_of_int (max 1 b.Explore.transitions)
-  in
-  let r_none = ratio base full and r_sym = ratio symmetry full in
-  Subc_obs.Metrics.set_gauge "e19.ratio.full_vs_none" r_none;
-  Subc_obs.Metrics.set_gauge "e19.ratio.full_vs_symmetry" r_sym;
-  let ratio_row =
-    [
-      "full vs none / vs symmetry"; "-";
-      Printf.sprintf "%.2fx / %.2fx" r_none r_sym;
-      "-"; "-";
-      check "E19 ratios"
-        (r_none >= 3.0 && r_sym > 1.0
-        && symmetry.Explore.terminals = full.Explore.terminals
-        && symmetry.Explore.hung_terminals = full.Explore.hung_terminals
-        && symmetry.Explore.crashed_terminals = full.Explore.crashed_terminals);
-    ]
-  in
-  table
-    ~title:
-      "E19. Source sets under work stealing: Alg 5 (k=3), f=1 — counts \
-       deterministic at jobs 1/2/4, verdicts identical, transition \
-       reduction vs unreduced >= 3x"
-    ~header:
-      [ "reduction"; "states"; "transitions"; "terminals"; "jobs 1/2/4";
-        "verdict" ]
-    (rows @ [ ratio_row ])
-
 (* ------------------------------------------------------------ scaling *)
 
 let scaling () =
@@ -1230,7 +1111,6 @@ let run_all () =
   e15 ();
   e16 ();
   e18 ();
-  e19 ();
   scaling ();
   Format.printf "@.=== experiments complete: %s ===@."
     (if !failures = 0 then "ALL PASS"
@@ -1250,4 +1130,3 @@ let run_e13 () = run_one e13
 let run_e15 () = run_one e15
 let run_e16 () = run_one e16
 let run_e18 () = run_one e18
-let run_e19 () = run_one e19

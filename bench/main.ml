@@ -1,13 +1,13 @@
 (* Experiment harness.
 
-   [dune exec bench/main.exe] runs the full experiment matrix (E1–E19, the
+   [dune exec bench/main.exe] runs the full experiment matrix (E1–E18, the
    reproduction of the paper's theorems — the paper has no tables/figures;
    each table asserts its known answers) followed by the bechamel timing
    benches (B1–B7, printed only).
 
    [dune exec bench/main.exe -- experiments] / [-- timing] run one half;
    [-- e6] / [-- e10] / [-- e12] / [-- e13] / [-- e15] / [-- e16] /
-   [-- e18] / [-- e19] run a single experiment (the CI smoke jobs).
+   [-- e18] run a single experiment (the CI smoke jobs).
    [--metrics] streams observability events and a final metrics snapshot;
    with [--json] both go to stdout as JSON lines (the CI artifact).
    Time to verdict, with pinned answers, a baseline and per-layer
@@ -39,7 +39,6 @@ let () =
     | "e15" -> Experiments.run_e15 ()
     | "e16" -> Experiments.run_e16 ()
     | "e18" -> Experiments.run_e18 ()
-    | "e19" -> Experiments.run_e19 ()
     | "all" ->
       let ok = Experiments.run_all () in
       Timing.run_all ();

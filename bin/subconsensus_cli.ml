@@ -587,12 +587,16 @@ let bg_cmd =
 
 let critical_cmd =
   let run k style =
-    match Subc_check.Valence.find_critical (attempt_config ~k style) with
+    let config = attempt_config ~k style in
+    match Subc_check.Valence.find_critical config with
     | Some crit ->
       Format.printf "%a@." Subc_check.Valence.pp_critical crit;
       0
     | None ->
-      Format.printf "the initial configuration is univalent@.";
+      if Subc_check.Valence.valence config = [] then
+        Format.printf
+          "no execution from the initial configuration terminates@."
+      else Format.printf "the initial configuration is univalent@.";
       0
     | exception Failure msg ->
       Format.eprintf "error: %s@." msg;
@@ -603,7 +607,7 @@ let critical_cmd =
        ~doc:
          "Descend to a critical configuration of a 2-consensus protocol \
           over WRN_k (the Lemma 38 structure).  Exits 0, or 2 with an error \
-          when the valence memo's configuration budget runs out.")
+          when a valence search is truncated by its state budget.")
     Term.(const run $ k_arg $ style_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -9,58 +9,22 @@ let consensus_verdict ?options config ~inputs =
       "consensus: agreement + validity on every terminal, and every schedule \
        terminates"
 
-(* Memoized valence computation: the union over all reachable terminals of
-   the decided values.  The memo is keyed by homomorphic fingerprint: an
-   entry point folds its configuration once ({!Fingerprint.hom_of_config})
-   and the recursion patches each successor's from its parent's
-   ({!Explore.patched_fingerprint}).  The memo holds at most [budget]
-   configurations; past that the computation fails rather than report a
-   partial (possibly univalent-looking) valence. *)
-type valence_ctx = {
-  memo : Value.t list Fingerprint.Tbl.t;
-  mutable budget : int;
-}
-
-let budget = 5_000_000
-
-(* Every successor of process [i]'s step from [config] (fingerprint [fp]),
-   with its event and patched fingerprint. *)
-let step_successors config fp i =
-  List.map
-    (fun (c', event, slots) ->
-      (c', event, Explore.patched_fingerprint config fp slots c'))
-    (Step.step_slots config i)
-
-let rec valence_rec ctx config fp =
-  match Fingerprint.Tbl.find_opt ctx.memo fp with
-  | Some vs -> vs
-  | None ->
-    ctx.budget <- ctx.budget - 1;
-    if ctx.budget < 0 then
-      failwith
-        (Printf.sprintf
-           "Valence: the %d-configuration budget ran out before the valence \
-            was complete"
-           budget);
-    let vs =
-      match Config.running config with
-      | [] -> Task.distinct (Config.decisions config)
-      | runnable ->
-        List.concat_map
-          (fun i ->
-            List.concat_map
-              (fun (c', _, fp') -> valence_rec ctx c' fp')
-              (step_successors config fp i))
-          runnable
-        |> Task.distinct
-    in
-    Fingerprint.Tbl.replace ctx.memo fp vs;
-    vs
-
-let make_ctx () = { memo = Fingerprint.Tbl.create 1024; budget }
-
+(* The valence: the distinct decided values over every terminal reachable
+   from [config], in the order one claim-once search first meets them, so
+   a cycle is visited once.  A truncated search fails rather than report
+   a partial (possibly univalent-looking) valence. *)
 let valence config =
-  valence_rec (make_ctx ()) config (Fingerprint.hom_of_config config)
+  let decided = ref [] in
+  let stats =
+    Search.iter_terminals config ~f:(fun final _ ->
+        decided := List.rev_append (Config.decisions final) !decided)
+  in
+  if stats.Explore.limited then
+    failwith
+      (Format.asprintf
+         "Valence: the search stopped (%a) before the valence was complete"
+         Explore.pp_limit_reason stats.Explore.limit_reason);
+  Task.distinct (List.rev !decided)
 
 type successor_valence = {
   proc : int;
@@ -74,40 +38,34 @@ type critical = {
   successors : successor_valence list;
 }
 
-(* Every successor of [config] (fingerprint [fp]) with its valence,
-   configuration and fingerprint. *)
-let successors_of ctx config fp =
+(* Every successor of [config] with its valence and configuration. *)
+let successors_of config =
   List.concat_map
     (fun i ->
       List.map
-        (fun (c', event, fp') ->
-          ({ proc = i; event; valence = valence_rec ctx c' fp' }, c', fp'))
-        (step_successors config fp i))
+        (fun (c', event) -> ({ proc = i; event; valence = valence c' }, c'))
+        (Step.step config i))
     (Config.running config)
 
 let find_critical config =
-  let ctx = make_ctx () in
-  let fp = Fingerprint.hom_of_config config in
-  if List.length (valence_rec ctx config fp) < 2 then None
+  if List.length (valence config) < 2 then None
   else
-    let rec descend config fp rev_trace =
+    let rec descend config rev_trace =
       if List.length rev_trace > 100_000 then None
       else
-        let succs = successors_of ctx config fp in
-        match
-          List.find_opt (fun (s, _, _) -> List.length s.valence >= 2) succs
-        with
+        let succs = successors_of config in
+        match List.find_opt (fun (s, _) -> List.length s.valence >= 2) succs with
         | None ->
           Some
             {
               config;
               trace = List.rev rev_trace;
-              successors = List.map (fun (s, _, _) -> s) succs;
+              successors = List.map fst succs;
             }
         (* Follow one bivalent successor. *)
-        | Some (s, c', fp') -> descend c' fp' (Trace.Sched s.event :: rev_trace)
+        | Some (s, c') -> descend c' (Trace.Sched s.event :: rev_trace)
     in
-    descend config fp []
+    descend config []
 
 let pp_critical ppf c =
   Format.fprintf ppf

@@ -30,11 +30,14 @@ open Subc_sim
 val consensus_verdict :
   ?options:Search.options -> Config.t -> inputs:Value.t list -> Verdict.t
 
-(** [valence config] — all values reachable as decisions from [config].
-    Decisions are the outputs of terminated processes.  The memo holds at
-    most 5 000 000 configurations.
-    @raise Failure naming that budget when the reachable space is larger
-    (a partial valence could make a bivalent configuration look
+(** [valence config] — all values reachable as decisions from [config]:
+    the decided values of every terminal one claim-once search
+    ({!Subc_sim.Search.iter_terminals}, default options) reaches, so a
+    cycle in the protocol is visited once.  Decisions are the outputs of
+    terminated processes; empty when no execution from [config]
+    terminates.
+    @raise Failure when the search is truncated by its state or depth
+    budget (a partial valence could make a bivalent configuration look
     univalent). *)
 val valence : Config.t -> Value.t list
 
@@ -50,9 +53,10 @@ type critical = {
   successors : successor_valence list;
 }
 
-(** [find_critical config] — [None] if the initial configuration is already
-    univalent (or the descent exceeds 100 000 steps).
-    @raise Failure as {!valence} does, when the memo budget runs out. *)
+(** [find_critical config] — [None] if the initial configuration is not
+    bivalent: univalent, or with an empty valence when no execution from
+    it terminates (or if the descent exceeds 100 000 steps).
+    @raise Failure as {!valence} does, when a search is truncated. *)
 val find_critical : Config.t -> critical option
 
 val pp_critical : Format.formatter -> critical -> unit

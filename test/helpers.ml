@@ -44,7 +44,8 @@ let check_exhaustive ?max_states store ~programs ~inputs ~task =
 
 (* The historical helper semantics (no infinite schedule, no hangs) is
    0-resilient termination; the per-process solo-bound certificate is
-   [Subc_check.Progress.check_wait_free], exercised in test_reduction. *)
+   [Subc_check.Progress.check_wait_free], which the determinism matrix
+   runs. *)
 let check_wait_free ?max_states store ~programs =
   match
     Subc_check.Progress.check_t_resilient
@@ -113,13 +114,16 @@ let expect_refines ~impl ~spec =
 (* Harnesses: every family the suites share, built here once.         *)
 
 (* A store, its programs, the process symmetry the family declares (if
-   any) and the (crash, recovery) budgets the determinism matrix runs it
-   at. *)
+   any), and its property: [explain], the terminal predicate in
+   [Task_check.verdict]'s shape ([Some reason] on a terminal that
+   violates it), and [checker], the checker entry point that proves or
+   refutes it under a search's options. *)
 type harness = {
   store : Store.t;
   programs : Value.t Program.t list;
   symmetry : Symmetry.t option;
-  budgets : (int * int) list;
+  explain : Config.t -> string option;
+  checker : Search.options -> Verdict.t;
 }
 
 let root h = Config.make h.store h.programs
@@ -130,81 +134,146 @@ let sym h =
   | Some s -> s
   | None -> invalid_arg "harness declares no symmetry"
 
-(* Algorithm 2, one-shot: k processes proposing [inputs k]. *)
-let alg2_harness ?(budgets = [ (0, 0) ]) k =
-  let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
+(* A harness whose property is [task] on [inputs], proved by
+   [Task_check.check]. *)
+let task_harness ?symmetry store programs ~inputs ~task =
   {
     store;
-    programs = List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) (inputs k);
-    symmetry = Some (Subc_core.Alg2.symmetry t ~input_base:100 ());
-    budgets;
+    programs;
+    symmetry;
+    explain = Subc_tasks.Task.explain task ~inputs;
+    checker =
+      (fun options ->
+        Subc_check.Task_check.check ~options store ~programs ~inputs ~task);
   }
 
-(* Algorithm 5: process i calls WRN(i, 100 + i). *)
-let alg5_harness ?(budgets = [ (0, 0) ]) k =
-  let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
-  {
-    store;
-    programs =
-      List.init k (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)));
-    symmetry = Some (Subc_core.Alg5.symmetry t ~input_base:100 ());
-    budgets;
-  }
-
-(* The one-shot WRN_k object itself, used once per index. *)
-let wrn_harness ?(budgets = [ (0, 0) ]) k =
-  let store, h = Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k) in
-  {
-    store;
-    programs =
-      List.init k (fun i ->
-          Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i)));
-    symmetry = Some (Symmetry.standard ~n:k ~input_base:100 `Rotations);
-    budgets;
-  }
-
-(* An (n, k)-set-consensus object: n processes propose [inputs n]. *)
-let sc_harness ?(budgets = [ (0, 0) ]) ~n ~k () =
-  let store, h =
-    Store.alloc Store.empty (Subc_objects.Set_consensus_obj.model ~n ~k)
+(* A harness in which process i calls WRN(i, 100 + i) on an
+   implementation of the one-shot WRN_k object, proved linearizable by
+   [Linearizability.check_harness].  A terminal does not record when each
+   operation ran, so its predicate drops the real-time order: some
+   sequential order of the operations gives every recorded response. *)
+let wrn_property ~k ~symmetry store programs =
+  let module Lin = Subc_check.Linearizability in
+  let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
+  let spec = Subc_objects.One_shot_wrn.model ~k in
+  (* Terminals share few response vectors, so each is judged once; the
+     callbacks that judge them are serialized. *)
+  let judged = Hashtbl.create 16 in
+  let explain c =
+    let responses = List.init (Config.n_procs c) (Config.decision c) in
+    if not (Hashtbl.mem judged responses) then begin
+      let op i result = { Lin.proc = i; op = ops i; result; inv = 0; res = 0 } in
+      Hashtbl.add judged responses
+        (if Lin.check ~spec (List.mapi op responses) = None then
+           Some "no sequential order of the operations gives the responses"
+         else None)
+    end;
+    Hashtbl.find judged responses
   in
   {
     store;
-    programs =
-      List.init n (fun i ->
-          Subc_objects.Set_consensus_obj.propose h (Value.Int (100 + i)));
-    symmetry = Some (Symmetry.standard ~n ~input_base:100 `Full);
-    budgets;
+    programs;
+    symmetry = Some symmetry;
+    explain;
+    checker =
+      (fun options -> Lin.check_harness ~options store ~programs ~ops ~spec);
   }
 
+(* A harness for a protocol with no task of its own: its property is
+   that no process hangs and every schedule terminates, proved by
+   [Progress.check_t_resilient] at the search's crash budget. *)
+let terminating_harness ?symmetry store programs =
+  {
+    store;
+    programs;
+    symmetry;
+    explain =
+      (fun c -> if Config.any_hung c then Some "a process hangs" else None);
+    checker =
+      (fun options ->
+        Subc_check.Progress.check_t_resilient ~options
+          ~t:options.Search.max_crashes store ~programs);
+  }
+
+(* Algorithm 2, one-shot: k processes proposing [inputs k], solving
+   (k-1)-set consensus. *)
+let alg2_harness k =
+  let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
+  task_harness store
+    (List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) (inputs k))
+    ~symmetry:(Subc_core.Alg2.symmetry t ~input_base:100 ())
+    ~inputs:(inputs k)
+    ~task:(Subc_tasks.Task.set_consensus (k - 1))
+
+(* Algorithm 5: process i calls WRN(i, 100 + i). *)
+let alg5_harness k =
+  let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
+  wrn_property ~k store
+    (List.init k (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))))
+    ~symmetry:(Subc_core.Alg5.symmetry t ~input_base:100 ())
+
+(* The one-shot WRN_k object itself, used once per index. *)
+let wrn_harness k =
+  let store, h = Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k) in
+  wrn_property ~k store
+    (List.init k (fun i ->
+         Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i))))
+    ~symmetry:(Symmetry.standard ~n:k ~input_base:100 `Rotations)
+
+(* An (n, k)-set-consensus object: n processes propose [inputs n]. *)
+let sc_harness ~n ~k () =
+  let store, h =
+    Store.alloc Store.empty (Subc_objects.Set_consensus_obj.model ~n ~k)
+  in
+  task_harness store
+    (List.init n (fun i ->
+         Subc_objects.Set_consensus_obj.propose h (Value.Int (100 + i))))
+    ~symmetry:(Symmetry.standard ~n ~input_base:100 `Full)
+    ~inputs:(inputs n)
+    ~task:(Subc_tasks.Task.set_consensus k)
+
 (* Algorithm 3 at k=2 (relaxed WRN, snapshot renaming) for identifiers
-   9 and 2, with its inputs and the 1-set consensus task it solves.
-   Identifier-asymmetric: it declares no symmetry. *)
+   9 and 2, solving 1-set consensus of their inputs; identifiers break
+   process symmetry, so its symmetry is terminal-store erasure alone. *)
 let alg3_harness () =
   let k = 2 and ids = [ 9; 2 ] in
   let store, t =
     Subc_core.Alg3.alloc Store.empty ~k ~flavor:Subc_core.Alg3.Relaxed_wrn
       ~renamer:Subc_core.Alg3.Rename_snapshot ()
   in
-  let programs =
-    List.mapi
-      (fun slot id ->
-        Subc_core.Alg3.propose t ~slot ~id (Value.Int (1000 + id)))
-      ids
-  in
-  ( { store; programs; symmetry = None; budgets = [ (0, 0) ] },
-    List.map (fun id -> Value.Int (1000 + id)) ids,
-    Subc_tasks.Task.set_consensus (k - 1) )
+  task_harness store ~symmetry:(Symmetry.erasure_only ~n:k)
+    (List.mapi
+       (fun slot id ->
+         Subc_core.Alg3.propose t ~slot ~id (Value.Int (1000 + id)))
+       ids)
+    ~inputs:(List.map (fun id -> Value.Int (1000 + id)) ids)
+    ~task:(Subc_tasks.Task.set_consensus (k - 1))
 
 (* A recoverable-consensus family's protocol for n processes and r
-   recoveries, by default at crash budget max(n-1, r) and recovery
-   budget r. *)
-let recovery_harness ?budgets family ~n ~r =
+   recoveries.  Its property is recoverable consensus, proved by
+   [Task_check.verdict]: no process hangs, the decided values agree and
+   were proposed, and every schedule terminates; a process still crashed
+   at the end decides nothing, which is allowed. *)
+let recovery_harness family ~n ~r =
   let store, programs =
     Subc_check.Recoverable.protocol Store.empty family ~n ~max_recoveries:r
   in
-  let budgets = Option.value budgets ~default:[ (max (n - 1) r, r) ] in
-  { store; programs; symmetry = None; budgets }
+  let h =
+    task_harness store programs
+      ~inputs:(List.init n (fun i -> Value.Int i))
+      ~task:Subc_tasks.Task.consensus
+  in
+  let explain c =
+    if Config.any_hung c then Some "a process hangs" else h.explain c
+  in
+  {
+    h with
+    explain;
+    checker =
+      (fun options ->
+        Subc_check.Task_check.verdict ~options (root h) ~explain
+          ~proved:"recoverable consensus");
+  }
 
 (* ---------------------------------------------------------------- *)
 (* The determinism matrix.                                            *)
@@ -266,40 +335,68 @@ let handover () =
       end
     end
 
-(* [agree name h] runs every engine configuration on [h] and fails unless
-   they agree.  For each budget of [h] and each reduction level (none
-   and source, plus sym and full when [h] declares a symmetry), the
-   cells are every engine setting — jobs 1, jobs 4 through [Search] at
-   the default spawn threshold, jobs 4 spawning at the root — crossed
-   with three visited tables: the heap, the heap under [~paranoid], and
-   a [Spill] directory.  [~paranoid] claims in the exact table whatever
-   [visited] says, so it runs on the heap only.
+(* [agree name h ~f ~r ~expect] runs every engine configuration on [h] at
+   crash budget [f] and recovery budget [r], where [h]'s property has
+   status [expect].  It returns one test body per reduction level (none,
+   source, then sym and full if [h] declares a symmetry), failing unless
+   that level's cells agree and agree with the levels it is compared to
+   below; each level's search runs once, for the first body needing it.
+   The cells are jobs 1, jobs 4 through [Search] at the default spawn
+   threshold and jobs 4 spawning at the root, crossed with three visited
+   tables: the heap, the heap under [~paranoid] (which claims in the
+   exact table whatever [visited] says) and a [Spill] directory.
 
-   Every cell must report the first (jobs-1 heap) cell's [same_counts],
-   never be limited and keep a live frontier gauge; jobs-1 cells also
-   agree on [max_depth].  The collision bound is 0 under [~paranoid] and
-   otherwise the 124-bit birthday bound, below 1e-6.  Spill cells map
-   their table and leave the directory empty.  Unreduced fingerprinted
-   cells patch once per transition; paranoid cells with symmetry off
-   re-fold every state (under symmetry no fingerprint is carried).  With
-   [~steals] every root-spawning cell records a steal.  A budget with
-   recoveries reaches a recovered terminal.  Against the unreduced
-   search, source sets keep the terminal, hung and crashed counts, and
-   both source sets and the full reduction explore fewer transitions
-   whenever they skip one. *)
-let agree ?(steals = false) name h =
+   Counts.  Every cell must report the first (jobs-1 heap) cell's
+   [same_counts], never be limited and keep a live frontier gauge;
+   jobs-1 cells also agree on [max_depth].  The collision bound is 0
+   under [~paranoid] and otherwise the 124-bit birthday bound, below
+   1e-6.  Spill cells map their table and leave the directory empty.
+   Unreduced fingerprinted cells patch once per transition; paranoid
+   cells with symmetry off re-fold every state.  With [~steals] every
+   root-spawning cell records a steal.  A budget with recoveries reaches
+   a recovered terminal.  A symmetry beyond the identity explores fewer
+   states than the unreduced search.  Source sets keep the unreduced
+   terminal, hung and crashed counts, the full reduction keeps the
+   symmetry-only ones, and each explores fewer transitions than the
+   search it refines (and full than the unreduced one) when it skips one.
+
+   Verdicts.  Every cell's terminal callback runs once per terminal and
+   counts the terminals [h.explain] rejects: the count agrees across a
+   level's cells and between none and source, it is non-zero exactly
+   when [expect] is [`Refuted], and the first one's trace replays from
+   the root to a terminal [h.explain] rejects.  Per level, [h.checker]
+   runs at jobs 1 and 4 on each table: it reports [expect] with the same
+   metrics in every cell, a proof has the level's [same_counts], and a
+   refutation's witness replays as a cell's does.  With [~solo_bound],
+   at [r = 0], [Progress.check_wait_free] runs in the same cells and
+   proves that bound over every configuration of the level's search
+   without source sets, which it strips. *)
+let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
   let config = root h in
   let engines = [ ("j1", 1, None); ("j4", 4, None); ("j4 eager", 4, Some 0) ] in
   let counters =
     [ "fp.patches"; "fp.refolds"; "parallel.steals"; "visited.spill_bytes" ]
   in
-  let level dir label ~f ~r (reduction : Explore.reduction) =
+  let budget = Printf.sprintf "%s f=%d r=%d" name f r in
+  let replays cell trace =
+    match Replay.final config trace with
+    | Ok c ->
+      Alcotest.(check bool)
+        (cell ^ " witness violates") true (Option.is_some (h.explain c))
+    | Error { Replay.at; reason } ->
+      Alcotest.failf "%s: witness does not replay (event %d: %s)" cell at
+        reason
+  in
+  let level dir label ?reach (reduction : Explore.reduction) =
     let tables =
-      [
-        ("heap", Parallel.Heap, false);
-        ("paranoid", Parallel.Heap, true);
-        ("spill", Parallel.Spill dir, false);
-      ]
+      [ ("heap", Parallel.Heap, false); ("paranoid", Parallel.Heap, true);
+        ("spill", Parallel.Spill dir, false) ]
+    in
+    let options ~jobs ~visited ~paranoid =
+      Search.(
+        default |> with_max_crashes f |> with_max_recoveries r
+        |> with_reduction reduction |> with_paranoid paranoid
+        |> with_visited visited |> with_jobs jobs)
     in
     let sym_off = reduction.symmetry = None in
     let base = ref None in
@@ -307,27 +404,35 @@ let agree ?(steals = false) name h =
       (fun (elabel, jobs, seq_threshold) ->
         List.iter
           (fun (tlabel, visited, paranoid) ->
-            let cell = Printf.sprintf "%s %s %s %s" name label elabel tlabel in
-            let options =
-              Search.(
-                default |> with_max_crashes f |> with_max_recoveries r
-                |> with_reduction reduction |> with_paranoid paranoid
-                |> with_visited visited |> with_jobs jobs)
+            let cell = Printf.sprintf "%s %s %s %s" budget label elabel tlabel in
+            let options = options ~jobs ~visited ~paranoid in
+            let calls = ref 0 and violations = ref 0 and witness = ref None in
+            let on_terminal final trace =
+              incr calls;
+              if Option.is_some (h.explain final) then begin
+                incr violations;
+                if !witness = None then witness := Some trace
+              end
             in
             let before = List.map (fun n -> (n, metric n)) counters in
             let s =
               match seq_threshold with
-              | None -> Search.iter_terminals ~options config ~f:(fun _ _ -> ())
+              | None -> Search.iter_terminals ~options config ~f:on_terminal
               | Some _ ->
                 let on_visit =
                   if steals then handover () else fun _ _ _ -> ()
                 in
-                parallel_run ?seq_threshold ~on_visit options config
+                parallel_run ?seq_threshold ~on_terminal ~on_visit options
+                  config
             in
             let moved n = metric n -. List.assoc n before in
-            let b = match !base with Some b -> b | None -> s in
-            base := Some b;
+            if Option.is_none !base then base := Some (s, !violations);
+            let b, bv = Option.get !base in
             same_counts cell b s;
+            Alcotest.(check int)
+              (cell ^ " one callback per terminal") s.Explore.terminals !calls;
+            Alcotest.(check int) (cell ^ " violations") bv !violations;
+            Option.iter (replays cell) !witness;
             if jobs = 1 then
               Alcotest.(check int)
                 (cell ^ " max_depth") b.Explore.max_depth s.Explore.max_depth;
@@ -367,38 +472,106 @@ let agree ?(steals = false) name h =
                 (moved "parallel.steals" > 0.0))
           tables)
       engines;
-    Option.get !base
+    let counts, violations = Option.get !base in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %s some terminal violates" budget label)
+      (expect = `Refuted) (violations > 0);
+    (* [proved cell v] judges a proof of [run]. *)
+    let checker cname run status proved =
+      let first = ref None in
+      List.iter
+        (fun (elabel, jobs) ->
+          List.iter
+            (fun (tlabel, visited, paranoid) ->
+              let cell =
+                String.concat " " [ budget; label; cname; elabel; tlabel ]
+              in
+              let v = run (options ~jobs ~visited ~paranoid) in
+              Alcotest.(check string)
+                (cell ^ " status") status (Verdict.status_string v);
+              (match v with
+              | Verdict.Refuted { trace; _ } -> replays cell trace
+              | v -> proved cell v);
+              let metrics = (Verdict.stats v).Verdict.metrics in
+              if !first = None then first := Some metrics;
+              Alcotest.(check (list (pair string (float 0.0))))
+                (cell ^ " metrics") (Option.get !first) metrics)
+            tables)
+        [ ("j1", 1); ("j4", 4) ]
+    in
+    checker "checker" h.checker
+      (match expect with `Proved -> "proved" | `Refuted -> "refuted")
+      (fun cell v -> same_counts cell counts (explore_stats_exn v));
+    let reach = Option.value reach ~default:counts in
+    if r = 0 then
+      Option.iter
+        (fun bound ->
+          checker "wait-free"
+            (fun options ->
+              Subc_check.Progress.check_wait_free ~options h.store
+                ~programs:h.programs)
+            "proved"
+            (fun cell v ->
+              same_counts cell reach (explore_stats_exn v);
+              Alcotest.(check (list (pair string (float 0.0))))
+                (cell ^ " solo bound and configs")
+                [ ("solo_bound", float_of_int bound);
+                  ("configs", float_of_int reach.Explore.states) ]
+                (Verdict.stats v).Verdict.metrics))
+        solo_bound;
+    (counts, violations)
   in
-  let budget dir (f, r) =
-    let label l = Printf.sprintf "f=%d r=%d %s" f r l in
-    let none = level dir (label "none") ~f ~r Explore.no_reduction in
-    let source = level dir (label "source") ~f ~r Explore.source_only in
+  let same_terminals what (a : Explore.stats) (b : Explore.stats) =
     let vs field get =
-      Alcotest.(check int)
-        (Printf.sprintf "%s %s source vs none %s" name (label "") field)
-        (get none) (get source)
+      Alcotest.(check int) (budget ^ " " ^ what ^ " " ^ field) (get a) (get b)
     in
     vs "terminals" (fun s -> s.Explore.terminals);
     vs "hung" (fun s -> s.Explore.hung_terminals);
-    vs "crashed" (fun s -> s.Explore.crashed_terminals);
-    if r > 0 then
-      Alcotest.(check bool)
-        (Printf.sprintf "%s %s some terminal recovered" name (label ""))
-        true
-        (none.Explore.recovered_terminals > 0);
-    let prunes lbl (s : Explore.stats) =
-      if s.Explore.source_skips > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "%s %s %s prunes transitions" name (label "") lbl)
-          true
-          (s.Explore.transitions < none.Explore.transitions)
-    in
-    prunes "source" source;
-    Option.iter
-      (fun sym ->
-        ignore (level dir (label "sym") ~f ~r (Explore.with_symmetry sym));
-        prunes "full"
-          (level dir (label "full") ~f ~r (Explore.full_reduction sym)))
-      h.symmetry
+    vs "crashed" (fun s -> s.Explore.crashed_terminals)
   in
-  in_temp_dir (fun dir -> List.iter (budget dir) h.budgets) ()
+  let prunes what (s : Explore.stats) (than : Explore.stats) =
+    if s.Explore.source_skips > 0 then
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s prunes transitions" budget what)
+        true
+        (s.Explore.transitions < than.Explore.transitions)
+  in
+  (* Each level runs once, in its own spill directory, when the first
+     case that needs it forces it. *)
+  let run label ?reach reduction =
+    lazy (in_temp_dir (fun dir ->
+        level dir label ?reach:(Option.map (fun l -> fst (Lazy.force l)) reach)
+          reduction) ())
+  in
+  let counts l = fst (Lazy.force l) in
+  let none = run "none" Explore.no_reduction in
+  let source = run "source" ~reach:none Explore.source_only in
+  let recovered () =
+    Alcotest.(check bool) (budget ^ " some terminal recovered") true
+      (r = 0 || (counts none).Explore.recovered_terminals > 0)
+  in
+  let against_none () =
+    let (none, nv), (source, sv) = (Lazy.force none, Lazy.force source) in
+    same_terminals "source vs none" none source;
+    Alcotest.(check int) (budget ^ " source vs none violations") nv sv;
+    prunes "source vs none" source none
+  in
+  ("none", recovered) :: ("source", against_none) ::
+  match h.symmetry with
+  | None -> []
+  | Some sym ->
+    let symmetric = run "sym" (Explore.with_symmetry sym) in
+    let full = run "full" ~reach:symmetric (Explore.full_reduction sym) in
+    let quotients () =
+      let s = counts symmetric in
+      if List.length (Symmetry.perms sym) > 1 then
+        Alcotest.(check bool) (budget ^ " sym quotients the states") true
+          (s.Explore.states < (counts none).Explore.states)
+    in
+    let refines () =
+      let symmetric = counts symmetric and full = counts full in
+      same_terminals "full vs sym" symmetric full;
+      prunes "full vs none" full (counts none);
+      prunes "full vs sym" full symmetric
+    in
+    [ ("sym", quotients); ("full", refines) ]

@@ -1,17 +1,11 @@
-(* The search engine beyond the determinism matrix (test_determinism):
-   budgets, callbacks that stop or raise, the small-space fallback, the
-   visited-table structures and their spill files, Verdict-typed checkers
-   at [--jobs 1] and [--jobs N], and the fingerprint the engine keys
-   on: injective over every reachable set we explore, and equal on equal
-   canonical keys. *)
+(* The search engine beyond the determinism matrix (test_determinism,
+   which also runs every checker at [--jobs 1] and [--jobs N]): budgets,
+   callbacks that stop or raise, the small-space fallback, the
+   visited-table structures and their spill files, and the fingerprint
+   the engine keys on: injective over every reachable set we explore,
+   and equal on equal canonical keys. *)
 open Subc_sim
 open Helpers
-module Task = Subc_tasks.Task
-module Task_check = Subc_check.Task_check
-module Verdict = Subc_check.Verdict
-module Progress = Subc_check.Progress
-module Lin = Subc_check.Linearizability
-module Valence = Subc_check.Valence
 
 (* Domain count of the multi-domain side of each comparison. *)
 let jobs = 4
@@ -344,217 +338,6 @@ let spill_deadline_limits spill_dir =
   Alcotest.(check string)
     "deadline reason" "deadline"
     (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason)
-
-(* ---------------------------------------------------------------- *)
-(* Verdict agreement at jobs=1 vs jobs=N.                            *)
-
-let verdict_status = Alcotest.testable Fmt.string String.equal
-
-let same_status name a b =
-  Alcotest.check verdict_status name (Verdict.status_string a)
-    (Verdict.status_string b)
-
-let search_options ~max_crashes ?(reduction = Explore.no_reduction) jobs =
-  Search.(
-    default |> with_max_crashes max_crashes |> with_reduction reduction
-    |> with_jobs jobs)
-
-let task_check_agrees () =
-  let ({ store; programs; _ } as h) = alg2_harness 3 in
-  let sym = sym h in
-  let task = Task.set_consensus 2 in
-  List.iter
-    (fun f ->
-      List.iter
-        (fun (rlabel, reduction) ->
-          let name = Printf.sprintf "alg2 f=%d %s" f rlabel in
-          let opts = search_options ~max_crashes:f ?reduction in
-          let seq =
-            Task_check.check ~options:(opts 1) store ~programs
-              ~inputs:(inputs 3) ~task
-          in
-          let par =
-            Task_check.check ~options:(opts jobs) store ~programs
-              ~inputs:(inputs 3) ~task
-          in
-          same_status name seq par;
-          Alcotest.(check bool) (name ^ " proved") true (Verdict.is_proved par);
-          same_counts name (explore_stats_exn seq) (explore_stats_exn par))
-        [
-          ("none", None);
-          ("source", Some Explore.source_only);
-          ("sym", Some (Explore.with_symmetry sym));
-          ("full", Some (Explore.full_reduction sym));
-        ])
-    [ 0; 1; 2 ];
-  let { store = store3; programs = programs3; _ }, inputs3, task3 =
-    alg3_harness ()
-  in
-  same_status "alg3"
-    (Task_check.check store3 ~programs:programs3 ~inputs:inputs3 ~task:task3)
-    (Task_check.check
-       ~options:
-         Search.(default |> with_jobs jobs)
-       store3 ~programs:programs3 ~inputs:inputs3 ~task:task3)
-
-(* A refuted instance refutes in parallel too (1-set consensus from a
-   WRN_3 is impossible — some schedule decides two values). *)
-let task_check_refutes () =
-  let { store; programs; _ } = alg2_harness 3 in
-  let task = Task.set_consensus 1 in
-  let seq = Task_check.check store ~programs ~inputs:(inputs 3) ~task in
-  let par =
-    Task_check.check
-      ~options:
-        Search.(default |> with_jobs jobs)
-      store ~programs ~inputs:(inputs 3) ~task
-  in
-  same_status "alg2 1-set refuted" seq par;
-  Alcotest.(check bool) "refuted sequentially" false (Verdict.is_proved seq);
-  Alcotest.(check bool) "refuted in parallel" false (Verdict.is_proved par)
-
-let lin_agrees () =
-  let ({ store; programs; _ } as h) = alg5_harness 3 in
-  let sym = sym h in
-  let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
-  let spec = Subc_objects.One_shot_wrn.model ~k:3 in
-  List.iter
-    (fun f ->
-      List.iter
-        (fun (rlabel, reduction) ->
-          let name = Printf.sprintf "alg5 lin f=%d %s" f rlabel in
-          let opts = search_options ~max_crashes:f ?reduction in
-          let seq =
-            Lin.check_harness ~options:(opts 1) store ~programs ~ops ~spec
-          in
-          let par =
-            Lin.check_harness ~options:(opts jobs) store ~programs ~ops ~spec
-          in
-          same_status name seq par;
-          Alcotest.(check bool) (name ^ " proved") true (Verdict.is_proved par);
-          let histories v = List.assoc "histories" (Verdict.stats v).Verdict.metrics in
-          Alcotest.(check (float 0.0))
-            (name ^ " histories")
-            (histories seq) (histories par))
-        [
-          ("none", None);
-          ("source", Some Explore.source_only);
-          ("sym", Some (Explore.with_symmetry sym));
-          ("full", Some (Explore.full_reduction sym));
-        ])
-    [ 0; 1 ]
-
-let wait_free_agrees dir =
-  let ({ store; programs; _ } as h) = alg2_harness 3 in
-  let sym = sym h in
-  let solo_bound v =
-    List.assoc "solo_bound" (Verdict.stats v).Verdict.metrics
-  in
-  let configs v = List.assoc "configs" (Verdict.stats v).Verdict.metrics in
-  List.iter
-    (fun (rlabel, reduction) ->
-      let name = "alg2 wait-free " ^ rlabel in
-      let opts = search_options ~max_crashes:1 ?reduction in
-      let seq = Progress.check_wait_free ~options:(opts 1) store ~programs in
-      let par =
-        Progress.check_wait_free ~options:(opts jobs) store ~programs
-      in
-      same_status name seq par;
-      Alcotest.(check bool) (name ^ " proved") true (Verdict.is_proved par);
-      Alcotest.(check (float 0.0))
-        (name ^ " solo bound")
-        (solo_bound seq) (solo_bound par);
-      Alcotest.(check (float 0.0))
-        (name ^ " configs")
-        (configs seq) (configs par))
-    [ ("none", None); ("sym", Some (Explore.with_symmetry sym)) ];
-  (* Alg5 k=3 f=1: one solo bound and configuration count whether the
-     memo's fingerprints are re-folded (paranoid) or not, on either
-     visited backing, at one domain and at [jobs]. *)
-  let { store; programs; _ } = alg5_harness 3 in
-  List.iter
-    (fun (vlabel, visited) ->
-      List.iter
-        (fun paranoid ->
-          List.iter
-            (fun j ->
-              let name =
-                Printf.sprintf "alg5 wait-free %s paranoid=%b j%d" vlabel
-                  paranoid j
-              in
-              let options =
-                Search.(
-                  default |> with_max_crashes 1 |> with_paranoid paranoid
-                  |> with_visited visited |> with_jobs j)
-              in
-              let v = Progress.check_wait_free ~options store ~programs in
-              Alcotest.(check bool)
-                (name ^ " proved") true (Verdict.is_proved v);
-              Alcotest.(check (float 0.0)) (name ^ " solo bound") 5.0
-                (solo_bound v);
-              Alcotest.(check (float 0.0)) (name ^ " configs") 2242.0
-                (configs v))
-            [ 1; jobs ])
-        [ false; true ])
-    [ ("heap", Parallel.Heap); ("spill", Parallel.Spill dir) ]
-
-let consensus_verdict_agrees () =
-  let store, c = Store.alloc Store.empty Subc_objects.Consensus_obj.model in
-  let programs =
-    [
-      Subc_objects.Consensus_obj.propose c (Value.Int 0);
-      Subc_objects.Consensus_obj.propose c (Value.Int 1);
-    ]
-  in
-  let config = Config.make store programs in
-  let inputs = [ Value.Int 0; Value.Int 1 ] in
-  let seq = Valence.consensus_verdict config ~inputs in
-  let par =
-    Valence.consensus_verdict
-      ~options:
-        Search.(default |> with_jobs jobs)
-      config ~inputs
-  in
-  same_status "consensus object solves" seq par;
-  Alcotest.(check bool) "proved" true (Verdict.is_proved par)
-
-(* A spill search goes through the Search dispatcher to {!Parallel}
-   (even at one job) and preserves checker verdicts and counts. *)
-let spill_search_dispatch spill_dir =
-  let { store; programs; _ }, inputs, task = alg3_harness () in
-  let seqv = Task_check.check store ~programs ~inputs ~task in
-  List.iter
-    (fun j ->
-      let spv =
-        Task_check.check
-          ~options:
-            Search.(
-              default |> with_visited (Parallel.Spill spill_dir) |> with_jobs j)
-          store ~programs ~inputs ~task
-      in
-      let name = Printf.sprintf "spill jobs=%d" j in
-      same_status name seqv spv;
-      same_counts name (explore_stats_exn seqv) (explore_stats_exn spv))
-    [ 1; 2 ]
-
-(* A refutation stays a refutation when the visited set is spilled. *)
-let spill_refutes spill_dir =
-  let { store; programs; _ } = alg2_harness 3 in
-  let task = Task.set_consensus 1 in
-  let seq = Task_check.check store ~programs ~inputs:(inputs 3) ~task in
-  List.iter
-    (fun j ->
-      let spv =
-        Task_check.check
-          ~options:
-            Search.(
-              default |> with_visited (Parallel.Spill spill_dir) |> with_jobs j)
-          store ~programs ~inputs:(inputs 3) ~task
-      in
-      let name = Printf.sprintf "spill jobs=%d" j in
-      same_status name seq spv;
-      Alcotest.(check bool) (name ^ " refuted") false (Verdict.is_proved spv))
-    [ 1; jobs ]
 
 (* Injectivity of the fingerprint the symmetry-off searches key on
    ([Fingerprint.hom_of_config], the re-fold of the carried hash) over an
@@ -1020,18 +803,6 @@ let suite =
           (in_temp_dir spill_dir_created_and_clean);
         test "concurrent spill searches share a directory"
           (in_temp_dir concurrent_spill_searches);
-      ] );
-    ( "parallel.verdicts",
-      [
-        test_slow "task conformance agrees across jobs" task_check_agrees;
-        test "refutation agrees across jobs" task_check_refutes;
-        test_slow "linearizability agrees across jobs" lin_agrees;
-        test_slow "wait-freedom bound agrees across jobs"
-          (in_temp_dir wait_free_agrees);
-        test "consensus verdict agrees across jobs" consensus_verdict_agrees;
-        test "spill via Search preserves verdicts"
-          (in_temp_dir spill_search_dispatch);
-        test "spill refutation agrees" (in_temp_dir spill_refutes);
       ] );
     ( "parallel.fingerprint",
       [

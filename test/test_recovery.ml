@@ -2,10 +2,10 @@
    separation table (Ovens-style — readable one-shot winners lose their
    power once a recovery is allowed, CAS and consensus objects keep it),
    the deterministic and randomized recovery adversaries with trace
-   replay, jobs=1 vs jobs=N agreement of the recoverable verdicts (the
-   determinism matrix, test_determinism, runs the recovery spaces),
-   and the budget plumbing (deadline truncation, expected-states hint)
-   on recovery state spaces. *)
+   replay, and the budget plumbing (deadline truncation, expected-states
+   hint) on recovery state spaces.  The determinism matrix
+   (test_determinism) checks the recoverable verdicts at every jobs
+   count and visited table. *)
 open Subc_sim
 open Helpers
 module Register = Subc_objects.Register
@@ -178,32 +178,6 @@ let recover_random_deterministic_and_replays () =
     (!recovered_runs > 0)
 
 (* ---------------------------------------------------------------- *)
-(* jobs=1 vs jobs=N on recovery state spaces.                        *)
-
-let verdict_agrees_across_jobs () =
-  List.iter
-    (fun family ->
-      List.iter
-        (fun r ->
-          let v1 = R.verdict family ~n:2 ~max_recoveries:r in
-          let vn =
-            R.verdict ~options:Search.(default |> with_jobs jobs) family ~n:2
-              ~max_recoveries:r
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s r=%d: same status" (R.family_name family) r)
-            (Verdict.status_string v1)
-            (Verdict.status_string vn);
-          match (v1, vn) with
-          | Verdict.Proved _, Verdict.Proved _ ->
-            same_counts
-              (Printf.sprintf "%s r=%d" (R.family_name family) r)
-              (explore_stats_exn v1) (explore_stats_exn vn)
-          | _ -> ())
-        [ 0; 1 ])
-    [ R.Test_and_set; R.Queue; R.Cas ]
-
-(* ---------------------------------------------------------------- *)
 (* Budget plumbing on recovery state spaces.                         *)
 
 let expected_states_hint () =
@@ -319,11 +293,6 @@ let suite =
         test "late recoveries are drained" recover_after_drains;
         test_slow "Recover_random is deterministic and replays"
           recover_random_deterministic_and_replays;
-      ] );
-    ( "recovery.parallel",
-      [
-        test_slow "recoverable verdicts agree across jobs"
-          verdict_agrees_across_jobs;
       ] );
     ( "recovery.budgets",
       [

@@ -1,211 +1,11 @@
-(* Cross-validation of the state-space reductions: for every algorithm
-   family the reduced and unreduced searches must agree on the verdicts
-   (task conformance, linearizability, wait-freedom bounds), and the
-   source-set reduction alone must preserve the terminal set exactly.
-   Plus property tests of the canonicalization itself. *)
+(* The state-space reductions beyond the determinism matrix
+   (test_determinism, which checks that every reduction level gives the
+   same verdicts and the counts each reduction promises): source sets
+   alone preserve the terminal set exactly, the canonicalization's
+   properties, and the commute memo's overflow path. *)
 open Subc_sim
 open Helpers
-module Task = Subc_tasks.Task
-module Task_check = Subc_check.Task_check
-module Verdict = Subc_check.Verdict
-module Progress = Subc_check.Progress
-module Lin = Subc_check.Linearizability
-
-let options ?(max_crashes = 0) ?(reduction = Explore.no_reduction) () =
-  Search.(default |> with_max_crashes max_crashes |> with_reduction reduction)
-
-let verdict_status = Alcotest.testable Fmt.string String.equal
-
-let agree name base reduced =
-  Alcotest.check verdict_status name
-    (Verdict.status_string base)
-    (Verdict.status_string reduced);
-  Alcotest.(check bool) (name ^ " base proved") true (Verdict.is_proved base)
-
-(* ---------------------------------------------------------------- *)
-(* Task-conformance agreement: reduced vs unreduced.                 *)
-
-let alg2_agrees () =
-  let k = 3 in
-  let ({ store; programs; _ } as h) = alg2_harness k in
-  let sym = sym h in
-  let task = Task.set_consensus (k - 1) in
-  List.iter
-    (fun f ->
-      let base =
-        Task_check.check
-          ~options:(options ~max_crashes:f ())
-          store ~programs ~inputs:(inputs k) ~task
-      in
-      List.iter
-        (fun (label, reduction) ->
-          agree
-            (Printf.sprintf "alg2 f=%d %s" f label)
-            base
-            (Task_check.check
-               ~options:(options ~max_crashes:f ~reduction ())
-               store ~programs ~inputs:(inputs k) ~task))
-        [
-          ("source", Explore.source_only);
-          ("sym", Explore.with_symmetry sym);
-          ("full", Explore.full_reduction sym);
-        ])
-    [ 0; 1; 2 ]
-
-let alg3_agrees () =
-  (* k=2: the k=3 instance exceeds 200k states unreduced, too large for a
-     cross-validation that runs the unreduced search too. *)
-  let { store; programs; _ }, inputs, task = alg3_harness () in
-  (* Identifier-asymmetric: only the universally-sound reductions apply. *)
-  let base = Task_check.check store ~programs ~inputs ~task in
-  List.iter
-    (fun (label, reduction) ->
-      agree ("alg3 " ^ label) base
-        (Task_check.check
-           ~options:(options ~reduction ())
-           store ~programs ~inputs ~task))
-    [
-      ("source", Explore.source_only);
-      ("erase", Explore.with_symmetry (Symmetry.erasure_only ~n:2));
-    ]
-
-let alg4_agrees () =
-  (* Algorithm 4 (relaxed WRN from 1sWRN + counters): no task of its own,
-     so cross-validate the wait-freedom verdict and its solo bound under
-     the universally-sound reductions. *)
-  let k = 2 in
-  let store, t = Subc_core.Alg4.alloc Store.empty ~k in
-  let programs =
-    List.init k (fun i -> Subc_core.Alg4.rlx_wrn t ~i (Value.Int (100 + i)))
-  in
-  let solo_bound v = List.assoc "solo_bound" (Verdict.stats v).Verdict.metrics in
-  let base = Progress.check_wait_free store ~programs in
-  List.iter
-    (fun (label, reduction) ->
-      let red =
-        Progress.check_wait_free
-          ~options:(options ~reduction ())
-          store ~programs
-      in
-      agree ("alg4 " ^ label) base red;
-      Alcotest.(check (float 0.0))
-        ("alg4 solo bound " ^ label)
-        (solo_bound base) (solo_bound red))
-    [ ("erase", Explore.with_symmetry (Symmetry.erasure_only ~n:k)) ]
-
-let alg6_agrees () =
-  let n = 4 and k = 2 in
-  let store, t = Subc_core.Alg6.alloc Store.empty ~n ~k ~one_shot:true in
-  let programs =
-    List.mapi (fun i v -> Subc_core.Alg6.propose t ~i v) (inputs n)
-  in
-  let task = Task.set_consensus (Subc_core.Alg6.agreement_bound ~n ~k) in
-  let base = Task_check.check store ~programs ~inputs:(inputs n) ~task in
-  List.iter
-    (fun (label, reduction) ->
-      agree ("alg6 " ^ label) base
-        (Task_check.check
-           ~options:(options ~reduction ())
-           store ~programs ~inputs:(inputs n) ~task))
-    [
-      ("source", Explore.source_only);
-      ("erase", Explore.with_symmetry (Symmetry.erasure_only ~n));
-    ]
-
-let set_consensus_agrees () =
-  let ({ store; programs; _ } as h) = sc_harness ~n:3 ~k:2 () in
-  let sym = sym h in
-  let task = Task.set_consensus 2 in
-  List.iter
-    (fun f ->
-      let base =
-        Task_check.check
-          ~options:(options ~max_crashes:f ())
-          store ~programs ~inputs:(inputs 3) ~task
-      in
-      agree
-        (Printf.sprintf "set-consensus f=%d full" f)
-        base
-        (Task_check.check
-           ~options:
-             (options ~max_crashes:f ~reduction:(Explore.full_reduction sym) ())
-           store ~programs ~inputs:(inputs 3) ~task))
-    [ 0; 1 ]
-
-let wrn_agrees () =
-  let k = 3 in
-  let ({ store; programs; _ } as h) = wrn_harness k in
-  let sym = sym h in
-  (* 1sWRN_k used once per index realizes (k-1)-set consensus of the
-     proposals (with bot mapped to the proposer's own value by Alg2; here
-     raw responses may include bot, so only check distinctness bound via
-     set-validity-free task: at most k distinct decisions trivially holds;
-     instead cross-validate the raw exploration verdict shape). *)
-  let base =
-    Search.iter_terminals (Config.make store programs) ~f:(fun _ _ -> ())
-  in
-  let red =
-    Search.iter_terminals
-      ~options:Search.(default |> with_reduction (Explore.full_reduction sym))
-      (Config.make store programs)
-      ~f:(fun _ _ -> ())
-  in
-  Alcotest.(check bool) "1sWRN both complete" true
-    ((not base.Explore.limited) && not red.Explore.limited);
-  Alcotest.(check bool) "1sWRN reduced states" true
-    (red.Explore.states < base.Explore.states);
-  Alcotest.(check bool) "1sWRN terminal orbit count" true
-    (red.Explore.terminals <= base.Explore.terminals
-    && red.Explore.terminals > 0);
-  Alcotest.(check int) "1sWRN hung terminals agree" base.Explore.hung_terminals
-    red.Explore.hung_terminals
-
-(* ---------------------------------------------------------------- *)
-(* Linearizability agreement (Algorithm 5).                          *)
-
-let alg5_lin_agrees () =
-  let k = 3 in
-  let ({ store; programs; _ } as h) = alg5_harness k in
-  let sym = sym h in
-  let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
-  let spec = Subc_objects.One_shot_wrn.model ~k in
-  List.iter
-    (fun f ->
-      let base =
-        Lin.check_harness
-          ~options:(options ~max_crashes:f ())
-          store ~programs ~ops ~spec
-      in
-      agree
-        (Printf.sprintf "alg5 lin f=%d full" f)
-        base
-        (Lin.check_harness
-           ~options:
-             (options ~max_crashes:f ~reduction:(Explore.full_reduction sym) ())
-           store ~programs ~ops ~spec))
-    [ 0; 1 ]
-
-(* ---------------------------------------------------------------- *)
-(* Progress agreement: the wait-freedom verdict and its solo bound.  *)
-
-let progress_agrees () =
-  let ({ store; programs; _ } as h) = alg2_harness 3 in
-  let sym = sym h in
-  let solo_bound v = List.assoc "solo_bound" (Verdict.stats v).Verdict.metrics in
-  let base =
-    Progress.check_wait_free
-      ~options:(options ~max_crashes:1 ())
-      store ~programs
-  in
-  let red =
-    Progress.check_wait_free
-      ~options:
-        (options ~max_crashes:1 ~reduction:(Explore.with_symmetry sym) ())
-      store ~programs
-  in
-  agree "alg2 wait-free sym" base red;
-  Alcotest.(check (float 0.0))
-    "solo bound agrees" (solo_bound base) (solo_bound red)
+module R = Subc_check.Recoverable
 
 (* ---------------------------------------------------------------- *)
 (* Source sets alone preserve the terminal set exactly (same terminal
@@ -227,22 +27,17 @@ let volatile_register_harness () =
     Store.alloc store
       (Obj_model.with_persist (fun _ -> Value.Bot) Register.model_bot)
   in
-  {
-    store;
-    programs =
-      [
-        Register.read p;
-        Program.Syntax.(
-          let* () = Register.write v (Value.Int 1) in
-          Register.read v);
-      ];
-    symmetry = None;
-    budgets = [ (1, 1) ];
-  }
+  terminating_harness store
+    [
+      Register.read p;
+      Program.Syntax.(
+        let* () = Register.write v (Value.Int 1) in
+        Register.read v);
+    ]
 
 let source_preserves_terminals () =
   List.iter
-    (fun (name, h) ->
+    (fun (name, h, budgets) ->
       List.iter
         (fun (f, r) ->
           let name = Printf.sprintf "%s f=%d r=%d" name f r in
@@ -273,16 +68,15 @@ let source_preserves_terminals () =
             (name ^ " terminal configurations identical")
             true
             (List.for_all2 (fun (_, a) (_, b) -> Value.equal a b) base reduced))
-        h.budgets)
+        budgets)
     [
-      ("alg2", alg2_harness 3);
-      ("set-consensus", sc_harness ~n:3 ~k:2 ());
-      ("alg5", alg5_harness ~budgets:[ (0, 0); (1, 1) ] 3);
-      ( "t&s",
-        recovery_harness Subc_check.Recoverable.Test_and_set ~n:2 ~r:1 );
-      ("queue", recovery_harness Subc_check.Recoverable.Queue ~n:2 ~r:2);
-      ("cas", recovery_harness Subc_check.Recoverable.Cas ~n:3 ~r:1);
-      ("volatile register", volatile_register_harness ());
+      ("alg2", alg2_harness 3, [ (0, 0) ]);
+      ("set-consensus", sc_harness ~n:3 ~k:2 (), [ (0, 0) ]);
+      ("alg5", alg5_harness 3, [ (0, 0); (1, 1) ]);
+      ("t&s", recovery_harness R.Test_and_set ~n:2 ~r:1, [ (1, 1) ]);
+      ("queue", recovery_harness R.Queue ~n:2 ~r:2, [ (2, 2) ]);
+      ("cas", recovery_harness R.Cas ~n:3 ~r:1, [ (2, 1) ]);
+      ("volatile register", volatile_register_harness (), [ (1, 1) ]);
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -439,15 +233,6 @@ let suite =
   [
     ( "reduction",
       [
-        test "alg2: reduced verdicts agree with unreduced" alg2_agrees;
-        test "alg3: source/erasure verdicts agree" alg3_agrees;
-        test "alg4: source/erasure verdicts agree" alg4_agrees;
-        test "alg6: source/erasure verdicts agree" alg6_agrees;
-        test "set-consensus: full symmetry verdicts agree" set_consensus_agrees;
-        test "1sWRN: rotation quotient is sound and smaller" wrn_agrees;
-        test "alg5: linearizability verdicts agree under reduction"
-          alg5_lin_agrees;
-        test "progress: wait-free verdict and solo bound agree" progress_agrees;
         test "source sets preserve the terminal decision multiset"
           source_preserves_terminals;
         test "canonical key: minimal, achieved, translation-invariant"
