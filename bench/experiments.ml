@@ -1004,7 +1004,7 @@ let e16 () =
    budgets (n = 2, crash budget max(n−1, r)); every cell is asserted
    against the expected separation table. *)
 let e18 () =
-  let module R = Subc_check.Recoverable in
+  let module R = Subc_classic.Recoverable in
   let budgets = [ 0; 1; 2 ] in
   let cell family r =
     let got =
@@ -1030,8 +1030,9 @@ let e18 () =
       (fun family ->
         let cells = List.map (cell family) budgets in
         let ok = List.for_all snd cells in
-        (R.family_name family :: List.map fst cells)
-        @ [ check (Printf.sprintf "E18 %s" (R.family_name family)) ok ])
+        let name = Subc_classic.Consensus_number.family_name family in
+        (name :: List.map fst cells)
+        @ [ check (Printf.sprintf "E18 %s" name) ok ])
       R.all_families
   in
   table

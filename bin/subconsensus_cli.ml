@@ -285,14 +285,6 @@ let deadline_arg =
           "Wall-clock budget in seconds: stop the exploration gracefully \
            when it elapses and downgrade the verdict to limited (exit 2).  \
            Applies per exploration, at any $(b,--jobs).")
-let expected_states_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "expected-states" ] ~docv:"N"
-        ~doc:
-          "Sizing hint: pre-size the visited table for about $(docv) \
-           states, avoiding growth pauses on explorations whose size is \
-           roughly known.  Never affects verdicts or state counts.")
 let jobs_arg =
   Arg.(
     value & opt int 1
@@ -345,8 +337,7 @@ type search = {
 let opt with_ x o = match x with None -> o | Some v -> with_ v o
 
 let search_term ?(n = Term.const 0) crashes =
-  let resolve alg n k f r deadline expected_states max_states jobs spill choice
-      certified () =
+  let resolve alg n k f r deadline max_states jobs spill choice certified () =
     let inst = instance_of alg ~n ~k ~crashes:(max f r) in
     let reduction = reduction_of ~certified ~alg choice inst in
     let options =
@@ -356,7 +347,6 @@ let search_term ?(n = Term.const 0) crashes =
       |> Search.with_max_recoveries r
       |> Search.with_jobs jobs
       |> opt Search.with_deadline deadline
-      |> opt Search.with_expected_states expected_states
       |> opt Search.with_reduction reduction
       |> opt (fun dir -> Search.with_visited (Parallel.Spill dir)) spill
     in
@@ -365,8 +355,8 @@ let search_term ?(n = Term.const 0) crashes =
   Term.(
     const resolve
     $ alg_arg [ "alg2"; "alg3"; "alg5"; "alg6" ]
-    $ n $ k_arg $ crashes $ recoveries_arg $ deadline_arg $ expected_states_arg
-    $ max_states_arg $ jobs_arg $ spill_arg $ reduction_arg $ certified_arg)
+    $ n $ k_arg $ crashes $ recoveries_arg $ deadline_arg $ max_states_arg
+    $ jobs_arg $ spill_arg $ reduction_arg $ certified_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check: one verdict per invocation, under the shared contract.       *)
@@ -589,8 +579,8 @@ let critical_cmd =
   let run k style =
     let config = attempt_config ~k style in
     match Subc_check.Valence.find_critical config with
-    | Some crit ->
-      Format.printf "%a@." Subc_check.Valence.pp_critical crit;
+    | Some descent ->
+      Format.printf "%a@." Subc_check.Valence.pp_descent descent;
       0
     | None ->
       if Subc_check.Valence.valence config = [] then
@@ -606,8 +596,10 @@ let critical_cmd =
     (Cmd.info "critical"
        ~doc:
          "Descend to a critical configuration of a 2-consensus protocol \
-          over WRN_k (the Lemma 38 structure).  Exits 0, or 2 with an error \
-          when a valence search is truncated by its state budget.")
+          over WRN_k (the Lemma 38 structure), or to the terminal that \
+          violates agreement when the descent meets one first.  Exits 0, \
+          or 2 with an error when a valence search is truncated by its \
+          state budget.")
     Term.(const run $ k_arg $ style_arg)
 
 (* ------------------------------------------------------------------ *)

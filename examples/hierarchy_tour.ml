@@ -83,17 +83,12 @@ let inner_hierarchy () =
 (* Level 2: swap = WRN₂ solves 2-consensus. *)
 let swap_level () =
   section "level 2: swap (= WRN₂)";
-  let store, t = Subc_classic.Two_consensus.alloc_wrn2 Store.empty in
-  let programs =
-    [
-      Subc_classic.Two_consensus.propose t ~me:0 (Value.Int 0);
-      Subc_classic.Two_consensus.propose t ~me:1 (Value.Int 1);
-    ]
+  let inputs = [ Value.Int 0; Value.Int 1 ] in
+  let store, programs =
+    Subc_classic.Consensus_number.(protocol Store.empty (Wrn 2) ~inputs)
   in
   let config = Config.make store programs in
-  match
-    Valence.consensus_verdict config ~inputs:[ Value.Int 0; Value.Int 1 ]
-  with
+  match Valence.consensus_verdict config ~inputs with
   | Subc_check.Verdict.Proved { explore = Some stats; _ } ->
     Format.printf "WRN₂ solves 2-consensus on all schedules (%a)@."
       Explore.pp_stats stats
@@ -103,9 +98,10 @@ let swap_level () =
 let cas_level () =
   section "level ∞: compare-and-swap";
   let n = 4 in
-  let store, t = Subc_classic.N_consensus.alloc_cas Store.empty in
   let inputs = List.init n (fun i -> Value.Int (100 + i)) in
-  let programs = List.map (Subc_classic.N_consensus.propose t) inputs in
+  let store, programs =
+    Subc_classic.Consensus_number.(protocol Store.empty Cas ~inputs)
+  in
   let task = Task.conj Task.consensus Task.all_decided in
   match Subc_check.Task_check.check store ~programs ~inputs ~task with
   | Subc_check.Verdict.Proved { explore = Some stats; _ } ->

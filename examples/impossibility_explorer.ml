@@ -36,11 +36,12 @@ let () =
     Format.printf "verdict: solves (%a)@." Explore.pp_stats stats
   | v -> Format.printf "verdict: %a@." Verdict.pp_summary v);
   (match Valence.find_critical config2 with
-  | Some crit ->
+  | Some (Valence.Critical _ as crit) ->
     Format.printf
       "@.its critical configuration (the heart of consensus number 2):@.%a@."
-      Valence.pp_critical crit
-  | None -> Format.printf "no critical configuration?!@.");
+      Valence.pp_descent crit
+  | Some (Valence.Disagreement _) | None ->
+    Format.printf "no critical configuration?!@.");
 
   Format.printf
     "@.== WRN₃: the same shape cannot decide — Lemma 38 in action ==@.";

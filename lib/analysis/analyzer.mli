@@ -39,8 +39,8 @@ type finding = {
 }
 
 val check_names : string list
-(** ["reachability"; "commutation"; "source-closure"; "footprint";
-    "equivariance"; "recovery"; "classification"]. *)
+(** ["reachability"; "commutation"; "source-closure"; "equivariance";
+    "recovery"; "classification"]. *)
 
 val analyze_subject :
   ?family:string -> ?deadline:float -> Subject.t -> finding list

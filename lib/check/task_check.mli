@@ -9,8 +9,8 @@ module Task = Subc_tasks.Task
 (** {1 The checking pipeline}
 
     Every exhaustive task-plus-termination check in this library
-    ({!Valence.consensus_verdict}, {!Recoverable.verdict},
-    {!Progress.check_t_resilient}, and the classic tables built on them)
+    ({!Valence.consensus_verdict}, {!Progress.check_t_resilient}, and the
+    classic tables built on them, recoverable consensus included)
     runs one two-phase pipeline and returns a {!Verdict.t}:
 
     + {e terminal phase} — every reachable terminal configuration must

@@ -47,31 +47,47 @@ let successors_of config =
         (Step.step config i))
     (Config.running config)
 
+type descent =
+  | Critical of critical
+  | Disagreement of { config : Config.t; trace : Trace.t }
+
 let find_critical config =
   if List.length (valence config) < 2 then None
   else
     let rec descend config rev_trace =
       if List.length rev_trace > 100_000 then None
       else
-        let succs = successors_of config in
-        match List.find_opt (fun (s, _) -> List.length s.valence >= 2) succs with
-        | None ->
-          Some
-            {
-              config;
-              trace = List.rev rev_trace;
-              successors = List.map fst succs;
-            }
-        (* Follow one bivalent successor. *)
-        | Some (s, c') -> descend c' (Trace.Sched s.event :: rev_trace)
+        match successors_of config with
+        (* A bivalent configuration without a step is a terminal that
+           already decided two values. *)
+        | [] -> Some (Disagreement { config; trace = List.rev rev_trace })
+        | succs -> (
+          match
+            List.find_opt (fun (s, _) -> List.length s.valence >= 2) succs
+          with
+          | None ->
+            let successors = List.map fst succs in
+            Some (Critical { config; trace = List.rev rev_trace; successors })
+          (* Follow one bivalent successor. *)
+          | Some (s, c') -> descend c' (Trace.Sched s.event :: rev_trace))
     in
     descend config []
 
-let pp_critical ppf c =
-  Format.fprintf ppf
-    "@[<v>critical configuration after %d steps:@,%a@,pending steps:@,%a@]"
-    (Trace.length c.trace) Trace.pp c.trace
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf s ->
-         Format.fprintf ppf "  %a  =>  valence %a" Step.pp_event s.event
-           Value.pp (Value.Vec s.valence)))
-    c.successors
+let pp_descent ppf = function
+  | Critical c ->
+    Format.fprintf ppf
+      "@[<v>critical configuration after %d steps:@,%a@,pending steps:@,%a@]"
+      (Trace.length c.trace) Trace.pp c.trace
+      (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf s ->
+           Format.fprintf ppf "  %a  =>  valence %a" Step.pp_event s.event
+             Value.pp (Value.Vec s.valence)))
+      c.successors
+  | Disagreement { config; trace } ->
+    Format.fprintf ppf
+      "@[<v>agreement violated after %d steps: a terminal decides %a@,%a@]"
+      (Trace.length trace)
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " and ")
+         Value.pp)
+      (List.sort_uniq Value.compare (Config.decisions config))
+      Trace.pp trace

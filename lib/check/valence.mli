@@ -10,10 +10,11 @@
     {!consensus_verdict} is the full verdict: does the protocol solve
     consensus (agreement + validity on every reachable terminal, and no
     infinite schedule)?  It is {!Task_check.verdict}'s pipeline with
-    consensus as the terminal check.  [find_critical] reproduces the proof structure of
-    Lemma 38 mechanically: it descends from the initial configuration
-    through bivalent successors to a critical configuration and reports the
-    pending steps. *)
+    consensus as the terminal check.  [find_critical] reproduces the proof
+    structure of Lemma 38 mechanically: it descends from the initial
+    configuration through bivalent successors to a critical configuration
+    and reports the pending steps — or, when the descent ends at a
+    terminal that decided two values, the agreement violation. *)
 
 open Subc_sim
 
@@ -53,10 +54,20 @@ type critical = {
   successors : successor_valence list;
 }
 
+(** Where the descent through bivalent configurations stops. *)
+type descent =
+  | Critical of critical
+      (** bivalent, every pending step leads to a univalent one *)
+  | Disagreement of { config : Config.t; trace : Trace.t }
+      (** a terminal that decides two values: an agreement violation,
+          reached by [trace] from the initial configuration *)
+
 (** [find_critical config] — [None] if the initial configuration is not
     bivalent: univalent, or with an empty valence when no execution from
-    it terminates (or if the descent exceeds 100 000 steps).
+    it terminates (or if the descent exceeds 100 000 steps).  A descent
+    that reaches a terminal is a [Disagreement], never a critical
+    configuration without pending steps.
     @raise Failure as {!valence} does, when a search is truncated. *)
-val find_critical : Config.t -> critical option
+val find_critical : Config.t -> descent option
 
-val pp_critical : Format.formatter -> critical -> unit
+val pp_descent : Format.formatter -> descent -> unit

@@ -41,13 +41,6 @@ let combined_exit vs =
   else if List.exists is_limited vs then 2
   else 0
 
-let with_metrics extra v =
-  let add s = { s with metrics = s.metrics @ extra } in
-  match v with
-  | Proved s -> Proved (add s)
-  | Limited s -> Limited (add s)
-  | Refuted r -> Refuted { r with stats = add r.stats }
-
 let pp_metrics ppf = function
   | [] -> ()
   | ms ->
@@ -60,12 +53,10 @@ let pp_explore ppf = function
 
 let pp ppf v =
   match v with
-  | Proved s ->
-    Format.fprintf ppf "@[<v>PROVED: %s%a%a@]" s.note pp_explore s.explore
-      pp_metrics s.metrics
-  | Limited s ->
-    Format.fprintf ppf "@[<v>LIMITED: %s%a%a@]" s.note pp_explore s.explore
-      pp_metrics s.metrics
+  | Proved s | Limited s ->
+    Format.fprintf ppf "@[<v>%s: %s%a%a@]"
+      (String.uppercase_ascii (status_string v))
+      s.note pp_explore s.explore pp_metrics s.metrics
   | Refuted { reason; trace; stats = s } ->
     Format.fprintf ppf "@[<v>REFUTED: %s%a%a@,counterexample:@,%a@]" reason
       pp_explore s.explore pp_metrics s.metrics Trace.pp trace

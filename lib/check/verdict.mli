@@ -44,9 +44,6 @@ val refuted :
 val limited :
   ?explore:Explore.stats -> ?metrics:(string * float) list -> string -> t
 
-val with_metrics : (string * float) list -> t -> t
-(** Append metrics to an existing verdict. *)
-
 (** {1 Accessors} *)
 
 val stats : t -> stats

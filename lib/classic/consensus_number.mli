@@ -11,7 +11,11 @@
     A failed verdict refutes {e that protocol}, not every protocol — but
     for the objects with consensus number 2 the n = 3 failure of the
     canonical protocol is exactly the textbook separation, and for n = 2
-    the successes are exhaustive proofs. *)
+    the successes are exhaustive proofs.
+
+    This is the one place a canonical protocol is built:
+    {!Set_consensus_power} runs it in groups ({!grouped}) and
+    {!Recoverable} wraps it in a persistent decision register. *)
 
 open Subc_sim
 
@@ -32,9 +36,24 @@ val all_families : family list
 (** Known consensus number, for the table ([None] = infinite). *)
 val known_consensus_number : family -> int option
 
-(** [protocol store family ~n] — the canonical consensus protocol: one
-    program per process, proposing values 0, …, n−1. *)
-val protocol : Store.t -> family -> n:int -> Store.t * Value.t Program.t list
+(** [protocol store family ~inputs] — the canonical consensus protocol:
+    one program per input, process [i] proposing [inputs.(i)].  It
+    allocates one announcement register per process, then the object;
+    every program first writes its input to its own register.
+    [max_recoveries] (default 0) only sizes bounded resources — the
+    queue holds one [win] and n − 1 + [max_recoveries] [lose] tokens —
+    for {!Recoverable}, which re-runs programs after a crash. *)
+val protocol :
+  ?max_recoveries:int -> Store.t -> family -> inputs:Value.t list ->
+  Store.t * Value.t Program.t list
+
+(** [grouped store family ~size ~inputs] splits the processes, in order,
+    into groups of [size] (the last may be smaller) and runs {!protocol}
+    once per group on a fresh object: ⌈n/size⌉ independent consensus
+    instances, hence at most that many distinct decisions. *)
+val grouped :
+  Store.t -> family -> size:int -> inputs:Value.t list ->
+  Store.t * Value.t Program.t list
 
 (** [verdict family ~n] — the canonical protocol's
     {!Subc_check.Valence.consensus_verdict}: [Proved] when it solves

@@ -1,6 +1,4 @@
 open Subc_sim
-open Program.Syntax
-module Register = Subc_objects.Register
 module Task = Subc_tasks.Task
 
 type family =
@@ -32,58 +30,18 @@ let predicted family ~n ~k = predicted_bound family ~n <= k
 
 let inputs ~n = List.init n (fun i -> Value.Int (100 + i))
 
-(* Canonical protocols.  Every protocol announces its proposal first so
-   adopters can look values up by process index. *)
+(* Canonical protocols: consensus-number protocols run in groups, so at
+   most one decision per group survives. *)
 let protocol store family ~n =
-  let store, announcements = Store.alloc_many store n Register.model_bot in
-  let announce me v = Register.write (List.nth announcements me) v in
-  let value_of who = Register.read (List.nth announcements who) in
-  let store, program =
+  let family, size =
     match family with
-    | Registers ->
-      (* Decide own value: the trivial n-set consensus, and the best
-         registers can do wait-free. *)
-      (store, fun _me v -> Program.return v)
-    | Wrn_objects j ->
-      let store, alg = Store.alloc_many store ((n + j - 1) / j) (Subc_objects.Wrn.model ~k:j) in
-      ( store,
-        fun me v ->
-          let group = List.nth alg (me / j) in
-          let* r = Subc_objects.Wrn.wrn group (me mod j) v in
-          Program.return (if Value.is_bot r then v else r) )
-    | Two_consensus_pairs ->
-      (* Processes 2g and 2g+1 share a swap; an unpaired last process
-         decides its own value. *)
-      let pairs = n / 2 in
-      let store, swaps =
-        Store.alloc_many store (max pairs 1) Subc_objects.Swap_obj.model_bot
-      in
-      ( store,
-        fun me v ->
-          if me >= 2 * pairs then Program.return v
-          else
-            let s = List.nth swaps (me / 2) in
-            let* () = announce me v in
-            let* prev = Subc_objects.Swap_obj.swap s (Value.Int me) in
-            match prev with
-            | Value.Bot -> Program.return v
-            | Value.Int who -> value_of who
-            | _ -> assert false )
-    | Sse_object j ->
-      let store, h = Store.alloc store (Subc_objects.Sse_obj.model ~k:j ~j:(j - 1)) in
-      ( store,
-        fun me v ->
-          let* () = announce me v in
-          let* w = Subc_objects.Sse_obj.propose h me in
-          if w = me then Program.return v else value_of w )
-    | Cas_object ->
-      let store, c = Store.alloc store Subc_objects.Cas_obj.model_bot in
-      ( store,
-        fun _me v ->
-          let* _ = Subc_objects.Cas_obj.compare_and_swap c ~expected:Value.Bot ~desired:v in
-          Subc_objects.Cas_obj.read c )
+    | Registers -> (Consensus_number.Register, 1)
+    | Wrn_objects j -> (Consensus_number.Wrn j, j)
+    | Two_consensus_pairs -> (Consensus_number.Swap, 2)
+    | Sse_object j -> (Consensus_number.Strong_set_election j, n)
+    | Cas_object -> (Consensus_number.Cas, n)
   in
-  (store, List.mapi program (inputs ~n))
+  Consensus_number.grouped store family ~size ~inputs:(inputs ~n)
 
 let verdict family ~n ~k =
   let store, programs = protocol Store.empty family ~n in

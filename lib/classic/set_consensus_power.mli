@@ -34,11 +34,12 @@ val predicted_bound : family -> n:int -> int
 val predicted : family -> n:int -> k:int -> bool
 
 (** [protocol store family ~n] — the canonical protocol: one program per
-    process, proposing 100, …, 99 + n. *)
+    process, proposing 100, …, 99 + n.  It builds nothing itself: it runs
+    {!Consensus_number.grouped} over one consensus-number family —
+    registers in groups of 1, WRN{_j} in groups of j (Algorithm 6), swap
+    in pairs, the SSE object and compare-and-swap in one group of n. *)
 val protocol :
-  Subc_sim.Store.t ->
-  family ->
-  n:int ->
+  Subc_sim.Store.t -> family -> n:int ->
   Subc_sim.Store.t * Subc_sim.Value.t Subc_sim.Program.t list
 
 (** [verdict family ~n ~k] — model-check the canonical protocol against

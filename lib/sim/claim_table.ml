@@ -111,24 +111,13 @@ let alloc spill cap =
 
 let limit_of cap = cap - (cap / 4)
 
-(* An expectation of [n] live entries needs a capacity of 4n/3 to stay
-   under the growth limit; the cap keeps a loose hint from pre-allocating
-   hundreds of MB (growth covers the rest). *)
-let capacity_for_expectation n = min (1 lsl 21) (n + (n / 3))
-
-let create_words ?initial_capacity ?expected_states spill =
+let create_words ?(initial_capacity = 64) spill =
   Option.iter
     (fun dir ->
       try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ())
     spill;
-  let wanted =
-    match (initial_capacity, expected_states) with
-    | Some c, _ -> c
-    | None, Some n -> capacity_for_expectation n
-    | None, None -> 64
-  in
   let cap =
-    let rec up c = if c >= wanted then c else up (c * 2) in
+    let rec up c = if c >= initial_capacity then c else up (c * 2) in
     up 64
   in
   Words
@@ -181,12 +170,12 @@ let rec insert t st w1 w2 =
   in
   go (w1 land mask)
 
-let create ?initial_capacity ?expected_states ?spill kind =
+let create ?initial_capacity ?spill kind =
   {
     lock = Mutex.create ();
     table =
       (match kind with
-      | `Two_lane -> create_words ?initial_capacity ?expected_states spill
+      | `Two_lane -> create_words ?initial_capacity spill
       | `Exact -> Keys (Fingerprint.Ktbl.create 64));
   }
 

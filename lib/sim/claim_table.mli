@@ -22,16 +22,11 @@ val fresh_opstats : unit -> opstats
 
 val create :
   ?initial_capacity:int ->
-  ?expected_states:int ->
   ?spill:string ->
   [ `Two_lane | `Exact ] ->
   t
 (** [initial_capacity] (default 64) is rounded up to a power of two,
-    minimum 64.  [expected_states] is a sizing hint used when
-    [initial_capacity] is absent: the table is sized to hold that many
-    entries without growing (capped at 2^21 slots, so a loose hint
-    cannot pre-allocate unbounded memory).  An explicit
-    [initial_capacity] wins over the hint.
+    minimum 64.
 
     [?spill dir] maps the words from files under [dir] (created if
     absent) instead of the heap.  Each file is created with [O_EXCL]

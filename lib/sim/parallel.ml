@@ -412,14 +412,13 @@ let emit_obs label g (domains : ctx list) (s : Explore.stats) dt =
   end
 
 let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
-    ?deadline ?expected_states ~reduction ~paranoid ?seq_threshold
-    ~find_cycle ~jobs ~on_terminal ~on_visit label config =
+    ?deadline ~reduction ~paranoid ?seq_threshold ~find_cycle ~jobs ~on_terminal ~on_visit label config =
   let t0 = Unix.gettimeofday () in
   let jobs = if find_cycle then 1 else max 1 jobs in
   let g =
     {
       table =
-        Claim_table.create ?expected_states
+        Claim_table.create
           ?spill:(match visited with Spill dir -> Some dir | Heap -> None)
           (if paranoid then `Exact else `Two_lane);
       jobs;

@@ -84,7 +84,6 @@ val run :
   max_crashes:int ->
   max_recoveries:int ->
   ?deadline:float ->
-  ?expected_states:int ->
   reduction:Explore.reduction ->
   paranoid:bool ->
   ?seq_threshold:int ->

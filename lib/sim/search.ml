@@ -9,7 +9,6 @@ type options = {
   max_crashes : int;
   max_recoveries : int;
   deadline : float option;
-  expected_states : int option;
   reduction : Explore.reduction;
   paranoid : bool;
   jobs : int;
@@ -23,7 +22,6 @@ let default =
     max_crashes = 0;
     max_recoveries = 0;
     deadline = None;
-    expected_states = None;
     reduction = Explore.no_reduction;
     paranoid = false;
     jobs = 1;
@@ -35,7 +33,6 @@ let with_max_depth n o = { o with max_depth = n }
 let with_max_crashes n o = { o with max_crashes = n }
 let with_max_recoveries n o = { o with max_recoveries = n }
 let with_deadline secs o = { o with deadline = Some secs }
-let with_expected_states n o = { o with expected_states = Some n }
 let with_reduction r o = { o with reduction = r }
 
 let with_paranoid b o = { o with paranoid = b }
@@ -50,9 +47,8 @@ let search ~find_cycle ~on_terminal ~on_visit label o config =
   Parallel.run ~visited:o.visited ~max_states:o.max_states
     ~max_depth:o.max_depth ~max_crashes:o.max_crashes
     ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-    ?expected_states:o.expected_states ~reduction:o.reduction
-    ~paranoid:o.paranoid ~find_cycle ~jobs:o.jobs ~on_terminal ~on_visit
-    label config
+    ~reduction:o.reduction ~paranoid:o.paranoid ~find_cycle ~jobs:o.jobs
+    ~on_terminal ~on_visit label config
 
 let run ~on_terminal ~on_visit label o config =
   fst (search ~find_cycle:false ~on_terminal ~on_visit label o config)

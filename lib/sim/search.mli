@@ -55,7 +55,6 @@ type options = {
   max_crashes : int;  (** crash-fault budget (default [0]) *)
   max_recoveries : int;  (** recovery budget (default [0]) *)
   deadline : float option;  (** wall-clock budget in seconds *)
-  expected_states : int option;  (** visited-table pre-size hint *)
   reduction : Explore.reduction;  (** default {!Explore.no_reduction} *)
   paranoid : bool;
       (** exact canonical keys, each carried fingerprint re-folded *)
@@ -75,7 +74,6 @@ val with_max_depth : int -> options -> options
 val with_max_crashes : int -> options -> options
 val with_max_recoveries : int -> options -> options
 val with_deadline : float -> options -> options
-val with_expected_states : int -> options -> options
 val with_reduction : Explore.reduction -> options -> options
 
 val with_paranoid : bool -> options -> options

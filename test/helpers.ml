@@ -12,7 +12,6 @@ let parallel_run ?seq_threshold
   Parallel.run ~visited:o.visited ~max_states:o.max_states
     ~max_depth:o.max_depth ~max_crashes:o.max_crashes
     ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-    ?expected_states:o.expected_states
     ~reduction:o.reduction ~paranoid:o.paranoid ?seq_threshold
     ~find_cycle:false ~jobs:o.jobs ~on_terminal ~on_visit "test" config
   |> fst
@@ -256,7 +255,7 @@ let alg3_harness () =
    at the end decides nothing, which is allowed. *)
 let recovery_harness family ~n ~r =
   let store, programs =
-    Subc_check.Recoverable.protocol Store.empty family ~n ~max_recoveries:r
+    Subc_classic.Recoverable.protocol Store.empty family ~n ~max_recoveries:r
   in
   let h =
     task_harness store programs

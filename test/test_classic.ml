@@ -1,21 +1,19 @@
 (* The classical hierarchy around the paper's band (experiments E2, E6). *)
 open Subc_sim
 open Helpers
-module Two = Subc_classic.Two_consensus
-module N = Subc_classic.N_consensus
-module Groups = Subc_classic.Group_set_consensus
+module Cn = Subc_classic.Consensus_number
 module Rw = Subc_classic.Rw_baseline
 module Attempts = Subc_classic.Wrn_attempts
 module Valence = Subc_check.Valence
 module Task = Subc_tasks.Task
 
-let check_two_consensus alloc () =
+let check_two_consensus family () =
   List.iter
     (fun (v0, v1) ->
-      let store, t = alloc Store.empty in
-      let programs = [ Two.propose t ~me:0 v0; Two.propose t ~me:1 v1 ] in
+      let inputs = [ v0; v1 ] in
+      let store, programs = Cn.protocol Store.empty family ~inputs in
       let config = Config.make store programs in
-      match Valence.consensus_verdict config ~inputs:[ v0; v1 ] with
+      match Valence.consensus_verdict config ~inputs with
       | Verdict.Proved _ -> ()
       | v ->
         Alcotest.failf "2-consensus failed on (%a,%a): %a" Value.pp v0 Value.pp
@@ -25,43 +23,36 @@ let check_two_consensus alloc () =
 
 let two_consensus_tests =
   [
-    test "swap solves 2-consensus (exhaustive)" (check_two_consensus Two.alloc_swap);
-    test "WRN₂ solves 2-consensus (exhaustive)" (check_two_consensus Two.alloc_wrn2);
+    test "swap solves 2-consensus (exhaustive)" (check_two_consensus Cn.Swap);
+    test "WRN₂ solves 2-consensus (exhaustive)" (check_two_consensus (Cn.Wrn 2));
     test "test-and-set solves 2-consensus (exhaustive)"
-      (check_two_consensus Two.alloc_test_and_set);
-    test "queue solves 2-consensus (exhaustive)" (check_two_consensus Two.alloc_queue);
+      (check_two_consensus Cn.Test_and_set);
+    test "queue solves 2-consensus (exhaustive)" (check_two_consensus Cn.Queue);
   ]
+
+let check_consensus family ~n () =
+  let inputs = inputs n in
+  let store, programs = Cn.protocol Store.empty family ~inputs in
+  let task = Task.conj Task.consensus Task.all_decided in
+  ignore (check_exhaustive store ~programs ~inputs ~task)
 
 let n_consensus_tests =
   [
-    test "CAS solves 3-process consensus (exhaustive)" (fun () ->
-        let store, t = N.alloc_cas Store.empty in
-        let inputs = inputs 3 in
-        let programs = List.map (fun v -> N.propose t v) inputs in
-        let task = Task.conj Task.consensus Task.all_decided in
-        ignore (check_exhaustive store ~programs ~inputs ~task));
-    test "consensus object solves 4-process consensus (exhaustive)" (fun () ->
-        let store, t = N.alloc_consensus_object Store.empty in
-        let inputs = inputs 4 in
-        let programs = List.map (fun v -> N.propose t v) inputs in
-        let task = Task.conj Task.consensus Task.all_decided in
-        ignore (check_exhaustive store ~programs ~inputs ~task));
+    test "CAS solves 3-process consensus (exhaustive)"
+      (check_consensus Cn.Cas ~n:3);
+    test "consensus object solves 4-process consensus (exhaustive)"
+      (check_consensus Cn.Consensus_object ~n:4);
   ]
 
 let group_tests =
   [
     test "2 consensus groups give 2-set consensus for 4 (exhaustive)" (fun () ->
-        let store, t = Groups.alloc Store.empty ~n:4 ~group_size:2 in
         let inputs = inputs 4 in
-        let programs = List.mapi (fun i v -> Groups.propose t ~i v) inputs in
-        let task =
-          Task.conj
-            (Task.set_consensus (Groups.agreement_bound ~n:4 ~group_size:2))
-            Task.all_decided
+        let store, programs =
+          Cn.grouped Store.empty Cn.Consensus_object ~size:2 ~inputs
         in
+        let task = Task.conj (Task.set_consensus 2) Task.all_decided in
         ignore (check_exhaustive store ~programs ~inputs ~task));
-    test "agreement bound formula" (fun () ->
-        Alcotest.(check int) "⌈12/3⌉" 4 (Groups.agreement_bound ~n:12 ~group_size:3));
   ]
 
 (* E2: the register-only baseline can be driven to k distinct decisions,
@@ -292,7 +283,6 @@ let universal_tests =
 
 (* E12: the consensus-number table. *)
 let consensus_number_tests =
-  let module Cn = Subc_classic.Consensus_number in
   (* A failure must be a terminal violation, not a divergence: the
      witness replays to a terminal configuration. *)
   let expect family ~n solves () =
@@ -303,7 +293,9 @@ let consensus_number_tests =
            Verdict.pp_summary v)
         true (Verdict.is_proved v)
     else
-      let store, programs = Cn.protocol Store.empty family ~n in
+      let store, programs =
+        Cn.protocol Store.empty family ~inputs:(List.init n (fun i -> Value.Int i))
+      in
       Alcotest.(check bool)
         (Cn.family_name family ^ ": refuted at a terminal")
         true

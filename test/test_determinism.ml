@@ -8,7 +8,7 @@
    comment for the cells and the checks). *)
 open Subc_sim
 open Helpers
-module R = Subc_check.Recoverable
+module Cn = Subc_classic.Consensus_number
 
 (* The consensus object, two processes proposing 0 and 1, proved by
    [Valence.consensus_verdict]: consensus, every process deciding, and
@@ -72,19 +72,19 @@ let suite =
             [ (0, 0, `Proved) ];
           row "alg3 k=2" (alg3_harness ()) [ (0, 0, `Proved) ];
           row "t&s n=2 r=1"
-            (recovery_harness R.Test_and_set ~n:2 ~r:1)
+            (recovery_harness Cn.Test_and_set ~n:2 ~r:1)
             [ (1, 0, `Proved); (1, 1, `Refuted) ];
           row "queue n=2 r=2"
-            (recovery_harness R.Queue ~n:2 ~r:2)
+            (recovery_harness Cn.Queue ~n:2 ~r:2)
             [ (2, 2, `Refuted) ];
           row "cas n=2 r=1"
-            (recovery_harness R.Cas ~n:2 ~r:1)
+            (recovery_harness Cn.Cas ~n:2 ~r:1)
             [ (1, 0, `Proved); (1, 1, `Proved) ];
-          row "cas n=3 r=1" (recovery_harness R.Cas ~n:3 ~r:1) [ (2, 1, `Proved) ];
+          row "cas n=3 r=1" (recovery_harness Cn.Cas ~n:3 ~r:1) [ (2, 1, `Proved) ];
           row "set-consensus n=3 k=2" (sc_harness ~n:3 ~k:2 ())
             [ (1, 0, `Proved) ];
           row "queue n=2 r=1"
-            (recovery_harness R.Queue ~n:2 ~r:1)
+            (recovery_harness Cn.Queue ~n:2 ~r:1)
             [ (1, 0, `Proved); (1, 1, `Refuted) ];
           row "consensus n=2" (consensus_harness ()) [ (0, 0, `Proved) ];
           row "alg6 n=4 k=2 erasure" (alg6_harness ()) [ (0, 0, `Proved) ];

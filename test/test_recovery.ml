@@ -2,8 +2,8 @@
    separation table (Ovens-style — readable one-shot winners lose their
    power once a recovery is allowed, CAS and consensus objects keep it),
    the deterministic and randomized recovery adversaries with trace
-   replay, and the budget plumbing (deadline truncation, expected-states
-   hint) on recovery state spaces.  The determinism matrix
+   replay, and the budget plumbing (deadline truncation) on recovery
+   state spaces.  The determinism matrix
    (test_determinism) checks the recoverable verdicts at every jobs
    count and visited table. *)
 open Subc_sim
@@ -12,7 +12,8 @@ module Register = Subc_objects.Register
 module Task = Subc_tasks.Task
 module Task_check = Subc_check.Task_check
 module Verdict = Subc_check.Verdict
-module R = Subc_check.Recoverable
+module R = Subc_classic.Recoverable
+module Cn = Subc_classic.Consensus_number
 
 (* Domain count of the multi-domain side of each comparison. *)
 let jobs = 4
@@ -41,30 +42,36 @@ let separation_table () =
               :> [ `Proved | `Refuted | `Limited ])
           in
           Alcotest.(check bool)
-            (Printf.sprintf "%s r=%d matches expected" (R.family_name family)
+            (Printf.sprintf "%s r=%d matches expected" (Cn.family_name family)
                r)
-            true (got = want);
-          (* [solves_recoverable] is the r>=1 column of the table. *)
-          if r > 0 then
-            Alcotest.(check bool)
-              (Printf.sprintf "%s solves_recoverable consistent"
-                 (R.family_name family))
-              (R.solves_recoverable family)
-              (got = `Proved))
+            true (got = want))
         [ 0; 1 ])
+    R.all_families
+
+(* With no recovery allowed, the recoverable form of each protocol has
+   the classic protocol's crash-stop verdict. *)
+let no_recovery_is_classic () =
+  List.iter
+    (fun family ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: r=0 status = classic status"
+           (Cn.family_name family))
+        true
+        (status (R.verdict family ~n:2 ~max_recoveries:0)
+        = status (Cn.verdict family ~n:2)))
     R.all_families
 
 (* The test-and-set refutation is genuinely recovery-driven: the
    counterexample trace contains a recovery, and replaying it (crashes and
    recoveries included) reproduces a terminal that violates consensus. *)
 let tas_refutation_recovery_driven () =
-  match R.verdict R.Test_and_set ~n:2 ~max_recoveries:1 with
+  match R.verdict Cn.Test_and_set ~n:2 ~max_recoveries:1 with
   | Verdict.Proved _ | Verdict.Limited _ ->
     Alcotest.fail "test-and-set at r=1 should be refuted"
   | Verdict.Refuted { trace; _ } ->
     Alcotest.(check bool) "counterexample contains a recovery" true
       (Trace.recoveries trace <> []);
-    let config, inputs = recovery_config R.Test_and_set ~n:2 ~r:1 in
+    let config, inputs = recovery_config Cn.Test_and_set ~n:2 ~r:1 in
     (match Replay.final config trace with
     | Error { at; reason } ->
       Alcotest.failf "counterexample does not replay at %d: %s" at reason
@@ -108,7 +115,7 @@ let mutated_cas_caught () =
 (* Recovery adversaries: determinism, drain, replay.                 *)
 
 let recover_after_deterministic () =
-  let config, inputs = recovery_config R.Cas ~n:2 ~r:1 in
+  let config, inputs = recovery_config Cn.Cas ~n:2 ~r:1 in
   let strategy =
     Runner.Recover_after
       { crashes = [ (1, 0) ]; recoveries = [ (3, 0) ]; seed = None }
@@ -134,7 +141,7 @@ let recover_after_deterministic () =
 
 (* A recovery scheduled past the end of the run is drained, not lost. *)
 let recover_after_drains () =
-  let config, _ = recovery_config R.Cas ~n:2 ~r:1 in
+  let config, _ = recovery_config Cn.Cas ~n:2 ~r:1 in
   let strategy =
     Runner.Recover_after
       { crashes = [ (1, 0) ]; recoveries = [ (1000, 0) ]; seed = None }
@@ -146,7 +153,7 @@ let recover_after_drains () =
     (Config.crashed a.Runner.final)
 
 let recover_random_deterministic_and_replays () =
-  let config, _ = recovery_config R.Cas ~n:3 ~r:2 in
+  let config, _ = recovery_config Cn.Cas ~n:3 ~r:2 in
   let recovered_runs = ref 0 in
   List.iter
     (fun seed ->
@@ -180,40 +187,11 @@ let recover_random_deterministic_and_replays () =
 (* ---------------------------------------------------------------- *)
 (* Budget plumbing on recovery state spaces.                         *)
 
-let expected_states_hint () =
-  let config, _ = recovery_config R.Test_and_set ~n:2 ~r:1 in
-  let plain =
-    Search.iter_terminals
-      ~options:Search.(default |> with_max_crashes 1 |> with_max_recoveries 1)
-      config
-      ~f:(fun _ _ -> ())
-  in
-  let hinted =
-    Search.iter_terminals
-      ~options:
-        Search.(
-          default |> with_max_crashes 1 |> with_max_recoveries 1
-          |> with_expected_states 4096)
-      config
-      ~f:(fun _ _ -> ())
-  in
-  same_counts "expected-states hint (sequential)" plain hinted;
-  let par =
-    Search.iter_terminals
-      ~options:
-        Search.(
-          default |> with_max_crashes 1
-          |> with_max_recoveries 1 |> with_expected_states 4096
-          |> with_jobs jobs)
-      config ~f:(fun _ _ -> ())
-  in
-  same_counts "expected-states hint (parallel)" plain par
-
 (* An already-expired deadline truncates the search to Limited/Deadline
    instead of proving; the space (test-and-set, n=3, r=1: ~11k states) is
    big enough to guarantee the explorers reach a poll point. *)
 let deadline_truncates () =
-  let config, _ = recovery_config R.Test_and_set ~n:3 ~r:1 in
+  let config, _ = recovery_config Cn.Test_and_set ~n:3 ~r:1 in
   let seq =
     Search.iter_terminals
       ~options:
@@ -282,6 +260,8 @@ let suite =
       [
         test_slow "separation table matches Ovens expectations"
           separation_table;
+        test "recoverable at r=0 agrees with the classic verdict"
+          no_recovery_is_classic;
         test "test-and-set refutation is recovery-driven"
           tas_refutation_recovery_driven;
         test "mutated CAS protocol is refuted" mutated_cas_caught;
@@ -296,8 +276,6 @@ let suite =
       ] );
     ( "recovery.budgets",
       [
-        test "expected-states hint leaves counts unchanged"
-          expected_states_hint;
         test "expired deadline truncates to Limited" deadline_truncates;
       ] );
     ( "recovery.store",

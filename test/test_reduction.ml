@@ -5,7 +5,7 @@
    properties, and the commute memo's overflow path. *)
 open Subc_sim
 open Helpers
-module R = Subc_check.Recoverable
+module Cn = Subc_classic.Consensus_number
 
 (* ---------------------------------------------------------------- *)
 (* Source sets alone preserve the terminal set exactly (same terminal
@@ -73,9 +73,9 @@ let source_preserves_terminals () =
       ("alg2", alg2_harness 3, [ (0, 0) ]);
       ("set-consensus", sc_harness ~n:3 ~k:2 (), [ (0, 0) ]);
       ("alg5", alg5_harness 3, [ (0, 0); (1, 1) ]);
-      ("t&s", recovery_harness R.Test_and_set ~n:2 ~r:1, [ (1, 1) ]);
-      ("queue", recovery_harness R.Queue ~n:2 ~r:2, [ (2, 2) ]);
-      ("cas", recovery_harness R.Cas ~n:3 ~r:1, [ (2, 1) ]);
+      ("t&s", recovery_harness Cn.Test_and_set ~n:2 ~r:1, [ (1, 1) ]);
+      ("queue", recovery_harness Cn.Queue ~n:2 ~r:2, [ (2, 2) ]);
+      ("cas", recovery_harness Cn.Cas ~n:3 ~r:1, [ (2, 1) ]);
       ("volatile register", volatile_register_harness (), [ (1, 1) ]);
     ]
 

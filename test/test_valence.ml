@@ -95,8 +95,9 @@ let critical_tests =
         let store, programs = consensus_protocol () in
         let config = Config.make store programs in
         match Valence.find_critical config with
-        | None -> Alcotest.fail "expected a critical configuration"
-        | Some crit ->
+        | None | Some (Valence.Disagreement _) ->
+          Alcotest.fail "expected a critical configuration"
+        | Some (Valence.Critical crit) ->
           Alcotest.(check int) "critical at depth 0" 0 (Trace.length crit.Valence.trace);
           (* Lemma-38-style structure: all pending steps are univalent and
              both processes' steps go to the same object. *)
@@ -117,6 +118,32 @@ let critical_tests =
         let succ, _ = List.hd (Step.step config 0) in
         Alcotest.(check bool) "no critical" true
           (Valence.find_critical succ = None));
+    test "a disagreeing terminal is an agreement violation, not critical"
+      (fun () ->
+        (* Decide-own after one write each: every bivalent configuration
+           has a bivalent successor until both decide, so the descent ends
+           at the terminal deciding 0 and 1. *)
+        let store, regs =
+          Store.alloc_many Store.empty 2 Subc_objects.Register.model_bot
+        in
+        let program me =
+          Program.map
+            (fun () -> Value.Int me)
+            (Subc_objects.Register.write (List.nth regs me) (Value.Int me))
+        in
+        let config = Config.make store [ program 0; program 1 ] in
+        match Valence.find_critical config with
+        | Some (Valence.Disagreement { config = final; trace } as d) ->
+          Alcotest.(check int) "after both steps" 2 (Trace.length trace);
+          Alcotest.(check bool) "a terminal" true (Config.is_terminal final);
+          Alcotest.(check string) "report"
+            "agreement violated after 2 steps: a terminal decides 0 and 1"
+            (List.hd
+               (String.split_on_char '\n'
+                  (Format.asprintf "%a" Valence.pp_descent d)))
+        | Some (Valence.Critical _) ->
+          Alcotest.fail "a terminal reported as critical"
+        | None -> Alcotest.fail "expected a bivalent start");
     test "register-only attempt: critical configuration analysis runs"
       (fun () ->
         (* A natural-but-doomed register protocol: write own, read other,
