@@ -581,7 +581,9 @@ let critical_cmd =
     match Subc_check.Valence.find_critical config with
     | Some descent ->
       Format.printf "%a@." Subc_check.Valence.pp_descent descent;
-      0
+      (match descent with
+      | Subc_check.Valence.Critical _ -> 0
+      | Subc_check.Valence.Disagreement _ -> 1)
     | None ->
       if Subc_check.Valence.valence config = [] then
         Format.printf
@@ -597,9 +599,11 @@ let critical_cmd =
        ~doc:
          "Descend to a critical configuration of a 2-consensus protocol \
           over WRN_k (the Lemma 38 structure), or to the terminal that \
-          violates agreement when the descent meets one first.  Exits 0, \
-          or 2 with an error when a valence search is truncated by its \
-          state budget.")
+          violates agreement when the descent meets one first.  Exits 1 \
+          when it reports an agreement violation (the protocol is \
+          refuted, as $(b,attempt) reports it), 2 with an error when a \
+          valence search is truncated by its state budget, and 0 \
+          otherwise.")
     Term.(const run $ k_arg $ style_arg)
 
 (* ------------------------------------------------------------------ *)

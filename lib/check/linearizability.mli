@@ -35,6 +35,16 @@ val history : ops:(int -> Op.t) -> Config.t -> Trace.t -> op_record list
     respect to [spec]. *)
 val check : spec:Obj_model.t -> op_record list -> op_record list option
 
+(** [history_key h] is an exact key for the verdict of [check] on [h],
+    within one harness (where [ops] fixes each process's operation): the
+    processes, their results (or "incomplete"), and the dense rank of
+    every [inv] and [res] among all of [h]'s indices, packed into a
+    string.  Ranking keeps every real-time comparison [check] makes, so
+    two histories with one key are both linearizable or both not; a
+    history with its indices shifted or stretched, order kept, has the
+    same key. *)
+val history_key : op_record list -> string
+
 val pp_history : Format.formatter -> op_record list -> unit
 
 (** [check_harness store ~programs ~ops ~spec] explores every terminal of
@@ -53,11 +63,19 @@ val pp_history : Format.formatter -> op_record list -> unit
     which is sound only when [spec] is equivariant under the chosen
     renamings (the same caller obligation as {!Subc_sim.Symmetry}).
 
+    Each history is checked once per distinct {!history_key}: the
+    search folds over terminals ({!Subc_sim.Search.fold_terminals}), and
+    every domain keeps its own memo from key to verdict, so domains check
+    their histories concurrently with no lock.  [options.paranoid]
+    checks every history afresh and compares the result with the memo;
+    a disagreement raises [Failure].  The [histories] metric counts every
+    terminal history, repeats included.
+
     [options.jobs] explores across that many domains
-    ({!Subc_sim.Parallel}); terminal callbacks are serialized, so the
-    verdict status, and the history count of a proof, are deterministic
-    — the offending history reported on refutation, and how much of the
-    space was explored before it, may differ between runs. *)
+    ({!Subc_sim.Parallel}).  The verdict status, and the history count of
+    a proof, are deterministic; the offending history reported on
+    refutation (the first failure any domain records), and how much of
+    the space was explored before it, may differ between runs. *)
 val check_harness :
   ?options:Search.options ->
   Store.t ->

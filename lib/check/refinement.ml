@@ -7,17 +7,23 @@ type harness = { store : Store.t; programs : Value.t Program.t list }
    Symmetry reduction is deliberately stripped: outcome vectors are
    compared literally between the two harnesses, and quotienting each
    side independently could pick different orbit representatives.
-   Terminal callbacks are serialized under the engine's callback lock
-   once helpers run, so the table needs no further protection. *)
+   Each domain fills its own table; the tables merge in domain order, the
+   earlier domain's witness kept. *)
 let outcomes ~options harness =
-  let witnesses = Hashtbl.create 64 in
-  let stats =
-    Search.iter_terminals
+  let add witnesses o trace =
+    if not (Hashtbl.mem witnesses o) then Hashtbl.add witnesses o trace
+  in
+  let witnesses, stats =
+    Search.fold_terminals
       ~options:(Search.with_reduction Explore.no_reduction options)
       (Config.make harness.store harness.programs)
-      ~f:(fun final trace ->
-        let o = Config.decisions final in
-        if not (Hashtbl.mem witnesses o) then Hashtbl.add witnesses o trace)
+      ~init:(fun () -> Hashtbl.create 64)
+      ~f:(fun witnesses final trace ->
+        add witnesses (Config.decisions final) trace;
+        witnesses)
+      ~merge:(fun a b ->
+        Hashtbl.iter (add a) b;
+        a)
   in
   if stats.Explore.limited then Error stats else Ok witnesses
 

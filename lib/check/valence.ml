@@ -73,21 +73,27 @@ let find_critical config =
     in
     descend config []
 
+(* A trace's steps, each on a line of its own.  A cut goes before each
+   step, not after it as in [Trace.pp], so a report ends at its last
+   line. *)
+let pp_steps ppf trace =
+  List.iteri (fun i e -> Format.fprintf ppf "@,%3d. %a" i Trace.pp_event e) trace
+
 let pp_descent ppf = function
   | Critical c ->
     Format.fprintf ppf
-      "@[<v>critical configuration after %d steps:@,%a@,pending steps:@,%a@]"
-      (Trace.length c.trace) Trace.pp c.trace
+      "@[<v>critical configuration after %d steps:%a@,pending steps:@,%a@]"
+      (Trace.length c.trace) pp_steps c.trace
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf s ->
            Format.fprintf ppf "  %a  =>  valence %a" Step.pp_event s.event
              Value.pp (Value.Vec s.valence)))
       c.successors
   | Disagreement { config; trace } ->
     Format.fprintf ppf
-      "@[<v>agreement violated after %d steps: a terminal decides %a@,%a@]"
+      "@[<v>agreement violated after %d steps: a terminal decides %a%a@]"
       (Trace.length trace)
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " and ")
          Value.pp)
       (List.sort_uniq Value.compare (Config.decisions config))
-      Trace.pp trace
+      pp_steps trace

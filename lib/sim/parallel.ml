@@ -35,6 +35,11 @@
    canonical sibling preorder; [max_depth] and the witness traces of a
    multi-domain search depend on the race for claims.
 
+   Callbacks run on the domain that claimed the node, with no lock held:
+   [on_terminal] receives that domain's id (worker 0 is the caller,
+   helpers are 1 .. jobs - 1), so a caller can keep one accumulator per
+   domain and merge them after the join ({!Search.fold_terminals}).
+
    Budget exactness: a successful claim draws a ticket from the global
    state counter; tickets below [max_states] are counted, the first
    ticket at the budget stops the search and is {e not} counted — so a
@@ -112,8 +117,8 @@ and global = {
   (* The keys on the DFS stack, kept only when hunting a cycle (one
      domain). *)
   onstack : unit Fingerprint.Ktbl.t option;
-  (* Serialized under a lock once helpers run. *)
-  mutable on_terminal : Config.t -> Trace.t -> unit;
+  (* Called with the running domain's id, with no lock held. *)
+  on_terminal : int -> Config.t -> Trace.t -> unit;
   on_visit : Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit;
 }
 
@@ -267,7 +272,7 @@ let rec dfs ctx config fp rev_trace depth sleep =
         Explore.cross_check c ~paranoid:g.paranoid fp config;
         g.on_visit config fp (lazy (List.rev rev_trace));
         if Explore.count_terminal c config then
-          g.on_terminal config (List.rev rev_trace);
+          g.on_terminal ctx.id config (List.rev rev_trace);
         let groups, skips =
           Explore.source_successors ctx.commute g.reduction ~pi
             ~max_crashes:g.max_crashes ~max_recoveries:g.max_recoveries
@@ -323,8 +328,8 @@ and idle_loop ctx p =
     idle_loop ctx p
   | None -> ()
 
-(* Worker 0, mid-DFS: create the pool, serialize [on_terminal] and start
-   the helpers, counted idle. *)
+(* Worker 0, mid-DFS: create the pool and start the helpers, counted
+   idle. *)
 and spawn ctx config =
   let g = ctx.g in
   ctx.spawn_at <- max_int;
@@ -339,8 +344,6 @@ and spawn ctx config =
     }
   in
   g.pool <- Some p;
-  let lock = Mutex.create () and f = g.on_terminal in
-  g.on_terminal <- (fun c t -> Mutex.protect lock (fun () -> f c t));
   for id = 1 to g.jobs - 1 do
     let h = fresh_ctx g id ~spawn_at:max_int in
     let d =

@@ -89,16 +89,19 @@ val run :
   ?seq_threshold:int ->
   find_cycle:bool ->
   jobs:int ->
-  on_terminal:(Config.t -> Trace.t -> unit) ->
+  on_terminal:(int -> Config.t -> Trace.t -> unit) ->
   on_visit:(Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit) ->
   string ->
   Config.t ->
   Explore.stats * Trace.t option
-(** [run ~jobs ~on_terminal ~on_visit label config] — one search, with
-    the callback contract of {!Search}: [on_terminal] is serialized under
-    a lock once helpers run, [on_visit] may run concurrently, and either
-    may raise {!Explore.Stop} to end the search gracefully; any other
-    exception is re-raised once every domain has joined.  The search
+(** [run ~jobs ~on_terminal ~on_visit label config] — one search.  Both
+    callbacks run on the domain that claimed the node, with no lock held,
+    so once helpers run they run concurrently and must be domain-safe.
+    [on_terminal id] receives that domain's id, in [0 .. jobs - 1] (the
+    calling domain is [0]): a caller that keeps one accumulator per id
+    needs no lock ({!Search.fold_terminals}).  Either callback may raise
+    {!Explore.Stop} to end the search gracefully; any other exception is
+    re-raised once every domain has joined.  The search
     knobs mean what the {!Search.options} fields of the same names mean.
     [on_visit] also receives the node's carried homomorphic fingerprint
     ({!Explore.root_fingerprint}, patched along every transition): [Some]

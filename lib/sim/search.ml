@@ -39,27 +39,61 @@ let with_paranoid b o = { o with paranoid = b }
 let with_jobs n o = { o with jobs = max 1 n }
 let with_visited v o = { o with visited = v }
 
-let no_terminal _ _ = ()
+let no_terminal _ _ _ = ()
 let no_visit _ _ _ = ()
 
 (* Every search, at any [jobs]: the one engine. *)
-let search ~find_cycle ~on_terminal ~on_visit label o config =
+let search ?seq_threshold ~find_cycle ~on_terminal ~on_visit label o config =
   Parallel.run ~visited:o.visited ~max_states:o.max_states
     ~max_depth:o.max_depth ~max_crashes:o.max_crashes
     ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-    ~reduction:o.reduction ~paranoid:o.paranoid ~find_cycle ~jobs:o.jobs
-    ~on_terminal ~on_visit label config
+    ~reduction:o.reduction ~paranoid:o.paranoid ?seq_threshold ~find_cycle
+    ~jobs:o.jobs ~on_terminal ~on_visit label config
 
-let run ~on_terminal ~on_visit label o config =
-  fst (search ~find_cycle:false ~on_terminal ~on_visit label o config)
+let run ?seq_threshold ~on_terminal ~on_visit label o config =
+  fst
+    (search ?seq_threshold ~find_cycle:false ~on_terminal ~on_visit label o
+       config)
 
 (* Source sets cover terminals only; reachability and cycle hunting need
    every state and every back-edge. *)
 let without_source_sets o =
   { o with reduction = { o.reduction with Explore.source_sets = false } }
 
-let iter_terminals ?(options = default) config ~f =
-  run ~on_terminal:f ~on_visit:no_visit "iter_terminals" options config
+(* Domain [id] folds into [slots.(id)] alone, so no two domains write
+   one slot; the join orders every write before the merge. *)
+let fold_terminals ?(options = default) ?seq_threshold config ~init ~f ~merge =
+  let slots = Array.make (max 1 options.jobs) None in
+  let on_terminal id c trace =
+    let acc = match slots.(id) with Some acc -> acc | None -> init () in
+    slots.(id) <- Some (f acc c trace)
+  in
+  let stats =
+    run ?seq_threshold ~on_terminal ~on_visit:no_visit "fold_terminals" options
+      config
+  in
+  let acc =
+    Array.fold_left
+      (fun acc slot ->
+        match (acc, slot) with
+        | _, None -> acc
+        | None, slot -> slot
+        | Some a, Some b -> Some (merge a b))
+      None slots
+  in
+  ((match acc with Some acc -> acc | None -> init ()), stats)
+
+(* [f] keeps its serialized contract: a lock of its own once more than
+   one domain can call it. *)
+let iter_terminals ?(options = default) ?seq_threshold config ~f =
+  let on_terminal =
+    if options.jobs <= 1 then fun _ c trace -> f c trace
+    else
+      let lock = Mutex.create () in
+      fun _ c trace -> Mutex.protect lock (fun () -> f c trace)
+  in
+  run ?seq_threshold ~on_terminal ~on_visit:no_visit "iter_terminals" options
+    config
 
 let reachable ~on_visit options config =
   run ~on_terminal:no_terminal ~on_visit "iter_reachable"
@@ -80,19 +114,19 @@ let iter_reachable_fp ?(options = default) config ~f =
   reachable ~on_visit options config
 
 let find_terminal ?(options = default) config ~violates =
-  let found = ref None in
-  (* [on_terminal] is serialized at any [jobs], so the first writer
-     wins and the witness is stable once set. *)
-  let on_terminal c trace =
-    if Option.is_none !found && violates c then begin
-      found := Some (c, trace);
+  (* [violates] runs on every domain at once; the first witness to land
+     in [found] wins and stays. *)
+  let found = Atomic.make None in
+  let on_terminal _ c trace =
+    if Option.is_none (Atomic.get found) && violates c then begin
+      ignore (Atomic.compare_and_set found None (Some (c, trace)));
       raise Stop
     end
   in
   let stats =
     run ~on_terminal ~on_visit:no_visit "find_terminal" options config
   in
-  (!found, stats)
+  (Atomic.get found, stats)
 
 let check_terminals ?options config ~ok =
   match find_terminal ?options config ~violates:(fun c -> not (ok c)) with

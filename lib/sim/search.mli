@@ -23,11 +23,16 @@
     determinism notes in {!Parallel}); [--reduction full] runs at full
     strength at any [jobs].
 
-    {b Callbacks.}  [f] in {!iter_terminals} (and the predicates of
-    {!find_terminal} and {!check_terminals}) sees each reachable terminal
-    once, serialized under a lock once helper domains run (terminals are
-    sparse); [f] in {!iter_reachable} and {!iter_reachable_fp} is called
-    concurrently from every domain then and must be domain-safe.  Under
+    {b Callbacks.}  The engine calls every callback on the domain that
+    claimed the node, with no lock held.  Each reachable terminal is seen
+    once.  [f] in {!iter_terminals} keeps a serialized contract: that
+    entry point wraps it in a lock of its own at [jobs > 1].  Everything
+    else runs concurrently once helper domains run and must be
+    domain-safe: the predicates of {!find_terminal} and
+    {!check_terminals} (the first witness wins through an [Atomic] cell),
+    [f] in {!fold_terminals} (which folds one accumulator per domain, so
+    [f] needs no lock for its own accumulator), and [f] in
+    {!iter_reachable} and {!iter_reachable_fp}.  Under
     symmetry one representative per orbit is reported, so checked
     properties must be renaming-invariant.  At one domain the visit order, and so the
     witness a search returns, is fixed; at more it depends on the
@@ -86,9 +91,38 @@ val with_visited : Parallel.visited -> options -> options
 (** {1 Entry points} *)
 
 val iter_terminals :
-  ?options:options -> Config.t -> f:(Config.t -> Trace.t -> unit) -> Explore.stats
+  ?options:options ->
+  ?seq_threshold:int ->
+  Config.t ->
+  f:(Config.t -> Trace.t -> unit) ->
+  Explore.stats
 (** Visit every reachable terminal configuration once, with a witness
-    trace. *)
+    trace; calls of [f] never overlap.
+
+    [?seq_threshold] here and in {!fold_terminals} is the engine's spawn
+    threshold ({!Parallel.default_seq_threshold}; [0] spawns the helpers
+    at the root), for tests that need helper domains on a small
+    space. *)
+
+val fold_terminals :
+  ?options:options ->
+  ?seq_threshold:int ->
+  Config.t ->
+  init:(unit -> 'acc) ->
+  f:('acc -> Config.t -> Trace.t -> 'acc) ->
+  merge:('acc -> 'acc -> 'acc) ->
+  'acc * Explore.stats
+(** Fold every reachable terminal configuration, with a witness trace,
+    into one accumulator per domain, and merge them.  A domain calls
+    [init ()] at its first terminal and then folds its own terminals
+    with [f], concurrently with the other domains and with no lock.
+    After every domain has joined, the calling domain merges the
+    accumulators in domain order: [merge (merge a0 a1) a2] and so on,
+    skipping domains that saw no terminal.  With no terminal at all the
+    result is [init ()].  A call of [f] that raises (for instance
+    {!Stop}) stores no new accumulator; what it mutated in place stays.
+    At one domain the fold visits terminals in the search's fixed
+    order. *)
 
 val iter_reachable :
   ?options:options ->

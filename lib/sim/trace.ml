@@ -23,24 +23,6 @@ let recoveries t =
 let events_of t i =
   List.filter (fun (e : Step.event) -> e.Step.proc = i) (ops t)
 
-let indexed t = List.mapi (fun idx e -> (idx, e)) t
-
-let first_step t i =
-  List.find_map
-    (fun (idx, ev) ->
-      match ev with
-      | Sched e when e.Step.proc = i -> Some idx
-      | Sched _ | Crash _ | Recover _ -> None)
-    (indexed t)
-
-let last_step t i =
-  List.fold_left
-    (fun acc (idx, ev) ->
-      match ev with
-      | Sched e when e.Step.proc = i -> Some idx
-      | Sched _ | Crash _ | Recover _ -> acc)
-    None (indexed t)
-
 let schedule t = List.map (fun (e : Step.event) -> e.Step.proc) (ops t)
 
 let pp_event ppf = function

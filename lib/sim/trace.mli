@@ -37,14 +37,6 @@ val recoveries : t -> int list
 (** [events_of t i] are process [i]'s operation events, in order. *)
 val events_of : t -> int -> Step.event list
 
-(** [first_step t i] is the index in [t] of process [i]'s first operation
-    event (crash and recovery events occupy indices but never match). *)
-val first_step : t -> int -> int option
-
-(** [last_step t i] is the index in [t] of process [i]'s last operation
-    event. *)
-val last_step : t -> int -> int option
-
 (** The process schedule of the trace (crashes and recoveries elided). *)
 val schedule : t -> int list
 

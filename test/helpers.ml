@@ -5,10 +5,15 @@ module Verdict = Subc_check.Verdict
 let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
 
 (* The engine called directly, for its own test knob [?seq_threshold]:
-   every search knob comes from [options]. *)
+   every search knob comes from [options].  [on_terminal] is serialized
+   under a lock, as [Search.iter_terminals] serializes its [f]. *)
 let parallel_run ?seq_threshold
     ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ _ -> ())
     (o : Search.options) config =
+  let lock = Mutex.create () in
+  let on_terminal _ c trace =
+    Mutex.protect lock (fun () -> on_terminal c trace)
+  in
   Parallel.run ~visited:o.visited ~max_states:o.max_states
     ~max_depth:o.max_depth ~max_crashes:o.max_crashes
     ~max_recoveries:o.max_recoveries ?deadline:o.deadline

@@ -135,12 +135,50 @@ let wrn_histories =
         Alcotest.(check int) "P1 ran first" 0 r1.Lin.inv);
   ]
 
+(* [Lin.history_key] is exact: it keeps every real-time comparison and
+   whether each op completed, and forgets only the index values. *)
+let history_keys =
+  let key = Lin.history_key in
+  [
+    test "real-time order changes the key" (fun () ->
+        (* The write ends before the read starts, or the two overlap. *)
+        let before = [ record 0 (w 1) Value.Unit 0 1; record 1 r Value.Bot 2 3 ] in
+        let overlap = [ record 0 (w 1) Value.Unit 0 2; record 1 r Value.Bot 1 3 ] in
+        Alcotest.(check bool) "keys differ" false (key before = key overlap);
+        not_linearizable before;
+        linearizable overlap);
+    test "a different result changes the key" (fun () ->
+        let read v = [ record 0 (w 1) Value.Unit 0 1; record 1 r v 2 3 ] in
+        Alcotest.(check bool) "keys differ" false
+          (key (read Value.Bot) = key (read (Value.Int 1)));
+        not_linearizable (read Value.Bot);
+        linearizable (read (Value.Int 1)));
+    test "shifting the indices keeps the key" (fun () ->
+        let h = [ record 0 (w 1) Value.Unit 0 3; record 1 r Value.Bot 1 2 ] in
+        let shifted =
+          [ record 0 (w 1) Value.Unit 10 40; record 1 r Value.Bot 15 20 ]
+        in
+        Alcotest.(check string) "same key" (key h) (key shifted));
+    test "an incomplete op never shares a completed op's key" (fun () ->
+        List.iter
+          (fun v ->
+            let done_ = [ record 0 (w 5) v 0 1; record 1 r (Value.Int 5) 2 3 ] in
+            let pending =
+              [ incomplete 0 (w 5) 0 1; record 1 r (Value.Int 5) 2 3 ]
+            in
+            Alcotest.(check bool)
+              (Value.to_string v ^ " keys differ") false
+              (key done_ = key pending))
+          Value.[ Bot; Unit; Int 0; Int 5; Sym "n"; Vec []; Tag ("n", Unit) ]);
+  ]
+
 (* Algorithm 5 at k=3 checked against recorded operations in which
    process 2 claims index 0 instead of 2: the history of every run that
    lets process 2 return a value contradicts the 1sWRN spec, so the
-   check is refuted at one job and at four, stops at the first such
-   history, well short of the whole space, and its witness replays to a
-   terminal whose history does not linearize. *)
+   check is refuted at one job and at four, with the history memo and
+   under [paranoid] (every history checked afresh), stops at the first
+   such history, well short of the whole space, and its witness replays
+   to a terminal whose history does not linearize. *)
 let refuted_harness_stops () =
   let h = alg5_harness 3 in
   let ops i =
@@ -149,11 +187,11 @@ let refuted_harness_stops () =
   let spec = O.One_shot_wrn.model ~k:3 in
   let whole = Search.iter_terminals (root h) ~f:(fun _ _ -> ()) in
   List.iter
-    (fun jobs ->
-      let name = Printf.sprintf "jobs=%d" jobs in
+    (fun (jobs, paranoid) ->
+      let name = Printf.sprintf "jobs=%d paranoid=%b" jobs paranoid in
       let v =
         Lin.check_harness
-          ~options:Search.(with_jobs jobs default)
+          ~options:Search.(default |> with_jobs jobs |> with_paranoid paranoid)
           h.store ~programs:h.programs ~ops ~spec
       in
       let final = refutation_end (root h) v in
@@ -168,13 +206,42 @@ let refuted_harness_stops () =
           (name ^ " witness history does not linearize") true
           (Lin.check ~spec (Lin.history ~ops final trace) = None)
       | _ -> assert false)
-    [ 1; 4 ]
+    [ (1, false); (1, true); (4, false); (4, true) ]
+
+(* The memo changes no count: a proof's [histories] is every terminal's
+   history, repeats included, with the memo and under [paranoid]. *)
+let proved_harness_counts_every_history () =
+  let h = alg5_harness 3 in
+  let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
+  let spec = O.One_shot_wrn.model ~k:3 in
+  let options = Search.(with_max_crashes 1 default) in
+  let whole = Search.iter_terminals ~options (root h) ~f:(fun _ _ -> ()) in
+  List.iter
+    (fun paranoid ->
+      let v =
+        Lin.check_harness
+          ~options:(Search.with_paranoid paranoid options)
+          h.store ~programs:h.programs ~ops ~spec
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "paranoid=%b proved" paranoid)
+        "proved" (Verdict.status_string v);
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "paranoid=%b histories = terminals" paranoid)
+        (float_of_int whole.Explore.terminals)
+        (List.assoc "histories" (Verdict.stats v).Verdict.metrics))
+    [ false; true ]
 
 let suite =
   [
     ("linearizability.register", register_histories);
     ("linearizability.nondet-spec", nondet_spec_histories);
     ("linearizability.wrn-spec", wrn_histories);
+    ("linearizability.history-key", history_keys);
     ( "linearizability.harness",
-      [ test "a refuted harness stops at its witness" refuted_harness_stops ] );
+      [
+        test "a refuted harness stops at its witness" refuted_harness_stops;
+        test "a proof counts every history"
+          proved_harness_counts_every_history;
+      ] );
   ]

@@ -41,6 +41,35 @@ let terminal_callback_count () =
   Alcotest.(check int) "terminals agree" seq.Explore.terminals
     par.Explore.terminals
 
+(* [Search.fold_terminals] at [jobs] with helpers spawned at the root:
+   the per-domain sums merge to the one-domain terminal count, and the
+   [f] of [Search.iter_terminals] stays serialized, so a plain counter
+   it bumps counts every terminal too. *)
+let fold_merges_per_domain_sums () =
+  let config = root (alg5_harness 3) in
+  let options = Search.(default |> with_max_crashes 1) in
+  let seq = Search.iter_terminals ~options config ~f:(fun _ _ -> ()) in
+  let options = Search.with_jobs jobs options in
+  let count, par =
+    Search.fold_terminals ~options ~seq_threshold:0 config
+      ~init:(fun () -> 0)
+      ~f:(fun n _ _ -> n + 1)
+      ~merge:( + )
+  in
+  Alcotest.(check int) "merged sum = jobs-1 terminals" seq.Explore.terminals
+    count;
+  Alcotest.(check int) "terminals agree" seq.Explore.terminals
+    par.Explore.terminals;
+  (* Read, pause, write: overlapping calls would lose increments. *)
+  let plain = ref 0 in
+  ignore
+    (Search.iter_terminals ~options ~seq_threshold:0 config ~f:(fun _ _ ->
+         let n = !plain in
+         for _ = 1 to 50 do Domain.cpu_relax () done;
+         plain := n + 1));
+  Alcotest.(check int) "serialized plain counter = terminals"
+    seq.Explore.terminals !plain
+
 let all_visited spill_dir = [ Parallel.Heap; Parallel.Spill spill_dir ]
 
 (* The max-states budget truncates identically (exactly [max_states]
@@ -772,6 +801,8 @@ let suite =
       [
         test "terminal callbacks serialized, once per terminal"
           terminal_callback_count;
+        test "fold_terminals merges per-domain sums"
+          fold_merges_per_domain_sums;
         test "max-states budget truncates identically"
           (in_temp_dir budget_truncation);
         test "small spaces stay on the calling domain"

@@ -148,15 +148,16 @@ let runner_tests =
         Alcotest.(check bool) "completed" true r.Runner.completed;
         Alcotest.(check (list int)) "nobody starved" [] r.Runner.starved);
     test "trace records intervals per process" (fun () ->
+        let module Lin = Subc_check.Linearizability in
         let store, programs = two_writers () in
         let r = run_fixed store ~programs ~schedule:[ 0; 1; 1; 0 ] in
-        let t = r.Runner.trace in
-        Alcotest.(check (option int)) "P0 first step" (Some 0)
-          (Trace.first_step t 0);
-        Alcotest.(check (option int)) "P0 last step" (Some 3)
-          (Trace.last_step t 0);
-        Alcotest.(check (option int)) "P1 interval" (Some 1)
-          (Trace.first_step t 1));
+        let h =
+          Lin.history ~ops:(fun _ -> Op.make "write" []) r.Runner.final
+            r.Runner.trace
+        in
+        Alcotest.(check (list (pair int int)))
+          "P0 spans steps 0-3, P1 steps 1-2" [ (0, 3); (1, 2) ]
+          (List.map (fun x -> (x.Lin.inv, x.Lin.res)) h));
   ]
 
 let explore_tests =
