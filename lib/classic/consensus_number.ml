@@ -24,12 +24,6 @@ let family_name = function
   | Consensus_object -> "consensus object"
   | Strong_set_election k -> Printf.sprintf "strong-set-election(%d,%d)" k (k - 1)
 
-let all_families =
-  [
-    Register; Wrn 3; Strong_set_election 3; Swap; Wrn 2; Test_and_set;
-    Fetch_and_add; Queue; Cas; Consensus_object;
-  ]
-
 let known_consensus_number = function
   | Wrn 2 | Swap | Test_and_set | Fetch_and_add | Queue -> Some 2
   | Register | Wrn _ | Strong_set_election _ -> Some 1

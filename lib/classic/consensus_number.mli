@@ -31,7 +31,6 @@ type family =
   | Strong_set_election of int  (** the S2 object, (k, k−1) *)
 
 val family_name : family -> string
-val all_families : family list
 
 (** Known consensus number, for the table ([None] = infinite). *)
 val known_consensus_number : family -> int option

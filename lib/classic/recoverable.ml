@@ -66,13 +66,3 @@ let verdict ?(options = Search.default) family ~n ~max_recoveries =
       (property
      ^ ": agreement + validity on every terminal, every schedule terminates"
       )
-
-(* The separation table at n = 2, read off the crash-stop consensus
-   number: registers solve nothing, CAS and consensus objects survive
-   recovery, and the consensus-number-2 objects keep their power only
-   while no recovery is allowed. *)
-let expected family ~max_recoveries =
-  match Cn.known_consensus_number family with
-  | Some 1 -> `Refuted
-  | None -> `Proved
-  | Some _ -> if max_recoveries = 0 then `Proved else `Refuted

@@ -52,11 +52,3 @@ val protocol :
 val verdict :
   ?options:Search.options -> Consensus_number.family -> n:int ->
   max_recoveries:int -> Subc_check.Verdict.t
-
-(** The expected verdict at n = 2 — the separation table the test suite
-    pins — derived from {!Consensus_number.known_consensus_number}:
-    consensus number 1 is refuted at every budget, infinite is proved
-    throughout, and 2 is proved at [max_recoveries = 0] and refuted at
-    ≥ 1. *)
-val expected :
-  Consensus_number.family -> max_recoveries:int -> [ `Proved | `Refuted ]

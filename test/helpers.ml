@@ -61,17 +61,6 @@ let check_wait_free ?max_states store ~programs =
   | Verdict.Refuted { reason; _ } ->
     Alcotest.failf "wait-freedom violated: %s" reason
 
-let expect_violation ?max_states store ~programs ~inputs ~task =
-  match
-    Subc_check.Task_check.check
-      ~options:(options_of ?max_states ())
-      store ~programs ~inputs ~task
-  with
-  | Verdict.Proved _ | Verdict.Limited _ ->
-    Alcotest.failf "expected a violation of %s, found none"
-      task.Subc_tasks.Task.name
-  | Verdict.Refuted { reason; trace; _ } -> (reason, trace)
-
 (* Run under a fixed schedule (extended round-robin when exhausted). *)
 let run_fixed store ~programs ~schedule =
   let config = Config.make store programs in

@@ -80,10 +80,7 @@ let suite =
     ( "alg2.set-consensus",
       [
         test "k=3 multi-shot exhaustive" (exhaustive_case ~k:3 ~one_shot:false);
-        test "k=3 one-shot exhaustive" (exhaustive_case ~k:3 ~one_shot:true);
         test "k=4 multi-shot exhaustive" (exhaustive_case ~k:4 ~one_shot:false);
-        test "k=4 one-shot exhaustive" (exhaustive_case ~k:4 ~one_shot:true);
-        test_slow "k=5 one-shot exhaustive" (exhaustive_case ~k:5 ~one_shot:true);
         test "k=3 wait-free" (wait_free_case ~k:3 ~one_shot:true);
         test "k=4 wait-free" (wait_free_case ~k:4 ~one_shot:false);
       ] );

@@ -76,12 +76,6 @@ let alg3_tests =
     test "k=2 relaxed, identity names, exhaustive"
       (exhaustive ~k:2 ~flavor:Alg3.Relaxed_wrn
          ~renamer:(Alg3.Rename_identity 3) ~ids:[ 0; 2 ]);
-    test_slow "k=2 plain, grid renaming, exhaustive"
-      (exhaustive ~k:2 ~flavor:Alg3.Plain_wrn ~renamer:Alg3.Rename_grid
-         ~ids:[ 13; 7 ]);
-    test_slow "k=2 plain, snapshot renaming, exhaustive"
-      (exhaustive ~k:2 ~flavor:Alg3.Plain_wrn ~renamer:Alg3.Rename_snapshot
-         ~ids:[ 13; 7 ]);
     (* k=3 with identity names covering exactly {0,1,2}: degenerates to a
        single WRN₃ (the covering family has one function). *)
     test "k=3 plain, tight identity names, exhaustive"

@@ -180,16 +180,8 @@ let suite =
       ] );
     ( "alg5.linearizability",
       [
-        test_slow "k=3, all participants, exhaustive"
-          (linearizable ~k:3 ~participants:[ 0; 1; 2 ]);
-        test "k=3, two participants (0,1), exhaustive"
-          (linearizable ~k:3 ~participants:[ 0; 1 ]);
-        test "k=3, two participants (0,2), exhaustive"
-          (linearizable ~k:3 ~participants:[ 0; 2 ]);
         test_slow "k=4, two participants (1,2), exhaustive"
           (linearizable ~k:4 ~participants:[ 1; 2 ]);
-        test_slow "k=4, all participants, exhaustive"
-          (linearizable ~k:4 ~participants:[ 0; 1; 2; 3 ]);
         test_slow "k=4, three participants (0,1,3), exhaustive"
           (linearizable ~k:4 ~participants:[ 0; 1; 3 ]);
         test_slow "k=3, two participants, register snapshots"

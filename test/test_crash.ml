@@ -231,40 +231,10 @@ let crash_only_traces_pinned () =
 module Progress = Subc_check.Progress
 module Verdict = Subc_check.Verdict
 
-let metric name (v : Verdict.t) =
-  match List.assoc_opt name (Verdict.stats v).Verdict.metrics with
-  | Some x -> int_of_float x
-  | None -> Alcotest.failf "verdict metric %S missing" name
-
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
-
-(* Acceptance criterion: wait-freedom certificate for Algorithm 2, even
-   under a crash budget. *)
-let alg2_wait_free_certificate () =
-  let { store; programs; _ } = alg2_harness 3 in
-  match
-    Progress.check_wait_free
-      ~options:Search.(with_max_crashes 2 default)
-      store ~programs
-  with
-  | Verdict.Proved _ as v ->
-    Alcotest.(check int) "solo bound" 1 (metric "solo_bound" v);
-    Alcotest.(check int) "configs" 37 (metric "configs" v)
-  | v -> Alcotest.failf "not wait-free: %a" Verdict.pp_summary v
-
-let alg5_wait_free_certificate () =
-  let { store; programs; _ } = alg5_harness 3 in
-  match
-    Progress.check_wait_free
-      ~options:Search.(with_max_crashes 1 default)
-      store ~programs
-  with
-  | Verdict.Proved _ as v ->
-    Alcotest.(check int) "solo bound" 5 (metric "solo_bound" v)
-  | v -> Alcotest.failf "not wait-free: %a" Verdict.pp_summary v
 
 (* A process spinning on a register until a second process writes it.
    With [~checkpoint] each round resets its history, so its solo path
@@ -413,8 +383,6 @@ let suite =
       ] );
     ( "crash.progress",
       [
-        test "Algorithm 2 (k=3) wait-free cert, f=2" alg2_wait_free_certificate;
-        test "Algorithm 5 (k=3) wait-free cert, f=1" alg5_wait_free_certificate;
         test "lock-free spinner: counterexample schedule"
           spinner_counterexample;
         test "1sWRN index reuse: hang refutation replays" reused_index_hangs;

@@ -52,19 +52,6 @@ let partition_tests =
       (partition_exhaustive ~n:5 ~m:3 ~j:2);
     test "(4,2) from (2,1) objects (consensus groups), exhaustive"
       (partition_exhaustive ~n:4 ~m:2 ~j:1);
-    test "partition bound is tight for (4,·) from (3,2)" (fun () ->
-        let store, t = Hierarchy.alloc_set_consensus Store.empty ~n:4 ~m:3 ~j:2 in
-        let inputs = inputs 4 in
-        let programs = List.mapi (fun i v -> Hierarchy.propose t ~i v) inputs in
-        let config = Config.make store programs in
-        let best = ref 0 in
-        let _ =
-          Search.iter_terminals config ~f:(fun final _ ->
-              best :=
-                max !best
-                  (List.length (Task.distinct (Config.decisions final))))
-        in
-        Alcotest.(check int) "reaches the bound" 3 !best);
   ]
 
 (* The executable Corollary 42(2) chain: a 1sWRN_{k'} built via Algorithm 5;

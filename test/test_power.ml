@@ -1,5 +1,6 @@
-(* Task equivalences (Section 2) and the set-consensus power matrix
-   (conclusion / experiment E13). *)
+(* Task equivalences (Section 2) and the set-consensus power matrix of
+   the conclusion; the known-answer table E13 pins every cell's verdict
+   (test_experiments). *)
 open Subc_sim
 open Helpers
 module Eq = Subc_core.Election_equiv
@@ -65,24 +66,6 @@ let equivalence_tests =
 
 (* --- the power matrix ------------------------------------------------ *)
 
-let cell family ~n ~k () =
-  if P.applicable family ~n then begin
-    let v = P.verdict family ~n ~k in
-    let want = P.predicted family ~n ~k in
-    Alcotest.(check bool)
-      (Format.asprintf "%s at (%d,%d), predicted %s: %a" (P.family_name family)
-         n k
-         (if want then "solves" else "fails")
-         Verdict.pp_summary v)
-      want (Verdict.is_proved v);
-    if not want then begin
-      (* A failure is a terminal violation, not a divergence. *)
-      let store, programs = P.protocol Store.empty family ~n in
-      Alcotest.(check bool) "refuted at a terminal" true
-        (Config.is_terminal (refutation_end (Config.make store programs) v))
-    end
-  end
-
 (* Every refutation replays: registers cannot solve (2,1)-set consensus,
    and the witness ends at a terminal that violates the task. *)
 let registers_violation_replays () =
@@ -100,42 +83,27 @@ let registers_violation_replays () =
     <> None)
 
 let power_tests =
-  let cases =
-    List.concat_map
-      (fun family ->
-        List.map
-          (fun (n, k) ->
-            test
-              (Printf.sprintf "%s at (%d,%d)" (P.family_name family) n k)
-              (cell family ~n ~k))
-          [ (2, 1); (2, 2); (3, 1); (3, 2); (4, 3) ])
-      [
-        P.Registers; P.Wrn_objects 3; P.Sse_object 3; P.Two_consensus_pairs;
-        P.Cas_object;
-      ]
-  in
-  cases
-  @ [
-      test "registers at (2,1): the violation replays"
-        registers_violation_replays;
-      test "predicted bounds are monotone in n" (fun () ->
-          List.iter
-            (fun family ->
-              List.iter
-                (fun n ->
-                  Alcotest.(check bool) "monotone" true
-                    (P.predicted_bound family ~n
-                    <= P.predicted_bound family ~n:(n + 1)))
-                [ 1; 2; 3; 4; 5 ])
-            [ P.Registers; P.Wrn_objects 3; P.Two_consensus_pairs; P.Cas_object ]);
-      test "WRN bound matches Algorithm 6's" (fun () ->
-          List.iter
-            (fun (n, j) ->
-              Alcotest.(check int) "same bound"
-                (Subc_core.Alg6.agreement_bound ~n ~k:j)
-                (P.predicted_bound (P.Wrn_objects j) ~n))
-            [ (3, 3); (4, 3); (12, 3); (7, 4) ]);
-    ]
+  [
+    test "registers at (2,1): the violation replays"
+      registers_violation_replays;
+    test "predicted bounds are monotone in n" (fun () ->
+        List.iter
+          (fun family ->
+            List.iter
+              (fun n ->
+                Alcotest.(check bool) "monotone" true
+                  (P.predicted_bound family ~n
+                  <= P.predicted_bound family ~n:(n + 1)))
+              [ 1; 2; 3; 4; 5 ])
+          [ P.Registers; P.Wrn_objects 3; P.Two_consensus_pairs; P.Cas_object ]);
+    test "WRN bound matches Algorithm 6's" (fun () ->
+        List.iter
+          (fun (n, j) ->
+            Alcotest.(check int) "same bound"
+              (Subc_core.Alg6.agreement_bound ~n ~k:j)
+              (P.predicted_bound (P.Wrn_objects j) ~n))
+          [ (3, 3); (4, 3); (12, 3); (7, 4) ]);
+  ]
 
 let suite =
   [ ("equiv.election", equivalence_tests); ("power.matrix", power_tests) ]
