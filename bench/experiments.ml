@@ -11,9 +11,9 @@
 
 open Subc_sim
 module Task = Subc_tasks.Task
-module Alg2 = Subc_core.Alg2
+module Harness = Subc_check.Harness
+module Registry = Subc_analysis.Registry
 module Alg3 = Subc_core.Alg3
-module Alg5 = Subc_core.Alg5
 module Hierarchy = Subc_core.Hierarchy
 module Task_check = Subc_check.Task_check
 module Progress = Subc_check.Progress
@@ -50,8 +50,6 @@ let table id title header rows = { id; title; header; rows }
 
 let int = string_of_int
 let seeds n = List.init n (fun i -> (7919 * (i + 1)) + 13)
-let inputs k = List.init k (fun i -> Value.Int (100 + i))
-let set_consensus m = Task.conj (Task.set_consensus m) Task.all_decided
 let mode = function None -> "exhaustive" | Some n -> Printf.sprintf "%d runs" n
 
 (* The word for verdict [v] of a check on [config].  A refutation's
@@ -69,14 +67,6 @@ let verdict_name ?(solves = "solves") ?(fails = "violation") config = function
 
 let consensus_verdict_name config ~inputs =
   verdict_name config (Subc_check.Valence.consensus_verdict config ~inputs)
-
-let alg2 k =
-  let store, t = Alg2.alloc Store.empty ~k ~one_shot:true in
-  (store, List.mapi (fun i v -> Alg2.propose t ~i v) (inputs k))
-
-let alg5 k participants =
-  let store, t = Alg5.alloc Store.empty ~k () in
-  (store, List.map (fun i -> Alg5.wrn t ~i (Value.Int (100 + i))) participants)
 
 (* One exhaustive search of [store, programs]: its stats, the most
    distinct decisions on any terminal, how many terminals [bad] flags, and
@@ -111,8 +101,8 @@ let alg2_space =
   let once = memo () in
   fun k ->
     once k (fun () ->
-        search (alg2 k) ~bad:(fun final _ ->
-            not (Task.satisfies (set_consensus (k - 1)) ~inputs:(inputs k) final)))
+        let h = Registry.alg2 ~k ~crashes:0 in
+        search (h.store, h.programs) ~bad:(fun final _ -> h.explain final <> None))
 
 (* Algorithm 5 (1sWRN_k from strong set election) with [participants];
    [bad] is a terminal whose history does not linearize against the 1sWRN_k
@@ -123,23 +113,25 @@ let alg5_space =
     once (k, participants, max_crashes) (fun () ->
         let ops i =
           let idx = List.nth participants i in
-          Op.make "wrn" [ Value.Int idx; Value.Int (100 + idx) ]
+          Op.make "wrn" [ Value.Int idx; Harness.tok idx ]
         in
         let spec = Subc_objects.One_shot_wrn.model ~k in
-        search (alg5 k participants)
+        let h = Registry.alg5 ~k in
+        search (h.store, List.map (List.nth h.programs) participants)
           ~options:Search.(with_max_crashes max_crashes default)
           ~bad:(fun final trace -> Lin.check ~spec (Lin.history ~ops final trace) = None))
 
-(* [task] on [programs]: without [runs] the exhaustive verdict; with
-   [runs] the violation count over that many seeded random runs, and the
-   most distinct decisions any of them reached. *)
-let check_or_sample ?runs store ~programs ~inputs ~task =
-  match runs with
-  | None ->
-    let v = Task_check.check store ~programs ~inputs ~task in
-    (Verdict.status_string v, 0)
-  | Some n ->
-    let s = Task_check.sample store ~programs ~inputs ~task ~seeds:(seeds n) in
+(* [h]'s task: without [runs] the exhaustive verdict; with [runs] the
+   violation count over that many seeded random runs, and the most
+   distinct decisions any of them reached. *)
+let check_or_sample ?runs (h : Harness.t) =
+  match (runs, h.property) with
+  | None, _ -> (Verdict.status_string (h.checker Search.default), 0)
+  | Some _, Harness.Other p -> invalid_arg ("no task to sample: " ^ p)
+  | Some n, Harness.Task { inputs; task } ->
+    let s =
+      Task_check.sample h.store ~programs:h.programs ~inputs ~task ~seeds:(seeds n)
+    in
     let best = ref 0 in
     Array.iteri (fun i c -> if c > 0 then best := i + 1) s.Task_check.distinct_counts;
     (Printf.sprintf "%d violations" s.Task_check.violations, !best)
@@ -156,11 +148,7 @@ let e1 ?runs k expect =
           let s = alg2_space k in
           (int s.stats.Explore.states, s.distinct, Printf.sprintf "%d violations" s.bad)
         | Some _ ->
-          let store, programs = alg2 k in
-          let verdict, best =
-            check_or_sample ?runs store ~programs ~inputs:(inputs k)
-              ~task:(set_consensus (k - 1))
-          in
+          let verdict, best = check_or_sample ?runs (Registry.alg2 ~k ~crashes:0) in
           ("-", best, verdict)
       in
       [ states; int best; int (k - 1); verdict ])
@@ -173,22 +161,22 @@ let e2 k expect =
     (fun () ->
       let module Rw = Subc_classic.Rw_baseline in
       let store, r = Rw.alloc Store.empty ~k in
-      let registers = List.mapi (fun i v -> Rw.propose r ~i v) (inputs k) in
+      let registers = List.mapi (fun i v -> Rw.propose r ~i v) (Harness.inputs k) in
       [ int (alg2_space k).distinct; int (search (store, registers)).distinct ])
     expect
 
-let e3 name ~k flavor renamer ids ?runs expect =
+(* The instances are the WRN objects the sweep allocates. *)
+let e3 name flavor renamer ids ?runs expect =
+  let k = List.length ids in
   row name ~label:[ int k; name ]
     (fun () ->
-      let store, t = Alg3.alloc Store.empty ~k ~flavor ~renamer () in
-      let inputs = List.map (fun id -> Value.Int (100 + id)) ids in
-      let programs =
-        List.mapi (fun slot id -> Alg3.propose t ~slot ~id (Value.Int (100 + id))) ids
+      let h = Registry.alg3 ~flavor ~renamer ~ids ~crashes:0 in
+      let wrn kind =
+        List.mem kind [ Printf.sprintf "wrn(%d)" k; Printf.sprintf "one_shot_wrn(%d)" k ]
       in
-      let verdict, _ =
-        check_or_sample ?runs store ~programs ~inputs ~task:(set_consensus (k - 1))
-      in
-      [ int (Alg3.instances t); mode runs; int (k - 1); verdict ])
+      let verdict, _ = check_or_sample ?runs h in
+      [ int (List.length (List.filter wrn (Store.kinds h.store))); mode runs;
+        int (k - 1); verdict ])
     expect
 
 let e4 name indices expect =
@@ -197,7 +185,7 @@ let e4 name indices expect =
       let module Alg4 = Subc_core.Alg4 in
       let store, t = Alg4.alloc Store.empty ~k:3 in
       let programs =
-        List.mapi (fun p i -> Alg4.rlx_wrn t ~i (Value.Int (100 + p))) indices
+        List.mapi (fun p i -> Alg4.rlx_wrn t ~i (Harness.tok p)) indices
       in
       let legal =
         Verdict.is_proved (Progress.check_t_resilient ~t:0 store ~programs)
@@ -240,12 +228,7 @@ let e7 ~n ~k expect =
   row (Printf.sprintf "n=%d k=%d" n k) ~label:[ int n; int k ]
     (fun () ->
       let m = Alg6.agreement_bound ~n ~k in
-      let store, t = Alg6.alloc Store.empty ~n ~k ~one_shot:true in
-      let programs = List.mapi (fun i v -> Alg6.propose t ~i v) (inputs n) in
-      let violations, best =
-        check_or_sample ~runs:200 store ~programs ~inputs:(inputs n)
-          ~task:(set_consensus m)
-      in
+      let violations, best = check_or_sample ~runs:200 (Registry.alg6 ~n ~k ~crashes:0) in
       let ratio a b = Printf.sprintf "%.2f" (float_of_int a /. float_of_int b) in
       [ int m; ratio m n; ratio (k - 1) k; int best; violations ])
     expect
@@ -262,7 +245,7 @@ let e8_partition ~n ~m ~j expect =
   row (Printf.sprintf "%d procs from (%d,%d)-objects" n m j)
     (fun () ->
       let store, t = Hierarchy.alloc_set_consensus Store.empty ~n ~m ~j in
-      let programs = List.mapi (fun i v -> Hierarchy.propose t ~i v) (inputs n) in
+      let programs = List.mapi (fun i v -> Hierarchy.propose t ~i v) (Harness.inputs n) in
       let s = search (store, programs) in
       [ int s.distinct; int (Hierarchy.partition_bound ~n ~m ~j);
         int s.stats.Explore.states ])
@@ -339,7 +322,8 @@ let e10_counter expect =
       | Error _ -> [ "broken"; "refuted" ]))
     expect
 
-(* The candidate's refutation: its reason and the length of its witness. *)
+(* The candidate's refutation: its reason, the length of its witness, and
+   the verdict its witness replays to. *)
 let e11 name alloc expect =
   row name
     (fun () ->
@@ -355,10 +339,12 @@ let e11 name alloc expect =
           store ~programs ~inputs:[ Value.Int 0; Value.Int 1; Value.Int 2 ]
           ~task:(Task.strong_set_election 2)
       in
+      let replayed = verdict_name (Config.make store programs) v in
       match v with
       | Verdict.Refuted { reason; trace; _ } ->
-        [ Printf.sprintf "%s (schedule length %d)" reason (Trace.length trace) ]
-      | v -> [ Verdict.status_string v ])
+        [ Printf.sprintf "%s (schedule length %d)" reason (Trace.length trace);
+          replayed ]
+      | v -> [ Verdict.status_string v; replayed ])
     expect
 
 (* ----------------------------------------------------------- E12–E14 *)
@@ -411,12 +397,12 @@ let e15_alg2 f expect =
   row (Printf.sprintf "alg2 safety f=%d" f)
     ~label:[ "Alg 2 (k=3) safety"; Printf.sprintf "exhaustive, f=%d" f ]
     (fun () ->
-      let store, programs = alg2 3 in
+      let h = Registry.alg2 ~k:3 ~crashes:f in
       match
         Search.check_terminals
           ~options:Search.(default |> with_max_crashes f)
-          (Config.make store programs)
-          ~ok:(Task.satisfies (Task.set_consensus 2) ~inputs:(inputs 3))
+          (Harness.root h)
+          ~ok:(fun final -> h.explain final = None)
       with
       | Ok stats -> [ int stats.Explore.states; "safe" ]
       | Error (_, _, stats) -> [ int stats.Explore.states; "VIOLATION" ])
@@ -435,12 +421,12 @@ let e15_alg5 expect =
     expect
 
 (* A wait-freedom certificate (solo-step bound), crash budget included. *)
-let e15_wait_free name (store, programs) ~f expect =
+let e15_wait_free name (h : Harness.t) ~f expect =
   row name ~label:[ name; Printf.sprintf "progress, f=%d" f ]
     (fun () ->
       let v =
-        Progress.check_wait_free ~options:Search.(with_max_crashes f default) store
-          ~programs
+        Progress.check_wait_free ~options:Search.(with_max_crashes f default) h.store
+          ~programs:h.programs
       in
       let metric key =
         int (int_of_float (List.assoc key (Verdict.stats v).Verdict.metrics))
@@ -485,7 +471,7 @@ let e15_bg expect =
       let run seed s =
         let codes =
           List.init 3 (fun p ->
-              Subc_bgsim.Sim_code.write_then_snapshot (Value.Int (100 + p)) Fun.id)
+              Subc_bgsim.Sim_code.write_then_snapshot (Harness.tok p) Fun.id)
         in
         let store, bg = Bg.alloc Store.empty ~simulators:2 ~codes in
         let adversary =
@@ -522,39 +508,40 @@ let e15_bg expect =
    deterministic, so the ratios are exact reproduction targets, not
    timings. *)
 
-let set_consensus_harness ~chained () =
+(* The instances: a name, a store with its programs, and the group the
+   reduced search quotients by. *)
+let of_harness name (h : Harness.t) =
+  (name, (h.store, h.programs), Option.get h.symmetry)
+
+let e16_alg2 = of_harness "Alg 2 (k=3)" (Registry.alg2 ~k:3 ~crashes:0)
+let e16_alg5 = of_harness "Alg 5 (k=3)" (Registry.alg5 ~k:3)
+
+let e16_sc =
+  of_harness "set-consensus (3,2)"
+    (Registry.set_consensus_object ~n:3 ~k:2 ~crashes:0)
+
+(* Two (3,2)-set-consensus objects in sequence: each process proposes its
+   value to the first and the first's answer to the second. *)
+let e16_chained =
   let module Sc = Subc_objects.Set_consensus_obj in
   let store, ha = Store.alloc Store.empty (Sc.model ~n:3 ~k:2) in
   let store, hb = Store.alloc store (Sc.model ~n:3 ~k:2) in
-  let propose i =
-    let first = Sc.propose ha (Value.Int (100 + i)) in
-    if chained then Program.bind first (Sc.propose hb) else first
-  in
-  (store, List.init 3 propose)
+  ( "chained set-consensus",
+    (store, List.init 3 (fun i -> Program.bind (Sc.propose ha (Harness.tok i)) (Sc.propose hb))),
+    Symmetry.standard ~n:3 ~input_base:100 `Full )
 
-let wrn_harness () =
-  let module W = Subc_objects.One_shot_wrn in
-  let store, h = Store.alloc Store.empty (W.model ~k:3) in
-  (store, List.init 3 (fun i -> W.wrn h i (Value.Int (100 + i))))
-
-(* The instances: a name, a harness builder and its symmetry group. *)
-let e16_alg2 = ("Alg 2 (k=3)", (fun () -> alg2 3), `Rotations)
-let e16_alg5 = ("Alg 5 (k=3)", (fun () -> alg5 3 [ 0; 1; 2 ]), `Rotations)
-let e16_sc = ("set-consensus (3,2)", set_consensus_harness ~chained:false, `Full)
-let e16_chained = ("chained set-consensus", set_consensus_harness ~chained:true, `Full)
-let e16_wrn = ("1sWRN (k=3)", wrn_harness, `Rotations)
+let e16_wrn = of_harness "1sWRN (k=3)" (Registry.one_shot_wrn_object ~k:3)
 
 (* (base states, base transitions, reduced states, reduced transitions),
    searched once per instance and budget: the aggregate row reuses them. *)
 let e16_counts =
   let once = memo () in
-  fun (name, harness, group) f ->
+  fun (name, space, sym) f ->
     once (name, f) (fun () ->
         let options = Search.(with_max_crashes f default) in
-        let sym = Symmetry.standard ~n:3 ~input_base:100 group in
-        let base = (search ~options (harness ())).stats in
+        let base = (search ~options space).stats in
         let full =
-          (search (harness ())
+          (search space
              ~options:(Search.with_reduction (Explore.full_reduction sym) options))
             .stats
         in
@@ -565,8 +552,8 @@ let e16_cells (bs, bt, fs, ft) =
   [ Printf.sprintf "%d / %d" bs fs; Printf.sprintf "%d / %d" bt ft; ratio bs fs;
     ratio bt ft ]
 
-let e16 ((name, _, group) as instance) f expect =
-  let order = match group with `Full -> 6 | `Rotations -> 3 | `Trivial -> 1 in
+let e16 ((name, _, sym) as instance) f expect =
+  let order = List.length (Symmetry.perms sym) in
   row (Printf.sprintf "%s f=%d" name f)
     ~label:[ name; Printf.sprintf "f=%d, |G|=%d" f order ]
     (fun () -> e16_cells (e16_counts instance f))
@@ -647,15 +634,15 @@ let tables =
     table "e3" "E3. Algorithm 3: k participants out of many (renaming + sweep)"
       [ "k"; "configuration"; "instances"; "mode"; "bound"; "verdict" ]
       [
-        e3 "plain+grid" ~k:2 Alg3.Plain_wrn Alg3.Rename_grid [ 13; 7 ]
+        e3 "plain+grid" Alg3.Plain_wrn Alg3.Rename_grid [ 13; 7 ]
           [ "3"; "exhaustive"; "1"; "proved" ];
-        e3 "plain+snapshot-renaming" ~k:2 Alg3.Plain_wrn Alg3.Rename_snapshot
+        e3 "plain+snapshot-renaming" Alg3.Plain_wrn Alg3.Rename_snapshot
           [ 13; 7 ] [ "3"; "exhaustive"; "1"; "proved" ];
-        e3 "plain+identity(5 names)" ~k:3 Alg3.Plain_wrn (Alg3.Rename_identity 5)
+        e3 "plain+identity(5 names)" Alg3.Plain_wrn (Alg3.Rename_identity 5)
           [ 0; 2; 4 ] ~runs:300 [ "10"; "300 runs"; "2"; "0 violations" ];
-        e3 "relaxed+grid" ~k:3 Alg3.Relaxed_wrn Alg3.Rename_grid [ 19; 3; 11 ]
+        e3 "relaxed+grid" Alg3.Relaxed_wrn Alg3.Rename_grid [ 19; 3; 11 ]
           ~runs:300 [ "20"; "300 runs"; "2"; "0 violations" ];
-        e3 "relaxed+snapshot-renaming" ~k:3 Alg3.Relaxed_wrn Alg3.Rename_snapshot
+        e3 "relaxed+snapshot-renaming" Alg3.Relaxed_wrn Alg3.Rename_snapshot
           [ 104; 2; 77 ] ~runs:300 [ "10"; "300 runs"; "2"; "0 violations" ];
       ];
     table "e4"
@@ -733,13 +720,14 @@ let tables =
     table "e11"
       "E11. Why [9] is nontrivial: candidate SSE constructions fail \
        (model-checked counterexamples)"
-      [ "candidate"; "counterexample" ]
+      [ "candidate"; "counterexample"; "verdict" ]
       [
         e11 "naive (1 round)" Sse.alloc_naive
           [ "self-election: P2 decided 1 but that process decided otherwise \
-             (schedule length 9)" ];
+             (schedule length 9)"; "violation" ];
         e11 "iterated (k rounds + commit board)" Sse.alloc_iterated
-          [ "2-agreement: 3 distinct outputs: [0; 1; 2] (schedule length 19)" ];
+          [ "2-agreement: 3 distinct outputs: [0; 1; 2] (schedule length 19)";
+            "violation" ];
       ];
     table "e12"
       "E12. The consensus hierarchy around the paper's band (canonical \
@@ -799,9 +787,9 @@ let tables =
         e15_alg2 1 [ "31"; "safe" ];
         e15_alg2 2 [ "37"; "safe" ];
         e15_alg5 [ "2242"; "0 bad / 291 terminals (201 crashed)" ];
-        e15_wait_free "Alg 2 (k=3) wait-freedom" (alg2 3) ~f:2
+        e15_wait_free "Alg 2 (k=3) wait-freedom" (Registry.alg2 ~k:3 ~crashes:0) ~f:2
           [ "37"; "wait-free, solo bound 1" ];
-        e15_wait_free "Alg 5 (k=3) wait-freedom" (alg5 3 [ 0; 1; 2 ]) ~f:1
+        e15_wait_free "Alg 5 (k=3) wait-freedom" (Registry.alg5 ~k:3) ~f:1
           [ "2242"; "wait-free, solo bound 5" ];
         e15_spinner [ "NOT wait-free (P0 solo-spins)" ];
         e15_bg [ "300"; "300/300 runs block <= 1 simulated (23 blocked some)" ];

@@ -31,8 +31,8 @@ open Subc_sim
 module Task = Subc_tasks.Task
 module Obs = Subc_obs
 module Verdict = Subc_check.Verdict
-
-let inputs_of k = List.init k (fun i -> Value.Int (100 + i))
+module Harness = Subc_check.Harness
+module Registry = Subc_analysis.Registry
 
 (* ------------------------------------------------------------------ *)
 (* Shared output plumbing: sink setup, verdict reporting, exit codes.  *)
@@ -95,159 +95,47 @@ let finish ~metrics verdicts =
   Verdict.combined_exit verdicts
 
 (* ------------------------------------------------------------------ *)
-(* Checkable instances: one constructor per algorithm family, shared by
-   the check, explore and crash-sweep subcommands.                      *)
+(* Reductions.  With --certified, a reduction is only enabled after the
+   static soundness analyzer proves every obligation (purity,
+   commutation, equivariance, classification) for the family's
+   registered objects; the reduction is then built through
+   [Explore.certified_reduction].  A non-proved finding refuses the run
+   with the refutation exit code.  Every family in the table declares a
+   symmetry (the always-sound dead-state erasure where identifiers or
+   group vectors break process symmetry). *)
 
-type checkable =
-  | Task_instance of {
-      store : Store.t;
-      programs : Value.t Program.t list;
-      inputs : Value.t list;
-      task : Task.t;
-      symmetry : Symmetry.t option;
-    }
-  | Lin_instance of {
-      store : Store.t;
-      programs : Value.t Program.t list;
-      ops : int -> Op.t;
-      spec : Obj_model.t;
-      symmetry : Symmetry.t option;
-    }
-
-(* Under a positive crash budget, [all_decided] is dropped: crashed
-   processes legitimately never decide. *)
-let task_for bound ~crashes =
-  if crashes > 0 then Task.set_consensus bound
-  else Task.conj (Task.set_consensus bound) Task.all_decided
-
-let alg2_instance ~k ~crashes =
-  let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
-  let inputs = inputs_of k in
-  let programs = List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) inputs in
-  Task_instance
-    {
-      store;
-      programs;
-      inputs;
-      task = task_for (k - 1) ~crashes;
-      symmetry = Some (Subc_core.Alg2.symmetry t ~input_base:100 ());
-    }
-
-let alg3_instance ~k ~crashes =
-  let ids = List.init k (fun i -> (i * 37) mod 1000) in
-  let store, t =
-    Subc_core.Alg3.alloc Store.empty ~k ~flavor:Subc_core.Alg3.Relaxed_wrn
-      ~renamer:Subc_core.Alg3.Rename_snapshot ()
-  in
-  let inputs = List.map (fun id -> Value.Int (1000 + id)) ids in
-  let programs =
-    List.mapi
-      (fun slot id -> Subc_core.Alg3.propose t ~slot ~id (Value.Int (1000 + id)))
-      ids
-  in
-  (* Identifier-asymmetric: no valid renaming group. *)
-  Task_instance
-    { store; programs; inputs; task = task_for (k - 1) ~crashes; symmetry = None }
-
-let alg5_instance ~k =
-  let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
-  let programs =
-    List.init k (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i)))
-  in
-  let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
-  let spec = Subc_objects.One_shot_wrn.model ~k in
-  Lin_instance
-    {
-      store;
-      programs;
-      ops;
-      spec;
-      symmetry = Some (Subc_core.Alg5.symmetry t ~input_base:100 ());
-    }
-
-let alg6_instance ~n ~k ~crashes =
-  let store, t = Subc_core.Alg6.alloc Store.empty ~n ~k ~one_shot:true in
-  let inputs = inputs_of n in
-  let programs = List.mapi (fun i v -> Subc_core.Alg6.propose t ~i v) inputs in
-  let m = Subc_core.Alg6.agreement_bound ~n ~k in
-  (* Per-group WRN objects have length-k vectors: the length-n positional
-     data action does not apply, so no symmetry group is exported. *)
-  Task_instance
-    { store; programs; inputs; task = task_for m ~crashes; symmetry = None }
-
-let instance_of alg ~n ~k ~crashes =
-  match alg with
-  | "alg2" -> alg2_instance ~k ~crashes
-  | "alg3" -> alg3_instance ~k ~crashes
-  | "alg5" -> alg5_instance ~k
-  | "alg6" -> alg6_instance ~n:(if n = 0 then 2 * k else n) ~k ~crashes
-  | s -> Fmt.failwith "unknown algorithm %S" s
-
-let instance_symmetry = function
-  | Task_instance { symmetry; _ } | Lin_instance { symmetry; _ } -> symmetry
-
-let instance_store_programs = function
-  | Task_instance { store; programs; _ } | Lin_instance { store; programs; _ }
-    ->
-    (store, programs)
-
-(* With --certified, a reduction is only enabled after the static
-   soundness analyzer proves every obligation (purity, commutation,
-   equivariance, classification) for the algorithm's registered objects;
-   the reduction is then built through [Explore.certified_reduction].  A
-   non-proved finding refuses the run with the refutation exit code. *)
-let certified_reduction_for ~alg symmetry ~source_sets =
-  match Subc_analysis.Registry.find alg with
-  | None ->
-    Format.eprintf "no analysis registry family for %S@." alg;
-    exit 1
-  | Some entry -> (
-    match
-      Subc_analysis.Analyzer.certify ~family:alg
-        entry.Subc_analysis.Registry.subjects
-    with
+let reduction_of ~certified (entry : Registry.entry) choice (h : Harness.t) =
+  let sym () = Option.get h.symmetry in
+  let certify symmetry ~source_sets =
+    match Subc_analysis.Analyzer.certify ~family:entry.family entry.subjects with
     | Ok certificate ->
       Explore.certified_reduction ~certificate ~source_sets symmetry
     | Error findings ->
-      Format.eprintf "@[<v>analyzer refuses to certify %s:@,%a@]@." alg
+      Format.eprintf "@[<v>analyzer refuses to certify %s:@,%a@]@."
+        entry.family
         (Format.pp_print_list Subc_analysis.Analyzer.pp_finding)
         findings;
-      exit 1)
-
-(* Resolve the --reduction choice against the instance's symmetry spec.
-   Algorithms with no valid renaming group still get the always-sound
-   dead-state erasure for sym/full. *)
-let reduction_of ?(certified = false) ~alg choice inst =
-  let sym () =
-    match instance_symmetry inst with
-    | Some s -> s
-    | None ->
-      Symmetry.erasure_only ~n:(List.length (snd (instance_store_programs inst)))
+      exit 1
   in
   match choice with
   | `None -> None
   | `Source ->
     Some
-      (if certified then certified_reduction_for ~alg None ~source_sets:true
+      (if certified then certify None ~source_sets:true
        else Explore.source_only)
   | `Sym ->
     Some
-      (if certified then
-         certified_reduction_for ~alg (Some (sym ())) ~source_sets:false
+      (if certified then certify (Some (sym ())) ~source_sets:false
        else Explore.with_symmetry (sym ()))
   | `Full ->
     Some
-      (if certified then
-         certified_reduction_for ~alg (Some (sym ())) ~source_sets:true
+      (if certified then certify (Some (sym ())) ~source_sets:true
        else Explore.full_reduction (sym ()))
 
-let check_instance ~options inst =
-  match inst with
-  | Task_instance { store; programs; inputs; task; _ } ->
-    Subc_check.Task_check.check ~options store ~programs ~inputs ~task
-  | Lin_instance { store; programs; ops; spec; _ } ->
-    Subc_check.Linearizability.check_harness ~options store ~programs ~ops
-      ~spec
+(* The family table's instance of [entry] at size (n, k); [n] = 0 means
+   2k. *)
+let harness_of (entry : Registry.entry) ~n ~k ~crashes =
+  Option.get entry.harness ~n:(if n = 0 then 2 * k else n) ~k ~crashes
 
 (* Shared flags. *)
 let k_arg = Arg.(value & opt int 3 & info [ "k" ] ~doc:"WRN arity $(docv).")
@@ -320,13 +208,14 @@ let certified_arg =
 
 (* ------------------------------------------------------------------ *)
 (* The search flags check, explore and crash-sweep share, resolved into
-   the instance and one [Search.options] record.  Resolution is a thunk,
-   run by the command after it installs its sink, so that building the
-   instance and certifying a reduction happen inside the command.        *)
+   the family table's instance and one [Search.options] record.
+   Resolution is a thunk, run by the command after it installs its sink,
+   so that building the instance and certifying a reduction happen inside
+   the command.                                                          *)
 
 type search = {
   alg : string;
-  inst : checkable;
+  h : Harness.t;
   crashes : int;  (** the --max-crashes value *)
   options : Search.options;
       (** at crash budget max(F, R) — a recovery presupposes a crash —
@@ -338,8 +227,9 @@ let opt with_ x o = match x with None -> o | Some v -> with_ v o
 
 let search_term ?(n = Term.const 0) crashes =
   let resolve alg n k f r deadline max_states jobs spill choice certified () =
-    let inst = instance_of alg ~n ~k ~crashes:(max f r) in
-    let reduction = reduction_of ~certified ~alg choice inst in
+    let entry = Option.get (Registry.find alg) in
+    let h = harness_of entry ~n ~k ~crashes:(max f r) in
+    let reduction = reduction_of ~certified entry choice h in
     let options =
       Search.default
       |> Search.with_max_states max_states
@@ -350,7 +240,7 @@ let search_term ?(n = Term.const 0) crashes =
       |> opt Search.with_reduction reduction
       |> opt (fun dir -> Search.with_visited (Parallel.Spill dir)) spill
     in
-    { alg; inst; crashes = f; options }
+    { alg; h; crashes = f; options }
   in
   Term.(
     const resolve
@@ -364,8 +254,8 @@ let search_term ?(n = Term.const 0) crashes =
 let check_cmd =
   let run search json metrics =
     setup_obs ~json ~metrics;
-    let { alg; inst; options; _ } = search () in
-    let v = check_instance ~options inst in
+    let { alg; h; options; _ } = search () in
+    let v = h.checker options in
     report ~json alg v;
     finish ~metrics [ v ]
   in
@@ -383,11 +273,10 @@ let check_cmd =
 let explore_cmd =
   let run search json metrics =
     setup_obs ~json ~metrics;
-    let { alg; inst; options; _ } = search () in
-    let store, programs = instance_store_programs inst in
+    let { alg; h; options; _ } = search () in
     let stats =
       Obs.Span.time "cli.explore" @@ fun () ->
-      Search.iter_terminals ~options (Config.make store programs)
+      Search.iter_terminals ~options (Harness.root h)
         ~f:(fun _ _ -> ())
     in
     let reduction =
@@ -426,15 +315,19 @@ let explore_cmd =
 let sample_cmd =
   let run alg n k n_seeds metrics =
     setup_obs ~json:false ~metrics;
-    let n = if n = 0 then 2 * k else n in
+    let h = harness_of (Option.get (Registry.find alg)) ~n ~k ~crashes:0 in
+    let n = List.length h.programs in
     if alg = "alg6" then
       Format.printf "agreement bound m = %d (n=%d, k=%d)@."
         (Subc_core.Alg6.agreement_bound ~n ~k) n k;
-    match instance_of alg ~n ~k ~crashes:0 with
-    | Lin_instance _ -> assert false (* alg5 is not an --alg choice here *)
-    | Task_instance { store; programs; inputs; task; _ } ->
+    match h.property with
+    | Harness.Other _ -> assert false (* alg5 is not an --alg choice here *)
+    | Harness.Task { inputs; task } ->
       let seeds = List.init n_seeds (fun i -> i + 1) in
-      let s = Subc_check.Task_check.sample store ~programs ~inputs ~task ~seeds in
+      let s =
+        Subc_check.Task_check.sample h.store ~programs:h.programs ~inputs ~task
+          ~seeds
+      in
       Format.printf "%a@." Subc_check.Task_check.pp_sample_stats s;
       Option.iter
         (fun (reason, trace) ->
@@ -498,11 +391,9 @@ let attempt_cmd =
 
 let trace_cmd =
   let run k seed =
-    let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
-    let inputs = inputs_of k in
-    let programs = List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) inputs in
-    let config = Config.make store programs in
-    let r = Runner.run (Runner.Random seed) config in
+    let r =
+      Runner.run (Runner.Random seed) (Harness.root (Registry.alg2 ~k ~crashes:0))
+    in
     Format.printf "%a@.decisions: %a@." Trace.pp r.Runner.trace Value.pp
       (Value.Vec (Config.decisions r.Runner.final));
     0
@@ -548,7 +439,7 @@ let bg_cmd =
   let run simulators m seed =
     let codes =
       List.init m (fun p ->
-          Subc_bgsim.Sim_code.write_then_snapshot (Value.Int (100 + p)) Fun.id)
+          Subc_bgsim.Sim_code.write_then_snapshot (Harness.tok p) Fun.id)
     in
     let store, bg = Subc_bgsim.Bg.alloc Store.empty ~simulators ~codes in
     let programs = List.init simulators (fun me -> Subc_bgsim.Bg.simulate bg ~me) in
@@ -694,7 +585,7 @@ let analyze_cmd =
 let crash_sweep_cmd =
   let run search solo_limit json metrics =
     setup_obs ~json ~metrics;
-    let { alg; inst; crashes = f; options } = search () in
+    let { alg; h; crashes = f; options } = search () in
     let r = options.Search.max_recoveries in
     let verdicts = ref [] in
     let note name v =
@@ -707,26 +598,24 @@ let crash_sweep_cmd =
       |> Search.with_max_crashes (max f' r')
       |> Search.with_max_recoveries r'
     in
-    let store, programs = instance_store_programs inst in
-    (match inst with
-    | Task_instance { inputs; task; _ } ->
+    (match h.property with
+    | Harness.Task { task; _ } ->
       for f' = 0 to f do
         for r' = 0 to r do
           note
             (Printf.sprintf "%s/%s/f=%d%s" alg task.Task.name f' (rcell r'))
-            (Subc_check.Task_check.check ~options:(cell f' r') store ~programs
-               ~inputs ~task)
+            (h.checker (cell f' r'))
         done
       done
-    | Lin_instance { ops; spec; _ } ->
+    | Harness.Other property ->
       for r' = 0 to r do
         note
-          (Printf.sprintf "%s/linearizable/f<=%d%s" alg f (rcell r'))
-          (Subc_check.Linearizability.check_harness ~options:(cell f r') store
-             ~programs ~ops ~spec)
+          (Printf.sprintf "%s/%s/f<=%d%s" alg property f (rcell r'))
+          (h.checker (cell f r'))
       done);
     note (alg ^ "/wait-free")
-      (Subc_check.Progress.check_wait_free ~options ~solo_limit store ~programs);
+      (Subc_check.Progress.check_wait_free ~options ~solo_limit h.store
+         ~programs:h.programs);
     finish ~metrics (List.rev !verdicts)
   in
   let crashes =

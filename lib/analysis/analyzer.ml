@@ -311,5 +311,5 @@ let lint ?family () =
       let declared = Registry.declared_alphabets e.Registry.subjects in
       List.map
         (lint_protocol ~family:e.Registry.family ~declared)
-        e.Registry.protocols)
+        (e.Registry.protocols ()))
     (registry_entries family)

@@ -1,19 +1,22 @@
 open Subc_sim
 module O = Subc_objects
 module C = Subc_core
+module Harness = Subc_check.Harness
+module Task = Subc_tasks.Task
 
 type entry = {
   family : string;
   doc : string;
   subjects : Subject.t list;
-  protocols : Absint.protocol list;
+  harness : (n:int -> k:int -> crashes:int -> Harness.t) option;
+  protocols : unit -> Absint.protocol list;
 }
 
-(* Harness conventions: proposals are 100 + process index, two or three
-   processes per instance. *)
-let tok j = Value.Int (100 + j)
+(* Subjects use the harness proposal convention, two or three processes
+   per instance. *)
+let tok = Harness.tok
 let op = Op.make
-let toks n = List.init n tok
+let toks = Harness.inputs
 
 (* The full symmetric group acting on proposal tokens only — for objects
    with scalar states and no process-indexed structure (registers, CAS,
@@ -150,20 +153,83 @@ let sse ~k ~j grp =
     ~expected:Subject.Nondeterministic ~may_hang:true ~symmetry ~group_name ()
 
 (* ------------------------------------------------------------------ *)
+(* The family table: each family's checked instance, built at a size.
+   Where callers need different instances of one family, the difference
+   is a parameter of its builder. *)
+
+(* m-set consensus; every process decides, unless the crash budget lets
+   some crash. *)
+let set_consensus_task m ~crashes =
+  if crashes > 0 then Task.set_consensus m
+  else Task.conj (Task.set_consensus m) Task.all_decided
+
+let alg2 ~k ~crashes =
+  let store, t = C.Alg2.alloc Store.empty ~k ~one_shot:true in
+  Harness.task store
+    (List.mapi (fun i v -> C.Alg2.propose t ~i v) (toks k))
+    ~symmetry:(Some (C.Alg2.symmetry t ~input_base:100 ()))
+    ~inputs:(toks k)
+    ~task:(set_consensus_task (k - 1) ~crashes)
+
+let alg3 ~flavor ~renamer ~ids ~crashes =
+  let k = List.length ids in
+  let store, t = C.Alg3.alloc Store.empty ~k ~flavor ~renamer () in
+  let input id = Value.Int (1000 + id) in
+  Harness.task store
+    (List.mapi (fun slot id -> C.Alg3.propose t ~slot ~id (input id)) ids)
+    ~symmetry:(Some (Symmetry.erasure_only ~n:k))
+    ~inputs:(List.map input ids)
+    ~task:(set_consensus_task (k - 1) ~crashes)
+
+let alg4 ~k =
+  let store, t = C.Alg4.alloc Store.empty ~k in
+  Harness.terminating store
+    (List.init k (fun i -> C.Alg4.rlx_wrn t ~i (tok i)))
+    ~symmetry:(Some (Symmetry.erasure_only ~n:k))
+
+let alg5 ~k =
+  let store, t = C.Alg5.alloc Store.empty ~k () in
+  Harness.wrn ~k store
+    (List.init k (fun i -> C.Alg5.wrn t ~i (tok i)))
+    ~symmetry:(C.Alg5.symmetry t ~input_base:100 ())
+
+let alg6 ~n ~k ~crashes =
+  let store, t = C.Alg6.alloc Store.empty ~n ~k ~one_shot:true in
+  Harness.task store
+    (List.mapi (fun i v -> C.Alg6.propose t ~i v) (toks n))
+    ~symmetry:(Some (Symmetry.erasure_only ~n))
+    ~inputs:(toks n)
+    ~task:(set_consensus_task (C.Alg6.agreement_bound ~n ~k) ~crashes)
+
+let one_shot_wrn_object ~k =
+  let store, h = Store.alloc Store.empty (O.One_shot_wrn.model ~k) in
+  Harness.wrn ~k store
+    (List.init k (fun i -> O.One_shot_wrn.wrn h i (tok i)))
+    ~symmetry:(harness k `Rotations)
+
+let set_consensus_object ~n ~k ~crashes =
+  let store, h = Store.alloc Store.empty (O.Set_consensus_obj.model ~n ~k) in
+  Harness.task store
+    (List.init n (fun i -> O.Set_consensus_obj.propose h (tok i)))
+    ~symmetry:(Some (harness n `Full))
+    ~inputs:(toks n)
+    ~task:(set_consensus_task k ~crashes)
+
+(* ------------------------------------------------------------------ *)
 (* Protocol exemplars: one checkable program per process for each
    family, fed to the abstract interpreter ([Absint]) by the
    [analyze --lint] gate.  Instance sizes match the subjects above, so
-   every op a protocol issues falls inside a declared alphabet. *)
+   every op a protocol issues falls inside a declared alphabet.  A
+   family's exemplar is its checked instance at that size where the two
+   are one program. *)
 
 let protocol = Absint.protocol
 
-let alg2_protocols () =
-  let store, t = C.Alg2.alloc Store.empty ~k:3 ~one_shot:true in
-  List.init 3 (fun i ->
-      protocol
-        ~name:(Printf.sprintf "alg2.propose%d" i)
-        ~store
-        (C.Alg2.propose t ~i (tok i)))
+let exemplars family call (h : Harness.t) =
+  List.mapi
+    (fun i p ->
+      protocol ~name:(Printf.sprintf "%s.%s%d" family call i) ~store:h.store p)
+    h.programs
 
 let alg3_protocols () =
   let store, t =
@@ -175,48 +241,6 @@ let alg3_protocols () =
         ~name:(Printf.sprintf "alg3.propose%d" i)
         ~store
         (C.Alg3.propose t ~slot:i ~id:i (tok i)))
-
-let alg4_protocols () =
-  let store, t = C.Alg4.alloc Store.empty ~k:2 in
-  List.init 2 (fun i ->
-      protocol
-        ~name:(Printf.sprintf "alg4.rlx_wrn%d" i)
-        ~store
-        (C.Alg4.rlx_wrn t ~i (tok i)))
-
-let alg5_protocols () =
-  let store, t = C.Alg5.alloc Store.empty ~k:3 () in
-  List.init 3 (fun i ->
-      protocol
-        ~name:(Printf.sprintf "alg5.wrn%d" i)
-        ~store
-        (C.Alg5.wrn t ~i (tok i)))
-
-let alg6_protocols () =
-  let store, t = C.Alg6.alloc Store.empty ~n:3 ~k:2 ~one_shot:true in
-  List.init 3 (fun i ->
-      protocol
-        ~name:(Printf.sprintf "alg6.propose%d" i)
-        ~store
-        (C.Alg6.propose t ~i (tok i)))
-
-let one_shot_wrn_protocols () =
-  let store, h = Store.alloc Store.empty (O.One_shot_wrn.model ~k:3) in
-  List.init 3 (fun i ->
-      protocol
-        ~name:(Printf.sprintf "1swrn.wrn%d" i)
-        ~store
-        (O.One_shot_wrn.wrn h i (tok i)))
-
-let set_consensus_protocols () =
-  let store, h =
-    Store.alloc Store.empty (O.Set_consensus_obj.model ~n:3 ~k:2)
-  in
-  List.init 3 (fun i ->
-      protocol
-        ~name:(Printf.sprintf "set-consensus.propose%d" i)
-        ~store
-        (O.Set_consensus_obj.propose h (tok i)))
 
 (* A checkpointed busy-wait in the blessed shape — tail position, the key
    is the entire remaining computation — plus a straight-line sweep over
@@ -308,23 +332,33 @@ let entries () =
           set_consensus ~n:3 ~k:2;
           sse ~k:3 ~j:2 `Full;
         ];
-      protocols = objects_protocols ();
+      harness = None;
+      protocols = objects_protocols;
     };
     {
       family = "alg2";
       doc = "Alg2 (k-1 set consensus from one WRN_k): 1sWRN_3 under rotations";
       subjects = [ one_shot_wrn ~k:3 `Rotations ];
-      protocols = alg2_protocols ();
+      harness = Some (fun ~n:_ ~k ~crashes -> alg2 ~k ~crashes);
+      protocols = (fun () -> exemplars "alg2" "propose" (alg2 ~k:3 ~crashes:0));
     };
     {
       family = "alg3";
       doc =
         "Alg3 (n-process set consensus via renaming): WRN_2 plus the \
-         renaming layer's snapshot and registers, identity group";
+         renaming layer's snapshot and registers, and the relaxed WRN's \
+         1sWRN_2 and guard counters within a 4-op budget, identity group";
       subjects =
         [ wrn ~k:2 `Trivial; snapshot ~name:"renaming-snapshot" ~n:2 `Rotations;
-          register ~group:`Trivial () ];
-      protocols = alg3_protocols ();
+          register ~group:`Trivial (); one_shot_wrn ~k:2 `Trivial;
+          counter ~ops:4 ];
+      harness =
+        Some
+          (fun ~n:_ ~k ~crashes ->
+            alg3 ~flavor:C.Alg3.Relaxed_wrn ~renamer:C.Alg3.Rename_snapshot
+              ~ids:(List.init k (fun i -> i * 37 mod 1000))
+              ~crashes);
+      protocols = alg3_protocols;
     };
     {
       family = "alg4";
@@ -332,7 +366,8 @@ let entries () =
         "Alg4 (long-lived WRN from 1sWRN + guards): 1sWRN_2 and a guard \
          counter within a 4-op budget";
       subjects = [ one_shot_wrn ~k:2 `Trivial; counter ~ops:4 ];
-      protocols = alg4_protocols ();
+      harness = Some (fun ~n:_ ~k ~crashes:_ -> alg4 ~k);
+      protocols = (fun () -> exemplars "alg4" "rlx_wrn" (alg4 ~k:2));
     };
     {
       family = "alg5";
@@ -342,25 +377,33 @@ let entries () =
       subjects =
         [ sse ~k:3 ~j:2 `Rotations; doorway ~n:3;
           snapshot ~name:"announce-snapshot" ~n:3 `Rotations ];
-      protocols = alg5_protocols ();
+      harness = Some (fun ~n:_ ~k ~crashes:_ -> alg5 ~k);
+      protocols = (fun () -> exemplars "alg5" "wrn" (alg5 ~k:3));
     };
     {
       family = "alg6";
       doc = "Alg6 (group split): per-group WRN_2 and 1sWRN_2, identity group";
       subjects = [ wrn ~k:2 `Trivial; one_shot_wrn ~k:2 `Trivial ];
-      protocols = alg6_protocols ();
+      harness = Some (fun ~n ~k ~crashes -> alg6 ~n ~k ~crashes);
+      protocols =
+        (fun () -> exemplars "alg6" "propose" (alg6 ~n:3 ~k:2 ~crashes:0));
     };
     {
       family = "1swrn";
       doc = "the 1sWRN_3 harness: rotation group, proposals 100..102";
       subjects = [ one_shot_wrn ~k:3 `Rotations ];
-      protocols = one_shot_wrn_protocols ();
+      harness = Some (fun ~n:_ ~k ~crashes:_ -> one_shot_wrn_object ~k);
+      protocols = (fun () -> exemplars "1swrn" "wrn" (one_shot_wrn_object ~k:3));
     };
     {
       family = "set-consensus";
       doc = "the (3,2)-set-consensus harness: full symmetric group";
       subjects = [ set_consensus ~n:3 ~k:2 ];
-      protocols = set_consensus_protocols ();
+      harness = Some (fun ~n ~k ~crashes -> set_consensus_object ~n ~k ~crashes);
+      protocols =
+        (fun () ->
+          exemplars "set-consensus" "propose"
+            (set_consensus_object ~n:3 ~k:2 ~crashes:0));
     };
   ]
 

@@ -28,8 +28,6 @@ let predicted_bound family ~n =
 
 let predicted family ~n ~k = predicted_bound family ~n <= k
 
-let inputs ~n = List.init n (fun i -> Value.Int (100 + i))
-
 (* Canonical protocols: consensus-number protocols run in groups, so at
    most one decision per group survives. *)
 let protocol store family ~n =
@@ -41,14 +39,14 @@ let protocol store family ~n =
     | Sse_object j -> (Consensus_number.Strong_set_election j, n)
     | Cas_object -> (Consensus_number.Cas, n)
   in
-  Consensus_number.grouped store family ~size ~inputs:(inputs ~n)
+  Consensus_number.grouped store family ~size ~inputs:(Subc_check.Harness.inputs n)
 
 let verdict family ~n ~k =
   let store, programs = protocol Store.empty family ~n in
   let task = Task.conj (Task.set_consensus k) Task.all_decided in
   Subc_check.Task_check.verdict
     (Config.make store programs)
-    ~explain:(Task.explain task ~inputs:(inputs ~n))
+    ~explain:(Task.explain task ~inputs:(Subc_check.Harness.inputs n))
     ~proved:
       (Printf.sprintf
          "(%d,%d)-set consensus on every terminal, every schedule terminates"

@@ -111,8 +111,9 @@ val key : t -> Value.t
 
     A frontier entry is a pointer to its parent plus the slot patches its
     transition rewrote (one process slot, at most a handful of store
-    slots — {!Step.slots}), so the explorer's work queues retain O(1)
-    fresh words per entry instead of a copied process array each.  Chains
+    slots — {!Step.slots}), so a work queue of them retains O(1) fresh
+    words per entry instead of a copied process array each.  No engine
+    uses them; the benchmark's per-layer probe times them.  Chains
     are rebased to a materialized {e root} every {!Delta.rebase_interval}
     links, bounding both chain length and materialization cost. *)
 module Delta : sig

@@ -1,8 +1,13 @@
 (** Deterministic re-execution of recorded traces.
 
-    A trace plus the initial configuration determines the execution: each
-    event names the process that stepped and the response it received,
-    which also pins down the resolution of object nondeterminism.  Crash
+    A trace plus the initial configuration determines the execution up to
+    object nondeterminism: each event names the process that stepped, the
+    operation, the object and the response it received.  A
+    nondeterministic object may give that response from several
+    successor states (a set-consensus object answers [0] from [[0]] and
+    from [[0; 1]]), so replay searches the matching successors depth
+    first, and a trace replays when some resolution of them reproduces
+    every event.  Crash
     events replay as {!Config.crash} transitions and recovery events as
     {!Config.recover}, so counterexample schedules produced under a crash
     or recovery adversary or a fault-budgeted exploration reproduce the
@@ -18,8 +23,10 @@ type error = {
 
 (** [replay config trace] returns the configurations {e after} each event
     (so the list has one entry per event; the final configuration is the
-    last).  Fails if the trace does not correspond to an execution from
-    [config]. *)
+    last) along the first resolution of object nondeterminism, in
+    successor order, that reproduces the whole trace.  Fails if the
+    trace does not correspond to an execution from [config]; the error
+    names the deepest event any resolution reached. *)
 val replay : Config.t -> Trace.t -> (Config.t list, error) result
 
 (** [final config trace] — just the last configuration. *)

@@ -15,13 +15,12 @@ let pp_event ppf e =
     Format.fprintf ppf "P%d: #%d:%s.%a -> HANG" e.proc e.obj e.obj_kind Op.pp
       e.op
 
-(* The slots a transition rewrote, for the incremental fingerprint/delta
-   layer: every transition touches exactly one process slot, and at most
-   the store slots listed (in increasing handle order).  Everything else
-   in the successor is physically shared with the parent, so patching
-   these slots into the parent's homomorphic fingerprint — or replaying
-   them over the parent in a [Config.Delta] chain — reconstructs the
-   child exactly. *)
+(* The slots a transition rewrote, for the incremental fingerprint: every
+   transition touches exactly one process slot, and at most the store
+   slots listed (in increasing handle order).  Everything else in the
+   successor is physically shared with the parent, so patching these
+   slots into the parent's homomorphic fingerprint reconstructs the
+   child's exactly. *)
 type slots = { sl_proc : int; sl_store : (Store.handle * Value.t) list }
 
 let step_slots (c : Config.t) i =

@@ -18,11 +18,11 @@ val pp_event : Format.formatter -> event -> unit
 
 (** The slots a transition rewrote: exactly one process slot, and at most
     the listed store slots (increasing handle order; [[]] when the store
-    is physically shared with the parent).  The incremental explorer
-    patches these into the parent's homomorphic fingerprint
-    ({!Fingerprint.hom_patch_proc} / {!Fingerprint.hom_patch_store}) and
-    into {!Config.Delta} frontier links, instead of re-folding or copying
-    the whole configuration. *)
+    is physically shared with the parent).  The explorer patches these
+    into the parent's homomorphic fingerprint
+    ({!Fingerprint.hom_patch_proc} / {!Fingerprint.hom_patch_store})
+    instead of re-folding the whole configuration.  (No engine builds
+    {!Config.Delta} links; the benchmark's per-layer probe does.) *)
 type slots = { sl_proc : int; sl_store : (Store.handle * Value.t) list }
 
 (** [step config i] is every successor of letting process [i] take one step.

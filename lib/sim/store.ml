@@ -29,6 +29,9 @@ let state store h = snd (find store h)
 let kind store h = (fst (find store h)).Obj_model.kind
 let model store h = fst (find store h)
 
+let kinds store =
+  List.map (fun (_, (model, _)) -> model.Obj_model.kind) (Imap.bindings store.objs)
+
 let apply store h op =
   let model, st = find store h in
   let successors = model.Obj_model.apply st op in
@@ -69,9 +72,9 @@ let diff old_store new_store =
 
    Per-slot physical sharing is preserved whenever the projection is a
    fixed point — [persist] rebuilding a structurally equal value must not
-   break the [==] pruning in [diff], or every recovery link of a
-   [Config.Delta] chain would carry the whole store instead of the
-   slots the crash actually erased.  The [Value.equal] check restores
+   break the [==] pruning in [diff], or the fingerprint patch of a
+   recovery would re-mix the whole store instead of the slots the crash
+   actually erased.  The [Value.equal] check restores
    sharing that a rebuilding [persist] lost; it runs only on the
    recovery path of stores with at least one volatile object. *)
 let recover store =

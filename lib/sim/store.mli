@@ -21,6 +21,10 @@ val state : t -> handle -> Value.t
 
 val kind : t -> handle -> string
 
+(** [kinds store] is the kind of every allocated object, in increasing
+    handle order. *)
+val kinds : t -> string list
+
 (** [model store h] is the sequential model object [h] was allocated with
     (its state at allocation time, not the current state — pair it with
     {!state}).  Used by {!Explore}'s independence judgment and by the
@@ -32,8 +36,8 @@ val model : t -> handle -> Obj_model.t
 val apply : t -> handle -> Op.t -> (t * Value.t) list
 
 (** [set store h v] replaces object [h]'s state with [v], keeping its
-    model.  Used to replay delta patches when materializing a
-    {!Config.Delta} chain. *)
+    model.  {!Config.Delta.materialize} replays a chain's patches with
+    it. *)
 val set : t -> handle -> Value.t -> t
 
 (** [diff old_store new_store] lists the slots whose states changed, in
@@ -51,8 +55,8 @@ val diff : t -> t -> (handle * Value.t) list
     unchanged; otherwise every slot whose projection is a fixed point
     (physically {e or} structurally) keeps its old state value, so
     [diff store (recover store)] lists exactly the slots the crash
-    erased — [Config.Delta]'s recovery links stay as small as its step
-    links. *)
+    erased, and a recovery's fingerprint patch stays as small as a
+    step's. *)
 val recover : t -> t
 
 (** [contents store] lists (handle, state) pairs in increasing handle order;

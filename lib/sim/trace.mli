@@ -1,8 +1,10 @@
 (** Executions as data: the sequence of events of a run.
 
     A trace together with the initial configuration determines the whole
-    execution (programs are deterministic; each event records the resolved
-    nondeterministic choice).  Traces are the counterexamples produced by
+    execution up to object nondeterminism: programs are deterministic,
+    and each event records the response a nondeterministic object chose,
+    which some objects give from more than one successor state
+    ({!Replay} searches those).  Traces are the counterexamples produced by
     the model checker and the raw material of the linearizability checker.
 
     Crash faults are events of the trace: [Crash i] records the point in

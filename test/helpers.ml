@@ -21,9 +21,6 @@ let parallel_run ?seq_threshold
     ~find_cycle:false ~jobs:o.jobs ~on_terminal ~on_visit "test" config
   |> fst
 
-(* Distinct proposal values for k processes: 100, 101, … *)
-let inputs k = List.init k (fun i -> Value.Int (100 + i))
-
 let explore_stats_exn (v : Verdict.t) =
   match (Verdict.stats v).Verdict.explore with
   | Some e -> e
@@ -104,143 +101,18 @@ let expect_refines ~impl ~spec =
   | v -> Alcotest.failf "refinement not proved: %a" Verdict.pp v
 
 (* ---------------------------------------------------------------- *)
-(* Harnesses: every family the suites share, built here once.         *)
+(* Harnesses.  The checked-instance record, its property builders and
+   the proposal convention ([inputs], [tok]); the paper's families are
+   built by [Registry]'s family table.                                  *)
 
-(* A store, its programs, the process symmetry the family declares (if
-   any), and its property: [explain], the terminal predicate in
-   [Task_check.verdict]'s shape ([Some reason] on a terminal that
-   violates it), and [checker], the checker entry point that proves or
-   refutes it under a search's options. *)
-type harness = {
-  store : Store.t;
-  programs : Value.t Program.t list;
-  symmetry : Symmetry.t option;
-  explain : Config.t -> string option;
-  checker : Search.options -> Verdict.t;
-}
-
-let root h = Config.make h.store h.programs
+include Subc_check.Harness
+module Registry = Subc_analysis.Registry
 
 (* The declared symmetry of a harness that has one. *)
 let sym h =
   match h.symmetry with
   | Some s -> s
   | None -> invalid_arg "harness declares no symmetry"
-
-(* A harness whose property is [task] on [inputs], proved by
-   [Task_check.check]. *)
-let task_harness ?symmetry store programs ~inputs ~task =
-  {
-    store;
-    programs;
-    symmetry;
-    explain = Subc_tasks.Task.explain task ~inputs;
-    checker =
-      (fun options ->
-        Subc_check.Task_check.check ~options store ~programs ~inputs ~task);
-  }
-
-(* A harness in which process i calls WRN(i, 100 + i) on an
-   implementation of the one-shot WRN_k object, proved linearizable by
-   [Linearizability.check_harness].  A terminal does not record when each
-   operation ran, so its predicate drops the real-time order: some
-   sequential order of the operations gives every recorded response. *)
-let wrn_property ~k ~symmetry store programs =
-  let module Lin = Subc_check.Linearizability in
-  let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
-  let spec = Subc_objects.One_shot_wrn.model ~k in
-  (* Terminals share few response vectors, so each is judged once; the
-     callbacks that judge them are serialized. *)
-  let judged = Hashtbl.create 16 in
-  let explain c =
-    let responses = List.init (Config.n_procs c) (Config.decision c) in
-    if not (Hashtbl.mem judged responses) then begin
-      let op i result = { Lin.proc = i; op = ops i; result; inv = 0; res = 0 } in
-      Hashtbl.add judged responses
-        (if Lin.check ~spec (List.mapi op responses) = None then
-           Some "no sequential order of the operations gives the responses"
-         else None)
-    end;
-    Hashtbl.find judged responses
-  in
-  {
-    store;
-    programs;
-    symmetry = Some symmetry;
-    explain;
-    checker =
-      (fun options -> Lin.check_harness ~options store ~programs ~ops ~spec);
-  }
-
-(* A harness for a protocol with no task of its own: its property is
-   that no process hangs and every schedule terminates, proved by
-   [Progress.check_t_resilient] at the search's crash budget. *)
-let terminating_harness ?symmetry store programs =
-  {
-    store;
-    programs;
-    symmetry;
-    explain =
-      (fun c -> if Config.any_hung c then Some "a process hangs" else None);
-    checker =
-      (fun options ->
-        Subc_check.Progress.check_t_resilient ~options
-          ~t:options.Search.max_crashes store ~programs);
-  }
-
-(* Algorithm 2, one-shot: k processes proposing [inputs k], solving
-   (k-1)-set consensus. *)
-let alg2_harness k =
-  let store, t = Subc_core.Alg2.alloc Store.empty ~k ~one_shot:true in
-  task_harness store
-    (List.mapi (fun i v -> Subc_core.Alg2.propose t ~i v) (inputs k))
-    ~symmetry:(Subc_core.Alg2.symmetry t ~input_base:100 ())
-    ~inputs:(inputs k)
-    ~task:(Subc_tasks.Task.set_consensus (k - 1))
-
-(* Algorithm 5: process i calls WRN(i, 100 + i). *)
-let alg5_harness k =
-  let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
-  wrn_property ~k store
-    (List.init k (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))))
-    ~symmetry:(Subc_core.Alg5.symmetry t ~input_base:100 ())
-
-(* The one-shot WRN_k object itself, used once per index. *)
-let wrn_harness k =
-  let store, h = Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k) in
-  wrn_property ~k store
-    (List.init k (fun i ->
-         Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i))))
-    ~symmetry:(Symmetry.standard ~n:k ~input_base:100 `Rotations)
-
-(* An (n, k)-set-consensus object: n processes propose [inputs n]. *)
-let sc_harness ~n ~k () =
-  let store, h =
-    Store.alloc Store.empty (Subc_objects.Set_consensus_obj.model ~n ~k)
-  in
-  task_harness store
-    (List.init n (fun i ->
-         Subc_objects.Set_consensus_obj.propose h (Value.Int (100 + i))))
-    ~symmetry:(Symmetry.standard ~n ~input_base:100 `Full)
-    ~inputs:(inputs n)
-    ~task:(Subc_tasks.Task.set_consensus k)
-
-(* Algorithm 3 at k=2 (relaxed WRN, snapshot renaming) for identifiers
-   9 and 2, solving 1-set consensus of their inputs; identifiers break
-   process symmetry, so its symmetry is terminal-store erasure alone. *)
-let alg3_harness () =
-  let k = 2 and ids = [ 9; 2 ] in
-  let store, t =
-    Subc_core.Alg3.alloc Store.empty ~k ~flavor:Subc_core.Alg3.Relaxed_wrn
-      ~renamer:Subc_core.Alg3.Rename_snapshot ()
-  in
-  task_harness store ~symmetry:(Symmetry.erasure_only ~n:k)
-    (List.mapi
-       (fun slot id ->
-         Subc_core.Alg3.propose t ~slot ~id (Value.Int (1000 + id)))
-       ids)
-    ~inputs:(List.map (fun id -> Value.Int (1000 + id)) ids)
-    ~task:(Subc_tasks.Task.set_consensus (k - 1))
 
 (* A recoverable-consensus family's protocol for n processes and r
    recoveries.  Its property is recoverable consensus, proved by
@@ -252,7 +124,7 @@ let recovery_harness family ~n ~r =
     Subc_classic.Recoverable.protocol Store.empty family ~n ~max_recoveries:r
   in
   let h =
-    task_harness store programs
+    task ~symmetry:None store programs
       ~inputs:(List.init n (fun i -> Value.Int i))
       ~task:Subc_tasks.Task.consensus
   in

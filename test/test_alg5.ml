@@ -139,12 +139,8 @@ let graph_claims ~k ~use_impl () =
   let store, programs =
     if use_impl then harness ~k ~participants:(List.init k Fun.id) ~register_snapshots:false
     else
-      let store, h =
-        Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k)
-      in
-      ( store,
-        List.init k (fun i ->
-            Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i))) )
+      let h = Registry.one_shot_wrn_object ~k in
+      (h.store, h.programs)
   in
   let config = Config.make store programs in
   let checked = ref 0 in

@@ -12,7 +12,6 @@ module Registry = Subc_analysis.Registry
 module O = Subc_objects
 
 let op = Op.make
-let tok j = Value.Int (100 + j)
 
 let finding_of check findings =
   match List.find_opt (fun f -> f.Analyzer.check = check) findings with
@@ -40,6 +39,33 @@ let registry_tests =
           Alcotest.(check int) "combined exit 0" 0
             (Analyzer.exit_code findings)))
     (Registry.entries ())
+
+(* An object class: its kind without the sizes in parentheses.  A
+   certificate covers the classes of its subjects at their small sizes. *)
+let object_class kind = List.hd (String.split_on_char '(' kind)
+
+(* Every object class a family's instance stores, at the CLI's default
+   size (k = 3, n = 2k), is the class of one of the family's subjects:
+   the certificate [--certified] demands covers what the checkers run. *)
+let subjects_cover_instances =
+  test "every class a family's instance stores is certified" (fun () ->
+      List.iter
+        (fun (e : Registry.entry) ->
+          let certified =
+            List.map
+              (fun (s : Subject.t) -> object_class s.Subject.model.Obj_model.kind)
+              e.Registry.subjects
+          in
+          Option.iter
+            (fun build ->
+              List.iter
+                (fun kind ->
+                  if not (List.mem (object_class kind) certified) then
+                    Alcotest.failf "%s stores %s, which no subject certifies"
+                      e.Registry.family kind)
+                (Store.kinds (build ~n:6 ~k:3 ~crashes:0).store))
+            e.Registry.harness)
+        (Registry.entries ()))
 
 (* --- seeded mutations: each soundness bug yields a Refuted witness --- *)
 
@@ -316,7 +342,7 @@ let objects_protocol name =
   let p =
     List.find
       (fun (p : Absint.protocol) -> p.Absint.p_name = name)
-      e.Registry.protocols
+      (e.Registry.protocols ())
   in
   (p, Registry.declared_alphabets e.Registry.subjects)
 
@@ -476,7 +502,7 @@ let lint_gate_tests =
               in
               [
                 Analyzer.lint_protocol ~family ~declared
-                  (List.hd entry.Registry.protocols);
+                  (List.hd (entry.Registry.protocols ()));
               ]
             else Analyzer.lint ~family ()
           in
@@ -548,7 +574,7 @@ let independence_tests =
 
 let suite =
   [
-    ("analysis.registry", registry_tests);
+    ("analysis.registry", registry_tests @ [ subjects_cover_instances ]);
     ("analysis.negative", negative_tests);
     ("analysis.mechanics", mechanics_tests);
     ("analysis.certificates", certificate_tests);

@@ -12,40 +12,28 @@ let assert_no_crash_violations stats =
   if stats.Task_check.violations > 0 then
     Alcotest.failf "crash violations: %a" Task_check.pp_sample_stats stats
 
+(* A task family's instance at crash budget [f] (so its task does not
+   ask a crashed process to decide), over [runs] seeded runs that each
+   crash up to [f] random processes. *)
+let crash_safety (h : t) ~f runs =
+  match h.property with
+  | Task { inputs; task } ->
+    assert_no_crash_violations
+      (Task_check.sample ~max_crashes:f h.store ~programs:h.programs ~inputs
+         ~task ~seeds:(seeds runs))
+  | Other p -> invalid_arg p
+
 let alg2_crash_safety ~k () =
-  let { store; programs; _ } = alg2_harness k in
-  let inputs = inputs k in
-  (* No [all_decided] here: crashed processes legitimately never decide. *)
-  let task = Task.set_consensus (k - 1) in
-  assert_no_crash_violations
-    (Task_check.sample ~max_crashes:(k - 1) store ~programs ~inputs ~task
-       ~seeds:(seeds 150))
+  crash_safety (Registry.alg2 ~k ~crashes:(k - 1)) ~f:(k - 1) 150
 
 let alg6_crash_safety ~n ~k () =
-  let store, t = Subc_core.Alg6.alloc Store.empty ~n ~k ~one_shot:true in
-  let inputs = inputs n in
-  let programs = List.mapi (fun i v -> Subc_core.Alg6.propose t ~i v) inputs in
-  let task = Task.set_consensus (Subc_core.Alg6.agreement_bound ~n ~k) in
-  assert_no_crash_violations
-    (Task_check.sample ~max_crashes:(n - 1) store ~programs ~inputs ~task
-       ~seeds:(seeds 150))
+  crash_safety (Registry.alg6 ~n ~k ~crashes:(n - 1)) ~f:(n - 1) 150
 
-let alg3_crash_safety ~k () =
-  let ids = [ 9; 2; 14 ] in
-  let store, t =
-    Subc_core.Alg3.alloc Store.empty ~k ~flavor:Subc_core.Alg3.Relaxed_wrn
-      ~renamer:Subc_core.Alg3.Rename_immediate ()
-  in
-  let inputs = List.map (fun id -> Value.Int (100 + id)) ids in
-  let programs =
-    List.mapi
-      (fun slot id -> Subc_core.Alg3.propose t ~slot ~id (Value.Int (100 + id)))
-      ids
-  in
-  let task = Task.set_consensus (k - 1) in
-  assert_no_crash_violations
-    (Task_check.sample ~max_crashes:(List.length ids - 1) store ~programs
-       ~inputs ~task ~seeds:(seeds 100))
+let alg3_crash_safety () =
+  crash_safety
+    (Registry.alg3 ~flavor:Subc_core.Alg3.Relaxed_wrn
+       ~renamer:Subc_core.Alg3.Rename_immediate ~ids:[ 9; 2; 14 ] ~crashes:2)
+    ~f:2 100
 
 let sse_object_crash_safety () =
   let k = 3 in
@@ -66,7 +54,7 @@ let sse_object_crash_safety () =
    incomplete operations — must still linearize against the 1sWRN spec. *)
 let alg5_crash_linearizability () =
   let k = 3 in
-  let config = root (alg5_harness k) in
+  let config = root (Registry.alg5 ~k) in
   let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
   let spec = Subc_objects.One_shot_wrn.model ~k in
   let incomplete_seen = ref 0 in
@@ -96,17 +84,14 @@ let alg5_crash_linearizability () =
 (* Acceptance criterion: Alg 2 k=3 verified exhaustively under every crash
    pattern with at most 2 crashes. *)
 let alg2_exhaustive_crash_sweep () =
-  let { store; programs; _ } = alg2_harness 3 in
-  let inputs = inputs 3 in
-  let task = Task.set_consensus 2 in
   List.iter
     (fun (f, expect_states) ->
-      let config = Config.make store programs in
+      let h = Registry.alg2 ~k:3 ~crashes:f in
       match
         Search.check_terminals
           ~options:Search.(default |> with_max_crashes f)
-          config ~ok:(fun c ->
-            Task.satisfies task ~inputs c)
+          (root h)
+          ~ok:(fun c -> h.explain c = None)
       with
       | Ok stats ->
         Alcotest.(check bool)
@@ -135,7 +120,7 @@ let crash_at crashes ~seed =
   Runner.Recover_after { crashes; recoveries = []; seed }
 
 let crash_random_deterministic () =
-  let config = root (alg2_harness 4) in
+  let config = root (Registry.alg2 ~k:4 ~crashes:0) in
   List.iter
     (fun seed ->
       let run () =
@@ -155,7 +140,7 @@ let crash_random_deterministic () =
 (* A crash-containing trace is a complete certificate: replaying it
    reproduces the terminal configuration, crashes included. *)
 let crash_trace_replays () =
-  let config = root (alg2_harness 4) in
+  let config = root (Registry.alg2 ~k:4 ~crashes:0) in
   let replayed_crashes = ref 0 in
   List.iter
     (fun seed ->
@@ -178,7 +163,7 @@ let crash_trace_replays () =
     (!replayed_crashes > 0)
 
 let crash_at_deterministic () =
-  let config = root (alg2_harness 4) in
+  let config = root (Registry.alg2 ~k:4 ~crashes:0) in
   let strategy = crash_at [ (1, 1); (2, 0) ] ~seed:(Some 5) in
   let a = Runner.run strategy config and b = Runner.run strategy config in
   Alcotest.(check string) "identical trace"
@@ -192,7 +177,7 @@ let crash_at_deterministic () =
    seeded or round-robin; seeded random crashes), recorded on Algorithm
    5 at k=3. *)
 let crash_only_traces_pinned () =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   List.iter
     (fun (name, strategy, want) ->
       Alcotest.(check string)
@@ -335,14 +320,14 @@ let reused_index_not_t_resilient () =
   | v -> Alcotest.failf "index reuse not refuted: %a" Verdict.pp_summary v
 
 let alg2_t_resilient () =
-  let { store; programs; _ } = alg2_harness 3 in
+  let { store; programs; _ } = Registry.alg2 ~k:3 ~crashes:0 in
   let v = Progress.check_t_resilient ~t:2 store ~programs in
   Alcotest.(check bool) "2-resilient termination proved" true
     (Verdict.is_proved v)
 
 (* The space-time diagram renderer. *)
 let diagram_smoke () =
-  let config = root (alg2_harness 3) in
+  let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let r = Runner.run (Runner.Random 3) config in
   let rendered =
     Format.asprintf "%a" (Trace.pp_diagram ~n_procs:3) r.Runner.trace
@@ -361,7 +346,7 @@ let suite =
         test "Algorithm 2 (k=3)" (alg2_crash_safety ~k:3);
         test "Algorithm 2 (k=5)" (alg2_crash_safety ~k:5);
         test "Algorithm 6 (n=6,k=3)" (alg6_crash_safety ~n:6 ~k:3);
-        test "Algorithm 3 (k=3, relaxed, IS renaming)" (alg3_crash_safety ~k:3);
+        test "Algorithm 3 (k=3, relaxed, IS renaming)" alg3_crash_safety;
         test "SSE object strong election" sse_object_crash_safety;
         test "Algorithm 5 linearizable with incomplete ops"
           alg5_crash_linearizability;

@@ -20,10 +20,10 @@ let fp = Alcotest.testable Fingerprint.pp Fingerprint.equal
 
 let families =
   [
-    ("alg2/k2", alg2_harness 2);
-    ("alg2/k3", alg2_harness 3);
-    ("alg5/k2", alg5_harness 2);
-    ("1swrn/k3", wrn_harness 3);
+    ("alg2/k2", Registry.alg2 ~k:2 ~crashes:0);
+    ("alg2/k3", Registry.alg2 ~k:3 ~crashes:0);
+    ("alg5/k2", Registry.alg5 ~k:2);
+    ("1swrn/k3", Registry.one_shot_wrn_object ~k:3);
   ]
 
 (* Every reachable configuration of a family under the given fault
@@ -45,7 +45,7 @@ let reachable ?(max_crashes = 0) ?(max_recoveries = 0) harness =
 (* Group laws of the homomorphic combination.                        *)
 
 let hom_group_laws () =
-  let c = root (alg2_harness 2) in
+  let c = root (Registry.alg2 ~k:2 ~crashes:0) in
   let a = Fingerprint.hom_of_config c in
   let b = Fingerprint.mix_proc_slot 0 c.Config.procs.(0) in
   let d = Fingerprint.mix_proc_slot 1 c.Config.procs.(1) in
@@ -154,8 +154,8 @@ let delta_roundtrip () =
   in
   (* Algorithm 5 at k=2 runs up to 11 steps, past the 8-link interval. *)
   Alcotest.(check bool) "alg5/k2 rebases at least once" true
-    (exercise "alg5/k2" (alg5_harness 2) > 0);
-  ignore (exercise "alg2/k2" (alg2_harness 2))
+    (exercise "alg5/k2" (Registry.alg5 ~k:2) > 0);
+  ignore (exercise "alg2/k2" (Registry.alg2 ~k:2 ~crashes:0))
 
 (* ---------------------------------------------------------------- *)
 (* Paranoid: carried fingerprints are re-validated at every claimed
@@ -165,7 +165,7 @@ let paranoid_clean () =
   (* The wait-freedom checker patches its own solo-step fingerprints, and
      under [~paranoid] re-folds every configuration its memo takes: a
      disagreement would fail the check with [Invalid_argument]. *)
-  let { store; programs; _ } = alg5_harness 3 in
+  let { store; programs; _ } = Registry.alg5 ~k:3 in
   let v =
     Subc_check.Progress.check_wait_free
       ~options:Search.(default |> with_max_crashes 1 |> with_paranoid true)
@@ -179,7 +179,7 @@ let paranoid_clean () =
 (* A carried fingerprint that disagrees with its re-fold is counted by
    [cross_check] and fails the search at the flush. *)
 let paranoid_catches_mutation () =
-  let config = root (alg2_harness 3) in
+  let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let c = Explore.fresh_counters () in
   let good = Fingerprint.hom_of_config config in
   Explore.cross_check c ~paranoid:true (Some good) config;

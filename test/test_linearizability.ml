@@ -180,7 +180,7 @@ let history_keys =
    such history, well short of the whole space, and its witness replays
    to a terminal whose history does not linearize. *)
 let refuted_harness_stops () =
-  let h = alg5_harness 3 in
+  let h = Registry.alg5 ~k:3 in
   let ops i =
     Op.make "wrn" [ Value.Int (if i = 2 then 0 else i); Value.Int (100 + i) ]
   in
@@ -211,7 +211,7 @@ let refuted_harness_stops () =
 (* The memo changes no count: a proof's [histories] is every terminal's
    history, repeats included, with the memo and under [paranoid]. *)
 let proved_harness_counts_every_history () =
-  let h = alg5_harness 3 in
+  let h = Registry.alg5 ~k:3 in
   let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
   let spec = O.One_shot_wrn.model ~k:3 in
   let options = Search.(with_max_crashes 1 default) in

@@ -153,12 +153,7 @@ let explore_event_tests =
   [
     test "explore seconds are wall time under a busy domain" (fun () ->
         let open Subc_sim in
-        let store, t = Subc_core.Alg5.alloc Store.empty ~k:3 () in
-        let config =
-          Config.make store
-            (List.init 3 (fun i ->
-                 Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))))
-        in
+        let config = root (Registry.alg5 ~k:3) in
         let running = Atomic.make false and stop = Atomic.make false in
         let spinner =
           Domain.spawn (fun () ->

@@ -21,7 +21,7 @@ let spilled_by f =
 
 (* Terminal callbacks fire exactly once per terminal, serialized. *)
 let terminal_callback_count () =
-  let config = root (alg2_harness 3) in
+  let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let count = ref 0 in
   let seq =
     Search.iter_terminals
@@ -46,7 +46,7 @@ let terminal_callback_count () =
    [f] of [Search.iter_terminals] stays serialized, so a plain counter
    it bumps counts every terminal too. *)
 let fold_merges_per_domain_sums () =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let options = Search.(default |> with_max_crashes 1) in
   let seq = Search.iter_terminals ~options config ~f:(fun _ _ -> ()) in
   let options = Search.with_jobs jobs options in
@@ -75,7 +75,7 @@ let all_visited spill_dir = [ Parallel.Heap; Parallel.Spill spill_dir ]
 (* The max-states budget truncates identically (exactly [max_states]
    states counted, Max_states reported) under every visited table. *)
 let budget_truncation spill_dir =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let budget = 100 in
   List.iter
     (fun visited ->
@@ -101,7 +101,7 @@ let budget_truncation spill_dir =
    runs the jobs-1 per-state path by construction.  The eager search
    shows the fields the fallback lacks. *)
 let seq_fallback_stays_on_caller () =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let seq =
     Search.iter_reachable
       ~options:Search.(default |> with_max_crashes 1)
@@ -190,8 +190,8 @@ let next_search_is_whole label visited ~seq small =
    small); the last cells raise on the calling domain after it spawned
    its helpers mid-DFS, or let the deadline expire then. *)
 let stop_from_callback spill_dir =
-  let config = root (alg5_harness 3) in
-  let big = root (alg5_harness 4) in
+  let config = root (Registry.alg5 ~k:3) in
+  let big = root (Registry.alg5 ~k:4) in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -264,8 +264,8 @@ exception Boom
    sequential counts, so no lock was left held and no domain left
    running. *)
 let callback_exception_then_next_search spill_dir =
-  let big = root (alg5_harness 4) in
-  let small = root (alg5_harness 3) in
+  let big = root (Registry.alg5 ~k:4) in
+  let small = root (Registry.alg5 ~k:3) in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -298,7 +298,7 @@ let callback_exception_then_next_search spill_dir =
    file) fails the search with a clean [Unix.Unix_error] before any
    state is explored, at one job and at two. *)
 let spill_dir_uncreatable dir =
-  let config = root (alg2_harness 3) in
+  let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let file = Filename.concat dir "notdir" in
   Out_channel.with_open_bin file ignore;
   List.iter
@@ -354,7 +354,7 @@ let counters_merge () =
 (* An expired deadline stops a spill search through the same stop
    protocol as the heap tables: a Limited answer, never a proof. *)
 let spill_deadline_limits spill_dir =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let s =
     parallel_run ~seq_threshold:0
       Search.(
@@ -373,7 +373,7 @@ let spill_deadline_limits spill_dir =
    actual reachable set: distinct canonical keys must map to distinct
    fingerprints. *)
 let fingerprint_injective () =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let keys = Hashtbl.create 4096 in
   let fps = Hashtbl.create 4096 in
   let stats =
@@ -393,7 +393,7 @@ let fingerprint_injective () =
    fingerprint may depend only on what the canonical key records (e.g.
    it must erase [Running] continuations). *)
 let fingerprint_respects_key () =
-  let config = root (alg2_harness 3) in
+  let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let by_key = Hashtbl.create 256 in
   ignore
     (Search.iter_reachable
@@ -655,7 +655,7 @@ let spill_dir_created_and_clean parent =
 (* Two spill searches running at once over one directory each see the
    whole space: a shared segment would lose states to the other run. *)
 let concurrent_spill_searches spill_dir =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -679,7 +679,7 @@ let concurrent_spill_searches spill_dir =
    match the jobs-1 search, the collision bound is zero and no file
    is mapped (a plain spill run, the control, maps some). *)
 let spill_paranoid_exact spill_dir =
-  let config = root (alg2_harness 3) in
+  let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let seq =
     Search.iter_terminals
       ~options:Search.(default |> with_max_crashes 1)
@@ -726,7 +726,7 @@ let bound (s : Explore.stats) = s.Explore.collision_bound
 (* Options that never name a visited table get the heap one, a
    constant, not a settable default: the heap's bound, nothing mapped. *)
 let omitted_mode_is_heap () =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let run o =
     spilled_by (fun () ->
         Search.iter_terminals
@@ -743,7 +743,7 @@ let omitted_mode_is_heap () =
    bound as two jobs.  The search's [parallel.visited_bytes] gauge, the
    visited table's heap footprint, reads at most half the heap table's. *)
 let spill_at_one_job spill_dir =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let run j visited =
     Search.iter_terminals
       ~options:
@@ -773,7 +773,7 @@ let spill_at_one_job spill_dir =
    visited table their own options name: together they map exactly what
    the spill search maps alone. *)
 let concurrent_searches_keep_their_modes spill_dir =
-  let config = root (alg5_harness 3) in
+  let config = root (Registry.alg5 ~k:3) in
   let run v =
     Search.iter_terminals
       ~options:

@@ -2,8 +2,8 @@
    schedules and operation sequences. *)
 open Subc_sim
 module Task = Subc_tasks.Task
-module Alg2 = Subc_core.Alg2
-module Alg6 = Subc_core.Alg6
+module Harness = Subc_check.Harness
+module Registry = Subc_analysis.Registry
 
 let to_alcotest = QCheck_alcotest.to_alcotest
 
@@ -46,29 +46,20 @@ let alg2_random_schedules =
     ~count:300
     QCheck.(pair (int_range 3 8) int)
     (fun (k, seed) ->
-      let store, t = Alg2.alloc Store.empty ~k ~one_shot:true in
-      let inputs = List.init k (fun i -> Value.Int (100 + i)) in
-      let programs = List.mapi (fun i v -> Alg2.propose t ~i v) inputs in
-      let config = Config.make store programs in
-      let r = Runner.run (Runner.Random seed) config in
-      let os = Task.outcomes ~inputs r.Runner.final in
-      Result.is_ok ((Task.set_consensus (k - 1)).Task.check os)
-      && Result.is_ok (Task.all_decided.Task.check os))
+      let h = Registry.alg2 ~k ~crashes:0 in
+      let r = Runner.run (Runner.Random seed) (Harness.root h) in
+      h.explain r.Runner.final = None)
 
-(* Algorithm 6 under random (n, k) and schedules. *)
+(* Algorithm 6 under random (n, k) and schedules: m-set consensus, every
+   process deciding. *)
 let alg6_random =
   QCheck.Test.make ~name:"Algorithm 6: m-set consensus on random (n,k)"
     ~count:200
     QCheck.(triple (int_range 2 12) (int_range 2 6) int)
     (fun (n, k, seed) ->
-      let store, t = Alg6.alloc Store.empty ~n ~k ~one_shot:true in
-      let inputs = List.init n (fun i -> Value.Int (100 + i)) in
-      let programs = List.mapi (fun i v -> Alg6.propose t ~i v) inputs in
-      let config = Config.make store programs in
-      let r = Runner.run (Runner.Random seed) config in
-      let os = Task.outcomes ~inputs r.Runner.final in
-      let m = Alg6.agreement_bound ~n ~k in
-      Result.is_ok ((Task.set_consensus m).Task.check os))
+      let h = Registry.alg6 ~n ~k ~crashes:0 in
+      let r = Runner.run (Runner.Random seed) (Harness.root h) in
+      h.explain r.Runner.final = None)
 
 (* Grid renaming: distinct in-range names for random distinct ids. *)
 let renaming_random =
@@ -139,17 +130,9 @@ let set_consensus_object_random =
     QCheck.(triple (int_range 1 8) (int_range 1 4) int)
     (fun (n, k, seed) ->
       QCheck.assume (k < n);
-      let store, h =
-        Store.alloc Store.empty (Subc_objects.Set_consensus_obj.model ~n ~k)
-      in
-      let inputs = List.init n (fun i -> Value.Int (100 + i)) in
-      let programs =
-        List.map (fun v -> Subc_objects.Set_consensus_obj.propose h v) inputs
-      in
-      let config = Config.make store programs in
-      let r = Runner.run (Runner.Random seed) config in
-      let os = Task.outcomes ~inputs r.Runner.final in
-      Result.is_ok ((Task.set_consensus k).Task.check os))
+      let h = Registry.set_consensus_object ~n ~k ~crashes:0 in
+      let r = Runner.run (Runner.Random seed) (Harness.root h) in
+      h.explain r.Runner.final = None)
 
 (* Immediate snapshot views are totally ordered by containment on random
    schedules for random n. *)
@@ -180,15 +163,9 @@ let alg5_random_linearizable =
     ~count:150
     QCheck.(pair (int_range 3 6) int)
     (fun (k, seed) ->
-      let store, t = Subc_core.Alg5.alloc Store.empty ~k () in
-      let participants = List.init k Fun.id in
-      let programs =
-        List.map (fun i -> Subc_core.Alg5.wrn t ~i (Value.Int (100 + i))) participants
-      in
-      let ops i = Op.make "wrn" [ Value.Int i; Value.Int (100 + i) ] in
+      let ops i = Op.make "wrn" [ Value.Int i; Harness.tok i ] in
       let spec = Subc_objects.One_shot_wrn.model ~k in
-      let config = Config.make store programs in
-      let r = Runner.run (Runner.Random seed) config in
+      let r = Runner.run (Runner.Random seed) (Harness.root (Registry.alg5 ~k)) in
       let history =
         Subc_check.Linearizability.history ~ops r.Runner.final r.Runner.trace
       in
@@ -201,12 +178,10 @@ let alg5_graph_random =
     ~count:200
     QCheck.(pair (int_range 3 8) int)
     (fun (k, seed) ->
-      let store, h = Store.alloc Store.empty (Subc_objects.One_shot_wrn.model ~k) in
-      let programs =
-        List.init k (fun i -> Subc_objects.One_shot_wrn.wrn h i (Value.Int (100 + i)))
+      let r =
+        Runner.run (Runner.Random seed)
+          (Harness.root (Registry.one_shot_wrn_object ~k))
       in
-      let config = Config.make store programs in
-      let r = Runner.run (Runner.Random seed) config in
       let results = List.init k (fun i -> Config.decision r.Runner.final i) in
       let g = Subc_core.Alg5_graph.of_results ~k results in
       Subc_core.Alg5_graph.neighbour_edges_exclusive g

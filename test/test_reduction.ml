@@ -27,7 +27,7 @@ let volatile_register_harness () =
     Store.alloc store
       (Obj_model.with_persist (fun _ -> Value.Bot) Register.model_bot)
   in
-  terminating_harness store
+  terminating ~symmetry:None store
     [
       Register.read p;
       Program.Syntax.(
@@ -70,9 +70,9 @@ let source_preserves_terminals () =
             (List.for_all2 (fun (_, a) (_, b) -> Value.equal a b) base reduced))
         budgets)
     [
-      ("alg2", alg2_harness 3, [ (0, 0) ]);
-      ("set-consensus", sc_harness ~n:3 ~k:2 (), [ (0, 0) ]);
-      ("alg5", alg5_harness 3, [ (0, 0); (1, 1) ]);
+      ("alg2", Registry.alg2 ~k:3 ~crashes:0, [ (0, 0) ]);
+      ("set-consensus", Registry.set_consensus_object ~n:3 ~k:2 ~crashes:0, [ (0, 0) ]);
+      ("alg5", Registry.alg5 ~k:3, [ (0, 0); (1, 1) ]);
       ("t&s", recovery_harness Cn.Test_and_set ~n:2 ~r:1, [ (1, 1) ]);
       ("queue", recovery_harness Cn.Queue ~n:2 ~r:2, [ (2, 2) ]);
       ("cas", recovery_harness Cn.Cas ~n:3 ~r:1, [ (2, 1) ]);
@@ -155,11 +155,11 @@ let canonicalization_sound () =
       Alcotest.(check bool) (name ^ ": visited some configurations") true
         (!checked > 0 && not stats.Explore.limited))
     [
-      ("alg2 rotations", alg2_harness 3, 0, 0);
-      ("alg5 rotations f=1", alg5_harness 3, 1, 0);
-      ("set consensus full f=1 r=1", sc_harness ~n:3 ~k:2 (), 1, 1);
+      ("alg2 rotations", Registry.alg2 ~k:3 ~crashes:0, 0, 0);
+      ("alg5 rotations f=1", Registry.alg5 ~k:3, 1, 0);
+      ("set consensus full f=1 r=1", Registry.set_consensus_object ~n:3 ~k:2 ~crashes:0, 1, 1);
       ( "alg2 erasure only f=1",
-        { (alg2_harness 3) with symmetry = Some (Symmetry.erasure_only ~n:3) },
+        { (Registry.alg2 ~k:3 ~crashes:0) with symmetry = Some (Symmetry.erasure_only ~n:3) },
         1,
         0 );
     ]
@@ -197,7 +197,7 @@ let orbit_members_share_key () =
    counted.                                                          *)
 
 let memo_eviction_counts () =
-  let { store; programs; _ } = alg2_harness 3 in
+  let { store; programs; _ } = Registry.alg2 ~k:3 ~crashes:0 in
   let states = ref [] in
   ignore
     (Search.iter_reachable (Config.make store programs) ~f:(fun c _ ->

@@ -57,7 +57,7 @@ let plain_wrn_harness ~k =
   }
 
 (* A shared harness as a refinement subject. *)
-let subject (h : harness) = { R.store = h.store; programs = h.programs }
+let subject (h : Subc_check.Harness.t) = { R.store = h.store; programs = h.programs }
 
 let universal_queue_harness () =
   let spec = Subc_objects.Queue_obj.model [ Value.Int 0 ] in
@@ -124,12 +124,12 @@ let suite =
              ~spec:(plain_wrn_harness ~k:3));
         test "Algorithm 5 refines the 1sWRN object (k=3)"
           (check_refines
-             ~impl:(subject (alg5_harness 3))
-             ~spec:(subject (wrn_harness 3)));
+             ~impl:(subject (Registry.alg5 ~k:3))
+             ~spec:(subject (Registry.one_shot_wrn_object ~k:3)));
         test "Algorithm 5 ≡ the 1sWRN object (k=3)"
           (check_equivalent
-             ~impl:(subject (alg5_harness 3))
-             ~spec:(subject (wrn_harness 3)));
+             ~impl:(subject (Registry.alg5 ~k:3))
+             ~spec:(subject (Registry.one_shot_wrn_object ~k:3)));
         test "universal queue refines the primitive queue"
           (check_refines ~impl:(universal_queue_harness ())
              ~spec:(primitive_queue_harness ()));
