@@ -15,7 +15,7 @@ let assert_no_crash_violations stats =
 (* A task family's instance at crash budget [f] (so its task does not
    ask a crashed process to decide), over [runs] seeded runs that each
    crash up to [f] random processes. *)
-let crash_safety (h : t) ~f runs =
+let crash_safety (h : Subc_check.Harness.t) ~f runs =
   match h.property with
   | Task { inputs; task } ->
     assert_no_crash_violations
