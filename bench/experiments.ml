@@ -190,12 +190,12 @@ let e4 name indices expect =
       let legal =
         Verdict.is_proved (Progress.check_t_resilient ~t:0 store ~programs)
       in
-      let all_bot, _ =
-        Search.find_terminal (Config.make store programs) ~violates:(fun final ->
-            List.for_all Value.is_bot (Config.decisions final))
+      let all_bot =
+        Search.check_terminals (Config.make store programs) ~ok:(fun final ->
+            not (List.for_all Value.is_bot (Config.decisions final)))
       in
       [ (if legal then "never" else "REACHED");
-        (if all_bot <> None then "yes" else "no") ])
+        (if Result.is_error all_bot then "yes" else "no") ])
     expect
 
 let e5 ~k participants expect =

@@ -76,38 +76,27 @@ let check_wait_free ?(options = Search.default) ?(solo_limit = 10_000) store
   let paranoid = options.Search.paranoid in
   let bound = Atomic.make 0 in
   let configs = Atomic.make 0 in
-  (* One solo-distance memo per process. *)
-  let fresh_memos () =
-    Array.init (Config.n_procs config0) (fun _ -> Fingerprint.Tbl.create 4096)
+  (* One solo-distance memo per process, per domain: domain [id] alone
+     forces and uses [memos.(id)], so no lock.  The exact distances are
+     deterministic, so per-domain memos change only timing, never the
+     resulting bound. *)
+  let memos =
+    Array.init (max 1 options.Search.jobs) (fun _ ->
+        lazy
+          (Array.init (Config.n_procs config0) (fun _ ->
+               Fingerprint.Tbl.create 4096)))
   in
-  let visit memos config fp prefix =
+  let visit id config fp prefix =
+    let memo = Lazy.force memos.(id) in
     Atomic.incr configs;
     List.iter
       (fun p ->
         atomic_max bound
-          (solo_distance ~memo:memos.(p) ~paranoid ~solo_limit ~prefix p config
+          (solo_distance ~memo:memo.(p) ~paranoid ~solo_limit ~prefix p config
              fp))
       (Config.running config)
   in
-  let explore () =
-    if options.Search.jobs <= 1 then
-      Search.iter_reachable_fp ~options config0 ~f:(visit (fresh_memos ()))
-    else begin
-      (* The memos are plain mutable state, so each worker domain keeps
-         its own (domain-local storage): no locking on the hot path, at
-         the price of some recomputation across domains.  The exact
-         distances are deterministic, so per-domain memos change only
-         timing, never the resulting bound.  The calling domain outlives
-         the search, so its memos are dropped at the end. *)
-      let memos = Domain.DLS.new_key fresh_memos in
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set memos [||])
-        (fun () ->
-          Search.iter_reachable_fp ~options config0 ~f:(fun config fp prefix ->
-              visit (Domain.DLS.get memos) config fp prefix))
-    end
-  in
-  match explore () with
+  match Search.iter_reachable_fp ~options config0 ~f:visit with
   | stats when stats.Explore.limited ->
     Verdict.limited ~explore:stats "exploration truncated — no verdict"
   | stats ->

@@ -177,8 +177,9 @@ type stats = {
   frontier_bytes : int;
       (** estimated peak unique retention of the search frontier, in
           bytes: one frame of words per level of each domain's DFS stack
-          at [max_depth], plus one per work item at the deques' sampled
-          peak.  An estimate for memory accounting, not an allocator
+          at [max_depth], plus one per domain for its hand-off slot
+          (which holds at most one work item) once helpers ran.  An
+          estimate for memory accounting, not an allocator
           measurement. *)
 }
 

@@ -4,16 +4,21 @@
    at [jobs > 1], spawns [jobs - 1] helper domains from inside that DFS
    once it has claimed [?seq_threshold] states; smaller spaces never pay
    for a domain.  Helpers begin idle.  Work moves only toward idleness:
-   a domain about to recurse into a child pushes that child onto its own
-   Chase–Lev deque ({!Ws_deque}) instead, when some domain is idle and
-   its own deque is empty, and an idle domain steals from a random
-   victim's top (lock-free CAS).  A work item carries everything the DFS
-   needs to resume there: the configuration, its carried fingerprint,
-   the trace, the depth and the sleep set.  Termination is the
-   idle-counter protocol: a domain is counted idle whenever it holds no
-   work, and decrements the counter {e before} every steal attempt and
-   re-increments on failure, so [idle = jobs] can only be observed when
-   every deque is empty and no domain holds work.
+   each domain owns one hand-off slot, a [work option Atomic.t].  A
+   domain about to recurse into a child offers that child in its slot
+   instead, when some domain is idle and the slot is empty; an idle
+   domain takes a peer's offer with a compare-and-set to [None], and the
+   owner drains its own slot with an exchange.  Every offer is a fresh
+   [Some] block and the compare-and-set compares physically, so a stale
+   read cannot take a later offer (no ABA).  A work item carries
+   everything the DFS needs to resume there: the configuration, its
+   carried fingerprint, the trace, the depth and the sleep set.
+   Termination is the idle-counter protocol: a domain is counted idle
+   whenever it holds no work, and decrements the counter {e before}
+   every steal attempt and re-increments on failure, so [idle = jobs]
+   can only be observed when no domain holds work — and then every slot
+   is empty, since only its owner fills it and drains it before going
+   idle.
 
    Deduplication goes through one {!Claim_table}: two-lane fingerprint
    words (124-bit keys) in a flat array claimed under a mutex, on the
@@ -35,10 +40,10 @@
    canonical sibling preorder; [max_depth] and the witness traces of a
    multi-domain search depend on the race for claims.
 
-   Callbacks run on the domain that claimed the node, with no lock held:
-   [on_terminal] receives that domain's id (worker 0 is the caller,
-   helpers are 1 .. jobs - 1), so a caller can keep one accumulator per
-   domain and merge them after the join ({!Search.fold_terminals}).
+   Callbacks run on the domain that claimed the node, with no lock held,
+   and receive that domain's id (worker 0 is the caller, helpers are
+   1 .. jobs - 1), so a caller can keep one accumulator per domain and
+   merge them after the join ({!Search.fold_terminals}).
 
    Budget exactness: a successful claim draws a ticket from the global
    state counter; tickets below [max_states] are counted, the first
@@ -66,7 +71,7 @@ let pp_visited ppf v =
 let default_seq_threshold = 4096
 
 (* A child handed to an idle domain: the arguments of the [dfs] call the
-   pusher would otherwise have made. *)
+   offering domain would otherwise have made. *)
 type work = {
   config : Config.t;
   fp : Fingerprint.t option;
@@ -84,14 +89,13 @@ exception Halt
    domain's work-distribution figures. *)
 type ctx = {
   g : global;
-  id : int; (* index into the pool's deques *)
+  id : int; (* index into the pool's slots *)
   counts : Explore.counters;
   claim : Claim_table.opstats;
   commute : Explore.commute_cache; (* per-domain independence memo *)
   mutable depth_limited : bool;
   mutable steals : int;
   mutable cas_retries : int; (* lost steal races *)
-  mutable rng : int; (* xorshift state for victim selection *)
   mutable tick : int; (* nodes entered; deadline poll every 1024 *)
   (* The claimed-state count at which worker 0 spawns the helpers;
      [max_int] on every other domain and once they are spawned. *)
@@ -119,17 +123,15 @@ and global = {
   onstack : unit Fingerprint.Ktbl.t option;
   (* Called with the running domain's id, with no lock held. *)
   on_terminal : int -> Config.t -> Trace.t -> unit;
-  on_visit : Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit;
+  on_visit : int -> Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit;
 }
 
 (* What only a search with helpers needs. *)
 and pool = {
-  deques : work Ws_deque.t array;
+  slots : work option Atomic.t array; (* one hand-off slot per domain *)
   mutable helpers : (ctx * unit Domain.t) list;
   idle : int Atomic.t;
   finished : bool Atomic.t;
-  (* Peak total deque population, sampled at every poll. *)
-  frontier_peak : int Atomic.t;
 }
 
 let fresh_ctx g id ~spawn_at =
@@ -142,7 +144,6 @@ let fresh_ctx g id ~spawn_at =
     depth_limited = false;
     steals = 0;
     cas_retries = 0;
-    rng = 0x9E3779B9 * (id + 1);
     tick = 0;
     spawn_at;
     seconds = 0.0;
@@ -158,68 +159,47 @@ let halt g cause =
 
 let poll_mask = 1023
 
-(* Every [poll_mask + 1] nodes: the deadline, and the frontier
-   population for the peak gauge. *)
+(* Every [poll_mask + 1] nodes: the deadline. *)
 let poll g =
   if g.deadline_at < infinity && Unix.gettimeofday () > g.deadline_at then
-    halt g Deadline;
-  match g.pool with
-  | None -> ()
-  | Some p ->
-    let sz = Array.fold_left (fun acc d -> acc + Ws_deque.size d) 0 p.deques in
-    let rec bump () =
-      let cur = Atomic.get p.frontier_peak in
-      if sz > cur && not (Atomic.compare_and_set p.frontier_peak cur sz) then
-        bump ()
-    in
-    bump ()
+    halt g Deadline
 
-let[@inline] next_rand ctx =
-  let x = ctx.rng in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) in
-  let x = x land max_int in
-  ctx.rng <- (if x = 0 then 0x9E3779B9 else x);
-  ctx.rng
-
-(* A victim with apparently pending work, scanning all peers from a
-   random start — [None] when every other deque looks empty. *)
+(* A peer's slot holding an offer, scanning from [id + 1] round to
+   [id - 1]: the slot and the offer read there, or [None] when every
+   other slot looks empty. *)
 let pick_victim ctx p =
   let n = ctx.g.jobs in
-  let start = next_rand ctx mod n in
   let rec go k =
     if k = n then None
     else
-      let v = (start + k) mod n in
-      if v <> ctx.id && Ws_deque.size p.deques.(v) > 0 then Some v
-      else go (k + 1)
+      let slot = p.slots.((ctx.id + k) mod n) in
+      match Atomic.get slot with
+      | Some _ as offer -> Some (slot, offer)
+      | None -> go (k + 1)
   in
-  go 0
+  go 1
 
 (* Called by a domain counted idle.  Returns a stolen item with the
    domain no longer counted idle, or [None] once the search is stopped
    or finished: observing [idle = jobs] proves every domain is workless,
-   and a workless owner's deque is empty (only the owner pushes), so
-   nothing remains anywhere. *)
+   and a workless owner's slot is empty (only the owner fills it, and it
+   drains the slot before going idle), so nothing remains anywhere. *)
 let rec steal ctx p =
   if Option.is_some (Atomic.get ctx.g.stop) || Atomic.get p.finished then None
   else
     match pick_victim ctx p with
-    | Some v -> (
+    | Some (slot, offer) ->
       Atomic.decr p.idle;
-      match Ws_deque.steal p.deques.(v) with
-      | `Stolen w ->
+      if Atomic.compare_and_set slot offer None then begin
         ctx.steals <- ctx.steals + 1;
-        Some w
-      | `Empty ->
-        Atomic.incr p.idle;
-        Domain.cpu_relax ();
-        steal ctx p
-      | `Retry ->
+        offer
+      end
+      else begin
+        (* Another thief, or the draining owner, took it first. *)
         ctx.cas_retries <- ctx.cas_retries + 1;
         Atomic.incr p.idle;
-        steal ctx p)
+        steal ctx p
+      end
     | None ->
       if Atomic.get p.idle = ctx.g.jobs then begin
         Atomic.set p.finished true;
@@ -268,9 +248,9 @@ let rec dfs ctx config fp rev_trace depth sleep =
         if Atomic.fetch_and_add g.n_states 1 >= g.max_states then
           halt g Budget;
         c.states <- c.states + 1;
-        if c.states >= ctx.spawn_at then spawn ctx config;
+        if c.states >= ctx.spawn_at then spawn ctx;
         Explore.cross_check c ~paranoid:g.paranoid fp config;
-        g.on_visit config fp (lazy (List.rev rev_trace));
+        g.on_visit ctx.id config fp (lazy (List.rev rev_trace));
         if Explore.count_terminal c config then
           g.on_terminal ctx.id config (List.rev rev_trace);
         let groups, skips =
@@ -301,17 +281,20 @@ let rec dfs ctx config fp rev_trace depth sleep =
         | None -> ())
   end
 
-(* Recurse into a child, or hand it over when some domain is idle and
-   this domain's own deque is empty. *)
+(* Recurse into a child, or offer it in this domain's slot when some
+   domain is idle and the slot is empty. *)
 and child ctx config fp rev_trace depth sleep =
   match ctx.g.pool with
-  | Some p when Atomic.get p.idle > 0 && Ws_deque.size p.deques.(ctx.id) = 0 ->
-    Ws_deque.push p.deques.(ctx.id) { config; fp; rev_trace; depth; sleep }
+  | Some p
+    when Atomic.get p.idle > 0 && Option.is_none (Atomic.get p.slots.(ctx.id))
+    ->
+    Atomic.set p.slots.(ctx.id) (Some { config; fp; rev_trace; depth; sleep })
   | _ -> dfs ctx config fp rev_trace depth sleep
 
-(* Everything this domain's own deque still holds (it stays busy). *)
+(* Run what this domain's own slot still holds, until it stays empty
+   (the domain stays busy). *)
 and drain ctx p =
-  match Ws_deque.pop p.deques.(ctx.id) with
+  match Atomic.exchange p.slots.(ctx.id) None with
   | Some w ->
     dfs ctx w.config w.fp w.rev_trace w.depth w.sleep;
     drain ctx p
@@ -330,17 +313,15 @@ and idle_loop ctx p =
 
 (* Worker 0, mid-DFS: create the pool and start the helpers, counted
    idle. *)
-and spawn ctx config =
+and spawn ctx =
   let g = ctx.g in
   ctx.spawn_at <- max_int;
-  let dummy = { config; fp = None; rev_trace = []; depth = 0; sleep = [] } in
   let p =
     {
-      deques = Array.init g.jobs (fun _ -> Ws_deque.create ~dummy ());
+      slots = Array.init g.jobs (fun _ -> Atomic.make None);
       helpers = [];
       idle = Atomic.make (g.jobs - 1);
       finished = Atomic.make false;
-      frontier_peak = Atomic.make 0;
     }
   in
   g.pool <- Some p;
@@ -486,14 +467,15 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
   in
   (* Frontier retention: one frame of unique words (successor config,
      trace cons, a few map spine nodes) per level of each domain's
-     deepest path, and one per work item at the deques' peak.  An
-     estimate for memory accounting, not an allocator measurement. *)
+     deepest path, and one per hand-off slot once helpers ran (a slot
+     holds at most one work item).  An estimate for memory accounting,
+     not an allocator measurement. *)
   let frontier_bytes =
     if c.states = 0 then 0
     else
+      let n = List.length domains in
       8 * (34 + Config.n_procs config)
-      * ((List.length domains * c.max_depth)
-        + match g.pool with Some p -> Atomic.get p.frontier_peak | None -> 0)
+      * ((n * c.max_depth) + match helpers with [] -> 0 | _ -> n)
   in
   let stats =
     Explore.stats_of_counters c ~limit_reason ~frontier_bytes

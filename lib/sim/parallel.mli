@@ -9,10 +9,11 @@
     once it has claimed [?seq_threshold] states
     ({!default_seq_threshold}), so a small space never pays for a
     domain.  Helpers begin idle.  A domain hands work to a peer only
-    when that peer is idle: about to recurse into a child, it pushes the
-    child onto its own Chase–Lev deque ({!Ws_deque}) instead when some
-    domain is idle and its own deque is empty, and an idle domain steals
-    from a random victim's top with a lock-free CAS.  A work item
+    when that peer is idle: each domain owns one hand-off slot, and about
+    to recurse into a child it offers the child there instead when some
+    domain is idle and its slot is empty; an idle domain scans the other
+    slots from its own id onward and takes an offer with a
+    compare-and-set.  A slot never holds more than one work item, which
     carries the child's configuration, fingerprint, trace, depth and
     sleep set.  Termination is the idle-counter protocol
     (decrement-before-steal).
@@ -63,7 +64,7 @@
     inside the work items: the claim key is the (canonical configuration,
     canonical relevant sleep) pair, and expansion is
     {!Explore.source_successors}, a pure function of that pair, so a
-    stolen subtree prunes {e identically} to the subtree its pusher would
+    stolen subtree prunes {e identically} to the subtree its owner would
     have explored.  See DESIGN.md, "Source sets under work stealing". *)
 
 (** Where the visited table keeps its words. *)
@@ -90,16 +91,16 @@ val run :
   find_cycle:bool ->
   jobs:int ->
   on_terminal:(int -> Config.t -> Trace.t -> unit) ->
-  on_visit:(Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit) ->
+  on_visit:(int -> Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit) ->
   string ->
   Config.t ->
   Explore.stats * Trace.t option
 (** [run ~jobs ~on_terminal ~on_visit label config] — one search.  Both
     callbacks run on the domain that claimed the node, with no lock held,
     so once helpers run they run concurrently and must be domain-safe.
-    [on_terminal id] receives that domain's id, in [0 .. jobs - 1] (the
-    calling domain is [0]): a caller that keeps one accumulator per id
-    needs no lock ({!Search.fold_terminals}).  Either callback may raise
+    Both receive that domain's id first, in [0 .. jobs - 1] (the calling
+    domain is [0]): a caller that keeps one accumulator per id needs no
+    lock ({!Search.fold_terminals}).  Either callback may raise
     {!Explore.Stop} to end the search gracefully; any other exception is
     re-raised once every domain has joined.  The search
     knobs mean what the {!Search.options} fields of the same names mean.

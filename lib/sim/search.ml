@@ -40,7 +40,7 @@ let with_jobs n o = { o with jobs = max 1 n }
 let with_visited v o = { o with visited = v }
 
 let no_terminal _ _ _ = ()
-let no_visit _ _ _ = ()
+let no_visit _ _ _ _ = ()
 
 (* Every search, at any [jobs]: the one engine. *)
 let search ?seq_threshold ~find_cycle ~on_terminal ~on_visit label o config =
@@ -100,38 +100,35 @@ let reachable ~on_visit options config =
     (without_source_sets options) config
 
 let iter_reachable ?(options = default) config ~f =
-  reachable ~on_visit:(fun c _ trace -> f c trace) options config
+  reachable ~on_visit:(fun _ c _ trace -> f c trace) options config
 
 (* The engine carries no fingerprint under symmetry (its keys fold the
    orbit winner), so there the visited configuration is re-folded. *)
 let iter_reachable_fp ?(options = default) config ~f =
-  let on_visit c fp trace =
+  let on_visit id c fp trace =
     let fp =
       match fp with Some fp -> fp | None -> Fingerprint.hom_of_config c
     in
-    f c fp trace
+    f id c fp trace
   in
   reachable ~on_visit options config
 
-let find_terminal ?(options = default) config ~violates =
-  (* [violates] runs on every domain at once; the first witness to land
+let check_terminals ?(options = default) config ~ok =
+  (* [ok] runs on every domain at once; the first counterexample to land
      in [found] wins and stays. *)
   let found = Atomic.make None in
   let on_terminal _ c trace =
-    if Option.is_none (Atomic.get found) && violates c then begin
+    if Option.is_none (Atomic.get found) && not (ok c) then begin
       ignore (Atomic.compare_and_set found None (Some (c, trace)));
       raise Stop
     end
   in
   let stats =
-    run ~on_terminal ~on_visit:no_visit "find_terminal" options config
+    run ~on_terminal ~on_visit:no_visit "check_terminals" options config
   in
-  (Atomic.get found, stats)
-
-let check_terminals ?options config ~ok =
-  match find_terminal ?options config ~violates:(fun c -> not (ok c)) with
-  | None, stats -> Ok stats
-  | Some (c, trace), stats -> Error (c, trace, stats)
+  match Atomic.get found with
+  | None -> Ok stats
+  | Some (c, trace) -> Error (c, trace, stats)
 
 (* Cycle hunting needs one DFS stack, so it runs at one domain whatever
    [jobs] says; the options record still supplies every other knob. *)

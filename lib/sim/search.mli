@@ -28,8 +28,8 @@
     once.  [f] in {!iter_terminals} keeps a serialized contract: that
     entry point wraps it in a lock of its own at [jobs > 1].  Everything
     else runs concurrently once helper domains run and must be
-    domain-safe: the predicates of {!find_terminal} and
-    {!check_terminals} (the first witness wins through an [Atomic] cell),
+    domain-safe: the predicate of {!check_terminals} (the first witness
+    wins through an [Atomic] cell),
     [f] in {!fold_terminals} (which folds one accumulator per domain, so
     [f] needs no lock for its own accumulator), and [f] in
     {!iter_reachable} and {!iter_reachable_fp}.  Under
@@ -138,9 +138,11 @@ val iter_reachable :
 val iter_reachable_fp :
   ?options:options ->
   Config.t ->
-  f:(Config.t -> Fingerprint.t -> Trace.t Lazy.t -> unit) ->
+  f:(int -> Config.t -> Fingerprint.t -> Trace.t Lazy.t -> unit) ->
   Explore.stats
-(** {!iter_reachable} with each configuration's homomorphic fingerprint
+(** {!iter_reachable} with the visiting domain's id, in [0 .. jobs - 1]
+    (the calling domain is [0]; a caller can keep one memo per id with
+    no lock), and each configuration's homomorphic fingerprint
     ({!Fingerprint.hom_of_config}'s value): on the symmetry-off lanes the
     one the search carried, patched from the parent's at no extra cost;
     under symmetry, which carries none, a re-fold of the visited
@@ -149,22 +151,16 @@ val iter_reachable_fp :
     of re-folding.  {!iter_reachable} is the same search without the
     fingerprint (so without the re-fold under symmetry). *)
 
-val find_terminal :
-  ?options:options ->
-  Config.t ->
-  violates:(Config.t -> bool) ->
-  (Config.t * Trace.t) option * Explore.stats
-(** The first reachable terminal satisfying [violates], with a witness
-    trace.  Whether one exists is deterministic; which one is returned
-    is not. *)
-
 val check_terminals :
   ?options:options ->
   Config.t ->
   ok:(Config.t -> bool) ->
   (Explore.stats, Config.t * Trace.t * Explore.stats) result
 (** [Ok stats] if [ok] holds on every reachable terminal, else
-    [Error (cex, trace, stats)]. *)
+    [Error (cex, trace, stats)]: the first terminal found where [ok]
+    fails, with a witness trace, and the search stops there.  Whether
+    one exists is deterministic; at [jobs > 1] which one is returned is
+    not. *)
 
 val find_cycle :
   ?options:options -> Config.t -> Trace.t option * Explore.stats

@@ -8,7 +8,7 @@ let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
    every search knob comes from [options].  [on_terminal] is serialized
    under a lock, as [Search.iter_terminals] serializes its [f]. *)
 let parallel_run ?seq_threshold
-    ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ _ -> ())
+    ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ _ _ -> ())
     (o : Search.options) config =
   let lock = Mutex.create () in
   let on_terminal _ c trace =
@@ -187,9 +187,9 @@ let metric name = Option.value ~default:0.0 (Subc_obs.Metrics.find name)
    (Under symmetry the stolen child may be a duplicate of the caller's,
    which no helper visits; the wait then runs out.) *)
 let handover () =
-  let caller = Domain.self () and seen = ref 0 and helped = Atomic.make false in
-  fun _ _ _ ->
-    if Domain.self () <> caller then Atomic.set helped true
+  let seen = ref 0 and helped = Atomic.make false in
+  fun id _ _ _ ->
+    if id <> 0 then Atomic.set helped true
     else begin
       incr seen;
       if !seen = 2 then begin
@@ -285,7 +285,7 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
               | None -> Search.iter_terminals ~options config ~f:on_terminal
               | Some _ ->
                 let on_visit =
-                  if steals then handover () else fun _ _ _ -> ()
+                  if steals then handover () else fun _ _ _ _ -> ()
                 in
                 parallel_run ?seq_threshold ~on_terminal ~on_visit options
                   config

@@ -74,11 +74,12 @@ let both_bot_reachable () =
     [ Alg4.rlx_wrn t ~i:0 (Value.Int 1); Alg4.rlx_wrn t ~i:0 (Value.Int 2) ]
   in
   let config = Config.make store programs in
-  let found, _ =
-    Search.find_terminal config ~violates:(fun final ->
-        Config.decisions final = [ Value.Bot; Value.Bot ])
+  let found =
+    Search.check_terminals config ~ok:(fun final ->
+        not (Config.decisions final = [ Value.Bot; Value.Bot ]))
   in
-  Alcotest.(check bool) "both give up in some schedule" true (found <> None)
+  Alcotest.(check bool) "both give up in some schedule" true
+    (Result.is_error found)
 
 (* Solo caller always reaches the 1sWRN and reads ⊥. *)
 let solo_returns_bot () =

@@ -164,7 +164,7 @@ let explore_edges =
             config ~f:(fun _ _ -> ())
         in
         Alcotest.(check bool) "limited" true stats.Explore.limited);
-    test "find_terminal stops early" (fun () ->
+    test "check_terminals stops early" (fun () ->
         let store, reg = Store.alloc Store.empty Register.model_bot in
         let writer v =
           let open Program.Syntax in
@@ -173,12 +173,11 @@ let explore_edges =
         in
         let config = Config.make store (List.init 3 writer) in
         let full = Search.iter_terminals config ~f:(fun _ _ -> ()) in
-        let found, early =
-          Search.find_terminal config ~violates:(fun _ -> true)
-        in
-        Alcotest.(check bool) "found" true (found <> None);
-        Alcotest.(check bool) "fewer states than full" true
-          (early.Explore.states <= full.Explore.states));
+        match Search.check_terminals config ~ok:(fun _ -> false) with
+        | Ok _ -> Alcotest.fail "no counterexample found"
+        | Error (_, _, early) ->
+          Alcotest.(check bool) "fewer states than full" true
+            (early.Explore.states <= full.Explore.states));
     test "iter_terminals witness traces have terminal length" (fun () ->
         let store, reg = Store.alloc Store.empty Register.model_bot in
         let config = Config.make store [ Register.read reg ] in
