@@ -203,11 +203,12 @@ let claim_key t st key =
   | Words _, Fingerprint.Exact _ ->
     invalid_arg "Claim_table.claim_key: an exact key in a two-lane table"
   | Keys keys, key ->
-    Mutex.lock t.lock;
-    let fresh = not (Fingerprint.Ktbl.mem keys key) in
-    if fresh then Fingerprint.Ktbl.add keys key ();
-    Mutex.unlock t.lock;
-    if fresh then `Fresh else `Dup
+    (* One hash of the key tree: [replace] grows the table only for a
+       new key. *)
+    Mutex.protect t.lock (fun () ->
+        let n = Fingerprint.Ktbl.length keys in
+        Fingerprint.Ktbl.replace keys key ();
+        if Fingerprint.Ktbl.length keys > n then `Fresh else `Dup)
 
 let locked t f =
   Mutex.lock t.lock;
