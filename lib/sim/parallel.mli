@@ -16,13 +16,18 @@
     compare-and-set.  A slot never holds more than one work item, which
     carries the child's configuration, fingerprint, trace, depth and
     sleep set.  Termination is the idle-counter protocol
-    (decrement-before-steal).
+    (decrement-before-steal).  An idle domain that finds no offer scans
+    again at once, or, when [jobs] exceeds
+    [Domain.recommended_domain_count ()], after a 50 µs sleep that
+    leaves the core to a domain with work.
 
     {b Visited table.}  Deduplication is claim-once through one
     {!Claim_table}, on the keys of {!Explore.node_key}: an open-addressed
     table of two-lane fingerprint words (effective 124 bits; the birthday
-    bound is [stats.collision_bound]), every claim under one mutex, grown
-    by rehashing into a doubled array.  {!visited} picks its backing:
+    bound is [stats.collision_bound]), grown by rehashing into a doubled
+    array.  Worker 0 claims in it with no lock until it spawns the
+    helpers; from then on every claim takes one mutex, spinning briefly
+    before it blocks.  {!visited} picks its backing:
 
     - [Heap] ([Search.default]'s): the words live in a heap bigarray.
     - [Spill dir]: the words live in mmap'd files under [dir] (created if
@@ -44,9 +49,11 @@
     the search one way: the first cause is recorded, and every domain
     unwinds at its next node or steal attempt.  Every helper is joined
     before {!run} returns.  A budget-truncated search reports exactly
-    [max_states] states; [?deadline] (seconds of wall clock) reads
-    [limited = true], [limit_reason = Deadline], and which states were
-    visited before the cutoff depends on the schedule.
+    [max_states] states at any [jobs]: each fresh claim draws its ticket
+    inside the claim, and only tickets below the budget count.
+    [?deadline] (seconds of wall clock) reads [limited = true],
+    [limit_reason = Deadline], and which states were visited before the
+    cutoff depends on the schedule.
 
     {b Determinism.}  On acyclic state graphs (every one-shot bounded
     algorithm in this repository) [states], [transitions], [terminals],
