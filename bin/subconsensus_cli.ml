@@ -204,7 +204,9 @@ let certified_arg =
            run the static soundness analyzer over the algorithm's \
            registered objects and refuse to start (exit 1) unless every \
            commutation, equivariance and classification obligation is \
-           proved.")
+           proved.  The certificate is minted at the registered objects' \
+           own sizes, so at another $(b,-k) or $(b,-n) it covers the \
+           object classes run, not their size.")
 
 (* ------------------------------------------------------------------ *)
 (* The search flags check, explore and crash-sweep share, resolved into
