@@ -436,14 +436,20 @@ let count_terminal c config =
      end
 
 (* Under [~paranoid] the carried incremental fingerprint is re-validated
-   against a full homomorphic re-fold at every claimed node. *)
-let cross_check c ~paranoid fp config =
-  match fp with
-  | Some f when paranoid ->
+   against a full re-fold at every claimed node: the configuration's
+   homomorphic fingerprint with symmetry off, the key of its image under
+   the winner [win] with symmetry on. *)
+let cross_check c ~paranoid (reduction : reduction) fp win config =
+  if paranoid then begin
     c.fp_refolds <- c.fp_refolds + 1;
-    if not (Fingerprint.equal f (Fingerprint.hom_of_config config)) then
+    let refold =
+      match reduction.symmetry with
+      | None -> Fingerprint.hom_of_config config
+      | Some sym -> Symmetry.image_fingerprint sym win config
+    in
+    if not (Fingerprint.equal fp refold) then
       c.fp_mismatches <- c.fp_mismatches + 1
-  | _ -> ()
+  end
 
 let m_fp_patches = Obs.Metrics.counter "fp.patches"
 let m_fp_refolds = Obs.Metrics.counter "fp.refolds"
@@ -483,8 +489,8 @@ let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes =
 
 (* The canonical state key of [config] under [sym], with the stabilizer
    coset of the canonical representative (head: the canonicalizing
-   renaming).  The fingerprint is folded straight from the winner's
-   slots, with no key tree; [~paranoid] keeps the exact key from the
+   renaming): the key of the winner's image, folded from [config]'s own
+   slots with no key tree; [~paranoid] keeps the exact key from the
    key-tree reference path, which therefore cross-checks the fast one. *)
 let canonical_key_and_coset ~paranoid sym config =
   if paranoid then
@@ -558,8 +564,8 @@ let source_fingerprint (reduction : reduction) ~max_crashes config ~sleep =
 (* [source_fingerprint] when the bare state fingerprint is already in
    hand (a search carries it patched from the parent's, so
    the claim key costs O(|relevant sleep|) instead of a configuration
-   re-fold).  Only valid with symmetry off — no fingerprint is carried
-   under symmetry quotienting. *)
+   re-fold).  Symmetry off only: under symmetry the sleep is transported
+   through the coset, which [node_key] computes. *)
 let source_fingerprint_from fp (reduction : reduction) ~max_crashes config
     ~sleep =
   let sleep =
@@ -568,40 +574,84 @@ let source_fingerprint_from fp (reduction : reduction) ~max_crashes config
   in
   (List.fold_left Fingerprint.extend fp (packed_sleep None sleep), None, sleep)
 
+(* The carried image key of a node under its winner [g]: the one
+   patched from the parent's when the parent's winner [win] is also
+   this node's, else a re-fold (counted). *)
+let image_key c sym fp win g config =
+  if g = win then fp
+  else begin
+    c.fp_refolds <- c.fp_refolds + 1;
+    Symmetry.image_fingerprint sym g config
+  end
+
 (* The claim key of a search node, the one way every search keys a node.
    Under source sets it is the {e pair} (canonical state, canonical
    relevant sleep): expansion is a pure function of that pair, so
    claiming each pair exactly once reproduces the stateless sleep-set
    search tree with identical subtrees shared, whichever domain claims
-   it.  The state half is, on the symmetry-off lanes, the carried
-   fingerprint [fp] — patched from the parent's, so a duplicate costs no
-   re-fold and, when the relevant sleep is empty, not even the
-   configuration ([config] is forced only when needed); under symmetry
-   the fold of the orbit minimization's winner; under [~paranoid] the
-   exact canonical key (collisions impossible), while [fp] is still
+   it.  The state half is the carried fingerprint [fp]: on the
+   symmetry-off lanes the configuration's, patched from the parent's, so
+   a duplicate costs no re-fold and, when the relevant sleep is empty,
+   not even the configuration ([config] is forced only when needed);
+   under symmetry the key of the image under the orbit minimization's
+   winner, patched under the parent's winner [win] and re-folded only
+   when this node's winner differs.  Under [~paranoid] the state half is
+   the exact canonical key (collisions impossible), while [fp] is still
    carried for {!cross_check}.  Also returns the canonicalizing renaming
-   and the restricted concrete sleep that {!source_successors} takes. *)
-let node_key ~paranoid (reduction : reduction) ~max_crashes fp config ~sleep =
-  match fp with
-  | Some f when not paranoid ->
-    if reduction.source_sets && sleep <> [] then
+   and the restricted concrete sleep that {!source_successors} takes,
+   then the node's carried fingerprint and winner index ([-1] with
+   symmetry off), which its children are patched from. *)
+let node_key ~paranoid c (reduction : reduction) ~max_crashes fp win config
+    ~sleep =
+  match reduction.symmetry with
+  | None ->
+    if paranoid then
+      let key, pi, sleep =
+        source_key ~paranoid reduction ~max_crashes (Lazy.force config) ~sleep
+      in
+      (key, pi, sleep, fp, -1)
+    else if reduction.source_sets && sleep <> [] then
       let f, pi, sleep =
-        source_fingerprint_from f reduction ~max_crashes (Lazy.force config)
+        source_fingerprint_from fp reduction ~max_crashes (Lazy.force config)
           ~sleep
       in
-      (Fingerprint.Fp f, pi, sleep)
-    else (Fingerprint.Fp f, None, [])
-  | _ -> source_key ~paranoid reduction ~max_crashes (Lazy.force config) ~sleep
+      (Fingerprint.Fp f, pi, sleep, fp, -1)
+    else (Fingerprint.Fp fp, None, [], fp, -1)
+  | Some sym ->
+    let config = Lazy.force config in
+    let sleep =
+      if reduction.source_sets then restrict_sleep ~max_crashes config sleep
+      else []
+    in
+    if paranoid then
+      let key, mins = Symmetry.canonical_minimizers sym config in
+      let g = Symmetry.index sym (List.hd mins) in
+      ( extend_with_sleep (Fingerprint.Exact key)
+          (canonical_packed_sleep mins sleep),
+        Some (List.hd mins),
+        sleep,
+        image_key c sym fp win g config,
+        g )
+    else
+      let g, mins = Symmetry.canonical_winner sym config in
+      let fp = image_key c sym fp win g config in
+      ( extend_with_sleep (Fingerprint.Fp fp)
+          (canonical_packed_sleep mins sleep),
+        Some (List.hd mins),
+        sleep,
+        fp,
+        g )
 
 (* The carried fingerprint of a root: its homomorphic re-fold on the
-   symmetry-off lanes (counted), [None] under symmetry, whose keys fold
-   the orbit winner instead. *)
+   symmetry-off lanes (counted).  Under symmetry the root has no parent
+   winner ([-1]), so [node_key] folds its winner's image and reads none:
+   the shape's contribution stands in. *)
 let root_fingerprint c (reduction : reduction) config =
   match reduction.symmetry with
-  | Some _ -> None
+  | Some _ -> Fingerprint.hom_base ~n_procs:(Config.n_procs config)
   | None ->
     c.fp_refolds <- c.fp_refolds + 1;
-    Some (Fingerprint.hom_of_config config)
+    Fingerprint.hom_of_config config
 
 (* One enabled transition bundle of the expansion, with the sleep set its
    children inherit (concrete coordinates of {e this} configuration).
@@ -668,14 +718,14 @@ let patched_fingerprint parent fp (s : Step.slots) child =
         v')
     fp s.Step.sl_store
 
-(* The child's carried fingerprint on the symmetry-off lanes ([None]
-   elsewhere): the parent's, patched through the transition's slots. *)
-let child_fingerprint c fp parent slots child =
-  match fp with
-  | None -> None
-  | Some f ->
-    c.fp_patches <- c.fp_patches + 1;
-    Some (patched_fingerprint parent f slots child)
+(* The child's carried fingerprint: the parent's, patched through the
+   transition's slots — under symmetry, as the image under the parent's
+   winner [win]. *)
+let child_fingerprint c (reduction : reduction) fp win parent slots child =
+  c.fp_patches <- c.fp_patches + 1;
+  match reduction.symmetry with
+  | None -> patched_fingerprint parent fp slots child
+  | Some sym -> Symmetry.patch_image sym win fp parent slots child
 
 (* The source-set expansion of a (config, sleep) node, run by every
    search domain.

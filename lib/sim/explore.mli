@@ -13,7 +13,11 @@
     ({!Step.slots}) — O(1) per transition.  It agrees with [Config.key]
     equality (sound because programs are deterministic functions of their
     response histories), and the two-lane table keeps 124 of its bits
-    (collision odds ~2^-124 per pair).  Pass [~paranoid:true] to claim the
+    (collision odds ~2^-124 per pair).  Under symmetry the key is the
+    same sum taken of the orbit winner's image
+    ({!Symmetry.image_fingerprint}), carried and patched the same way
+    under the parent's winner, and re-folded only at a node whose winner
+    differs.  Pass [~paranoid:true] to claim the
     exact canonical key instead — collisions impossible, memory
     proportional to key size.  The paranoid search still carries the
     fingerprint and re-folds it at every claimed node ({!cross_check}),
@@ -128,22 +132,6 @@ val count_terminal : counters -> Config.t -> bool
     crashed or recovered one, as [config] says) and returns [true].  A
     terminal may still have recover successors; it is reported either
     way. *)
-
-val cross_check :
-  counters -> paranoid:bool -> Fingerprint.t option -> Config.t -> unit
-(** Under [~paranoid], re-fold the node and count a mismatch when the
-    carried incremental fingerprint disagrees ([fp.paranoid_mismatches]). *)
-
-val child_fingerprint :
-  counters ->
-  Fingerprint.t option ->
-  Config.t ->
-  Step.slots ->
-  Config.t ->
-  Fingerprint.t option
-(** [child_fingerprint c fp parent slots child] — the carried fingerprint
-    of a successor: {!patched_fingerprint} of the parent's (counted in
-    [fp_patches]), or [None] under symmetry. *)
 
 val flush_fp_counters : engine:string -> counters -> unit
 (** Add the [fp.*] counters to the metrics registry, then fail with
@@ -265,6 +253,37 @@ val op_independent : Obj_model.t -> Value.t -> Op.t -> Op.t -> bool
 
 val pp_reduction : Format.formatter -> reduction -> unit
 
+val cross_check :
+  counters ->
+  paranoid:bool ->
+  reduction ->
+  Fingerprint.t ->
+  int ->
+  Config.t ->
+  unit
+(** [cross_check c ~paranoid reduction fp win config]: under [~paranoid],
+    re-fold the node (counted in [fp_refolds]) and count a mismatch when
+    the carried incremental fingerprint disagrees
+    ([fp.paranoid_mismatches]).  The re-fold is the configuration's
+    homomorphic fingerprint with symmetry off, and the key of its image
+    under the winner [win] ({!Symmetry.image_fingerprint}) under
+    symmetry. *)
+
+val child_fingerprint :
+  counters ->
+  reduction ->
+  Fingerprint.t ->
+  int ->
+  Config.t ->
+  Step.slots ->
+  Config.t ->
+  Fingerprint.t
+(** [child_fingerprint c reduction fp win parent slots child] — the
+    carried fingerprint of a successor, counted in [fp_patches]:
+    {!patched_fingerprint} of the parent's with symmetry off, and under
+    symmetry {!Symmetry.patch_image} of the parent's image key under the
+    parent's winner [win]. *)
+
 (** {1 Source-set machinery}
 
     Run by every search domain, so all observe the same protocol: visited keys are canonical
@@ -318,30 +337,47 @@ val source_fingerprint_from :
   Fingerprint.t * Symmetry.perm option * tr list
 (** {!source_fingerprint} when the bare state fingerprint is already in
     hand — a search carries it patched from the parent's, so the claim
-    key costs O(|relevant sleep|) instead of a re-fold.  Only meaningful
-    with symmetry off (no fingerprint is carried under symmetry
-    quotienting). *)
+    key costs O(|relevant sleep|) instead of a re-fold.  Symmetry off
+    only: under symmetry the sleep is transported through the
+    minimizer coset, which {!node_key} computes. *)
 
 val node_key :
   paranoid:bool ->
+  counters ->
   reduction ->
   max_crashes:int ->
-  Fingerprint.t option ->
+  Fingerprint.t ->
+  int ->
   Config.t Lazy.t ->
   sleep:tr list ->
-  Fingerprint.key * Symmetry.perm option * tr list
-(** [node_key ~paranoid reduction ~max_crashes fp config ~sleep] — the
-    claim key of a search node, as every search computes it: the carried
-    fingerprint [fp] (extended with the relevant sleep) when it is there
-    and [paranoid] is off, without forcing [config] unless the sleep
-    restriction needs it; otherwise the canonical key
-    {!source_fingerprint} describes (exact under [paranoid]). *)
+  Fingerprint.key * Symmetry.perm option * tr list * Fingerprint.t * int
+(** [node_key ~paranoid c reduction ~max_crashes fp win config ~sleep] —
+    the claim key of a search node, as every search computes it, with
+    the canonicalizing renaming, the restricted sleep, and the node's
+    carried fingerprint and winner index, which its children are patched
+    from ({!child_fingerprint}).
 
-val root_fingerprint : counters -> reduction -> Config.t -> Fingerprint.t option
+    With symmetry off, the key is the carried fingerprint [fp] (extended
+    with the relevant sleep), without forcing [config] unless the sleep
+    restriction needs it; under [paranoid], the exact canonical key
+    {!source_fingerprint} describes.  The winner index is [-1].
+
+    Under symmetry, [fp] is the node's image key under its parent's
+    winner [win] ([-1] at the root).  The orbit minimization picks the
+    node's winner and coset; when the winner is [win] the carried
+    fingerprint is the node's key, and otherwise the node's winner's
+    image is re-folded (counted in [fp_refolds]).  That fingerprint,
+    extended with the canonical relevant sleep, is the claim key — the
+    key {!source_fingerprint} gives — or, under [paranoid], the exact
+    canonical key is, and the fingerprint is carried for
+    {!cross_check}. *)
+
+val root_fingerprint : counters -> reduction -> Config.t -> Fingerprint.t
 (** [root_fingerprint c reduction root] — the carried fingerprint a
-    search starts from: the root's homomorphic re-fold (counted in
-    [fp_refolds]) with symmetry off, [None] under symmetry, whose keys
-    fold the orbit minimization's winner instead. *)
+    search starts from, with winner [-1]: the root's homomorphic re-fold
+    (counted in [fp_refolds]) with symmetry off.  Under symmetry no key
+    reads it, because {!node_key} folds the image of a node whose winner
+    is not [win]. *)
 
 val patched_fingerprint :
   Config.t -> Fingerprint.t -> Step.slots -> Config.t -> Fingerprint.t

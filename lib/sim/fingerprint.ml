@@ -47,12 +47,11 @@ let[@inline] feed ctx x =
   let b = (ctx.b lxor x) * m2 in
   ctx.b <- b lxor (b lsr 31)
 
-let finish ctx =
-  let fin h m =
-    let h = (h lxor (h lsr 33)) * m in
-    h lxor (h lsr 29)
-  in
-  { h1 = fin ctx.a m2; h2 = fin ctx.b m1 }
+let[@inline] fin h m =
+  let h = (h lxor (h lsr 33)) * m in
+  h lxor (h lsr 29)
+
+let finish ctx = { h1 = fin ctx.a m2; h2 = fin ctx.b m1 }
 
 let feed_string ctx s =
   feed ctx (String.length s);
@@ -141,14 +140,39 @@ let of_value v =
 let hom_add a b = { h1 = a.h1 + b.h1; h2 = a.h2 lxor b.h2 }
 let hom_sub a b = { h1 = a.h1 - b.h1; h2 = a.h2 lxor b.h2 }
 
-(* Domain tags keep store-slot, proc-slot and base mixes disjoint even
+let reset ctx =
+  ctx.a <- seed1;
+  ctx.b <- seed2
+
+(* [hom_add acc (finish ctx)] ([sign] = 1) or [hom_sub acc (finish ctx)]
+   ([sign] = -1) in one allocation, leaving [ctx] fresh for the next mix:
+   a patch mixes every slot it touches through one context. *)
+let fold_in ctx sign acc =
+  let r =
+    { h1 = acc.h1 + (sign * fin ctx.a m2); h2 = acc.h2 lxor fin ctx.b m1 }
+  in
+  reset ctx;
+  r
+
+(* Every mix of a value feeds it through [feed_v]: [feed_value] for a
+   configuration's own slots, [Symmetry]'s fused action for the slots of
+   its image under a renaming, which then mix exactly as the acted
+   values would, with none of them built.  Each [feed_*] below feeds one
+   slot's mix into a fresh context.
+
+   Domain tags keep store-slot, proc-slot and base mixes disjoint even
    when a handle and a process index share an integer. *)
-let mix_store_slot h (st : Value.t) =
-  let ctx = create () in
+let feed_store_slot ctx feed_v h (st : Value.t) =
   feed ctx 0xA;
   feed ctx h;
-  feed_value ctx st;
+  feed_v ctx st
+
+let mix_store_slot_by feed_v h st =
+  let ctx = create () in
+  feed_store_slot ctx feed_v h st;
   finish ctx
+
+let mix_store_slot h st = mix_store_slot_by feed_value h st
 
 (* A process slot's contribution is itself a combination of finer
    mixes, so that the common transition — push one response onto the
@@ -166,45 +190,52 @@ let mix_store_slot h (st : Value.t) =
 
    Together these distinguish everything [Config.proc_key] does — and
    nothing more ([steps] is bookkeeping, not state). *)
-let mix_proc_control i (p : Config.proc) =
-  let ctx = create () in
+let feed_proc_control ctx feed_v i (p : Config.proc) =
   feed ctx 0xB;
   feed ctx i;
   (match p.Config.status with
   | Config.Running _ -> feed ctx 0x11
   | Config.Terminated v ->
     feed ctx 0x12;
-    feed_value ctx v
+    feed_v ctx v
   | Config.Hung -> feed ctx 0x13
   | Config.Crashed -> feed ctx 0x14
   | Config.Recovering _ -> feed ctx 0x15);
-  feed ctx p.Config.recoveries;
-  finish ctx
+  feed ctx p.Config.recoveries
 
-let mix_proc_hist i r v =
-  let ctx = create () in
+let feed_proc_hist ctx feed_v i r v =
   feed ctx 0xD;
   feed ctx i;
   feed ctx r;
-  feed_value ctx v;
-  finish ctx
+  feed_v ctx v
 
-(* The whole slot at once (re-fold path and algebraic tests); the patch
-   path below never calls this on a step. *)
+(* The whole slot at once, over [history] (the re-fold path and the
+   algebraic tests); the patch path below never calls this on a step. *)
+let mix_proc_slot_by feed_v i (p : Config.proc) history =
+  let ctx = create () in
+  let rec go acc r = function
+    | [] -> acc
+    | v :: vs ->
+      feed_proc_hist ctx feed_v i r v;
+      go (fold_in ctx 1 acc) (r - 1) vs
+  in
+  feed_proc_control ctx feed_v i p;
+  let control = finish ctx in
+  reset ctx;
+  go control (List.length history - 1) history
+
 let mix_proc_slot i (p : Config.proc) =
-  let acc = ref (mix_proc_control i p) in
-  let r = ref (List.length p.Config.history) in
-  List.iter
-    (fun v ->
-      decr r;
-      acc := hom_add !acc (mix_proc_hist i !r v))
-    p.Config.history;
-  !acc
+  mix_proc_slot_by feed_value i p p.Config.history
 
 let hom_base ~n_procs =
   let ctx = create () in
   feed ctx 0xC;
   feed ctx n_procs;
+  finish ctx
+
+let erased_store =
+  let ctx = create () in
+  feed ctx 0xE;
   finish ctx
 
 let hom_of_config (c : Config.t) =
@@ -230,48 +261,74 @@ let same_control (a : Config.proc) (b : Config.proc) =
   | Config.Terminated x, Config.Terminated y -> x == y || x = y
   | _ -> false
 
-(* Patch the history contributions from [oldh] (length [lo]) to [newh]
-   (length [ln]): walk the longer list down to the shorter, then both in
-   lockstep, stopping at the first physically shared tail.  A step's
-   successor shares the entire old history ([resp :: old]), so the loop
-   mixes exactly one entry; crash (history cleared) and recovery
-   (restart) pay their own length, which their budgets bound. *)
-let hist_patch fp i oldh lo newh ln =
-  let rec go fp oldh ro newh rn =
-    if oldh == newh then fp
-    else if ro > rn then
-      match oldh with
-      | v :: tl -> go (hom_sub fp (mix_proc_hist i ro v)) tl (ro - 1) newh rn
-      | [] -> assert false
-    else if rn > ro then
-      match newh with
-      | v :: tl -> go (hom_add fp (mix_proc_hist i rn v)) oldh ro tl (rn - 1)
-      | [] -> assert false
-    else
-      match (oldh, newh) with
-      | [], [] -> fp
-      | vo :: to_, vn :: tn ->
-        let fp =
-          if vo == vn then fp
-          else
-            hom_add (hom_sub fp (mix_proc_hist i ro vo)) (mix_proc_hist i rn vn)
-        in
-        go fp to_ (ro - 1) tn (rn - 1)
-      | _ -> assert false
-  in
-  go fp oldh (lo - 1) newh (ln - 1)
+(* Patch the history contributions from [oldh] (last index [ro]) to
+   [newh] (last index [rn]): walk the longer list down to the shorter,
+   then both in lockstep, stopping at the first physically shared tail.
+   A step's successor shares the entire old history ([resp :: old]), so
+   the loop mixes exactly one entry; crash (history cleared) and
+   recovery (restart) pay their own length, which their budgets
+   bound. *)
+let fold_hist ctx feed_v i sign fp r v =
+  feed_proc_hist ctx feed_v i r v;
+  fold_in ctx sign fp
 
-let hom_patch_proc fp i oldp newp =
+let rec hist_patch ctx feed_v i fp oldh ro newh rn =
+  if oldh == newh then fp
+  else if ro > rn then
+    match oldh with
+    | v :: tl ->
+      hist_patch ctx feed_v i (fold_hist ctx feed_v i (-1) fp ro v) tl (ro - 1)
+        newh rn
+    | [] -> assert false
+  else if rn > ro then
+    match newh with
+    | v :: tl ->
+      hist_patch ctx feed_v i (fold_hist ctx feed_v i 1 fp rn v) oldh ro tl
+        (rn - 1)
+    | [] -> assert false
+  else
+    match (oldh, newh) with
+    | [], [] -> fp
+    | vo :: to_, vn :: tn ->
+      let fp =
+        if vo == vn then fp
+        else
+          fold_hist ctx feed_v i 1 (fold_hist ctx feed_v i (-1) fp ro vo) rn vn
+      in
+      hist_patch ctx feed_v i fp to_ (ro - 1) tn (rn - 1)
+    | _ -> assert false
+
+let hom_patch_proc_by feed_v fp i oldp oldh newp newh =
+  let ctx = create () in
   let fp =
     if same_control oldp newp then fp
-    else hom_add (hom_sub fp (mix_proc_control i oldp)) (mix_proc_control i newp)
+    else begin
+      feed_proc_control ctx feed_v i oldp;
+      let fp = fold_in ctx (-1) fp in
+      feed_proc_control ctx feed_v i newp;
+      fold_in ctx 1 fp
+    end
   in
-  let oldh = oldp.Config.history and newh = newp.Config.history in
   if oldh == newh then fp
-  else hist_patch fp i oldh (List.length oldh) newh (List.length newh)
+  else
+    hist_patch ctx feed_v i fp oldh
+      (List.length oldh - 1)
+      newh
+      (List.length newh - 1)
+
+let hom_patch_proc fp i oldp newp =
+  hom_patch_proc_by feed_value fp i oldp oldp.Config.history newp
+    newp.Config.history
+
+let hom_patch_store_by feed_v fp h oldv newv =
+  let ctx = create () in
+  feed_store_slot ctx feed_v h oldv;
+  let fp = fold_in ctx (-1) fp in
+  feed_store_slot ctx feed_v h newv;
+  fold_in ctx 1 fp
 
 let hom_patch_store fp h oldv newv =
-  hom_add (hom_sub fp (mix_store_slot h oldv)) (mix_store_slot h newv)
+  hom_patch_store_by feed_value fp h oldv newv
 
 (* Re-open a finished fingerprint and mix one more word into both lanes.
    Used to key (configuration, sleep set) pairs: the state fingerprint is

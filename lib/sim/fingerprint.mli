@@ -22,10 +22,10 @@ val pp : Format.formatter -> t -> unit
 module Tbl : Hashtbl.S with type key = t
 
 val of_value : Value.t -> t
-(** Fingerprint of an explicit key tree.  Symmetry quotienting never
-    builds one on the fast path: [Symmetry.canonical_fingerprint] feeds
-    the stream below directly from the winner's slots, producing exactly
-    [of_value] of the canonical key. *)
+(** Fingerprint of an explicit key tree: the [~paranoid] exact table's
+    bucket hash.  No visited key is one; keys are the homomorphic
+    fingerprints below, of a configuration ({!hom_of_config}) or of its
+    orbit winner's image ([Symmetry.canonical_fingerprint]). *)
 
 (** {1 Streaming}
 
@@ -45,9 +45,6 @@ val feed_value : ctx -> Value.t -> unit
 
 val feed_int : ctx -> int -> unit
 (** The leaf [Value.Int i]. *)
-
-val feed_sym : ctx -> string -> unit
-(** The leaf [Value.Sym s]. *)
 
 val feed_pair : ctx -> unit
 (** Header of [Value.Pair (a, b)]; feed [a], then [b]. *)
@@ -109,6 +106,44 @@ val hom_patch_proc : t -> int -> Config.proc -> Config.proc -> t
 val hom_patch_store : t -> int -> Value.t -> Value.t -> t
 (** [hom_patch_store fp h old new_] rewrites store slot [h]'s
     contribution. *)
+
+(** {2 Mixes through a value feeder}
+
+    The mixes above with every value fed through [feed] instead of
+    {!feed_value}.  [Symmetry] passes its fused action, so a slot of a
+    configuration's image under a renaming mixes exactly as the acted
+    slot would, without the acted value being built: this is how a
+    symmetry key is folded and patched.  Each [_by] function with
+    [feed_value] is its plain counterpart. *)
+
+val mix_store_slot_by : (ctx -> Value.t -> unit) -> int -> Value.t -> t
+
+val mix_proc_slot_by :
+  (ctx -> Value.t -> unit) -> int -> Config.proc -> Value.t list -> t
+(** [mix_proc_slot_by feed i p history] is slot [i]'s contribution of
+    [p] with [history] in place of [p]'s own (a symmetry key passes the
+    live history, empty for a finished process). *)
+
+val hom_patch_proc_by :
+  (ctx -> Value.t -> unit) ->
+  t ->
+  int ->
+  Config.proc ->
+  Value.t list ->
+  Config.proc ->
+  Value.t list ->
+  t
+(** [hom_patch_proc_by feed fp i old oldh new_ newh] rewrites slot
+    [i]'s contribution from [mix_proc_slot_by feed i old oldh] to
+    [mix_proc_slot_by feed i new_ newh], mixing only the history
+    entries past the lists' shared tail. *)
+
+val hom_patch_store_by :
+  (ctx -> Value.t -> unit) -> t -> int -> Value.t -> Value.t -> t
+
+val erased_store : t
+(** The contribution that stands for a whole store a symmetry key
+    erases (a terminal configuration's with no crashed process). *)
 
 (** {1 Visited-set keys} *)
 

@@ -12,7 +12,8 @@
    [Some] block and the compare-and-set compares physically, so a stale
    read cannot take a later offer (no ABA).  A work item carries
    everything the DFS needs to resume there: the configuration, its
-   carried fingerprint, the trace, the depth and the sleep set.
+   carried fingerprint with the winner it was patched under, the trace,
+   the depth and the sleep set.
    Termination is the idle-counter protocol: a domain is counted idle
    whenever it holds no work, and decrements the counter {e before}
    every steal attempt and re-increments on failure, so [idle = jobs]
@@ -82,7 +83,8 @@ let default_seq_threshold = 4096
    offering domain would otherwise have made. *)
 type work = {
   config : Config.t;
-  fp : Fingerprint.t option;
+  fp : Fingerprint.t;
+  win : int;
   rev_trace : Trace.event list;
   depth : int;
   sleep : Explore.tr list;
@@ -130,7 +132,7 @@ and global = {
   onstack : unit Fingerprint.Ktbl.t option;
   (* Called with the running domain's id, with no lock held. *)
   on_terminal : int -> Config.t -> Trace.t -> unit;
-  on_visit : int -> Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit;
+  on_visit : int -> Config.t -> Fingerprint.t -> Trace.t Lazy.t -> unit;
 }
 
 (* What only a search with helpers needs. *)
@@ -235,7 +237,7 @@ let rec steal ctx p =
    acyclic state graph; the cycle-hunting and reachability entry points
    force source sets off).  Outside cycle hunting a back-edge is a
    claimed key like any other, a [dedup_hits] count. *)
-let rec dfs ctx config fp rev_trace depth sleep =
+let rec dfs ctx config fp win rev_trace depth sleep =
   let g = ctx.g and c = ctx.counts in
   (match Atomic.get g.stop with None -> () | Some _ -> raise Halt);
   ctx.tick <- ctx.tick + 1;
@@ -244,9 +246,9 @@ let rec dfs ctx config fp rev_trace depth sleep =
   (* Past the depth bound prune this branch only; siblings go on. *)
   if depth > g.depth_limit then ctx.depth_limited <- true
   else begin
-    let key, pi, sleep =
-      Explore.node_key ~paranoid:g.paranoid g.reduction
-        ~max_crashes:g.max_crashes fp (Lazy.from_val config) ~sleep
+    let key, pi, sleep, fp, win =
+      Explore.node_key ~paranoid:g.paranoid c g.reduction
+        ~max_crashes:g.max_crashes fp win (Lazy.from_val config) ~sleep
     in
     match g.onstack with
     | Some onstack when Fingerprint.Ktbl.mem onstack key ->
@@ -262,7 +264,7 @@ let rec dfs ctx config fp rev_trace depth sleep =
         if ticket >= g.max_states then halt g Budget;
         c.states <- c.states + 1;
         if c.states >= ctx.spawn_at then spawn ctx;
-        Explore.cross_check c ~paranoid:g.paranoid fp config;
+        Explore.cross_check c ~paranoid:g.paranoid g.reduction fp win config;
         g.on_visit ctx.id config fp (lazy (List.rev rev_trace));
         if Explore.count_terminal c config then
           g.on_terminal ctx.id config (List.rev rev_trace);
@@ -285,8 +287,9 @@ let rec dfs ctx config fp rev_trace depth sleep =
                 let c = ctx.counts in
                 c.transitions <- c.transitions + 1;
                 child ctx config'
-                  (Explore.child_fingerprint c fp config slots config')
-                  (event :: rev_trace) (depth + 1) grp.Explore.g_sleep)
+                  (Explore.child_fingerprint c g.reduction fp win config slots
+                     config')
+                  win (event :: rev_trace) (depth + 1) grp.Explore.g_sleep)
               grp.Explore.g_succs)
           groups;
         match onstack with
@@ -297,20 +300,21 @@ let rec dfs ctx config fp rev_trace depth sleep =
 
 (* Recurse into a child, or offer it in this domain's slot when some
    domain is idle and the slot is empty. *)
-and child ctx config fp rev_trace depth sleep =
+and child ctx config fp win rev_trace depth sleep =
   match ctx.g.pool with
   | Some p
     when Atomic.get p.idle > 0 && Option.is_none (Atomic.get p.slots.(ctx.id))
     ->
-    Atomic.set p.slots.(ctx.id) (Some { config; fp; rev_trace; depth; sleep })
-  | _ -> dfs ctx config fp rev_trace depth sleep
+    Atomic.set p.slots.(ctx.id)
+      (Some { config; fp; win; rev_trace; depth; sleep })
+  | _ -> dfs ctx config fp win rev_trace depth sleep
 
 (* Run what this domain's own slot still holds, until it stays empty
    (the domain stays busy). *)
 and drain ctx p =
   match Atomic.exchange p.slots.(ctx.id) None with
   | Some w ->
-    dfs ctx w.config w.fp w.rev_trace w.depth w.sleep;
+    dfs ctx w.config w.fp w.win w.rev_trace w.depth w.sleep;
     drain ctx p
   | None -> ()
 
@@ -319,7 +323,7 @@ and drain ctx p =
 and idle_loop ctx p =
   match steal ctx p with
   | Some w ->
-    dfs ctx w.config w.fp w.rev_trace w.depth w.sleep;
+    dfs ctx w.config w.fp w.win w.rev_trace w.depth w.sleep;
     drain ctx p;
     Atomic.incr p.idle;
     idle_loop ctx p
@@ -447,7 +451,7 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
   let root_fp = Explore.root_fingerprint w0.counts reduction config in
   (* Every exception of a domain's work becomes a stop cause. *)
   (try
-     dfs w0 config root_fp [] 0 [];
+     dfs w0 config root_fp (-1) [] 0 [];
      match g.pool with
      | Some p ->
        drain w0 p;

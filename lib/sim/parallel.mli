@@ -98,7 +98,7 @@ val run :
   find_cycle:bool ->
   jobs:int ->
   on_terminal:(int -> Config.t -> Trace.t -> unit) ->
-  on_visit:(int -> Config.t -> Fingerprint.t option -> Trace.t Lazy.t -> unit) ->
+  on_visit:(int -> Config.t -> Fingerprint.t -> Trace.t Lazy.t -> unit) ->
   string ->
   Config.t ->
   Explore.stats * Trace.t option
@@ -112,8 +112,9 @@ val run :
     re-raised once every domain has joined.  The search
     knobs mean what the {!Search.options} fields of the same names mean.
     [on_visit] also receives the node's carried homomorphic fingerprint
-    ({!Explore.root_fingerprint}, patched along every transition): [Some]
-    on the symmetry-off lanes, [None] under symmetry.  [label] names the
+    ({!Explore.node_key}, patched along every transition): the visited
+    configuration's on the symmetry-off lanes, its orbit winner's
+    image's under symmetry.  [label] names the
     search in the [explore] observability event.
 
     Under [~find_cycle] the search runs at one domain whatever [jobs]

@@ -102,14 +102,14 @@ let reachable ~on_visit options config =
 let iter_reachable ?(options = default) config ~f =
   reachable ~on_visit:(fun _ c _ trace -> f c trace) options config
 
-(* The engine carries no fingerprint under symmetry (its keys fold the
-   orbit winner), so there the visited configuration is re-folded. *)
+(* Under symmetry the engine's carried fingerprint keys the orbit
+   winner's image, not the visited configuration, so there the visited
+   configuration is re-folded. *)
 let iter_reachable_fp ?(options = default) config ~f =
-  let on_visit id c fp trace =
-    let fp =
-      match fp with Some fp -> fp | None -> Fingerprint.hom_of_config c
-    in
-    f id c fp trace
+  let on_visit =
+    match options.reduction.Explore.symmetry with
+    | None -> f
+    | Some _ -> fun id c _ trace -> f id c (Fingerprint.hom_of_config c) trace
   in
   reachable ~on_visit options config
 

@@ -43,9 +43,11 @@
     stats reflect the work done so far.  Any other exception aborts the
     search and is re-raised on the calling domain.
 
-    {b Fingerprints.}  On the symmetry-off lanes every search keys a node
-    by its homomorphic fingerprint, patched from its parent's
-    ({!Explore.node_key}), so a duplicate claim needs no re-fold.
+    {b Fingerprints.}  Every search keys a node by a homomorphic
+    fingerprint patched from its parent's ({!Explore.node_key}): of the
+    configuration on the symmetry-off lanes, of its orbit winner's image
+    under symmetry.  So a duplicate claim needs no re-fold, except under
+    symmetry at a node whose winner is not its parent's.
     [paranoid] claims exact canonical keys instead and re-folds
     the carried fingerprint at every claimed node: the reference the
     fingerprinted search is checked against. *)
@@ -145,11 +147,12 @@ val iter_reachable_fp :
     no lock), and each configuration's homomorphic fingerprint
     ({!Fingerprint.hom_of_config}'s value): on the symmetry-off lanes the
     one the search carried, patched from the parent's at no extra cost;
-    under symmetry, which carries none, a re-fold of the visited
-    configuration.  A caller that keys its own memo by this value can
-    patch it along further steps ({!Explore.patched_fingerprint}) instead
-    of re-folding.  {!iter_reachable} is the same search without the
-    fingerprint (so without the re-fold under symmetry). *)
+    under symmetry, where the carried fingerprint is the orbit winner's
+    image's, a re-fold of the visited configuration.  A caller that keys
+    its own memo by this value can patch it along further steps
+    ({!Explore.patched_fingerprint}) instead of re-folding.
+    {!iter_reachable} is the same search without the fingerprint (so
+    without the re-fold under symmetry). *)
 
 val check_terminals :
   ?options:options ->

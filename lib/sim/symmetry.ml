@@ -42,6 +42,10 @@ type t = {
   erase_dead : bool;
   perms : perm list;
   elems : elem array;  (* [perms] in group order *)
+  (* [feeds.(g) ctx v] feeds [v] acted by element [g] (see
+     [feed_acted]): one closure per element, built with the spec, so
+     that folding and patching a key allocate none. *)
+  feeds : (Fingerprint.ctx -> Value.t -> unit) array;
 }
 
 let group_order t = Array.length t.elems
@@ -88,29 +92,6 @@ let rec deep_act ~n ~map_ids ~input_base (pi : perm) v =
 
 let act t pi v =
   deep_act ~n:t.n ~map_ids:t.map_ids ~input_base:t.input_base pi v
-
-let standard ~n ?input_base ?(map_ids = true) ?(erase_dead = true) grp =
-  let perms =
-    match grp with
-    | `Trivial -> [ identity n ]
-    | `Rotations -> rotations n
-    | `Full -> all_perms n
-  in
-  let elems =
-    match grp with
-    | `Rotations ->
-      (* The inverse of rotation c is rotation n - c: share the arrays
-         instead of building inverses (specs are built per check). *)
-      let rots = Array.of_list perms in
-      Array.mapi
-        (fun c pi -> { pi; inv = rots.((n - c) mod n); id = c = 0 })
-        rots
-    | `Trivial | `Full -> Array.of_list (List.map elem perms)
-  in
-  { n; map_ids; input_base; erase_dead; perms; elems }
-
-let trivial ~n = standard ~n ~map_ids:false ~erase_dead:false `Trivial
-let erasure_only ~n = standard ~n ~map_ids:false ~erase_dead:true `Trivial
 
 (* The key's rendering of a process status (a decided value is tagged
    ["done"] instead). *)
@@ -299,6 +280,30 @@ and feed_slots t e ctx vs j len =
     feed_slots t e ctx vs (j + 1) len
   end
 
+let standard ~n ?input_base ?(map_ids = true) ?(erase_dead = true) grp =
+  let perms =
+    match grp with
+    | `Trivial -> [ identity n ]
+    | `Rotations -> rotations n
+    | `Full -> all_perms n
+  in
+  let elems =
+    match grp with
+    | `Rotations ->
+      (* The inverse of rotation c is rotation n - c: share the arrays
+         instead of building inverses (specs are built per check). *)
+      let rots = Array.of_list perms in
+      Array.mapi
+        (fun c pi -> { pi; inv = rots.((n - c) mod n); id = c = 0 })
+        rots
+    | `Trivial | `Full -> Array.of_list (List.map elem perms)
+  in
+  let t = { n; map_ids; input_base; erase_dead; perms; elems; feeds = [||] } in
+  { t with feeds = Array.map (fun e ctx v -> feed_acted t e ctx v) elems }
+
+let trivial ~n = standard ~n ~map_ids:false ~erase_dead:false `Trivial
+let erasure_only ~n = standard ~n ~map_ids:false ~erase_dead:true `Trivial
+
 (* [key_under]'s order: the store slot by slot in handle order (handles
    agree on both sides, so only the acted states are compared), then
    process slot j, which holds process [inv.(j)]: its status, recovery
@@ -331,61 +336,98 @@ let rec cmp_procs t procs p q j =
     if r <> 0 then r else cmp_procs t procs p q (j + 1)
 
 (* Exactly [canonical_minimizers]' fold, with the lazy comparison in
-   place of [compare] on two key trees: the winner is the first minimizer
-   in group order and the coset lists every minimizer in group order. *)
+   place of [compare] on two key trees: the winner (returned as its
+   index in group order) is the first minimizer in group order and the
+   coset lists every minimizer in group order. *)
 let minimize t slots (procs : Config.proc array) =
-  let best = ref t.elems.(0) and mins = ref [ t.elems.(0).pi ] in
+  let best = ref 0 and mins = ref [ t.elems.(0).pi ] in
   for g = 1 to Array.length t.elems - 1 do
     let e = t.elems.(g) in
+    let b = t.elems.(!best) in
     let d =
-      let r = cmp_store t slots e !best 0 in
-      if r <> 0 then r else cmp_procs t procs e !best 0
+      let r = cmp_store t slots e b 0 in
+      if r <> 0 then r else cmp_procs t procs e b 0
     in
     if d < 0 then begin
-      best := e;
+      best := g;
       mins := [ e.pi ]
     end
     else if d = 0 then mins := e.pi :: !mins
   done;
   (!best, match !mins with [ _ ] as l -> l | l -> List.rev l)
 
-(* [Fingerprint.of_value (key_under t e.pi c)], node for node. *)
-let fingerprint_key t e (c : Config.t) ~erased =
-  let ctx = Fingerprint.create () in
-  Fingerprint.feed_pair ctx;
-  if erased then Fingerprint.feed_sym ctx "terminal"
-  else begin
-    Fingerprint.feed_vec ctx (Store.cardinal c.Config.store);
-    Store.iter c.Config.store (fun h st ->
-        Fingerprint.feed_pair ctx;
-        Fingerprint.feed_int ctx h;
-        feed_acted t e ctx st)
-  end;
-  Fingerprint.feed_vec ctx t.n;
-  for j = 0 to t.n - 1 do
-    let p = c.Config.procs.(e.inv.(j)) in
-    Fingerprint.feed_pair ctx;
-    (match p.Config.status with
-    | Config.Terminated v ->
-      Fingerprint.feed_tag ctx (status_sym p.Config.status);
-      feed_acted t e ctx v
-    | s -> Fingerprint.feed_sym ctx (status_sym s));
-    Fingerprint.feed_pair ctx;
-    Fingerprint.feed_int ctx p.Config.recoveries;
-    let history = live_history t p in
-    Fingerprint.feed_vec ctx (List.length history);
-    feed_list t e ctx history
-  done;
-  Fingerprint.finish ctx
-
-let canonical_fingerprint t (c : Config.t) =
-  let erased = erases_store t c in
+let canonical_winner t (c : Config.t) =
   let slots =
-    if erased || Array.length t.elems = 1 then [||]
+    if Array.length t.elems = 1 || erases_store t c then [||]
     else Store.states c.Config.store
   in
-  let best, mins = minimize t slots c.Config.procs in
-  (fingerprint_key t best c ~erased, mins)
+  minimize t slots c.Config.procs
+
+let index t pi =
+  let rec go g = if t.elems.(g).pi = pi then g else go (g + 1) in
+  go 0
+
+(* {2 Keys as homomorphic fingerprints of images}
+
+   The key of [c] under element [g] is the homomorphic fingerprint
+   ([Fingerprint.hom_of_config]'s sum of per-slot mixes) of [c]'s image
+   [key_under t g.pi c], read off [c]'s own slots: store slot [h] mixes
+   its acted state, process [i]'s control and live history mix at slot
+   [g.pi.(i)], each value fed through [feeds.(g)], and an erased store
+   mixes as one constant.  Each slot's mix is a function of that slot of
+   the image, so equal images have equal keys; distinct images differ in
+   some slot, and collide with the odds of distinct configurations.
+   Because the sum is invertible, a transition that rewrites one process
+   slot and a few store slots turns its parent's key under [g] into its
+   own under [g] at the cost of those slots ([patch_image]); only a child
+   whose winner is not its parent's pays the whole fold. *)
+
+let image_fingerprint t g (c : Config.t) =
+  let e = t.elems.(g) and feed = t.feeds.(g) in
+  let acc = ref (Fingerprint.hom_base ~n_procs:t.n) in
+  if erases_store t c then
+    acc := Fingerprint.hom_add !acc Fingerprint.erased_store
+  else
+    Store.iter c.Config.store (fun h st ->
+        acc :=
+          Fingerprint.hom_add !acc (Fingerprint.mix_store_slot_by feed h st));
+  Array.iteri
+    (fun i p ->
+      acc :=
+        Fingerprint.hom_add !acc
+          (Fingerprint.mix_proc_slot_by feed e.pi.(i) p (live_history t p)))
+    c.Config.procs;
+  !acc
+
+let rec patch_slots feed fp store = function
+  | [] -> fp
+  | ((h : Store.handle), v) :: rest ->
+    patch_slots feed
+      (Fingerprint.hom_patch_store_by feed fp (h :> int)
+         (Store.state store h) v)
+      store rest
+
+let patch_image t g fp (parent : Config.t) (s : Step.slots) (child : Config.t) =
+  let feed = t.feeds.(g) and i = s.Step.sl_proc in
+  let oldp = parent.Config.procs.(i) and newp = child.Config.procs.(i) in
+  let fp =
+    Fingerprint.hom_patch_proc_by feed fp t.elems.(g).pi.(i) oldp
+      (live_history t oldp) newp (live_history t newp)
+  in
+  if erases_store t child then begin
+    (* A configuration with a successor can step or recover, so its own
+       store was not erased: it is in [fp], slot by slot. *)
+    let acc = ref (Fingerprint.hom_add fp Fingerprint.erased_store) in
+    Store.iter parent.Config.store (fun h st ->
+        acc :=
+          Fingerprint.hom_sub !acc (Fingerprint.mix_store_slot_by feed h st));
+    !acc
+  end
+  else patch_slots feed fp parent.Config.store s.Step.sl_store
+
+let canonical_fingerprint t c =
+  let g, mins = canonical_winner t c in
+  (image_fingerprint t g c, mins)
 
 let compare_acted t p x q y = cmp_value t (elem p) x (elem q) y
 

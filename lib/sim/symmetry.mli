@@ -114,7 +114,7 @@ val canonical_minimizers : t -> Config.t -> Value.t * perm list
     under the head.  Almost all states have a trivial stabilizer, making
     the list a singleton.  This is the key-tree reference path (one tree
     per group element), used by [~paranoid] searches; the explorer's fast
-    path is {!canonical_fingerprint}. *)
+    path is {!canonical_winner}. *)
 
 val canonical_key : t -> Config.t -> Value.t * perm
 (** [canonical_key t c] is the minimum of [key_under t pi c] over the
@@ -124,15 +124,52 @@ val canonical_key : t -> Config.t -> Value.t * perm
     yields the same key) and permutation-invariant. *)
 
 val canonical_fingerprint : t -> Config.t -> Fingerprint.t * perm list
-(** [canonical_fingerprint t c] is
-    [(Fingerprint.of_value key, mins)] where [(key, mins)] is
-    [canonical_minimizers t c] — bit for bit, winner and whole coset
-    included — computed without building a key tree.  Candidates are
-    compared lazily in the order [compare] visits their key trees and
-    the comparison stops at the first difference; the fingerprint is
-    folded straight from the winner's slots.  The only allocation is
-    one array of store states per call plus the result.  [c] must have
-    [n_procs t] processes, as every harness's spec does. *)
+(** [canonical_fingerprint t c] is the key a search claims [c]'s orbit
+    by, with the coset of {!canonical_minimizers}: [image_fingerprint t
+    g c] for the winner [g] of [canonical_winner t c].  The key is the
+    homomorphic fingerprint of the canonical key tree: the sum of
+    per-slot mixes of [key_under t pi c] for the winner [pi], with the
+    erased store mixing as {!Fingerprint.erased_store} (the test suite
+    recomputes it from the tree).  So two configurations share a key
+    exactly when they share a canonical key, up to the fingerprint's
+    collision odds.  [c] must have [n_procs t] processes, as every
+    harness's spec does. *)
+
+(** {1 Incremental keys}
+
+    What {!canonical_fingerprint} is made of, for a search that carries
+    keys from parent to child.  A group element is named by its index in
+    group order ({!perms}). *)
+
+val canonical_winner : t -> Config.t -> int * perm list
+(** The winner's index and the coset of {!canonical_minimizers}, bit for
+    bit, computed without building a key tree: candidates are compared
+    lazily in the order [compare] visits their key trees, and the
+    comparison stops at the first difference.  The only allocation is
+    one array of store states per call plus the result. *)
+
+val index : t -> perm -> int
+(** The index of a group element given as a permutation. *)
+
+val image_fingerprint : t -> int -> Config.t -> Fingerprint.t
+(** [image_fingerprint t g c] folds the key of [c]'s image under element
+    [g], slot by slot, with no acted value built: a full re-fold. *)
+
+val patch_image :
+  t ->
+  int ->
+  Fingerprint.t ->
+  Config.t ->
+  Step.slots ->
+  Config.t ->
+  Fingerprint.t
+(** [patch_image t g fp parent slots child] is [image_fingerprint t g
+    child], given [fp = image_fingerprint t g parent] and the slots the
+    transition from [parent] to [child] rewrote.  It mixes the touched
+    process's control (when it changed) and history entries past the
+    shared tail (one on a step; all of them when the process finishes
+    and its history is erased), and each touched store slot; a child
+    whose store is erased pays its parent's store once. *)
 
 (** {1 Fused action (exposed for property tests)} *)
 

@@ -216,14 +216,15 @@ let handover () =
    jobs-1 cells also agree on [max_depth].  The collision bound is 0
    under [~paranoid] and otherwise the 124-bit birthday bound, below
    1e-6.  Spill cells map their table and leave the directory empty.
-   Unreduced fingerprinted cells patch once per transition; paranoid
-   cells with symmetry off re-fold every state.  With [~steals] every
-   root-spawning cell records a steal.  A budget with recoveries reaches
-   a recovered terminal.  A symmetry beyond the identity explores fewer
-   states than the unreduced search.  Source sets keep the unreduced
-   terminal, hung and crashed counts, the full reduction keeps the
-   symmetry-only ones, and each explores fewer transitions than the
-   search it refines (and full than the unreduced one) when it skips one.
+   Every cell patches its carried fingerprint once per transition, with
+   symmetry on or off, and paranoid cells re-fold it at every state.
+   With [~steals] every root-spawning cell records a steal.  A budget
+   with recoveries reaches a recovered terminal.  A symmetry beyond the
+   identity explores fewer states than the unreduced search.  Source
+   sets keep the unreduced terminal, hung and crashed counts, the full
+   reduction keeps the symmetry-only ones, and each explores fewer
+   transitions than the search it refines (and full than the unreduced
+   one) when it skips one.
 
    Verdicts.  Every cell's terminal callback runs once per terminal and
    counts the terminals [h.explain] rejects: the count agrees across a
@@ -263,7 +264,6 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
         |> with_reduction reduction |> with_paranoid paranoid
         |> with_visited visited |> with_jobs jobs)
     in
-    let sym_off = reduction.symmetry = None in
     let base = ref None in
     List.iter
       (fun (elabel, jobs, seq_threshold) ->
@@ -322,15 +322,14 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
               Alcotest.(check (array string))
                 (cell ^ " leaves no file") [||] (Sys.readdir dir)
             end;
-            if paranoid && sym_off then
+            if paranoid then
               Alcotest.(check bool)
                 (cell ^ " re-folds every state") true
                 (moved "fp.refolds" >= float_of_int s.Explore.states);
-            if (not paranoid) && sym_off && not reduction.source_sets then
-              Alcotest.(check (float 0.0))
-                (cell ^ " one patch per transition")
-                (float_of_int s.Explore.transitions)
-                (moved "fp.patches");
+            Alcotest.(check (float 0.0))
+              (cell ^ " one patch per transition")
+              (float_of_int s.Explore.transitions)
+              (moved "fp.patches");
             if steals && seq_threshold <> None then
               Alcotest.(check bool)
                 (cell ^ " steals") true

@@ -182,11 +182,11 @@ let paranoid_catches_mutation () =
   let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let c = Explore.fresh_counters () in
   let good = Fingerprint.hom_of_config config in
-  Explore.cross_check c ~paranoid:true (Some good) config;
+  Explore.cross_check c ~paranoid:true Explore.no_reduction good (-1) config;
   Explore.flush_fp_counters ~engine:"test" c;
-  Explore.cross_check c ~paranoid:true
-    (Some (Fingerprint.extend good 0xBAD))
-    config;
+  Explore.cross_check c ~paranoid:true Explore.no_reduction
+    (Fingerprint.extend good 0xBAD)
+    (-1) config;
   (match Explore.flush_fp_counters ~engine:"test" c with
   | () -> Alcotest.fail "a corrupted fingerprint went unnoticed"
   | exception Invalid_argument msg ->

@@ -104,10 +104,54 @@ let reference_minimizers sym c =
 
 let perms_t = Alcotest.(list (array int))
 
+(* The key a symmetry search claims with, recomputed from a reference
+   key tree of [key_under]'s shape with the plain slot mixes: the
+   homomorphic sum over the tree's store slots (one constant when the
+   store is erased) and process slots, each process rebuilt from its
+   status, recovery count and live history. *)
+let hom_of_key ~n key =
+  let fail () = Alcotest.failf "not a key tree: %a" Value.pp key in
+  let ( ++ ) = Fingerprint.hom_add in
+  let store_slot acc = function
+    | Value.Pair (Value.Int h, st) -> acc ++ Fingerprint.mix_store_slot h st
+    | _ -> fail ()
+  in
+  let dummy = Program.Return Value.Unit in
+  let proc_slot (j, acc) = function
+    | Value.Pair (status, Value.Pair (Value.Int recoveries, Value.Vec history))
+      ->
+      let status =
+        match status with
+        | Value.Tag ("done", v) -> Config.Terminated v
+        | Value.Sym "run" -> Config.Running dummy
+        | Value.Sym "recover" -> Config.Recovering dummy
+        | Value.Sym "hung" -> Config.Hung
+        | Value.Sym "crash" -> Config.Crashed
+        | _ -> fail ()
+      in
+      ( j + 1,
+        acc
+        ++ Fingerprint.mix_proc_slot j
+            { Config.status; history; steps = 0; recoveries } )
+    | _ -> fail ()
+  in
+  match key with
+  | Value.Pair (store, Value.Vec procs) ->
+    let base = Fingerprint.hom_base ~n_procs:n in
+    let acc =
+      match store with
+      | Value.Sym "terminal" -> base ++ Fingerprint.erased_store
+      | Value.Vec slots -> List.fold_left store_slot base slots
+      | _ -> fail ()
+    in
+    snd (List.fold_left proc_slot (0, acc) procs)
+  | _ -> fail ()
+
 (* For every reachable configuration c: the allocation-free path
    ([Symmetry.canonical_fingerprint], what the explorer keys by) returns
    the reference winner and the whole reference minimizer coset, and its
-   fingerprint is [of_value] of the reference key; the key-tree path and
+   fingerprint is the sum of the slot mixes of the reference key
+   ([hom_of_key]); the key-tree path and
    the [~paranoid] visited key are the reference key.  Also, for every
    group element pi, the canonical key is a lower bound on every
    key_under, and invariant under re-indexing the group by pi (group
@@ -131,8 +175,9 @@ let canonicalization_sound () =
             let key, mins = reference_minimizers sym c in
             let fp, fast_mins = Symmetry.canonical_fingerprint sym c in
             Alcotest.check perms_t (name ^ ": minimizer coset") mins fast_mins;
-            Alcotest.(check bool) (name ^ ": fingerprint of the key") true
-              (Fingerprint.equal fp (Fingerprint.of_value key));
+            Alcotest.(check bool) (name ^ ": slot mixes of the key") true
+              (Fingerprint.equal fp
+                 (hom_of_key ~n:(Symmetry.n_procs sym) key));
             Alcotest.(check bool) (name ^ ": key-tree path") true
               (Symmetry.canonical_key sym c = (key, List.hd mins)
               && Symmetry.canonical_minimizers sym c = (key, mins));
@@ -162,6 +207,80 @@ let canonicalization_sound () =
         { (Registry.alg2 ~k:3 ~crashes:0) with symmetry = Some (Symmetry.erasure_only ~n:3) },
         1,
         0 );
+    ]
+
+(* For every reachable configuration, every group element g and every
+   transition out of it: the child's key under g patched from the
+   parent's ([Symmetry.patch_image], what a search carries to a child
+   under its parent's winner) equals the child's image re-fold under g.
+   Covered: rotations (Alg 5 with a crash), and the full group (set
+   consensus with a crash and a recovery), where the transitions that
+   crash, recover, finish a process (erasing its history) and reach a
+   terminal without a crash (erasing the store) each occur. *)
+let patch_agrees_with_refold () =
+  List.iter
+    (fun (name, h, max_crashes, max_recoveries) ->
+      let sym = sym h in
+      let kinds = Hashtbl.create 4 in
+      let seen kind = Hashtbl.replace kinds kind () in
+      let stats =
+        Search.iter_reachable
+          ~options:
+            Search.(
+              default |> with_max_crashes max_crashes
+              |> with_max_recoveries max_recoveries)
+          (root h) ~f:(fun c _ ->
+            let succs =
+              List.concat_map
+                (fun i ->
+                  List.map (fun (c', _, sl) -> (c', sl)) (Step.step_slots c i))
+                (Config.running c)
+              @ List.map
+                  (fun (c', _, sl) -> (c', sl))
+                  (Step.crash_successors_slots c)
+              @ List.map
+                  (fun (c', _, sl) -> (c', sl))
+                  (Step.recover_successors_slots c)
+            in
+            for g = 0 to Symmetry.group_order sym - 1 do
+              let fp = Symmetry.image_fingerprint sym g c in
+              List.iter
+                (fun (c', (sl : Step.slots)) ->
+                  let i = sl.Step.sl_proc in
+                  let before = c.Config.procs.(i).Config.status
+                  and after = c'.Config.procs.(i).Config.status in
+                  (match (before, after) with
+                  | _, Config.Crashed -> seen "crash"
+                  | Config.Crashed, _ -> seen "recovery"
+                  | _, Config.Terminated _ -> seen "finish"
+                  | _ -> ());
+                  if Config.is_terminal c' && not (Config.any_crashed c') then
+                    seen "store erased";
+                  Alcotest.(check bool)
+                    (name ^ ": patched key is the re-fold") true
+                    (Fingerprint.equal
+                       (Symmetry.patch_image sym g fp c sl c')
+                       (Symmetry.image_fingerprint sym g c')))
+                succs
+            done)
+      in
+      Alcotest.(check bool) (name ^ ": complete") false stats.Explore.limited;
+      let expected =
+        (if max_crashes > 0 then [ "crash" ] else [])
+        @ (if max_recoveries > 0 then [ "recovery" ] else [])
+        @ [ "finish"; "store erased" ]
+      in
+      List.iter
+        (fun kind ->
+          Alcotest.(check bool) (name ^ ": some transition " ^ kind) true
+            (Hashtbl.mem kinds kind))
+        expected)
+    [
+      ("alg5 rotations f=1", Registry.alg5 ~k:3, 1, 0);
+      ( "set consensus full f=1 r=1",
+        Registry.set_consensus_object ~n:3 ~k:2 ~crashes:0,
+        1,
+        1 );
     ]
 
 (* The same orbit yields the same canonical key: check on configurations
@@ -237,6 +356,8 @@ let suite =
           source_preserves_terminals;
         test "canonical key: minimal, achieved, translation-invariant"
           canonicalization_sound;
+        test "a patched key is its re-fold, transition by transition"
+          patch_agrees_with_refold;
         test "orbit members share a canonical key" orbit_members_share_key;
         test "commute memo overflow is counted and harmless"
           memo_eviction_counts;
