@@ -1,13 +1,13 @@
 (* Experiment harness.
 
    [dune exec bench/main.exe] prints the experiment tables (E1–E18, the
-   reproduction of the paper's theorems — the paper has no tables/figures)
-   followed by the bechamel timing benches (B1–B7).  Both print only: each
-   table row's known answers are literals in bench/experiments.ml, and
-   [dune runtest] checks every row (test/test_experiments.ml).
+   reproduction of the paper's theorems — the paper has no tables/figures).
+   It prints only: each table row's known answers are literals in
+   bench/experiments.ml, and [dune runtest] checks every row
+   (test/test_experiments.ml).
 
-   [dune exec bench/main.exe -- experiments] / [-- timing] run one half;
-   [-- <id>] prints one table ([e1] … [e18], [e8-partition], [scaling]).
+   [dune exec bench/main.exe -- <id>] prints one table ([e1] … [e18],
+   [e8-partition], [scaling]).
    Time to verdict, with pinned answers, a baseline and per-layer
    metrics, is measured by benchmark/ (see benchmark/README.md). *)
 
@@ -50,11 +50,7 @@ let experiments () =
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
-  | [] | [ "all" ] ->
-    experiments ();
-    Timing.run_all ()
-  | [ "experiments" ] -> experiments ()
-  | [ "timing" ] -> Timing.run_all ()
+  | [] -> experiments ()
   | args -> (
     match List.find_opt (fun t -> [ t.id ] = args) tables with
     | Some t -> print_table t

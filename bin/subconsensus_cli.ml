@@ -76,11 +76,6 @@ let setup_obs ~json ~metrics =
 let finish_obs ~metrics =
   if metrics then begin
     Obs.Metrics.emit_snapshot ();
-    List.iter
-      (fun (label, secs) ->
-        Obs.Sink.emit "span_total"
-          [ ("label", Obs.Sink.Str label); ("seconds", Obs.Sink.Float secs) ])
-      (Obs.Span.totals ());
     Obs.Sink.flush ()
   end
 

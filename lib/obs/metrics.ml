@@ -1,9 +1,8 @@
-(* Global counter/gauge registry. Counters are interned atomics so the hot
-   paths (explore inner loop) pay one registry lookup at setup and a bare
-   [Atomic.incr] per event — domain-safe, so parallel explorations on
-   multiple domains can bump the same counter without tearing. The
-   registry itself (interning, gauges, snapshots) is guarded by a mutex:
-   those operations are setup/reporting paths, never hot. *)
+(* Process-wide counter totals.  Counters are interned atomics: a writer
+   looks its handle up once and adds with one atomic [fetch_and_add], so
+   searches ending on several domains at once add without tearing.  The
+   registry itself (interning and snapshots) is guarded by a mutex:
+   those are setup and reporting paths, never hot. *)
 
 type counter = int Atomic.t
 
@@ -14,7 +13,6 @@ let with_lock f =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
-let gauges : (string, float) Hashtbl.t = Hashtbl.create 32
 
 let counter name =
   with_lock (fun () ->
@@ -25,16 +23,13 @@ let counter name =
         Hashtbl.add counters name c;
         c)
 
-let incr c = Atomic.incr c
 let add c n = ignore (Atomic.fetch_and_add c n)
-let value c = Atomic.get c
-let set_gauge name v = with_lock (fun () -> Hashtbl.replace gauges name v)
 
 let find name =
   with_lock (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some c -> Some (float_of_int (Atomic.get c))
-      | None -> Hashtbl.find_opt gauges name)
+      Option.map
+        (fun c -> float_of_int (Atomic.get c))
+        (Hashtbl.find_opt counters name))
 
 let snapshot () =
   with_lock (fun () ->
@@ -42,13 +37,7 @@ let snapshot () =
       Hashtbl.iter
         (fun name c -> xs := (name, float_of_int (Atomic.get c)) :: !xs)
         counters;
-      Hashtbl.iter (fun name v -> xs := (name, v) :: !xs) gauges;
       List.sort (fun (a, _) (b, _) -> compare a b) !xs)
-
-let reset () =
-  with_lock (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
-      Hashtbl.reset gauges)
 
 let emit_snapshot ?(name = "metrics") () =
   Sink.emit name

@@ -1,33 +1,27 @@
-(** Process-global counters and gauges.
+(** Process-wide counter totals.
 
-    Counters are interned by name: look one up once with {!counter} (cheap
-    registry hit) and bump it with {!incr}/{!add} on hot paths (a bare
-    atomic increment). Counters are domain-safe — workers of the parallel
-    exploration engine may bump the same counter concurrently — and the
-    registry itself (interning, gauges, snapshots) is mutex-guarded.
-    Gauges hold the latest float value for derived quantities such as
-    states/sec or reduction ratios. {!snapshot} returns everything for
-    reporting; {!reset} zeroes the registry between experiment runs. *)
+    A search's own figures are its [Explore.stats]; this registry only
+    sums them over the process, for the CLI's [--metrics] snapshot and
+    the benchmark's probe.  Its one writer in the library is
+    [Parallel.run], which adds each search's totals once, when the
+    search ends.  Counters are interned by name: look one up once with
+    {!counter} and bump it with {!add} (one atomic add, so domains may
+    add to the same counter at once).  The registry itself (interning,
+    snapshots) is mutex-guarded.  Nothing resets it: a caller that wants
+    one run's figures reads that run's stats. *)
 
 type counter
 
 val counter : string -> counter
 (** Intern (or retrieve) the counter with the given name. *)
 
-val incr : counter -> unit
 val add : counter -> int -> unit
-val value : counter -> int
-
-val set_gauge : string -> float -> unit
 
 val find : string -> float option
-(** Look up a counter or gauge by name. *)
+(** The counter's total, [None] if no counter has that name. *)
 
 val snapshot : unit -> (string * float) list
-(** All counters and gauges, sorted by name. *)
-
-val reset : unit -> unit
-(** Zero all counters and drop all gauges. *)
+(** Every counter's total, sorted by name. *)
 
 val emit_snapshot : ?name:string -> unit -> unit
 (** Emit the current snapshot as a single event on the current {!Sink}. *)

@@ -1,17 +1,12 @@
-(** Per-phase wall-clock accumulation.
+(** Per-phase wall-clock spans.
 
-    [time label f] runs [f], adds its duration to the running total for
-    [label], and emits a ["span"] event on the current {!Sink}. Durations
+    [time label f] runs [f] and emits one ["span"] event on the current
+    {!Sink} with its [label] and its duration in [seconds].  Durations
     are wall-clock seconds ([Unix.gettimeofday]), so a phase run across
-    several domains counts once and a blocked phase still counts. *)
+    several domains counts once and a blocked phase still counts.  No
+    total is kept: a caller that wants one installs a sink and sums the
+    events. *)
 
 val time : string -> (unit -> 'a) -> 'a
-(** Run the thunk, accounting its duration under [label]. Exceptions
-    propagate after the span is recorded. *)
-
-val totals : unit -> (string * float) list
-(** Accumulated seconds per label, sorted by label. *)
-
-val total : string -> float option
-
-val reset : unit -> unit
+(** Run the thunk and emit its span.  Exceptions propagate after the
+    span is emitted. *)

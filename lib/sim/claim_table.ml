@@ -92,14 +92,11 @@ let file_number () =
       incr next_file;
       !next_file)
 
-let m_spill_bytes = Subc_obs.Metrics.counter "visited.spill_bytes"
-
-(* Map [n] zero words from a fresh unlinked file in [dir], adding their
-   bytes to [visited.spill_bytes].  The name carries the process id and
-   a process-wide counter, and [O_EXCL] refuses any file already there (a
-   taken name — say, one left by a dead process with a recycled pid —
-   just draws the next counter value).  The fd is closed right away: the
-   mapping survives it. *)
+(* Map [n] zero words from a fresh unlinked file in [dir].  The name
+   carries the process id and a process-wide counter, and [O_EXCL]
+   refuses any file already there (a taken name — say, one left by a dead
+   process with a recycled pid — just draws the next counter value).  The
+   fd is closed right away: the mapping survives it. *)
 let map_words dir n : words =
   let rec create_file () =
     let path =
@@ -111,17 +108,13 @@ let map_words dir n : words =
     | exception Unix.Unix_error (EEXIST, _, _) -> create_file ()
   in
   let path, fd = create_file () in
-  let words =
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        Unix.close fd)
-      (fun () ->
-        Bigarray.array1_of_genarray
-          (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| n |]))
-  in
-  Subc_obs.Metrics.add m_spill_bytes (8 * n);
-  words
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      Unix.close fd)
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| n |]))
 
 let alloc spill cap =
   match spill with

@@ -37,7 +37,7 @@ val create :
     absent) instead of the heap.  Each file is created with [O_EXCL]
     under a name unique to the process, so no file already there is
     touched, and is unlinked once mapped, so nothing persists; the mapped
-    bytes are added to the [visited.spill_bytes] counter.  Raises
+    bytes are {!spill_bytes}.  Raises
     [Unix.Unix_error] if [dir] cannot be created or a file cannot be
     created or mapped.
 

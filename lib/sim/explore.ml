@@ -27,6 +27,16 @@ type stats = {
   limited : bool;
   limit_reason : limit_reason;
   frontier_bytes : int;
+  fp_patches : int;
+  fp_refolds : int;
+  diamonds : int;
+  memo_hits : int;
+  memo_evictions : int;
+  probes : int;
+  steals : int;
+  cas_retries : int;
+  visited_bytes : int;
+  spill_bytes : int;
 }
 
 (* Birthday bound on any-fingerprint-collision over the whole search:
@@ -59,7 +69,9 @@ let pp_stats ppf s =
      else "")
 
 (* The one JSON encoding of [stats], shared by the verdict lines, the
-   CLI's explore line and the engine's [explore] event. *)
+   CLI's explore line and the engine's [explore] event: the search's
+   outcome.  The work figures after [frontier_bytes] are not encoded;
+   [Parallel.run] publishes them to the process totals. *)
 let stats_fields s =
   Obs.Sink.
     [
@@ -180,16 +192,15 @@ let op_independent (model : Obj_model.t) st0 a b =
    also bounded: past the cache's [cc_bound] entries new results are
    recomputed instead of cached — the cache is a pure memoization, so
    dropping inserts only costs time, never soundness.  Each dropped
-   insert is counted ([commute.memo_evictions] after the flush), so the
-   silent-recomputation regime is visible in the metrics instead of
+   insert is counted (the run's [memo_evictions]), so the
+   silent-recomputation regime is visible in the stats instead of
    indistinguishable from a healthy cache.  [?bound] is an argument so
    tests can exercise the overflow path cheaply. *)
 type commute_cache = {
   cc_tbl : (string * Value.t * Op.t * Op.t, bool) Hashtbl.t;
   cc_bound : int;
-  (* Local counters, flushed to the global metrics registry once per
-     search ([flush_commute_metrics]) — the hot path never touches an
-     atomic. *)
+  (* Plain fields, added to the domain's counters when it finishes
+     ([add_commute]). *)
   mutable cc_diamonds : int;
   mutable cc_memo_hits : int;
   mutable cc_memo_evictions : int;
@@ -203,18 +214,6 @@ let commute_cache ?(bound = 1 lsl 16) () : commute_cache =
     cc_memo_hits = 0;
     cc_memo_evictions = 0;
   }
-
-let m_diamonds = Obs.Metrics.counter "commute.diamonds"
-let m_memo_hits = Obs.Metrics.counter "commute.memo_hits"
-let m_memo_evictions = Obs.Metrics.counter "commute.memo_evictions"
-
-let flush_commute_metrics (c : commute_cache) =
-  Obs.Metrics.add m_diamonds c.cc_diamonds;
-  Obs.Metrics.add m_memo_hits c.cc_memo_hits;
-  Obs.Metrics.add m_memo_evictions c.cc_memo_evictions;
-  c.cc_diamonds <- 0;
-  c.cc_memo_hits <- 0;
-  c.cc_memo_evictions <- 0
 
 let ops_commute (cache : commute_cache) store h a b =
   let model = Store.model store h in
@@ -371,7 +370,10 @@ exception Stop
    join ([max_depth] takes the maximum).  Every schedule-independent
    figure of {!stats} is one of these, so the determinism contract (equal
    counts at any [jobs]) rests on this one definition and on the helpers
-   below, which every domain calls at the same points of an expansion. *)
+   below, which every domain calls at the same points of an expansion.
+   The fields from [diamonds] on are the domain's work figures: its
+   commute cache's and claim probes, added when the domain finishes, and
+   its steals. *)
 type counters = {
   mutable states : int;
   mutable transitions : int;
@@ -385,6 +387,12 @@ type counters = {
   mutable fp_patches : int;
   mutable fp_refolds : int;
   mutable fp_mismatches : int;
+  mutable diamonds : int;
+  mutable memo_hits : int;
+  mutable memo_evictions : int;
+  mutable probes : int;
+  mutable steals : int;
+  mutable cas_retries : int;
 }
 
 let fresh_counters () =
@@ -401,6 +409,12 @@ let fresh_counters () =
     fp_patches = 0;
     fp_refolds = 0;
     fp_mismatches = 0;
+    diamonds = 0;
+    memo_hits = 0;
+    memo_evictions = 0;
+    probes = 0;
+    steals = 0;
+    cas_retries = 0;
   }
 
 let add_counters t c =
@@ -415,7 +429,18 @@ let add_counters t c =
   t.source_skips <- t.source_skips + c.source_skips;
   t.fp_patches <- t.fp_patches + c.fp_patches;
   t.fp_refolds <- t.fp_refolds + c.fp_refolds;
-  t.fp_mismatches <- t.fp_mismatches + c.fp_mismatches
+  t.fp_mismatches <- t.fp_mismatches + c.fp_mismatches;
+  t.diamonds <- t.diamonds + c.diamonds;
+  t.memo_hits <- t.memo_hits + c.memo_hits;
+  t.memo_evictions <- t.memo_evictions + c.memo_evictions;
+  t.probes <- t.probes + c.probes;
+  t.steals <- t.steals + c.steals;
+  t.cas_retries <- t.cas_retries + c.cas_retries
+
+let add_commute c (cache : commute_cache) =
+  c.diamonds <- c.diamonds + cache.cc_diamonds;
+  c.memo_hits <- c.memo_hits + cache.cc_memo_hits;
+  c.memo_evictions <- c.memo_evictions + cache.cc_memo_evictions
 
 (* Terminal for the processes is not necessarily terminal for the search:
    with recovery budget left, the adversary may still revive a crashed
@@ -451,18 +476,10 @@ let cross_check c ~paranoid (reduction : reduction) fp win config =
       c.fp_mismatches <- c.fp_mismatches + 1
   end
 
-let m_fp_patches = Obs.Metrics.counter "fp.patches"
-let m_fp_refolds = Obs.Metrics.counter "fp.refolds"
-let m_fp_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
-
 (* A paranoid run that saw any patch/re-fold disagreement is a soundness
    bug (or injected fault) — fail loudly rather than return counts built
-   on a corrupted carry.  The counters are flushed first so the mismatch
-   stays visible in the metrics snapshot. *)
-let flush_fp_counters ~engine c =
-  Obs.Metrics.add m_fp_patches c.fp_patches;
-  Obs.Metrics.add m_fp_refolds c.fp_refolds;
-  Obs.Metrics.add m_fp_mismatches c.fp_mismatches;
+   on a corrupted carry. *)
+let check_fp_mismatches ~engine c =
   if c.fp_mismatches > 0 then
     invalid_arg
       (Printf.sprintf
@@ -470,7 +487,8 @@ let flush_fp_counters ~engine c =
           re-fold"
          engine c.fp_mismatches)
 
-let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes =
+let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes
+    ~visited_bytes ~spill_bytes =
   {
     states = c.states;
     transitions = c.transitions;
@@ -485,6 +503,16 @@ let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes =
     limited = reason_truncates limit_reason;
     limit_reason;
     frontier_bytes;
+    fp_patches = c.fp_patches;
+    fp_refolds = c.fp_refolds;
+    diamonds = c.diamonds;
+    memo_hits = c.memo_hits;
+    memo_evictions = c.memo_evictions;
+    probes = c.probes;
+    steals = c.steals;
+    cas_retries = c.cas_retries;
+    visited_bytes;
+    spill_bytes;
   }
 
 (* The canonical state key of [config] under [sym], with the stabilizer

@@ -104,7 +104,9 @@ exception Stop
     schedule-independent figure of {!stats} is one of them, and every
     domain updates them through the helpers below at the same points of
     an expansion — the determinism contract rests on this one
-    definition. *)
+    definition.  The fields from [diamonds] on are the domain's work
+    figures: its commute cache's ({!add_commute}), its claim probes, its
+    steals and its lost steal races. *)
 type counters = {
   mutable states : int;
   mutable transitions : int;
@@ -118,6 +120,12 @@ type counters = {
   mutable fp_patches : int;
   mutable fp_refolds : int;
   mutable fp_mismatches : int;
+  mutable diamonds : int;
+  mutable memo_hits : int;
+  mutable memo_evictions : int;
+  mutable probes : int;
+  mutable steals : int;
+  mutable cas_retries : int;
 }
 
 val fresh_counters : unit -> counters
@@ -133,10 +141,9 @@ val count_terminal : counters -> Config.t -> bool
     terminal may still have recover successors; it is reported either
     way. *)
 
-val flush_fp_counters : engine:string -> counters -> unit
-(** Add the [fp.*] counters to the metrics registry, then fail with
-    [Invalid_argument], naming [engine] (the search's label), if any
-    paranoid cross-check disagreed. *)
+val check_fp_mismatches : engine:string -> counters -> unit
+(** Fail with [Invalid_argument], naming [engine] (the search's label),
+    if any paranoid cross-check disagreed. *)
 
 type stats = {
   states : int;
@@ -169,13 +176,34 @@ type stats = {
           (which holds at most one work item) once helpers ran.  An
           estimate for memory accounting, not an allocator
           measurement. *)
+  fp_patches : int;  (** carried fingerprints patched, one per transition *)
+  fp_refolds : int;
+      (** fingerprints folded from scratch: the root's, each symmetry
+          node whose winner differs from its parent's, and every claimed
+          node under [~paranoid] *)
+  diamonds : int;  (** commutation judgments computed ({!op_independent}) *)
+  memo_hits : int;  (** commutation judgments found in a domain's memo *)
+  memo_evictions : int;
+      (** judgments the full memo could not keep ({!commute_cache}) *)
+  probes : int;  (** visited-table slots probed by the claims *)
+  steals : int;  (** work items taken from a peer's hand-off slot *)
+  cas_retries : int;  (** steal attempts lost to another taker *)
+  visited_bytes : int;
+      (** heap bytes of the visited table at the end
+          ({!Claim_table.memory_bytes}) *)
+  spill_bytes : int;
+      (** bytes of the table's mapped spill file at the end
+          ({!Claim_table.spill_bytes}); [0] on the heap *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit
 
 val stats_fields : stats -> (string * Subc_obs.Sink.field) list
-(** The JSON fields of [stats], one per record field under its own name
-    ([limit_reason] as {!pp_limit_reason} prints it). *)
+(** The JSON fields of [stats], the search's outcome: one per record
+    field up to [frontier_bytes], under its own name ([limit_reason] as
+    {!pp_limit_reason} prints it).  The work figures after it are not
+    encoded; {!Parallel.run} adds them to the process totals
+    ([Subc_obs.Metrics]). *)
 
 val collision_bound : bits:int -> states:int -> float
 (** The birthday bound above, exposed for the bench tables:
@@ -190,6 +218,8 @@ val stats_of_counters :
   collision_bound:float ->
   limit_reason:limit_reason ->
   frontier_bytes:int ->
+  visited_bytes:int ->
+  spill_bytes:int ->
   stats
 
 (** Which reductions to apply.  The default ({!no_reduction}) reproduces
@@ -263,8 +293,8 @@ val cross_check :
   unit
 (** [cross_check c ~paranoid reduction fp win config]: under [~paranoid],
     re-fold the node (counted in [fp_refolds]) and count a mismatch when
-    the carried incremental fingerprint disagrees
-    ([fp.paranoid_mismatches]).  The re-fold is the configuration's
+    the carried incremental fingerprint disagrees (in
+    [fp_mismatches]).  The re-fold is the configuration's
     homomorphic fingerprint with symmetry off, and the key of its image
     under the winner [win] ({!Symmetry.image_fingerprint}) under
     symmetry. *)
@@ -305,13 +335,12 @@ type commute_cache
 val commute_cache : ?bound:int -> unit -> commute_cache
 (** [?bound] caps the memo's entries (default [2^16]; clamped at [0]).
     Past the bound new results are recomputed instead of cached and each
-    dropped insert counts as a [commute.memo_evictions] event. *)
+    dropped insert counts as a memo eviction. *)
 
-val flush_commute_metrics : commute_cache -> unit
-(** Add the cache's local counters to the global metrics registry
-    ([commute.diamonds], [commute.memo_hits], [commute.memo_evictions])
-    and zero them.  A search flushes each domain's cache when that
-    domain finishes. *)
+val add_commute : counters -> commute_cache -> unit
+(** [add_commute c cache] adds the cache's diamonds, memo hits and memo
+    evictions to [c]'s.  A search adds each domain's cache to that
+    domain's counters when the domain finishes. *)
 
 val source_fingerprint :
   reduction ->

@@ -63,7 +63,12 @@
    other exception, a cycle's back-edge — goes through [halt]: the first
    cause lands in [stop] and the domain's DFS unwinds with [Halt]; every
    other domain sees [stop] at its next node or steal attempt and unwinds
-   too.  Worker 0 joins every helper before [run] returns. *)
+   too.  Worker 0 joins every helper before [run] returns.
+
+   A search's figures are its own: each domain counts into its own
+   [Explore.counters], merged after the join into the returned stats.
+   The process totals ([Subc_obs.Metrics]) are written here alone, once
+   per search, from that merged record ([publish]). *)
 
 module Obs = Subc_obs
 
@@ -95,8 +100,9 @@ type stop_cause = Budget | Deadline | Cycle of Trace.t | Callback of exn
 (* Unwinds a domain's DFS once [stop] is set. *)
 exception Halt
 
-(* One per domain: the search counters, merged after the join, plus this
-   domain's work-distribution figures. *)
+(* One per domain: the search counters, merged after the join, and the
+   claim and commute state whose figures join them when the domain
+   finishes ([close]). *)
 type ctx = {
   g : global;
   id : int; (* index into the pool's slots *)
@@ -104,8 +110,6 @@ type ctx = {
   claim : Claim_table.opstats;
   commute : Explore.commute_cache; (* per-domain independence memo *)
   mutable depth_limited : bool;
-  mutable steals : int;
-  mutable cas_retries : int; (* lost steal races *)
   mutable tick : int; (* nodes entered; deadline poll every 1024 *)
   (* The claimed-state count at which worker 0 spawns the helpers;
      [max_int] on every other domain and once they are spawned. *)
@@ -154,12 +158,15 @@ let fresh_ctx g id ~spawn_at =
     claim = Claim_table.fresh_opstats ();
     commute = Explore.commute_cache ();
     depth_limited = false;
-    steals = 0;
-    cas_retries = 0;
     tick = 0;
     spawn_at;
     seconds = 0.0;
   }
+
+(* Run on the domain itself, once its DFS is over. *)
+let close ctx =
+  Explore.add_commute ctx.counts ctx.commute;
+  ctx.counts.probes <- ctx.claim.Claim_table.probes
 
 (* First cause wins; domains poll [stop] at every node and inside the
    steal loop, so no wake-up broadcast is needed. *)
@@ -207,12 +214,12 @@ let rec steal ctx p =
     | Some (slot, offer) ->
       Atomic.decr p.idle;
       if Atomic.compare_and_set slot offer None then begin
-        ctx.steals <- ctx.steals + 1;
+        ctx.counts.steals <- ctx.counts.steals + 1;
         offer
       end
       else begin
         (* Another thief, or the draining owner, took it first. *)
-        ctx.cas_retries <- ctx.cas_retries + 1;
+        ctx.counts.cas_retries <- ctx.counts.cas_retries + 1;
         Atomic.incr p.idle;
         steal ctx p
       end
@@ -353,41 +360,54 @@ and spawn ctx =
       Domain.spawn (fun () ->
           let t0 = Unix.gettimeofday () in
           (try idle_loop h p with Halt -> () | e -> set_stop g (Callback e));
-          Explore.flush_commute_metrics h.commute;
+          close h;
           h.seconds <- Unix.gettimeofday () -. t0)
     in
     p.helpers <- (h, d) :: p.helpers
   done
 
+(* The process totals, one handle per name, interned at load.  A search
+   adds each non-zero figure once when it ends: an atomic add apiece, no
+   lock and no allocation, since a census ends tens of thousands of tiny
+   searches. *)
 let m_searches = Obs.Metrics.counter "explore.searches"
 let m_states = Obs.Metrics.counter "explore.states"
 let m_transitions = Obs.Metrics.counter "explore.transitions"
 let m_dedup = Obs.Metrics.counter "explore.dedup_hits"
 let m_source = Obs.Metrics.counter "explore.source_skips"
-let m_steals = Obs.Metrics.counter "parallel.steals"
+let m_patches = Obs.Metrics.counter "fp.patches"
+let m_refolds = Obs.Metrics.counter "fp.refolds"
+let m_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
+let m_diamonds = Obs.Metrics.counter "commute.diamonds"
+let m_memo_hits = Obs.Metrics.counter "commute.memo_hits"
+let m_memo_evictions = Obs.Metrics.counter "commute.memo_evictions"
 let m_probes = Obs.Metrics.counter "parallel.probes"
+let m_steals = Obs.Metrics.counter "parallel.steals"
 let m_cas_retries = Obs.Metrics.counter "parallel.cas_retries"
+let m_spill_bytes = Obs.Metrics.counter "visited.spill_bytes"
 
-(* Observability, one set per search: the counters always, and one
-   [explore] event when a sink is installed — with the per-domain
-   breakdown when helpers ran. *)
-let emit_obs label g (domains : ctx list) (s : Explore.stats) dt =
-  Obs.Metrics.incr m_searches;
-  Obs.Metrics.add m_states s.states;
-  Obs.Metrics.add m_transitions s.transitions;
-  Obs.Metrics.add m_dedup s.dedup_hits;
-  Obs.Metrics.add m_source s.source_skips;
-  List.iter
-    (fun d ->
-      Obs.Metrics.add m_steals d.steals;
-      Obs.Metrics.add m_probes d.claim.Claim_table.probes;
-      Obs.Metrics.add m_cas_retries d.cas_retries)
-    domains;
-  Obs.Metrics.set_gauge "explore.frontier_bytes" (float_of_int s.frontier_bytes);
-  (* Heap footprint of the visited set, for the test suite's spill
-     against heap comparison. *)
-  Obs.Metrics.set_gauge "parallel.visited_bytes"
-    (float_of_int (Claim_table.memory_bytes g.table));
+let add m n = if n <> 0 then Obs.Metrics.add m n
+
+let publish (c : Explore.counters) (s : Explore.stats) =
+  add m_searches 1;
+  add m_states c.states;
+  add m_transitions c.transitions;
+  add m_dedup c.dedup_hits;
+  add m_source c.source_skips;
+  add m_patches c.fp_patches;
+  add m_refolds c.fp_refolds;
+  add m_mismatches c.fp_mismatches;
+  add m_diamonds c.diamonds;
+  add m_memo_hits c.memo_hits;
+  add m_memo_evictions c.memo_evictions;
+  add m_probes c.probes;
+  add m_steals c.steals;
+  add m_cas_retries c.cas_retries;
+  add m_spill_bytes s.spill_bytes
+
+(* One [explore] event per search when a sink is installed, with the
+   per-domain breakdown when helpers ran. *)
+let emit_event label g (domains : ctx list) (s : Explore.stats) dt =
   if Obs.Sink.get () != Obs.Sink.null then begin
     let rate n secs = if secs > 0.0 then float_of_int n /. secs else 0.0 in
     let per_domain =
@@ -402,9 +422,9 @@ let emit_obs label g (domains : ctx list) (s : Explore.stats) dt =
                  (pfx ^ "states", Obs.Sink.Int d.counts.states);
                  (pfx ^ "states_per_sec",
                   Obs.Sink.Float (rate d.counts.states d.seconds));
-                 (pfx ^ "steals", Obs.Sink.Int d.steals);
-                 (pfx ^ "probes", Obs.Sink.Int d.claim.Claim_table.probes);
-                 (pfx ^ "cas_retries", Obs.Sink.Int d.cas_retries);
+                 (pfx ^ "steals", Obs.Sink.Int d.counts.steals);
+                 (pfx ^ "probes", Obs.Sink.Int d.counts.probes);
+                 (pfx ^ "cas_retries", Obs.Sink.Int d.counts.cas_retries);
                ])
              domains
     in
@@ -466,7 +486,7 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
       List.iter (fun (_, d) -> Domain.join d) p.helpers;
       List.rev_map fst p.helpers
   in
-  Explore.flush_commute_metrics w0.commute;
+  close w0;
   let dt = Unix.gettimeofday () -. t0 in
   w0.seconds <- dt;
   let domains = w0 :: helpers in
@@ -501,9 +521,13 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
   let stats =
     Explore.stats_of_counters c ~limit_reason ~frontier_bytes
       ~collision_bound:(Explore.table_bound ~paranoid ~states:c.states)
+      ~visited_bytes:(Claim_table.memory_bytes g.table)
+      ~spill_bytes:(Claim_table.spill_bytes g.table)
   in
-  emit_obs label g domains stats dt;
-  Explore.flush_fp_counters ~engine:label c;
+  publish c stats;
+  emit_event label g domains stats dt;
+  (* After the publish, so a mismatch stays visible in the totals. *)
+  Explore.check_fp_mismatches ~engine:label c;
   match Atomic.get g.stop with
   | Some (Callback Explore.Stop | Budget | Deadline) | None -> (stats, None)
   | Some (Cycle trace) -> (stats, Some trace)

@@ -32,8 +32,8 @@
     - [Heap] ([Search.default]'s): the words live in a heap bigarray.
     - [Spill dir]: the words live in mmap'd files under [dir] (created if
       absent; the files are unlinked once mapped), so heap residency
-      drops to bookkeeping.  The mapped bytes are added to the
-      [visited.spill_bytes] counter.  [Unix.Unix_error] is raised if
+      drops to bookkeeping.  The mapped bytes are the stats'
+      [spill_bytes].  [Unix.Unix_error] is raised if
       [dir] cannot be created or a file cannot be mapped.
 
     [~paranoid] runs claim exact canonical keys instead, in an [`Exact]

@@ -86,12 +86,6 @@ let pick_successor sched successors =
   | Some rng, _ ->
     List.nth successors (Random.State.int rng (List.length successors))
 
-let m_runs = Obs.Metrics.counter "runner.runs"
-let m_steps = Obs.Metrics.counter "runner.steps"
-let m_crashes = Obs.Metrics.counter "runner.crashes_injected"
-let m_recoveries = Obs.Metrics.counter "runner.recoveries_injected"
-let m_incomplete = Obs.Metrics.counter "runner.incomplete"
-
 let strategy_name = function
   | Round_robin -> "round_robin"
   | Random _ -> "random"
@@ -102,11 +96,6 @@ let strategy_name = function
   | Recover_random _ -> "recover_random"
 
 let observe strategy r =
-  Obs.Metrics.incr m_runs;
-  Obs.Metrics.add m_steps r.steps;
-  Obs.Metrics.add m_crashes (Config.n_crashed r.final);
-  Obs.Metrics.add m_recoveries (List.length (Trace.recoveries r.trace));
-  if not r.completed then Obs.Metrics.incr m_incomplete;
   if Obs.Sink.get () != Obs.Sink.null then
     Obs.Sink.emit "run"
       [

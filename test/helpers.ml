@@ -176,9 +176,6 @@ let in_temp_dir f () =
     ~finally:(fun () -> if Sys.file_exists dir then remove dir)
     (fun () -> f dir)
 
-(* A counter or gauge of the process-wide metrics registry, 0 if unset. *)
-let metric name = Option.value ~default:0.0 (Subc_obs.Metrics.find name)
-
 (* An [on_visit] for a search that spawns its helpers at the root: it
    holds the calling domain at its second visit until some helper has
    visited a node, or for 20 ms.  By then the caller has handed the
@@ -240,9 +237,6 @@ let handover () =
 let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
   let config = root h in
   let engines = [ ("j1", 1, None); ("j4", 4, None); ("j4 eager", 4, Some 0) ] in
-  let counters =
-    [ "fp.patches"; "fp.refolds"; "parallel.steals"; "visited.spill_bytes" ]
-  in
   let budget = Printf.sprintf "%s f=%d r=%d" name f r in
   let replays cell trace =
     match Replay.final config trace with
@@ -279,7 +273,6 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
                 if !witness = None then witness := Some trace
               end
             in
-            let before = List.map (fun n -> (n, metric n)) counters in
             let s =
               match seq_threshold with
               | None -> Search.iter_terminals ~options config ~f:on_terminal
@@ -290,7 +283,6 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
                 parallel_run ?seq_threshold ~on_terminal ~on_visit options
                   config
             in
-            let moved n = metric n -. List.assoc n before in
             if Option.is_none !base then base := Some (s, !violations);
             let b, bv = Option.get !base in
             same_counts cell b s;
@@ -318,22 +310,21 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
             if visited <> Parallel.Heap then begin
               Alcotest.(check bool)
                 (cell ^ " maps its table") true
-                (moved "visited.spill_bytes" > 0.0);
+                (s.Explore.spill_bytes > 0);
               Alcotest.(check (array string))
                 (cell ^ " leaves no file") [||] (Sys.readdir dir)
             end;
             if paranoid then
               Alcotest.(check bool)
                 (cell ^ " re-folds every state") true
-                (moved "fp.refolds" >= float_of_int s.Explore.states);
-            Alcotest.(check (float 0.0))
+                (s.Explore.fp_refolds >= s.Explore.states);
+            Alcotest.(check int)
               (cell ^ " one patch per transition")
-              (float_of_int s.Explore.transitions)
-              (moved "fp.patches");
+              s.Explore.transitions s.Explore.fp_patches;
             if steals && seq_threshold <> None then
               Alcotest.(check bool)
                 (cell ^ " steals") true
-                (moved "parallel.steals" > 0.0))
+                (s.Explore.steals > 0))
           tables)
       engines;
     let counts, violations = Option.get !base in

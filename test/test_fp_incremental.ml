@@ -177,17 +177,17 @@ let paranoid_clean () =
   Alcotest.(check (float 0.0)) "paranoid configs" 2242.0 (metric "configs")
 
 (* A carried fingerprint that disagrees with its re-fold is counted by
-   [cross_check] and fails the search at the flush. *)
+   [cross_check] and fails the search when it ends. *)
 let paranoid_catches_mutation () =
   let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let c = Explore.fresh_counters () in
   let good = Fingerprint.hom_of_config config in
   Explore.cross_check c ~paranoid:true Explore.no_reduction good (-1) config;
-  Explore.flush_fp_counters ~engine:"test" c;
+  Explore.check_fp_mismatches ~engine:"test" c;
   Explore.cross_check c ~paranoid:true Explore.no_reduction
     (Fingerprint.extend good 0xBAD)
     (-1) config;
-  (match Explore.flush_fp_counters ~engine:"test" c with
+  (match Explore.check_fp_mismatches ~engine:"test" c with
   | () -> Alcotest.fail "a corrupted fingerprint went unnoticed"
   | exception Invalid_argument msg ->
     let contains hay needle =

@@ -4,7 +4,7 @@ module Sink = Subc_obs.Sink
 module Metrics = Subc_obs.Metrics
 module Span = Subc_obs.Span
 
-(* Every test that installs a sink must restore the null sink: the registry
+(* Every test that installs a sink must restore the null sink: the sink
    is process-global and other suites emit through it. *)
 let with_memory_sink f =
   let sink, events = Sink.memory () in
@@ -69,69 +69,72 @@ let json_tests =
           "{\"event\":\"e\\\"v\",\"k\\n\":\"v\\\\\"}" (Sink.json_of_event ev));
   ]
 
+(* The registry is process-wide: each test adds to a counter of its own,
+   and no test reads a total another test or search moves. *)
 let metrics_tests =
   [
     test "counters are interned by name" (fun () ->
-        Metrics.reset ();
         let a = Metrics.counter "obs.test.c" in
         let b = Metrics.counter "obs.test.c" in
-        Metrics.incr a;
+        Metrics.add a 1;
         Metrics.add b 4;
-        Alcotest.(check int) "both handles hit one cell" 5 (Metrics.value a);
-        Alcotest.(check (option (float 0.0))) "find sees it" (Some 5.0)
-          (Metrics.find "obs.test.c"));
-    test "gauges and snapshot" (fun () ->
-        (* The registry is process-global (other modules intern counters at
-           load time), so assert membership, not the whole snapshot. *)
-        Metrics.set_gauge "obs.test.g" 2.5;
-        Metrics.incr (Metrics.counter "obs.test.c2");
+        Alcotest.(check (option (float 0.0))) "both handles hit one cell"
+          (Some 5.0) (Metrics.find "obs.test.c"));
+    test "snapshot lists every counter, sorted by name" (fun () ->
+        Metrics.add (Metrics.counter "obs.test.c2") 1;
         let snap = Metrics.snapshot () in
-        Alcotest.(check (option (float 0.0))) "gauge present" (Some 2.5)
-          (List.assoc_opt "obs.test.g" snap);
         Alcotest.(check (option (float 0.0))) "counter present" (Some 1.0)
           (List.assoc_opt "obs.test.c2" snap);
         Alcotest.(check (list string)) "sorted by name"
           (List.sort compare (List.map fst snap))
           (List.map fst snap));
-    test "reset zeroes counters and drops gauges" (fun () ->
-        let c = Metrics.counter "obs.test.c3" in
-        Metrics.incr c;
-        Metrics.set_gauge "obs.test.g3" 1.0;
-        Metrics.reset ();
-        Alcotest.(check int) "counter zeroed" 0 (Metrics.value c);
-        Alcotest.(check (option (float 0.0))) "gauge dropped" None
-          (Metrics.find "obs.test.g3"))
+    test "emit_snapshot sends the snapshot; find misses unknown names"
+      (fun () ->
+        Alcotest.(check (option (float 0.0))) "unknown name" None
+          (Metrics.find "obs.test.never");
+        with_memory_sink (fun events ->
+            Metrics.emit_snapshot ();
+            let expected =
+              List.map (fun (k, v) -> (k, Sink.Float v)) (Metrics.snapshot ())
+            in
+            match events () with
+            | [ { Sink.name = "metrics"; fields } ] ->
+              Alcotest.(check bool) "fields are the snapshot" true
+                (fields = expected)
+            | es ->
+              Alcotest.failf "expected one metrics event, got %d"
+                (List.length es)));
   ]
+
+(* [Span.time label f] under a memory sink: [f]'s result (or exception)
+   and the seconds of the one span event it emitted. *)
+let timed label f =
+  with_memory_sink (fun events ->
+      let r = match Span.time label f with v -> Ok v | exception e -> Error e in
+      match events () with
+      | [ { Sink.name = "span"; fields } ] -> (
+        Alcotest.(check bool) "label field" true
+          (List.assoc_opt "label" fields = Some (Sink.Str label));
+        match List.assoc_opt "seconds" fields with
+        | Some (Sink.Float t) -> (r, t)
+        | _ -> Alcotest.fail "span event without seconds")
+      | es -> Alcotest.failf "expected one span event, got %d" (List.length es))
 
 let span_tests =
   [
-    test "time returns the thunk's value and accumulates" (fun () ->
-        Span.reset ();
-        Alcotest.(check int) "value through" 7
-          (Span.time "obs.test.span" (fun () -> 7));
-        let t1 =
-          match Span.total "obs.test.span" with
-          | Some t -> t
-          | None -> Alcotest.fail "no total recorded"
-        in
-        Alcotest.(check bool) "non-negative" true (t1 >= 0.0);
-        ignore (Span.time "obs.test.span" (fun () -> 0));
-        let t2 = Option.get (Span.total "obs.test.span") in
-        Alcotest.(check bool) "accumulation is monotone" true (t2 >= t1));
+    test "time returns the thunk's value and emits its seconds" (fun () ->
+        let r, t = timed "obs.test.span" (fun () -> 7) in
+        Alcotest.(check bool) "value through" true (r = Ok 7);
+        Alcotest.(check bool) "non-negative" true (t >= 0.0));
     test "a span times wall clock, not CPU time" (fun () ->
-        Span.reset ();
-        Span.time "obs.test.sleep" (fun () -> Unix.sleepf 0.05);
-        let t = Option.get (Span.total "obs.test.sleep") in
+        let _, t = timed "obs.test.sleep" (fun () -> Unix.sleepf 0.05) in
         (* Sleeping burns no CPU, so a CPU-time span would read ~0. *)
         Alcotest.(check bool)
           (Printf.sprintf "recorded %.3fs >= 0.04s" t)
           true (t >= 0.04));
-    test "a span is recorded even when the thunk raises" (fun () ->
-        Span.reset ();
-        (try Span.time "obs.test.raise" (fun () -> raise Exit)
-         with Exit -> ());
-        Alcotest.(check bool) "total present" true
-          (Span.total "obs.test.raise" <> None));
+    test "a span is emitted even when the thunk raises" (fun () ->
+        let r, _ = timed "obs.test.raise" (fun () -> raise Exit) in
+        Alcotest.(check bool) "exception through" true (r = Error Exit));
     test "time emits a span event on the current sink" (fun () ->
         with_memory_sink (fun events ->
             ignore (Span.time "obs.test.emit" (fun () -> ()));

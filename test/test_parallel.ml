@@ -10,15 +10,6 @@ open Helpers
 (* Domain count of the multi-domain side of each comparison. *)
 let jobs = 4
 
-(* The [visited.spill_bytes] counter: what spill tables have mapped. *)
-let spilled () = metric "visited.spill_bytes"
-
-(* The bytes [f] maps for spill tables. *)
-let spilled_by f =
-  let before = spilled () in
-  let r = f () in
-  (r, spilled () -. before)
-
 (* Terminal callbacks fire exactly once per terminal, serialized. *)
 let terminal_callback_count () =
   let config = root (Registry.alg2 ~k:3 ~crashes:0) in
@@ -152,11 +143,10 @@ let seq_fallback_stays_on_caller () =
     "space is below the threshold" true
     (seq.Explore.states < Parallel.default_seq_threshold);
   let module Sink = Subc_obs.Sink in
-  (* The stats, the visits made off the calling domain, the field names
-     of the search's one [explore] event and the steals counted. *)
+  (* The stats, the visits made off the calling domain and the field
+     names of the search's one [explore] event. *)
   let run ?seq_threshold () =
     let elsewhere = Atomic.make 0 in
-    let steals = metric "parallel.steals" in
     let sink, events = Sink.memory () in
     Sink.set sink;
     let stats =
@@ -175,25 +165,25 @@ let seq_fallback_stays_on_caller () =
       | [ e ] -> List.map fst e.Sink.fields
       | es -> Alcotest.failf "%d explore events, not one" (List.length es)
     in
-    (stats, Atomic.get elsewhere, fields, metric "parallel.steals" -. steals)
+    (stats, Atomic.get elsewhere, fields)
   in
   let per_domain fields =
     ( List.mem "jobs" fields,
       List.exists (String.starts_with ~prefix:"d1.") fields )
   in
-  let fallback, off_caller, fields, steals = run () in
+  let fallback, off_caller, fields = run () in
   same_counts "fallback" seq fallback;
   Alcotest.(check int) "fallback visits stay on the caller" 0 off_caller;
   Alcotest.(check (pair bool bool))
     "fallback event has no jobs or d1.* field" (false, false)
     (per_domain fields);
-  Alcotest.(check (float 0.0)) "fallback steals nothing" 0.0 steals;
-  let eager, off_caller, fields, steals = run ~seq_threshold:0 () in
+  Alcotest.(check int) "fallback steals nothing" 0 fallback.Explore.steals;
+  let eager, off_caller, fields = run ~seq_threshold:0 () in
   same_counts "eager" seq eager;
   Alcotest.(check bool) "eager visits reach the workers" true (off_caller > 0);
   Alcotest.(check (pair bool bool))
     "eager event has jobs and d1.* fields" (true, true) (per_domain fields);
-  Alcotest.(check bool) "eager helpers steal" true (steals > 0.0)
+  Alcotest.(check bool) "eager helpers steal" true (eager.Explore.steals > 0)
 
 (* The cells where the calling domain raises from its own DFS after it
    has spawned its helpers: [~seq_threshold:64] spawns them at the
@@ -361,6 +351,8 @@ let counters_merge () =
       c.states; c.transitions; c.terminals; c.hung_terminals;
       c.crashed_terminals; c.recovered_terminals; c.max_depth; c.dedup_hits;
       c.source_skips; c.fp_patches; c.fp_refolds; c.fp_mismatches;
+      c.diamonds; c.memo_hits; c.memo_evictions; c.probes; c.steals;
+      c.cas_retries;
     ]
   in
   let fill (c : Explore.counters) base =
@@ -375,7 +367,13 @@ let counters_merge () =
     c.source_skips <- base + 9;
     c.fp_patches <- base + 10;
     c.fp_refolds <- base + 11;
-    c.fp_mismatches <- base + 12
+    c.fp_mismatches <- base + 12;
+    c.diamonds <- base + 13;
+    c.memo_hits <- base + 14;
+    c.memo_evictions <- base + 15;
+    c.probes <- base + 16;
+    c.steals <- base + 17;
+    c.cas_retries <- base + 18
   in
   let a = Explore.fresh_counters () and b = Explore.fresh_counters () in
   fill a 100;
@@ -474,7 +472,7 @@ let slots_conserve_work () =
   let config = root (Registry.alg5 ~k:3) in
   let options = Search.(default |> with_max_crashes 1) in
   let seq = Search.iter_reachable ~options config ~f:(fun _ _ -> ()) in
-  let steals = metric "parallel.steals" in
+  let steals = ref 0 in
   for round = 1 to 5 do
     let cell = Printf.sprintf "round %d" round in
     let seen = Array.make jobs [] and hold = handover () in
@@ -486,6 +484,7 @@ let slots_conserve_work () =
         (Search.with_jobs jobs options) config
     in
     same_counts cell seq s;
+    steals := !steals + s.Explore.steals;
     let all = Fingerprint.Tbl.create s.Explore.states in
     Array.iter (List.iter (fun fp -> Fingerprint.Tbl.replace all fp ())) seen;
     Alcotest.(check int) (cell ^ " visits") s.Explore.states
@@ -493,8 +492,58 @@ let slots_conserve_work () =
     Alcotest.(check int) (cell ^ " distinct visits") s.Explore.states
       (Fingerprint.Tbl.length all)
   done;
-  Alcotest.(check bool) "hand-offs happen" true
-    (metric "parallel.steals" > steals)
+  Alcotest.(check bool) "hand-offs happen" true (!steals > 0)
+
+(* Two searches running at once, one per domain, each keep their own
+   figures: each run's deterministic figures equal those of the same
+   search run alone.  At one domain on the heap those include its
+   commute and probe counts; at two domains on spill, helpers spawned at
+   the root, only its fingerprint counts and mapped bytes (which memo
+   meets a node depends on the schedule, as does a shared table's
+   probing). *)
+let concurrent_runs_keep_their_counts spill_dir =
+  let config = root (Registry.alg5 ~k:3) in
+  let options =
+    Search.(default |> with_max_crashes 1 |> with_reduction Explore.source_only)
+  in
+  let heap () = parallel_run options config in
+  let spill () =
+    parallel_run ~seq_threshold:0
+      Search.(options |> with_visited (Parallel.Spill spill_dir) |> with_jobs 2)
+      config
+  in
+  let heap_figures (s : Explore.stats) =
+    [ s.fp_patches; s.fp_refolds; s.diamonds; s.memo_hits; s.probes ]
+  and spill_figures (s : Explore.stats) =
+    [ s.fp_patches; s.fp_refolds; s.spill_bytes ]
+  in
+  let heap_alone = heap () and spill_alone = spill () in
+  let ready = Atomic.make 0 in
+  let together =
+    Parallel.map ~jobs:2
+      (fun run ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        run ())
+      [ heap; spill ]
+  in
+  let positive = List.for_all (fun n -> n > 0) in
+  Alcotest.(check bool)
+    "every figure counted" true
+    (positive (heap_figures heap_alone) && positive (spill_figures spill_alone));
+  match together with
+  | [ heap_together; spill_together ] ->
+    same_counts "heap" heap_alone heap_together;
+    same_counts "spill" spill_alone spill_together;
+    Alcotest.(check (list int))
+      "heap patches, re-folds, diamonds, memo hits, probes"
+      (heap_figures heap_alone) (heap_figures heap_together);
+    Alcotest.(check (list int))
+      "spill patches, re-folds, mapped bytes" (spill_figures spill_alone)
+      (spill_figures spill_together)
+  | _ -> assert false
 
 (* ---------------------------------------------------------------- *)
 (* Claim table: claim-once under forced probe collisions.            *)
@@ -771,14 +820,15 @@ let spill_paranoid_exact spill_dir =
         |> with_paranoid paranoid |> with_max_crashes 1 |> with_jobs jobs)
       config
   in
-  let before = spilled () in
   let exact = run ~paranoid:true in
   same_counts "paranoid spill" seq exact;
   Alcotest.(check (float 0.0))
     "exact keys, no collision bound" 0.0 exact.Explore.collision_bound;
-  Alcotest.(check (float 0.0)) "nothing spilled" before (spilled ());
-  same_counts "spill" seq (run ~paranoid:false);
-  Alcotest.(check bool) "plain spill maps its table" true (spilled () > before)
+  Alcotest.(check int) "nothing spilled" 0 exact.Explore.spill_bytes;
+  let plain = run ~paranoid:false in
+  same_counts "spill" seq plain;
+  Alcotest.(check bool) "plain spill maps its table" true
+    (plain.Explore.spill_bytes > 0)
 
 (* ---------------------------------------------------------------- *)
 (* Parallel.map.                                                     *)
@@ -806,20 +856,19 @@ let bound (s : Explore.stats) = s.Explore.collision_bound
 let omitted_mode_is_heap () =
   let config = root (Registry.alg5 ~k:3) in
   let run o =
-    spilled_by (fun () ->
-        Search.iter_terminals
-          ~options:Search.(with_max_crashes 1 o |> with_jobs jobs)
-          config ~f:(fun _ _ -> ()))
+    Search.iter_terminals
+      ~options:Search.(with_max_crashes 1 o |> with_jobs jobs)
+      config ~f:(fun _ _ -> ())
   in
-  let omitted, omitted_spilled = run Search.default in
-  let heap, _ = run Search.(with_visited Parallel.Heap default) in
+  let omitted = run Search.default in
+  let heap = run Search.(with_visited Parallel.Heap default) in
   Alcotest.(check (float 0.0)) "heap bound" (bound heap) (bound omitted);
-  Alcotest.(check (float 0.0)) "omitted maps nothing" 0.0 omitted_spilled
+  Alcotest.(check int) "omitted maps nothing" 0 omitted.Explore.spill_bytes
 
 (* A spill table at one job maps its table like one at two, leaves no
    file behind and reports the same counts as the heap and the same
-   bound as two jobs.  The search's [parallel.visited_bytes] gauge, the
-   visited table's heap footprint, reads at most half the heap table's. *)
+   bound as two jobs.  Its [visited_bytes], the visited table's heap
+   footprint, reads at most half the heap table's. *)
 let spill_at_one_job spill_dir =
   let config = root (Registry.alg5 ~k:3) in
   let run j visited =
@@ -831,15 +880,15 @@ let spill_at_one_job spill_dir =
       ~f:(fun _ _ -> ())
   in
   let heap = run 1 Parallel.Heap in
-  let heap_bytes = metric "parallel.visited_bytes" in
-  let spill, mapped = spilled_by (fun () -> run 1 (Parallel.Spill spill_dir)) in
-  let spill_bytes = metric "parallel.visited_bytes" in
+  let spill = run 1 (Parallel.Spill spill_dir) in
+  let heap_bytes = heap.Explore.visited_bytes
+  and spill_bytes = spill.Explore.visited_bytes in
   same_counts "spill vs heap at one job" heap spill;
-  Alcotest.(check bool) "the heap table's bytes" true (heap_bytes > 0.0);
-  if 2.0 *. spill_bytes > heap_bytes then
-    Alcotest.failf "spill keeps %.0f B on the heap, over half the heap's %.0f B"
+  Alcotest.(check bool) "the heap table's bytes" true (heap_bytes > 0);
+  if 2 * spill_bytes > heap_bytes then
+    Alcotest.failf "spill keeps %d B on the heap, over half the heap's %d B"
       spill_bytes heap_bytes;
-  Alcotest.(check bool) "a mapped table" true (mapped > 0.0);
+  Alcotest.(check bool) "a mapped table" true (spill.Explore.spill_bytes > 0);
   Alcotest.(check (array string))
     "no file left behind" [||] (Sys.readdir spill_dir);
   Alcotest.(check (float 0.0))
@@ -848,8 +897,8 @@ let spill_at_one_job spill_dir =
     (bound spill)
 
 (* Two searches running at once on separate domains each keep the
-   visited table their own options name: together they map exactly what
-   the spill search maps alone. *)
+   visited table their own options name: each maps exactly what it maps
+   alone. *)
 let concurrent_searches_keep_their_modes spill_dir =
   let config = root (Registry.alg5 ~k:3) in
   let run v =
@@ -861,17 +910,16 @@ let concurrent_searches_keep_their_modes spill_dir =
       ~f:(fun _ _ -> ())
   in
   let modes = [ Parallel.Heap; Parallel.Spill spill_dir ] in
-  let alone, alone_mapped = spilled_by (fun () -> List.map run modes) in
-  let together, together_mapped =
-    spilled_by (fun () -> Parallel.map ~jobs:2 run modes)
-  in
+  let alone = List.map run modes in
+  let together = Parallel.map ~jobs:2 run modes in
   List.iter2
     (fun (v, a) t ->
       let label = Format.asprintf "%a" Parallel.pp_visited v in
       same_counts label a t;
-      Alcotest.(check (float 0.0)) (label ^ " bound") (bound a) (bound t))
-    (List.combine modes alone) together;
-  Alcotest.(check (float 0.0)) "mapped bytes" alone_mapped together_mapped
+      Alcotest.(check (float 0.0)) (label ^ " bound") (bound a) (bound t);
+      Alcotest.(check int)
+        (label ^ " mapped bytes") a.Explore.spill_bytes t.Explore.spill_bytes)
+    (List.combine modes alone) together
 
 let suite =
   [
@@ -905,6 +953,8 @@ let suite =
           (in_temp_dir claim_table_private_then_shared);
         test "hand-off slots conserve work under steal/drain races"
           slots_conserve_work;
+        test "concurrent runs keep their own counts"
+          (in_temp_dir concurrent_runs_keep_their_counts);
         test "claim table claims once (forced collisions)"
           (in_temp_dir claim_table_forced_collision);
         test "spill table leaves existing files alone"
