@@ -12,19 +12,27 @@
     runs solo forever (the signature of a merely lock-free construction) or
     hangs.
 
-    {b The solo memo.}  Solo distances are memoized in one table per
-    process, keyed by the configuration's homomorphic fingerprint
-    ({!Subc_sim.Fingerprint.hom_of_config}'s value) and never re-folded:
-    a visited configuration's key is the one the search carried
-    ({!Subc_sim.Search.iter_reachable_fp}; a re-fold under symmetry), and
-    each solo successor's is patched from its parent's
-    ({!Subc_sim.Explore.patched_fingerprint}).  While a configuration's
-    distance is being computed its entry reads [on_path]; meeting such an
-    entry again is a revisit on the current solo path — an infinite solo
-    run, refuted as non-termination.  Under [options.paranoid] every
-    configuration the memo takes is re-folded and compared with its
-    patched key; a disagreement raises [Invalid_argument].  At [jobs > 1]
-    each domain keeps its own tables.
+    {b The solo memo.}  A solo run of process [p] reads and writes only
+    the store and [p]'s own slot, so its distance is a function of
+    (store, [p]'s state).  Solo distances are memoized in one table per
+    process, keyed by that projection's homomorphic fingerprint:
+    {!Subc_sim.Fingerprint.hom_base}, plus every store slot's
+    {!Subc_sim.Fingerprint.mix_store_slot}, plus [p]'s
+    {!Subc_sim.Fingerprint.mix_proc_slot}.  Configurations that differ
+    only in other processes share an entry.  A visited configuration's
+    keys are computed from its own slots: each domain keeps the store
+    sum and every process's slot mix of the configuration it visited
+    last, and patches only the slots that changed
+    ({!Subc_sim.Store.diff}, and the cached proc record).  Each solo
+    successor's key is patched from its parent's
+    ({!Subc_sim.Explore.patched_fingerprint}: a solo step rewrites only
+    [p]'s slot and store slots).  While a solo state's distance is being
+    computed its entry reads [on_path]; meeting such an entry again is a
+    revisit on the current solo path — an infinite solo run, refuted as
+    non-termination.  Under [options.paranoid] every key the memo takes
+    is compared with a from-scratch fold of (store, [p]); a disagreement
+    raises [Invalid_argument].  At [jobs > 1] each domain keeps its own
+    tables and caches ({!Subc_sim.Search.iter_reachable_by_domain}).
 
     {!check_t_resilient} checks the weaker property that no execution with at most
     [t] crashes runs forever (and none hangs a process) — termination

@@ -734,17 +734,13 @@ let enabled_groups ~max_crashes ~max_recoveries config =
    homomorphic combine is an abelian group per lane. *)
 let patched_fingerprint parent fp (s : Step.slots) child =
   let i = s.Step.sl_proc in
-  let fp =
-    Fingerprint.hom_patch_proc fp i parent.Config.procs.(i)
-      child.Config.procs.(i)
-  in
-  List.fold_left
-    (fun fp ((h : Store.handle), v') ->
-      Fingerprint.hom_patch_store fp
-        (h :> int)
-        (Store.state parent.Config.store h)
-        v')
-    fp s.Step.sl_store
+  let oldp = parent.Config.procs.(i) and newp = child.Config.procs.(i) in
+  let ctx = Fingerprint.patching fp in
+  Fingerprint.patch_proc_by ctx Fingerprint.feed_value i oldp
+    oldp.Config.history newp newp.Config.history;
+  Fingerprint.patch_stores_by ctx Fingerprint.feed_value parent.Config.store
+    s.Step.sl_store;
+  Fingerprint.patched ctx
 
 (* The child's carried fingerprint: the parent's, patched through the
    transition's slots — under symmetry, as the image under the parent's

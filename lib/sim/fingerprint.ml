@@ -37,9 +37,12 @@ let m2 = 0x27D4EB2F165667C5
 let seed1 = 0x1CE1E5B9F352D9F3
 let seed2 = 0x31E2B5A7C94F6E2D
 
-type ctx = { mutable a : int; mutable b : int }
+(* [a], [b]: the stream being fed.  [s1], [s2]: a homomorphic sum that
+   finished streams are folded into ([fold_in]), so a patch of several
+   slots allocates its one result and nothing per slot. *)
+type ctx = { mutable a : int; mutable b : int; mutable s1 : int; mutable s2 : int }
 
-let create () = { a = seed1; b = seed2 }
+let create () = { a = seed1; b = seed2; s1 = 0; s2 = 0 }
 
 let[@inline] feed ctx x =
   let a = (ctx.a + x) * m1 in
@@ -144,15 +147,16 @@ let reset ctx =
   ctx.a <- seed1;
   ctx.b <- seed2
 
-(* [hom_add acc (finish ctx)] ([sign] = 1) or [hom_sub acc (finish ctx)]
-   ([sign] = -1) in one allocation, leaving [ctx] fresh for the next mix:
-   a patch mixes every slot it touches through one context. *)
-let fold_in ctx sign acc =
-  let r =
-    { h1 = acc.h1 + (sign * fin ctx.a m2); h2 = acc.h2 lxor fin ctx.b m1 }
-  in
-  reset ctx;
-  r
+(* Add ([sign] = 1) or subtract ([sign] = -1) the finished stream to the
+   context's sum, leaving the stream fresh for the next mix: a patch
+   mixes every slot it touches through one context. *)
+let fold_in ctx sign =
+  ctx.s1 <- ctx.s1 + (sign * fin ctx.a m2);
+  ctx.s2 <- ctx.s2 lxor fin ctx.b m1;
+  reset ctx
+
+let patching fp = { a = seed1; b = seed2; s1 = fp.h1; s2 = fp.h2 }
+let patched ctx = { h1 = ctx.s1; h2 = ctx.s2 }
 
 (* Every mix of a value feeds it through [feed_v]: [feed_value] for a
    configuration's own slots, [Symmetry]'s fused action for the slots of
@@ -209,20 +213,21 @@ let feed_proc_hist ctx feed_v i r v =
   feed ctx r;
   feed_v ctx v
 
+let rec fold_hist_entries ctx feed_v i r = function
+  | [] -> ()
+  | v :: vs ->
+    feed_proc_hist ctx feed_v i r v;
+    fold_in ctx 1;
+    fold_hist_entries ctx feed_v i (r - 1) vs
+
 (* The whole slot at once, over [history] (the re-fold path and the
    algebraic tests); the patch path below never calls this on a step. *)
 let mix_proc_slot_by feed_v i (p : Config.proc) history =
   let ctx = create () in
-  let rec go acc r = function
-    | [] -> acc
-    | v :: vs ->
-      feed_proc_hist ctx feed_v i r v;
-      go (fold_in ctx 1 acc) (r - 1) vs
-  in
   feed_proc_control ctx feed_v i p;
-  let control = finish ctx in
-  reset ctx;
-  go control (List.length history - 1) history
+  fold_in ctx 1;
+  fold_hist_entries ctx feed_v i (List.length history - 1) history;
+  patched ctx
 
 let mix_proc_slot i (p : Config.proc) =
   mix_proc_slot_by feed_value i p p.Config.history
@@ -268,67 +273,62 @@ let same_control (a : Config.proc) (b : Config.proc) =
    the loop mixes exactly one entry; crash (history cleared) and
    recovery (restart) pay their own length, which their budgets
    bound. *)
-let fold_hist ctx feed_v i sign fp r v =
+let fold_hist ctx feed_v i sign r v =
   feed_proc_hist ctx feed_v i r v;
-  fold_in ctx sign fp
+  fold_in ctx sign
 
-let rec hist_patch ctx feed_v i fp oldh ro newh rn =
-  if oldh == newh then fp
+let rec hist_patch ctx feed_v i oldh ro newh rn =
+  if oldh == newh then ()
   else if ro > rn then
     match oldh with
     | v :: tl ->
-      hist_patch ctx feed_v i (fold_hist ctx feed_v i (-1) fp ro v) tl (ro - 1)
-        newh rn
+      fold_hist ctx feed_v i (-1) ro v;
+      hist_patch ctx feed_v i tl (ro - 1) newh rn
     | [] -> assert false
   else if rn > ro then
     match newh with
     | v :: tl ->
-      hist_patch ctx feed_v i (fold_hist ctx feed_v i 1 fp rn v) oldh ro tl
-        (rn - 1)
+      fold_hist ctx feed_v i 1 rn v;
+      hist_patch ctx feed_v i oldh ro tl (rn - 1)
     | [] -> assert false
   else
     match (oldh, newh) with
-    | [], [] -> fp
+    | [], [] -> ()
     | vo :: to_, vn :: tn ->
-      let fp =
-        if vo == vn then fp
-        else
-          fold_hist ctx feed_v i 1 (fold_hist ctx feed_v i (-1) fp ro vo) rn vn
-      in
-      hist_patch ctx feed_v i fp to_ (ro - 1) tn (rn - 1)
+      if vo != vn then begin
+        fold_hist ctx feed_v i (-1) ro vo;
+        fold_hist ctx feed_v i 1 rn vn
+      end;
+      hist_patch ctx feed_v i to_ (ro - 1) tn (rn - 1)
     | _ -> assert false
 
-let hom_patch_proc_by feed_v fp i oldp oldh newp newh =
-  let ctx = create () in
-  let fp =
-    if same_control oldp newp then fp
-    else begin
-      feed_proc_control ctx feed_v i oldp;
-      let fp = fold_in ctx (-1) fp in
-      feed_proc_control ctx feed_v i newp;
-      fold_in ctx 1 fp
-    end
-  in
-  if oldh == newh then fp
-  else
-    hist_patch ctx feed_v i fp oldh
+let patch_proc_by ctx feed_v i oldp oldh newp newh =
+  if not (same_control oldp newp) then begin
+    feed_proc_control ctx feed_v i oldp;
+    fold_in ctx (-1);
+    feed_proc_control ctx feed_v i newp;
+    fold_in ctx 1
+  end;
+  if oldh != newh then
+    hist_patch ctx feed_v i oldh
       (List.length oldh - 1)
       newh
       (List.length newh - 1)
 
 let hom_patch_proc fp i oldp newp =
-  hom_patch_proc_by feed_value fp i oldp oldp.Config.history newp
-    newp.Config.history
+  let ctx = patching fp in
+  patch_proc_by ctx feed_value i oldp oldp.Config.history newp
+    newp.Config.history;
+  patched ctx
 
-let hom_patch_store_by feed_v fp h oldv newv =
-  let ctx = create () in
-  feed_store_slot ctx feed_v h oldv;
-  let fp = fold_in ctx (-1) fp in
-  feed_store_slot ctx feed_v h newv;
-  fold_in ctx 1 fp
-
-let hom_patch_store fp h oldv newv =
-  hom_patch_store_by feed_value fp h oldv newv
+let rec patch_stores_by ctx feed_v old = function
+  | [] -> ()
+  | (h, v) :: rest ->
+    feed_store_slot ctx feed_v (h : Store.handle :> int) (Store.state old h);
+    fold_in ctx (-1);
+    feed_store_slot ctx feed_v (h :> int) v;
+    fold_in ctx 1;
+    patch_stores_by ctx feed_v old rest
 
 (* Re-open a finished fingerprint and mix one more word into both lanes.
    Used to key (configuration, sleep set) pairs: the state fingerprint is
@@ -338,9 +338,9 @@ let hom_patch_store fp h oldv newv =
    [finish], so [extend fp x] is as well-mixed as fingerprinting the
    extended stream directly; an empty extension is the identity. *)
 let extend t x =
-  let ctx = { a = t.h1; b = t.h2 } in
-  feed ctx x;
-  finish ctx
+  let a = (t.h1 + x) * m1 in
+  let b = (t.h2 lxor x) * m2 in
+  { h1 = fin (a lxor (a lsr 29)) m2; h2 = fin (b lxor (b lsr 31)) m1 }
 
 (* Visited-set keys: the fingerprint fast path, or the exact canonical
    [Value.t] key under [~paranoid] (collisions impossible, memory heavy —

@@ -103,10 +103,6 @@ val hom_patch_proc : t -> int -> Config.proc -> Config.proc -> t
     contribution: subtract [mix_proc_slot i old], add
     [mix_proc_slot i new_]. *)
 
-val hom_patch_store : t -> int -> Value.t -> Value.t -> t
-(** [hom_patch_store fp h old new_] rewrites store slot [h]'s
-    contribution. *)
-
 (** {2 Mixes through a value feeder}
 
     The mixes above with every value fed through [feed] instead of
@@ -124,26 +120,42 @@ val mix_proc_slot_by :
     [p] with [history] in place of [p]'s own (a symmetry key passes the
     live history, empty for a finished process). *)
 
-val hom_patch_proc_by :
+val erased_store : t
+(** The contribution that stands for a whole store a symmetry key
+    erases (a terminal configuration's with no crashed process). *)
+
+(** {2 Patches through one context}
+
+    A transition rewrites one process slot and a few store slots.  Its
+    patch opens one context on the parent's fingerprint ({!patching}),
+    rewrites each slot's contribution in it, and allocates only the
+    result ({!patched}). *)
+
+val patching : t -> ctx
+(** A context whose sum starts at the given fingerprint. *)
+
+val patched : ctx -> t
+(** The context's sum: the patched fingerprint. *)
+
+val patch_proc_by :
+  ctx ->
   (ctx -> Value.t -> unit) ->
-  t ->
   int ->
   Config.proc ->
   Value.t list ->
   Config.proc ->
   Value.t list ->
-  t
-(** [hom_patch_proc_by feed fp i old oldh new_ newh] rewrites slot
-    [i]'s contribution from [mix_proc_slot_by feed i old oldh] to
+  unit
+(** [patch_proc_by ctx feed i old oldh new_ newh] rewrites slot [i]'s
+    contribution from [mix_proc_slot_by feed i old oldh] to
     [mix_proc_slot_by feed i new_ newh], mixing only the history
     entries past the lists' shared tail. *)
 
-val hom_patch_store_by :
-  (ctx -> Value.t -> unit) -> t -> int -> Value.t -> Value.t -> t
-
-val erased_store : t
-(** The contribution that stands for a whole store a symmetry key
-    erases (a terminal configuration's with no crashed process). *)
+val patch_stores_by :
+  ctx -> (ctx -> Value.t -> unit) -> Store.t -> (Store.handle * Value.t) list -> unit
+(** [patch_stores_by ctx feed old slots] rewrites each listed store
+    slot's contribution from its state in [old] to the listed state
+    (a [Step.slots]' [sl_store] against the parent's store). *)
 
 (** {1 Visited-set keys} *)
 

@@ -136,7 +136,7 @@ and global = {
   onstack : unit Fingerprint.Ktbl.t option;
   (* Called with the running domain's id, with no lock held. *)
   on_terminal : int -> Config.t -> Trace.t -> unit;
-  on_visit : int -> Config.t -> Fingerprint.t -> Trace.t Lazy.t -> unit;
+  on_visit : int -> Config.t -> Trace.t Lazy.t -> unit;
 }
 
 (* What only a search with helpers needs. *)
@@ -272,7 +272,7 @@ let rec dfs ctx config fp win rev_trace depth sleep =
         c.states <- c.states + 1;
         if c.states >= ctx.spawn_at then spawn ctx;
         Explore.cross_check c ~paranoid:g.paranoid g.reduction fp win config;
-        g.on_visit ctx.id config fp (lazy (List.rev rev_trace));
+        g.on_visit ctx.id config (lazy (List.rev rev_trace));
         if Explore.count_terminal c config then
           g.on_terminal ctx.id config (List.rev rev_trace);
         let groups, skips =

@@ -98,7 +98,7 @@ val run :
   find_cycle:bool ->
   jobs:int ->
   on_terminal:(int -> Config.t -> Trace.t -> unit) ->
-  on_visit:(int -> Config.t -> Fingerprint.t -> Trace.t Lazy.t -> unit) ->
+  on_visit:(int -> Config.t -> Trace.t Lazy.t -> unit) ->
   string ->
   Config.t ->
   Explore.stats * Trace.t option
@@ -111,11 +111,7 @@ val run :
     {!Explore.Stop} to end the search gracefully; any other exception is
     re-raised once every domain has joined.  The search
     knobs mean what the {!Search.options} fields of the same names mean.
-    [on_visit] also receives the node's carried homomorphic fingerprint
-    ({!Explore.node_key}, patched along every transition): the visited
-    configuration's on the symmetry-off lanes, its orbit winner's
-    image's under symmetry.  [label] names the
-    search in the [explore] observability event.
+    [label] names the search in the [explore] observability event.
 
     Under [~find_cycle] the search runs at one domain whatever [jobs]
     says and also keeps the keys on its DFS stack: the first back-edge

@@ -40,7 +40,7 @@ let with_jobs n o = { o with jobs = max 1 n }
 let with_visited v o = { o with visited = v }
 
 let no_terminal _ _ _ = ()
-let no_visit _ _ _ _ = ()
+let no_visit _ _ _ = ()
 
 (* Every search, at any [jobs]: the one engine. *)
 let search ?seq_threshold ~find_cycle ~on_terminal ~on_visit label o config =
@@ -100,18 +100,10 @@ let reachable ~on_visit options config =
     (without_source_sets options) config
 
 let iter_reachable ?(options = default) config ~f =
-  reachable ~on_visit:(fun _ c _ trace -> f c trace) options config
+  reachable ~on_visit:(fun _ c trace -> f c trace) options config
 
-(* Under symmetry the engine's carried fingerprint keys the orbit
-   winner's image, not the visited configuration, so there the visited
-   configuration is re-folded. *)
-let iter_reachable_fp ?(options = default) config ~f =
-  let on_visit =
-    match options.reduction.Explore.symmetry with
-    | None -> f
-    | Some _ -> fun id c _ trace -> f id c (Fingerprint.hom_of_config c) trace
-  in
-  reachable ~on_visit options config
+let iter_reachable_by_domain ?(options = default) config ~f =
+  reachable ~on_visit:f options config
 
 let check_terminals ?(options = default) config ~ok =
   (* [ok] runs on every domain at once; the first counterexample to land

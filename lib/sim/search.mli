@@ -32,7 +32,7 @@
     wins through an [Atomic] cell),
     [f] in {!fold_terminals} (which folds one accumulator per domain, so
     [f] needs no lock for its own accumulator), and [f] in
-    {!iter_reachable} and {!iter_reachable_fp}.  Under
+    {!iter_reachable} and {!iter_reachable_by_domain}.  Under
     symmetry one representative per orbit is reported, so checked
     properties must be renaming-invariant.  At one domain the visit order, and so the
     witness a search returns, is fixed; at more it depends on the
@@ -137,22 +137,14 @@ val iter_reachable :
     stripped: reachability consumers want every state, not a reduced
     cover. *)
 
-val iter_reachable_fp :
+val iter_reachable_by_domain :
   ?options:options ->
   Config.t ->
-  f:(int -> Config.t -> Fingerprint.t -> Trace.t Lazy.t -> unit) ->
+  f:(int -> Config.t -> Trace.t Lazy.t -> unit) ->
   Explore.stats
-(** {!iter_reachable} with the visiting domain's id, in [0 .. jobs - 1]
-    (the calling domain is [0]; a caller can keep one memo per id with
-    no lock), and each configuration's homomorphic fingerprint
-    ({!Fingerprint.hom_of_config}'s value): on the symmetry-off lanes the
-    one the search carried, patched from the parent's at no extra cost;
-    under symmetry, where the carried fingerprint is the orbit winner's
-    image's, a re-fold of the visited configuration.  A caller that keys
-    its own memo by this value can patch it along further steps
-    ({!Explore.patched_fingerprint}) instead of re-folding.
-    {!iter_reachable} is the same search without the fingerprint (so
-    without the re-fold under symmetry). *)
+(** {!iter_reachable} with the visiting domain's id, in [0 .. jobs - 1]:
+    the calling domain is [0], so a caller can keep one memo or cache per
+    id with no lock. *)
 
 val check_terminals :
   ?options:options ->

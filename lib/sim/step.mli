@@ -20,7 +20,7 @@ val pp_event : Format.formatter -> event -> unit
     the listed store slots (increasing handle order; [[]] when the store
     is physically shared with the parent).  The explorer patches these
     into the parent's homomorphic fingerprint
-    ({!Fingerprint.hom_patch_proc} / {!Fingerprint.hom_patch_store})
+    ({!Fingerprint.patch_proc_by} / {!Fingerprint.patch_stores_by})
     instead of re-folding the whole configuration.  (No engine builds
     {!Config.Delta} links; the benchmark's per-layer probe does.) *)
 type slots = { sl_proc : int; sl_store : (Store.handle * Value.t) list }

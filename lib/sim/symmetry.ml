@@ -399,31 +399,27 @@ let image_fingerprint t g (c : Config.t) =
     c.Config.procs;
   !acc
 
-let rec patch_slots feed fp store = function
-  | [] -> fp
-  | ((h : Store.handle), v) :: rest ->
-    patch_slots feed
-      (Fingerprint.hom_patch_store_by feed fp (h :> int)
-         (Store.state store h) v)
-      store rest
-
 let patch_image t g fp (parent : Config.t) (s : Step.slots) (child : Config.t) =
   let feed = t.feeds.(g) and i = s.Step.sl_proc in
   let oldp = parent.Config.procs.(i) and newp = child.Config.procs.(i) in
-  let fp =
-    Fingerprint.hom_patch_proc_by feed fp t.elems.(g).pi.(i) oldp
-      (live_history t oldp) newp (live_history t newp)
-  in
+  let ctx = Fingerprint.patching fp in
+  Fingerprint.patch_proc_by ctx feed t.elems.(g).pi.(i) oldp
+    (live_history t oldp) newp (live_history t newp);
   if erases_store t child then begin
     (* A configuration with a successor can step or recover, so its own
        store was not erased: it is in [fp], slot by slot. *)
-    let acc = ref (Fingerprint.hom_add fp Fingerprint.erased_store) in
+    let acc =
+      ref (Fingerprint.hom_add (Fingerprint.patched ctx) Fingerprint.erased_store)
+    in
     Store.iter parent.Config.store (fun h st ->
         acc :=
           Fingerprint.hom_sub !acc (Fingerprint.mix_store_slot_by feed h st));
     !acc
   end
-  else patch_slots feed fp parent.Config.store s.Step.sl_store
+  else begin
+    Fingerprint.patch_stores_by ctx feed parent.Config.store s.Step.sl_store;
+    Fingerprint.patched ctx
+  end
 
 let canonical_fingerprint t c =
   let g, mins = canonical_winner t c in

@@ -8,7 +8,7 @@ let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
    every search knob comes from [options].  [on_terminal] is serialized
    under a lock, as [Search.iter_terminals] serializes its [f]. *)
 let parallel_run ?seq_threshold
-    ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ _ _ -> ())
+    ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ _ -> ())
     (o : Search.options) config =
   let lock = Mutex.create () in
   let on_terminal _ c trace =
@@ -185,7 +185,7 @@ let in_temp_dir f () =
    which no helper visits; the wait then runs out.) *)
 let handover () =
   let seen = ref 0 and helped = Atomic.make false in
-  fun id _ _ _ ->
+  fun id _ _ ->
     if id <> 0 then Atomic.set helped true
     else begin
       incr seen;
@@ -278,7 +278,7 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
               | None -> Search.iter_terminals ~options config ~f:on_terminal
               | Some _ ->
                 let on_visit =
-                  if steals then handover () else fun _ _ _ _ -> ()
+                  if steals then handover () else fun _ _ _ -> ()
                 in
                 parallel_run ?seq_threshold ~on_terminal ~on_visit options
                   config

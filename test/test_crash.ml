@@ -246,18 +246,6 @@ let spinner_harness ~checkpoint =
   in
   (store, [ spinner; writer ])
 
-(* Acceptance criterion: a deliberately lock-free-only construction yields
-   a counterexample schedule, not a certificate. *)
-let spinner_counterexample () =
-  let store, programs = spinner_harness ~checkpoint:true in
-  match Progress.check_wait_free store ~programs with
-  | Verdict.Refuted { reason; trace; _ } ->
-    Alcotest.(check bool) "the spinner is the culprit" true
-      (contains reason "process 0 does not terminate running solo");
-    Alcotest.(check bool) "counterexample has a schedule" true
-      (Trace.length trace > 0)
-  | v -> Alcotest.failf "spinner not refuted: %a" Verdict.pp_summary v
-
 (* The refutation's trace replays from the root, and [proc] is still
    running (a spinner) or hung (an illegal invocation) at its end. *)
 let replays_to store programs trace ~proc ~status =
@@ -267,6 +255,21 @@ let replays_to store programs trace ~proc ~status =
       (status c.Config.procs.(proc).Config.status)
   | Error { Replay.at; reason } ->
     Alcotest.failf "witness does not replay (event %d: %s)" at reason
+
+(* Acceptance criterion: a deliberately lock-free-only construction yields
+   a counterexample schedule, not a certificate. *)
+let spinner_counterexample () =
+  let store, programs = spinner_harness ~checkpoint:true in
+  match Progress.check_wait_free store ~programs with
+  | Verdict.Refuted { reason; trace; _ } ->
+    Alcotest.(check bool) "the spinner is the culprit" true
+      (contains reason "process 0 does not terminate running solo");
+    Alcotest.(check bool) "counterexample has a schedule" true
+      (Trace.length trace > 0);
+    replays_to store programs trace ~proc:0 ~status:(function
+      | Config.Running _ -> true
+      | _ -> false)
+  | v -> Alcotest.failf "spinner not refuted: %a" Verdict.pp_summary v
 
 (* Process 0 invokes a 1sWRN twice on one index, which hangs it. *)
 let reused_index_harness () =

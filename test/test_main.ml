@@ -9,5 +9,5 @@ let () =
    @ Test_edge.suite @ Test_refinement.suite @ Test_crash.suite
    @ Test_properties.suite @ Test_reduction.suite @ Test_analysis.suite
    @ Test_obs.suite @ Test_parallel.suite @ Test_recovery.suite
-   @ Test_fp_incremental.suite @ Test_determinism.suite
+   @ Test_fp_incremental.suite @ Test_progress.suite @ Test_determinism.suite
    @ Test_experiments.suite)

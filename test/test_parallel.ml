@@ -55,7 +55,7 @@ let fold_merges_per_domain_sums () =
   (* Ids outside [0, jobs) count in the last cell. *)
   let visits = Array.make (jobs + 1) 0 in
   let s =
-    parallel_run ~seq_threshold:0 options config ~on_visit:(fun id _ _ _ ->
+    parallel_run ~seq_threshold:0 options config ~on_visit:(fun id _ _ ->
         let i = if id >= 0 && id < jobs then id else jobs in
         visits.(i) <- visits.(i) + 1)
   in
@@ -154,7 +154,7 @@ let seq_fallback_stays_on_caller () =
         ~finally:(fun () -> Sink.set Sink.null)
         (fun () ->
           parallel_run ?seq_threshold
-            ~on_visit:(fun id _ _ _ -> if id <> 0 then Atomic.incr elsewhere)
+            ~on_visit:(fun id _ _ -> if id <> 0 then Atomic.incr elsewhere)
             Search.(
               default |> with_max_crashes 1
               |> with_jobs jobs)
@@ -192,7 +192,7 @@ let seq_fallback_stays_on_caller () =
 let caller_after_spawn ?(pause = 0.0) ?exn options config =
   let seen = ref 0 in
   parallel_run ~seq_threshold:64
-    ~on_visit:(fun id _ _ _ ->
+    ~on_visit:(fun id _ _ ->
       if id = 0 then begin
         incr seen;
         if !seen = 200 then begin
@@ -478,9 +478,9 @@ let slots_conserve_work () =
     let seen = Array.make jobs [] and hold = handover () in
     let s =
       parallel_run ~seq_threshold:0
-        ~on_visit:(fun id c fp t ->
-          hold id c fp t;
-          seen.(id) <- fp :: seen.(id))
+        ~on_visit:(fun id c t ->
+          hold id c t;
+          seen.(id) <- Fingerprint.hom_of_config c :: seen.(id))
         (Search.with_jobs jobs options) config
     in
     same_counts cell seq s;
