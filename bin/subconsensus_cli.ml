@@ -179,17 +179,6 @@ let jobs_arg =
            search: stolen subtrees prune identically to the sequential \
            explorer.")
 
-let spill_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "spill" ] ~docv:"DIR"
-        ~doc:
-          "Out-of-core mode: keep the visited table in mmap'd files under \
-           $(docv) (created if absent; each file is unlinked once mapped, \
-           so nothing persists), 16 bytes per slot.  Heap residency drops \
-           to bookkeeping; keys, counts and the collision bound are those \
-           of the heap table, at any $(b,--jobs).")
-
 let certified_arg =
   Arg.(
     value & flag
@@ -223,7 +212,7 @@ type search = {
 let opt with_ x o = match x with None -> o | Some v -> with_ v o
 
 let search_term ?(n = Term.const 0) crashes =
-  let resolve alg n k f r deadline max_states jobs spill choice certified () =
+  let resolve alg n k f r deadline max_states jobs choice certified () =
     let entry = Option.get (Registry.find alg) in
     let h = harness_of entry ~n ~k ~crashes:(max f r) in
     let reduction = reduction_of ~certified entry choice h in
@@ -235,7 +224,6 @@ let search_term ?(n = Term.const 0) crashes =
       |> Search.with_jobs jobs
       |> opt Search.with_deadline deadline
       |> opt Search.with_reduction reduction
-      |> opt (fun dir -> Search.with_visited (Parallel.Spill dir)) spill
     in
     { alg; h; crashes = f; options }
   in
@@ -243,7 +231,7 @@ let search_term ?(n = Term.const 0) crashes =
     const resolve
     $ alg_arg [ "alg2"; "alg3"; "alg5"; "alg6" ]
     $ n $ k_arg $ crashes $ recoveries_arg $ deadline_arg $ max_states_arg
-    $ jobs_arg $ spill_arg $ reduction_arg $ certified_arg)
+    $ jobs_arg $ reduction_arg $ certified_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check: one verdict per invocation, under the shared contract.       *)
@@ -287,10 +275,6 @@ let explore_cmd =
              fields =
                ("alg", Obs.Sink.Str alg)
                :: ("jobs", Obs.Sink.Int options.Search.jobs)
-               :: ( "visited",
-                    Obs.Sink.Str
-                      (Format.asprintf "%a" Parallel.pp_visited
-                         options.Search.visited) )
                :: ("reduction", Obs.Sink.Str reduction)
                :: Explore.stats_fields stats;
            })

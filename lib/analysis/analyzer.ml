@@ -35,6 +35,9 @@ let flaw_verdict f =
    refutations of the same reachability obligations. *)
 let guarded f = try f () with Reach.Flaw flaw -> flaw_verdict flaw
 
+(* The subject's group, as its reports name it. *)
+let group (s : Subject.t) = Symmetry.group_name s.Subject.symmetry
+
 let space_metrics (space : Reach.space) =
   [
     ("states", float_of_int space.Reach.n_states);
@@ -102,7 +105,7 @@ let sourceset_verdict (s : Subject.t) space =
              (Printf.sprintf
                 "independence %s-equivariant (%d triples); independent \
                  steps stay applicable (%d diamond edges) on %d states"
-                s.Subject.group_name st.Sourceset.equivariance_checks
+                (group s) st.Sourceset.equivariance_checks
                 st.Sourceset.diamond_checks st.Sourceset.states)))
 
 let equivariance_verdict (s : Subject.t) space =
@@ -123,7 +126,7 @@ let equivariance_verdict (s : Subject.t) space =
              (Printf.sprintf
                 "%s group (order %d) is an automorphism group on %d states \
                  (%d triples)"
-                s.Subject.group_name st.Equivariance.group_order
+                (group s) st.Equivariance.group_order
                 st.Equivariance.states st.Equivariance.checked)))
 
 let recovery_verdict (s : Subject.t) space =
@@ -144,7 +147,7 @@ let recovery_verdict (s : Subject.t) space =
              (Printf.sprintf
                 "persist idempotent, space-closed and %s-equivariant on %d \
                  states (%d checks)%s"
-                s.Subject.group_name st.Recovery.states st.Recovery.checked
+                (group s) st.Recovery.states st.Recovery.checked
                 (if st.Recovery.identity then "; all-persistent (identity)"
                  else ""))))
 

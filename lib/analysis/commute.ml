@@ -73,16 +73,8 @@ let diamond model st0 a b =
 
 let check (s : Subject.t) (space : Reach.space) =
   let model = s.Subject.model in
-  let judge =
-    match s.Subject.independence with
-    | Subject.Semantic -> fun st a b -> Explore.op_independent model st a b
-    | Subject.Declared p -> fun _st a b -> p a b
-  in
-  let rec op_pairs = function
-    | [] -> []
-    | a :: rest -> List.map (fun b -> (a, b)) (a :: rest) @ op_pairs rest
-  in
-  let pairs = op_pairs s.Subject.alphabet in
+  let judge = Subject.independent s in
+  let pairs = Subject.op_pairs s in
   let contexts = ref 0 and independent = ref 0 and dependent = ref 0 in
   let race = ref None in
   (try

@@ -27,15 +27,15 @@ let value_full n = Symmetry.standard ~n ~input_base:100 ~map_ids:false `Full
 let harness n grp = Symmetry.standard ~n ~input_base:100 grp
 
 let register ?(name = "register") ?(group = `Scalar) () =
-  let symmetry, group_name =
+  let symmetry =
     match group with
-    | `Scalar -> (value_full 2, "full")
-    | `Rotations n -> (harness n `Rotations, "rotations")
-    | `Trivial -> (Symmetry.trivial ~n:1, "trivial")
+    | `Scalar -> value_full 2
+    | `Rotations n -> harness n `Rotations
+    | `Trivial -> Symmetry.trivial ~n:1
   in
   Subject.make ~name ~model:O.Register.model_bot
     ~alphabet:[ op "read" []; op "write" [ tok 0 ]; op "write" [ tok 1 ] ]
-    ~expected:Subject.Deterministic ~symmetry ~group_name
+    ~expected:Subject.Deterministic ~symmetry
     ~value_oblivious:true ~values:(toks 2) ()
 
 let doorway ~n =
@@ -44,8 +44,7 @@ let doorway ~n =
     ~model:(O.Register.model opened)
     ~alphabet:[ op "read" []; op "write" [ opened ]; op "write" [ closed ] ]
     ~expected:Subject.Deterministic ~symmetry:(harness n `Rotations)
-    ~group_name:"rotations" ~value_oblivious:true ~values:[ opened; closed ]
-    ()
+    ~value_oblivious:true ~values:[ opened; closed ] ()
 
 let cas =
   Subject.make ~name:"cas" ~model:O.Cas_obj.model_bot
@@ -57,7 +56,7 @@ let cas =
         op "cas" [ tok 0; tok 1 ];
         op "cas" [ tok 1; tok 0 ];
       ]
-    ~expected:Subject.Deterministic ~symmetry:(value_full 2) ~group_name:"full"
+    ~expected:Subject.Deterministic ~symmetry:(value_full 2)
     ~value_oblivious:true ~values:(toks 2) ()
 
 let tas =
@@ -68,7 +67,7 @@ let tas =
 let swap =
   Subject.make ~name:"swap" ~model:O.Swap_obj.model_bot
     ~alphabet:[ op "read" []; op "swap" [ tok 0 ]; op "swap" [ tok 1 ] ]
-    ~expected:Subject.Deterministic ~symmetry:(value_full 2) ~group_name:"full"
+    ~expected:Subject.Deterministic ~symmetry:(value_full 2)
     ~value_oblivious:true ~values:(toks 2) ()
 
 let counter ~ops =
@@ -92,11 +91,10 @@ let queue ~ops =
 let consensus =
   Subject.make ~name:"consensus" ~model:O.Consensus_obj.model
     ~alphabet:[ op "propose" [ tok 0 ]; op "propose" [ tok 1 ] ]
-    ~expected:Subject.Deterministic ~symmetry:(value_full 2) ~group_name:"full"
+    ~expected:Subject.Deterministic ~symmetry:(value_full 2)
     ~value_oblivious:true ~values:(toks 2) ()
 
 let snapshot ?(name = "snapshot") ~n (grp : [ `Full | `Rotations ]) =
-  let group_name = match grp with `Full -> "full" | `Rotations -> "rotations" in
   let grp = (grp :> [ `Full | `Rotations | `Trivial ]) in
   Subject.make ~name
     ~model:(O.Snapshot_obj.model ~n)
@@ -105,7 +103,7 @@ let snapshot ?(name = "snapshot") ~n (grp : [ `Full | `Rotations ]) =
       :: List.concat_map
            (fun i -> List.map (fun j -> op "update" [ Value.Int i; tok j ]) (List.init n Fun.id))
            (List.init n Fun.id))
-    ~expected:Subject.Deterministic ~symmetry:(harness n grp) ~group_name
+    ~expected:Subject.Deterministic ~symmetry:(harness n grp)
     ~value_oblivious:true ~values:(toks n) ()
 
 let wrn_alphabet k =
@@ -113,44 +111,35 @@ let wrn_alphabet k =
     (fun i -> List.map (fun j -> op "wrn" [ Value.Int i; tok j ]) (List.init k Fun.id))
     (List.init k Fun.id)
 
+(* The rotation group, or the identity with erasure. *)
+let ring_symmetry ~k = function
+  | `Rotations -> harness k `Rotations
+  | `Trivial -> Symmetry.erasure_only ~n:k
+
 let wrn ?(name = "wrn") ~k grp =
-  let symmetry, group_name =
-    match grp with
-    | `Rotations -> (harness k `Rotations, "rotations")
-    | `Trivial -> (Symmetry.erasure_only ~n:k, "trivial")
-  in
   Subject.make ~name ~model:(O.Wrn.model ~k) ~alphabet:(wrn_alphabet k)
-    ~expected:Subject.Deterministic ~symmetry ~group_name ~value_oblivious:true
-    ~values:(toks k) ()
+    ~expected:Subject.Deterministic ~symmetry:(ring_symmetry ~k grp)
+    ~value_oblivious:true ~values:(toks k) ()
 
 let one_shot_wrn ?(name = "one_shot_wrn") ~k grp =
-  let symmetry, group_name =
-    match grp with
-    | `Rotations -> (harness k `Rotations, "rotations")
-    | `Trivial -> (Symmetry.erasure_only ~n:k, "trivial")
-  in
   Subject.make ~name
     ~model:(O.One_shot_wrn.model ~k)
     ~alphabet:(wrn_alphabet k) ~expected:Subject.Deterministic ~may_hang:true
-    ~symmetry ~group_name ~value_oblivious:true ~values:(toks k) ()
+    ~symmetry:(ring_symmetry ~k grp) ~value_oblivious:true ~values:(toks k) ()
 
 let set_consensus ~n ~k =
   Subject.make ~name:"set_consensus"
     ~model:(O.Set_consensus_obj.model ~n ~k)
     ~alphabet:(List.map (fun i -> op "propose" [ tok i ]) (List.init n Fun.id))
     ~expected:Subject.Nondeterministic ~may_hang:true ~symmetry:(harness n `Full)
-    ~group_name:"full" ~value_oblivious:true ~values:(toks n) ()
+    ~value_oblivious:true ~values:(toks n) ()
 
 let sse ~k ~j grp =
-  let symmetry, group_name =
-    match grp with
-    | `Full -> (Symmetry.standard ~n:k `Full, "full")
-    | `Rotations -> (Symmetry.standard ~n:k `Rotations, "rotations")
-  in
   Subject.make ~name:"strong_set_election"
     ~model:(O.Sse_obj.model ~k ~j)
     ~alphabet:(List.map (fun i -> op "propose" [ Value.Int i ]) (List.init k Fun.id))
-    ~expected:Subject.Nondeterministic ~may_hang:true ~symmetry ~group_name ()
+    ~expected:Subject.Nondeterministic ~may_hang:true
+    ~symmetry:(Symmetry.standard ~n:k grp) ()
 
 (* ------------------------------------------------------------------ *)
 (* The family table: each family's checked instance, built at a size.

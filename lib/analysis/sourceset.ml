@@ -65,16 +65,8 @@ let check (s : Subject.t) (space : Reach.space) =
   let model = s.Subject.model in
   let sym = s.Subject.symmetry in
   let perms = Symmetry.perms sym in
-  let judge =
-    match s.Subject.independence with
-    | Subject.Semantic -> fun st a b -> Explore.op_independent model st a b
-    | Subject.Declared p -> fun _st a b -> p a b
-  in
-  let rec op_pairs = function
-    | [] -> []
-    | a :: rest -> List.map (fun b -> (a, b)) (a :: rest) @ op_pairs rest
-  in
-  let pairs = op_pairs s.Subject.alphabet in
+  let judge = Subject.independent s in
+  let pairs = Subject.op_pairs s in
   let equivariance_checks = ref 0 in
   let diamond_checks = ref 0 in
   let violation = ref None in

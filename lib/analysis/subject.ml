@@ -13,7 +13,6 @@ type t = {
   expected : expected_class;
   may_hang : bool;
   symmetry : Symmetry.t;
-  group_name : string;
   independence : independence;
   value_oblivious : bool;
   values : Value.t list;
@@ -22,7 +21,7 @@ type t = {
 }
 
 let make ~name ~model ~alphabet ~expected ?(may_hang = false)
-    ?(symmetry = Symmetry.trivial ~n:1) ?(group_name = "trivial")
+    ?(symmetry = Symmetry.trivial ~n:1)
     ?(independence = Semantic) ?(value_oblivious = false) ?(values = [])
     ?(bound = Closure) ?(max_states = 20_000) () =
   {
@@ -32,10 +31,21 @@ let make ~name ~model ~alphabet ~expected ?(may_hang = false)
     expected;
     may_hang;
     symmetry;
-    group_name;
     independence;
     value_oblivious;
     values;
     bound;
     max_states;
   }
+
+let op_pairs s =
+  let rec go = function
+    | [] -> []
+    | a :: rest -> List.map (fun b -> (a, b)) (a :: rest) @ go rest
+  in
+  go s.alphabet
+
+let independent s =
+  match s.independence with
+  | Semantic -> fun st a b -> Explore.op_independent s.model st a b
+  | Declared p -> fun _st a b -> p a b

@@ -44,8 +44,9 @@ type t = {
   alphabet : Op.t list;  (** the ops the protocol may issue on the object *)
   expected : expected_class;
   may_hang : bool;  (** some reachable invocation legitimately hangs *)
-  symmetry : Symmetry.t;  (** declared automorphism group + data action *)
-  group_name : string;  (** "trivial" / "rotations" / "full", for reports *)
+  symmetry : Symmetry.t;
+      (** declared automorphism group + data action; reports name it by
+          {!Symmetry.group_name} *)
   independence : independence;
   value_oblivious : bool;
       (** claimed: renaming data values commutes with [apply] *)
@@ -62,7 +63,6 @@ val make :
   expected:expected_class ->
   ?may_hang:bool ->
   ?symmetry:Symmetry.t ->
-  ?group_name:string ->
   ?independence:independence ->
   ?value_oblivious:bool ->
   ?values:Value.t list ->
@@ -70,6 +70,16 @@ val make :
   ?max_states:int ->
   unit ->
   t
-(** Defaults: no hangs, identity group ([Symmetry.trivial ~n:1], named
-    "trivial"), [Semantic] independence, no value-obliviousness claim,
-    [Closure] bound with a 20_000-state safety net. *)
+(** Defaults: no hangs, identity group ([Symmetry.trivial ~n:1]),
+    [Semantic] independence, no value-obliviousness claim, [Closure]
+    bound with a 20_000-state safety net. *)
+
+val op_pairs : t -> (Op.t * Op.t) list
+(** Every unordered pair of the alphabet, same-op pairs included (two
+    processes may issue the same op): what {!Commute} and {!Sourceset}
+    judge at each state. *)
+
+val independent : t -> Value.t -> Op.t -> Op.t -> bool
+(** [independent s st a b] is the subject's independence judgment of
+    [a] and [b] at object state [st]: {!Explore.op_independent} under
+    [Semantic], the declared predicate under [Declared]. *)

@@ -41,28 +41,19 @@
    new array.  Each key is moved once per doubling, O(1) amortized per
    claim.
 
-   {b Backings.}  The heap table is [Bigarray.Array1.create] filled with
-   0.  The spill table maps a file created under the spill directory:
-   [O_EXCL] under a name unique to the process (an existing file is never
-   touched and two tables never share storage), unlinked as soon as it
-   is mapped (the mapping keeps the inode alive, the directory stays
-   clean whatever happens to the process, and the kernel reclaims the
-   blocks once the array is collected).  A new mapping reads as zeros,
-   since [Unix.map_file] extends the file with holes.  Its pages are
-   file-backed and evictable, so [memory_bytes] counts only bookkeeping
-   and [spill_bytes] the mapped file: 16 B per slot.
+   {b Backing.}  The words are one [Bigarray.Array1] filled with 0,
+   outside the OCaml heap, 16 B per slot.
 
    {b Exact keys.}  A [`Exact] table (the [~paranoid] searches) holds
    whole canonical keys in a [Fingerprint.Ktbl], private or shared alike;
    its ticket is the table's length before the key went in.  No
-   collision is possible, and no word array is allocated or mapped. *)
+   collision is possible, and no word array is allocated. *)
 
 module A = Bigarray.Array1
 
 type words = (int, Bigarray.int_elt, Bigarray.c_layout) A.t
 
 type words_table = {
-  spill : string option; (* the spill directory; [None] on the heap *)
   mutable arr : words; (* [2 * (mask + 1)] words *)
   mutable mask : int;
   mutable count : int;
@@ -83,61 +74,19 @@ let fresh_opstats () = { probes = 0 }
 let bits = 124
 let[@inline] encode h = h lor min_int
 
-(* Names spill files; shared by every table in the process. *)
-let file_lock = Mutex.create ()
-let next_file = ref 0
-
-let file_number () =
-  Mutex.protect file_lock (fun () ->
-      incr next_file;
-      !next_file)
-
-(* Map [n] zero words from a fresh unlinked file in [dir].  The name
-   carries the process id and a process-wide counter, and [O_EXCL]
-   refuses any file already there (a taken name — say, one left by a dead
-   process with a recycled pid — just draws the next counter value).  The
-   fd is closed right away: the mapping survives it. *)
-let map_words dir n : words =
-  let rec create_file () =
-    let path =
-      Filename.concat dir
-        (Printf.sprintf "subc-%d-%d.spill" (Unix.getpid ()) (file_number ()))
-    in
-    match Unix.openfile path [ O_RDWR; O_CREAT; O_EXCL ] 0o600 with
-    | fd -> (path, fd)
-    | exception Unix.Unix_error (EEXIST, _, _) -> create_file ()
-  in
-  let path, fd = create_file () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Unix.close fd)
-    (fun () ->
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| n |]))
-
-let alloc spill cap =
-  match spill with
-  | Some dir -> map_words dir (2 * cap)
-  | None ->
-    let a = A.create Bigarray.int Bigarray.c_layout (2 * cap) in
-    A.fill a 0;
-    a
+let alloc cap =
+  let a = A.create Bigarray.int Bigarray.c_layout (2 * cap) in
+  A.fill a 0;
+  a
 
 let limit_of cap = cap - (cap / 4)
 
-let create_words ?(initial_capacity = 64) spill =
-  Option.iter
-    (fun dir ->
-      try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ())
-    spill;
+let create_words ?(initial_capacity = 64) () =
   let cap =
     let rec up c = if c >= initial_capacity then c else up (c * 2) in
     up 64
   in
-  Words
-    { spill; arr = alloc spill cap; mask = cap - 1; count = 0;
-      limit = limit_of cap }
+  Words { arr = alloc cap; mask = cap - 1; count = 0; limit = limit_of cap }
 
 let rec free_slot arr mask j =
   if A.unsafe_get arr (2 * j) = 0 then j
@@ -148,7 +97,7 @@ let rec free_slot arr mask j =
 let grow t =
   let old = t.arr and old_cap = t.mask + 1 in
   let cap = 2 * old_cap in
-  let arr = alloc t.spill cap in
+  let arr = alloc cap in
   let mask = cap - 1 in
   for i = 0 to old_cap - 1 do
     let w1 = A.unsafe_get old (2 * i) in
@@ -194,12 +143,12 @@ let insert_key keys key =
   Fingerprint.Ktbl.replace keys key ();
   if Fingerprint.Ktbl.length keys > n then n else -1
 
-let create ?initial_capacity ?spill kind =
+let create ?initial_capacity kind =
   {
     lock = None;
     table =
       (match kind with
-      | `Two_lane -> create_words ?initial_capacity spill
+      | `Two_lane -> create_words ?initial_capacity ()
       | `Exact -> Keys (Fingerprint.Ktbl.create 64));
   }
 
@@ -224,9 +173,9 @@ let rec acquire m n =
     end
 
 (* [f x] alone in the table: bare while the table is private, under
-   its lock once it is shared.  Only growth raises (a spill file that
-   cannot be created or mapped), leaving the table unchanged and the lock
-   released. *)
+   its lock once it is shared.  Only growth raises ([Out_of_memory] when
+   the doubled array cannot be allocated), leaving the table unchanged
+   and the lock released. *)
 let exclusive t f x =
   match t.lock with
   | None -> f x
@@ -276,16 +225,6 @@ let occupancy t =
 
 let slots t = exclusive t (function Words w -> w.mask + 1 | Keys _ -> 0) t.table
 
-(* Heap-resident bytes: the word array on the heap, only the table
-   record and the bigarray's custom block when the words are mapped.
-   Exact keys are whole key trees, not counted. *)
-let memory_bytes t =
-  match t.table with
-  | Words { spill = None; _ } -> 16 * slots t
-  | Words { spill = Some _; _ } -> 8 * 16
-  | Keys _ -> 0
-
-let spill_bytes t =
-  match t.table with
-  | Words { spill = Some _; _ } -> 16 * slots t
-  | Words { spill = None; _ } | Keys _ -> 0
+(* The word array's bytes; exact keys are whole key trees, not
+   counted. *)
+let memory_bytes t = 16 * slots t

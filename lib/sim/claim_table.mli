@@ -12,10 +12,7 @@
     mutex, taken by a short spin before it blocks, so the table is safe
     from any number of domains.  A fresh claim draws a ticket inside that
     same exclusion: the number of keys claimed before it.  See the
-    implementation comment and DESIGN.md, "The visited table".
-
-    A two-lane table has two backings: the heap, or a file mapped from a
-    spill directory ([?spill]), 16 B per slot on disk. *)
+    implementation comment and DESIGN.md, "The visited table". *)
 
 type t
 
@@ -25,23 +22,9 @@ type opstats = { mutable probes : int }
 
 val fresh_opstats : unit -> opstats
 
-val create :
-  ?initial_capacity:int ->
-  ?spill:string ->
-  [ `Two_lane | `Exact ] ->
-  t
+val create : ?initial_capacity:int -> [ `Two_lane | `Exact ] -> t
 (** [initial_capacity] (default 64) is rounded up to a power of two,
-    minimum 64.
-
-    [?spill dir] maps the words from files under [dir] (created if
-    absent) instead of the heap.  Each file is created with [O_EXCL]
-    under a name unique to the process, so no file already there is
-    touched, and is unlinked once mapped, so nothing persists; the mapped
-    bytes are {!spill_bytes}.  Raises
-    [Unix.Unix_error] if [dir] cannot be created or a file cannot be
-    created or mapped.
-
-    An [`Exact] table ignores every sizing and backing argument. *)
+    minimum 64; an [`Exact] table ignores it. *)
 
 val share : t -> unit
 (** [share t] gives [t] a mutex that every later claim takes; a private
@@ -57,9 +40,7 @@ val claim_key : t -> opstats -> Fingerprint.key -> int
     other caller.  A two-lane table takes [Fingerprint.Fp]
     keys and tells them apart modulo bit 62 of each lane, which {!bits}
     drops; an [`Exact] table takes keys of either kind and compares them
-    exactly.  Counts its probes into [st].  A growth that cannot map its
-    spill file raises [Unix.Unix_error] with the table unchanged and the
-    lock released.
+    exactly.  Counts its probes into [st].
     @raise Invalid_argument on an [Exact] key in a two-lane table. *)
 
 val claim : t -> opstats -> h1:int -> h2:int -> [ `Fresh | `Dup ]
@@ -77,10 +58,5 @@ val slots : t -> int
 (** Current capacity in slots; [0] for an [`Exact] table. *)
 
 val memory_bytes : t -> int
-(** Heap-resident bytes: 16 per slot on the heap; bookkeeping only when
-    the words are mapped (the mapped pages are file-backed and
-    evictable, see {!spill_bytes}); [0] for an [`Exact] table, whose key
-    trees are not counted. *)
-
-val spill_bytes : t -> int
-(** Bytes of the mapped spill file (16 per slot); [0] on the heap. *)
+(** Bytes of the word array: 16 per slot; [0] for an [`Exact] table,
+    whose key trees are not counted. *)

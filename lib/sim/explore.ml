@@ -36,7 +36,6 @@ type stats = {
   steals : int;
   cas_retries : int;
   visited_bytes : int;
-  spill_bytes : int;
 }
 
 (* Birthday bound on any-fingerprint-collision over the whole search:
@@ -488,7 +487,7 @@ let check_fp_mismatches ~engine c =
          engine c.fp_mismatches)
 
 let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes
-    ~visited_bytes ~spill_bytes =
+    ~visited_bytes =
   {
     states = c.states;
     transitions = c.transitions;
@@ -512,44 +511,11 @@ let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes
     steals = c.steals;
     cas_retries = c.cas_retries;
     visited_bytes;
-    spill_bytes;
   }
 
-(* The canonical state key of [config] under [sym], with the stabilizer
-   coset of the canonical representative (head: the canonicalizing
-   renaming): the key of the winner's image, folded from [config]'s own
-   slots with no key tree; [~paranoid] keeps the exact key from the
-   key-tree reference path, which therefore cross-checks the fast one. *)
-let canonical_key_and_coset ~paranoid sym config =
-  if paranoid then
-    let key, mins = Symmetry.canonical_minimizers sym config in
-    (Fingerprint.Exact key, mins)
-  else
-    let fp, mins = Symmetry.canonical_fingerprint sym config in
-    (Fingerprint.Fp fp, mins)
-
-(* Visited-set key of [config] under a reduction: the fingerprint of the
-   canonical representative of its orbit (the exact key under
-   [paranoid]), plus the renaming that canonicalizes (identity when
-   symmetry is off). *)
-let key_of ~paranoid (reduction : reduction) config =
-  match reduction.symmetry with
-  | None ->
-    if paranoid then (Fingerprint.Exact (Config.key config), None)
-    else (Fingerprint.Fp (Fingerprint.hom_of_config config), None)
-  | Some sym ->
-    let key, mins = canonical_key_and_coset ~paranoid sym config in
-    (key, Some (List.hd mins))
-
-let state_key ?(paranoid = false) reduction config =
-  fst (key_of ~paranoid reduction config)
-
-(* (state, sleep) visited key: the state key extended with the canonical
-   relevant sleep.  An empty relevant sleep leaves the state key
-   untouched, so source-set-off searches and terminal states key exactly
-   as before.  Returns the canonicalizing renaming (for canonical sibling
-   ordering in [source_successors]) and the restricted concrete sleep
-   (the base the children inherit). *)
+(* A state key extended with the canonical relevant sleep.  An empty
+   relevant sleep leaves the state key untouched, so source-set-off
+   searches and terminal states key by state alone. *)
 let extend_with_sleep key packed =
   match packed with
   | [] -> key
@@ -566,41 +532,11 @@ let extend_with_sleep key packed =
              Value.Pair (v, Value.Vec (List.map (fun x -> Value.Int x) packed))
            )))
 
-let source_key ?(paranoid = false) (reduction : reduction) ~max_crashes config
-    ~sleep =
-  let sleep =
-    if reduction.source_sets then restrict_sleep ~max_crashes config sleep
-    else []
-  in
-  match reduction.symmetry with
-  | None ->
-    let key, pi = key_of ~paranoid reduction config in
-    (extend_with_sleep key (packed_sleep None sleep), pi, sleep)
-  | Some sym ->
-    let key, mins = canonical_key_and_coset ~paranoid sym config in
-    ( extend_with_sleep key (canonical_packed_sleep mins sleep),
-      Some (List.hd mins),
-      sleep )
-
-(* [source_key] as bare lanes, for callers that claim in a two-lane
-   table directly. *)
-let source_fingerprint (reduction : reduction) ~max_crashes config ~sleep =
-  match source_key reduction ~max_crashes config ~sleep with
-  | Fingerprint.Fp fp, pi, sleep -> (fp, pi, sleep)
-  | Fingerprint.Exact _, _, _ -> assert false
-
-(* [source_fingerprint] when the bare state fingerprint is already in
-   hand (a search carries it patched from the parent's, so
-   the claim key costs O(|relevant sleep|) instead of a configuration
-   re-fold).  Symmetry off only: under symmetry the sleep is transported
-   through the coset, which [node_key] computes. *)
-let source_fingerprint_from fp (reduction : reduction) ~max_crashes config
-    ~sleep =
-  let sleep =
-    if reduction.source_sets then restrict_sleep ~max_crashes config sleep
-    else []
-  in
-  (List.fold_left Fingerprint.extend fp (packed_sleep None sleep), None, sleep)
+(* The sleep a node is keyed and expanded with: restricted under source
+   sets, none without. *)
+let relevant_sleep (reduction : reduction) ~max_crashes config sleep =
+  if reduction.source_sets then restrict_sleep ~max_crashes config sleep
+  else []
 
 (* The carried image key of a node under its winner [g]: the one
    patched from the parent's when the parent's winner [win] is also
@@ -624,51 +560,48 @@ let image_key c sym fp win g config =
    under symmetry the key of the image under the orbit minimization's
    winner, patched under the parent's winner [win] and re-folded only
    when this node's winner differs.  Under [~paranoid] the state half is
-   the exact canonical key (collisions impossible), while [fp] is still
-   carried for {!cross_check}.  Also returns the canonicalizing renaming
-   and the restricted concrete sleep that {!source_successors} takes,
-   then the node's carried fingerprint and winner index ([-1] with
-   symmetry off), which its children are patched from. *)
+   the exact canonical key from the key-tree reference path
+   (collisions impossible), while [fp] is still carried for
+   {!cross_check}.  Also returns the canonicalizing renaming and the
+   restricted concrete sleep that {!source_successors} takes, then the
+   node's carried fingerprint and winner index ([-1] with symmetry off),
+   which its children are patched from. *)
 let node_key ~paranoid c (reduction : reduction) ~max_crashes fp win config
     ~sleep =
   match reduction.symmetry with
   | None ->
-    if paranoid then
-      let key, pi, sleep =
-        source_key ~paranoid reduction ~max_crashes (Lazy.force config) ~sleep
-      in
-      (key, pi, sleep, fp, -1)
-    else if reduction.source_sets && sleep <> [] then
-      let f, pi, sleep =
-        source_fingerprint_from fp reduction ~max_crashes (Lazy.force config)
-          ~sleep
-      in
-      (Fingerprint.Fp f, pi, sleep, fp, -1)
-    else (Fingerprint.Fp fp, None, [], fp, -1)
+    let sleep =
+      match sleep with
+      | [] -> []
+      | _ -> relevant_sleep reduction ~max_crashes (Lazy.force config) sleep
+    in
+    let state =
+      if paranoid then Fingerprint.Exact (Config.key (Lazy.force config))
+      else Fingerprint.Fp fp
+    in
+    (extend_with_sleep state (packed_sleep None sleep), None, sleep, fp, -1)
   | Some sym ->
     let config = Lazy.force config in
-    let sleep =
-      if reduction.source_sets then restrict_sleep ~max_crashes config sleep
-      else []
+    let sleep = relevant_sleep reduction ~max_crashes config sleep in
+    let exact, g, mins =
+      if paranoid then
+        let key, mins = Symmetry.canonical_minimizers sym config in
+        (Some key, Symmetry.index sym (List.hd mins), mins)
+      else
+        let g, mins = Symmetry.canonical_winner sym config in
+        (None, g, mins)
     in
-    if paranoid then
-      let key, mins = Symmetry.canonical_minimizers sym config in
-      let g = Symmetry.index sym (List.hd mins) in
-      ( extend_with_sleep (Fingerprint.Exact key)
-          (canonical_packed_sleep mins sleep),
-        Some (List.hd mins),
-        sleep,
-        image_key c sym fp win g config,
-        g )
-    else
-      let g, mins = Symmetry.canonical_winner sym config in
-      let fp = image_key c sym fp win g config in
-      ( extend_with_sleep (Fingerprint.Fp fp)
-          (canonical_packed_sleep mins sleep),
-        Some (List.hd mins),
-        sleep,
-        fp,
-        g )
+    let fp = image_key c sym fp win g config in
+    let state =
+      match exact with
+      | Some key -> Fingerprint.Exact key
+      | None -> Fingerprint.Fp fp
+    in
+    ( extend_with_sleep state (canonical_packed_sleep mins sleep),
+      Some (List.hd mins),
+      sleep,
+      fp,
+      g )
 
 (* The carried fingerprint of a root: its homomorphic re-fold on the
    symmetry-off lanes (counted).  Under symmetry the root has no parent
@@ -680,6 +613,33 @@ let root_fingerprint c (reduction : reduction) config =
   | None ->
     c.fp_refolds <- c.fp_refolds + 1;
     Fingerprint.hom_of_config config
+
+(* [node_key] of a node with winner [-1] carrying [fp]: what a search
+   computes there, outside a search. *)
+let key_from ?(paranoid = false) (reduction : reduction) ~max_crashes fp
+    config ~sleep =
+  node_key ~paranoid (fresh_counters ()) reduction ~max_crashes fp (-1)
+    (Lazy.from_val config) ~sleep
+
+let lanes = function
+  | Fingerprint.Fp fp, pi, sleep, _, _ -> (fp, pi, sleep)
+  | Fingerprint.Exact _, _, _, _, _ -> assert false
+
+let source_fingerprint_from fp reduction ~max_crashes config ~sleep =
+  lanes (key_from reduction ~max_crashes fp config ~sleep)
+
+let source_fingerprint reduction ~max_crashes config ~sleep =
+  source_fingerprint_from
+    (root_fingerprint (fresh_counters ()) reduction config)
+    reduction ~max_crashes config ~sleep
+
+let state_key ?paranoid reduction config =
+  let key, _, _, _, _ =
+    key_from ?paranoid reduction ~max_crashes:0
+      (root_fingerprint (fresh_counters ()) reduction config)
+      config ~sleep:[]
+  in
+  key
 
 (* One enabled transition bundle of the expansion, with the sleep set its
    children inherit (concrete coordinates of {e this} configuration).

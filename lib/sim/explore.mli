@@ -189,11 +189,8 @@ type stats = {
   steals : int;  (** work items taken from a peer's hand-off slot *)
   cas_retries : int;  (** steal attempts lost to another taker *)
   visited_bytes : int;
-      (** heap bytes of the visited table at the end
+      (** bytes of the visited table's word array at the end
           ({!Claim_table.memory_bytes}) *)
-  spill_bytes : int;
-      (** bytes of the table's mapped spill file at the end
-          ({!Claim_table.spill_bytes}); [0] on the heap *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit
@@ -219,7 +216,6 @@ val stats_of_counters :
   limit_reason:limit_reason ->
   frontier_bytes:int ->
   visited_bytes:int ->
-  spill_bytes:int ->
   stats
 
 (** Which reductions to apply.  The default ({!no_reduction}) reproduces
@@ -350,7 +346,8 @@ val source_fingerprint :
   Fingerprint.t * Symmetry.perm option * tr list
 (** [source_fingerprint reduction ~max_crashes config ~sleep] — the
     visited key of the (configuration, sleep) node as bare lanes, for
-    callers that claim in a two-lane {!Claim_table} directly: the
+    callers that claim in a two-lane {!Claim_table} directly: {!node_key}
+    of a node with winner [-1] carrying {!root_fingerprint}, so the
     canonical state key extended with the canonical enabled-restricted
     sleep set (the extension is the identity when the relevant sleep is
     empty, so source-set-off searches and terminal states key exactly as
@@ -366,9 +363,9 @@ val source_fingerprint_from :
   Fingerprint.t * Symmetry.perm option * tr list
 (** {!source_fingerprint} when the bare state fingerprint is already in
     hand — a search carries it patched from the parent's, so the claim
-    key costs O(|relevant sleep|) instead of a re-fold.  Symmetry off
-    only: under symmetry the sleep is transported through the
-    minimizer coset, which {!node_key} computes. *)
+    key costs O(|relevant sleep|) instead of a re-fold: {!node_key} of a
+    node with winner [-1] carrying it.  Symmetry off only: under
+    symmetry a winner-[-1] node re-folds its winner's image. *)
 
 val node_key :
   paranoid:bool ->
@@ -388,18 +385,18 @@ val node_key :
 
     With symmetry off, the key is the carried fingerprint [fp] (extended
     with the relevant sleep), without forcing [config] unless the sleep
-    restriction needs it; under [paranoid], the exact canonical key
-    {!source_fingerprint} describes.  The winner index is [-1].
+    restriction needs it; under [paranoid], the configuration's exact
+    key, extended the same way.  The winner index is [-1].
 
     Under symmetry, [fp] is the node's image key under its parent's
     winner [win] ([-1] at the root).  The orbit minimization picks the
     node's winner and coset; when the winner is [win] the carried
     fingerprint is the node's key, and otherwise the node's winner's
     image is re-folded (counted in [fp_refolds]).  That fingerprint,
-    extended with the canonical relevant sleep, is the claim key — the
-    key {!source_fingerprint} gives — or, under [paranoid], the exact
-    canonical key is, and the fingerprint is carried for
-    {!cross_check}. *)
+    extended with the canonical relevant sleep, is the claim key — or,
+    under [paranoid], the exact canonical key from
+    {!Symmetry.canonical_minimizers} is, and the fingerprint is carried
+    for {!cross_check}. *)
 
 val root_fingerprint : counters -> reduction -> Config.t -> Fingerprint.t
 (** [root_fingerprint c reduction root] — the carried fingerprint a
@@ -448,9 +445,10 @@ val source_successors :
 
 
 (** [state_key reduction config] — the plain visited-set key of [config]
-    under [reduction] (no sleep extension): the structural fingerprint of
-    the canonical orbit representative ([Fingerprint.Fp]), or the exact
-    canonical key under [~paranoid:true] ([Fingerprint.Exact]).  Exposed
-    for per-state memoization outside the explorer (e.g. solo-run bounds)
-    and for the cross-validation tests. *)
+    under [reduction] (no sleep extension): {!node_key} of a node with
+    winner [-1] carrying {!root_fingerprint} and an empty sleep.  The
+    homomorphic fingerprint of the canonical orbit representative
+    ([Fingerprint.Fp]), or the exact canonical key under
+    [~paranoid:true] ([Fingerprint.Exact]).  Exposed for the
+    cross-validation tests. *)
 val state_key : ?paranoid:bool -> reduction -> Config.t -> Fingerprint.key

@@ -25,7 +25,7 @@ val of_value : Value.t -> t
 (** Fingerprint of an explicit key tree: the [~paranoid] exact table's
     bucket hash.  No visited key is one; keys are the homomorphic
     fingerprints below, of a configuration ({!hom_of_config}) or of its
-    orbit winner's image ([Symmetry.canonical_fingerprint]). *)
+    orbit winner's image ([Symmetry.image_fingerprint]). *)
 
 (** {1 Streaming}
 

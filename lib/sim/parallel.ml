@@ -25,10 +25,8 @@
    needs.
 
    Deduplication goes through one {!Claim_table}: two-lane fingerprint
-   words (124-bit keys) in a flat array, on the heap ([Heap]) or in
-   mmap'd files under a spill directory ([Spill dir]), so the visited set
-   is bounded by disk rather than heap.  [~paranoid] runs claim exact
-   canonical keys in an [`Exact] table instead, whatever [visited] says.
+   words (124-bit keys) in a flat bigarray.  [~paranoid] runs claim exact
+   canonical keys in an [`Exact] table instead.
    The table is private to worker 0, and claimed with no lock, until
    [spawn] shares it just before the first [Domain.spawn]; from then on
    each claim takes the table's mutex, spinning briefly before it
@@ -72,17 +70,16 @@
 
 module Obs = Subc_obs
 
-type visited = Heap | Spill of string
-
-let pp_visited ppf v =
-  Format.pp_print_string ppf (match v with Heap -> "heap" | Spill _ -> "spill")
-
 (* On sub-10^4-state spaces the domain spawn + steal traffic costs more
    than the whole search (eager spawning measured 2-8x slower than one
    domain on such families), so worker 0 spawns its helpers
    only once it has claimed this many states.  [?seq_threshold]
    overrides it per call (0 spawns at the root). *)
 let default_seq_threshold = 4096
+
+(* The trace-length budget of every search; a deeper node marks the
+   search [Max_depth] and is not expanded. *)
+let default_max_depth = 10_000
 
 (* A child handed to an idle domain: the arguments of the [dfs] call the
    offering domain would otherwise have made. *)
@@ -384,11 +381,10 @@ let m_memo_evictions = Obs.Metrics.counter "commute.memo_evictions"
 let m_probes = Obs.Metrics.counter "parallel.probes"
 let m_steals = Obs.Metrics.counter "parallel.steals"
 let m_cas_retries = Obs.Metrics.counter "parallel.cas_retries"
-let m_spill_bytes = Obs.Metrics.counter "visited.spill_bytes"
 
 let add m n = if n <> 0 then Obs.Metrics.add m n
 
-let publish (c : Explore.counters) (s : Explore.stats) =
+let publish (c : Explore.counters) =
   add m_searches 1;
   add m_states c.states;
   add m_transitions c.transitions;
@@ -402,8 +398,7 @@ let publish (c : Explore.counters) (s : Explore.stats) =
   add m_memo_evictions c.memo_evictions;
   add m_probes c.probes;
   add m_steals c.steals;
-  add m_cas_retries c.cas_retries;
-  add m_spill_bytes s.spill_bytes
+  add m_cas_retries c.cas_retries
 
 (* One [explore] event per search when a sink is installed, with the
    per-domain breakdown when helpers ran. *)
@@ -437,16 +432,14 @@ let emit_event label g (domains : ctx list) (s : Explore.stats) dt =
       @ per_domain)
   end
 
-let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
-    ?deadline ~reduction ~paranoid ?seq_threshold ~find_cycle ~jobs ~on_terminal ~on_visit label config =
+let run ~max_states ?(max_depth = default_max_depth) ~max_crashes
+    ~max_recoveries ?deadline ~reduction ~paranoid ?seq_threshold ~find_cycle
+    ~jobs ~on_terminal ~on_visit label config =
   let t0 = Unix.gettimeofday () in
   let jobs = if find_cycle then 1 else max 1 jobs in
   let g =
     {
-      table =
-        Claim_table.create
-          ?spill:(match visited with Spill dir -> Some dir | Heap -> None)
-          (if paranoid then `Exact else `Two_lane);
+      table = Claim_table.create (if paranoid then `Exact else `Two_lane);
       jobs;
       pool = None;
       stop = Atomic.make None;
@@ -522,9 +515,8 @@ let run ~visited ~max_states ~max_depth ~max_crashes ~max_recoveries
     Explore.stats_of_counters c ~limit_reason ~frontier_bytes
       ~collision_bound:(Explore.table_bound ~paranoid ~states:c.states)
       ~visited_bytes:(Claim_table.memory_bytes g.table)
-      ~spill_bytes:(Claim_table.spill_bytes g.table)
   in
-  publish c stats;
+  publish c;
   emit_event label g domains stats dt;
   (* After the publish, so a mismatch stays visible in the totals. *)
   Explore.check_fp_mismatches ~engine:label c;

@@ -1,8 +1,8 @@
 (** The search engine: one recursive depth-first search per domain.
 
     Every search runs here; it starts at {!Search}, and {!run} is
-    exported for the tests that need the engine's own knob,
-    [?seq_threshold].
+    exported for the tests that need the engine's own knobs,
+    [?seq_threshold] and [?max_depth].
 
     The calling domain is worker 0 and runs the DFS from the root.  At
     [jobs > 1] it spawns [jobs - 1] helper domains from inside that DFS
@@ -27,17 +27,11 @@
     bound is [stats.collision_bound]), grown by rehashing into a doubled
     array.  Worker 0 claims in it with no lock until it spawns the
     helpers; from then on every claim takes one mutex, spinning briefly
-    before it blocks.  {!visited} picks its backing:
-
-    - [Heap] ([Search.default]'s): the words live in a heap bigarray.
-    - [Spill dir]: the words live in mmap'd files under [dir] (created if
-      absent; the files are unlinked once mapped), so heap residency
-      drops to bookkeeping.  The mapped bytes are the stats'
-      [spill_bytes].  [Unix.Unix_error] is raised if
-      [dir] cannot be created or a file cannot be mapped.
+    before it blocks.  The words live in one bigarray, 16 B per slot
+    (the stats' [visited_bytes]).
 
     [~paranoid] runs claim exact canonical keys instead, in an [`Exact]
-    table, whatever [visited] says; their collision bound is [0].
+    table; their collision bound is [0].
 
     {b Fault budgets.}  [max_crashes] and [max_recoveries] bound the
     crash and recover transitions exactly at any [jobs]: whichever domain
@@ -58,9 +52,9 @@
     {b Determinism.}  On acyclic state graphs (every one-shot bounded
     algorithm in this repository) [states], [transitions], [terminals],
     [hung_terminals], [crashed_terminals], [recovered_terminals],
-    [dedup_hits] and [source_skips] are the same at any [jobs], under
-    either backing: claim-once yields the same claimed-node set however
-    the race for claims resolves, and each claimed node contributes an
+    [dedup_hits] and [source_skips] are the same at any [jobs]:
+    claim-once yields the same claimed-node set however the race for
+    claims resolves, and each claimed node contributes an
     expansion that is a pure function of its key.  At one domain the DFS
     visits nodes in canonical sibling preorder, so its witnesses are
     fixed; at more, [max_depth] and the witness traces depend on the
@@ -74,21 +68,20 @@
     stolen subtree prunes {e identically} to the subtree its owner would
     have explored.  See DESIGN.md, "Source sets under work stealing". *)
 
-(** Where the visited table keeps its words. *)
-type visited = Heap | Spill of string
-
-val pp_visited : Format.formatter -> visited -> unit
-
 val default_seq_threshold : int
 (** [4096]: the claimed-state count at which worker 0 spawns its
     helpers.  Below it a search never leaves the calling domain, where
     eager spawning measured 2-8x the cost of the whole search.
     [?seq_threshold] overrides it per call ([0] spawns at the root). *)
 
+val default_max_depth : int
+(** [10_000]: the trace-length budget of every search.  A node deeper
+    than it is not expanded, and the search reads [limited = true],
+    [limit_reason = Max_depth].  [?max_depth] overrides it per call. *)
+
 val run :
-  visited:visited ->
   max_states:int ->
-  max_depth:int ->
+  ?max_depth:int ->
   max_crashes:int ->
   max_recoveries:int ->
   ?deadline:float ->
@@ -110,7 +103,8 @@ val run :
     lock ({!Search.fold_terminals}).  Either callback may raise
     {!Explore.Stop} to end the search gracefully; any other exception is
     re-raised once every domain has joined.  The search
-    knobs mean what the {!Search.options} fields of the same names mean.
+    knobs mean what the {!Search.options} fields of the same names mean;
+    [?max_depth] is {!default_max_depth} unless given.
     [label] names the search in the [explore] observability event.
 
     Under [~find_cycle] the search runs at one domain whatever [jobs]

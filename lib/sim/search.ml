@@ -5,31 +5,26 @@ exception Stop = Explore.Stop
 
 type options = {
   max_states : int;
-  max_depth : int;
   max_crashes : int;
   max_recoveries : int;
   deadline : float option;
   reduction : Explore.reduction;
   paranoid : bool;
   jobs : int;
-  visited : Parallel.visited;
 }
 
 let default =
   {
     max_states = 5_000_000;
-    max_depth = 10_000;
     max_crashes = 0;
     max_recoveries = 0;
     deadline = None;
     reduction = Explore.no_reduction;
     paranoid = false;
     jobs = 1;
-    visited = Parallel.Heap;
   }
 
 let with_max_states n o = { o with max_states = n }
-let with_max_depth n o = { o with max_depth = n }
 let with_max_crashes n o = { o with max_crashes = n }
 let with_max_recoveries n o = { o with max_recoveries = n }
 let with_deadline secs o = { o with deadline = Some secs }
@@ -37,15 +32,13 @@ let with_reduction r o = { o with reduction = r }
 
 let with_paranoid b o = { o with paranoid = b }
 let with_jobs n o = { o with jobs = max 1 n }
-let with_visited v o = { o with visited = v }
 
 let no_terminal _ _ _ = ()
 let no_visit _ _ _ = ()
 
 (* Every search, at any [jobs]: the one engine. *)
 let search ?seq_threshold ~find_cycle ~on_terminal ~on_visit label o config =
-  Parallel.run ~visited:o.visited ~max_states:o.max_states
-    ~max_depth:o.max_depth ~max_crashes:o.max_crashes
+  Parallel.run ~max_states:o.max_states ~max_crashes:o.max_crashes
     ~max_recoveries:o.max_recoveries ?deadline:o.deadline
     ~reduction:o.reduction ~paranoid:o.paranoid ?seq_threshold ~find_cycle
     ~jobs:o.jobs ~on_terminal ~on_visit label config

@@ -18,10 +18,9 @@
     the space outgrows {!Parallel.default_seq_threshold} states, shares
     work with [jobs - 1] helper domains whenever one of them is idle.
     Every domain keys a node the same way and claims it in one visited
-    table ({!Claim_table}), whose backing [visited] picks, so the
-    observable counts and verdicts agree at any [jobs] (see the
-    determinism notes in {!Parallel}); [--reduction full] runs at full
-    strength at any [jobs].
+    table ({!Claim_table}), so the observable counts and verdicts agree
+    at any [jobs] (see the determinism notes in {!Parallel});
+    [--reduction full] runs at full strength at any [jobs].
 
     {b Callbacks.}  The engine calls every callback on the domain that
     claimed the node, with no lock held.  Each reachable terminal is seen
@@ -58,7 +57,6 @@ exception Stop
 
 type options = {
   max_states : int;  (** visited-state budget (default [5_000_000]) *)
-  max_depth : int;  (** trace-length budget (default [10_000]) *)
   max_crashes : int;  (** crash-fault budget (default [0]) *)
   max_recoveries : int;  (** recovery budget (default [0]) *)
   deadline : float option;  (** wall-clock budget in seconds *)
@@ -66,18 +64,16 @@ type options = {
   paranoid : bool;
       (** exact canonical keys, each carried fingerprint re-folded *)
   jobs : int;  (** domains; [<= 1] means the calling domain alone *)
-  visited : Parallel.visited;
-      (** where the visited table keeps its words (default [Heap]).
-          [Spill dir] keeps them in mmap'd files under [dir], at any
-          [jobs]. *)
 }
+(** Every search also bounds its traces at {!Parallel.default_max_depth}
+    steps: a deeper node is not expanded, and the search reads
+    [limit_reason = Max_depth]. *)
 
 val default : options
 
 (** {1 Builders} *)
 
 val with_max_states : int -> options -> options
-val with_max_depth : int -> options -> options
 val with_max_crashes : int -> options -> options
 val with_max_recoveries : int -> options -> options
 val with_deadline : float -> options -> options
@@ -87,8 +83,6 @@ val with_paranoid : bool -> options -> options
 
 val with_jobs : int -> options -> options
 (** Clamped to at least [1]. *)
-
-val with_visited : Parallel.visited -> options -> options
 
 (** {1 Entry points} *)
 

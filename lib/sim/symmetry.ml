@@ -37,6 +37,7 @@ let elem pi =
    (below) instead of allocating the acted copy. *)
 type t = {
   n : int;
+  group : [ `Trivial | `Rotations | `Full ];
   map_ids : bool;
   input_base : int option;
   erase_dead : bool;
@@ -49,6 +50,13 @@ type t = {
 }
 
 let group_order t = Array.length t.elems
+
+let group_name t =
+  match t.group with
+  | `Trivial -> "trivial"
+  | `Rotations -> "rotations"
+  | `Full -> "full"
+
 let n_procs t = t.n
 let perms t = t.perms
 
@@ -298,7 +306,10 @@ let standard ~n ?input_base ?(map_ids = true) ?(erase_dead = true) grp =
         rots
     | `Trivial | `Full -> Array.of_list (List.map elem perms)
   in
-  let t = { n; map_ids; input_base; erase_dead; perms; elems; feeds = [||] } in
+  let t =
+    { n; group = grp; map_ids; input_base; erase_dead; perms; elems;
+      feeds = [||] }
+  in
   { t with feeds = Array.map (fun e ctx v -> feed_acted t e ctx v) elems }
 
 let trivial ~n = standard ~n ~map_ids:false ~erase_dead:false `Trivial
@@ -420,10 +431,6 @@ let patch_image t g fp (parent : Config.t) (s : Step.slots) (child : Config.t) =
     Fingerprint.patch_stores_by ctx feed parent.Config.store s.Step.sl_store;
     Fingerprint.patched ctx
   end
-
-let canonical_fingerprint t c =
-  let g, mins = canonical_winner t c in
-  (image_fingerprint t g c, mins)
 
 let compare_acted t p x q y = cmp_value t (elem p) x (elem q) y
 

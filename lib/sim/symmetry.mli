@@ -90,6 +90,10 @@ val deep_act :
 val n_procs : t -> int
 val group_order : t -> int
 
+val group_name : t -> string
+(** The group {!standard} was given: ["trivial"], ["rotations"] or
+    ["full"] ({!trivial} and {!erasure_only} are ["trivial"]). *)
+
 val perms : t -> perm list
 (** The explicit group, identity included (exposed for the soundness
     analyzer and for property tests). *)
@@ -123,23 +127,18 @@ val canonical_key : t -> Config.t -> Value.t * perm
     Canonicalization is idempotent ([canonical_key] of any orbit member
     yields the same key) and permutation-invariant. *)
 
-val canonical_fingerprint : t -> Config.t -> Fingerprint.t * perm list
-(** [canonical_fingerprint t c] is the key a search claims [c]'s orbit
-    by, with the coset of {!canonical_minimizers}: [image_fingerprint t
-    g c] for the winner [g] of [canonical_winner t c].  The key is the
-    homomorphic fingerprint of the canonical key tree: the sum of
-    per-slot mixes of [key_under t pi c] for the winner [pi], with the
-    erased store mixing as {!Fingerprint.erased_store} (the test suite
-    recomputes it from the tree).  So two configurations share a key
-    exactly when they share a canonical key, up to the fingerprint's
-    collision odds.  [c] must have [n_procs t] processes, as every
-    harness's spec does. *)
-
 (** {1 Incremental keys}
 
-    What {!canonical_fingerprint} is made of, for a search that carries
-    keys from parent to child.  A group element is named by its index in
-    group order ({!perms}). *)
+    The key a search claims [c]'s orbit by is [image_fingerprint t g c]
+    for the winner [g] of [canonical_winner t c]: the homomorphic
+    fingerprint of the canonical key tree, the sum of per-slot mixes of
+    [key_under t pi c] for the winner [pi], with the erased store mixing
+    as {!Fingerprint.erased_store} (the test suite recomputes it from the
+    tree).  So two configurations share a key exactly when they share a
+    canonical key, up to the fingerprint's collision odds.  [c] must
+    have [n_procs t] processes, as every harness's spec does.  A search
+    carries keys from parent to child ({!patch_image}).  A group element
+    is named by its index in group order ({!perms}). *)
 
 val canonical_winner : t -> Config.t -> int * perm list
 (** The winner's index and the coset of {!canonical_minimizers}, bit for

@@ -4,21 +4,21 @@ module Verdict = Subc_check.Verdict
 
 let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
 
-(* The engine called directly, for its own test knob [?seq_threshold]:
-   every search knob comes from [options].  [on_terminal] is serialized
-   under a lock, as [Search.iter_terminals] serializes its [f]. *)
-let parallel_run ?seq_threshold
+(* The engine called directly, for its own test knobs [?seq_threshold]
+   and [?max_depth]: every other search knob comes from [options].
+   [on_terminal] is serialized under a lock, as [Search.iter_terminals]
+   serializes its [f]. *)
+let parallel_run ?seq_threshold ?max_depth
     ?(on_terminal = fun _ _ -> ()) ?(on_visit = fun _ _ _ -> ())
     (o : Search.options) config =
   let lock = Mutex.create () in
   let on_terminal _ c trace =
     Mutex.protect lock (fun () -> on_terminal c trace)
   in
-  Parallel.run ~visited:o.visited ~max_states:o.max_states
-    ~max_depth:o.max_depth ~max_crashes:o.max_crashes
-    ~max_recoveries:o.max_recoveries ?deadline:o.deadline
-    ~reduction:o.reduction ~paranoid:o.paranoid ?seq_threshold
-    ~find_cycle:false ~jobs:o.jobs ~on_terminal ~on_visit "test" config
+  Parallel.run ~max_states:o.max_states ?max_depth ~max_crashes:o.max_crashes
+    ~max_recoveries:o.max_recoveries ?deadline:o.deadline ~reduction:o.reduction
+    ~paranoid:o.paranoid ?seq_threshold ~find_cycle:false ~jobs:o.jobs
+    ~on_terminal ~on_visit "test" config
   |> fst
 
 let explore_stats_exn (v : Verdict.t) =
@@ -159,23 +159,6 @@ let same_counts name (a : Explore.stats) (b : Explore.stats) =
   int "source_skips" (fun s -> s.Explore.source_skips);
   Alcotest.(check bool) (name ^ " limited") a.Explore.limited b.Explore.limited
 
-(* [in_temp_dir f] is a test body that runs [f dir] with [dir] a fresh
-   directory under TMPDIR, removed, with anything still in it, when the
-   test ends.  A spill table unlinks each file as soon as it is mapped,
-   so the directory normally stays empty. *)
-let in_temp_dir f () =
-  let dir = Filename.temp_dir "subc-test-" "" in
-  let rec remove path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then remove dir)
-    (fun () -> f dir)
-
 (* An [on_visit] for a search that spawns its helpers at the root: it
    holds the calling domain at its second visit until some helper has
    visited a node, or for 20 ms.  By then the caller has handed the
@@ -204,15 +187,14 @@ let handover () =
    that level's cells agree and agree with the levels it is compared to
    below; each level's search runs once, for the first body needing it.
    The cells are jobs 1, jobs 4 through [Search] at the default spawn
-   threshold and jobs 4 spawning at the root, crossed with three visited
-   tables: the heap, the heap under [~paranoid] (which claims in the
-   exact table whatever [visited] says) and a [Spill] directory.
+   threshold and jobs 4 spawning at the root, crossed with two visited
+   tables: the two-lane table and, under [~paranoid], the exact one.
 
    Counts.  Every cell must report the first (jobs-1 heap) cell's
    [same_counts], never be limited and keep a live frontier gauge;
    jobs-1 cells also agree on [max_depth].  The collision bound is 0
    under [~paranoid] and otherwise the 124-bit birthday bound, below
-   1e-6.  Spill cells map their table and leave the directory empty.
+   1e-6.
    Every cell patches its carried fingerprint once per transition, with
    symmetry on or off, and paranoid cells re-fold it at every state.
    With [~steals] every root-spawning cell records a steal.  A budget
@@ -247,24 +229,21 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
       Alcotest.failf "%s: witness does not replay (event %d: %s)" cell at
         reason
   in
-  let level dir label ?reach (reduction : Explore.reduction) =
-    let tables =
-      [ ("heap", Parallel.Heap, false); ("paranoid", Parallel.Heap, true);
-        ("spill", Parallel.Spill dir, false) ]
-    in
-    let options ~jobs ~visited ~paranoid =
+  let level label ?reach (reduction : Explore.reduction) =
+    let tables = [ ("heap", false); ("paranoid", true) ] in
+    let options ~jobs ~paranoid =
       Search.(
         default |> with_max_crashes f |> with_max_recoveries r
         |> with_reduction reduction |> with_paranoid paranoid
-        |> with_visited visited |> with_jobs jobs)
+        |> with_jobs jobs)
     in
     let base = ref None in
     List.iter
       (fun (elabel, jobs, seq_threshold) ->
         List.iter
-          (fun (tlabel, visited, paranoid) ->
+          (fun (tlabel, paranoid) ->
             let cell = Printf.sprintf "%s %s %s %s" budget label elabel tlabel in
-            let options = options ~jobs ~visited ~paranoid in
+            let options = options ~jobs ~paranoid in
             let calls = ref 0 and violations = ref 0 and witness = ref None in
             let on_terminal final trace =
               incr calls;
@@ -307,13 +286,6 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
                 (cell ^ " bound below 1e-6") true
                 (s.Explore.collision_bound > 0.0
                 && s.Explore.collision_bound < 1e-6);
-            if visited <> Parallel.Heap then begin
-              Alcotest.(check bool)
-                (cell ^ " maps its table") true
-                (s.Explore.spill_bytes > 0);
-              Alcotest.(check (array string))
-                (cell ^ " leaves no file") [||] (Sys.readdir dir)
-            end;
             if paranoid then
               Alcotest.(check bool)
                 (cell ^ " re-folds every state") true
@@ -337,11 +309,11 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
       List.iter
         (fun (elabel, jobs) ->
           List.iter
-            (fun (tlabel, visited, paranoid) ->
+            (fun (tlabel, paranoid) ->
               let cell =
                 String.concat " " [ budget; label; cname; elabel; tlabel ]
               in
-              let v = run (options ~jobs ~visited ~paranoid) in
+              let v = run (options ~jobs ~paranoid) in
               Alcotest.(check string)
                 (cell ^ " status") status (Verdict.status_string v);
               (match v with
@@ -391,12 +363,13 @@ let agree ?(steals = false) ?solo_bound name h ~f ~r ~expect =
         true
         (s.Explore.transitions < than.Explore.transitions)
   in
-  (* Each level runs once, in its own spill directory, when the first
-     case that needs it forces it. *)
+  (* Each level runs once, when the first case that needs it forces
+     it. *)
   let run label ?reach reduction =
-    lazy (in_temp_dir (fun dir ->
-        level dir label ?reach:(Option.map (fun l -> fst (Lazy.force l)) reach)
-          reduction) ())
+    lazy
+      (level label
+         ?reach:(Option.map (fun l -> fst (Lazy.force l)) reach)
+         reduction)
   in
   let counts l = fst (Lazy.force l) in
   let none = run "none" Explore.no_reduction in

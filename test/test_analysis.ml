@@ -119,8 +119,7 @@ let wrong_group () =
   Subject.make ~name:"wrn-under-full"
     ~model:(O.Wrn.model ~k)
     ~alphabet ~expected:Subject.Deterministic
-    ~symmetry:(Symmetry.standard ~n:k ~input_base:100 `Full)
-    ~group_name:"full" ()
+    ~symmetry:(Symmetry.standard ~n:k ~input_base:100 `Full) ()
 
 (* (3,2)-set consensus branches; declaring it deterministic must lint. *)
 let misdeclared_det () =
@@ -572,6 +571,83 @@ let independence_tests =
             (Explore.Certificate.obligations cert));
   ]
 
+let subject_tests =
+  [
+    test "reports name the group the symmetry was given" (fun () ->
+        List.iter
+          (fun (expected, sym) ->
+            Alcotest.(check string) expected expected (Symmetry.group_name sym))
+          [
+            ("trivial", Symmetry.standard ~n:3 `Trivial);
+            ("rotations", Symmetry.standard ~n:3 `Rotations);
+            ("full", Symmetry.standard ~n:3 ~erase_dead:false `Full);
+            ("trivial", Symmetry.trivial ~n:3);
+            ("trivial", Symmetry.erasure_only ~n:3);
+          ];
+        let s =
+          Subject.make ~name:"default" ~model:O.Register.model_bot
+            ~alphabet:[ op "read" [] ] ~expected:Subject.Deterministic ()
+        in
+        Alcotest.(check string) "a subject's default group" "trivial"
+          (Symmetry.group_name s.Subject.symmetry));
+    test "op pairs: every unordered pair once, same-op pairs included"
+      (fun () ->
+        let alphabet = [ op "read" []; op "write" [ tok 0 ]; op "write" [ tok 1 ] ] in
+        let s =
+          Subject.make ~name:"pairs" ~model:O.Register.model_bot ~alphabet
+            ~expected:Subject.Deterministic ()
+        in
+        let pairs = Subject.op_pairs s in
+        Alcotest.(check int) "3 choose 2 plus 3" 6 (List.length pairs);
+        List.iteri
+          (fun i a ->
+            List.iteri
+              (fun j b ->
+                let listed =
+                  List.length
+                    (List.filter (fun p -> p = (a, b) || p = (b, a)) pairs)
+                in
+                Alcotest.(check int)
+                  (Printf.sprintf "pair %d,%d listed once" i j)
+                  1 listed)
+              alphabet)
+          alphabet);
+    test "independence: semantic reads the state, declared does not"
+      (fun () ->
+        let read = op "read" [] and w0 = op "write" [ tok 0 ] in
+        let alphabet = [ read; w0; op "write" [ tok 1 ] ] in
+        let semantic =
+          Subject.make ~name:"semantic" ~model:O.Register.model_bot ~alphabet
+            ~expected:Subject.Deterministic ()
+        and declared =
+          Subject.make ~name:"declared" ~model:O.Register.model_bot ~alphabet
+            ~expected:Subject.Deterministic
+            ~independence:(Subject.Declared (fun a b -> a = b))
+            ()
+        in
+        match Reach.enumerate semantic with
+        | Error flaw -> Alcotest.failf "reach: %a" Reach.pp_flaw flaw
+        | Ok space ->
+          List.iter
+            (fun st ->
+              List.iter
+                (fun (a, b) ->
+                  Alcotest.(check bool) "semantic is op_independent"
+                    (Explore.op_independent O.Register.model_bot st a b)
+                    (Subject.independent semantic st a b);
+                  Alcotest.(check bool) "declared is the predicate" (a = b)
+                    (Subject.independent declared st a b))
+                (Subject.op_pairs semantic))
+            space.Reach.states;
+          let judged =
+            List.map
+              (fun st -> Subject.independent semantic st read w0)
+              space.Reach.states
+          in
+          Alcotest.(check bool) "semantic read/write differs by state" true
+            (List.mem true judged && List.mem false judged));
+  ]
+
 let suite =
   [
     ("analysis.registry", registry_tests @ [ subjects_cover_instances ]);
@@ -582,4 +658,5 @@ let suite =
     ("analysis.mutations", mutation_tests);
     ("analysis.lint-gate", lint_gate_tests);
     ("analysis.independence", independence_tests);
+    ("analysis.subject", subject_tests);
   ]

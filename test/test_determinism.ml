@@ -3,9 +3,9 @@
    at its crash and recovery budgets, with the status the property has
    at each; each budget and reduction level is its own test case, so a
    disagreement names both.  [Helpers.agree] runs it at every level it
-   admits, under every engine setting, visited-table backing and key
-   mode, and asserts that the cells and the row's checker agree (see its
-   comment for the cells and the checks). *)
+   admits, under every engine setting and key mode, and asserts that
+   the cells and the row's checker agree (see its comment for the cells
+   and the checks). *)
 open Subc_sim
 open Helpers
 module Cn = Subc_classic.Consensus_number

@@ -152,18 +152,19 @@ let runner_edges =
 let explore_edges =
   [
     test "max_depth marks limited" (fun () ->
+        (* One write more than the trace-length budget every search has. *)
         let store, reg = Store.alloc Store.empty Register.model_bot in
         let program =
-          Program.for_ 0 50 (fun i -> Register.write reg (Value.Int i))
+          Program.for_ 0 (Parallel.default_max_depth + 1) (fun i ->
+              Register.write reg (Value.Int i))
           |> fun p -> Program.bind p (fun () -> Program.return Value.Unit)
         in
         let config = Config.make store [ program ] in
-        let stats =
-          Search.iter_terminals
-            ~options:Search.(default |> with_max_depth 5)
-            config ~f:(fun _ _ -> ())
-        in
-        Alcotest.(check bool) "limited" true stats.Explore.limited);
+        let stats = Search.iter_terminals config ~f:(fun _ _ -> ()) in
+        Alcotest.(check bool) "limited" true stats.Explore.limited;
+        Alcotest.(check string) "by depth" "max-depth"
+          (Format.asprintf "%a" Explore.pp_limit_reason
+             stats.Explore.limit_reason));
     test "check_terminals stops early" (fun () ->
         let store, reg = Store.alloc Store.empty Register.model_bot in
         let writer v =
@@ -184,6 +185,21 @@ let explore_edges =
         Search.iter_terminals config ~f:(fun _ trace ->
             Alcotest.(check int) "one step" 1 (Trace.length trace))
         |> fun stats -> Alcotest.(check int) "one terminal" 1 stats.Explore.terminals);
+    test "a run as deep as max_depth is not limited" (fun () ->
+        (* One write fewer than "max_depth marks limited": the deepest
+           node sits at the trace-length budget, which it may reach. *)
+        let store, reg = Store.alloc Store.empty Register.model_bot in
+        let program =
+          Program.for_ 0 Parallel.default_max_depth (fun i ->
+              Register.write reg (Value.Int i))
+          |> fun p -> Program.bind p (fun () -> Program.return Value.Unit)
+        in
+        let config = Config.make store [ program ] in
+        let stats = Search.iter_terminals config ~f:(fun _ _ -> ()) in
+        Alcotest.(check bool) "not limited" false stats.Explore.limited;
+        Alcotest.(check int) "one terminal" 1 stats.Explore.terminals;
+        Alcotest.(check int) "deepest node at the budget"
+          Parallel.default_max_depth stats.Explore.max_depth);
   ]
 
 let hierarchy_edges =

@@ -1,7 +1,7 @@
 (* The search engine beyond the determinism matrix (test_determinism,
    which also runs every checker at [--jobs 1] and [--jobs N]): budgets,
    callbacks that stop or raise, the small-space fallback, the
-   visited-table structures and their spill files, and the fingerprint
+   visited-table structures, and the fingerprint
    the engine keys on: injective over every reachable set we explore,
    and equal on equal canonical keys. *)
 open Subc_sim
@@ -72,40 +72,26 @@ let fold_merges_per_domain_sums () =
   Alcotest.(check int) "serialized plain counter = terminals"
     seq.Explore.terminals !plain
 
-let all_visited spill_dir = [ Parallel.Heap; Parallel.Spill spill_dir ]
-
 (* The max-states budget truncates identically (exactly [max_states]
-   states counted, Max_states reported) under every visited table. *)
-let budget_truncation spill_dir =
+   states counted, Max_states reported). *)
+let budget_truncation () =
   let config = root (Registry.alg5 ~k:3) in
   let budget = 100 in
-  List.iter
-    (fun visited ->
-      let label = Format.asprintf "%a" Parallel.pp_visited visited in
-      let par =
-        Search.iter_terminals
-          ~options:
-            Search.(
-              default |> with_visited visited |> with_max_states budget
-              |> with_jobs jobs)
-          config ~f:(fun _ _ -> ())
-      in
-      Alcotest.(check int)
-        (label ^ " exactly budget states") budget par.Explore.states;
-      Alcotest.(check bool) (label ^ " limited") true par.Explore.limited)
-    (all_visited spill_dir)
+  let par =
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_states budget |> with_jobs jobs)
+      config ~f:(fun _ _ -> ())
+  in
+  Alcotest.(check int) "exactly budget states" budget par.Explore.states;
+  Alcotest.(check bool) "limited" true par.Explore.limited
 
 (* The budget stays exact while helpers claim: Alg 5 k=4 f=1 at [jobs],
    cut past the default spawn point and, with helpers spawned at the
-   root, at a few hundred states — on the heap, spill and paranoid
+   root, at a few hundred states — on the two-lane and paranoid
    tables. *)
-let budget_truncation_with_helpers spill_dir =
+let budget_truncation_with_helpers () =
   let config = root (Registry.alg5 ~k:4) in
-  let tables =
-    [ ("heap", Search.with_visited Parallel.Heap);
-      ("spill", Search.with_visited (Parallel.Spill spill_dir));
-      ("paranoid", Search.with_paranoid true) ]
-  in
+  let tables = [ ("heap", Fun.id); ("paranoid", Search.with_paranoid true) ] in
   List.iter
     (fun (seq_threshold, budget) ->
       List.iter
@@ -205,11 +191,10 @@ let caller_after_spawn ?(pause = 0.0) ?exn options config =
 (* The search after each robustness cell: a jobs=2 search that returns
    the sequential counts, so no domain was left running and no lock
    held. *)
-let next_search_is_whole label visited ~seq small =
+let next_search_is_whole label ~seq small =
   same_counts (label ^ " next search") seq
     (parallel_run ~seq_threshold:0
-       Search.(
-         default |> with_visited visited |> with_max_crashes 1 |> with_jobs 2)
+       Search.(default |> with_max_crashes 1 |> with_jobs 2)
        small)
 
 (* [Search.Stop] raised from a callback ends the search gracefully at
@@ -217,7 +202,7 @@ let next_search_is_whole label visited ~seq small =
    space.  The worker domains run under [~seq_threshold:0] (this space is
    small); the last cells raise on the calling domain after it spawned
    its helpers mid-DFS, or let the deadline expire then. *)
-let stop_from_callback spill_dir =
+let stop_from_callback () =
   let config = root (Registry.alg5 ~k:3) in
   let big = root (Registry.alg5 ~k:4) in
   let seq =
@@ -226,12 +211,9 @@ let stop_from_callback spill_dir =
       config ~f:(fun _ _ -> ())
   in
   List.iter
-    (fun (visited, j) ->
-      let label = Format.asprintf "%a jobs=%d" Parallel.pp_visited visited j in
-      let options =
-        Search.(
-          default |> with_max_crashes 1 |> with_visited visited |> with_jobs j)
-      in
+    (fun j ->
+      let label = Printf.sprintf "jobs=%d" j in
+      let options = Search.(default |> with_max_crashes 1 |> with_jobs j) in
       let seen = Atomic.make 0 in
       let on_terminal _ _ =
         if Atomic.fetch_and_add seen 1 >= 3 then raise Search.Stop
@@ -248,50 +230,39 @@ let stop_from_callback spill_dir =
           (s.Explore.terminals < seq.Explore.terminals)
       | exception e ->
         Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e))
-    [
-      (Parallel.Heap, 1);
-      (Parallel.Heap, jobs);
-      (Parallel.Spill spill_dir, 1);
-      (Parallel.Spill spill_dir, jobs);
-    ];
-  List.iter
-    (fun visited ->
-      let label = Format.asprintf "%a after spawn" Parallel.pp_visited visited in
-      let options = Search.(default |> with_visited visited |> with_jobs 2) in
-      (match caller_after_spawn ~exn:Search.Stop options big with
-      | s ->
-        Alcotest.(check bool)
-          (label ^ " stopped early") true (s.Explore.states < 60948);
-        Alcotest.(check bool)
-          (label ^ " not a budget stop") false s.Explore.limited
-      | exception e ->
-        Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e));
-      next_search_is_whole label visited ~seq config;
-      let label = label ^ " deadline" in
-      (match
-         caller_after_spawn ~pause:0.3
-           (Search.with_deadline 0.1 options)
-           big
-       with
-      | s ->
-        Alcotest.(check bool) (label ^ " limited") true s.Explore.limited;
-        Alcotest.(check string)
-          (label ^ " reason") "deadline"
-          (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason)
-      | exception e ->
-        Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e));
-      next_search_is_whole label visited ~seq config)
-    (all_visited spill_dir)
+    [ 1; jobs ];
+  let label = "after spawn" in
+  let options = Search.(default |> with_jobs 2) in
+  (match caller_after_spawn ~exn:Search.Stop options big with
+  | s ->
+    Alcotest.(check bool)
+      (label ^ " stopped early") true (s.Explore.states < 60948);
+    Alcotest.(check bool)
+      (label ^ " not a budget stop") false s.Explore.limited
+  | exception e ->
+    Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e));
+  next_search_is_whole label ~seq config;
+  let label = label ^ " deadline" in
+  (match
+     caller_after_spawn ~pause:0.3 (Search.with_deadline 0.1 options) big
+   with
+  | s ->
+    Alcotest.(check bool) (label ^ " limited") true s.Explore.limited;
+    Alcotest.(check string)
+      (label ^ " reason") "deadline"
+      (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason)
+  | exception e ->
+    Alcotest.failf "%s: %s escaped the search" label (Printexc.to_string e));
+  next_search_is_whole label ~seq config
 
 exception Boom
 
 (* A non-[Stop] exception from [on_visit] ends a jobs=2 search and
-   reaches the caller exactly once, under either backing, whether a
-   helper raised it or the calling domain did after spawning its helpers
-   mid-DFS; a second search in the same process then completes with the
-   sequential counts, so no lock was left held and no domain left
-   running. *)
-let callback_exception_then_next_search spill_dir =
+   reaches the caller exactly once, whether a helper raised it or the
+   calling domain did after spawning its helpers mid-DFS; a second
+   search in the same process then completes with the sequential
+   counts, so no lock was left held and no domain left running. *)
+let callback_exception_then_next_search () =
   let big = root (Registry.alg5 ~k:4) in
   let small = root (Registry.alg5 ~k:3) in
   let seq =
@@ -299,48 +270,22 @@ let callback_exception_then_next_search spill_dir =
       ~options:Search.(default |> with_max_crashes 1)
       small ~f:(fun _ _ -> ())
   in
+  let options = Search.(default |> with_jobs 2) in
   List.iter
-    (fun visited ->
-      let options = Search.(default |> with_visited visited |> with_jobs 2) in
-      List.iter
-        (fun (where, search) ->
-          let label =
-            Format.asprintf "%a %s" Parallel.pp_visited visited where
-          in
-          let caught = ref 0 in
-          (match search () with
-          | _ -> ()
-          | exception Boom -> incr caught);
-          Alcotest.(check int) (label ^ " raised once on the caller") 1 !caught;
-          next_search_is_whole label visited ~seq small)
-        [
-          ( "helper",
-            fun () ->
-              Search.iter_reachable ~options big ~f:(fun _ _ ->
-                  if not (Domain.is_main_domain ()) then raise Boom) );
-          ("caller after spawn", fun () -> caller_after_spawn ~exn:Boom options big);
-        ])
-    (all_visited spill_dir)
-
-(* A spill directory that cannot be created (its parent is a regular
-   file) fails the search with a clean [Unix.Unix_error] before any
-   state is explored, at one job and at two. *)
-let spill_dir_uncreatable dir =
-  let config = root (Registry.alg2 ~k:3 ~crashes:0) in
-  let file = Filename.concat dir "notdir" in
-  Out_channel.with_open_bin file ignore;
-  List.iter
-    (fun j ->
-      let options =
-        Search.(
-          default
-          |> with_visited (Parallel.Spill (Filename.concat file "spill"))
-          |> with_jobs j)
-      in
-      match Search.iter_terminals ~options config ~f:(fun _ _ -> ()) with
-      | _ -> Alcotest.failf "jobs=%d: the search ran without its table" j
-      | exception Unix.Unix_error (Unix.ENOTDIR, _, _) -> ())
-    [ 1; 2 ]
+    (fun (label, search) ->
+      let caught = ref 0 in
+      (match search () with
+      | _ -> ()
+      | exception Boom -> incr caught);
+      Alcotest.(check int) (label ^ " raised once on the caller") 1 !caught;
+      next_search_is_whole label ~seq small)
+    [
+      ( "helper",
+        fun () ->
+          Search.iter_reachable ~options big ~f:(fun _ _ ->
+              if not (Domain.is_main_domain ()) then raise Boom) );
+      ("caller after spawn", fun () -> caller_after_spawn ~exn:Boom options big);
+    ]
 
 (* The per-domain counters merge field by field: every count summed,
    [max_depth] the maximum — the rule the jobs-independent stats rest on. *)
@@ -387,22 +332,51 @@ let counters_merge () =
        (List.combine (fields a) (fields b)))
     (fields c)
 
-(* An expired deadline stops a spill search through the same stop
-   protocol as the heap tables: a Limited answer, never a proof. *)
-let spill_deadline_limits spill_dir =
-  let config = root (Registry.alg5 ~k:3) in
+(* An already-expired deadline stops a search whose helpers spawn at
+   the root: the helpers poll it too, so the search ends Limited by the
+   deadline before the space is done, and the next search is whole. *)
+let deadline_with_helpers () =
+  let big = root (Registry.alg5 ~k:4) and small = root (Registry.alg5 ~k:3) in
+  let seq =
+    Search.iter_terminals
+      ~options:Search.(default |> with_max_crashes 1)
+      small ~f:(fun _ _ -> ())
+  in
   let s =
     parallel_run ~seq_threshold:0
-      Search.(
-        default
-        |> with_visited (Parallel.Spill spill_dir)
-        |> with_max_crashes 2 |> with_deadline 0.0 |> with_jobs jobs)
-      config
+      Search.(default |> with_deadline 0.0 |> with_jobs jobs)
+      big
   in
   Alcotest.(check bool) "limited" true s.Explore.limited;
   Alcotest.(check string)
-    "deadline reason" "deadline"
-    (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason)
+    "reason" "deadline"
+    (Format.asprintf "%a" Explore.pp_limit_reason s.Explore.limit_reason);
+  Alcotest.(check bool) "stopped early" true (s.Explore.states < 60948);
+  next_search_is_whole "deadline" ~seq small
+
+(* A search's [visited_bytes] is its table's word array: 16 B per slot,
+   a power of two of at least 64 slots, which holds the claimed states
+   within its three-quarter limit.  The table's size depends only on how
+   many keys were claimed, so a search with helpers spawned at the root
+   reports the one-domain figure. *)
+let visited_bytes_is_the_table () =
+  let config = root (Registry.alg5 ~k:3) in
+  let options = Search.(default |> with_max_crashes 1) in
+  let one = parallel_run options config in
+  let slots = one.Explore.visited_bytes / 16 in
+  Alcotest.(check int) "16 B per slot" (16 * slots) one.Explore.visited_bytes;
+  Alcotest.(check bool)
+    "a power of two of at least 64 slots" true
+    (slots >= 64 && slots land (slots - 1) = 0);
+  Alcotest.(check bool)
+    "the states fit under the limit" true
+    (one.Explore.states <= slots - (slots / 4));
+  let many =
+    parallel_run ~seq_threshold:0 (Search.with_jobs jobs options) config
+  in
+  same_counts "jobs" one many;
+  Alcotest.(check int) "same table size at jobs" one.Explore.visited_bytes
+    many.Explore.visited_bytes
 
 (* Injectivity of the fingerprint the symmetry-off searches key on
    ([Fingerprint.hom_of_config], the re-fold of the carried hash) over an
@@ -496,28 +470,23 @@ let slots_conserve_work () =
 
 (* Two searches running at once, one per domain, each keep their own
    figures: each run's deterministic figures equal those of the same
-   search run alone.  At one domain on the heap those include its
-   commute and probe counts; at two domains on spill, helpers spawned at
-   the root, only its fingerprint counts and mapped bytes (which memo
-   meets a node depends on the schedule, as does a shared table's
-   probing). *)
-let concurrent_runs_keep_their_counts spill_dir =
+   search run alone.  At one domain those include its commute and probe
+   counts; at two domains, helpers spawned at the root, only its
+   fingerprint counts (which memo meets a node depends on the schedule,
+   as does a shared table's probing). *)
+let concurrent_runs_keep_their_counts () =
   let config = root (Registry.alg5 ~k:3) in
   let options =
     Search.(default |> with_max_crashes 1 |> with_reduction Explore.source_only)
   in
-  let heap () = parallel_run options config in
-  let spill () =
-    parallel_run ~seq_threshold:0
-      Search.(options |> with_visited (Parallel.Spill spill_dir) |> with_jobs 2)
-      config
+  let one () = parallel_run options config in
+  let two () =
+    parallel_run ~seq_threshold:0 (Search.with_jobs 2 options) config
   in
-  let heap_figures (s : Explore.stats) =
+  let one_figures (s : Explore.stats) =
     [ s.fp_patches; s.fp_refolds; s.diamonds; s.memo_hits; s.probes ]
-  and spill_figures (s : Explore.stats) =
-    [ s.fp_patches; s.fp_refolds; s.spill_bytes ]
-  in
-  let heap_alone = heap () and spill_alone = spill () in
+  and two_figures (s : Explore.stats) = [ s.fp_patches; s.fp_refolds ] in
+  let one_alone = one () and two_alone = two () in
   let ready = Atomic.make 0 in
   let together =
     Parallel.map ~jobs:2
@@ -527,29 +496,59 @@ let concurrent_runs_keep_their_counts spill_dir =
           Domain.cpu_relax ()
         done;
         run ())
-      [ heap; spill ]
+      [ one; two ]
   in
   let positive = List.for_all (fun n -> n > 0) in
   Alcotest.(check bool)
     "every figure counted" true
-    (positive (heap_figures heap_alone) && positive (spill_figures spill_alone));
+    (positive (one_figures one_alone) && positive (two_figures two_alone));
   match together with
-  | [ heap_together; spill_together ] ->
-    same_counts "heap" heap_alone heap_together;
-    same_counts "spill" spill_alone spill_together;
+  | [ one_together; two_together ] ->
+    same_counts "jobs 1" one_alone one_together;
+    same_counts "jobs 2" two_alone two_together;
     Alcotest.(check (list int))
-      "heap patches, re-folds, diamonds, memo hits, probes"
-      (heap_figures heap_alone) (heap_figures heap_together);
+      "jobs 1 patches, re-folds, diamonds, memo hits, probes"
+      (one_figures one_alone) (one_figures one_together);
     Alcotest.(check (list int))
-      "spill patches, re-folds, mapped bytes" (spill_figures spill_alone)
-      (spill_figures spill_together)
+      "jobs 2 patches, re-folds" (two_figures two_alone)
+      (two_figures two_together)
+  | _ -> assert false
+
+(* A paranoid search and a two-lane one running at once, one per
+   domain, each keep their own table: both count what the two-lane
+   search counts alone, the exact-key table reports no bytes and a
+   collision bound of 0, and the two-lane table its own size. *)
+let concurrent_key_modes () =
+  let config = root (Registry.alg5 ~k:3) in
+  let options = Search.(default |> with_max_crashes 1) in
+  let two_lane () = parallel_run options config
+  and paranoid () = parallel_run (Search.with_paranoid true options) config in
+  let alone = two_lane () in
+  let ready = Atomic.make 0 in
+  match
+    Parallel.map ~jobs:2
+      (fun run ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        run ())
+      [ two_lane; paranoid ]
+  with
+  | [ t; p ] ->
+    same_counts "two-lane" alone t;
+    same_counts "paranoid" alone p;
+    Alcotest.(check int) "two-lane bytes" alone.Explore.visited_bytes
+      t.Explore.visited_bytes;
+    Alcotest.(check bool) "two-lane bound positive" true
+      (t.Explore.collision_bound > 0.0);
+    Alcotest.(check int) "paranoid bytes" 0 p.Explore.visited_bytes;
+    Alcotest.(check (float 0.0)) "paranoid bound" 0.0
+      p.Explore.collision_bound
   | _ -> assert false
 
 (* ---------------------------------------------------------------- *)
 (* Claim table: claim-once under forced probe collisions.            *)
-
-(* Both backings of the claim table, labelled. *)
-let backings spill_dir = [ ("heap", None); ("spill", Some spill_dir) ]
 
 (* [jobs] domains race to claim an overlapping key set whose hashes all
    start probing at the same slot of a deliberately tiny table (so the
@@ -557,65 +556,55 @@ let backings spill_dir = [ ("heap", None); ("spill", Some spill_dir) ]
    mid-race).  Exactly one domain must win [`Fresh] for each key.  The
    table is shared before the domains start, as the engine shares its
    own. *)
-let claim_table_claim_once spill_dir =
-  List.iter
-    (fun (label, spill) ->
-      let t = Claim_table.create ~initial_capacity:64 ?spill `Two_lane in
-      Claim_table.share t;
-      let n_keys = 4096 in
-      (* Low bits constant: every key's probe sequence begins at the same
-         slot of the 64-slot table.  High bits keep the keys distinct in
-         both lanes. *)
-      let h1_of i = (i + 1) lsl 12 in
-      let h2_of i = ((i + 1) * 0x9E3779B9) lxor 0x55 in
-      let wins = Array.init n_keys (fun _ -> Atomic.make 0) in
-      let worker seed () =
-        let st = Claim_table.fresh_opstats () in
-        (* Each domain visits the keys in a different (full-cycle) order:
-           [seed] is odd, hence coprime to the power-of-two key count. *)
-        for j = 0 to n_keys - 1 do
-          let i = (j * seed) land (n_keys - 1) in
-          match Claim_table.claim t st ~h1:(h1_of i) ~h2:(h2_of i) with
-          | `Fresh -> Atomic.incr wins.(i)
-          | `Dup -> ()
-        done;
-        st
-      in
-      let domains =
-        List.init jobs (fun i -> Domain.spawn (worker ((2 * i) + 3)))
-      in
-      let stats = List.map Domain.join domains in
-      Array.iteri
-        (fun i w ->
-          if Atomic.get w <> 1 then
-            Alcotest.failf "%s: key %d claimed fresh %d times" label i
-              (Atomic.get w))
-        wins;
-      Alcotest.(check int)
-        (label ^ " occupancy") n_keys (Claim_table.occupancy t);
-      Alcotest.(check bool)
-        (label ^ " several doublings") true
-        (Claim_table.slots t >= 64 lsl 6);
-      (* The clustered hashes force long probe chains: the probe counter
-         must reflect that (strictly more probes than claims). *)
-      let probes =
-        List.fold_left (fun acc st -> acc + st.Claim_table.probes) 0 stats
-      in
-      Alcotest.(check bool) (label ^ " probes counted") true (probes > n_keys))
-    (backings spill_dir)
+let claim_table_claim_once () =
+  let t = Claim_table.create ~initial_capacity:64 `Two_lane in
+  Claim_table.share t;
+  let n_keys = 4096 in
+  (* Low bits constant: every key's probe sequence begins at the same
+     slot of the 64-slot table.  High bits keep the keys distinct in
+     both lanes. *)
+  let h1_of i = (i + 1) lsl 12 in
+  let h2_of i = ((i + 1) * 0x9E3779B9) lxor 0x55 in
+  let wins = Array.init n_keys (fun _ -> Atomic.make 0) in
+  let worker seed () =
+    let st = Claim_table.fresh_opstats () in
+    (* Each domain visits the keys in a different (full-cycle) order:
+       [seed] is odd, hence coprime to the power-of-two key count. *)
+    for j = 0 to n_keys - 1 do
+      let i = (j * seed) land (n_keys - 1) in
+      match Claim_table.claim t st ~h1:(h1_of i) ~h2:(h2_of i) with
+      | `Fresh -> Atomic.incr wins.(i)
+      | `Dup -> ()
+    done;
+    st
+  in
+  let domains = List.init jobs (fun i -> Domain.spawn (worker ((2 * i) + 3))) in
+  let stats = List.map Domain.join domains in
+  Array.iteri
+    (fun i w ->
+      if Atomic.get w <> 1 then
+        Alcotest.failf "key %d claimed fresh %d times" i (Atomic.get w))
+    wins;
+  Alcotest.(check int) "occupancy" n_keys (Claim_table.occupancy t);
+  Alcotest.(check bool)
+    "several doublings" true
+    (Claim_table.slots t >= 64 lsl 6);
+  (* The clustered hashes force long probe chains: the probe counter
+     must reflect that (strictly more probes than claims). *)
+  let probes =
+    List.fold_left (fun acc st -> acc + st.Claim_table.probes) 0 stats
+  in
+  Alcotest.(check bool) "probes counted" true (probes > n_keys)
 
 (* A table claimed in private, then shared, as the engine's is at its
    spawn point: the keys claimed before [share] come back [-1] to every
    domain, each other key is fresh for exactly one domain, and the
    tickets are 0 .. n - 1, each drawn once, on every kind of table. *)
-let claim_table_private_then_shared spill_dir =
+let claim_table_private_then_shared () =
   let n_keys = 2048 and n_private = 256 in
-  let fp i = Fingerprint.Fp (Fingerprint.of_value (Value.Int i)) in
   let tables =
-    [ ("heap", Claim_table.create ~initial_capacity:64 `Two_lane, fp);
-      ("spill",
-       Claim_table.create ~initial_capacity:64 ~spill:spill_dir `Two_lane,
-       fp);
+    [ ("two-lane", Claim_table.create ~initial_capacity:64 `Two_lane,
+       fun i -> Fingerprint.Fp (Fingerprint.of_value (Value.Int i)));
       ("exact", Claim_table.create `Exact, fun i -> Fingerprint.Exact (Value.Int i)) ]
   in
   List.iter
@@ -671,164 +660,126 @@ let claim_table_private_then_shared spill_dir =
    including a forced collision: two keys that differ only in bit 62 of
    each lane, which the stored words drop, are one key to the table —
    the documented ~2^-124 per-pair risk. *)
-let claim_table_forced_collision spill_dir =
+let claim_table_forced_collision () =
+  let t = Claim_table.create ~initial_capacity:64 `Two_lane in
+  let ops = Claim_table.fresh_opstats () in
+  for i = 1 to 200 do
+    let h1 = (i * 0x9E37) lxor 0x55 and h2 = i * 7919 in
+    Alcotest.(check bool)
+      (Printf.sprintf "key %d fresh" i)
+      true
+      (Claim_table.claim t ops ~h1 ~h2 = `Fresh);
+    Alcotest.(check bool)
+      (Printf.sprintf "key %d dup" i)
+      true
+      (Claim_table.claim t ops ~h1 ~h2 = `Dup)
+  done;
+  Alcotest.(check int) "occupancy" 200 (Claim_table.occupancy t);
+  Alcotest.(check bool)
+    "grew past the initial capacity" true
+    (Claim_table.slots t > 64);
+  let h1 = 123456789 and h2 = 987654321 in
+  Alcotest.(check bool)
+    "collided key fresh once" true
+    (Claim_table.claim t ops ~h1 ~h2 = `Fresh);
+  Alcotest.(check bool)
+    "collided key dup after" true
+    (Claim_table.claim t ops ~h1:(h1 lxor min_int) ~h2:(h2 lxor min_int)
+    = `Dup);
+  Alcotest.(check bool)
+    "lane 2 still tells keys apart" true
+    (Claim_table.claim t ops ~h1 ~h2:(h2 + 1) = `Fresh);
+  Alcotest.(check bool) "probes counted" true (ops.Claim_table.probes > 0);
+  Alcotest.(check int)
+    "16 B per slot" (16 * Claim_table.slots t) (Claim_table.memory_bytes t)
+
+(* A fresh two-lane table has the asked capacity rounded up to a power
+   of two, at least 64 slots, at 16 B each; it doubles at the first
+   fresh key past three quarters of its slots. *)
+let claim_table_capacity () =
   List.iter
-    (fun (label, spill) ->
-      let t = Claim_table.create ~initial_capacity:64 ?spill `Two_lane in
-      let ops = Claim_table.fresh_opstats () in
-      for i = 1 to 200 do
-        let h1 = (i * 0x9E37) lxor 0x55 and h2 = i * 7919 in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s key %d fresh" label i)
-          true
-          (Claim_table.claim t ops ~h1 ~h2 = `Fresh);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s key %d dup" label i)
-          true
-          (Claim_table.claim t ops ~h1 ~h2 = `Dup)
-      done;
-      Alcotest.(check int) (label ^ " occupancy") 200 (Claim_table.occupancy t);
-      Alcotest.(check bool)
-        (label ^ " grew past the initial capacity") true
-        (Claim_table.slots t > 64);
-      let h1 = 123456789 and h2 = 987654321 in
-      Alcotest.(check bool)
-        (label ^ " collided key fresh once") true
-        (Claim_table.claim t ops ~h1 ~h2 = `Fresh);
-      Alcotest.(check bool)
-        (label ^ " collided key dup after") true
-        (Claim_table.claim t ops ~h1:(h1 lxor min_int) ~h2:(h2 lxor min_int)
-        = `Dup);
-      Alcotest.(check bool)
-        (label ^ " lane 2 still tells keys apart") true
-        (Claim_table.claim t ops ~h1 ~h2:(h2 + 1) = `Fresh);
-      Alcotest.(check bool)
-        (label ^ " probes counted") true (ops.Claim_table.probes > 0);
-      (* The spill table maps 16 B per slot and keeps only bookkeeping on
-         the heap, at most half what the heap table keeps there for the
-         same slots; the heap table is the other way round. *)
-      let slot_bytes = 16 * Claim_table.slots t in
-      match spill with
-      | Some _ ->
-        Alcotest.(check int)
-          "spill bytes mapped" slot_bytes
-          (Claim_table.spill_bytes t);
-        Alcotest.(check bool)
-          "heap footprint is bookkeeping only" true
-          (2 * Claim_table.memory_bytes t <= Claim_table.spill_bytes t)
-      | None ->
-        Alcotest.(check int) "nothing mapped" 0 (Claim_table.spill_bytes t);
-        Alcotest.(check int)
-          "heap words" slot_bytes (Claim_table.memory_bytes t))
-    (backings spill_dir)
-
-(* Spill files are created exclusively: a file already in the spill
-   directory — here one with a plausible name — is neither truncated nor
-   unlinked, however many times the table grows. *)
-let spill_keeps_existing_files dir =
-  let path = Filename.concat dir "part0.seg0.spill" in
-  let contents = "bytes that must survive\n" in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc contents);
-  let t = Claim_table.create ~initial_capacity:64 ~spill:dir `Two_lane in
+    (fun (asked, slots) ->
+      let t = Claim_table.create ~initial_capacity:asked `Two_lane in
+      let label = Printf.sprintf "asked %d" asked in
+      Alcotest.(check int) (label ^ " slots") slots (Claim_table.slots t);
+      Alcotest.(check int)
+        (label ^ " bytes") (16 * slots)
+        (Claim_table.memory_bytes t);
+      Alcotest.(check int) (label ^ " empty") 0 (Claim_table.occupancy t))
+    [ (1, 64); (64, 64); (65, 128); (100, 128); (1000, 1024) ];
+  let t = Claim_table.create `Two_lane in
   let ops = Claim_table.fresh_opstats () in
-  for i = 1 to 200 do
-    ignore (Claim_table.claim t ops ~h1:i ~h2:(i * 7919))
-  done;
-  Alcotest.(check bool) "grew" true (Claim_table.slots t > 64);
-  Alcotest.(check bool) "file still exists" true (Sys.file_exists path);
-  Alcotest.(check string)
-    "file unchanged" contents
-    (In_channel.with_open_bin path In_channel.input_all)
-
-(* Two tables over one directory never share storage: each claims every
-   key afresh, and each counts only its own claims. *)
-let spill_tables_stay_separate spill_dir =
-  let create () =
-    Claim_table.create ~initial_capacity:64 ~spill:spill_dir `Two_lane
+  let claim i =
+    Claim_table.claim t ops ~h1:((i * 0x9E37) lxor 0x55) ~h2:(i * 7919)
   in
-  let a = create () and b = create () in
+  for i = 1 to 48 do
+    ignore (claim i)
+  done;
+  Alcotest.(check int) "48 keys fit in 64 slots" 64 (Claim_table.slots t);
+  Alcotest.(check bool) "a known key is no fresh key" true (claim 48 = `Dup);
+  Alcotest.(check int) "a duplicate does not grow" 64 (Claim_table.slots t);
+  Alcotest.(check bool) "the 49th key is fresh" true (claim 49 = `Fresh);
+  Alcotest.(check int) "and doubles the table" 128 (Claim_table.slots t)
+
+(* An [`Exact] table holds whole keys and no word array: tickets in
+   claim order, no slots and no bytes.  A two-lane claim in it is
+   refused, as is an exact key in a two-lane table. *)
+let claim_table_exact () =
+  let t = Claim_table.create ~initial_capacity:4096 `Exact in
   let ops = Claim_table.fresh_opstats () in
-  for i = 1 to 100 do
-    let h1 = i * 0x9E37 and h2 = i * 7919 in
-    Alcotest.(check bool)
-      (Printf.sprintf "key %d fresh in a" i)
-      true
-      (Claim_table.claim a ops ~h1 ~h2 = `Fresh);
-    Alcotest.(check bool)
-      (Printf.sprintf "key %d fresh in b" i)
-      true
-      (Claim_table.claim b ops ~h1 ~h2 = `Fresh)
+  let key i = Fingerprint.Exact (Value.Int i) in
+  for i = 0 to 499 do
+    Alcotest.(check int)
+      (Printf.sprintf "key %d ticket" i)
+      i
+      (Claim_table.claim_key t ops (key i))
   done;
-  ignore (Claim_table.claim a ops ~h1:(-1) ~h2:(-1));
-  Alcotest.(check int) "a occupancy" 101 (Claim_table.occupancy a);
-  Alcotest.(check int) "b occupancy" 100 (Claim_table.occupancy b)
+  Alcotest.(check int) "a known key" (-1) (Claim_table.claim_key t ops (key 7));
+  Alcotest.(check int) "occupancy" 500 (Claim_table.occupancy t);
+  Alcotest.(check int) "no slots" 0 (Claim_table.slots t);
+  Alcotest.(check int) "no bytes" 0 (Claim_table.memory_bytes t);
+  let refused f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool)
+    "two-lane claim refused" true
+    (refused (fun () -> Claim_table.claim t ops ~h1:1 ~h2:2));
+  let two_lane = Claim_table.create `Two_lane in
+  Alcotest.(check bool)
+    "exact key refused by a two-lane table" true
+    (refused (fun () -> Claim_table.claim_key two_lane ops (key 0)))
 
-(* [create] makes a missing spill directory, accepts an existing one,
-   and leaves no file behind: files are unlinked once mapped. *)
-let spill_dir_created_and_clean parent =
-  let dir = Filename.concat parent "fresh" in
-  let t = Claim_table.create ~initial_capacity:64 ~spill:dir `Two_lane in
-  Alcotest.(check bool) "directory created" true (Sys.is_directory dir);
-  let ops = Claim_table.fresh_opstats () in
-  for i = 1 to 200 do
-    ignore (Claim_table.claim t ops ~h1:i ~h2:(i * 31))
-  done;
-  Alcotest.(check bool) "grew" true (Claim_table.slots t > 64);
-  let t' = Claim_table.create ~spill:dir `Two_lane in
-  Alcotest.(check int) "second table starts empty" 0 (Claim_table.occupancy t');
-  Alcotest.(check (array string)) "directory left empty" [||] (Sys.readdir dir)
-
-(* Two spill searches running at once over one directory each see the
-   whole space: a shared segment would lose states to the other run. *)
-let concurrent_spill_searches spill_dir =
-  let config = root (Registry.alg5 ~k:3) in
-  let seq =
-    Search.iter_terminals
-      ~options:Search.(default |> with_max_crashes 1)
-      config ~f:(fun _ _ -> ())
+(* Tables created at once, one per domain, share nothing: each domain's
+   private table draws its own tickets 0 .. n - 1 for the same keys,
+   each in the order its domain claims them. *)
+let claim_tables_independent () =
+  let n_keys = 1024 in
+  let ready = Atomic.make 0 in
+  let worker seed () =
+    Atomic.incr ready;
+    while Atomic.get ready < jobs do
+      Domain.cpu_relax ()
+    done;
+    let t = Claim_table.create `Two_lane in
+    let ops = Claim_table.fresh_opstats () in
+    let stray = ref 0 in
+    for j = 0 to n_keys - 1 do
+      let i = (j * seed) land (n_keys - 1) in
+      let key = Fingerprint.Fp (Fingerprint.of_value (Value.Int i)) in
+      if Claim_table.claim_key t ops key <> j then incr stray;
+      if Claim_table.claim_key t ops key <> -1 then incr stray
+    done;
+    (!stray, Claim_table.occupancy t)
   in
-  let run () =
-    parallel_run ~seq_threshold:0
-      Search.(
-        default
-        |> with_visited (Parallel.Spill spill_dir)
-        |> with_max_crashes 1 |> with_jobs 2)
-      config
-  in
-  let other = Domain.spawn run in
-  let here = run () in
-  same_counts "this run" seq here;
-  same_counts "concurrent run" seq (Domain.join other)
-
-(* [~paranoid] keys on exact canonical forms, which only its own
-   hashtable can hold, so it overrides a requested [Spill] table: counts
-   match the jobs-1 search, the collision bound is zero and no file
-   is mapped (a plain spill run, the control, maps some). *)
-let spill_paranoid_exact spill_dir =
-  let config = root (Registry.alg2 ~k:3 ~crashes:0) in
-  let seq =
-    Search.iter_terminals
-      ~options:Search.(default |> with_max_crashes 1)
-      config ~f:(fun _ _ -> ())
-  in
-  let run ~paranoid =
-    parallel_run ~seq_threshold:0
-      Search.(
-        default
-        |> with_visited (Parallel.Spill spill_dir)
-        |> with_paranoid paranoid |> with_max_crashes 1 |> with_jobs jobs)
-      config
-  in
-  let exact = run ~paranoid:true in
-  same_counts "paranoid spill" seq exact;
-  Alcotest.(check (float 0.0))
-    "exact keys, no collision bound" 0.0 exact.Explore.collision_bound;
-  Alcotest.(check int) "nothing spilled" 0 exact.Explore.spill_bytes;
-  let plain = run ~paranoid:false in
-  same_counts "spill" seq plain;
-  Alcotest.(check bool) "plain spill maps its table" true
-    (plain.Explore.spill_bytes > 0)
+  List.init jobs (fun i -> Domain.spawn (worker ((2 * i) + 3)))
+  |> List.map Domain.join
+  |> List.iteri (fun d (stray, occupancy) ->
+         Alcotest.(check int)
+           (Printf.sprintf "domain %d tickets in its claim order" d)
+           0 stray;
+         Alcotest.(check int)
+           (Printf.sprintf "domain %d occupancy" d)
+           n_keys occupancy)
 
 (* ---------------------------------------------------------------- *)
 (* Parallel.map.                                                     *)
@@ -846,81 +797,6 @@ let map_propagates_exceptions () =
            (fun x -> if x = 13 then failwith "boom" else x)
            (List.init 20 (fun i -> i))))
 
-(* ---------------------------------------------------------------- *)
-(* Run settings come from the call, never from process state.        *)
-
-let bound (s : Explore.stats) = s.Explore.collision_bound
-
-(* Options that never name a visited table get the heap one, a
-   constant, not a settable default: the heap's bound, nothing mapped. *)
-let omitted_mode_is_heap () =
-  let config = root (Registry.alg5 ~k:3) in
-  let run o =
-    Search.iter_terminals
-      ~options:Search.(with_max_crashes 1 o |> with_jobs jobs)
-      config ~f:(fun _ _ -> ())
-  in
-  let omitted = run Search.default in
-  let heap = run Search.(with_visited Parallel.Heap default) in
-  Alcotest.(check (float 0.0)) "heap bound" (bound heap) (bound omitted);
-  Alcotest.(check int) "omitted maps nothing" 0 omitted.Explore.spill_bytes
-
-(* A spill table at one job maps its table like one at two, leaves no
-   file behind and reports the same counts as the heap and the same
-   bound as two jobs.  Its [visited_bytes], the visited table's heap
-   footprint, reads at most half the heap table's. *)
-let spill_at_one_job spill_dir =
-  let config = root (Registry.alg5 ~k:3) in
-  let run j visited =
-    Search.iter_terminals
-      ~options:
-        Search.(
-          default |> with_max_crashes 1 |> with_visited visited |> with_jobs j)
-      config
-      ~f:(fun _ _ -> ())
-  in
-  let heap = run 1 Parallel.Heap in
-  let spill = run 1 (Parallel.Spill spill_dir) in
-  let heap_bytes = heap.Explore.visited_bytes
-  and spill_bytes = spill.Explore.visited_bytes in
-  same_counts "spill vs heap at one job" heap spill;
-  Alcotest.(check bool) "the heap table's bytes" true (heap_bytes > 0);
-  if 2 * spill_bytes > heap_bytes then
-    Alcotest.failf "spill keeps %d B on the heap, over half the heap's %d B"
-      spill_bytes heap_bytes;
-  Alcotest.(check bool) "a mapped table" true (spill.Explore.spill_bytes > 0);
-  Alcotest.(check (array string))
-    "no file left behind" [||] (Sys.readdir spill_dir);
-  Alcotest.(check (float 0.0))
-    "the bound of jobs 2"
-    (bound (run 2 (Parallel.Spill spill_dir)))
-    (bound spill)
-
-(* Two searches running at once on separate domains each keep the
-   visited table their own options name: each maps exactly what it maps
-   alone. *)
-let concurrent_searches_keep_their_modes spill_dir =
-  let config = root (Registry.alg5 ~k:3) in
-  let run v =
-    Search.iter_terminals
-      ~options:
-        Search.(
-          default |> with_max_crashes 1 |> with_jobs 2 |> with_visited v)
-      config
-      ~f:(fun _ _ -> ())
-  in
-  let modes = [ Parallel.Heap; Parallel.Spill spill_dir ] in
-  let alone = List.map run modes in
-  let together = Parallel.map ~jobs:2 run modes in
-  List.iter2
-    (fun (v, a) t ->
-      let label = Format.asprintf "%a" Parallel.pp_visited v in
-      same_counts label a t;
-      Alcotest.(check (float 0.0)) (label ^ " bound") (bound a) (bound t);
-      Alcotest.(check int)
-        (label ^ " mapped bytes") a.Explore.spill_bytes t.Explore.spill_bytes)
-    (List.combine modes alone) together
-
 let suite =
   [
     ( "parallel.stats",
@@ -929,44 +805,39 @@ let suite =
           terminal_callback_count;
         test "fold_terminals merges per-domain sums"
           fold_merges_per_domain_sums;
-        test "max-states budget truncates identically"
-          (in_temp_dir budget_truncation);
+        test "max-states budget truncates identically" budget_truncation;
         test "max-states budget is exact while helpers claim"
-          (in_temp_dir budget_truncation_with_helpers);
+          budget_truncation_with_helpers;
         test "small spaces stay on the calling domain"
           seq_fallback_stays_on_caller;
-        test "Stop from a callback is graceful"
-          (in_temp_dir stop_from_callback);
+        test "Stop from a callback is graceful" stop_from_callback;
         test "a callback exception surfaces once; the next search runs"
-          (in_temp_dir callback_exception_then_next_search);
-        test "an uncreatable spill directory raises Unix_error"
-          (in_temp_dir spill_dir_uncreatable);
+          callback_exception_then_next_search;
+        test "an expired deadline stops helpers spawned at the root"
+          deadline_with_helpers;
         test "merged counters: summed, max_depth the maximum" counters_merge;
-        test "deadline limits a spill search"
-          (in_temp_dir spill_deadline_limits);
+        test "visited_bytes is the table's word array"
+          visited_bytes_is_the_table;
       ] );
     ( "parallel.structures",
       [
         test_slow "claim table claims each key exactly once"
-          (in_temp_dir claim_table_claim_once);
+          claim_table_claim_once;
         test "claim table: private claims, then shared tickets"
-          (in_temp_dir claim_table_private_then_shared);
+          claim_table_private_then_shared;
         test "hand-off slots conserve work under steal/drain races"
           slots_conserve_work;
         test "concurrent runs keep their own counts"
-          (in_temp_dir concurrent_runs_keep_their_counts);
+          concurrent_runs_keep_their_counts;
         test "claim table claims once (forced collisions)"
-          (in_temp_dir claim_table_forced_collision);
-        test "spill table leaves existing files alone"
-          (in_temp_dir spill_keeps_existing_files);
-        test "paranoid overrides the spill table"
-          (in_temp_dir spill_paranoid_exact);
-        test "spill tables in one directory stay separate"
-          (in_temp_dir spill_tables_stay_separate);
-        test "spill directory is created and left empty"
-          (in_temp_dir spill_dir_created_and_clean);
-        test "concurrent spill searches share a directory"
-          (in_temp_dir concurrent_spill_searches);
+          claim_table_forced_collision;
+        test "claim table capacity: powers of two, doubled at 3/4"
+          claim_table_capacity;
+        test "exact claim table: tickets, no word array" claim_table_exact;
+        test "claim tables made at once keep their own tickets"
+          claim_tables_independent;
+        test "concurrent paranoid and two-lane searches keep their tables"
+          concurrent_key_modes;
       ] );
     ( "parallel.fingerprint",
       [
@@ -979,12 +850,5 @@ let suite =
       [
         test "preserves order" map_preserves_order;
         test "propagates exceptions" map_propagates_exceptions;
-      ] );
-    ( "parallel.options",
-      [
-        test "omitted visited mode is the heap" omitted_mode_is_heap;
-        test "spill at one job matches the heap" (in_temp_dir spill_at_one_job);
-        test "concurrent searches keep their own visited mode"
-          (in_temp_dir concurrent_searches_keep_their_modes);
       ] );
   ]

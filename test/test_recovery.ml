@@ -6,7 +6,7 @@
    and the budget plumbing (deadline truncation) on recovery state
    spaces.  The determinism matrix
    (test_determinism) checks the recoverable verdicts at every jobs
-   count and visited table. *)
+   count and key mode. *)
 open Subc_sim
 open Helpers
 module Register = Subc_objects.Register

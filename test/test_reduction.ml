@@ -148,7 +148,8 @@ let hom_of_key ~n key =
   | _ -> fail ()
 
 (* For every reachable configuration c: the allocation-free path
-   ([Symmetry.canonical_fingerprint], what the explorer keys by) returns
+   ([Symmetry.canonical_winner] and [image_fingerprint], what the
+   explorer keys by) returns
    the reference winner and the whole reference minimizer coset, and its
    fingerprint is the sum of the slot mixes of the reference key
    ([hom_of_key]); the key-tree path and
@@ -173,7 +174,8 @@ let canonicalization_sound () =
           (root h) ~f:(fun c _ ->
             incr checked;
             let key, mins = reference_minimizers sym c in
-            let fp, fast_mins = Symmetry.canonical_fingerprint sym c in
+            let g, fast_mins = Symmetry.canonical_winner sym c in
+            let fp = Symmetry.image_fingerprint sym g c in
             Alcotest.check perms_t (name ^ ": minimizer coset") mins fast_mins;
             Alcotest.(check bool) (name ^ ": slot mixes of the key") true
               (Fingerprint.equal fp
@@ -283,6 +285,82 @@ let patch_agrees_with_refold () =
         1 );
     ]
 
+(* With symmetry off a search keys a node by the fingerprint it carries,
+   patched from its parent's: for every reachable configuration and
+   every child with the sleep set the source-set expansion gives it,
+   [source_fingerprint_from] the child's re-fold is [source_fingerprint]
+   (same key, same restricted sleep), and with an empty sleep the key is
+   the plain [state_key]. *)
+let carried_key_is_refold_key () =
+  let h = Registry.alg5 ~k:3 in
+  let r = Explore.source_only and max_crashes = 1 in
+  let cache = Explore.commute_cache () in
+  let sleeps = ref 0 in
+  let stats =
+    Search.iter_reachable
+      ~options:Search.(default |> with_max_crashes max_crashes)
+      (root h) ~f:(fun c _ ->
+        let groups, _ =
+          Explore.source_successors cache r ~pi:None ~max_crashes
+            ~max_recoveries:0 c ~sleep:[]
+        in
+        List.iter
+          (fun g ->
+            List.iter
+              (fun (c', _, _) ->
+                let sleep = g.Explore.g_sleep in
+                if sleep <> [] then incr sleeps;
+                let fp, pi, restricted =
+                  Explore.source_fingerprint r ~max_crashes c' ~sleep
+                in
+                let fp', pi', restricted' =
+                  Explore.source_fingerprint_from
+                    (Fingerprint.hom_of_config c')
+                    r ~max_crashes c' ~sleep
+                in
+                Alcotest.(check bool) "same key" true (Fingerprint.equal fp fp');
+                Alcotest.(check bool) "same renaming and sleep" true
+                  (pi = pi' && restricted = restricted');
+                let bare, _, _ =
+                  Explore.source_fingerprint r ~max_crashes c' ~sleep:[]
+                in
+                Alcotest.(check bool) "empty sleep: the state key" true
+                  (Fingerprint.key_equal (Fingerprint.Fp bare)
+                     (Explore.state_key r c')))
+              g.Explore.g_succs)
+          groups)
+  in
+  Alcotest.(check bool) "complete" false stats.Explore.limited;
+  Alcotest.(check bool) "some children inherit a sleep" true (!sleeps > 0)
+
+(* Under symmetry the state key is the image fingerprint of the orbit's
+   winner, and the paranoid key the canonical key tree, whichever member
+   of the orbit is asked. *)
+let symmetry_state_key_is_winner_image () =
+  List.iter
+    (fun (name, h) ->
+      let sym = sym h in
+      let r = Explore.with_symmetry sym in
+      let stats =
+        Search.iter_reachable
+          ~options:Search.(default |> with_max_crashes 1)
+          (root h) ~f:(fun c _ ->
+            let g, _ = Symmetry.canonical_winner sym c in
+            Alcotest.(check bool) (name ^ ": winner's image") true
+              (Fingerprint.key_equal
+                 (Fingerprint.Fp (Symmetry.image_fingerprint sym g c))
+                 (Explore.state_key r c));
+            Alcotest.(check bool) (name ^ ": paranoid key tree") true
+              (Fingerprint.key_equal
+                 (Fingerprint.Exact (fst (Symmetry.canonical_key sym c)))
+                 (Explore.state_key ~paranoid:true r c)))
+      in
+      Alcotest.(check bool) (name ^ ": complete") false stats.Explore.limited)
+    [
+      ("alg5 rotations", Registry.alg5 ~k:3);
+      ("set consensus full", Registry.set_consensus_object ~n:3 ~k:2 ~crashes:0);
+    ]
+
 (* The same orbit yields the same canonical key: check on configurations
    explicitly built from rotated harnesses (rotating which process gets
    which proposal is exactly the data action's input renaming). *)
@@ -359,5 +437,9 @@ let suite =
         test "orbit members share a canonical key" orbit_members_share_key;
         test "commute memo overflow is counted and harmless"
           memo_eviction_counts;
+        test "a carried fingerprint keys a node as its re-fold does"
+          carried_key_is_refold_key;
+        test "the symmetry state key is the winner's image"
+          symmetry_state_key_is_winner_image;
       ] );
   ]

@@ -270,11 +270,7 @@ let explore_tests =
         in
         let config = Config.make store (List.init 3 writer) in
         let max_depth = 2 in
-        let stats =
-          Search.iter_terminals
-            ~options:Search.(default |> with_max_depth max_depth)
-            config ~f:(fun _ _ -> ())
-        in
+        let stats = parallel_run ~max_depth Search.default config in
         Alcotest.(check bool) "limited" true stats.Explore.limited;
         (* An abort-on-first-deep-branch search would visit at most
            max_depth + 1 configurations; branch-local pruning keeps
