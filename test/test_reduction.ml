@@ -424,10 +424,66 @@ let memo_eviction_counts () =
   Alcotest.(check bool) "dropped inserts are counted" true
     (evictions starved > 0)
 
+(* ---------------------------------------------------------------- *)
+(* A search steps a transition bundle only when it takes it: a sibling
+   the source sets skip, or one after the counterexample that stops the
+   search, is never applied to the store.  The registers count their
+   [apply] calls; each process writes its own register twice, so the
+   objects are distinct and the independence judgment never applies
+   one.                                                              *)
+
+let counted_writers () =
+  let applies = Atomic.make 0 in
+  let model =
+    Obj_model.deterministic ~kind:"counted-register" ~init:Value.Bot
+      (fun _ op ->
+        Atomic.incr applies;
+        match (op.Op.name, op.Op.args) with
+        | "write", [ v ] -> (v, Value.Unit)
+        | _ -> Obj_model.bad_op "counted-register" op)
+  in
+  let store, regs = Store.alloc_many Store.empty 2 model in
+  let write h v = Program.invoke h (Op.make "write" [ Value.Int v ]) in
+  let programs =
+    List.map
+      (fun h ->
+        Program.Syntax.(
+          let* _ = write h 1 in
+          write h 2))
+      regs
+  in
+  (applies, Config.make store programs)
+
+let sleeping_transition_never_stepped () =
+  let applies, config = counted_writers () in
+  let stats =
+    Search.iter_terminals
+      ~options:Search.(default |> with_reduction Explore.source_only)
+      config ~f:(fun _ _ -> ())
+  in
+  Alcotest.(check bool) "some transition asleep" true
+    (stats.Explore.source_skips > 0);
+  Alcotest.(check int) "one apply per transition taken"
+    stats.Explore.transitions (Atomic.get applies)
+
+let nothing_stepped_past_the_counterexample () =
+  let applies, config = counted_writers () in
+  match Search.check_terminals config ~ok:(fun _ -> false) with
+  | Ok _ -> Alcotest.fail "a predicate that always fails was not refuted"
+  | Error (_, trace, stats) ->
+    Alcotest.(check int) "the path to the first terminal, stepped once"
+      (Trace.length trace) (Atomic.get applies);
+    Alcotest.(check int) "its transitions" stats.Explore.transitions
+      (Atomic.get applies)
+
 let suite =
   [
     ( "reduction",
       [
+        test "a sleeping transition is never stepped"
+          sleeping_transition_never_stepped;
+        test "no sibling is stepped past the first counterexample"
+          nothing_stepped_past_the_counterexample;
         test "source sets preserve the terminal decision multiset"
           source_preserves_terminals;
         test "canonical key: minimal, achieved, translation-invariant"
