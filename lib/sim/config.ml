@@ -66,15 +66,15 @@ let decisions c =
 let any_hung c =
   Array.exists (fun p -> match p.status with Hung -> true | _ -> false) c.procs
 
+let is_crashed p = match p.status with Crashed -> true | _ -> false
+
 let crashed c =
   let acc = ref [] in
-  Array.iteri (fun i p -> if p.status = Crashed then acc := i :: !acc) c.procs;
+  Array.iteri (fun i p -> if is_crashed p then acc := i :: !acc) c.procs;
   List.rev !acc
 
 let n_crashed c =
-  Array.fold_left
-    (fun n p -> if p.status = Crashed then n + 1 else n)
-    0 c.procs
+  Array.fold_left (fun n p -> if is_crashed p then n + 1 else n) 0 c.procs
 
 let any_crashed c = n_crashed c > 0
 

@@ -286,6 +286,27 @@ let map_tr (pi : Symmetry.perm) = function
   | Tcrash p -> Tcrash pi.(p)
   | Trecover p -> Trecover pi.(p)
 
+let equal_tr a b =
+  match (a, b) with
+  | Tstep (p, h), Tstep (q, k) -> Int.equal p q && Int.equal h k
+  | Tcrash p, Tcrash q | Trecover p, Trecover q -> Int.equal p q
+  | (Tstep _ | Tcrash _ | Trecover _), _ -> false
+
+let rec mem_tr tr = function
+  | [] -> false
+  | x :: rest -> equal_tr tr x || mem_tr tr rest
+
+(* Polymorphic [compare] of the images [map_tr pi a] and [map_tr pi b] —
+   constructor, then process, then handle — without building them. *)
+let compare_tr (pi : Symmetry.perm) a b =
+  let rank = function Tstep _ -> 0 | Tcrash _ -> 1 | Trecover _ -> 2 in
+  match (a, b) with
+  | Tstep (p, h), Tstep (q, k) ->
+    let c = Int.compare pi.(p) pi.(q) in
+    if c <> 0 then c else Int.compare h k
+  | Tcrash p, Tcrash q | Trecover p, Trecover q -> Int.compare pi.(p) pi.(q)
+  | (Tstep _ | Tcrash _ | Trecover _), _ -> Int.compare (rank a) (rank b)
+
 (* Injective int packing of a transition identity, for folding a sleep
    set into a fingerprint ([Fingerprint.extend]).  Processes and handles
    are tiny (bounded by the instance size), so the shifted fields never
@@ -331,7 +352,7 @@ let packed_sleep pi sleep =
   match sleep with
   | [] -> []
   | _ ->
-    List.sort compare
+    List.sort Int.compare
       (List.map
          (fun e ->
            pack_tr (match pi with None -> e | Some pi -> map_tr pi e))
@@ -359,7 +380,7 @@ let canonical_packed_sleep minimizers sleep =
     List.fold_left
       (fun best pi ->
         let packed = packed_sleep (Some pi) sleep in
-        if compare packed best < 0 then packed else best)
+        if List.compare Int.compare packed best < 0 then packed else best)
       (packed_sleep (Some pi0) sleep)
       rest
 
@@ -448,7 +469,7 @@ let add_commute c (cache : commute_cache) =
    through its recover successors.  Terminals key by state alone (empty
    relevant sleep), so this fires once per terminal configuration. *)
 let count_terminal c config =
-  Config.running config = []
+  Config.is_terminal config
   && begin
        c.terminals <- c.terminals + 1;
        if Config.any_hung config then c.hung_terminals <- c.hung_terminals + 1;
@@ -563,7 +584,7 @@ let image_key c sym fp win g config =
    the exact canonical key from the key-tree reference path
    (collisions impossible), while [fp] is still carried for
    {!cross_check}.  Also returns the canonicalizing renaming and the
-   restricted concrete sleep that {!source_successors} takes, then the
+   restricted concrete sleep that {!source_transitions} takes, then the
    node's carried fingerprint and winner index ([-1] with symmetry off),
    which its children are patched from. *)
 let node_key ~paranoid c (reduction : reduction) ~max_crashes fp win config
@@ -641,51 +662,6 @@ let state_key ?paranoid reduction config =
   in
   key
 
-(* One enabled transition bundle of the expansion, with the sleep set its
-   children inherit (concrete coordinates of {e this} configuration).
-   Each successor carries the slots its transition rewrote
-   ({!Step.slots}), which is what lets a search patch fingerprints
-   instead of re-folding. *)
-type succ_group = {
-  g_tr : tr;
-  g_sleep : tr list;
-  g_succs : (Config.t * Trace.event * Step.slots) list;
-}
-
-(* Every enabled transition bundle of [config], paired with its successor
-   list: steps of runnable processes, crashes within budget, recoveries
-   within budget. *)
-let enabled_groups ~max_crashes ~max_recoveries config =
-  let runnable = Config.running config in
-  let steps =
-    List.map
-      (fun i ->
-        ( Tstep (i, (fst (pending config i) :> int)),
-          List.map
-            (fun (c, e, sl) -> (c, Trace.Sched e, sl))
-            (Step.step_slots config i) ))
-      runnable
-  in
-  let crashes =
-    if Config.n_crashed config < max_crashes then
-      List.map
-        (fun (c, v, sl) -> (Tcrash v, [ (c, Trace.Crash v, sl) ]))
-        (Step.crash_successors_slots config)
-    else []
-  in
-  let recoveries =
-    if
-      max_recoveries > 0
-      && Config.any_crashed config
-      && Config.n_recoveries config < max_recoveries
-    then
-      List.map
-        (fun (c, v, sl) -> (Trecover v, [ (c, Trace.Recover v, sl) ]))
-        (Step.recover_successors_slots config)
-    else []
-  in
-  steps @ crashes @ recoveries
-
 (* The O(1) fingerprint patch: rewrite the touched proc slot's
    contribution and each touched store slot's contribution.  Exact (not
    just probabilistic) agreement with [hom_of_config child] holds because
@@ -711,8 +687,32 @@ let child_fingerprint c (reduction : reduction) fp win parent slots child =
   | None -> patched_fingerprint parent fp slots child
   | Some sym -> Symmetry.patch_image sym win fp parent slots child
 
+(* Every enabled transition bundle of [config]: steps of runnable
+   processes, crashes within budget, recoveries within budget — in
+   sorted transition order. *)
+let enabled ~max_crashes ~max_recoveries config =
+  let runnable = Config.running config in
+  let steps =
+    List.map (fun i -> Tstep (i, (fst (pending config i) :> int))) runnable
+  in
+  let crashes =
+    if Config.n_crashed config < max_crashes then
+      List.map (fun i -> Tcrash i) runnable
+    else []
+  in
+  let recoveries =
+    if
+      max_recoveries > 0
+      && Config.any_crashed config
+      && Config.n_recoveries config < max_recoveries
+    then List.map (fun i -> Trecover i) (Config.crashed config)
+    else []
+  in
+  steps @ crashes @ recoveries
+
 (* The source-set expansion of a (config, sleep) node, run by every
-   search domain.
+   search domain, over transitions only: no successor is built here, so
+   a skipped sibling is never stepped ({!expand} steps a taken one).
 
    Siblings are processed in {e canonical} order (sorted by their image
    under the canonicalizing renaming), so the k-th sibling — and hence
@@ -731,32 +731,25 @@ let child_fingerprint c (reduction : reduction) fp win parent slots child =
    per-state commutation and [dependent_at] equivariance — because the
    expansion is deterministic per canonical key and the claim-once table
    makes execution order irrelevant. *)
-let source_successors cache (reduction : reduction) ~pi ~max_crashes
+let source_transitions cache (reduction : reduction) ~pi ~max_crashes
     ~max_recoveries config ~sleep =
-  let groups = enabled_groups ~max_crashes ~max_recoveries config in
-  if not reduction.source_sets then
-    (List.map (fun (tr, succs) -> { g_tr = tr; g_sleep = []; g_succs = succs })
-       groups,
-     0)
+  let trs = enabled ~max_crashes ~max_recoveries config in
+  if not reduction.source_sets then (List.map (fun tr -> (tr, [])) trs, 0)
   else begin
-    let groups =
+    let trs =
       match pi with
       | None ->
-        (* Concrete coordinates are canonical: [enabled_groups] already
-           yields steps by process, then crashes by victim, then
-           recoveries — sorted transition order. *)
-        groups
-      | Some pi ->
-        List.sort
-          (fun (a, _) (b, _) -> compare (map_tr pi a) (map_tr pi b))
-          groups
+        (* Concrete coordinates are canonical: [enabled] already yields
+           sorted transition order. *)
+        trs
+      | Some pi -> List.sort (compare_tr pi) trs
     in
     let skips = ref 0 in
     let taken = ref [] in
     let out =
       List.filter_map
-        (fun (tr, succs) ->
-          if List.mem tr sleep then begin
+        (fun tr ->
+          if mem_tr tr sleep then begin
             incr skips;
             None
           end
@@ -767,9 +760,42 @@ let source_successors cache (reduction : reduction) ~pi ~max_crashes
                 (List.rev_append !taken sleep)
             in
             taken := tr :: !taken;
-            Some { g_tr = tr; g_sleep = child; g_succs = succs }
+            Some (tr, child)
           end)
-        groups
+        trs
     in
     (out, !skips)
   end
+
+(* The successors of one transition bundle of [config], with their trace
+   events and the slots each rewrote ({!Step.slots}), which is what lets
+   a search patch fingerprints instead of re-folding. *)
+let expand config = function
+  | Tstep (i, _) ->
+    List.map
+      (fun (c, e, sl) -> (c, Trace.Sched e, sl))
+      (Step.step_slots config i)
+  | Tcrash i ->
+    let c, sl = Step.crash_slots config i in
+    [ (c, Trace.Crash i, sl) ]
+  | Trecover i ->
+    let c, sl = Step.recover_slots config i in
+    [ (c, Trace.Recover i, sl) ]
+
+type succ_group = {
+  g_tr : tr;
+  g_sleep : tr list;
+  g_succs : (Config.t * Trace.event * Step.slots) list;
+}
+
+(* The materialized expansion: every taken bundle stepped. *)
+let source_successors cache reduction ~pi ~max_crashes ~max_recoveries config
+    ~sleep =
+  let groups, skips =
+    source_transitions cache reduction ~pi ~max_crashes ~max_recoveries config
+      ~sleep
+  in
+  ( List.map
+      (fun (g_tr, g_sleep) -> { g_tr; g_sleep; g_succs = expand config g_tr })
+      groups,
+    skips )

@@ -70,10 +70,13 @@
       distinct objects; same-object independence is the semantic judgment
       {!op_independent}).  The visited key is the canonical
       {e (configuration, sleep set)} pair and expansion is a deterministic
-      function of that pair ({!source_successors}), so the reduction is
+      function of that pair ({!source_transitions}), so the reduction is
       claim-once safe: a search runs it at full strength at any [jobs]
-      and reproduces the one-domain counts bit-for-bit.  Terminals carry an empty relevant sleep and key by
-      state alone, so terminal verdicts {e and} terminal counts are
+      and reproduces the one-domain counts bit-for-bit.  The expansion
+      decides which transitions to take before any is stepped, and the
+      engine steps a taken one ({!expand}) only when its DFS reaches it,
+      so a skipped transition costs no step.  Terminals carry an empty
+      relevant sleep and key by state alone, so terminal verdicts {e and} terminal counts are
       preserved exactly.  The judgment's purity, equivariance and closure
       assumptions are certified over each object's reachable state space
       by [Subc_analysis].  Assumes an acyclic state graph (true for all
@@ -352,7 +355,7 @@ val source_fingerprint :
     sleep set (the extension is the identity when the relevant sleep is
     empty, so source-set-off searches and terminal states key exactly as
     plain state keys).  Also returns the canonicalizing renaming and the
-    restricted concrete sleep — the inputs {!source_successors} needs. *)
+    restricted concrete sleep — the inputs {!source_transitions} needs. *)
 
 val source_fingerprint_from :
   Fingerprint.t ->
@@ -414,11 +417,38 @@ val patched_fingerprint :
     parent in precisely the listed slots; the per-lane combine is an
     abelian group). *)
 
-(** One enabled transition bundle of an expansion: its identity, the
-    sleep set its children inherit (concrete coordinates of the expanded
-    configuration), and its successor configurations with their trace
-    events and rewritten slots ({!Step.slots} — the fingerprint patch's
-    inputs). *)
+val source_transitions :
+  commute_cache ->
+  reduction ->
+  pi:Symmetry.perm option ->
+  max_crashes:int ->
+  max_recoveries:int ->
+  Config.t ->
+  sleep:tr list ->
+  (tr * tr list) list * int
+(** The source-set expansion of a (configuration, sleep) node, over
+    transitions only: the enabled transition bundles in {e canonical}
+    sibling order (sorted by image under [pi]), minus those asleep (their
+    count is returned — the [source_skips] contribution), each paired
+    with its children's sleep set.  No successor is built: the sleep
+    logic reads the pending operations alone, so a skipped bundle is
+    never stepped.  The engine steps each taken bundle with {!expand}
+    only when its DFS reaches it, so a search stopped early never steps
+    the siblings it did not visit.  [sleep] must be the restricted sleep
+    returned by {!node_key}/{!source_fingerprint} for the same
+    configuration.  Deterministic per canonical key — the property that
+    makes the reduction safe under work stealing. *)
+
+val expand : Config.t -> tr -> (Config.t * Trace.event * Step.slots) list
+(** [expand config tr] — the successors of transition bundle [tr] at
+    [config], with their trace events and rewritten slots ({!Step.slots}
+    — the fingerprint patch's inputs): {!Step.step_slots} for a step, the
+    one crash or recovery ({!Step.crash_slots}, {!Step.recover_slots})
+    otherwise. *)
+
+(** One taken transition bundle of an expansion: its identity, the sleep
+    set its children inherit (concrete coordinates of the expanded
+    configuration), and its successors ({!expand}). *)
 type succ_group = {
   g_tr : tr;
   g_sleep : tr list;
@@ -434,15 +464,10 @@ val source_successors :
   Config.t ->
   sleep:tr list ->
   succ_group list * int
-(** The source-set expansion of a (configuration, sleep) node: enabled
-    transition bundles in {e canonical} sibling order (sorted by image
-    under [pi]), minus those asleep (their count is returned — the
-    [source_skips] contribution), each paired with its children's sleep
-    set.  [sleep] must be the restricted sleep returned by
-    {!node_key}/{!source_fingerprint} for the same configuration.
-    Deterministic per canonical key — the property that makes the
-    reduction safe under work stealing. *)
-
+(** The materialized form of {!source_transitions}: the same groups and
+    skip count, each taken bundle stepped through {!expand}.  No search
+    calls it; it is there for callers that want every successor of a
+    node at once. *)
 
 (** [state_key reduction config] — the plain visited-set key of [config]
     under [reduction] (no sleep extension): {!node_key} of a node with

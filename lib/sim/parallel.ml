@@ -34,14 +34,18 @@
 
    A node is {e claimed} exactly once, by whichever domain's claim lands
    first, and only the claimer expands it; the expansion
-   ([Explore.source_successors]) is a pure function of the claimed
-   (state, sleep) key.  So [states], [transitions], [terminals],
-   [hung_terminals], [crashed_terminals], [recovered_terminals],
-   [dedup_hits] and [source_skips] are schedule-independent on acyclic
-   state graphs (all one-shot bounded algorithms): every domain count
-   reports the one-domain figures, and a stolen subtree prunes exactly as
-   an owner-executed one because everything the pruning depends on
-   travels inside the work item.  At one domain the DFS visits nodes in
+   ([Explore.source_transitions]) is a pure function of the claimed
+   (state, sleep) key.  It picks the transitions to take without
+   stepping any; the DFS steps each ([Explore.expand]) just before it
+   counts and patches that transition's children, so a sleeping
+   transition, or a sibling after a stop, is never stepped.  So
+   [states], [transitions], [terminals], [hung_terminals],
+   [crashed_terminals], [recovered_terminals], [dedup_hits] and
+   [source_skips] are schedule-independent on acyclic state graphs (all
+   one-shot bounded algorithms): every domain count reports the
+   one-domain figures, and a stolen subtree prunes exactly as an
+   owner-executed one because everything the pruning depends on travels
+   inside the work item.  At one domain the DFS visits nodes in
    canonical sibling preorder; [max_depth] and the witness traces of a
    multi-domain search depend on the race for claims.
 
@@ -273,7 +277,7 @@ let rec dfs ctx config fp win rev_trace depth sleep =
         if Explore.count_terminal c config then
           g.on_terminal ctx.id config (List.rev rev_trace);
         let groups, skips =
-          Explore.source_successors ctx.commute g.reduction ~pi
+          Explore.source_transitions ctx.commute g.reduction ~pi
             ~max_crashes:g.max_crashes ~max_recoveries:g.max_recoveries
             config ~sleep
         in
@@ -285,16 +289,16 @@ let rec dfs ctx config fp win rev_trace depth sleep =
            one-domain search runs many tiny DFSs, and every captured
            word is allocated per node. *)
         List.iter
-          (fun grp ->
+          (fun (tr, sleep) ->
             List.iter
               (fun (config', event, slots) ->
                 let c = ctx.counts in
                 c.transitions <- c.transitions + 1;
                 child ctx config'
-                  (Explore.child_fingerprint c g.reduction fp win config slots
-                     config')
-                  win (event :: rev_trace) (depth + 1) grp.Explore.g_sleep)
-              grp.Explore.g_succs)
+                  (Explore.child_fingerprint c ctx.g.reduction fp win config
+                     slots config')
+                  win (event :: rev_trace) (depth + 1) sleep)
+              (Explore.expand config tr))
           groups;
         match onstack with
         | Some t -> Fingerprint.Ktbl.remove t key

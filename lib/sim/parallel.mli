@@ -64,9 +64,11 @@
     so an orbit's members race for a single slot.  Source sets ride
     inside the work items: the claim key is the (canonical configuration,
     canonical relevant sleep) pair, and expansion is
-    {!Explore.source_successors}, a pure function of that pair, so a
+    {!Explore.source_transitions}, a pure function of that pair, so a
     stolen subtree prunes {e identically} to the subtree its owner would
-    have explored.  See DESIGN.md, "Source sets under work stealing". *)
+    have explored.  A taken transition is stepped ({!Explore.expand})
+    only when the DFS reaches it; a child offered to an idle domain is a
+    built configuration.  See DESIGN.md, "Source sets under work stealing". *)
 
 val default_seq_threshold : int
 (** [4096]: the claimed-state count at which worker 0 spawns its

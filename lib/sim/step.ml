@@ -75,29 +75,36 @@ let step_slots (c : Config.t) i =
 let step c i = List.map (fun (c', e, _) -> (c', e)) (step_slots c i)
 
 (* Crash transitions: instead of stepping, any running process can crash.
-   One successor per running process, paired with the victim's index.
    A crash rewrites only the victim's proc slot ([Config.crash] leaves
    the store untouched). *)
+let crash_slots (c : Config.t) i =
+  (Config.crash c i, { sl_proc = i; sl_store = [] })
+
+(* One successor per running process, paired with the victim's index. *)
 let crash_successors_slots (c : Config.t) =
   List.map
-    (fun i -> (Config.crash c i, i, { sl_proc = i; sl_store = [] }))
+    (fun i ->
+      let c', sl = crash_slots c i in
+      (c', i, sl))
     (Config.running c)
 
 (* Recovery transitions: any crashed process can recover, restarting its
-   initial program over persistent object state.  One successor per
-   crashed process, paired with the recoverer's index.  A recovery
-   rewrites the recoverer's proc slot plus whichever store slots the
-   persistence projection actually changed — [] for fully persistent
-   stores, which [Store.recover] returns physically unchanged, and only
-   the genuinely erased slots otherwise ([Store.recover] preserves
-   per-slot sharing on projection fixed points, so the diff is the delta
-   against the persistence projection, not the whole volatile store). *)
+   initial program over persistent object state.  A recovery rewrites
+   the recoverer's proc slot plus whichever store slots the persistence
+   projection actually changed — [] for fully persistent stores, which
+   [Store.recover] returns physically unchanged, and only the genuinely
+   erased slots otherwise ([Store.recover] preserves per-slot sharing on
+   projection fixed points, so the diff is the delta against the
+   persistence projection, not the whole volatile store). *)
+let recover_slots (c : Config.t) i =
+  let c' = Config.recover c i in
+  (c', { sl_proc = i; sl_store = Store.diff c.Config.store c'.Config.store })
+
+(* One successor per crashed process, paired with the recoverer's
+   index. *)
 let recover_successors_slots (c : Config.t) =
   List.map
     (fun i ->
-      let c' = Config.recover c i in
-      ( c',
-        i,
-        { sl_proc = i; sl_store = Store.diff c.Config.store c'.Config.store }
-      ))
+      let c', sl = recover_slots c i in
+      (c', i, sl))
     (Config.crashed c)

@@ -33,18 +33,28 @@ val step : Config.t -> int -> (Config.t * event) list
     {!slots} attached. *)
 val step_slots : Config.t -> int -> (Config.t * event * slots) list
 
+(** [crash_slots config i] is the successor obtained by crashing running
+    process [i], with its {!slots}: the victim's proc slot alone.
+    @raise Invalid_argument if process [i] is not running. *)
+val crash_slots : Config.t -> int -> Config.t * slots
+
+(** [recover_slots config i] is the successor obtained by recovering
+    crashed process [i] ({!Config.recover}), with its {!slots}: the
+    recoverer's proc slot plus the store slots its persistence projection
+    changed ([[]] for fully persistent stores).
+    @raise Invalid_argument if process [i] is not crashed. *)
+val recover_slots : Config.t -> int -> Config.t * slots
+
 (** [crash_successors_slots config] is every successor obtained by
-    crashing one running process, paired with the victim's index and its
-    {!slots}: a crash rewrites only the victim's proc slot.  The crash is a
-    transition of the operational semantics: the model checker uses it to
-    quantify over crash patterns (bounded by its crash budget). *)
+    crashing one running process ({!crash_slots}), paired with the
+    victim's index.  The crash is a transition of the operational
+    semantics: the model checker uses it to quantify over crash patterns
+    (bounded by its crash budget). *)
 val crash_successors_slots : Config.t -> (Config.t * int * slots) list
 
 (** [recover_successors_slots config] is every successor obtained by
-    recovering one crashed process ({!Config.recover}), paired with the
-    recoverer's index and its {!slots}: a recovery rewrites the
-    recoverer's proc slot plus the store slots its persistence projection
-    changed ([[]] for fully persistent stores).  Like crashes, recoveries
-    are transitions of the operational semantics, bounded by the model
-    checker's recovery budget. *)
+    recovering one crashed process ({!recover_slots}), paired with the
+    recoverer's index.  Like crashes, recoveries are transitions of the
+    operational semantics, bounded by the model checker's recovery
+    budget. *)
 val recover_successors_slots : Config.t -> (Config.t * int * slots) list

@@ -1,7 +1,10 @@
 open Subc_sim
 
 type outcome = { proc : int; input : Value.t; output : Value.t option }
-type t = { name : string; check : outcome list -> (unit, string) result }
+type t = {
+  name : string;
+  check : outcome list -> (unit, string Lazy.t) result;
+}
 
 let outcomes ~inputs config =
   List.mapi
@@ -21,10 +24,10 @@ let satisfies task ~inputs config =
 let explain task ~inputs config =
   match task.check (outcomes ~inputs config) with
   | Ok () -> None
-  | Error reason -> Some reason
+  | Error reason -> Some (Lazy.force reason)
 
-let errorf fmt = Format.kasprintf (fun s -> Error s) fmt
-
+(* A violation's reason is formatted only when read ([explain]): most
+   callers test [Result.is_ok] alone. *)
 let validity os =
   let inputs = List.map (fun o -> o.input) os in
   match
@@ -33,14 +36,18 @@ let validity os =
       (decided os)
   with
   | None -> Ok ()
-  | Some v -> errorf "validity: output %a is nobody's input" Value.pp v
+  | Some v ->
+    Error
+      (lazy (Format.asprintf "validity: output %a is nobody's input" Value.pp v))
 
 let k_agreement k os =
   let d = distinct (decided os) in
   if List.length d <= k then Ok ()
   else
-    errorf "%d-agreement: %d distinct outputs: %a" k (List.length d)
-      Value.pp (Value.Vec d)
+    Error
+      (lazy
+        (Format.asprintf "%d-agreement: %d distinct outputs: %a" k
+           (List.length d) Value.pp (Value.Vec d)))
 
 let ( &&& ) a b = match a with Ok () -> b | Error _ as e -> e
 
@@ -71,8 +78,11 @@ let self_election os =
   match List.find_opt violating os with
   | None -> Ok ()
   | Some o ->
-    errorf "self-election: P%d decided %a but that process decided otherwise"
-      o.proc Value.pp (Option.get o.output)
+    Error
+      (lazy
+        (Format.asprintf
+           "self-election: P%d decided %a but that process decided otherwise"
+           o.proc Value.pp (Option.get o.output)))
 
 let strong_set_election k =
   let base = set_election k in
@@ -92,10 +102,18 @@ let renaming ~bound =
           | _ -> false
         in
         match List.find_opt (fun v -> not (in_range v)) names with
-        | Some v -> errorf "renaming: name %a out of [0,%d)" Value.pp v bound
+        | Some v ->
+          Error
+            (lazy
+              (Format.asprintf "renaming: name %a out of [0,%d)" Value.pp v
+                 bound))
         | None ->
           if List.length (distinct names) = List.length names then Ok ()
-          else errorf "renaming: duplicate names: %a" Value.pp (Value.Vec names));
+          else
+            Error
+              (lazy
+                (Format.asprintf "renaming: duplicate names: %a" Value.pp
+                   (Value.Vec names))));
   }
 
 let all_decided =
@@ -105,7 +123,8 @@ let all_decided =
       (fun os ->
         match List.find_opt (fun o -> o.output = None) os with
         | None -> Ok ()
-        | Some o -> errorf "process P%d never decided" o.proc);
+        | Some o ->
+          Error (lazy (Printf.sprintf "process P%d never decided" o.proc)));
   }
 
 let conj t1 t2 =

@@ -16,8 +16,9 @@ type outcome = {
 
 type t = {
   name : string;
-  check : outcome list -> (unit, string) result;
-      (** [Error reason] describes the violated property *)
+  check : outcome list -> (unit, string Lazy.t) result;
+      (** [Error reason] describes the violated property; the reason is
+          formatted only when forced ({!explain} forces it) *)
 }
 
 (** [outcomes ~inputs config] pairs each process's input with its decision
