@@ -281,11 +281,6 @@ let dependent_at cache config a b =
   | Tstep (p, _), Tcrash q | Tcrash q, Tstep (p, _) -> p = q
   | Tcrash p, Tcrash q -> p = q
 
-let map_tr (pi : Symmetry.perm) = function
-  | Tstep (p, h) -> Tstep (pi.(p), h)
-  | Tcrash p -> Tcrash pi.(p)
-  | Trecover p -> Trecover pi.(p)
-
 let equal_tr a b =
   match (a, b) with
   | Tstep (p, h), Tstep (q, k) -> Int.equal p q && Int.equal h k
@@ -296,7 +291,7 @@ let rec mem_tr tr = function
   | [] -> false
   | x :: rest -> equal_tr tr x || mem_tr tr rest
 
-(* Polymorphic [compare] of the images [map_tr pi a] and [map_tr pi b] —
+(* Polymorphic [compare] of the images of [a] and [b] under [pi] —
    constructor, then process, then handle — without building them. *)
 let compare_tr (pi : Symmetry.perm) a b =
   let rank = function Tstep _ -> 0 | Tcrash _ -> 1 | Trecover _ -> 2 in
@@ -307,16 +302,16 @@ let compare_tr (pi : Symmetry.perm) a b =
   | Tcrash p, Tcrash q | Trecover p, Trecover q -> Int.compare pi.(p) pi.(q)
   | (Tstep _ | Tcrash _ | Trecover _), _ -> Int.compare (rank a) (rank b)
 
-(* Injective int packing of a transition identity, for folding a sleep
-   set into a fingerprint ([Fingerprint.extend]).  Processes and handles
-   are tiny (bounded by the instance size), so the shifted fields never
-   overlap in practice; even if they did, the packing only has to be
-   deterministic and near-injective — the fingerprint lanes do the
-   mixing. *)
-let pack_tr = function
-  | Tstep (p, h) -> 0x1 lor (p lsl 2) lor (h lsl 24)
-  | Tcrash p -> 0x2 lor (p lsl 2)
-  | Trecover p -> 0x3 lor (p lsl 2)
+(* Injective int packing of a transition identity's image under [pi],
+   for folding a sleep set into a fingerprint ([Fingerprint.extend]).
+   Processes and handles are tiny (bounded by the instance size), so the
+   shifted fields never overlap in practice; even if they did, the
+   packing only has to be deterministic and near-injective — the
+   fingerprint lanes do the mixing. *)
+let pack_tr (pi : Symmetry.perm) = function
+  | Tstep (p, h) -> 0x1 lor (pi.(p) lsl 2) lor (h lsl 24)
+  | Tcrash p -> 0x2 lor (pi.(p) lsl 2)
+  | Trecover p -> 0x3 lor (pi.(p) lsl 2)
 
 (* The sleep set restricted to transitions enabled at [config] — the
    {e relevant} sleep.  Restriction before keying and inheritance is what
@@ -351,12 +346,7 @@ let restrict_sleep ~max_crashes config sleep =
 let packed_sleep pi sleep =
   match sleep with
   | [] -> []
-  | _ ->
-    List.sort Int.compare
-      (List.map
-         (fun e ->
-           pack_tr (match pi with None -> e | Some pi -> map_tr pi e))
-         sleep)
+  | _ -> List.sort Int.compare (List.map (pack_tr pi) sleep)
 
 (* The packed sleep attached to a canonical state key must be an orbit
    invariant of the abstract (state, sleep) pair, not of whichever
@@ -374,15 +364,14 @@ let packed_sleep pi sleep =
    states, so the fold usually sees one candidate. *)
 let canonical_packed_sleep minimizers sleep =
   match minimizers with
-  | [] -> packed_sleep None sleep
-  | [ pi ] -> packed_sleep (Some pi) sleep
-  | pi0 :: rest ->
+  | [ pi ] -> packed_sleep pi sleep
+  | _ ->
     List.fold_left
       (fun best pi ->
-        let packed = packed_sleep (Some pi) sleep in
+        let packed = packed_sleep pi sleep in
         if List.compare Int.compare packed best < 0 then packed else best)
-      (packed_sleep (Some pi0) sleep)
-      rest
+      (packed_sleep (List.hd minimizers) sleep)
+      (List.tl minimizers)
 
 exception Stop
 
@@ -481,19 +470,13 @@ let count_terminal c config =
      end
 
 (* Under [~paranoid] the carried incremental fingerprint is re-validated
-   against a full re-fold at every claimed node: the configuration's
-   homomorphic fingerprint with symmetry off, the key of its image under
-   the winner [win] with symmetry on. *)
-let cross_check c ~paranoid (reduction : reduction) fp win config =
+   at every claimed node against a full re-fold: the key of the
+   configuration's image under its winner [win]. *)
+let cross_check c ~paranoid sym fp win config =
   if paranoid then begin
     c.fp_refolds <- c.fp_refolds + 1;
-    let refold =
-      match reduction.symmetry with
-      | None -> Fingerprint.hom_of_config config
-      | Some sym -> Symmetry.image_fingerprint sym win config
-    in
-    if not (Fingerprint.equal fp refold) then
-      c.fp_mismatches <- c.fp_mismatches + 1
+    if not (Fingerprint.equal fp (Symmetry.image_fingerprint sym win config))
+    then c.fp_mismatches <- c.fp_mismatches + 1
   end
 
 (* A paranoid run that saw any patch/re-fold disagreement is a soundness
@@ -555,110 +538,88 @@ let extend_with_sleep key packed =
 
 (* The sleep a node is keyed and expanded with: restricted under source
    sets, none without. *)
-let relevant_sleep (reduction : reduction) ~max_crashes config sleep =
+let[@inline] relevant_sleep (reduction : reduction) ~max_crashes config
+    sleep =
   if reduction.source_sets then restrict_sleep ~max_crashes config sleep
   else []
+
+(* The group a search keys its nodes under: the reduction's, or else
+   the trivial group, whose one element feeds every value unchanged, so
+   that a node's key is its configuration's homomorphic fingerprint
+   ([Fingerprint.hom_of_config]). *)
+let group (reduction : reduction) ~n =
+  match reduction.symmetry with Some sym -> sym | None -> Symmetry.trivial ~n
 
 (* The carried image key of a node under its winner [g]: the one
    patched from the parent's when the parent's winner [win] is also
    this node's, else a re-fold (counted). *)
-let image_key c sym fp win g config =
+let[@inline] image_key c sym fp win g config =
   if g = win then fp
   else begin
     c.fp_refolds <- c.fp_refolds + 1;
     Symmetry.image_fingerprint sym g config
   end
 
+(* [node_key]'s answer for a node whose state key, coset, restricted
+   sleep, carried fingerprint and winner are known. *)
+let[@inline] keyed state mins sleep fp g =
+  (extend_with_sleep state (canonical_packed_sleep mins sleep), List.hd mins,
+   sleep, fp, g)
+
 (* The claim key of a search node, the one way every search keys a node.
    Under source sets it is the {e pair} (canonical state, canonical
    relevant sleep): expansion is a pure function of that pair, so
    claiming each pair exactly once reproduces the stateless sleep-set
    search tree with identical subtrees shared, whichever domain claims
-   it.  The state half is the carried fingerprint [fp]: on the
-   symmetry-off lanes the configuration's, patched from the parent's, so
-   a duplicate costs no re-fold and, when the relevant sleep is empty,
-   not even the configuration ([config] is forced only when needed);
-   under symmetry the key of the image under the orbit minimization's
-   winner, patched under the parent's winner [win] and re-folded only
-   when this node's winner differs.  Under [~paranoid] the state half is
-   the exact canonical key from the key-tree reference path
-   (collisions impossible), while [fp] is still carried for
-   {!cross_check}.  Also returns the canonicalizing renaming and the
-   restricted concrete sleep that {!source_transitions} takes, then the
-   node's carried fingerprint and winner index ([-1] with symmetry off),
-   which its children are patched from. *)
-let node_key ~paranoid c (reduction : reduction) ~max_crashes fp win config
-    ~sleep =
-  match reduction.symmetry with
-  | None ->
-    let sleep =
-      match sleep with
-      | [] -> []
-      | _ -> relevant_sleep reduction ~max_crashes (Lazy.force config) sleep
-    in
-    let state =
-      if paranoid then Fingerprint.Exact (Config.key (Lazy.force config))
-      else Fingerprint.Fp fp
-    in
-    (extend_with_sleep state (packed_sleep None sleep), None, sleep, fp, -1)
-  | Some sym ->
-    let config = Lazy.force config in
-    let sleep = relevant_sleep reduction ~max_crashes config sleep in
-    let exact, g, mins =
-      if paranoid then
-        let key, mins = Symmetry.canonical_minimizers sym config in
-        (Some key, Symmetry.index sym (List.hd mins), mins)
-      else
-        let g, mins = Symmetry.canonical_winner sym config in
-        (None, g, mins)
-    in
-    let fp = image_key c sym fp win g config in
-    let state =
-      match exact with
-      | Some key -> Fingerprint.Exact key
-      | None -> Fingerprint.Fp fp
-    in
-    ( extend_with_sleep state (canonical_packed_sleep mins sleep),
-      Some (List.hd mins),
-      sleep,
-      fp,
-      g )
-
-(* The carried fingerprint of a root: its homomorphic re-fold on the
-   symmetry-off lanes (counted).  Under symmetry the root has no parent
-   winner ([-1]), so [node_key] folds its winner's image and reads none:
-   the shape's contribution stands in. *)
-let root_fingerprint c (reduction : reduction) config =
-  match reduction.symmetry with
-  | Some _ -> Fingerprint.hom_base ~n_procs:(Config.n_procs config)
-  | None ->
-    c.fp_refolds <- c.fp_refolds + 1;
-    Fingerprint.hom_of_config config
-
-(* [node_key] of a node with winner [-1] carrying [fp]: what a search
-   computes there, outside a search. *)
-let key_from ?(paranoid = false) (reduction : reduction) ~max_crashes fp
+   it.  The state half is the carried fingerprint [fp]: the key of the
+   image under the orbit minimization's winner in the search's group
+   [sym], patched under the parent's winner [win] and re-folded only
+   when this node's winner differs.  A root has no parent winner
+   ([-1]), so it folds; under the trivial group every other node shares
+   winner 0 and costs no re-fold.  Under [~paranoid] the state half is
+   the exact canonical key from the key-tree reference path (collisions
+   impossible), while [fp] is still carried for {!cross_check}.  Also
+   returns the canonicalizing renaming and the restricted concrete sleep
+   that {!source_transitions} takes, then the node's carried fingerprint
+   and winner index, which its children are patched from. *)
+let node_key ~paranoid c (reduction : reduction) sym ~max_crashes fp win
     config ~sleep =
-  node_key ~paranoid (fresh_counters ()) reduction ~max_crashes fp (-1)
-    (Lazy.from_val config) ~sleep
+  let sleep = relevant_sleep reduction ~max_crashes config sleep in
+  if paranoid then
+    let key, mins = Symmetry.canonical_minimizers sym config in
+    let g = Symmetry.index sym (List.hd mins) in
+    keyed (Fingerprint.Exact key) mins sleep (image_key c sym fp win g config) g
+  else
+    let g, mins = Symmetry.canonical_winner sym config in
+    let fp = image_key c sym fp win g config in
+    keyed (Fingerprint.Fp fp) mins sleep fp g
+
+(* [node_key] of a node with winner [win] carrying [fp], outside a
+   search. *)
+let key_from ?(paranoid = false) (reduction : reduction) ~max_crashes fp win
+    config ~sleep =
+  node_key ~paranoid (fresh_counters ()) reduction
+    (group reduction ~n:(Config.n_procs config))
+    ~max_crashes fp win config ~sleep
+
+(* What a root carries for a key: its winner [-1] names no parent, so
+   [node_key] folds the root's key and never reads this one. *)
+let root_fp = Fingerprint.erased_store
 
 let lanes = function
-  | Fingerprint.Fp fp, pi, sleep, _, _ -> (fp, pi, sleep)
+  | Fingerprint.Fp fp, pi, sleep, _, _ -> (fp, Some pi, sleep)
   | Fingerprint.Exact _, _, _, _, _ -> assert false
 
 let source_fingerprint_from fp reduction ~max_crashes config ~sleep =
-  lanes (key_from reduction ~max_crashes fp config ~sleep)
+  lanes (key_from reduction ~max_crashes fp 0 config ~sleep)
 
 let source_fingerprint reduction ~max_crashes config ~sleep =
-  source_fingerprint_from
-    (root_fingerprint (fresh_counters ()) reduction config)
-    reduction ~max_crashes config ~sleep
+  lanes (key_from reduction ~max_crashes root_fp (-1) config ~sleep)
 
 let state_key ?paranoid reduction config =
   let key, _, _, _, _ =
-    key_from ?paranoid reduction ~max_crashes:0
-      (root_fingerprint (fresh_counters ()) reduction config)
-      config ~sleep:[]
+    key_from ?paranoid reduction ~max_crashes:0 root_fp (-1) config
+      ~sleep:[]
   in
   key
 
@@ -678,14 +639,11 @@ let patched_fingerprint parent fp (s : Step.slots) child =
     s.Step.sl_store;
   Fingerprint.patched ctx
 
-(* The child's carried fingerprint: the parent's, patched through the
-   transition's slots — under symmetry, as the image under the parent's
-   winner [win]. *)
-let child_fingerprint c (reduction : reduction) fp win parent slots child =
+(* The child's carried fingerprint: the parent's image key under the
+   parent's winner [win], patched through the transition's slots. *)
+let child_fingerprint c sym fp win parent slots child =
   c.fp_patches <- c.fp_patches + 1;
-  match reduction.symmetry with
-  | None -> patched_fingerprint parent fp slots child
-  | Some sym -> Symmetry.patch_image sym win fp parent slots child
+  Symmetry.patch_image sym win fp parent slots child
 
 (* Every enabled transition bundle of [config]: steps of runnable
    processes, crashes within budget, recoveries within budget — in
@@ -736,14 +694,7 @@ let source_transitions cache (reduction : reduction) ~pi ~max_crashes
   let trs = enabled ~max_crashes ~max_recoveries config in
   if not reduction.source_sets then (List.map (fun tr -> (tr, [])) trs, 0)
   else begin
-    let trs =
-      match pi with
-      | None ->
-        (* Concrete coordinates are canonical: [enabled] already yields
-           sorted transition order. *)
-        trs
-      | Some pi -> List.sort (compare_tr pi) trs
-    in
+    let trs = List.sort (compare_tr pi) trs in
     let skips = ref 0 in
     let taken = ref [] in
     let out =
@@ -788,9 +739,15 @@ type succ_group = {
   g_succs : (Config.t * Trace.event * Step.slots) list;
 }
 
-(* The materialized expansion: every taken bundle stepped. *)
+(* The materialized expansion: every taken bundle stepped.  No renaming
+   means the identity. *)
 let source_successors cache reduction ~pi ~max_crashes ~max_recoveries config
     ~sleep =
+  let pi =
+    match pi with
+    | Some pi -> pi
+    | None -> Symmetry.identity (Config.n_procs config)
+  in
   let groups, skips =
     source_transitions cache reduction ~pi ~max_crashes ~max_recoveries config
       ~sleep

@@ -5,21 +5,22 @@
 
     A search explores {e all} interleavings of process steps {e and} all
     resolutions of object nondeterminism, by depth-first search over
-    configurations.  Every search keys a node one way ({!node_key}) and
-    claims it in one visited table ({!Claim_table}).  On the symmetry-off lanes the key is
-    the homomorphic fingerprint ({!Fingerprint.hom_of_config}) that every
-    search folds once at the root and then carries, {e patched} from
-    parent to child through the slots each transition rewrote
-    ({!Step.slots}) — O(1) per transition.  It agrees with [Config.key]
-    equality (sound because programs are deterministic functions of their
-    response histories), and the two-lane table keeps 124 of its bits
-    (collision odds ~2^-124 per pair).  Under symmetry the key is the
-    same sum taken of the orbit winner's image
-    ({!Symmetry.image_fingerprint}), carried and patched the same way
-    under the parent's winner, and re-folded only at a node whose winner
-    differs.  Pass [~paranoid:true] to claim the
-    exact canonical key instead — collisions impossible, memory
-    proportional to key size.  The paranoid search still carries the
+    configurations.  Every search keys a node one way ({!node_key}), under
+    one process-renaming group ({!group}: the reduction's symmetry, or
+    else the trivial group), and claims it in one visited table
+    ({!Claim_table}).  The key is the homomorphic fingerprint of the
+    image of the node's configuration under its orbit winner
+    ({!Symmetry.image_fingerprint}), which a search folds at the root and
+    then carries, {e patched} from parent to child through the slots each
+    transition rewrote ({!Step.slots}) under the parent's winner — O(1)
+    per transition — and re-folds only at a node whose winner differs.
+    Under the trivial group every node's winner is its one element, so
+    only the root folds, and the key is {!Fingerprint.hom_of_config}.  It
+    agrees with the canonical key's equality (sound because programs are
+    deterministic functions of their response histories), and the
+    two-lane table keeps 124 of its bits (collision odds ~2^-124 per
+    pair).  Pass [~paranoid:true] to claim the exact canonical key
+    instead — collisions impossible, memory proportional to key size.  The paranoid search still carries the
     fingerprint and re-folds it at every claimed node ({!cross_check}),
     so it is the reference the fingerprinted search is checked against.
 
@@ -282,36 +283,38 @@ val op_independent : Obj_model.t -> Value.t -> Op.t -> Op.t -> bool
 
 val pp_reduction : Format.formatter -> reduction -> unit
 
+val group : reduction -> n:int -> Symmetry.t
+(** [group reduction ~n] — the group a search of [n]-process
+    configurations keys its nodes under: [reduction.symmetry], or else
+    [Symmetry.trivial ~n].  A search resolves it once. *)
+
 val cross_check :
   counters ->
   paranoid:bool ->
-  reduction ->
+  Symmetry.t ->
   Fingerprint.t ->
   int ->
   Config.t ->
   unit
-(** [cross_check c ~paranoid reduction fp win config]: under [~paranoid],
+(** [cross_check c ~paranoid sym fp win config]: under [~paranoid],
     re-fold the node (counted in [fp_refolds]) and count a mismatch when
-    the carried incremental fingerprint disagrees (in
-    [fp_mismatches]).  The re-fold is the configuration's
-    homomorphic fingerprint with symmetry off, and the key of its image
-    under the winner [win] ({!Symmetry.image_fingerprint}) under
-    symmetry. *)
+    the carried incremental fingerprint disagrees (in [fp_mismatches]).
+    The re-fold is the key of the configuration's image under its winner
+    [win] in the search's group [sym] ({!Symmetry.image_fingerprint}). *)
 
 val child_fingerprint :
   counters ->
-  reduction ->
+  Symmetry.t ->
   Fingerprint.t ->
   int ->
   Config.t ->
   Step.slots ->
   Config.t ->
   Fingerprint.t
-(** [child_fingerprint c reduction fp win parent slots child] — the
-    carried fingerprint of a successor, counted in [fp_patches]:
-    {!patched_fingerprint} of the parent's with symmetry off, and under
-    symmetry {!Symmetry.patch_image} of the parent's image key under the
-    parent's winner [win]. *)
+(** [child_fingerprint c sym fp win parent slots child] — the carried
+    fingerprint of a successor, counted in [fp_patches]:
+    {!Symmetry.patch_image} of the parent's image key under the parent's
+    winner [win] in the search's group [sym]. *)
 
 (** {1 Source-set machinery}
 
@@ -350,12 +353,13 @@ val source_fingerprint :
 (** [source_fingerprint reduction ~max_crashes config ~sleep] — the
     visited key of the (configuration, sleep) node as bare lanes, for
     callers that claim in a two-lane {!Claim_table} directly: {!node_key}
-    of a node with winner [-1] carrying {!root_fingerprint}, so the
-    canonical state key extended with the canonical enabled-restricted
-    sleep set (the extension is the identity when the relevant sleep is
-    empty, so source-set-off searches and terminal states key exactly as
-    plain state keys).  Also returns the canonicalizing renaming and the
-    restricted concrete sleep — the inputs {!source_transitions} needs. *)
+    of a root (winner [-1]) under {!group}, so the canonical state key,
+    re-folded, extended with the canonical enabled-restricted sleep set
+    (the extension is the identity when the relevant sleep is empty, so
+    source-set-off searches and terminal states key exactly as plain
+    state keys).  Also returns the canonicalizing renaming (always
+    [Some]) and the restricted concrete sleep — the inputs
+    {!source_successors} needs. *)
 
 val source_fingerprint_from :
   Fingerprint.t ->
@@ -367,46 +371,39 @@ val source_fingerprint_from :
 (** {!source_fingerprint} when the bare state fingerprint is already in
     hand — a search carries it patched from the parent's, so the claim
     key costs O(|relevant sleep|) instead of a re-fold: {!node_key} of a
-    node with winner [-1] carrying it.  Symmetry off only: under
-    symmetry a winner-[-1] node re-folds its winner's image. *)
+    node whose parent's winner is element [0] of the group, carrying [fp]
+    as its key under that element.  Symmetry off only: [fp] is then the
+    configuration's {!Fingerprint.hom_of_config}, its key under the
+    trivial group's one element. *)
 
 val node_key :
   paranoid:bool ->
   counters ->
   reduction ->
+  Symmetry.t ->
   max_crashes:int ->
   Fingerprint.t ->
   int ->
-  Config.t Lazy.t ->
+  Config.t ->
   sleep:tr list ->
-  Fingerprint.key * Symmetry.perm option * tr list * Fingerprint.t * int
-(** [node_key ~paranoid c reduction ~max_crashes fp win config ~sleep] —
-    the claim key of a search node, as every search computes it, with
-    the canonicalizing renaming, the restricted sleep, and the node's
+  Fingerprint.key * Symmetry.perm * tr list * Fingerprint.t * int
+(** [node_key ~paranoid c reduction sym ~max_crashes fp win config
+    ~sleep] — the claim key of a search node under the search's group
+    [sym] ({!group}), as every search computes it, with the
+    canonicalizing renaming, the restricted sleep, and the node's
     carried fingerprint and winner index, which its children are patched
     from ({!child_fingerprint}).
 
-    With symmetry off, the key is the carried fingerprint [fp] (extended
-    with the relevant sleep), without forcing [config] unless the sleep
-    restriction needs it; under [paranoid], the configuration's exact
-    key, extended the same way.  The winner index is [-1].
-
-    Under symmetry, [fp] is the node's image key under its parent's
-    winner [win] ([-1] at the root).  The orbit minimization picks the
-    node's winner and coset; when the winner is [win] the carried
-    fingerprint is the node's key, and otherwise the node's winner's
-    image is re-folded (counted in [fp_refolds]).  That fingerprint,
-    extended with the canonical relevant sleep, is the claim key — or,
-    under [paranoid], the exact canonical key from
+    [fp] is the node's image key under its parent's winner [win] ([-1]
+    at a root, which has none, and [fp] is then not read).  The orbit
+    minimization picks the node's winner and coset; when the winner is
+    [win] the carried fingerprint is the node's key, and otherwise the
+    node's winner's image is re-folded (counted in [fp_refolds]).  Under
+    the trivial group the winner is always [0], so only a root re-folds.
+    That fingerprint, extended with the canonical relevant sleep, is the
+    claim key — or, under [paranoid], the exact canonical key from
     {!Symmetry.canonical_minimizers} is, and the fingerprint is carried
     for {!cross_check}. *)
-
-val root_fingerprint : counters -> reduction -> Config.t -> Fingerprint.t
-(** [root_fingerprint c reduction root] — the carried fingerprint a
-    search starts from, with winner [-1]: the root's homomorphic re-fold
-    (counted in [fp_refolds]) with symmetry off.  Under symmetry no key
-    reads it, because {!node_key} folds the image of a node whose winner
-    is not [win]. *)
 
 val patched_fingerprint :
   Config.t -> Fingerprint.t -> Step.slots -> Config.t -> Fingerprint.t
@@ -420,7 +417,7 @@ val patched_fingerprint :
 val source_transitions :
   commute_cache ->
   reduction ->
-  pi:Symmetry.perm option ->
+  pi:Symmetry.perm ->
   max_crashes:int ->
   max_recoveries:int ->
   Config.t ->
@@ -436,8 +433,9 @@ val source_transitions :
     only when its DFS reaches it, so a search stopped early never steps
     the siblings it did not visit.  [sleep] must be the restricted sleep
     returned by {!node_key}/{!source_fingerprint} for the same
-    configuration.  Deterministic per canonical key — the property that
-    makes the reduction safe under work stealing. *)
+    configuration, and [pi] the renaming returned with it.
+    Deterministic per canonical key — the property that makes the
+    reduction safe under work stealing. *)
 
 val expand : Config.t -> tr -> (Config.t * Trace.event * Step.slots) list
 (** [expand config tr] — the successors of transition bundle [tr] at
@@ -465,15 +463,16 @@ val source_successors :
   sleep:tr list ->
   succ_group list * int
 (** The materialized form of {!source_transitions}: the same groups and
-    skip count, each taken bundle stepped through {!expand}.  No search
-    calls it; it is there for callers that want every successor of a
-    node at once. *)
+    skip count, each taken bundle stepped through {!expand}.  [~pi:None]
+    stands for the identity renaming.  No search calls it; it is there
+    for callers that want every successor of a node at once. *)
 
 (** [state_key reduction config] — the plain visited-set key of [config]
-    under [reduction] (no sleep extension): {!node_key} of a node with
-    winner [-1] carrying {!root_fingerprint} and an empty sleep.  The
-    homomorphic fingerprint of the canonical orbit representative
-    ([Fingerprint.Fp]), or the exact canonical key under
-    [~paranoid:true] ([Fingerprint.Exact]).  Exposed for the
-    cross-validation tests. *)
+    under [reduction] (no sleep extension): {!node_key} of a root under
+    {!group} with an empty sleep.  The homomorphic fingerprint of the
+    canonical orbit representative ([Fingerprint.Fp]; with symmetry off,
+    {!Fingerprint.hom_of_config}), or the exact canonical key under
+    [~paranoid:true] ([Fingerprint.Exact]; with symmetry off, the trivial
+    group's key tree, which tells configurations apart exactly as
+    [Config.key] does).  Exposed for the cross-validation tests. *)
 val state_key : ?paranoid:bool -> reduction -> Config.t -> Fingerprint.key

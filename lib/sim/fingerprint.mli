@@ -92,11 +92,13 @@ val hom_base : n_procs:int -> t
 (** Contribution of the configuration shape itself (process count). *)
 
 val hom_of_config : Config.t -> t
-(** [hom_base ⊕ Σ mix_store_slot ⊕ Σ mix_proc_slot] — the full re-fold;
-    the root of every incremental run, and the [~paranoid]
-    cross-validation target for patched fingerprints, and the key of a
-    symmetry-off configuration.  Agrees with {!Config.key} equality:
-    continuations erased, histories included. *)
+(** [hom_base ⊕ Σ mix_store_slot ⊕ Σ mix_proc_slot] — the full re-fold.
+    It is also the image key of the trivial group's one element
+    ([Symmetry.image_fingerprint (Symmetry.trivial ~n) 0], which feeds
+    every value through {!feed_value}), so it is the key of every node
+    of a search without symmetry, and the [~paranoid] cross-validation
+    target for that search's patched fingerprints.  Agrees with
+    {!Config.key} equality: continuations erased, histories included. *)
 
 val hom_patch_proc : t -> int -> Config.proc -> Config.proc -> t
 (** [hom_patch_proc fp i old new_] rewrites process slot [i]'s

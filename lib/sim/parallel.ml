@@ -12,8 +12,9 @@
    [Some] block and the compare-and-set compares physically, so a stale
    read cannot take a later offer (no ABA).  A work item carries
    everything the DFS needs to resume there: the configuration, its
-   carried fingerprint with the winner it was patched under, the trace,
-   the depth and the sleep set.
+   carried fingerprint with the winner it was patched under (so a stolen
+   child re-folds no more than its owner would have), the trace, the
+   depth and the sleep set.
    Termination is the idle-counter protocol: a domain is counted idle
    whenever it holds no work, and decrements the counter {e before}
    every steal attempt and re-increments on failure, so [idle = jobs]
@@ -131,6 +132,8 @@ and global = {
   max_recoveries : int;
   deadline_at : float; (* absolute wall clock, or infinity *)
   reduction : Explore.reduction;
+  (* The group every node is keyed under ([Explore.group]). *)
+  sym : Symmetry.t;
   paranoid : bool;
   (* The keys on the DFS stack, kept only when hunting a cycle (one
      domain). *)
@@ -255,8 +258,8 @@ let rec dfs ctx config fp win rev_trace depth sleep =
   if depth > g.depth_limit then ctx.depth_limited <- true
   else begin
     let key, pi, sleep, fp, win =
-      Explore.node_key ~paranoid:g.paranoid c g.reduction
-        ~max_crashes:g.max_crashes fp win (Lazy.from_val config) ~sleep
+      Explore.node_key ~paranoid:g.paranoid c g.reduction g.sym
+        ~max_crashes:g.max_crashes fp win config ~sleep
     in
     match g.onstack with
     | Some onstack when Fingerprint.Ktbl.mem onstack key ->
@@ -272,7 +275,7 @@ let rec dfs ctx config fp win rev_trace depth sleep =
         if ticket >= g.max_states then halt g Budget;
         c.states <- c.states + 1;
         if c.states >= ctx.spawn_at then spawn ctx;
-        Explore.cross_check c ~paranoid:g.paranoid g.reduction fp win config;
+        Explore.cross_check c ~paranoid:g.paranoid g.sym fp win config;
         g.on_visit ctx.id config (lazy (List.rev rev_trace));
         if Explore.count_terminal c config then
           g.on_terminal ctx.id config (List.rev rev_trace);
@@ -295,8 +298,8 @@ let rec dfs ctx config fp win rev_trace depth sleep =
                 let c = ctx.counts in
                 c.transitions <- c.transitions + 1;
                 child ctx config'
-                  (Explore.child_fingerprint c ctx.g.reduction fp win config
-                     slots config')
+                  (Explore.child_fingerprint c ctx.g.sym fp win config slots
+                     config')
                   win (event :: rev_trace) (depth + 1) sleep)
               (Explore.expand config tr))
           groups;
@@ -454,6 +457,7 @@ let run ~max_states ?(max_depth = default_max_depth) ~max_crashes
       deadline_at =
         (match deadline with None -> infinity | Some secs -> t0 +. secs);
       reduction;
+      sym = Explore.group reduction ~n:(Config.n_procs config);
       paranoid;
       onstack = (if find_cycle then Some (Fingerprint.Ktbl.create 16) else None);
       on_terminal;
@@ -465,10 +469,11 @@ let run ~max_states ?(max_depth = default_max_depth) ~max_crashes
     else match seq_threshold with Some n -> max 0 n | None -> default_seq_threshold
   in
   let w0 = fresh_ctx g 0 ~spawn_at in
-  let root_fp = Explore.root_fingerprint w0.counts reduction config in
-  (* Every exception of a domain's work becomes a stop cause. *)
+  (* Every exception of a domain's work becomes a stop cause.  The root's
+     winner [-1] names no parent, so its key is folded and the
+     fingerprint given with it is never read. *)
   (try
-     dfs w0 config root_fp (-1) [] 0 [];
+     dfs w0 config Fingerprint.erased_store (-1) [] 0 [];
      match g.pool with
      | Some p ->
        drain w0 p;

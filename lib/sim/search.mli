@@ -43,10 +43,12 @@
     search and is re-raised on the calling domain.
 
     {b Fingerprints.}  Every search keys a node by a homomorphic
-    fingerprint patched from its parent's ({!Explore.node_key}): of the
-    configuration on the symmetry-off lanes, of its orbit winner's image
-    under symmetry.  So a duplicate claim needs no re-fold, except under
-    symmetry at a node whose winner is not its parent's.
+    fingerprint patched from its parent's ({!Explore.node_key}): of its
+    orbit winner's image under the reduction's symmetry, or, without
+    one, under the trivial group, whose image of a configuration is the
+    configuration itself.  So a duplicate claim needs no re-fold, except
+    at a node whose winner is not its parent's, which the trivial group
+    never has.
     [paranoid] claims exact canonical keys instead and re-folds
     the carried fingerprint at every claimed node: the reference the
     fingerprinted search is checked against. *)

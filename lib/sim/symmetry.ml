@@ -45,8 +45,13 @@ type t = {
   elems : elem array;  (* [perms] in group order *)
   (* [feeds.(g) ctx v] feeds [v] acted by element [g] (see
      [feed_acted]): one closure per element, built with the spec, so
-     that folding and patching a key allocate none. *)
+     that folding and patching a key allocate none.  The identity's is
+     [Fingerprint.feed_value] itself. *)
   feeds : (Fingerprint.ctx -> Value.t -> unit) array;
+  (* [canonical_winner]'s answer in a one-element group, and the
+     shape's contribution to every key, built once. *)
+  sole : int * perm list;
+  base : Fingerprint.t;
 }
 
 let group_order t = Array.length t.elems
@@ -112,10 +117,10 @@ let status_sym = function
 
 (* With [erase_dead], a terminal configuration with no crashed process
    keys without its store (see [key_under]). *)
-let erases_store t (c : Config.t) =
+let[@inline] erases_store t (c : Config.t) =
   t.erase_dead && Config.is_terminal c && not (Config.any_crashed c)
 
-let live_history t (p : Config.proc) =
+let[@inline] live_history t (p : Config.proc) =
   match p.Config.status with
   | (Config.Terminated _ | Config.Hung) when t.erase_dead -> []
   | _ -> p.Config.history
@@ -137,9 +142,12 @@ let live_history t (p : Config.proc) =
    counts under the source-set reduction before this guard existed).
 
    This tree is the reference: [~paranoid] searches key by it, and the
-   allocation-free path below must agree with it exactly. *)
+   allocation-free path below must agree with it exactly.  The identity
+   acts as the identity, so its tree shares the configuration's values,
+   as [Config.key] does: a paranoid search without symmetry keys so. *)
 let key_under t (pi : perm) (c : Config.t) =
-  let act = act t pi in
+  let id = pi = identity t.n in
+  let act = if id then Fun.id else act t pi in
   let store_part =
     if erases_store t c then Value.Sym "terminal"
     else
@@ -156,7 +164,9 @@ let key_under t (pi : perm) (c : Config.t) =
     in
     (* The history is a sequence of responses: act on each element,
        never permute the list itself. *)
-    let history = List.map act (live_history t p) in
+    let history =
+      if id then live_history t p else List.map act (live_history t p)
+    in
     (* The recovery counter is never erased, even for finished processes:
        the remaining recovery budget is a function of the total consumed,
        so merging configurations that differ in it would be unsound. *)
@@ -308,11 +318,25 @@ let standard ~n ?input_base ?(map_ids = true) ?(erase_dead = true) grp =
   in
   let t =
     { n; group = grp; map_ids; input_base; erase_dead; perms; elems;
-      feeds = [||] }
+      feeds = [||];
+      sole = (0, perms);
+      base = Fingerprint.hom_base ~n_procs:n }
   in
-  { t with feeds = Array.map (fun e ctx v -> feed_acted t e ctx v) elems }
+  let feed e =
+    if e.id then Fingerprint.feed_value else fun ctx v -> feed_acted t e ctx v
+  in
+  { t with feeds = Array.map feed elems }
 
-let trivial ~n = standard ~n ~map_ids:false ~erase_dead:false `Trivial
+(* A census runs tens of thousands of searches without symmetry: the
+   trivial specs of the counts an exhaustive search reaches are built
+   once, at load (more counts measured a larger peak RSS). *)
+let trivials =
+  Array.init 8 (fun n -> standard ~n ~map_ids:false ~erase_dead:false `Trivial)
+
+let trivial ~n =
+  if n < Array.length trivials then trivials.(n)
+  else standard ~n ~map_ids:false ~erase_dead:false `Trivial
+
 let erasure_only ~n = standard ~n ~map_ids:false ~erase_dead:true `Trivial
 
 (* [key_under]'s order: the store slot by slot in handle order (handles
@@ -368,11 +392,10 @@ let minimize t slots (procs : Config.proc array) =
   (!best, match !mins with [ _ ] as l -> l | l -> List.rev l)
 
 let canonical_winner t (c : Config.t) =
-  let slots =
-    if Array.length t.elems = 1 || erases_store t c then [||]
-    else Store.states c.Config.store
-  in
-  minimize t slots c.Config.procs
+  if Array.length t.elems = 1 then t.sole
+  else
+    let slots = if erases_store t c then [||] else Store.states c.Config.store in
+    minimize t slots c.Config.procs
 
 let index t pi =
   let rec go g = if t.elems.(g).pi = pi then g else go (g + 1) in
@@ -395,19 +418,19 @@ let index t pi =
 
 let image_fingerprint t g (c : Config.t) =
   let e = t.elems.(g) and feed = t.feeds.(g) in
-  let acc = ref (Fingerprint.hom_base ~n_procs:t.n) in
+  let acc = ref t.base in
   if erases_store t c then
     acc := Fingerprint.hom_add !acc Fingerprint.erased_store
   else
     Store.iter c.Config.store (fun h st ->
         acc :=
           Fingerprint.hom_add !acc (Fingerprint.mix_store_slot_by feed h st));
-  Array.iteri
-    (fun i p ->
-      acc :=
-        Fingerprint.hom_add !acc
-          (Fingerprint.mix_proc_slot_by feed e.pi.(i) p (live_history t p)))
-    c.Config.procs;
+  for i = 0 to Array.length c.Config.procs - 1 do
+    let p = c.Config.procs.(i) in
+    acc :=
+      Fingerprint.hom_add !acc
+        (Fingerprint.mix_proc_slot_by feed e.pi.(i) p (live_history t p))
+  done;
   !acc
 
 let patch_image t g fp (parent : Config.t) (s : Step.slots) (child : Config.t) =

@@ -73,8 +73,11 @@ val standard :
     can still be revived and its future reads the store. *)
 
 val trivial : n:int -> t
-(** Identity group, no erasure: canonicalization is (an erased-field-free
-    rendering of) [Config.key].  Useful as an explicit "no symmetry". *)
+(** Identity group, no erasure: the key tree is [Config.key], the image
+    key is {!Fingerprint.hom_of_config} and a patch under it is the plain
+    homomorphic patch, bit for bit.  A search whose reduction has no
+    symmetry keys every node under it.  The specs for [n < 8] are built
+    once, at load, and shared. *)
 
 val erasure_only : n:int -> t
 (** Identity group with dead-history/terminal-store erasure: a reduction

@@ -182,11 +182,12 @@ let paranoid_catches_mutation () =
   let config = root (Registry.alg2 ~k:3 ~crashes:0) in
   let c = Explore.fresh_counters () in
   let good = Fingerprint.hom_of_config config in
-  Explore.cross_check c ~paranoid:true Explore.no_reduction good (-1) config;
+  let trivial = Symmetry.trivial ~n:(Config.n_procs config) in
+  Explore.cross_check c ~paranoid:true trivial good 0 config;
   Explore.check_fp_mismatches ~engine:"test" c;
-  Explore.cross_check c ~paranoid:true Explore.no_reduction
+  Explore.cross_check c ~paranoid:true trivial
     (Fingerprint.extend good 0xBAD)
-    (-1) config;
+    0 config;
   (match Explore.check_fp_mismatches ~engine:"test" c with
   | () -> Alcotest.fail "a corrupted fingerprint went unnoticed"
   | exception Invalid_argument msg ->

@@ -378,10 +378,10 @@ let visited_bytes_is_the_table () =
   Alcotest.(check int) "same table size at jobs" one.Explore.visited_bytes
     many.Explore.visited_bytes
 
-(* Injectivity of the fingerprint the symmetry-off searches key on
-   ([Fingerprint.hom_of_config], the re-fold of the carried hash) over an
-   actual reachable set: distinct canonical keys must map to distinct
-   fingerprints. *)
+(* Injectivity of the fingerprint a search without symmetry keys on
+   ([Fingerprint.hom_of_config], the trivial group's image key and the
+   re-fold of the carried hash) over an actual reachable set: distinct
+   canonical keys must map to distinct fingerprints. *)
 let fingerprint_injective () =
   let config = root (Registry.alg5 ~k:3) in
   let keys = Hashtbl.create 4096 in

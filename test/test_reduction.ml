@@ -158,7 +158,9 @@ let hom_of_key ~n key =
    key_under, and invariant under re-indexing the group by pi (group
    closure of the action).  Covered: rotations (Alg 2, Alg 5 with a
    crash), the full group (set consensus, with a crash and a recovery),
-   and the identity group with erasure (terminal store erasure). *)
+   the identity group with erasure (terminal store erasure), and the
+   trivial group a search without symmetry keys under, whose key is the
+   configuration's own: [Fingerprint.hom_of_config] and [Config.key]. *)
 let canonicalization_sound () =
   List.iter
     (fun (name, h, max_crashes, max_recoveries) ->
@@ -187,6 +189,12 @@ let canonicalization_sound () =
               (Fingerprint.key_equal (Fingerprint.Exact key)
                  (Explore.state_key ~paranoid:true
                     (Explore.with_symmetry sym) c));
+            let trivial = Symmetry.trivial ~n:(Config.n_procs c) in
+            Alcotest.(check bool) (name ^ ": trivial group keys as is") true
+              (Fingerprint.equal
+                 (Symmetry.image_fingerprint trivial 0 c)
+                 (Fingerprint.hom_of_config c)
+              && Value.equal (fst (Symmetry.canonical_key trivial c)) (Config.key c));
             List.iter
               (fun p ->
                 Alcotest.(check bool) (name ^ ": canonical is minimal") true
@@ -209,16 +217,23 @@ let canonicalization_sound () =
         { (Registry.alg2 ~k:3 ~crashes:0) with symmetry = Some (Symmetry.erasure_only ~n:3) },
         1,
         0 );
+      ( "set consensus trivial f=1 r=1",
+        { (Registry.set_consensus_object ~n:3 ~k:2 ~crashes:0) with
+          symmetry = Some (Symmetry.trivial ~n:3) },
+        1,
+        1 );
     ]
 
 (* For every reachable configuration, every group element g and every
    transition out of it: the child's key under g patched from the
    parent's ([Symmetry.patch_image], what a search carries to a child
-   under its parent's winner) equals the child's image re-fold under g.
-   Covered: rotations (Alg 5 with a crash), and the full group (set
+   under its parent's winner) equals the child's image re-fold under g,
+   and the trivial group's patch is [Explore.patched_fingerprint].
+   Covered: rotations (Alg 5 with a crash), the full group (set
    consensus with a crash and a recovery), where the transitions that
    crash, recover, finish a process (erasing its history) and reach a
-   terminal without a crash (erasing the store) each occur. *)
+   terminal without a crash (erasing the store) each occur, and the
+   trivial group on the same space. *)
 let patch_agrees_with_refold () =
   List.iter
     (fun (name, h, max_crashes, max_recoveries) ->
@@ -244,6 +259,16 @@ let patch_agrees_with_refold () =
                   (fun (c', _, sl) -> (c', sl))
                   (Step.recover_successors_slots c)
             in
+            let trivial = Symmetry.trivial ~n:(Config.n_procs c) in
+            let own = Fingerprint.hom_of_config c in
+            List.iter
+              (fun (c', sl) ->
+                Alcotest.(check bool)
+                  (name ^ ": trivial group patches as is") true
+                  (Fingerprint.equal
+                     (Symmetry.patch_image trivial 0 own c sl c')
+                     (Explore.patched_fingerprint c own sl c')))
+              succs;
             for g = 0 to Symmetry.group_order sym - 1 do
               let fp = Symmetry.image_fingerprint sym g c in
               List.iter
@@ -283,11 +308,17 @@ let patch_agrees_with_refold () =
         Registry.set_consensus_object ~n:3 ~k:2 ~crashes:0,
         1,
         1 );
+      ( "set consensus trivial f=1 r=1",
+        { (Registry.set_consensus_object ~n:3 ~k:2 ~crashes:0) with
+          symmetry = Some (Symmetry.trivial ~n:3) },
+        1,
+        1 );
     ]
 
-(* With symmetry off a search keys a node by the fingerprint it carries,
-   patched from its parent's: for every reachable configuration and
-   every child with the sleep set the source-set expansion gives it,
+(* Without symmetry a search keys a node under the trivial group, by
+   the fingerprint it carries patched from its parent's under the one
+   winner, element 0: for every reachable configuration and every child
+   with the sleep set the source-set expansion gives it,
    [source_fingerprint_from] the child's re-fold is [source_fingerprint]
    (same key, same restricted sleep), and with an empty sleep the key is
    the plain [state_key]. *)
