@@ -29,6 +29,7 @@ type stats = {
   frontier_bytes : int;
   fp_patches : int;
   fp_refolds : int;
+  sym_inherited : int;
   diamonds : int;
   memo_hits : int;
   memo_evictions : int;
@@ -395,6 +396,7 @@ type counters = {
   mutable source_skips : int;
   mutable fp_patches : int;
   mutable fp_refolds : int;
+  mutable sym_inherited : int;
   mutable fp_mismatches : int;
   mutable diamonds : int;
   mutable memo_hits : int;
@@ -417,6 +419,7 @@ let fresh_counters () =
     source_skips = 0;
     fp_patches = 0;
     fp_refolds = 0;
+    sym_inherited = 0;
     fp_mismatches = 0;
     diamonds = 0;
     memo_hits = 0;
@@ -438,6 +441,7 @@ let add_counters t c =
   t.source_skips <- t.source_skips + c.source_skips;
   t.fp_patches <- t.fp_patches + c.fp_patches;
   t.fp_refolds <- t.fp_refolds + c.fp_refolds;
+  t.sym_inherited <- t.sym_inherited + c.sym_inherited;
   t.fp_mismatches <- t.fp_mismatches + c.fp_mismatches;
   t.diamonds <- t.diamonds + c.diamonds;
   t.memo_hits <- t.memo_hits + c.memo_hits;
@@ -479,15 +483,15 @@ let cross_check c ~paranoid sym fp win config =
     then c.fp_mismatches <- c.fp_mismatches + 1
   end
 
-(* A paranoid run that saw any patch/re-fold disagreement is a soundness
-   bug (or injected fault) — fail loudly rather than return counts built
-   on a corrupted carry. *)
+(* A paranoid run that saw any patch/re-fold or inherited/reference
+   winner disagreement is a soundness bug (or injected fault) — fail
+   loudly rather than return counts built on a corrupted carry. *)
 let check_fp_mismatches ~engine c =
   if c.fp_mismatches > 0 then
     invalid_arg
       (Printf.sprintf
-         "%s: %d incremental fingerprint patch(es) disagree with the paranoid \
-          re-fold"
+         "%s: %d incremental fingerprint patch(es) or inherited winner(s) \
+          disagree with the paranoid reference"
          engine c.fp_mismatches)
 
 let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes
@@ -508,6 +512,7 @@ let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes
     frontier_bytes;
     fp_patches = c.fp_patches;
     fp_refolds = c.fp_refolds;
+    sym_inherited = c.sym_inherited;
     diamonds = c.diamonds;
     memo_hits = c.memo_hits;
     memo_evictions = c.memo_evictions;
@@ -561,10 +566,10 @@ let[@inline] image_key c sym fp win g config =
   end
 
 (* [node_key]'s answer for a node whose state key, coset, restricted
-   sleep, carried fingerprint and winner are known. *)
-let[@inline] keyed state mins sleep fp g =
+   sleep, carried fingerprint, winner and store verdict are known. *)
+let[@inline] keyed state mins sleep fp g decided =
   (extend_with_sleep state (canonical_packed_sleep mins sleep), List.hd mins,
-   sleep, fp, g)
+   sleep, fp, g, decided)
 
 (* The claim key of a search node, the one way every search keys a node.
    Under source sets it is the {e pair} (canonical state, canonical
@@ -576,39 +581,60 @@ let[@inline] keyed state mins sleep fp g =
    [sym], patched under the parent's winner [win] and re-folded only
    when this node's winner differs.  A root has no parent winner
    ([-1]), so it folds; under the trivial group every other node shares
-   winner 0 and costs no re-fold.  Under [~paranoid] the state half is
-   the exact canonical key from the key-tree reference path (collisions
-   impossible), while [fp] is still carried for {!cross_check}.  Also
-   returns the canonicalizing renaming and the restricted concrete sleep
-   that {!source_transitions} takes, then the node's carried fingerprint
-   and winner index, which its children are patched from. *)
+   winner 0 and costs no re-fold.  The winner itself is the orbit
+   minimization's, except that a node [inherits] its parent's when the
+   store decided the parent's and the transition left the store
+   untouched: the key orders the store first, so the same store decides
+   the same winner, unless this node's key erases it.  Under
+   [~paranoid] the state half is the exact canonical key from the
+   key-tree reference path (collisions impossible), while [fp] is still
+   carried for {!cross_check}, and an inherited winner is checked
+   against the reference's.  Also returns the canonicalizing renaming
+   and the restricted concrete sleep that {!source_transitions} takes,
+   then the node's carried fingerprint, winner index and store verdict,
+   which its children are patched and inherit from. *)
 let node_key ~paranoid c (reduction : reduction) sym ~max_crashes fp win
-    config ~sleep =
+    inherits config ~sleep =
   let sleep = relevant_sleep reduction ~max_crashes config sleep in
+  let keeps = inherits && not (Symmetry.erases_store sym config) in
+  if keeps then c.sym_inherited <- c.sym_inherited + 1;
   if paranoid then
     let key, mins = Symmetry.canonical_minimizers sym config in
     let g = Symmetry.index sym (List.hd mins) in
+    let decided =
+      if keeps then begin
+        if g <> win || mins <> Symmetry.singleton sym win then
+          c.fp_mismatches <- c.fp_mismatches + 1;
+        true
+      end
+      else
+        let _, _, decided = Symmetry.canonical_winner_decided sym config in
+        decided
+    in
     keyed (Fingerprint.Exact key) mins sleep (image_key c sym fp win g config) g
+      decided
+  else if keeps then
+    keyed (Fingerprint.Fp fp) (Symmetry.singleton sym win) sleep fp win true
   else
-    let g, mins = Symmetry.canonical_winner sym config in
+    let g, mins, decided = Symmetry.canonical_winner_decided sym config in
     let fp = image_key c sym fp win g config in
-    keyed (Fingerprint.Fp fp) mins sleep fp g
+    keyed (Fingerprint.Fp fp) mins sleep fp g decided
 
 (* [node_key] of a node with winner [win] carrying [fp], outside a
-   search. *)
+   search: it inherits no winner. *)
 let key_from ?(paranoid = false) (reduction : reduction) ~max_crashes fp win
     config ~sleep =
   node_key ~paranoid (fresh_counters ()) reduction
     (group reduction ~n:(Config.n_procs config))
-    ~max_crashes fp win config ~sleep
+    ~max_crashes fp win false config ~sleep
 
 (* What a root carries for a key: its winner [-1] names no parent, so
    [node_key] folds the root's key and never reads this one. *)
 let root_fp = Fingerprint.erased_store
 
 let lanes = function
-  | Fingerprint.Fp fp, pi, sleep, _, _ -> (fp, Some pi, sleep)
-  | Fingerprint.Exact _, _, _, _, _ -> assert false
+  | Fingerprint.Fp fp, pi, sleep, _, _, _ -> (fp, Some pi, sleep)
+  | Fingerprint.Exact _, _, _, _, _, _ -> assert false
 
 let source_fingerprint_from fp reduction ~max_crashes config ~sleep =
   lanes (key_from reduction ~max_crashes fp 0 config ~sleep)
@@ -617,7 +643,7 @@ let source_fingerprint reduction ~max_crashes config ~sleep =
   lanes (key_from reduction ~max_crashes root_fp (-1) config ~sleep)
 
 let state_key ?paranoid reduction config =
-  let key, _, _, _, _ =
+  let key, _, _, _, _, _ =
     key_from ?paranoid reduction ~max_crashes:0 root_fp (-1) config
       ~sleep:[]
   in

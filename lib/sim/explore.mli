@@ -123,6 +123,7 @@ type counters = {
   mutable source_skips : int;
   mutable fp_patches : int;
   mutable fp_refolds : int;
+  mutable sym_inherited : int;
   mutable fp_mismatches : int;
   mutable diamonds : int;
   mutable memo_hits : int;
@@ -185,6 +186,10 @@ type stats = {
       (** fingerprints folded from scratch: the root's, each symmetry
           node whose winner differs from its parent's, and every claimed
           node under [~paranoid] *)
+  sym_inherited : int;
+      (** nodes keyed under their parent's orbit winner without an orbit
+          minimization ({!node_key}); checked against the reference
+          under [~paranoid] *)
   diamonds : int;  (** commutation judgments computed ({!op_independent}) *)
   memo_hits : int;  (** commutation judgments found in a domain's memo *)
   memo_evictions : int;
@@ -384,26 +389,36 @@ val node_key :
   max_crashes:int ->
   Fingerprint.t ->
   int ->
+  bool ->
   Config.t ->
   sleep:tr list ->
-  Fingerprint.key * Symmetry.perm * tr list * Fingerprint.t * int
-(** [node_key ~paranoid c reduction sym ~max_crashes fp win config
-    ~sleep] — the claim key of a search node under the search's group
-    [sym] ({!group}), as every search computes it, with the
-    canonicalizing renaming, the restricted sleep, and the node's
-    carried fingerprint and winner index, which its children are patched
-    from ({!child_fingerprint}).
+  Fingerprint.key * Symmetry.perm * tr list * Fingerprint.t * int * bool
+(** [node_key ~paranoid c reduction sym ~max_crashes fp win inherits
+    config ~sleep] — the claim key of a search node under the search's
+    group [sym] ({!group}), as every search computes it, with the
+    canonicalizing renaming, the restricted sleep, the node's carried
+    fingerprint and winner index, which its children are patched from
+    ({!child_fingerprint}), and whether the store decided that winner.
 
     [fp] is the node's image key under its parent's winner [win] ([-1]
-    at a root, which has none, and [fp] is then not read).  The orbit
-    minimization picks the node's winner and coset; when the winner is
-    [win] the carried fingerprint is the node's key, and otherwise the
-    node's winner's image is re-folded (counted in [fp_refolds]).  Under
-    the trivial group the winner is always [0], so only a root re-folds.
-    That fingerprint, extended with the canonical relevant sleep, is the
-    claim key — or, under [paranoid], the exact canonical key from
-    {!Symmetry.canonical_minimizers} is, and the fingerprint is carried
-    for {!cross_check}. *)
+    at a root, which has none, and [fp] is then not read).  [inherits]
+    says that the store decided the parent's winner and the transition
+    left the store untouched ([Step.slots.sl_store = []]).  Then, unless
+    this node's store is erased ({!Symmetry.erases_store}), [win] is
+    this node's winner too and its coset is [win] alone
+    ({!Symmetry.canonical_winner_decided}): the node takes them without
+    a minimization (counted in [sym_inherited]), and reports the store
+    decided.  Otherwise the orbit minimization picks the node's winner
+    and coset and reports whether the store decided them; when the
+    winner is [win] the carried fingerprint is the node's key, and
+    otherwise the node's winner's image is re-folded (counted in
+    [fp_refolds]).  Under the trivial group the winner is always [0]
+    and never store-decided, so only a root re-folds and no node
+    inherits.  That fingerprint, extended with the canonical relevant
+    sleep, is the claim key — or, under [paranoid], the exact canonical
+    key from {!Symmetry.canonical_minimizers} is, the fingerprint is
+    carried for {!cross_check}, and an inherited winner and coset that
+    differ from the reference's count in [fp_mismatches]. *)
 
 val patched_fingerprint :
   Config.t -> Fingerprint.t -> Step.slots -> Config.t -> Fingerprint.t

@@ -12,9 +12,10 @@
    [Some] block and the compare-and-set compares physically, so a stale
    read cannot take a later offer (no ABA).  A work item carries
    everything the DFS needs to resume there: the configuration, its
-   carried fingerprint with the winner it was patched under (so a stolen
-   child re-folds no more than its owner would have), the trace, the
-   depth and the sleep set.
+   carried fingerprint with the winner it was patched under and whether
+   it inherits that winner (so a stolen child minimizes and re-folds no
+   more than its owner would have), the trace, the depth and the sleep
+   set.
    Termination is the idle-counter protocol: a domain is counted idle
    whenever it holds no work, and decrements the counter {e before}
    every steal attempt and re-increments on failure, so [idle = jobs]
@@ -92,6 +93,9 @@ type work = {
   config : Config.t;
   fp : Fingerprint.t;
   win : int;
+  (* The store decided [win] and the step here left the store alone
+     ([Explore.node_key]). *)
+  inherits : bool;
   rev_trace : Trace.event list;
   depth : int;
   sleep : Explore.tr list;
@@ -247,8 +251,10 @@ let rec steal ctx p =
    terminal verdicts and counts are preserved exactly (assuming an
    acyclic state graph; the cycle-hunting and reachability entry points
    force source sets off).  Outside cycle hunting a back-edge is a
-   claimed key like any other, a [dedup_hits] count. *)
-let rec dfs ctx config fp win rev_trace depth sleep =
+   claimed key like any other, a [dedup_hits] count.  A child inherits
+   its parent's winner [win] when the store decided it and the
+   transition's slots list no store slot. *)
+let rec dfs ctx config fp win inherits rev_trace depth sleep =
   let g = ctx.g and c = ctx.counts in
   (match Atomic.get g.stop with None -> () | Some _ -> raise Halt);
   ctx.tick <- ctx.tick + 1;
@@ -257,9 +263,9 @@ let rec dfs ctx config fp win rev_trace depth sleep =
   (* Past the depth bound prune this branch only; siblings go on. *)
   if depth > g.depth_limit then ctx.depth_limited <- true
   else begin
-    let key, pi, sleep, fp, win =
+    let key, pi, sleep, fp, win, decided =
       Explore.node_key ~paranoid:g.paranoid c g.reduction g.sym
-        ~max_crashes:g.max_crashes fp win config ~sleep
+        ~max_crashes:g.max_crashes fp win inherits config ~sleep
     in
     match g.onstack with
     | Some onstack when Fingerprint.Ktbl.mem onstack key ->
@@ -300,7 +306,9 @@ let rec dfs ctx config fp win rev_trace depth sleep =
                 child ctx config'
                   (Explore.child_fingerprint c ctx.g.sym fp win config slots
                      config')
-                  win (event :: rev_trace) (depth + 1) sleep)
+                  win
+                  (decided && List.is_empty slots.Step.sl_store)
+                  (event :: rev_trace) (depth + 1) sleep)
               (Explore.expand config tr))
           groups;
         match onstack with
@@ -311,21 +319,21 @@ let rec dfs ctx config fp win rev_trace depth sleep =
 
 (* Recurse into a child, or offer it in this domain's slot when some
    domain is idle and the slot is empty. *)
-and child ctx config fp win rev_trace depth sleep =
+and child ctx config fp win inherits rev_trace depth sleep =
   match ctx.g.pool with
   | Some p
     when Atomic.get p.idle > 0 && Option.is_none (Atomic.get p.slots.(ctx.id))
     ->
     Atomic.set p.slots.(ctx.id)
-      (Some { config; fp; win; rev_trace; depth; sleep })
-  | _ -> dfs ctx config fp win rev_trace depth sleep
+      (Some { config; fp; win; inherits; rev_trace; depth; sleep })
+  | _ -> dfs ctx config fp win inherits rev_trace depth sleep
 
 (* Run what this domain's own slot still holds, until it stays empty
    (the domain stays busy). *)
 and drain ctx p =
   match Atomic.exchange p.slots.(ctx.id) None with
   | Some w ->
-    dfs ctx w.config w.fp w.win w.rev_trace w.depth w.sleep;
+    dfs ctx w.config w.fp w.win w.inherits w.rev_trace w.depth w.sleep;
     drain ctx p
   | None -> ()
 
@@ -334,7 +342,7 @@ and drain ctx p =
 and idle_loop ctx p =
   match steal ctx p with
   | Some w ->
-    dfs ctx w.config w.fp w.win w.rev_trace w.depth w.sleep;
+    dfs ctx w.config w.fp w.win w.inherits w.rev_trace w.depth w.sleep;
     drain ctx p;
     Atomic.incr p.idle;
     idle_loop ctx p
@@ -381,6 +389,7 @@ let m_dedup = Obs.Metrics.counter "explore.dedup_hits"
 let m_source = Obs.Metrics.counter "explore.source_skips"
 let m_patches = Obs.Metrics.counter "fp.patches"
 let m_refolds = Obs.Metrics.counter "fp.refolds"
+let m_inherited = Obs.Metrics.counter "sym.inherited"
 let m_mismatches = Obs.Metrics.counter "fp.paranoid_mismatches"
 let m_diamonds = Obs.Metrics.counter "commute.diamonds"
 let m_memo_hits = Obs.Metrics.counter "commute.memo_hits"
@@ -399,6 +408,7 @@ let publish (c : Explore.counters) =
   add m_source c.source_skips;
   add m_patches c.fp_patches;
   add m_refolds c.fp_refolds;
+  add m_inherited c.sym_inherited;
   add m_mismatches c.fp_mismatches;
   add m_diamonds c.diamonds;
   add m_memo_hits c.memo_hits;
@@ -471,9 +481,9 @@ let run ~max_states ?(max_depth = default_max_depth) ~max_crashes
   let w0 = fresh_ctx g 0 ~spawn_at in
   (* Every exception of a domain's work becomes a stop cause.  The root's
      winner [-1] names no parent, so its key is folded and the
-     fingerprint given with it is never read. *)
+     fingerprint given with it is never read; it inherits nothing. *)
   (try
-     dfs w0 config Fingerprint.erased_store (-1) [] 0 [];
+     dfs w0 config Fingerprint.erased_store (-1) false [] 0 [];
      match g.pool with
      | Some p ->
        drain w0 p;

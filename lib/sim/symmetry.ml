@@ -48,9 +48,11 @@ type t = {
      that folding and patching a key allocate none.  The identity's is
      [Fingerprint.feed_value] itself. *)
   feeds : (Fingerprint.ctx -> Value.t -> unit) array;
-  (* [canonical_winner]'s answer in a one-element group, and the
-     shape's contribution to every key, built once. *)
-  sole : int * perm list;
+  (* [canonical_winner_decided]'s answer in a one-element group, each
+     element's one-element coset, and the shape's contribution to every
+     key, built once. *)
+  sole : int * perm list * bool;
+  singles : perm list array;
   base : Fingerprint.t;
 }
 
@@ -319,7 +321,8 @@ let standard ~n ?input_base ?(map_ids = true) ?(erase_dead = true) grp =
   let t =
     { n; group = grp; map_ids; input_base; erase_dead; perms; elems;
       feeds = [||];
-      sole = (0, perms);
+      sole = (0, perms, false);
+      singles = Array.map (fun e -> [ e.pi ]) elems;
       base = Fingerprint.hom_base ~n_procs:n }
   in
   let feed e =
@@ -373,29 +376,48 @@ let rec cmp_procs t procs p q j =
 (* Exactly [canonical_minimizers]' fold, with the lazy comparison in
    place of [compare] on two key trees: the winner (returned as its
    index in group order) is the first minimizer in group order and the
-   coset lists every minimizer in group order. *)
+   coset lists every minimizer in group order.  Also reports whether
+   the store decided the result: every comparison against the running
+   best settled in [cmp_store], none reaching [cmp_procs].  Each
+   element that did not become the best then lost to the best of its
+   time on the store alone, and each new best beat the previous one
+   there too, so by transitivity the winner's acted store is strictly
+   below every other element's, and the coset is the winner alone.  An
+   erased store ([slots = [||]]) never decides. *)
 let minimize t slots (procs : Config.proc array) =
-  let best = ref 0 and mins = ref [ t.elems.(0).pi ] in
+  let best = ref 0 and mins = ref t.singles.(0) and decided = ref true in
   for g = 1 to Array.length t.elems - 1 do
     let e = t.elems.(g) in
     let b = t.elems.(!best) in
     let d =
       let r = cmp_store t slots e b 0 in
-      if r <> 0 then r else cmp_procs t procs e b 0
+      if r <> 0 then r
+      else begin
+        decided := false;
+        cmp_procs t procs e b 0
+      end
     in
     if d < 0 then begin
       best := g;
-      mins := [ e.pi ]
+      mins := t.singles.(g)
     end
     else if d = 0 then mins := e.pi :: !mins
   done;
-  (!best, match !mins with [ _ ] as l -> l | l -> List.rev l)
+  (!best, (match !mins with [ _ ] as l -> l | l -> List.rev l), !decided)
 
-let canonical_winner t (c : Config.t) =
+(* A one-element group's answer is already O(1): it reports [false], so
+   no child inherits it. *)
+let canonical_winner_decided t (c : Config.t) =
   if Array.length t.elems = 1 then t.sole
   else
     let slots = if erases_store t c then [||] else Store.states c.Config.store in
     minimize t slots c.Config.procs
+
+let canonical_winner t c =
+  let g, mins, _ = canonical_winner_decided t c in
+  (g, mins)
+
+let singleton t g = t.singles.(g)
 
 let index t pi =
   let rec go g = if t.elems.(g).pi = pi then g else go (g + 1) in

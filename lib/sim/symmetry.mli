@@ -148,7 +148,29 @@ val canonical_winner : t -> Config.t -> int * perm list
     bit, computed without building a key tree: candidates are compared
     lazily in the order [compare] visits their key trees, and the
     comparison stops at the first difference.  The only allocation is
-    one array of store states per call plus the result. *)
+    one array of store states per call plus the result.  A search does
+    not call it at every node: a child whose parent's winner the store
+    decided, reached by a transition that left the store untouched,
+    inherits that winner ({!canonical_winner_decided}). *)
+
+val canonical_winner_decided : t -> Config.t -> int * perm list * bool
+(** {!canonical_winner} with whether the store decided it: every
+    comparison of the minimization was settled by the two candidates'
+    acted stores, which the key orders before the processes.  Then the
+    winner's acted store is strictly below every other element's, so
+    the coset is [[perm of the winner]] ({!singleton}), and any
+    configuration with the same store that keeps it in its key has the
+    same winner and coset, whatever its processes.  Always [false] for a
+    one-element group (its answer costs nothing) and for an erased
+    store. *)
+
+val singleton : t -> int -> perm list
+(** [singleton t g] is the one-element coset of element [g], built once
+    per spec. *)
+
+val erases_store : t -> Config.t -> bool
+(** Whether [c]'s key drops its store: [erase_dead] and [c] is a
+    terminal with no crashed process (see {!standard}). *)
 
 val index : t -> perm -> int
 (** The index of a group element given as a permutation. *)

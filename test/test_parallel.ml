@@ -297,7 +297,7 @@ let counters_merge () =
       c.crashed_terminals; c.recovered_terminals; c.max_depth; c.dedup_hits;
       c.source_skips; c.fp_patches; c.fp_refolds; c.fp_mismatches;
       c.diamonds; c.memo_hits; c.memo_evictions; c.probes; c.steals;
-      c.cas_retries;
+      c.cas_retries; c.sym_inherited;
     ]
   in
   let fill (c : Explore.counters) base =
@@ -318,7 +318,8 @@ let counters_merge () =
     c.memo_evictions <- base + 15;
     c.probes <- base + 16;
     c.steals <- base + 17;
-    c.cas_retries <- base + 18
+    c.cas_retries <- base + 18;
+    c.sym_inherited <- base + 19
   in
   let a = Explore.fresh_counters () and b = Explore.fresh_counters () in
   fill a 100;

@@ -233,7 +233,12 @@ let canonicalization_sound () =
    consensus with a crash and a recovery), where the transitions that
    crash, recover, finish a process (erasing its history) and reach a
    terminal without a crash (erasing the store) each occur, and the
-   trivial group on the same space. *)
+   trivial group on the same space.  Also the rule by which a search's
+   child inherits its parent's winner ([Explore.node_key]): when the
+   store decided the parent's winner and the transition left the store
+   untouched, a child that keeps its store has that winner, alone in its
+   coset.  The rule fires under both groups, and on the Alg 5 row some
+   child it reaches erases its store and is refused. *)
 let patch_agrees_with_refold () =
   List.iter
     (fun (name, h, max_crashes, max_recoveries) ->
@@ -261,13 +266,24 @@ let patch_agrees_with_refold () =
             in
             let trivial = Symmetry.trivial ~n:(Config.n_procs c) in
             let own = Fingerprint.hom_of_config c in
+            let win, _, decided = Symmetry.canonical_winner_decided sym c in
             List.iter
-              (fun (c', sl) ->
+              (fun (c', (sl : Step.slots)) ->
                 Alcotest.(check bool)
                   (name ^ ": trivial group patches as is") true
                   (Fingerprint.equal
                      (Symmetry.patch_image trivial 0 own c sl c')
-                     (Explore.patched_fingerprint c own sl c')))
+                     (Explore.patched_fingerprint c own sl c'));
+                if decided && List.is_empty sl.Step.sl_store then
+                  if Symmetry.erases_store sym c' then seen "erasure refused"
+                  else begin
+                    seen "inherited";
+                    Alcotest.(check bool)
+                      (name ^ ": an untouched deciding store keeps the winner")
+                      true
+                      (Symmetry.canonical_winner sym c'
+                      = (win, [ List.nth (Symmetry.perms sym) win ]))
+                  end)
               succs;
             for g = 0 to Symmetry.group_order sym - 1 do
               let fp = Symmetry.image_fingerprint sym g c in
@@ -296,6 +312,8 @@ let patch_agrees_with_refold () =
         (if max_crashes > 0 then [ "crash" ] else [])
         @ (if max_recoveries > 0 then [ "recovery" ] else [])
         @ [ "finish"; "store erased" ]
+        @ (if Symmetry.group_order sym > 1 then [ "inherited" ] else [])
+        @ if name = "alg5 rotations f=1" then [ "erasure refused" ] else []
       in
       List.iter
         (fun kind ->
