@@ -477,31 +477,8 @@ let memo_eviction_counts () =
 (* A search steps a transition bundle only when it takes it: a sibling
    the source sets skip, or one after the counterexample that stops the
    search, is never applied to the store.  The registers count their
-   [apply] calls; each process writes its own register twice, so the
-   objects are distinct and the independence judgment never applies
-   one.                                                              *)
-
-let counted_writers () =
-  let applies = Atomic.make 0 in
-  let model =
-    Obj_model.deterministic ~kind:"counted-register" ~init:Value.Bot
-      (fun _ op ->
-        Atomic.incr applies;
-        match (op.Op.name, op.Op.args) with
-        | "write", [ v ] -> (v, Value.Unit)
-        | _ -> Obj_model.bad_op "counted-register" op)
-  in
-  let store, regs = Store.alloc_many Store.empty 2 model in
-  let write h v = Program.invoke h (Op.make "write" [ Value.Int v ]) in
-  let programs =
-    List.map
-      (fun h ->
-        Program.Syntax.(
-          let* _ = write h 1 in
-          write h 2))
-      regs
-  in
-  (applies, Config.make store programs)
+   [apply] calls ([Helpers.counted_writers]); the objects are distinct,
+   so the independence judgment never applies one.                    *)
 
 let sleeping_transition_never_stepped () =
   let applies, config = counted_writers () in
