@@ -28,6 +28,7 @@ type stats = {
   limit_reason : limit_reason;
   frontier_bytes : int;
   fp_patches : int;
+  fp_reused : int;
   fp_refolds : int;
   sym_inherited : int;
   diamonds : int;
@@ -395,6 +396,7 @@ type counters = {
   mutable dedup_hits : int;
   mutable source_skips : int;
   mutable fp_patches : int;
+  mutable fp_reused : int;
   mutable fp_refolds : int;
   mutable sym_inherited : int;
   mutable fp_mismatches : int;
@@ -418,6 +420,7 @@ let fresh_counters () =
     dedup_hits = 0;
     source_skips = 0;
     fp_patches = 0;
+    fp_reused = 0;
     fp_refolds = 0;
     sym_inherited = 0;
     fp_mismatches = 0;
@@ -440,6 +443,7 @@ let add_counters t c =
   t.dedup_hits <- t.dedup_hits + c.dedup_hits;
   t.source_skips <- t.source_skips + c.source_skips;
   t.fp_patches <- t.fp_patches + c.fp_patches;
+  t.fp_reused <- t.fp_reused + c.fp_reused;
   t.fp_refolds <- t.fp_refolds + c.fp_refolds;
   t.sym_inherited <- t.sym_inherited + c.sym_inherited;
   t.fp_mismatches <- t.fp_mismatches + c.fp_mismatches;
@@ -483,15 +487,16 @@ let cross_check c ~paranoid sym fp win config =
     then c.fp_mismatches <- c.fp_mismatches + 1
   end
 
-(* A paranoid run that saw any patch/re-fold or inherited/reference
-   winner disagreement is a soundness bug (or injected fault) — fail
-   loudly rather than return counts built on a corrupted carry. *)
+(* A paranoid run that saw any patch/re-fold, inherited/reference
+   winner or patch/reused delta disagreement is a soundness bug (or
+   injected fault) — fail loudly rather than return counts built on a
+   corrupted carry. *)
 let check_fp_mismatches ~engine c =
   if c.fp_mismatches > 0 then
     invalid_arg
       (Printf.sprintf
-         "%s: %d incremental fingerprint patch(es) or inherited winner(s) \
-          disagree with the paranoid reference"
+         "%s: %d incremental fingerprint patch(es), inherited winner(s) or \
+          reused delta(s) disagree with the paranoid reference"
          engine c.fp_mismatches)
 
 let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes
@@ -511,6 +516,7 @@ let stats_of_counters c ~collision_bound ~limit_reason ~frontier_bytes
     limit_reason;
     frontier_bytes;
     fp_patches = c.fp_patches;
+    fp_reused = c.fp_reused;
     fp_refolds = c.fp_refolds;
     sym_inherited = c.sym_inherited;
     diamonds = c.diamonds;
@@ -554,6 +560,18 @@ let[@inline] relevant_sleep (reduction : reduction) ~max_crashes config
    ([Fingerprint.hom_of_config]). *)
 let group (reduction : reduction) ~n =
   match reduction.symmetry with Some sym -> sym | None -> Symmetry.trivial ~n
+
+(* Whether every node of a search claims its carried fingerprint as it
+   is, so that a child's key is known before the child is built: no
+   symmetry (the trivial group: winner 0 below the root, no store
+   erasure), no source sets (no sleep folded into the key), no
+   [~paranoid] (no exact key) and no cycle hunting (no stack check next
+   to the claim). *)
+let claims_carried_fingerprint ~paranoid ~find_cycle (reduction : reduction)
+    =
+  Option.is_none reduction.symmetry
+  && (not reduction.source_sets)
+  && (not paranoid) && not find_cycle
 
 (* The carried image key of a node under its winner [g]: the one
    patched from the parent's when the parent's winner [win] is also

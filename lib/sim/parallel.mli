@@ -60,6 +60,22 @@
     fixed; at more, [max_depth] and the witness traces depend on the
     schedule.
 
+    {b The delta memo.}  A search whose node key is its carried
+    fingerprint ({!Explore.claims_carried_fingerprint}) keeps, per domain
+    and per process, the fingerprint deltas of the process's last step
+    with the process record and invoked object state it was taken at.
+    A step of the same record at the same state (compared physically)
+    is not taken again: each successor is keyed as the parent's key plus
+    its delta and claimed before it is built, so a duplicate costs no
+    step and no patch (the stats' [fp_reused] counts these transitions;
+    with [fp_patches] they sum to [transitions]).  A fresh successor
+    steps the bundle once and is expanded by the domain that claimed
+    it.  The memo is exact, not probabilistic: a step is a pure function
+    of the process record and the object's state, and every slot's mix
+    under the trivial group depends on that slot alone.  [~paranoid]
+    searches keep it, take every step anyway and count a reusable delta
+    that disagrees with its patch in [fp_mismatches].
+
     {b Reductions.}  Symmetry quotienting canonicalizes before the claim,
     so an orbit's members race for a single slot.  Source sets ride
     inside the work items: the claim key is the (canonical configuration,

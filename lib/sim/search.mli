@@ -48,7 +48,12 @@
     one, under the trivial group, whose image of a configuration is the
     configuration itself.  So a duplicate claim needs no re-fold, except
     at a node whose winner is not its parent's, which the trivial group
-    never has.
+    never has.  Without a reduction (and outside cycle hunting) a step
+    that repeats one its domain took at the same process record and
+    object state reuses that step's fingerprint deltas instead: its
+    children are keyed and claimed before they are built, and a
+    duplicate among them is never stepped ({!Parallel}, "The delta
+    memo").
     [paranoid] claims exact canonical keys instead and re-folds
     the carried fingerprint at every claimed node: the reference the
     fingerprinted search is checked against. *)

@@ -30,11 +30,12 @@ let consensus_harness () =
 
 (* A row: one test case per (crash, recovery, expected status) budget
    of harness [h f] (its property at crash budget [f]) and reduction
-   level, with [~steals] and [~solo_bound] as [Helpers.agree] takes
-   them.  The paper's families are the family table's instances. *)
-let row ?steals ?solo_bound name h budgets =
+   level, with [~steals], [~reuses] and [~solo_bound] as [Helpers.agree]
+   takes them.  The paper's families are the family table's
+   instances. *)
+let row ?steals ?reuses ?solo_bound name h budgets =
   budgets |> List.concat_map (fun (f, r, expect) ->
-      agree ?steals ?solo_bound name (h f) ~f ~r ~expect
+      agree ?steals ?reuses ?solo_bound name (h f) ~f ~r ~expect
       |> List.map (fun (level, body) ->
              test_slow (Printf.sprintf "%s at f=%d r=%d %s" name f r level) body))
 
@@ -47,7 +48,8 @@ let suite =
         [
           row "alg2 k=3" (fun crashes -> Registry.alg2 ~k:3 ~crashes) ~solo_bound:1
             [ (0, 0, `Proved); (1, 0, `Proved); (2, 0, `Proved); (1, 1, `Proved) ];
-          row "alg5 k=3" (fun _ -> Registry.alg5 ~k:3) ~steals:true ~solo_bound:5
+          row "alg5 k=3" (fun _ -> Registry.alg5 ~k:3) ~steals:true ~reuses:true
+            ~solo_bound:5
             [ (0, 0, `Proved); (1, 0, `Proved); (1, 1, `Refuted) ];
           row "1swrn k=3" (fun _ -> Registry.one_shot_wrn_object ~k:3)
             [ (0, 0, `Proved); (1, 0, `Proved); (1, 1, `Proved) ];
