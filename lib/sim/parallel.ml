@@ -5,17 +5,17 @@
    once it has claimed [?seq_threshold] states; smaller spaces never pay
    for a domain.  Helpers begin idle.  Work moves only toward idleness:
    each domain owns one hand-off slot, a [work option Atomic.t].  A
-   domain about to recurse into a child offers that child in its slot
-   instead, when some domain is idle and the slot is empty; an idle
+   domain about to run a node it has claimed offers that node in its
+   slot instead, when some domain is idle and the slot is empty; an idle
    domain takes a peer's offer with a compare-and-set to [None], and the
    owner drains its own slot with an exchange.  Every offer is a fresh
    [Some] block and the compare-and-set compares physically, so a stale
-   read cannot take a later offer (no ABA).  A work item carries
-   everything the DFS needs to resume there: the configuration, its
-   carried fingerprint with the winner it was patched under and whether
-   it inherits that winner (so a stolen child minimizes and re-folds no
-   more than its owner would have), the trace, the depth and the sleep
-   set.
+   read cannot take a later offer (no ABA).  A work item is a claimed
+   node: the arguments of its [node] call — the configuration, its key
+   and renaming, its restricted sleep set, its carried fingerprint with
+   the winner it was keyed under and whether the store decided that
+   winner (so a stolen node's children minimize and re-fold no more
+   than its owner's would have), the trace and the depth.
    Termination is the idle-counter protocol: a domain is counted idle
    whenever it holds no work, and decrements the counter {e before}
    every steal attempt and re-increments on failure, so [idle = jobs]
@@ -35,16 +35,16 @@
    blocks.
 
    A node is {e claimed} exactly once, by whichever domain's claim lands
-   first, and only the claimer expands it; the expansion
+   first ([claims]): the domain that keys it, after the stop check, the
+   poll and the depth bound.  That is [visit], for the root and for
+   every stepped child, or the parent's delta memo, for a child keyed
+   before it is built.  The claimer runs the node or hands it off
+   ([run]), and only the domain that runs it expands it; the expansion
    ([Explore.source_transitions]) is a pure function of the claimed
    (state, sleep) key.  It picks the transitions to take without
-   stepping any; the DFS steps each ([Explore.expand]) just before it
+   stepping any; [node] steps each ([Explore.expand]) just before it
    counts and patches that transition's children, so a sleeping
-   transition, or a sibling after a stop, is never stepped.  A child is
-   claimed when the DFS enters it, after the stop check, the poll and
-   the depth bound: a stepped child inside its own [dfs] call, on
-   whichever domain runs it, and a child keyed from the delta memo by
-   its parent, before it is built.
+   transition, or a sibling after a stop, is never stepped.
 
    The delta memo.  When a search claims every node's carried
    fingerprint as it is ([Explore.claims_carried_fingerprint]: no
@@ -58,23 +58,21 @@
    the far corner of a commutation diamond, a process stepping after
    another that touched neither its record nor its object — is not
    taken: each successor's key is the parent's plus its delta, claimed
-   by the parent, and only a fresh one steps the bundle, whose child
-   this domain then runs itself, never offered, so that each ticket is
-   counted by the domain that drew it.  The memo is a pure cache: it
-   is private to its domain and never travels in a work item.
-   [~paranoid] keeps it but takes every step, and counts a reusable
-   delta that disagrees with its patch as a mismatch.  So
+   by the parent, and only a fresh one steps the bundle.  The memo is a
+   pure cache: it is private to its domain and never travels in a work
+   item.  [~paranoid] keeps it but takes every step, and counts a
+   reusable delta that disagrees with its patch as a mismatch.  So
    [states], [transitions], [terminals], [hung_terminals],
    [crashed_terminals], [recovered_terminals], [dedup_hits] and
    [source_skips] are schedule-independent on acyclic state graphs (all
    one-shot bounded algorithms): every domain count reports the
-   one-domain figures, and a stolen subtree prunes exactly as an
-   owner-executed one because everything the pruning depends on travels
+   one-domain figures, and a stolen node prunes exactly as an
+   owner-run one because everything the pruning depends on travels
    inside the work item.  At one domain the DFS visits nodes in
    canonical sibling preorder; [max_depth] and the witness traces of a
    multi-domain search depend on the race for claims.
 
-   Callbacks run on the domain that claimed the node, with no lock held,
+   Callbacks run on the domain that runs the node, with no lock held,
    and receive that domain's id (worker 0 is the caller, helpers are
    1 .. jobs - 1), so a caller can keep one accumulator per domain and
    merge them after the join ({!Search.fold_terminals}).
@@ -84,13 +82,15 @@
    are 0, 1, 2, ... each drawn once; tickets below [max_states] are
    counted, the first ticket at the budget stops the search and is {e
    not} counted — so a truncated search reports exactly [max_states]
-   states at any [jobs].
+   states at any [jobs].  A claimed node still in a hand-off slot when
+   the search stops is counted but never run: the callbacks never see
+   it.
 
    Every way a search ends — budget, deadline, a callback's [Stop] or
    other exception, a cycle's back-edge — goes through [halt]: the first
    cause lands in [stop] and the domain's DFS unwinds with [Halt]; every
    other domain sees [stop] at its next node or steal attempt and unwinds
-   too.  Worker 0 joins every helper before [run] returns.
+   too.  Worker 0 joins every helper before the search returns.
 
    A search's figures are its own: each domain counts into its own
    [Explore.counters], merged after the join into the returned stats.
@@ -110,18 +110,18 @@ let default_seq_threshold = 4096
    search [Max_depth] and is not expanded. *)
 let default_max_depth = 10_000
 
-(* A child handed to an idle domain: the arguments of the [dfs] call the
-   offering domain would otherwise have made. *)
+(* A claimed node handed to an idle domain: the arguments of the [node]
+   call the offering domain would otherwise have made. *)
 type work = {
   config : Config.t;
+  key : Fingerprint.key;
+  pi : Symmetry.perm;
+  sleep : Explore.tr list;
   fp : Fingerprint.t;
   win : int;
-  (* The store decided [win] and the step here left the store alone
-     ([Explore.node_key]). *)
-  inherits : bool;
+  decided : bool;
   rev_trace : Trace.event list;
   depth : int;
-  sleep : Explore.tr list;
 }
 
 type stop_cause = Budget | Deadline | Cycle of Trace.t | Callback of exn
@@ -306,50 +306,65 @@ let enter ctx depth =
     false
   end
 
-(* DFS with claim-once memoization on canonical (configuration, sleep)
-   keys ([Explore.node_key]).  [rev_trace] is the path from the root,
-   newest event first.  Crash and recover transitions are ordinary
-   transitions of the search, bounded by budgets the configuration
-   itself records.  [sleep] is the sleep set in concrete coordinates:
-   transitions covered by a sibling branch.  Source sets only prune
-   transitions, never terminals: terminals key by state alone, so
-   terminal verdicts and counts are preserved exactly (assuming an
-   acyclic state graph; the cycle-hunting and reachability entry points
-   force source sets off).  Outside cycle hunting a back-edge is a
-   claimed key like any other, a [dedup_hits] count.  A child inherits
-   its parent's winner [win] when the store decided it and the
+(* Enter a node, key it ([Explore.node_key]) and claim it; a fresh
+   claim runs.  [rev_trace] is the path from the root, newest event
+   first.  Crash and recover transitions are ordinary transitions of the
+   search, bounded by budgets the configuration itself records.  [sleep]
+   is the sleep set in concrete coordinates: transitions covered by a
+   sibling branch.  Source sets only prune transitions, never terminals:
+   terminals key by state alone, so terminal verdicts and counts are
+   preserved exactly (assuming an acyclic state graph; the cycle-hunting
+   and reachability entry points force source sets off).  A child
+   inherits its parent's winner [win] when the store decided it and the
    transition's slots list no store slot. *)
-let rec dfs ctx config fp win inherits rev_trace depth sleep =
+let rec visit ctx config fp win inherits rev_trace depth sleep =
   if enter ctx depth then begin
-    let g = ctx.g and c = ctx.counts in
+    let g = ctx.g in
     let key, pi, sleep, fp, win, decided =
-      Explore.node_key ~paranoid:g.paranoid c g.reduction g.sym
+      Explore.node_key ~paranoid:g.paranoid ctx.counts g.reduction g.sym
         ~max_crashes:g.max_crashes fp win inherits config ~sleep
     in
-    match g.onstack with
-    | Some onstack when Fingerprint.Ktbl.mem onstack key ->
-      (* Back-edge into the DFS stack: an infinite schedule (modulo
-         symmetry, when enabled). *)
-      halt g (Cycle (List.rev rev_trace))
-    | _ ->
-      let ticket = Claim_table.claim_key g.table ctx.claim key in
-      if ticket < 0 then c.dedup_hits <- c.dedup_hits + 1
-      else begin
-        claimed ctx ticket;
-        node ctx config key pi sleep fp win decided rev_trace depth
-      end
+    if claims ctx key rev_trace then
+      run ctx config key pi sleep fp win decided rev_trace depth
   end
 
-(* Each ticket goes to exactly one claim, by the domain that drew it:
-   those below the budget are counted, the first at it stops the
-   search. *)
-and claimed ctx ticket =
+(* The whole claim of an entered node's [key]: [true] when it is fresh.
+   Under cycle hunting a key on the DFS stack is a back-edge, an
+   infinite schedule (modulo symmetry, when enabled) whose lasso is
+   [rev_trace]; otherwise a back-edge is a claimed key like any other, a
+   [dedup_hits] count.  Each ticket goes to exactly one claim, by the
+   domain that drew it: those below the budget are counted, the first
+   at it stops the search. *)
+and claims ctx key rev_trace =
   let g = ctx.g and c = ctx.counts in
-  if ticket >= g.max_states then halt g Budget;
-  c.states <- c.states + 1;
-  if c.states >= ctx.spawn_at then spawn ctx
+  (match g.onstack with
+  | Some onstack when Fingerprint.Ktbl.mem onstack key ->
+    halt g (Cycle (List.rev rev_trace))
+  | _ -> ());
+  let ticket = Claim_table.claim_key g.table ctx.claim key in
+  if ticket < 0 then begin
+    c.dedup_hits <- c.dedup_hits + 1;
+    false
+  end
+  else begin
+    if ticket >= g.max_states then halt g Budget;
+    c.states <- c.states + 1;
+    if c.states >= ctx.spawn_at then spawn ctx;
+    true
+  end
 
-(* The body of a node this domain has claimed and counted. *)
+(* Run a claimed node, or offer it in this domain's slot when some
+   domain is idle and the slot is empty. *)
+and run ctx config key pi sleep fp win decided rev_trace depth =
+  match ctx.g.pool with
+  | Some p
+    when Atomic.get p.idle > 0 && Option.is_none (Atomic.get p.slots.(ctx.id))
+    ->
+    Atomic.set p.slots.(ctx.id)
+      (Some { config; key; pi; sleep; fp; win; decided; rev_trace; depth })
+  | _ -> node ctx config key pi sleep fp win decided rev_trace depth
+
+(* The body of a claimed node, on the domain that runs it. *)
 and node ctx config key pi sleep fp win decided rev_trace depth =
   let g = ctx.g and c = ctx.counts in
   Explore.cross_check c ~paranoid:g.paranoid g.sym fp win config;
@@ -378,7 +393,7 @@ and node ctx config key pi sleep fp win decided rev_trace depth =
           (fun (config', event, slots) ->
             let c = ctx.counts in
             c.transitions <- c.transitions + 1;
-            child ctx config'
+            visit ctx config'
               (Explore.child_fingerprint c ctx.g.sym fp win config slots
                  config')
               win
@@ -390,15 +405,18 @@ and node ctx config key pi sleep fp win decided rev_trace depth =
 
 (* Process [p]'s step [tr] at [config] in a search that keeps the delta
    memo, where every node keys under winner 0, with its renaming [pi],
-   and no sleep.  When the
-   memo's entry for [p] was made at this very process record and
-   invoked object state, the step would repeat it, so each successor's
-   key is the carried [fp] plus that successor's delta ([reuse]).
-   Otherwise the step is taken, its children are patched as usual, and
-   the entry is recorded once they return: recorded before, a step
-   deeper in their subtrees would overwrite it before the siblings that
-   can reuse it run.  A paranoid search takes every step and counts a
-   reusable delta that disagrees with its patch in [fp_mismatches]. *)
+   and no sleep.  When the memo's entry for [p] was made at this very
+   process record and invoked object state, the step would repeat it, so
+   it is not taken: each successor counts as a transition keyed by
+   reuse, does what [visit] would up to its claim, and is claimed with
+   key [fp] plus its delta.  A duplicate stops there, never stepped; the
+   first fresh key steps the bundle, kept for the rest.  (Such a search
+   hunts no cycle, so the claim never reads the trace.)  Otherwise the
+   step is taken, its children are visited as usual, and the entry is
+   recorded once they return: recorded before, a step deeper in their
+   subtrees would overwrite it before the siblings that can reuse it
+   run.  A paranoid search takes every step and counts a reusable delta
+   that disagrees with its patch in [fp_mismatches]. *)
 and memo_step ctx config pi fp rev_trace depth tr p =
   let proc = config.Config.procs.(p)
   and state =
@@ -406,8 +424,26 @@ and memo_step ctx config pi fp rev_trace depth tr p =
   in
   let e = ctx.deltas.(p) in
   let hit = e.d_proc == proc && e.d_state == state in
-  if hit && not ctx.g.paranoid then
-    reuse ctx config pi fp rev_trace depth tr e.d_deltas 0 None
+  if hit && not ctx.g.paranoid then begin
+    let stepped = ref [||] in
+    List.iteri
+      (fun j delta ->
+        let c = ctx.counts in
+        c.transitions <- c.transitions + 1;
+        c.fp_reused <- c.fp_reused + 1;
+        if enter ctx (depth + 1) then begin
+          let fp' = Fingerprint.hom_add fp delta in
+          let key = Fingerprint.Fp fp' in
+          if claims ctx key rev_trace then begin
+            if Array.length !stepped = 0 then
+              stepped := Array.of_list (Explore.expand config tr);
+            let config', event, _ = !stepped.(j) in
+            run ctx config' key pi [] fp' 0 false (event :: rev_trace)
+              (depth + 1)
+          end
+        end)
+      e.d_deltas
+  end
   else begin
     let deltas =
       List.fold_left
@@ -417,7 +453,7 @@ and memo_step ctx config pi fp rev_trace depth tr p =
           let fp' =
             Explore.child_fingerprint c ctx.g.sym fp 0 config slots config'
           in
-          child ctx config' fp' 0 false (event :: rev_trace) (depth + 1) [];
+          visit ctx config' fp' 0 false (event :: rev_trace) (depth + 1) [];
           Fingerprint.hom_sub fp' fp :: deltas)
         [] (Explore.expand config tr)
       |> List.rev
@@ -428,61 +464,13 @@ and memo_step ctx config pi fp rev_trace depth tr p =
       ctx.counts.fp_mismatches <- ctx.counts.fp_mismatches + 1
   end
 
-(* The successors of a memoized step from the [j]th on: each counts as
-   a transition keyed by reuse and does what entering it would, up to
-   its claim.  A duplicate stops there, never stepped.  The first fresh
-   key steps the bundle ([succs], kept for the rest) and this domain
-   runs the claimed child's body itself: the child is never offered, so
-   the ticket is counted by the domain that drew it. *)
-and reuse ctx config pi fp rev_trace depth tr deltas j succs =
-  match deltas with
-  | [] -> ()
-  | delta :: deltas ->
-    let c = ctx.counts in
-    c.transitions <- c.transitions + 1;
-    c.fp_reused <- c.fp_reused + 1;
-    let succs =
-      if not (enter ctx (depth + 1)) then succs
-      else
-        let fp' = Fingerprint.hom_add fp delta in
-        let key = Fingerprint.Fp fp' in
-        let ticket = Claim_table.claim_key ctx.g.table ctx.claim key in
-        if ticket < 0 then begin
-          c.dedup_hits <- c.dedup_hits + 1;
-          succs
-        end
-        else begin
-          claimed ctx ticket;
-          let stepped =
-            match succs with
-            | Some a -> a
-            | None -> Array.of_list (Explore.expand config tr)
-          in
-          let config', event, _ = stepped.(j) in
-          node ctx config' key pi [] fp' 0 false (event :: rev_trace)
-            (depth + 1);
-          Some stepped
-        end
-    in
-    reuse ctx config pi fp rev_trace depth tr deltas (j + 1) succs
-
-(* Recurse into a child, or offer it in this domain's slot when some
-   domain is idle and the slot is empty. *)
-and child ctx config fp win inherits rev_trace depth sleep =
-  match ctx.g.pool with
-  | Some p
-    when Atomic.get p.idle > 0 && Option.is_none (Atomic.get p.slots.(ctx.id))
-    ->
-    Atomic.set p.slots.(ctx.id)
-      (Some { config; fp; win; inherits; rev_trace; depth; sleep })
-  | _ -> dfs ctx config fp win inherits rev_trace depth sleep
-
 (* Run what this domain's own slot still holds, until it stays empty
    (the domain stays busy). *)
 and drain ctx p =
   match Atomic.exchange p.slots.(ctx.id) None with
   | Some w ->
-    dfs ctx w.config w.fp w.win w.inherits w.rev_trace w.depth w.sleep;
+    node ctx w.config w.key w.pi w.sleep w.fp w.win w.decided w.rev_trace
+      w.depth;
     drain ctx p
   | None -> ()
 
@@ -491,7 +479,8 @@ and drain ctx p =
 and idle_loop ctx p =
   match steal ctx p with
   | Some w ->
-    dfs ctx w.config w.fp w.win w.inherits w.rev_trace w.depth w.sleep;
+    node ctx w.config w.key w.pi w.sleep w.fp w.win w.decided w.rev_trace
+      w.depth;
     drain ctx p;
     Atomic.incr p.idle;
     idle_loop ctx p
@@ -637,7 +626,7 @@ let run ~max_states ?(max_depth = default_max_depth) ~max_crashes
      winner [-1] names no parent, so its key is folded and the
      fingerprint given with it is never read; it inherits nothing. *)
   (try
-     dfs w0 config Fingerprint.erased_store (-1) false [] 0 [];
+     visit w0 config Fingerprint.erased_store (-1) false [] 0 [];
      match g.pool with
      | Some p ->
        drain w0 p;

@@ -8,13 +8,14 @@
     [jobs > 1] it spawns [jobs - 1] helper domains from inside that DFS
     once it has claimed [?seq_threshold] states
     ({!default_seq_threshold}), so a small space never pays for a
-    domain.  Helpers begin idle.  A domain hands work to a peer only
+    domain.  Helpers begin idle.  The domain that keys a node claims
+    it, and runs it or hands it off.  A domain hands work to a peer only
     when that peer is idle: each domain owns one hand-off slot, and about
-    to recurse into a child it offers the child there instead when some
-    domain is idle and its slot is empty; an idle domain scans the other
-    slots from its own id onward and takes an offer with a
-    compare-and-set.  A slot never holds more than one work item, which
-    carries the child's configuration, fingerprint, trace, depth and
+    to run a node it has claimed it offers the node there instead when
+    some domain is idle and its slot is empty; an idle domain scans the
+    other slots from its own id onward and takes an offer with a
+    compare-and-set.  A slot never holds more than one work item, a
+    claimed node: its configuration, key, fingerprint, trace, depth and
     sleep set.  Termination is the idle-counter protocol
     (decrement-before-steal).  An idle domain that finds no offer scans
     again at once, or, when [jobs] exceeds
@@ -44,7 +45,10 @@
     unwinds at its next node or steal attempt.  Every helper is joined
     before {!run} returns.  A budget-truncated search reports exactly
     [max_states] states at any [jobs]: each fresh claim draws its ticket
-    inside the claim, and only tickets below the budget count.
+    inside the claim, and only tickets below the budget count.  A
+    claimed node still in a hand-off slot when the search stops is
+    counted but never run, so the callbacks may see fewer nodes than
+    [states].
     [?deadline] (seconds of wall clock) reads [limited = true],
     [limit_reason = Deadline], and which states were visited before the
     cutoff depends on the schedule.
@@ -69,8 +73,8 @@
     its delta and claimed before it is built, so a duplicate costs no
     step and no patch (the stats' [fp_reused] counts these transitions;
     with [fp_patches] they sum to [transitions]).  A fresh successor
-    steps the bundle once and is expanded by the domain that claimed
-    it.  The memo is exact, not probabilistic: a step is a pure function
+    steps the bundle once, and its claimer runs it or hands it off like
+    any other claimed node.  The memo is exact, not probabilistic: a step is a pure function
     of the process record and the object's state, and every slot's mix
     under the trivial group depends on that slot alone.  [~paranoid]
     searches keep it, take every step anyway and count a reusable delta
@@ -83,8 +87,8 @@
     {!Explore.source_transitions}, a pure function of that pair, so a
     stolen subtree prunes {e identically} to the subtree its owner would
     have explored.  A taken transition is stepped ({!Explore.expand})
-    only when the DFS reaches it; a child offered to an idle domain is a
-    built configuration.  See DESIGN.md, "Source sets under work stealing". *)
+    only when the DFS reaches it; a node offered to an idle domain is a
+    built configuration, already claimed.  See DESIGN.md, "Source sets under work stealing". *)
 
 val default_seq_threshold : int
 (** [4096]: the claimed-state count at which worker 0 spawns its
@@ -114,7 +118,7 @@ val run :
   Config.t ->
   Explore.stats * Trace.t option
 (** [run ~jobs ~on_terminal ~on_visit label config] — one search.  Both
-    callbacks run on the domain that claimed the node, with no lock held,
+    callbacks run on the domain that runs the node, with no lock held,
     so once helpers run they run concurrently and must be domain-safe.
     Both receive that domain's id first, in [0 .. jobs - 1] (the calling
     domain is [0]): a caller that keeps one accumulator per id needs no

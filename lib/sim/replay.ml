@@ -49,16 +49,3 @@ let final config trace =
   | Ok [] -> Ok config
   | Ok configs -> Ok (List.nth configs (List.length configs - 1))
   | Error e -> Error e
-
-let pp_annotated ppf (config, trace) =
-  match replay config trace with
-  | Error { at; reason } ->
-    Format.fprintf ppf "replay failed at event %d: %s" at reason
-  | Ok configs ->
-    Format.fprintf ppf "@[<v>";
-    List.iteri
-      (fun i (event, config') ->
-        Format.fprintf ppf "%3d. %a@,%a" i Trace.pp_event event Store.pp
-          config'.Config.store)
-      (List.combine trace configs);
-    Format.fprintf ppf "@]"

@@ -31,7 +31,3 @@ val replay : Config.t -> Trace.t -> (Config.t list, error) result
 
 (** [final config trace] — just the last configuration. *)
 val final : Config.t -> Trace.t -> (Config.t, error) result
-
-(** [pp_annotated ppf (config, trace)] prints the trace interleaved with
-    object states. *)
-val pp_annotated : Format.formatter -> Config.t * Trace.t -> unit

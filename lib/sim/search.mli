@@ -23,7 +23,8 @@
     [--reduction full] runs at full strength at any [jobs].
 
     {b Callbacks.}  The engine calls every callback on the domain that
-    claimed the node, with no lock held.  Each reachable terminal is seen
+    runs the node (its claimer, or the idle domain it was handed to),
+    with no lock held.  Each reachable terminal is seen
     once.  [f] in {!iter_terminals} keeps a serialized contract: that
     entry point wraps it in a lock of its own at [jobs > 1].  Everything
     else runs concurrently once helper domains run and must be

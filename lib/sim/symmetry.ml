@@ -1,7 +1,6 @@
 type perm = int array
 
 let identity n = Array.init n (fun i -> i)
-let apply (pi : perm) i = pi.(i)
 
 let rotations n =
   List.init n (fun c -> Array.init n (fun i -> (i + c) mod n))

@@ -42,13 +42,6 @@ type perm = int array
 (** [pi.(i)] is the image of process [i]. *)
 
 val identity : int -> perm
-val apply : perm -> int -> int
-
-val rotations : int -> perm list
-(** The cyclic group: all [n] rotations of [0..n-1], identity included. *)
-
-val all_perms : int -> perm list
-(** The full symmetric group ([n!] elements) — only for tiny [n]. *)
 
 type t
 
@@ -63,7 +56,7 @@ val standard :
     integers [0..n-1] (renamed when [map_ids], default true), proposals are
     [input_base..input_base+n-1] (renamed consistently when given), and any
     [Vec] of length exactly [n] inside object states, responses, or decided
-    values is process-indexed.  See {!deep_act}.  [erase_dead] (default
+    values is process-indexed.  See {!act}.  [erase_dead] (default
     true) additionally drops the response histories of terminated/hung
     processes — and, for terminal configurations with no crashed process,
     the whole store — from the memo key; this is sound independently of
@@ -83,13 +76,6 @@ val erasure_only : n:int -> t
 (** Identity group with dead-history/terminal-store erasure: a reduction
     that is sound for {e every} algorithm, symmetric or not. *)
 
-val deep_act :
-  n:int -> map_ids:bool -> input_base:int option -> perm -> Value.t -> Value.t
-(** The standard data action (exposed for property tests): renames process
-    ids and proposal values, permutes the slots of every length-[n] [Vec]
-    (recursing into entries), and traverses pairs/tags/other vectors
-    structurally. *)
-
 val n_procs : t -> int
 val group_order : t -> int
 
@@ -103,8 +89,11 @@ val perms : t -> perm list
 
 val act : t -> perm -> Value.t -> Value.t
 (** The spec's data action on a single value (object state, op argument or
-    response).  The soundness analyzer uses it to verify that every group
-    element is an automorphism of each object's transition system. *)
+    response): renames process ids (under [map_ids]) and proposal values,
+    permutes the slots of every length-[n] [Vec] (recursing into
+    entries), and traverses pairs, tags and other vectors structurally.
+    The soundness analyzer uses it to verify that every group element is
+    an automorphism of each object's transition system. *)
 
 val key_under : t -> perm -> Config.t -> Value.t
 (** The memoization key of a configuration under one fixed renaming

@@ -88,7 +88,9 @@ let budget_truncation () =
 (* The budget stays exact while helpers claim: Alg 5 k=4 f=1 at [jobs],
    cut past the default spawn point and, with helpers spawned at the
    root, at a few hundred states — on the two-lane and paranoid
-   tables. *)
+   tables.  A claimed node still in a hand-off slot when the search
+   stops is counted but never visited, so the visits are at most the
+   states. *)
 let budget_truncation_with_helpers () =
   let config = root (Registry.alg5 ~k:4) in
   let tables = [ ("heap", Fun.id); ("paranoid", Search.with_paranoid true) ] in
@@ -97,17 +99,20 @@ let budget_truncation_with_helpers () =
       List.iter
         (fun (label, table) ->
           let label = Printf.sprintf "%s budget %d" label budget in
+          let visits = Atomic.make 0 in
           let s =
-            Search.iter_terminals ?seq_threshold
-              ~options:
-                Search.(
-                  default |> table |> with_max_crashes 1
-                  |> with_max_states budget |> with_jobs jobs)
-              config ~f:(fun _ _ -> ())
+            parallel_run ?seq_threshold
+              ~on_visit:(fun _ _ _ -> Atomic.incr visits)
+              Search.(
+                default |> table |> with_max_crashes 1
+                |> with_max_states budget |> with_jobs jobs)
+              config
           in
           Alcotest.(check int) (label ^ " exactly budget states") budget
             s.Explore.states;
-          Alcotest.(check bool) (label ^ " limited") true s.Explore.limited)
+          Alcotest.(check bool) (label ^ " limited") true s.Explore.limited;
+          Alcotest.(check bool) (label ^ " visits at most states") true
+            (Atomic.get visits <= s.Explore.states))
         tables)
     [ (None, 50_000); (Some 0, 300) ]
 

@@ -319,7 +319,7 @@ let renaming_crash_random =
 
 (* The fused symmetry action: comparing and fingerprinting values under
    renamings without building the acted copies must agree with
-   [deep_act] followed by [compare] or by the [of_value] fold.  Values mix
+   [Symmetry.act] followed by [compare] or by the [of_value] fold.  Values mix
    process ids in [0,n), proposals in [base, base+n), other integers,
    process-indexed vectors (length n) and vectors of other lengths, pairs
    and tags, nested.  The second value is either independent or a renamed
